@@ -42,7 +42,7 @@ pub struct SoclConfig {
     /// instances, so this is the mechanism that repairs unlucky stage-2
     /// positions. Disable for the ablation.
     pub relocation: bool,
-    /// Evaluate latency losses and partitions in parallel with rayon.
+    /// Evaluate latency losses and partitions in parallel on `socl_net::par`.
     pub parallel: bool,
     /// Hard cap on combination rounds (defensive; never hit in practice).
     pub max_rounds: usize,

@@ -65,8 +65,8 @@ pub const COVERED_FILES: [&str; 5] = [
 ];
 
 /// Fully-qualified hot entry points: the per-slot / per-request / per-build
-/// code whose loops dominate BENCH_hotpath. Fns carrying a `LINT-HOT(A1)`
-/// marker comment are entries too.
+/// code whose loops dominate the benchmark's step time. Fns carrying a
+/// `LINT-HOT(A1)` marker comment are entries too.
 pub const HOT_ENTRIES: [&str; 9] = [
     "socl_net::paths::AllPairs::build",
     "socl_net::paths::AllPairs::build_serial",

@@ -2360,8 +2360,8 @@ mod tests {
             ("socl_net".into(), vec![])
         );
         assert_eq!(
-            module_of("crates/bench/src/bin/hotpath.rs"),
-            ("socl_bench".into(), vec!["hotpath".into()])
+            module_of("crates/bench/src/bin/churn.rs"),
+            ("socl_bench".into(), vec!["churn".into()])
         );
     }
 

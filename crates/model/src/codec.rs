@@ -202,9 +202,8 @@ pub struct BinReader<'a> {
     pos: usize,
 }
 
-/// Sequences read back from a checkpoint are length-prefixed by the writer;
-/// cap how many elements a single prefix may claim so a corrupted length
-/// cannot drive an allocation of gigabytes before the bounds check trips.
+/// Absolute cap on the element count a single length prefix may claim,
+/// whatever the input size (see [`BinReader::seq_len`]).
 const MAX_SEQ_LEN: usize = 1 << 24;
 
 impl<'a> BinReader<'a> {
@@ -327,7 +326,7 @@ impl<'a> BinReader<'a> {
     /// # Errors
     /// Truncation or an implausible length prefix.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
-        let n = self.seq_len()?;
+        let n = self.seq_len(1)?;
         self.take(n)
     }
 
@@ -336,7 +335,7 @@ impl<'a> BinReader<'a> {
     /// # Errors
     /// Truncation or an implausible length prefix.
     pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, CodecError> {
-        let n = self.seq_len()?;
+        let n = self.seq_len(4)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.get_u32()?);
@@ -349,7 +348,7 @@ impl<'a> BinReader<'a> {
     /// # Errors
     /// Truncation or an implausible length prefix.
     pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
-        let n = self.seq_len()?;
+        let n = self.seq_len(8)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.get_f64()?);
@@ -362,7 +361,7 @@ impl<'a> BinReader<'a> {
     /// # Errors
     /// Truncation, an implausible length prefix, or a non-0/1 byte.
     pub fn get_bool_vec(&mut self) -> Result<Vec<bool>, CodecError> {
-        let n = self.seq_len()?;
+        let n = self.seq_len(1)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.get_bool()?);
@@ -370,10 +369,25 @@ impl<'a> BinReader<'a> {
         Ok(out)
     }
 
-    fn seq_len(&mut self) -> Result<usize, CodecError> {
+    /// Read the length prefix of a sequence whose elements each occupy at
+    /// least `elem_bytes` encoded bytes. This is the only place a length
+    /// comes off the wire: the count is capped by what the unread input can
+    /// hold, so the `Vec::with_capacity` a caller sizes from it never
+    /// reserves more than the input's own length.
+    ///
+    /// # Errors
+    /// [`CodecError::Truncated`] when the claimed elements cannot fit in the
+    /// remaining bytes; [`CodecError::Malformed`] over the absolute cap.
+    pub fn seq_len(&mut self, elem_bytes: usize) -> Result<usize, CodecError> {
         let n = self.get_usize()?;
         if n > MAX_SEQ_LEN {
             return Err(CodecError::Malformed("sequence length implausible"));
+        }
+        if n > self.remaining() / elem_bytes.max(1) {
+            return Err(CodecError::Truncated {
+                needed: n.saturating_mul(elem_bytes),
+                have: self.remaining(),
+            });
         }
         Ok(n)
     }

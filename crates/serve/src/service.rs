@@ -1081,30 +1081,60 @@ mod tests {
 
     #[test]
     fn service_runs_and_conserves() {
-        let mut serve = SoclServe::new(ServeConfig {
+        let small = ServeConfig {
             feed: FeedConfig {
                 users: 2000,
                 arrivals_per_tick: 60.0,
                 ..FeedConfig::default()
             },
             ..ServeConfig::small(3)
-        });
-        let summaries = serve.run(10);
-        assert_eq!(serve.completed_ticks(), 10);
-        let t = serve.totals();
-        assert!(t.arrivals > 0, "feed produced no load");
-        assert!(t.decided > 0, "no decisions issued");
-        assert_eq!(
-            t.arrivals,
-            t.decided + t.shed_queue + t.shed_admission + t.queued,
-            "conservation violated"
-        );
-        // Digest timeline is dense: one entry per region per tick.
-        for tl in serve.digest_timeline() {
-            assert_eq!(tl.len(), 10);
+        };
+        // The overloaded flash-crowd configuration `serve-flash-crash`
+        // measures in `benchmark/`: both shed paths fire, and the decision
+        // stream is a pure function of it, so its totals are exact.
+        let flash = ServeConfig {
+            nodes: 24,
+            regions: 4,
+            shards: 4,
+            feed: FeedConfig {
+                users: 200_000,
+                shape: socl_trace::TemporalConfig::flash_crowd(),
+                arrivals_per_tick: 300.0,
+                seed: 0xFEED ^ 17,
+                ..FeedConfig::default()
+            },
+            ..ServeConfig::small(17)
+        };
+        for (cfg, ticks, pinned) in [
+            (small, 10, None),
+            (flash, 60, Some([11475, 6514, 10, 4951])),
+        ] {
+            let mut serve = SoclServe::new(cfg);
+            let summaries = serve.run(ticks);
+            assert_eq!(serve.completed_ticks(), ticks);
+            let t = serve.totals();
+            assert!(t.arrivals > 0, "feed produced no load");
+            assert!(t.decided > 0, "no decisions issued");
+            assert_eq!(
+                t.arrivals,
+                t.decided + t.shed_queue + t.shed_admission + t.queued,
+                "conservation violated"
+            );
+            if let Some(pinned) = pinned {
+                assert_eq!(
+                    [t.arrivals, t.decided, t.shed_queue, t.shed_admission],
+                    pinned,
+                    "arrivals / decided / queue-shed / admission-shed drifted"
+                );
+            }
+            assert!(serve.max_checkpoint_bytes() <= 256 * 1024);
+            // Digest timeline is dense: one entry per region per tick.
+            for tl in serve.digest_timeline() {
+                assert_eq!(tl.len(), ticks as usize);
+            }
+            let last = summaries.last().copied();
+            assert_eq!(last.map(|s| s.tick), Some(ticks));
         }
-        let last = summaries.last().copied();
-        assert_eq!(last.map(|s| s.tick), Some(10));
     }
 
     #[test]

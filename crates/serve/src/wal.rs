@@ -24,16 +24,6 @@ const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"SRGN");
 /// Region-checkpoint format version understood by this build.
 // CKPT-SHAPE(v1): 2783521b7bd4231a
 const CKPT_VERSION: u32 = 1;
-/// Upper bound on any decoded sequence length (corruption guard).
-const MAX_SEQ: usize = 1 << 24;
-
-fn get_seq_len(r: &mut BinReader<'_>) -> Result<usize, CodecError> {
-    let n = r.get_usize()?;
-    if n > MAX_SEQ {
-        return Err(CodecError::Malformed("sequence length over limit"));
-    }
-    Ok(n)
-}
 
 /// One tick of one region in the write-ahead log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,9 +72,6 @@ impl TickRecord {
             shed_admission: r.get_u32()?,
             digest: r.get_u64()?,
         };
-        if rec.remote_add.len() > MAX_SEQ {
-            return Err(CodecError::Malformed("remote_add over limit"));
-        }
         if !r.is_done() {
             return Err(CodecError::Malformed("trailing bytes in tick record"));
         }
@@ -243,7 +230,7 @@ impl RegionCheckpoint {
         }
         let region = r.get_u32()?;
         let tick = r.get_u32()?;
-        let n_pending = get_seq_len(&mut r)?;
+        let n_pending = r.seq_len(8)?;
         let mut pending = Vec::with_capacity(n_pending);
         for _ in 0..n_pending {
             pending.push((r.get_u32()?, r.get_u32()?));
@@ -263,9 +250,6 @@ impl RegionCheckpoint {
             cloud_fallbacks: r.get_u64()?,
             digest: r.get_u64()?,
         };
-        if ck.in_flight.len() > MAX_SEQ || ck.ring.len() > MAX_SEQ {
-            return Err(CodecError::Malformed("grid length over limit"));
-        }
         if !r.is_done() {
             return Err(CodecError::Malformed("trailing bytes in checkpoint"));
         }
@@ -313,6 +297,49 @@ mod tests {
         bytes[mid] ^= 0xFF;
         assert!(RegionCheckpoint::from_bytes(&bytes).is_err());
         assert!(RegionCheckpoint::from_bytes(&bytes[..8]).is_err());
+    }
+
+    /// A length prefix claiming one element more than the `SLACK` bytes
+    /// after it can hold must fail before anything is sized from it.
+    #[test]
+    fn length_prefix_beyond_the_input_is_a_typed_error() {
+        const SLACK: usize = 20;
+        let lie = |head: &[u32], elem: usize, sealed: bool| {
+            let mut w = BinWriter::new();
+            head.iter().for_each(|&v| w.put_u32(v));
+            w.put_usize(SLACK / elem + 1);
+            w.put_raw(&[0; SLACK]);
+            if sealed {
+                let crc = crc32(w.as_bytes());
+                w.put_u32(crc);
+            }
+            w.into_bytes()
+        };
+        let truncated = |e: &CodecError| matches!(e, CodecError::Truncated { have: SLACK, .. });
+
+        type Getter = fn(&mut BinReader<'_>) -> Result<usize, CodecError>;
+        let getters: [(usize, Getter); 4] = [
+            (1, |r| r.get_bytes().map(<[u8]>::len)),
+            (4, |r| r.get_u32_vec().map(|v| v.len())),
+            (8, |r| r.get_f64_vec().map(|v| v.len())),
+            (1, |r| r.get_bool_vec().map(|v| v.len())),
+        ];
+        for (elem, get) in getters {
+            let bytes = lie(&[], elem, false);
+            let err = get(&mut BinReader::new(&bytes)).expect_err("length lie");
+            assert!(truncated(&err), "elem {elem}: {err}");
+        }
+
+        // Region checkpoint: magic, version, region, tick, then `pending`.
+        let region = lie(&[CKPT_MAGIC, CKPT_VERSION, 0, 0], 8, true);
+        let err = RegionCheckpoint::from_bytes(&region).expect_err("length lie");
+        assert!(truncated(&err), "{err}");
+        // Simulator checkpoint: magic, version, three u64 counters, then
+        // `locations`.
+        let sim_magic = u32::from_le_bytes(*b"SCKP");
+        let sim = lie(&[sim_magic, 1, 0, 0, 0, 0, 0, 0], 4, true);
+        let err = socl_sim::recovery::Checkpoint::from_bytes(&sim).expect_err("length lie");
+        assert!(truncated(&err), "{err}");
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   ([`recovery::audit_invariants`]).
 //! * [`chaos`] — a coverage-guided chaos soak ([`chaos::run_chaos_soak`])
 //!   sweeping seeds × kill-points × fault schedules × torn-tail modes and
-//!   auditing every recovery; drives `socl chaos` and the
-//!   `BENCH_recovery.json` gate.
+//!   auditing every recovery; drives `socl chaos` and the soak unit
+//!   tests (coverage floor, checkpoint size cap).
 //! * [`testbed`] — a discrete-event emulator standing in for the paper's
 //!   17-machine Kubernetes cluster (Section V.C): per-node FIFO CPU queues,
 //!   bandwidth-delayed transfers along the routed paths, serverless

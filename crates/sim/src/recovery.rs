@@ -46,9 +46,6 @@ const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"SCKP");
 /// Checkpoint format version understood by this build.
 // CKPT-SHAPE(v1): 5709c643363a0312
 const CKPT_VERSION: u32 = 1;
-/// Upper bound on any decoded sequence length — a corrupt length field
-/// must never turn into a multi-gigabyte allocation.
-const MAX_SEQ: usize = 1 << 24;
 
 /// Frozen position of a `ChaCha12Rng`: `(seed, stream, word position)`
 /// fully determine the generator's future output.
@@ -196,33 +193,26 @@ pub fn put_scaler_state(w: &mut BinWriter, s: &ScalerState) {
     w.put_f64(s.cold_start);
 }
 
-fn get_seq_len(r: &mut BinReader<'_>) -> Result<usize, CodecError> {
-    let n = r.get_usize()?;
-    if n > MAX_SEQ {
-        return Err(CodecError::Malformed("sequence length over limit"));
-    }
-    Ok(n)
-}
-
 /// Decode a [`ScalerState`] written by [`put_scaler_state`].
 ///
 /// # Errors
-/// [`CodecError`] on truncated input or a sequence length over the
-/// [`MAX_SEQ`] safety bound.
+/// [`CodecError`] on truncated input or a sequence length the remaining
+/// input cannot hold.
 pub fn get_scaler_state(r: &mut BinReader<'_>) -> Result<ScalerState, CodecError> {
     let services = r.get_usize()?;
     let nodes = r.get_usize()?;
     let counts = r.get_u32_vec()?;
     let caps = r.get_u32_vec()?;
-    let n_states = get_seq_len(r)?;
+    // Two length prefixes, forecaster (40) and two cooldown stamps.
+    let n_states = r.seq_len(72)?;
     let mut states = Vec::with_capacity(n_states);
     for _ in 0..n_states {
-        let n_samples = get_seq_len(r)?;
+        let n_samples = r.seq_len(16)?;
         let mut samples = Vec::with_capacity(n_samples);
         for _ in 0..n_samples {
             samples.push((r.get_f64()?, r.get_f64()?));
         }
-        let n_desires = get_seq_len(r)?;
+        let n_desires = r.seq_len(12)?;
         let mut desires = Vec::with_capacity(n_desires);
         for _ in 0..n_desires {
             desires.push((r.get_f64()?, r.get_u32()?));
@@ -324,7 +314,8 @@ impl Checkpoint {
         let fault_cursor = r.get_u64()?;
         let billed_replica_slots = r.get_u64()?;
         let locations: Vec<NodeId> = r.get_u32_vec()?.into_iter().map(NodeId).collect();
-        let n_requests = get_seq_len(&mut r)?;
+        // Fixed part of a request: ids, two length prefixes, three rates.
+        let n_requests = r.seq_len(48)?;
         let mut requests = Vec::with_capacity(n_requests);
         for _ in 0..n_requests {
             requests.push(get_request(&mut r)?);

@@ -1665,15 +1665,24 @@ mod tests {
         // Calm → flash crowd → calm. The crowd must actually saturate the
         // static pools (one replica per cell), so it is large and the
         // epochs short; a tight concurrency target makes the scaler react.
-        let arrivals = vec![10, 10, 400, 10];
-        let base = TestbedConfig {
-            epochs: 4,
-            epoch_secs: 30.0,
-            epoch_arrivals: Some(arrivals),
-            ..TestbedConfig::default()
-        };
-        let mk = |mode| TestbedConfig {
-            autoscale: Some(AutoscaleConfig {
+        let flash = vec![10, 10, 400, 10];
+        // A day curve: quiet night, midday peak around three times the floor.
+        let diurnal = vec![12, 8, 8, 14, 26, 36, 40, 34, 28, 22, 16, 12];
+        for (shape, epoch_secs, arrivals) in [("flash", 30.0, flash), ("diurnal", 60.0, diurnal)] {
+            let base = TestbedConfig {
+                epochs: arrivals.len(),
+                epoch_secs,
+                epoch_arrivals: Some(arrivals),
+                ..TestbedConfig::default()
+            };
+            let run = |autoscale| {
+                let cfg = TestbedConfig {
+                    autoscale: Some(autoscale),
+                    ..base.clone()
+                };
+                run_testbed(&sc, &placement, &cfg)
+            };
+            let mk = |mode| AutoscaleConfig {
                 mode,
                 target_concurrency: 1.0,
                 scale_interval: 1.0,
@@ -1681,17 +1690,27 @@ mod tests {
                 panic_window: 4.0,
                 min_replicas: 1,
                 ..AutoscaleConfig::default()
-            }),
-            ..base.clone()
-        };
-        let stat = run_testbed(&sc, &placement, &mk(ScalingMode::Static));
-        let reactive = run_testbed(&sc, &placement, &mk(ScalingMode::Reactive));
-        assert!(
-            reactive.latency_percentile(0.99) < stat.latency_percentile(0.99),
-            "reactive p99 {} should beat static p99 {}",
-            reactive.latency_percentile(0.99),
-            stat.latency_percentile(0.99)
-        );
-        assert!(reactive.scale_up_events > 0);
+            };
+            let reactive = run(mk(ScalingMode::Reactive));
+            assert!(reactive.scale_up_events > 0, "{shape}");
+            // Adaptive pools must cost less than holding every pool at its
+            // ceiling all day.
+            let max_scale = run(AutoscaleConfig::max_scale());
+            assert!(
+                reactive.replica_seconds < max_scale.replica_seconds,
+                "{shape}: reactive bills {} replica-seconds, max-scale {}",
+                reactive.replica_seconds,
+                max_scale.replica_seconds
+            );
+            if shape == "flash" {
+                let stat = run(mk(ScalingMode::Static));
+                assert!(
+                    reactive.latency_percentile(0.99) < stat.latency_percentile(0.99),
+                    "reactive p99 {} should beat static p99 {}",
+                    reactive.latency_percentile(0.99),
+                    stat.latency_percentile(0.99)
+                );
+            }
+        }
     }
 }
