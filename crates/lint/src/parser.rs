@@ -786,8 +786,8 @@ impl<'a> Walker<'a> {
                                 break;
                             }
                             Some("<") => self.skip_angles(),
-                            Some("(") => {
-                                // tuple struct — may be followed by `;`
+                            Some("(") | Some("[") => {
+                                // tuple struct (`;` may follow) / array type
                                 self.skip_group();
                             }
                             Some("=") => {

@@ -6,16 +6,34 @@
 //! objective knobs; `restore` rebuilds the [`Scenario`] (recomputing the
 //! path cache). [`PlacementSnapshot`] does the same for a deployment
 //! decision, so a solver run on machine A can be evaluated on machine B.
+//!
+//! The documents are plain JSON, read and written by the private `json`
+//! module: objects carry the struct fields by name in declaration order, id
+//! newtypes are bare numbers, tuples are arrays, and every `f64` is printed
+//! in its shortest form that parses back to the same bits.
+
+mod json;
 
 use crate::placement::Placement;
-use crate::request::UserRequest;
+use crate::request::{UserId, UserRequest};
 use crate::scenario::Scenario;
 use crate::service::{Microservice, ServiceCatalog, ServiceId};
-use serde::{Deserialize, Serialize};
+use json::{json_id, json_struct, Fields, FromJson, Json, ToJson};
 use socl_net::{AllPairs, EdgeNetwork, EdgeServer, LinkParams, NodeId};
 
+json_id!(NodeId, ServiceId, UserId);
+json_struct!(EdgeServer: compute_gflops, storage_units, position);
+json_struct!(LinkParams: bandwidth, tx_power, channel_gain, noise);
+json_struct!(Microservice: name, deploy_cost, storage, compute_gflop);
+json_struct!(UserRequest: id, location, chain, edge_data, r_in, r_out, d_max);
+json_struct!(
+    ScenarioSnapshot: version, servers, links, catalog, requests, lambda, budget, latency_scale,
+    cloud_penalty
+);
+json_struct!(PlacementSnapshot: services, nodes, deployed);
+
 /// A self-contained, serializable problem instance.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSnapshot {
     /// Format version for forward compatibility.
     pub version: u32,
@@ -105,21 +123,21 @@ impl ScenarioSnapshot {
 
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
-        // LINT-ALLOW(L2-panic-free): serializing a plain in-memory struct
-        // (no maps with non-string keys, no custom Serialize impls) cannot
-        // fail; an Err here is a serde_json bug worth aborting on. Doubles
-        // as the T2-panic-reach barrier for every caller of `to_json`.
-        serde_json::to_string_pretty(self).expect("snapshot serialization cannot fail")
+        json::render(&self.to_value())
     }
 
     /// Deserialize from JSON.
+    ///
+    /// # Errors
+    /// A message naming the offending byte or field when `json` is not a
+    /// well-formed snapshot document.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+        Self::from_value(json::parse(json)?)
     }
 }
 
 /// A serializable deployment decision.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementSnapshot {
     pub services: usize,
     pub nodes: usize,
@@ -152,18 +170,18 @@ impl PlacementSnapshot {
         Ok(p)
     }
 
-    /// Serialize to JSON.
+    /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
-        // LINT-ALLOW(L2-panic-free): serializing a plain-old-data struct of
-        // integers cannot fail; an Err here would mean serde_json itself is
-        // broken, which no caller can meaningfully handle. Doubles as the
-        // T2-panic-reach barrier for every caller of `to_json`.
-        serde_json::to_string_pretty(self).expect("snapshot serialization cannot fail")
+        json::render(&self.to_value())
     }
 
     /// Deserialize from JSON.
+    ///
+    /// # Errors
+    /// A message naming the offending byte or field when `json` is not a
+    /// well-formed snapshot document.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+        Self::from_value(json::parse(json)?)
     }
 }
 

@@ -7,11 +7,10 @@
 //! returned to the user (`r_out`).
 
 use crate::service::ServiceId;
-use serde::{Deserialize, Serialize};
 use socl_net::NodeId;
 
 /// Dense identifier of a user request (`u_h` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub u32);
 
 impl UserId {
@@ -29,7 +28,7 @@ impl std::fmt::Display for UserId {
 }
 
 /// One user request `u_h`: a chain of microservices plus data volumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserRequest {
     /// Identifier.
     pub id: UserId,

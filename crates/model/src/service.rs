@@ -1,9 +1,7 @@
 //! Microservices `M = {m_i}` and the service catalog.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense identifier of a microservice (`m_i` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServiceId(pub u32);
 
 impl ServiceId {
@@ -21,7 +19,7 @@ impl std::fmt::Display for ServiceId {
 }
 
 /// One microservice `m_i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Microservice {
     /// Human-readable name (from the dataset; synthetic services get `m<i>`).
     pub name: String,
@@ -62,7 +60,7 @@ impl Microservice {
 }
 
 /// The set `M` of all microservices in a scenario.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceCatalog {
     services: Vec<Microservice>,
 }

@@ -5,10 +5,8 @@
 //! (used only by topology generators and mobility models). Links are
 //! undirected and carry the parameters of the Shannon-capacity rate model.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense identifier of an edge server (`v_k` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -26,7 +24,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// An edge server `v_k`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeServer {
     /// Computing capability `c(v_k)` in GFLOP/s.
     pub compute_gflops: f64,
@@ -50,7 +48,7 @@ impl EdgeServer {
 
 /// Physical-layer parameters of a link, from which the effective transmission
 /// rate `b(l) = B · log2(1 + γ·g/N)` is derived (Section III.C, refs [20]-[22]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Raw bandwidth `B(l_{i,j})` in GB/s.
     pub bandwidth: f64,
@@ -87,7 +85,7 @@ impl LinkParams {
 }
 
 /// An undirected physical link `l_{k,k'}` of the substrate network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     pub a: NodeId,
     pub b: NodeId,

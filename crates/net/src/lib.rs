@@ -29,7 +29,6 @@
 pub mod fcmp;
 pub mod graph;
 pub mod incremental;
-pub mod kpaths;
 pub mod par;
 pub mod paths;
 pub mod resilience;
@@ -40,7 +39,6 @@ pub mod virtual_graph;
 pub use fcmp::OrdF64;
 pub use graph::{ConnScratch, EdgeNetwork, EdgeServer, Link, LinkParams, NodeId};
 pub use incremental::{ApspCache, CacheStats};
-pub use kpaths::{k_shortest_paths, WeightedPath};
 pub use par::{effective_threads, lock_recover, parallel_worthwhile, set_threads};
 pub use paths::{AllPairs, PathMetric, ShortestPaths};
 pub use resilience::{link_criticality, node_criticality, FailureImpact};

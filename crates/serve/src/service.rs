@@ -33,7 +33,9 @@
 
 use crate::feed::{FeedConfig, LoadFeed};
 use crate::region::RegionMap;
-use crate::shard::{Pending, RegionState, IN_FLIGHT_TICKS};
+use crate::shard::{
+    Pending, RegionState, IN_FLIGHT_TICKS, TAG_CLOUD, TAG_EDGE, TAG_SHED_ADMISSION, TAG_SHED_QUEUE,
+};
 use crate::wal::{RegionCheckpoint, RegionWal, TickRecord};
 use socl_autoscale::{AdmissionPolicy, AutoscaleConfig};
 use socl_core::SoclConfig;
@@ -45,15 +47,6 @@ use socl_net::{effective_threads, AllPairs, EdgeNetwork};
 use socl_sim::Policy;
 use std::collections::VecDeque;
 use std::sync::Mutex;
-
-/// Digest tag: an edge-served routing decision.
-const TAG_EDGE: u64 = 1;
-/// Digest tag: a cloud fallback (uncovered chain service).
-const TAG_CLOUD: u64 = 2;
-/// Digest tag: shed by the admission policy.
-const TAG_SHED_ADMISSION: u64 = 3;
-/// Digest tag: shed by a full ingest queue.
-const TAG_SHED_QUEUE: u64 = 4;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -499,9 +492,7 @@ impl SoclServe {
             let o = *origin as usize;
             match outcome {
                 RouteOutcome::Edge { route, .. } => {
-                    self.regions[o].decided += 1;
-                    self.regions[o].tick_decided += 1;
-                    self.regions[o].fold_decision(t, p.user, TAG_EDGE, route);
+                    self.regions[o].decide(t, p.user, Some(route));
                     for (j, &host) in route.iter().enumerate() {
                         let m = p.request.chain[j];
                         let target = self.region_map.region_of(host);
@@ -523,10 +514,7 @@ impl SoclServe {
                 // Unreachable under a fixed placement (coverage was
                 // checked at drain), but a decision is a decision.
                 RouteOutcome::CloudFallback => {
-                    self.regions[o].decided += 1;
-                    self.regions[o].tick_decided += 1;
-                    self.regions[o].cloud_fallbacks += 1;
-                    self.regions[o].fold_decision(t, p.user, TAG_CLOUD, &[]);
+                    self.regions[o].decide(t, p.user, None);
                     if capturing {
                         events.push(DecisionEvent {
                             tick: t,
@@ -786,12 +774,9 @@ impl SoclServe {
                         &self.ap,
                         &self.catalog,
                     );
-                    let st = &mut self.regions[r];
                     match outcome {
                         RouteOutcome::Edge { route, .. } => {
-                            st.decided += 1;
-                            st.tick_decided += 1;
-                            st.fold_decision(t, p.user, TAG_EDGE, &route);
+                            self.regions[r].decide(t, p.user, Some(&route));
                             for (j, &host) in route.iter().enumerate() {
                                 if self.region_map.region_of(host) == r as u32 {
                                     let m = p.request.chain[j];
@@ -799,12 +784,7 @@ impl SoclServe {
                                 }
                             }
                         }
-                        RouteOutcome::CloudFallback => {
-                            st.decided += 1;
-                            st.tick_decided += 1;
-                            st.cloud_fallbacks += 1;
-                            st.fold_decision(t, p.user, TAG_CLOUD, &[]);
-                        }
+                        RouteOutcome::CloudFallback => self.regions[r].decide(t, p.user, None),
                     }
                 }
                 // Remote in-flight traffic: from the WAL record where the
@@ -933,10 +913,7 @@ fn region_phase_a(
             .iter()
             .all(|&m| placement.hosts_iter(m).next().is_some());
         if !covered {
-            st.decided += 1;
-            st.tick_decided += 1;
-            st.cloud_fallbacks += 1;
-            st.fold_decision(t, p.user, TAG_CLOUD, &[]);
+            st.decide(t, p.user, None);
             capture(t, p.user, TAG_CLOUD);
             continue;
         }

@@ -25,6 +25,15 @@ pub const IN_FLIGHT_TICKS: usize = 4;
 /// Expiry-ring slots: residency plus the slot being expired.
 pub const RING_SLOTS: usize = IN_FLIGHT_TICKS + 1;
 
+/// Digest tag: an edge-served routing decision.
+pub(crate) const TAG_EDGE: u64 = 1;
+/// Digest tag: a cloud fallback (uncovered chain service).
+pub(crate) const TAG_CLOUD: u64 = 2;
+/// Digest tag: shed by the admission policy.
+pub(crate) const TAG_SHED_ADMISSION: u64 = 3;
+/// Digest tag: shed by a full ingest queue.
+pub(crate) const TAG_SHED_QUEUE: u64 = 4;
+
 /// Continue an FNV-1a 64-bit digest over `words`. The per-region decision
 /// digest threads through this; replay must land on the same value.
 #[inline]
@@ -184,6 +193,21 @@ impl RegionState {
                     .unwrap_or(0)
             })
             .sum()
+    }
+
+    /// Count and fold one issued decision: an edge route (one host per
+    /// chain layer) or, with `None`, a cloud fallback. The live tick and
+    /// crash replay both decide through here, so they cannot drift.
+    pub fn decide(&mut self, tick: u32, user: u32, route: Option<&[socl_net::NodeId]>) {
+        self.decided += 1;
+        self.tick_decided += 1;
+        match route {
+            Some(route) => self.fold_decision(tick, user, TAG_EDGE, route),
+            None => {
+                self.cloud_fallbacks += 1;
+                self.fold_decision(tick, user, TAG_CLOUD, &[]);
+            }
+        }
     }
 
     /// Fold one decision into the region digest. `tag` encodes the

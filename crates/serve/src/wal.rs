@@ -1,11 +1,11 @@
 //! Durable state for the service boundary: per-region checkpoints and
-//! write-ahead tick records, on the PR 6 recovery substrate.
+//! write-ahead tick records.
 //!
-//! Both artifacts ride the lifted `socl-sim::recovery` machinery: the WAL
-//! uses the same `[len][crc][payload]` framing (torn tails truncate, never
-//! replay), scaler state uses the same codec as the simulator's own
-//! checkpoints, and the checkpoint image carries the same
-//! magic + version + trailing-CRC envelope discipline.
+//! Both artifacts are thin users of `socl_model::codec`: the checkpoint image
+//! is sealed in its envelope (magic `SRGN`, version, trailing CRC-32), the
+//! WAL is its `Journal` over [`TickRecord`] (torn tails truncate, never
+//! replay). Scaler state crosses through the same codec pair as the
+//! simulator's own checkpoints (`socl_sim::recovery`).
 //!
 //! The [`TickRecord`] is deliberately minimal: the *local* half of a
 //! region's evolution (arrivals, drains, routes, sheds) is a pure function
@@ -15,9 +15,9 @@
 //! that prove the replay honest go to disk.
 
 use socl_autoscale::ScalerState;
-use socl_model::{crc32, BinReader, BinWriter, CodecError};
-use socl_sim::recovery::{frame_append, get_scaler_state, put_scaler_state, scan_frames};
-use socl_sim::TailReport;
+use socl_model::codec::{open, seal, Journal, Record};
+use socl_model::{BinReader, BinWriter, CodecError};
+use socl_sim::recovery::{get_scaler_state, put_scaler_state};
 
 /// Checkpoint format tag (`b"SRGN"` little-endian).
 const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"SRGN");
@@ -45,9 +45,8 @@ pub struct TickRecord {
     pub digest: u64,
 }
 
-impl TickRecord {
-    /// Serialize into `w` (field order is the struct declaration order).
-    pub fn encode(&self, w: &mut BinWriter) {
+impl Record for TickRecord {
+    fn encode(&self, w: &mut BinWriter) {
         w.put_u32(self.tick);
         w.put_u32_slice(&self.remote_add);
         w.put_u32(self.arrivals);
@@ -57,13 +56,8 @@ impl TickRecord {
         w.put_u64(self.digest);
     }
 
-    /// Decode a record written by [`encode`](Self::encode).
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation or a length over the safety bound.
-    pub fn decode(payload: &[u8]) -> Result<Self, CodecError> {
-        let mut r = BinReader::new(payload);
-        let rec = Self {
+    fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
             tick: r.get_u32()?,
             remote_add: r.get_u32_vec()?,
             arrivals: r.get_u32()?,
@@ -71,70 +65,12 @@ impl TickRecord {
             shed_queue: r.get_u32()?,
             shed_admission: r.get_u32()?,
             digest: r.get_u64()?,
-        };
-        if !r.is_done() {
-            return Err(CodecError::Malformed("trailing bytes in tick record"));
-        }
-        Ok(rec)
+        })
     }
 }
 
-/// A region's append-only WAL: framed [`TickRecord`]s.
-#[derive(Debug, Clone, Default)]
-pub struct RegionWal {
-    buf: Vec<u8>,
-}
-
-impl RegionWal {
-    /// Empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Serialized size in bytes.
-    #[must_use]
-    pub fn len_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Append one framed record.
-    pub fn append(&mut self, record: &TickRecord) {
-        let mut w = BinWriter::new();
-        record.encode(&mut w);
-        frame_append(&mut self.buf, w.as_bytes());
-    }
-
-    /// The raw wire bytes.
-    #[must_use]
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Rebuild from wire bytes, truncating a torn or corrupted tail at
-    /// the first bad frame (the shared torn-tail discipline).
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8]) -> (Self, TailReport) {
-        let (clean_end, report) =
-            scan_frames(bytes, &|payload| TickRecord::decode(payload).is_ok());
-        let wal = Self {
-            buf: bytes.get(..clean_end).unwrap_or_default().to_vec(),
-        };
-        (wal, report)
-    }
-
-    /// Decode every record in the (clean) log.
-    ///
-    /// # Errors
-    /// [`CodecError`] on a bad frame — impossible for logs built by
-    /// [`append`](Self::append) or returned from [`from_bytes`](Self::from_bytes).
-    pub fn records(&self) -> Result<Vec<TickRecord>, CodecError> {
-        socl_sim::recovery::frame_payloads(&self.buf)?
-            .into_iter()
-            .map(TickRecord::decode)
-            .collect()
-    }
-}
+/// A region's append-only WAL: a [`Journal`] of [`TickRecord`]s.
+pub type RegionWal = Journal<TickRecord>;
 
 /// A frozen image of one region's complete mutable state at a tick
 /// boundary, exactly sufficient to restore and replay bit-identically.
@@ -171,63 +107,38 @@ pub struct RegionCheckpoint {
 }
 
 impl RegionCheckpoint {
-    /// Serialize to the versioned wire format: magic, version, payload,
-    /// trailing CRC-32 over everything before it.
+    /// Serialize to the versioned wire format (`socl_model::codec::seal`:
+    /// magic, version, payload, trailing CRC-32).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = BinWriter::new();
-        w.put_u32(CKPT_MAGIC);
-        w.put_u32(CKPT_VERSION);
-        w.put_u32(self.region);
-        w.put_u32(self.tick);
-        w.put_usize(self.pending.len());
-        for &(user, tick) in &self.pending {
-            w.put_u32(user);
-            w.put_u32(tick);
-        }
-        w.put_u64(self.queue_high_watermark);
-        put_scaler_state(&mut w, &self.scaler);
-        w.put_u32_slice(&self.in_flight);
-        w.put_u32_slice(&self.ring);
-        w.put_u64(self.arrivals);
-        w.put_u64(self.decided);
-        w.put_u64(self.shed_queue);
-        w.put_u64(self.shed_admission);
-        w.put_u64(self.cloud_fallbacks);
-        w.put_u64(self.digest);
-        let crc = crc32(w.as_bytes());
-        w.put_u32(crc);
-        w.into_bytes()
+        seal(CKPT_MAGIC, CKPT_VERSION, |w| {
+            w.put_u32(self.region);
+            w.put_u32(self.tick);
+            w.put_usize(self.pending.len());
+            for &(user, tick) in &self.pending {
+                w.put_u32(user);
+                w.put_u32(tick);
+            }
+            w.put_u64(self.queue_high_watermark);
+            put_scaler_state(w, &self.scaler);
+            w.put_u32_slice(&self.in_flight);
+            w.put_u32_slice(&self.ring);
+            w.put_u64(self.arrivals);
+            w.put_u64(self.decided);
+            w.put_u64(self.shed_queue);
+            w.put_u64(self.shed_admission);
+            w.put_u64(self.cloud_fallbacks);
+            w.put_u64(self.digest);
+        })
     }
 
     /// Decode and verify an image produced by [`to_bytes`](Self::to_bytes).
     ///
     /// # Errors
-    /// [`CodecError`] on a bad magic/version, truncation, an over-limit
-    /// sequence length, or a trailing-CRC mismatch.
+    /// [`CodecError`] on truncation, a trailing-CRC mismatch, a bad
+    /// magic/version, or a sequence length the input cannot hold.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        if bytes.len() < 4 {
-            return Err(CodecError::Malformed("checkpoint too short"));
-        }
-        let body_len = bytes.len() - 4;
-        let body = bytes.get(..body_len).unwrap_or_default();
-        let stored = {
-            let mut r = BinReader::new(bytes.get(body_len..).unwrap_or_default());
-            r.get_u32()?
-        };
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(CodecError::BadChecksum { stored, computed });
-        }
-        let mut r = BinReader::new(body);
-        let magic = r.get_u32()?;
-        if magic != CKPT_MAGIC {
-            return Err(CodecError::Malformed("bad checkpoint magic"));
-        }
-        let version = r.get_u32()?;
-        if version != CKPT_VERSION {
-            return Err(CodecError::Malformed("unsupported checkpoint version"));
-        }
+        let mut r = open(bytes, CKPT_MAGIC, CKPT_VERSION)?;
         let region = r.get_u32()?;
         let tick = r.get_u32()?;
         let n_pending = r.seq_len(8)?;
@@ -250,9 +161,7 @@ impl RegionCheckpoint {
             cloud_fallbacks: r.get_u64()?,
             digest: r.get_u64()?,
         };
-        if !r.is_done() {
-            return Err(CodecError::Malformed("trailing bytes in checkpoint"));
-        }
+        r.finish()?;
         Ok(ck)
     }
 }
@@ -261,6 +170,7 @@ impl RegionCheckpoint {
 mod tests {
     use super::*;
     use socl_autoscale::{AutoscaleConfig, Autoscaler};
+    use socl_model::crc32;
 
     fn checkpoint() -> RegionCheckpoint {
         let scaler = Autoscaler::new(AutoscaleConfig::default(), 0.5, 3, 6);
@@ -300,7 +210,8 @@ mod tests {
     }
 
     /// A length prefix claiming one element more than the `SLACK` bytes
-    /// after it can hold must fail before anything is sized from it.
+    /// after it can hold must fail before anything is sized from it, and
+    /// envelope damage is the same typed error for both checkpoint kinds.
     #[test]
     fn length_prefix_beyond_the_input_is_a_typed_error() {
         const SLACK: usize = 20;
@@ -330,16 +241,42 @@ mod tests {
             assert!(truncated(&err), "elem {elem}: {err}");
         }
 
-        // Region checkpoint: magic, version, region, tick, then `pending`.
-        let region = lie(&[CKPT_MAGIC, CKPT_VERSION, 0, 0], 8, true);
-        let err = RegionCheckpoint::from_bytes(&region).expect_err("length lie");
-        assert!(truncated(&err), "{err}");
-        // Simulator checkpoint: magic, version, three u64 counters, then
-        // `locations`.
-        let sim_magic = u32::from_le_bytes(*b"SCKP");
-        let sim = lie(&[sim_magic, 1, 0, 0, 0, 0, 0, 0], 4, true);
-        let err = socl_sim::recovery::Checkpoint::from_bytes(&sim).expect_err("length lie");
-        assert!(truncated(&err), "{err}");
+        // Both checkpoint kinds, through the one envelope. Body up to the
+        // first sequence: region, tick, then 8-byte `pending` entries /
+        // three u64 counters, then 4-byte `locations`.
+        type Decode = fn(&[u8]) -> Option<CodecError>;
+        let kinds: [(u32, &[u32], usize, Decode); 2] = [
+            (CKPT_MAGIC, &[0; 2], 8, |b| {
+                RegionCheckpoint::from_bytes(b).err()
+            }),
+            (u32::from_le_bytes(*b"SCKP"), &[0; 6], 4, |b| {
+                socl_sim::Checkpoint::from_bytes(b).err()
+            }),
+        ];
+        for (magic, body, elem, decode) in kinds {
+            let image =
+                |magic: u32, version: u32| lie(&[&[magic, version], body].concat(), elem, true);
+            let err = decode(&image(magic, CKPT_VERSION)).expect("length lie");
+            assert!(truncated(&err), "{err}");
+            assert_eq!(
+                decode(&image(magic ^ 1, CKPT_VERSION)),
+                Some(CodecError::BadMagic {
+                    found: magic ^ 1,
+                    expected: magic
+                })
+            );
+            assert_eq!(
+                decode(&image(magic, CKPT_VERSION + 1)),
+                Some(CodecError::BadVersion(CKPT_VERSION + 1))
+            );
+            // Shorter than magic + version + CRC: nothing to check yet.
+            for have in 0..12 {
+                assert_eq!(
+                    decode(&image(magic, CKPT_VERSION)[..have]),
+                    Some(CodecError::Truncated { needed: 12, have })
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //!   loss) with random and criticality-targeted generators driven by the
 //!   `socl-net::resilience` rankings.
 //! * [`recovery`] — crash-consistent checkpoint/restore for the online
-//!   simulator: a versioned, serde-free binary [`recovery::Checkpoint`] of
-//!   every live piece of state, a checksummed write-ahead
-//!   [`recovery::DecisionLog`], torn-tail detection, a seeded kill-and-
-//!   recover driver ([`recovery::run_crash_recovery`]) that must converge
-//!   bit-identically with the uninterrupted run, and an invariant auditor
+//!   simulator: a versioned binary [`recovery::Checkpoint`] of every live
+//!   piece of state and a checksummed write-ahead
+//!   [`recovery::DecisionLog`] (envelope, framing and torn-tail detection
+//!   are `socl_model::codec`'s), a seeded kill-and-recover driver
+//!   ([`recovery::run_crash_recovery`]) that must converge bit-identically
+//!   with the uninterrupted run, and an invariant auditor
 //!   ([`recovery::audit_invariants`]).
 //! * [`chaos`] — a coverage-guided chaos soak ([`chaos::run_chaos_soak`])
 //!   sweeping seeds × kill-points × fault schedules × torn-tail modes and
@@ -52,10 +53,9 @@ pub use mobility::MobilityModel;
 pub use online::{ControlPlaneDisabled, OnlineConfig, OnlineSimulator, SlotRecord};
 pub use policy::Policy;
 pub use recovery::{
-    audit_invariants, frame_append, frame_payloads, get_scaler_state, put_scaler_state,
-    run_crash_recovery, scan_frames, AuditReport, Checkpoint, DecisionLog, LogRecord,
-    RecoveryConfig, RecoveryError, RecoveryOutcome, RestoreError, RngState, SlotMetrics,
-    TailReport, TornTail, TornTailReason,
+    audit_invariants, get_scaler_state, put_scaler_state, run_crash_recovery, AuditReport,
+    Checkpoint, DecisionLog, LogRecord, RecoveryConfig, RecoveryError, RecoveryOutcome,
+    RestoreError, RngState, SlotMetrics, TailReport, TornTail, TornTailReason,
 };
 pub use testbed::{run_testbed, RetryPolicy, TestbedConfig, TestbedResult};
 

@@ -6,7 +6,7 @@
 //! resumed run is **bit-identical** to the uninterrupted one — not merely
 //! statistically equivalent. This module provides the three pieces:
 //!
-//! * [`Checkpoint`] — a versioned, serde-free binary image of everything
+//! * [`Checkpoint`] — a versioned binary image of everything
 //!   [`OnlineSimulator`] accumulates at runtime: the slot clock, the
 //!   scheduled-fault cursor, the billing accumulator, user locations and
 //!   request chains, node/link liveness, both ChaCha12 RNG streams (main
@@ -14,14 +14,14 @@
 //!   control plane's [`ScalerState`]. The APSP cache is deliberately *not*
 //!   serialized: it is derived state, rebuilt from the substrate and
 //!   re-masked to the saved alive-link set on restore (the incremental
-//!   cache is proven bit-identical to a from-scratch rebuild). Integrity
-//!   is a trailing CRC-32 over the whole image; decoding never panics.
-//! * [`DecisionLog`] — an append-only write-ahead log of per-slot events
-//!   (slot begin/end, scaler ticks, admission sheds, repairs, fault-cursor
-//!   advances, checkpoint markers). Each record is framed
-//!   `[len][crc][payload]`; [`DecisionLog::from_bytes`] truncates a torn
-//!   or corrupted tail at the first bad frame and reports it — a partial
-//!   record is never silently replayed.
+//!   cache is proven bit-identical to a from-scratch rebuild). The image is
+//!   sealed in `socl_model::codec`'s envelope (magic `SCKP`, version,
+//!   trailing CRC-32); decoding never panics.
+//! * [`DecisionLog`] — the write-ahead log of per-slot events (slot
+//!   begin/end, scaler ticks, admission sheds, repairs, fault-cursor
+//!   advances, checkpoint markers): a `socl_model::codec::Journal` of
+//!   [`LogRecord`]s, so a torn or corrupted tail is truncated at the first
+//!   bad frame and reported — a partial record is never silently replayed.
 //! * [`run_crash_recovery`] — the driver: runs a victim to a seeded
 //!   kill-point (checkpointing every `checkpoint_every` slots), tears it
 //!   down, restores from the last checkpoint plus the clean log prefix,
@@ -36,7 +36,9 @@ use crate::policy::Policy;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use socl_autoscale::{ForecasterState, ScalerState, ServiceStateSnapshot};
-use socl_model::{crc32, BinReader, BinWriter, CodecError, ServiceId, UserId, UserRequest};
+use socl_model::codec::{open, seal, Journal, Record};
+pub use socl_model::codec::{TailReport, TornTailReason};
+use socl_model::{BinReader, BinWriter, CodecError, ServiceId, UserId, UserRequest};
 use socl_net::time::Stopwatch;
 use socl_net::NodeId;
 use std::time::Duration;
@@ -245,36 +247,32 @@ pub fn get_scaler_state(r: &mut BinReader<'_>) -> Result<ScalerState, CodecError
 }
 
 impl Checkpoint {
-    /// Serialize to the versioned wire format: magic, version, payload,
-    /// trailing CRC-32 over everything before it.
+    /// Serialize to the versioned wire format (`socl_model::codec::seal`:
+    /// magic, version, payload, trailing CRC-32).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = BinWriter::new();
-        w.put_u32(CKPT_MAGIC);
-        w.put_u32(CKPT_VERSION);
-        w.put_u64(self.next_slot);
-        w.put_u64(self.fault_cursor);
-        w.put_u64(self.billed_replica_slots);
-        let locs: Vec<u32> = self.locations.iter().map(|k| k.0).collect();
-        w.put_u32_slice(&locs);
-        w.put_usize(self.requests.len());
-        for req in &self.requests {
-            put_request(&mut w, req);
-        }
-        w.put_bool_slice(&self.alive);
-        w.put_bool_slice(&self.alive_links);
-        put_rng(&mut w, &self.rng);
-        put_rng(&mut w, &self.mobility_rng);
-        match &self.scaler {
-            None => w.put_u8(0),
-            Some(s) => {
-                w.put_u8(1);
-                put_scaler_state(&mut w, s);
+        seal(CKPT_MAGIC, CKPT_VERSION, |w| {
+            w.put_u64(self.next_slot);
+            w.put_u64(self.fault_cursor);
+            w.put_u64(self.billed_replica_slots);
+            let locs: Vec<u32> = self.locations.iter().map(|k| k.0).collect();
+            w.put_u32_slice(&locs);
+            w.put_usize(self.requests.len());
+            for req in &self.requests {
+                put_request(w, req);
             }
-        }
-        let digest = crc32(w.as_bytes());
-        w.put_u32(digest);
-        w.into_bytes()
+            w.put_bool_slice(&self.alive);
+            w.put_bool_slice(&self.alive_links);
+            put_rng(w, &self.rng);
+            put_rng(w, &self.mobility_rng);
+            match &self.scaler {
+                None => w.put_u8(0),
+                Some(s) => {
+                    w.put_u8(1);
+                    put_scaler_state(w, s);
+                }
+            }
+        })
     }
 
     /// Decode and validate a checkpoint image.
@@ -283,33 +281,7 @@ impl Checkpoint {
     /// Any [`CodecError`]: truncation, bad magic/version, checksum
     /// mismatch, or a structurally impossible field. Never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        if bytes.len() < 12 {
-            return Err(CodecError::Truncated {
-                needed: 12,
-                have: bytes.len(),
-            });
-        }
-        let (payload, tail) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(
-            tail.try_into()
-                .map_err(|_| CodecError::Malformed("crc tail"))?,
-        );
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(CodecError::BadChecksum { stored, computed });
-        }
-        let mut r = BinReader::new(payload);
-        let magic = r.get_u32()?;
-        if magic != CKPT_MAGIC {
-            return Err(CodecError::BadMagic {
-                found: magic,
-                expected: CKPT_MAGIC,
-            });
-        }
-        let version = r.get_u32()?;
-        if version != CKPT_VERSION {
-            return Err(CodecError::BadVersion(version));
-        }
+        let mut r = open(bytes, CKPT_MAGIC, CKPT_VERSION)?;
         let next_slot = r.get_u64()?;
         let fault_cursor = r.get_u64()?;
         let billed_replica_slots = r.get_u64()?;
@@ -329,9 +301,7 @@ impl Checkpoint {
             1 => Some(get_scaler_state(&mut r)?),
             _ => return Err(CodecError::Malformed("scaler presence flag")),
         };
-        if !r.is_done() {
-            return Err(CodecError::Malformed("trailing bytes after checkpoint"));
-        }
+        r.finish()?;
         Ok(Self {
             next_slot,
             fault_cursor,
@@ -676,7 +646,7 @@ pub enum LogRecord {
     },
 }
 
-impl LogRecord {
+impl Record for LogRecord {
     fn encode(&self, w: &mut BinWriter) {
         match self {
             LogRecord::SlotBegin { slot } => {
@@ -717,9 +687,8 @@ impl LogRecord {
         }
     }
 
-    fn decode(payload: &[u8]) -> Result<Self, CodecError> {
-        let mut r = BinReader::new(payload);
-        let rec = match r.get_u8()? {
+    fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.get_u8()? {
             1 => LogRecord::SlotBegin { slot: r.get_u64()? },
             2 => LogRecord::CheckpointTaken {
                 slot: r.get_u64()?,
@@ -744,196 +713,17 @@ impl LogRecord {
             },
             7 => LogRecord::SlotEnd {
                 slot: r.get_u64()?,
-                metrics: SlotMetrics::decode(&mut r)?,
+                metrics: SlotMetrics::decode(r)?,
             },
             _ => return Err(CodecError::Malformed("unknown log record tag")),
-        };
-        if !r.is_done() {
-            return Err(CodecError::Malformed("trailing bytes in log record"));
-        }
-        Ok(rec)
+        })
     }
 }
 
-/// Why [`DecisionLog::from_bytes`] stopped before the end of the input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TornTailReason {
-    /// The tail is shorter than its frame header or declared payload —
-    /// the classic torn write.
-    TruncatedFrame,
-    /// A complete frame whose payload fails its CRC.
-    ChecksumMismatch,
-    /// A CRC-valid payload that does not decode to a record.
-    MalformedRecord,
-}
-
-/// What the torn-tail scan found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TailReport {
-    /// Records recovered cleanly.
-    pub clean_records: usize,
-    /// Bytes discarded from the tail.
-    pub truncated_bytes: usize,
-    /// Why the scan stopped (`None`: the log was fully clean).
-    pub reason: Option<TornTailReason>,
-}
-
-/// Append one `[u32 payload_len][u32 crc32(payload)][payload]` frame to a
-/// write-ahead log buffer — the wire framing shared by [`DecisionLog`] and
-/// every other WAL layered on this substrate (the socl-serve per-region
-/// logs). Keeping the framing in one place means a torn tail means the
-/// same thing to every log in the workspace.
-pub fn frame_append(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-}
-
-/// Scan framed bytes front to back, validating each frame's length and
-/// checksum and judging payload well-formedness with `decode_ok`. Returns
-/// the byte length of the clean prefix and a [`TailReport`] describing
-/// what (if anything) was cut and why — the torn-tail discipline: a bad
-/// frame truncates, it is never replayed.
-pub fn scan_frames(bytes: &[u8], decode_ok: &dyn Fn(&[u8]) -> bool) -> (usize, TailReport) {
-    let mut clean_end = 0usize;
-    let mut clean_records = 0usize;
-    let mut reason = None;
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let Some(header) = bytes.get(pos..pos + 8) else {
-            reason = Some(TornTailReason::TruncatedFrame);
-            break;
-        };
-        let (len_b, crc_b) = header.split_at(4);
-        let len = len_b.try_into().map(u32::from_le_bytes).unwrap_or(u32::MAX) as usize;
-        let stored = crc_b.try_into().map(u32::from_le_bytes).unwrap_or(0);
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            reason = Some(TornTailReason::TruncatedFrame);
-            break;
-        };
-        if crc32(payload) != stored {
-            reason = Some(TornTailReason::ChecksumMismatch);
-            break;
-        }
-        if !decode_ok(payload) {
-            reason = Some(TornTailReason::MalformedRecord);
-            break;
-        }
-        pos += 8 + len;
-        clean_end = pos;
-        clean_records += 1;
-    }
-    (
-        clean_end,
-        TailReport {
-            clean_records,
-            truncated_bytes: bytes.len() - clean_end,
-            reason,
-        },
-    )
-}
-
-/// Split a fully clean framed buffer into its payload slices. Intended for
-/// buffers already truncated by [`scan_frames`]; a malformed frame is a
-/// hard [`CodecError`], not a tail to cut.
-///
-/// # Errors
-/// [`CodecError`] on a truncated header/payload or a checksum mismatch.
-pub fn frame_payloads(bytes: &[u8]) -> Result<Vec<&[u8]>, CodecError> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let header = bytes
-            .get(pos..pos + 8)
-            .ok_or(CodecError::Malformed("log frame header"))?;
-        let (len_b, crc_b) = header.split_at(4);
-        let len = len_b
-            .try_into()
-            .map(u32::from_le_bytes)
-            .map_err(|_| CodecError::Malformed("log frame length"))? as usize;
-        let stored = crc_b
-            .try_into()
-            .map(u32::from_le_bytes)
-            .map_err(|_| CodecError::Malformed("log frame crc"))?;
-        let payload = bytes
-            .get(pos + 8..pos + 8 + len)
-            .ok_or(CodecError::Malformed("log frame payload"))?;
-        let computed = crc32(payload);
-        if computed != stored {
-            return Err(CodecError::BadChecksum { stored, computed });
-        }
-        out.push(payload);
-        pos += 8 + len;
-    }
-    Ok(out)
-}
-
-/// Append-only write-ahead log. Each record is framed
-/// `[u32 payload_len][u32 crc32(payload)][payload]`, so a torn tail is
-/// detected — and truncated, never replayed — at the first frame whose
-/// length or checksum fails.
-#[derive(Debug, Clone, Default)]
-pub struct DecisionLog {
-    buf: Vec<u8>,
-}
-
-impl DecisionLog {
-    /// Empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Serialized size in bytes.
-    #[must_use]
-    pub fn len_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Append one framed record.
-    pub fn append(&mut self, record: &LogRecord) {
-        let mut w = BinWriter::new();
-        record.encode(&mut w);
-        frame_append(&mut self.buf, w.as_bytes());
-    }
-
-    /// The raw wire bytes (what a durable log file would contain).
-    #[must_use]
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Consume into the raw wire bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Rebuild from wire bytes, truncating a torn or corrupted tail at
-    /// the first bad frame. The returned log contains only the clean
-    /// prefix; the report says how much was cut and why.
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8]) -> (Self, TailReport) {
-        let (clean_end, report) = scan_frames(bytes, &|payload| LogRecord::decode(payload).is_ok());
-        let log = Self {
-            buf: bytes.get(..clean_end).unwrap_or_default().to_vec(),
-        };
-        (log, report)
-    }
-
-    /// Decode every record in the (clean) log.
-    ///
-    /// # Errors
-    /// [`CodecError`] if the buffer holds a bad frame — impossible for
-    /// logs built by [`append`](Self::append) or returned from
-    /// [`from_bytes`](Self::from_bytes).
-    pub fn records(&self) -> Result<Vec<LogRecord>, CodecError> {
-        frame_payloads(&self.buf)?
-            .into_iter()
-            .map(LogRecord::decode)
-            .collect()
-    }
-}
+/// The simulator's append-only write-ahead log: a [`Journal`] of
+/// [`LogRecord`]s (framing, torn-tail truncation and the [`TailReport`] are
+/// `socl_model::codec`'s).
+pub type DecisionLog = Journal<LogRecord>;
 
 // ---------------------------------------------------------------------------
 // The invariant auditor.

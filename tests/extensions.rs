@@ -1,10 +1,10 @@
 //! Integration tests for the extension subsystems: contention analysis,
-//! extra datasets, snapshots, resilience, k-paths, and warm starts.
+//! extra datasets, snapshots, resilience, and warm starts.
 
 use socl::core::{placement_churn, WarmStartSolver};
 use socl::model::contention::{link_loads, route_all_contention_aware};
 use socl::model::{route_all, PlacementSnapshot, ScenarioSnapshot};
-use socl::net::{k_shortest_paths, link_criticality, node_criticality};
+use socl::net::{link_criticality, node_criticality};
 use socl::prelude::*;
 
 #[test]
@@ -76,22 +76,6 @@ fn resilience_rankings_cover_all_components() {
     // Stretch is a ratio ≥ 1 whenever defined.
     for i in links.iter().chain(&nodes) {
         assert!(i.mean_stretch >= 1.0 - 1e-12);
-    }
-}
-
-#[test]
-fn k_paths_feed_failure_reasoning() {
-    // If k ≥ 2 loopless paths exist between a pair, single-link failures on
-    // the best path leave the pair connected.
-    let sc = ScenarioConfig::paper(10, 10).build(5);
-    let paths = k_shortest_paths(&sc.net, NodeId(0), NodeId(9), 3);
-    assert!(!paths.is_empty());
-    if paths.len() >= 2 {
-        // Second-best weight upper-bounds the worst-case single-failure
-        // latency along the first path's links... at minimum it is a valid
-        // alternative: its weight is finite and ≥ the best.
-        assert!(paths[1].weight >= paths[0].weight - 1e-12);
-        assert!(paths[1].weight.is_finite());
     }
 }
 
