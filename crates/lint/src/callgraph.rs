@@ -2,13 +2,12 @@
 //!
 //! Resolution is deliberately an *over*-approximation: a method call
 //! `.name(…)` whose receiver type is unknown resolves to the union of all
-//! workspace methods with that name. For reachability taint this direction
-//! of error is the safe one — a spurious edge can only make the analysis
-//! report a chain that a human then inspects; it can never hide a real
-//! chain. Calls that resolve to nothing (std / external crates) simply have
-//! no edge; the taint passes see the primitives themselves as sources
-//! instead (`Instant::now`, `.unwrap()`, …), so unresolved externals do not
-//! create blind spots for the contracts being checked.
+//! workspace methods with that name. Such edges are marked uncertain and
+//! share a call-site id, so the passes can put them through the ambiguity
+//! gate of [`crate::reach`] (trust the site only when every candidate
+//! misbehaves). Calls that resolve to nothing (std / external crates)
+//! simply have no edge; the passes see the primitives themselves instead
+//! (`vec![]`, `.lock()`, `par_map`, …).
 
 use crate::parser::{parse_file, CallSite, FnItem};
 use std::collections::{BTreeMap, BTreeSet};
@@ -42,10 +41,9 @@ pub struct Edge {
     /// the candidate *set* instead of each maybe-target in isolation.
     pub site: usize,
     /// False when this edge came from a name-union over several candidate
-    /// methods — the callee is one possibility, not a known target. Taint
-    /// passes ignore this (over-approximation is the safe direction for
-    /// reachability); precision-sensitive passes like `A1-hot-alloc` only
-    /// trust an ambiguous site when *every* candidate misbehaves.
+    /// methods — the callee is one possibility, not a known target; the
+    /// passes only trust an ambiguous site when *every* candidate
+    /// misbehaves ([`crate::reach::Ctx::trusted`]).
     pub certain: bool,
 }
 
@@ -75,8 +73,8 @@ struct FileCtx {
 
 impl Graph {
     /// Build the graph from `(workspace-relative path, source)` pairs.
-    /// Callers choose the file set (the taint pass feeds it library-kind
-    /// files only).
+    /// Callers choose the file set (the engine feeds it library-kind files
+    /// only).
     pub fn build(files: &[(String, String)]) -> Graph {
         let mut g = Graph::default();
         let mut ctxs: Vec<FileCtx> = Vec::new();

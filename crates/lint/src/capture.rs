@@ -26,38 +26,21 @@
 //! mutating use, or the capture's first occurrence for the call-resolution
 //! case).
 
-use crate::callgraph::Graph;
 use crate::conc::Summaries;
-use crate::engine::{allow_status, AllowStatus, Diagnostic, Rule};
-use crate::lexer::{line_views, LineView};
+use crate::engine::{Diagnostic, Rule};
 use crate::parser::SyncKind;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::reach::Ctx;
+use std::collections::BTreeSet;
 
 /// Helpers a dispatched closure may always call: the never-panicking
 /// guard helper is *how* the sanctioned bucket pattern locks, so its own
 /// interior mutability is the point, not a finding.
 const SANCTIONED_CALLS: [&str; 1] = ["lock_recover"];
 
-fn waived(views: &BTreeMap<&str, Vec<LineView>>, file: &str, line: usize) -> bool {
-    let Some(v) = views.get(file) else {
-        return false;
-    };
-    if line == 0 || line > v.len() {
-        return false;
-    }
-    matches!(
-        allow_status(v, line - 1, Rule::X2CaptureDisjoint),
-        AllowStatus::Allowed
-    )
-}
-
-/// Run the X2 pass. `files` must be the set the graph was built from.
-pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec<Diagnostic> {
-    let views: BTreeMap<&str, Vec<LineView>> = files
-        .iter()
-        .map(|(rel, src)| (rel.as_str(), line_views(src)))
-        .collect();
-
+/// Run the X2 pass over the graph in `cx`.
+pub fn check(cx: &Ctx, summ: &Summaries) -> Vec<Diagnostic> {
+    const X2: Rule = Rule::X2CaptureDisjoint;
+    let graph = cx.graph;
     let mut out = Vec::new();
     let mut emitted: BTreeSet<(String, usize, String)> = BTreeSet::new();
     for node in graph.nodes.iter() {
@@ -74,13 +57,13 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
                     }
                     // A mutable use of a captured outer identifier.
                     if let Some((mline, desc)) = &cap.raw_mut {
-                        if !waived(&views, &node.file, *mline)
+                        if !cx.waived(&node.file, *mline, X2)
                             && emitted.insert((node.file.clone(), *mline, cap.name.clone()))
                         {
                             out.push(Diagnostic {
                                 file: node.file.clone(),
                                 line: *mline,
-                                rule: Rule::X2CaptureDisjoint,
+                                rule: X2,
                                 message: format!(
                                     "closure dispatched via `{}` (line {}) mutates \
                                      captured `{}` ({desc}) — shared mutable capture \
@@ -92,7 +75,7 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
                                     s.what,
                                     s.line,
                                     cap.name,
-                                    Rule::X2CaptureDisjoint.id()
+                                    X2.id()
                                 ),
                             });
                         }
@@ -106,7 +89,7 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
                         if cands.is_empty() || !cands.iter().all(|&k| summ.interior.has[k]) {
                             continue;
                         }
-                        if waived(&views, &node.file, cap.line)
+                        if cx.waived(&node.file, cap.line, X2)
                             || !emitted.insert((node.file.clone(), cap.line, cap.name.clone()))
                         {
                             continue;
@@ -115,7 +98,7 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
                         out.push(Diagnostic {
                             file: node.file.clone(),
                             line: cap.line,
-                            rule: Rule::X2CaptureDisjoint,
+                            rule: X2,
                             message: format!(
                                 "captured `{}` is called inside a closure dispatched \
                                  via `{}` (line {}) and resolves to `{}`, which takes \
@@ -126,8 +109,8 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
                                 s.what,
                                 s.line,
                                 graph.nodes[target].item.qual,
-                                summ.interior.witness(graph, target),
-                                Rule::X2CaptureDisjoint.id()
+                                summ.interior.witness(cx, target),
+                                X2.id()
                             ),
                         });
                     }

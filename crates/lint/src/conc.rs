@@ -7,8 +7,6 @@
 //! * **dispatches** — reach a `par_map*` pool dispatch or a scoped
 //!   `.spawn(…)`. X1 uses it to flag guards held across calls that fan
 //!   out to the pool.
-//! * **allocates** — reach an allocation primitive (the same seed set as
-//!   `A1-hot-alloc`).
 //! * **loop_alloc** — reach an allocation that executes inside a loop:
 //!   a direct primitive at loop depth > 0, a looped call into an
 //!   allocating fn, or any call into a loop-allocating fn.
@@ -16,196 +14,85 @@
 //!   X2 uses it to flag captured identifiers that resolve to functions
 //!   with interior mutability.
 //!
-//! Ambiguity gate (PR 8 semantics): an edge produced by a name-union over
-//! several same-name candidates participates only when **every** candidate
-//! of its call site has the property — otherwise a ubiquitous method name
-//! would smear the property over the whole workspace.
+//! Propagation, the ambiguity gate and the witness renderer are
+//! [`crate::reach`]'s; this module only chooses the seeds.
 //!
 //! The summaries are deliberately waiver-free: `LINT-ALLOW` is applied by
 //! each pass at its diagnosis line (the lock, capture, aggregation or call
 //! site it reports), which keeps one marker from silently severing chains
 //! for three different rules at once.
 
-use crate::callgraph::Graph;
 use crate::parser::SyncKind;
-use std::collections::{BTreeMap, VecDeque};
-
-/// One transitive property over the call graph with witness chains.
-pub struct Reach {
-    /// Does node `i` have the property (directly or transitively)?
-    pub has: Vec<bool>,
-    /// Next node on the shortest path toward a direct site.
-    parent: Vec<Option<usize>>,
-    /// For direct holders: what the concrete site is (`par_map`, `lock`,
-    /// `vec!`, …).
-    what: Vec<Option<String>>,
-}
-
-impl Reach {
-    /// `"`what`"` for a direct holder, `"`what` via a -> b"` when the
-    /// property is reached through intermediate fns. Mirrors A1's witness
-    /// renderer so chains read the same across passes.
-    pub fn witness(&self, graph: &Graph, start: usize) -> String {
-        let mut chain = vec![start];
-        let mut cur = start;
-        while let Some(next) = self.parent[cur] {
-            chain.push(next);
-            cur = next;
-        }
-        let what = self.what[cur].clone().unwrap_or_else(|| "site".to_string());
-        if chain.len() == 1 {
-            format!("`{what}`")
-        } else {
-            let via: Vec<&str> = chain[1..]
-                .iter()
-                .map(|&k| graph.nodes[k].item.qual.as_str())
-                .collect();
-            format!("`{what}` via {}", via.join(" -> "))
-        }
-    }
-}
+use crate::reach::{Ctx, Reach};
 
 /// All summaries, built once per lint run and shared by the X passes.
 pub struct Summaries {
     pub dispatches: Reach,
-    pub allocates: Reach,
     pub loop_alloc: Reach,
     pub interior: Reach,
 }
 
-/// Reverse-BFS from the seeded nodes along callee → caller edges; first
-/// visit wins, so `parent` encodes shortest witness chains. `seeds[i]`
-/// names node `i`'s direct site when it has one. An uncertain edge is
-/// followed only when every candidate of its call site already has the
-/// property (the gate closes over the fixpoint because `has` only grows
-/// and queue order is breadth-first over a monotone frontier: re-checking
-/// a site after more candidates turn positive happens via those
-/// candidates' own queue entries).
-fn propagate(graph: &Graph, seeds: Vec<Option<String>>) -> Reach {
-    let n = graph.nodes.len();
-    let mut site_edges: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (ei, e) in graph.edges.iter().enumerate() {
-        site_edges.entry(e.site).or_default().push(ei);
-    }
-    let mut has = vec![false; n];
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (ni, s) in seeds.iter().enumerate() {
-        if s.is_some() {
-            has[ni] = true;
-            queue.push_back(ni);
-        }
-    }
-    let site_ok = |site: usize, has: &[bool]| -> bool {
-        site_edges
-            .get(&site)
-            .is_some_and(|v| v.iter().all(|&oi| has[graph.edges[oi].to]))
-    };
-    while let Some(ni) = queue.pop_front() {
-        for &ei in &graph.rev[ni] {
-            let e = graph.edges[ei];
-            if has[e.from] {
-                continue;
-            }
-            if !e.certain && !site_ok(e.site, &has) {
-                continue;
-            }
-            has[e.from] = true;
-            parent[e.from] = Some(ni);
-            queue.push_back(e.from);
-        }
-    }
-    Reach {
-        has,
-        parent,
-        what: seeds,
-    }
-}
-
 impl Summaries {
-    pub fn build(graph: &Graph) -> Summaries {
-        let n = graph.nodes.len();
+    pub fn build(cx: &Ctx) -> Summaries {
+        let graph = cx.graph;
+        // First sync event of one of `kinds` in each fn, as its seed.
+        let sync_seeds = |kinds: [SyncKind; 2]| -> Vec<Option<String>> {
+            graph
+                .nodes
+                .iter()
+                .map(|node| {
+                    let mut sync = node.item.sync.iter();
+                    sync.find(|s| kinds.contains(&s.kind))
+                        .map(|s| s.what.clone())
+                })
+                .collect()
+        };
 
         // Direct pool dispatch / scoped spawn.
-        let dispatch_seeds: Vec<Option<String>> = graph
-            .nodes
-            .iter()
-            .map(|node| {
-                node.item
-                    .sync
-                    .iter()
-                    .find(|s| matches!(s.kind, SyncKind::Dispatch | SyncKind::Spawn))
-                    .map(|s| s.what.clone())
-            })
-            .collect();
-        let dispatches = propagate(graph, dispatch_seeds);
+        let dispatches = cx.propagate(sync_seeds([SyncKind::Dispatch, SyncKind::Spawn]), None);
 
         // Direct allocation primitive (A1's seed set, un-waived — see the
         // module docs for why the summaries ignore waivers).
-        let alloc_seeds: Vec<Option<String>> = graph
+        let alloc_seeds = graph
             .nodes
             .iter()
             .map(|node| node.item.allocs.first().map(|a| a.what.clone()))
             .collect();
-        let allocates = propagate(graph, alloc_seeds);
+        let allocates = cx.propagate(alloc_seeds, None);
 
         // Allocation in loop context: a direct primitive at loop depth > 0
         // seeds the node; a looped call edge into an `allocates` node seeds
         // the caller (the loop is the caller's, the allocation the
         // callee's).
-        let mut site_edges: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (ei, e) in graph.edges.iter().enumerate() {
-            site_edges.entry(e.site).or_default().push(ei);
-        }
         let mut loop_seeds: Vec<Option<String>> = graph
             .nodes
             .iter()
             .map(|node| {
-                node.item
-                    .allocs
-                    .iter()
-                    .find(|a| a.loop_depth > 0)
-                    .map(|a| a.what.clone())
+                let mut allocs = node.item.allocs.iter();
+                allocs.find(|a| a.loop_depth > 0).map(|a| a.what.clone())
             })
             .collect();
         for e in &graph.edges {
-            if e.loop_depth == 0 || loop_seeds[e.from].is_some() || !allocates.has[e.to] {
+            if e.loop_depth == 0
+                || loop_seeds[e.from].is_some()
+                || !allocates.has[e.to]
+                || !cx.trusted(e, &allocates.has)
+            {
                 continue;
-            }
-            if !e.certain {
-                let all = site_edges
-                    .get(&e.site)
-                    .is_some_and(|v| v.iter().all(|&oi| allocates.has[graph.edges[oi].to]));
-                if !all {
-                    continue;
-                }
             }
             loop_seeds[e.from] = Some(format!(
                 "looped call to `{}` ({})",
                 graph.nodes[e.to].item.qual,
-                allocates.witness(graph, e.to)
+                allocates.witness(cx, e.to)
             ));
         }
-        let loop_alloc = propagate(graph, loop_seeds);
+        let loop_alloc = cx.propagate(loop_seeds, None);
 
         // Direct lock acquisition (interior mutability).
-        let interior_seeds: Vec<Option<String>> = graph
-            .nodes
-            .iter()
-            .map(|node| {
-                node.item
-                    .sync
-                    .iter()
-                    .find(|s| matches!(s.kind, SyncKind::Lock | SyncKind::LockHelper))
-                    .map(|s| s.what.clone())
-            })
-            .collect();
-        let interior = propagate(graph, interior_seeds);
+        let interior = cx.propagate(sync_seeds([SyncKind::Lock, SyncKind::LockHelper]), None);
 
-        debug_assert_eq!(dispatches.has.len(), n);
         Summaries {
             dispatches,
-            allocates,
             loop_alloc,
             interior,
         }

@@ -17,22 +17,17 @@ pub enum Rule {
     L3Time,
     /// No `HashMap`/`HashSet` (unordered iteration) in deterministic code.
     L3Hash,
+    /// No ambient process state (environment, hardware parallelism,
+    /// filesystem, thread identity) in library code.
+    L3Env,
     /// Every `unsafe` must carry a `// SAFETY:` comment.
     L4Safety,
-    /// Interprocedural: no nondeterminism source reachable from a pub
-    /// library entry point.
-    T1NondetTaint,
-    /// Interprocedural: no panic reachable from a pub library entry point.
-    T2PanicReach,
     /// Units-of-measure suffix convention over latency/objective arithmetic.
     T3Units,
     /// Interprocedural: no allocation reachable inside a loop of a hot
     /// entry point (APSP builds, routing DP, online per-slot step, scaler
     /// tick, incremental cache repair).
     A1HotAlloc,
-    /// Checkpoint codec parity: every snapshot struct field written and
-    /// read in declaration order, with shape drift forcing a version bump.
-    C1CodecCoverage,
     /// Lock discipline: no second lock while a guard is live, no guard
     /// held across a pool dispatch or loop-allocating call, no hoistable
     /// lock inside a sequential loop.
@@ -51,17 +46,15 @@ pub enum Rule {
 }
 
 impl Rule {
-    pub const ALL: [Rule; 15] = [
+    pub const ALL: [Rule; 13] = [
         Rule::L1FloatCmp,
         Rule::L2PanicFree,
         Rule::L3Time,
         Rule::L3Hash,
+        Rule::L3Env,
         Rule::L4Safety,
-        Rule::T1NondetTaint,
-        Rule::T2PanicReach,
         Rule::T3Units,
         Rule::A1HotAlloc,
-        Rule::C1CodecCoverage,
         Rule::X1LockDiscipline,
         Rule::X2CaptureDisjoint,
         Rule::X3OrderRestore,
@@ -76,12 +69,10 @@ impl Rule {
             Rule::L2PanicFree => "L2-panic-free",
             Rule::L3Time => "L3-nondet-time",
             Rule::L3Hash => "L3-nondet-hash",
+            Rule::L3Env => "L3-nondet-env",
             Rule::L4Safety => "L4-unsafe-doc",
-            Rule::T1NondetTaint => "T1-nondet-taint",
-            Rule::T2PanicReach => "T2-panic-reach",
             Rule::T3Units => "T3-units",
             Rule::A1HotAlloc => "A1-hot-alloc",
-            Rule::C1CodecCoverage => "C1-codec-coverage",
             Rule::X1LockDiscipline => "X1-lock-discipline",
             Rule::X2CaptureDisjoint => "X2-capture-disjoint",
             Rule::X3OrderRestore => "X3-order-restore",
@@ -114,21 +105,16 @@ impl Rule {
                  anything that folds or emits in iteration order becomes \
                  nondeterministic — use `BTreeMap`/`BTreeSet` or sort before folding"
             }
+            Rule::L3Env => {
+                "process environment (`env::var*`, `available_parallelism`), \
+                 filesystem and thread-identity reads make a decision depend on \
+                 where and how the process runs, not on (seed, config); take the \
+                 value as a parameter or read it at one waived site (every \
+                 library occurrence counts, reachable from a pub fn or not)"
+            }
             Rule::L4Safety => {
                 "every `unsafe` block must justify its soundness with a \
                  `// SAFETY:` comment on or directly above the block"
-            }
-            Rule::T1NondetTaint => {
-                "no nondeterminism source (wall clock, ambient RNG, env/fs \
-                 reads, hash-ordered iteration, thread identity) may be \
-                 *reachable* through the call graph from a pub library entry \
-                 point; waivers act as taint barriers at the source or at a \
-                 call edge"
-            }
-            Rule::T2PanicReach => {
-                "no panic-family call may be reachable through the call graph \
-                 from a pub library entry point — the interprocedural upgrade \
-                 of L2; the four sanctioned panic sites are barriers"
             }
             Rule::T3Units => {
                 "latency/objective arithmetic must respect the identifier \
@@ -143,13 +129,6 @@ impl Rule {
                  step, scaler tick, incremental cache repair) — per-iteration \
                  allocation is why the parallel hot path loses; hoist buffers \
                  into reusable scratch structs, or waive with a barrier"
-            }
-            Rule::C1CodecCoverage => {
-                "every field of a checkpointed struct must be written and read \
-                 by its codec pair in declaration order (the untagged byte \
-                 format makes order part of the schema), and shape changes \
-                 must bump CKPT_VERSION via the CKPT-SHAPE marker — otherwise \
-                 serialization drift corrupts replay instead of failing lint"
             }
             Rule::X1LockDiscipline => {
                 "lock hygiene: a second `.lock()` while a guard is live orders \
@@ -170,7 +149,7 @@ impl Rule {
                 "parallel aggregation into a shared collection must push \
                  `(index, value)` tuples and re-sort by the tag before the \
                  contents escape (the `par.rs` idiom); anything else is a \
-                 determinism hole the taint pass cannot see, because the \
+                 determinism hole the L3 rules cannot see, because the \
                  scheduler itself is the nondeterminism source"
             }
             Rule::W0StaleWaiver => {
@@ -182,7 +161,7 @@ impl Rule {
             Rule::P0Parse => {
                 "the item-level parser must be able to recover fn/impl/mod \
                  structure from every linted file; structural damage here \
-                 would silently blind the interprocedural passes"
+                 would silently blind the call-graph passes"
             }
         }
     }
@@ -426,6 +405,34 @@ pub fn lint_source(
             }
         }
 
+        // Ambient process state. The linter's own crate reads the
+        // filesystem by design.
+        if kind == FileKind::Lib && krate != "lint" {
+            for (needle, what) in [
+                ("env::var", "process environment"),
+                ("available_parallelism", "process environment"),
+                ("fs::read", "filesystem"),
+                ("fs::write", "filesystem"),
+                ("fs::metadata", "filesystem"),
+                ("fs::canonicalize", "filesystem"),
+                ("File::open", "filesystem"),
+                ("File::create", "filesystem"),
+                ("thread::current", "thread identity"),
+                ("ThreadId", "thread identity"),
+            ] {
+                if active.contains(needle) {
+                    report(
+                        Rule::L3Env,
+                        format!(
+                            "`{needle}` ({what}) in library code; decisions must be a \
+                             function of (seed, config) only — take the value as a \
+                             parameter, or justify with `LINT-ALLOW(L3-nondet-env): reason`"
+                        ),
+                    );
+                }
+            }
+        }
+
         // ---- L4: unsafe must be documented ---------------------------
         if contains_word(&active, "unsafe") {
             let documented = (idx.saturating_sub(3)..=idx)
@@ -450,9 +457,33 @@ pub(crate) enum AllowStatus {
     NotAllowed,
 }
 
+/// First `Some` that `f` returns over the comments *attached* to line
+/// `idx`: the line's own comment, then the contiguous run of comment-only
+/// lines directly above it (a code line or a blank line ends the run).
+pub(crate) fn attached<T>(
+    views: &[LineView],
+    idx: usize,
+    f: impl Fn(&str) -> Option<T>,
+) -> Option<T> {
+    if let Some(t) = f(&views.get(idx)?.comment) {
+        return Some(t);
+    }
+    for v in views[..idx].iter().rev() {
+        if !v.is_code_blank() {
+            break;
+        }
+        if let Some(t) = f(&v.comment) {
+            return Some(t);
+        }
+        if v.comment.trim().is_empty() {
+            break;
+        }
+    }
+    None
+}
+
 /// A violation on line `idx` is suppressed by `LINT-ALLOW(rule[,rule…]): reason`
-/// in a comment on the same line or in the contiguous run of comment-only
-/// lines directly above it.
+/// in a comment [`attached`] to it.
 pub(crate) fn allow_status(views: &[LineView], idx: usize, rule: Rule) -> AllowStatus {
     let check = |comment: &str| -> Option<AllowStatus> {
         let pos = comment.find("LINT-ALLOW(")?;
@@ -474,25 +505,7 @@ pub(crate) fn allow_status(views: &[LineView], idx: usize, rule: Rule) -> AllowS
             Some(AllowStatus::Allowed)
         }
     };
-    if let Some(st) = check(&views[idx].comment) {
-        return st;
-    }
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        let v = &views[j];
-        if !v.is_code_blank() {
-            break;
-        }
-        if let Some(st) = check(&v.comment) {
-            return st;
-        }
-        if v.comment.trim().is_empty() && v.code.trim().is_empty() {
-            // blank line ends the attached comment block
-            break;
-        }
-    }
-    AllowStatus::NotAllowed
+    attached(views, idx, check).unwrap_or(AllowStatus::NotAllowed)
 }
 
 /// `mac!` occurrence with a non-identifier char before it.
@@ -520,14 +533,10 @@ fn find_macro(code: &str, mac: &str) -> bool {
 pub struct Passes {
     /// The token-level L1–L4 rules.
     pub token: bool,
-    /// The interprocedural T1/T2 taint passes (plus P0 parse diagnostics).
-    pub taint: bool,
     /// The T3 units-of-measure pass.
     pub units: bool,
     /// The A1 hot-loop allocation pass (plus P0 parse diagnostics).
     pub alloc: bool,
-    /// The C1 checkpoint codec-coverage pass.
-    pub codec: bool,
     /// The X1 lock-discipline pass (plus P0 parse diagnostics).
     pub lock: bool,
     /// The X2 spawn-capture-disjointness pass (plus P0 parse diagnostics).
@@ -540,10 +549,8 @@ impl Default for Passes {
     fn default() -> Self {
         Passes {
             token: true,
-            taint: true,
             units: true,
             alloc: true,
-            codec: true,
             lock: true,
             capture: true,
             order: true,
@@ -553,10 +560,8 @@ impl Default for Passes {
 
 const NO_PASSES: Passes = Passes {
     token: false,
-    taint: false,
     units: false,
     alloc: false,
-    codec: false,
     lock: false,
     capture: false,
     order: false,
@@ -564,23 +569,20 @@ const NO_PASSES: Passes = Passes {
 
 impl Passes {
     /// Parse a comma-separated `--passes` value
-    /// (`token,taint,units,alloc,codec,lock,capture,order`).
+    /// (`token,units,alloc,lock,capture,order`).
     pub fn from_list(list: &str) -> Result<Passes, String> {
         let mut p = NO_PASSES;
         for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
             match name {
                 "token" => p.token = true,
-                "taint" => p.taint = true,
                 "units" => p.units = true,
                 "alloc" => p.alloc = true,
-                "codec" => p.codec = true,
                 "lock" => p.lock = true,
                 "capture" => p.capture = true,
                 "order" => p.order = true,
                 other => {
                     return Err(format!(
-                        "unknown pass `{other}` (token, taint, units, alloc, codec, \
-                         lock, capture, order)"
+                        "unknown pass `{other}` (token, units, alloc, lock, capture, order)"
                     ))
                 }
             }
@@ -590,20 +592,15 @@ impl Passes {
         }
         Ok(p)
     }
-
-    /// Does this selection need the workspace call graph?
-    fn needs_graph(&self) -> bool {
-        self.taint || self.alloc || self.lock || self.capture || self.order
-    }
 }
 
 /// Lint a set of in-memory `(workspace-relative path, source)` files.
 ///
 /// This is the core the CLI, the workspace walk, the fixture tests and the
-/// dogfood test all share. Token rules run per file; the taint passes build
-/// one call graph over the library-kind files (the linter's own crate is
-/// excluded — it reads the filesystem by design); the units pass runs on the
-/// covered latency/objective files.
+/// dogfood test all share. Token rules run per file; the units pass runs on
+/// the covered latency/objective files; the A1/X passes share one call
+/// graph and one [`crate::reach::Ctx`] over the library-kind files (the
+/// linter's own crate is excluded).
 pub fn lint_files(files: &[(String, String)], passes: &Passes) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if passes.token {
@@ -618,45 +615,36 @@ pub fn lint_files(files: &[(String, String)], passes: &Passes) -> Vec<Diagnostic
             }
         }
     }
-    if passes.needs_graph() || passes.codec {
+    if passes.alloc || passes.lock || passes.capture || passes.order {
         let lib_files: Vec<(String, String)> = files
             .iter()
             .filter(|(rel, _)| classify(rel) == FileKind::Lib && !rel.starts_with("crates/lint/"))
             .cloned()
             .collect();
-        if passes.needs_graph() {
-            let graph = crate::callgraph::Graph::build(&lib_files);
-            for (file, line, msg) in &graph.parse_errors {
-                out.push(Diagnostic {
-                    file: file.clone(),
-                    line: *line,
-                    rule: Rule::P0Parse,
-                    message: format!(
-                        "{msg}; the interprocedural passes cannot see through this file"
-                    ),
-                });
+        let graph = crate::callgraph::Graph::build(&lib_files);
+        for (file, line, msg) in &graph.parse_errors {
+            out.push(Diagnostic {
+                file: file.clone(),
+                line: *line,
+                rule: Rule::P0Parse,
+                message: format!("{msg}; the interprocedural passes cannot see through this file"),
+            });
+        }
+        let cx = crate::reach::Ctx::new(&lib_files, &graph);
+        if passes.alloc {
+            out.extend(crate::alloc::check(&lib_files, &cx));
+        }
+        if passes.lock || passes.capture {
+            let summ = crate::conc::Summaries::build(&cx);
+            if passes.lock {
+                out.extend(crate::lock::check(&cx, &summ));
             }
-            if passes.taint {
-                out.extend(crate::taint::check(&lib_files, &graph));
-            }
-            if passes.alloc {
-                out.extend(crate::alloc::check(&lib_files, &graph));
-            }
-            if passes.lock || passes.capture || passes.order {
-                let summ = crate::conc::Summaries::build(&graph);
-                if passes.lock {
-                    out.extend(crate::lock::check(&lib_files, &graph, &summ));
-                }
-                if passes.capture {
-                    out.extend(crate::capture::check(&lib_files, &graph, &summ));
-                }
-                if passes.order {
-                    out.extend(crate::reduction::check(&lib_files, &graph));
-                }
+            if passes.capture {
+                out.extend(crate::capture::check(&cx, &summ));
             }
         }
-        if passes.codec {
-            out.extend(crate::codec_cov::check(&lib_files));
+        if passes.order {
+            out.extend(crate::reduction::check(&cx));
         }
     }
     out.sort_by(|a, b| {

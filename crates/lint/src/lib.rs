@@ -7,7 +7,8 @@
 //! 1. a small **lexer** strips comments/strings and masks `#[cfg(test)]`
 //!    regions, then token-level checks run per line;
 //! 2. an item-level **parser** + **call graph** resolve `fn`/`impl`/`use`
-//!    items workspace-wide, feeding interprocedural reachability passes.
+//!    items workspace-wide, and one reachability engine ([`reach`]) serves
+//!    the passes that need it.
 //!
 //! | rule | contract |
 //! |------|----------|
@@ -15,20 +16,23 @@
 //! | `L2-panic-free` | no `unwrap`/`expect`/`panic!`-family in library code (bins, benches, tests exempt) |
 //! | `L3-nondet-time`| no `Instant::now`/`SystemTime::now`/`thread_rng`/`from_entropy` outside `crates/bench` |
 //! | `L3-nondet-hash`| no `HashMap`/`HashSet` in deterministic code |
+//! | `L3-nondet-env` | no process environment (`env::var*`, `available_parallelism`), filesystem (`fs::*`, `File::open/create`) or thread identity in library code |
 //! | `L4-unsafe-doc` | every `unsafe` carries a `// SAFETY:` comment |
-//! | `T1-nondet-taint` | no nondeterminism source (clock, ambient RNG, hash order, thread id, env, fs) *reachable* from a `pub` library entry point |
-//! | `T2-panic-reach`  | no panic-family call reachable from a `pub` library entry point |
 //! | `T3-units`        | suffix-declared units (`_s`, `_gb`, `_gbps`, `_gflop`, …) combine dimensionally in the latency/objective arithmetic |
 //! | `A1-hot-alloc`    | no allocation primitive executes inside a loop of a hot entry point (APSP builds, routing DP, online step, scaler tick, cache repair) |
-//! | `C1-codec-coverage` | every checkpointed struct field is written and read by its codec pair in declaration order, and shape drift forces a `CKPT_VERSION` bump |
 //! | `X1-lock-discipline` | no second `.lock()` while a guard is live, no guard held across a pool dispatch or loop-allocating call, no lock inside a sequential loop |
 //! | `X2-capture-disjoint` | closures dispatched to the pool share mutable state only through the index-tagged `Mutex` bucket or per-worker scratch patterns |
 //! | `X3-order-restore` | parallel aggregation into a shared collection is index-tagged and re-sorted before the contents escape |
 //! | `W0-stale-waiver` | (via `--stale-waivers`) every `LINT-ALLOW`/`LINT-HOT` marker still suppresses at least one diagnostic |
-//! | `P0-parse`        | the item parser could structure the file (otherwise T1/T2 are blind there — reported as a finding, not a crash) |
+//! | `P0-parse`        | the item parser could structure the file (otherwise the call-graph passes are blind there — reported as a finding, not a crash) |
 //!
-//! The taint passes report the *shortest call chain* from an entry point to
-//! the offending source, so the diagnostic names the path to cut. Residual
+//! The L rules are token-level on purpose: they flag *every* library
+//! occurrence, whether or not a `pub` fn reaches it today. (Two earlier
+//! interprocedural twins, T1-nondet-taint and T2-panic-reach, reported the
+//! pub-reachable subset of the same lines and were retired; so was
+//! C1-codec-coverage, whose mutants `tests/persistence.rs` kills.) The
+//! call-graph passes report the *shortest call chain* from an entry point
+//! to the offending site, so the diagnostic names the path to cut. Residual
 //! uses that are genuinely sound carry an inline waiver the linter parses
 //! and validates:
 //!
@@ -38,14 +42,13 @@
 //! let guard = lock.lock().unwrap();
 //! ```
 //!
-//! A waiver must name the rule (full id or the `L1`…`T3` shorthand) and give
-//! a non-empty reason; a reason-less waiver is itself reported. Waivers
-//! double as **taint barriers**: at a source line they silence every chain
-//! to that source (legacy `L2`/`L3` waivers count for `T2`/`T1`), at a call
-//! line they sever just that edge.
+//! A waiver must name the rule (full id or the `L1`…`X3` shorthand) and give
+//! a non-empty reason; a reason-less waiver is itself reported. For the
+//! call-graph passes a waiver doubles as a **barrier**: at an allocation
+//! line it un-seeds the site, at a call line it severs just that edge.
 //!
 //! Run as `cargo run -p socl-lint -- check [--json] [--passes
-//! token,taint,units,alloc,codec,lock,capture,order] [--stale-waivers]`.
+//! token,units,alloc,lock,capture,order] [--stale-waivers]`.
 //! Diagnostics use the stable format `file:line:rule: message`; exit code
 //! is `0` clean / `1` violations (including `P0-parse`) / `2` internal
 //! error, so CI and editors can parse and gate on it. `--stale-waivers`
@@ -56,14 +59,13 @@
 pub mod alloc;
 pub mod callgraph;
 pub mod capture;
-pub mod codec_cov;
 pub mod conc;
 pub mod engine;
 pub mod lexer;
 pub mod lock;
 pub mod parser;
+pub mod reach;
 pub mod reduction;
-pub mod taint;
 pub mod units;
 
 pub use engine::{classify, lint_source, lint_workspace, Diagnostic, FileKind, Rule};

@@ -24,46 +24,18 @@
 //!
 //! Waivers: `LINT-ALLOW(X1-lock-discipline)` on the diagnosis line (the
 //! second lock, the call, the dispatch or the in-loop lock) suppresses
-//! that finding — edge-barrier placement, like T1/A1.
+//! that finding — edge-barrier placement, like A1.
 
-use crate::callgraph::Graph;
 use crate::conc::Summaries;
-use crate::engine::{allow_status, AllowStatus, Diagnostic, Rule};
-use crate::lexer::{line_views, LineView};
+use crate::engine::{Diagnostic, Rule};
 use crate::parser::SyncKind;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::reach::Ctx;
+use std::collections::BTreeSet;
 
-fn waived(views: &BTreeMap<&str, Vec<LineView>>, file: &str, line: usize) -> bool {
-    let Some(v) = views.get(file) else {
-        return false;
-    };
-    if line == 0 || line > v.len() {
-        return false;
-    }
-    matches!(
-        allow_status(v, line - 1, Rule::X1LockDiscipline),
-        AllowStatus::Allowed
-    )
-}
-
-/// Run the X1 pass. `files` must be the set the graph was built from.
-pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec<Diagnostic> {
-    let views: BTreeMap<&str, Vec<LineView>> = files
-        .iter()
-        .map(|(rel, src)| (rel.as_str(), line_views(src)))
-        .collect();
-
-    // Ambiguity gate over call sites, shared with the summaries.
-    let mut site_edges: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (ei, e) in graph.edges.iter().enumerate() {
-        site_edges.entry(e.site).or_default().push(ei);
-    }
-    let site_all = |site: usize, has: &[bool]| -> bool {
-        site_edges
-            .get(&site)
-            .is_some_and(|v| v.iter().all(|&oi| has[graph.edges[oi].to]))
-    };
-
+/// Run the X1 pass over the graph in `cx`.
+pub fn check(cx: &Ctx, summ: &Summaries) -> Vec<Diagnostic> {
+    const X1: Rule = Rule::X1LockDiscipline;
+    let graph = cx.graph;
     let mut out = Vec::new();
     let mut emitted: BTreeSet<(String, usize)> = BTreeSet::new();
     for (ni, node) in graph.nodes.iter().enumerate() {
@@ -82,15 +54,14 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
                 if !matches!(s.kind, SyncKind::Lock | SyncKind::LockHelper) || !live(s.tok) {
                     continue;
                 }
-                if waived(&views, &node.file, s.line)
-                    || !emitted.insert((node.file.clone(), s.line))
+                if cx.waived(&node.file, s.line, X1) || !emitted.insert((node.file.clone(), s.line))
                 {
                     continue;
                 }
                 out.push(Diagnostic {
                     file: node.file.clone(),
                     line: s.line,
-                    rule: Rule::X1LockDiscipline,
+                    rule: X1,
                     message: format!(
                         "second lock (`{}`) while guard `{}` over `{}` (line {}) is \
                          live — implicit lock order, deadlock hazard; drop or scope \
@@ -103,7 +74,7 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
                         g.name,
                         g.recv,
                         g.line,
-                        Rule::X1LockDiscipline.id()
+                        X1.id()
                     ),
                 });
             }
@@ -113,15 +84,14 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
                 if !matches!(s.kind, SyncKind::Dispatch | SyncKind::Spawn) || !live(s.tok) {
                     continue;
                 }
-                if waived(&views, &node.file, s.line)
-                    || !emitted.insert((node.file.clone(), s.line))
+                if cx.waived(&node.file, s.line, X1) || !emitted.insert((node.file.clone(), s.line))
                 {
                     continue;
                 }
                 out.push(Diagnostic {
                     file: node.file.clone(),
                     line: s.line,
-                    rule: Rule::X1LockDiscipline,
+                    rule: X1,
                     message: format!(
                         "pool dispatch `{}` while guard `{}` over `{}` (line {}) is \
                          live — workers serialize behind (or deadlock against) the \
@@ -134,49 +104,47 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
             // (2b) Calls made while the guard is live whose callee
             // transitively dispatches or allocates in a loop.
             for &ei in &graph.fwd[ni] {
-                let e = graph.edges[ei];
-                if !live(e.tok) || waived(&views, &node.file, e.line) {
+                let e = &graph.edges[ei];
+                if !live(e.tok) || cx.waived(&node.file, e.line, X1) {
                     continue;
                 }
                 let callee = &graph.nodes[e.to].item.qual;
-                if summ.dispatches.has[e.to]
-                    && (e.certain || site_all(e.site, &summ.dispatches.has))
-                {
+                if summ.dispatches.has[e.to] && cx.trusted(e, &summ.dispatches.has) {
                     if emitted.insert((node.file.clone(), e.line)) {
                         out.push(Diagnostic {
                             file: node.file.clone(),
                             line: e.line,
-                            rule: Rule::X1LockDiscipline,
+                            rule: X1,
                             message: format!(
                                 "call to `{callee}` dispatches to the pool ({}) while \
                                  guard `{}` over `{}` (line {}) is live; release the \
                                  guard first, or justify with `LINT-ALLOW({})`",
-                                summ.dispatches.witness(graph, e.to),
+                                summ.dispatches.witness(cx, e.to),
                                 g.name,
                                 g.recv,
                                 g.line,
-                                Rule::X1LockDiscipline.id()
+                                X1.id()
                             ),
                         });
                     }
                 } else if summ.loop_alloc.has[e.to]
-                    && (e.certain || site_all(e.site, &summ.loop_alloc.has))
+                    && cx.trusted(e, &summ.loop_alloc.has)
                     && emitted.insert((node.file.clone(), e.line))
                 {
                     out.push(Diagnostic {
                         file: node.file.clone(),
                         line: e.line,
-                        rule: Rule::X1LockDiscipline,
+                        rule: X1,
                         message: format!(
                             "call to `{callee}` allocates in a loop ({}) while guard \
                              `{}` over `{}` (line {}) is live — long critical \
                              section; move the work outside the guard, or justify \
                              with `LINT-ALLOW({})`",
-                            summ.loop_alloc.witness(graph, e.to),
+                            summ.loop_alloc.witness(cx, e.to),
                             g.name,
                             g.recv,
                             g.line,
-                            Rule::X1LockDiscipline.id()
+                            X1.id()
                         ),
                     });
                 }
@@ -192,13 +160,13 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
             {
                 continue;
             }
-            if waived(&views, &node.file, s.line) || !emitted.insert((node.file.clone(), s.line)) {
+            if cx.waived(&node.file, s.line, X1) || !emitted.insert((node.file.clone(), s.line)) {
                 continue;
             }
             out.push(Diagnostic {
                 file: node.file.clone(),
                 line: s.line,
-                rule: Rule::X1LockDiscipline,
+                rule: X1,
                 message: format!(
                     "lock acquired inside a loop (`{}`) — the mutex is reacquired \
                      every iteration; hoist the guard above the loop, or justify \
@@ -208,7 +176,7 @@ pub fn check(files: &[(String, String)], graph: &Graph, summ: &Summaries) -> Vec
                     } else {
                         s.recv.clone()
                     },
-                    Rule::X1LockDiscipline.id()
+                    X1.id()
                 ),
             });
         }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! socl-lint check [--root <dir>] [--json]
-//!                 [--passes token,taint,units,alloc,codec,lock,capture,order]
+//!                 [--passes token,units,alloc,lock,capture,order]
 //!                 [--stale-waivers]
 //!                                  lint the workspace (default command);
 //!                                  with --stale-waivers, audit the
@@ -47,7 +47,7 @@ fn main() -> ExitCode {
                     None => {
                         eprintln!(
                             "socl-lint: --passes requires a list \
-                             (token,taint,units,alloc,codec,lock,capture,order)"
+                             (token,units,alloc,lock,capture,order)"
                         );
                         return ExitCode::from(2);
                     }

@@ -1,17 +1,17 @@
 //! Item-level parsing of Rust source over the lexer's code views.
 //!
-//! The interprocedural passes (T1 determinism-taint, T2 panic-reachability)
-//! and the units pass (T3) need more structure than per-line tokens: which
-//! functions exist, which module/impl they live in, what they call, and
-//! which nondeterminism/panic primitives their bodies touch. This module
-//! provides exactly that — no external dependency, no full AST.
+//! The call-graph passes (A1 hot-loop allocation, X1–X3 concurrency
+//! discipline) and the units pass (T3) need more structure than per-line
+//! tokens: which functions exist, which module/impl they live in, what they
+//! call, and which allocation/sync primitives their bodies touch. This
+//! module provides exactly that — no external dependency, no full AST.
 //!
 //! Pipeline: [`crate::lexer::line_views`] blanks comments and string
 //! interiors, [`crate::lexer::test_gated_mask`] removes `#[cfg(test)]`
 //! bodies, then a tokenizer produces a flat token stream and a single-pass
 //! item walker recognizes `mod`/`impl`/`trait`/`fn`/`use` structure. Function
 //! bodies are scanned for call sites (free calls, `Path::calls`, `.method()`
-//! calls, macros) and for the taint-source primitives of DESIGN.md §6c.
+//! calls, macros), allocation primitives, closures and sync events.
 //!
 //! The walker is deliberately forgiving: token sequences it does not
 //! understand are skipped, and only *structural* damage (unbalanced braces,
@@ -266,35 +266,6 @@ pub struct AllocSite {
     pub loop_depth: usize,
 }
 
-/// Category of a taint-source primitive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SourceKind {
-    /// `unwrap`/`expect`/`expect_err`/`panic!`/`unreachable!`/`todo!`/
-    /// `unimplemented!` — the L2 panic family.
-    Panic,
-    /// Wall clock: `Instant::now`, `SystemTime::now`.
-    Time,
-    /// Ambient randomness: `thread_rng`, `from_entropy`.
-    Rng,
-    /// Process environment: `env::var*`, `available_parallelism`.
-    Env,
-    /// Filesystem reads/writes: `fs::read*`, `fs::write`, `File::open|create`.
-    Fs,
-    /// Randomized iteration order: `HashMap`/`HashSet`.
-    Hash,
-    /// Thread identity: `ThreadId`, `thread::current`.
-    Thread,
-}
-
-/// One occurrence of a taint-source primitive inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SourceHit {
-    pub line: usize,
-    pub kind: SourceKind,
-    /// The primitive as written, for diagnostics (`SystemTime::now`).
-    pub what: String,
-}
-
 /// A closure literal inside a function body, with its capture set.
 ///
 /// Captures are *identifiers referenced in the body but bound outside the
@@ -421,54 +392,22 @@ pub struct FnItem {
     pub type_name: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// Declared `pub` (any visibility restriction counts as pub for the
-    /// conservative entry-point set).
-    pub is_pub: bool,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
     /// Allocation primitives in the body.
     pub allocs: Vec<AllocSite>,
-    /// Taint-source primitives in the body.
-    pub sources: Vec<SourceHit>,
     /// Closure literals in the body (in pipe-token order), with captures.
     pub closures: Vec<ClosureInfo>,
     /// Sync-primitive events in the body (in token order).
     pub sync: Vec<SyncSite>,
     /// Lock-guard bindings in the body with their live scopes.
     pub guards: Vec<GuardBind>,
-    /// Token-index range of the body, `[start, end)` where `end` is the
-    /// index of the matching `}` in the file's token stream (as produced by
-    /// [`tokenize`] over [`crate::lexer::line_views`] +
-    /// [`crate::lexer::test_gated_mask`]). Passes that need raw body tokens
-    /// (codec coverage) re-tokenize the file — the stream is deterministic,
-    /// so indices line up.
-    pub body: (usize, usize),
-}
-
-/// A named-field struct definition (tuple/unit structs and enums are not
-/// recorded — the codec-coverage pass only audits named-field snapshots).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructDef {
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: usize,
-    /// Named fields in declaration order.
-    pub fields: Vec<StructField>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructField {
-    pub name: String,
-    /// 1-based line of the field name.
-    pub line: usize,
 }
 
 /// Parse result for one file.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
     pub fns: Vec<FnItem>,
-    /// Named-field struct definitions, in file order.
-    pub structs: Vec<StructDef>,
     /// `use` aliases: last segment (or `as` alias) → full path segments.
     pub uses: Vec<(String, Vec<String>)>,
     /// Structural problems: (line, message).
@@ -762,11 +701,9 @@ impl<'a> Walker<'a> {
                     }
                     self.skip_group();
                 }
-                TokKind::Ident(w) if w == "struct" => {
-                    self.parse_struct();
-                }
                 TokKind::Ident(w)
-                    if w == "enum"
+                    if w == "struct"
+                        || w == "enum"
                         || w == "union"
                         || w == "static"
                         || w == "const"
@@ -805,93 +742,6 @@ impl<'a> Walker<'a> {
                 }
                 _ => self.i += 1,
             }
-        }
-    }
-
-    /// Parse `struct Name<…> { fields }` into a [`StructDef`]. Tuple and
-    /// unit structs are skipped — they have no named fields to audit.
-    fn parse_struct(&mut self) {
-        let line = self.line();
-        self.i += 1; // `struct`
-        let name = match self.peek(0).and_then(|k| k.ident()) {
-            Some(n) => n.to_string(),
-            None => return,
-        };
-        self.i += 1;
-        // Generics / where clause, then `{ fields }`, `( … );`, or `;`.
-        loop {
-            match self.peek(0) {
-                None => return,
-                Some(TokKind::Punct("<")) => self.skip_angles(),
-                Some(TokKind::Punct("(")) => {
-                    self.skip_group(); // tuple struct body
-                }
-                Some(TokKind::Punct(";")) => {
-                    self.i += 1;
-                    return;
-                }
-                Some(TokKind::Punct("{")) => break,
-                _ => self.i += 1,
-            }
-        }
-        self.i += 1; // `{`
-        let mut fields = Vec::new();
-        // Field level: `#[attr]`* `pub`? `(restriction)`? name `:` type `,`
-        while self.i < self.toks.len() {
-            match self.peek(0) {
-                None => break,
-                Some(TokKind::Punct("}")) => {
-                    self.i += 1;
-                    break;
-                }
-                Some(TokKind::Punct("#")) => {
-                    self.i += 1;
-                    self.skip_group();
-                }
-                Some(TokKind::Punct("(")) => {
-                    self.skip_group(); // `pub(crate)` restriction
-                }
-                Some(TokKind::Ident(s)) if s == "pub" => self.i += 1,
-                Some(TokKind::Ident(f)) => {
-                    let fname = f.clone();
-                    let fline = self.line();
-                    self.i += 1;
-                    if self.peek(0).and_then(|k| k.punct()) == Some(":") {
-                        fields.push(StructField {
-                            name: fname,
-                            line: fline,
-                        });
-                        self.i += 1;
-                    }
-                    self.skip_field_type();
-                }
-                _ => self.i += 1,
-            }
-        }
-        self.out.structs.push(StructDef { name, line, fields });
-    }
-
-    /// Skip a struct field's type up to the `,` or `}` that ends it. Angle
-    /// depth is tracked so `BTreeMap<u64, f64>`'s comma does not end the
-    /// field early.
-    fn skip_field_type(&mut self) {
-        let mut angle = 0usize;
-        while self.i < self.toks.len() {
-            match self.peek(0).and_then(|k| k.punct()) {
-                Some("<") => angle += 1,
-                Some(">") => angle = angle.saturating_sub(1),
-                Some("(") | Some("[") | Some("{") => {
-                    self.skip_group();
-                    continue;
-                }
-                Some(",") if angle == 0 => {
-                    self.i += 1;
-                    return;
-                }
-                Some("}") if angle == 0 => return, // caller consumes
-                _ => {}
-            }
-            self.i += 1;
         }
     }
 
@@ -974,37 +824,6 @@ impl<'a> Walker<'a> {
     /// Parse `fn name …  { body }` (or `;` for a bodiless declaration).
     fn parse_fn(&mut self, mods: &[String], type_name: Option<&str>) {
         let fn_line = self.line();
-        // Visibility: look back over the few preceding tokens for `pub`.
-        // Restricted forms (`pub(crate)`, `pub(super)`, `pub(in …)`) are NOT
-        // entry points for the taint passes — they are unreachable from
-        // outside the library, so taint only matters if a truly `pub` fn
-        // reaches them, and that path is found through the caller anyway.
-        let is_pub = {
-            let mut k = self.i;
-            let mut saw_pub = false;
-            let mut restricted = false;
-            let mut steps = 0;
-            while k > 0 && steps < 8 {
-                k -= 1;
-                steps += 1;
-                match &self.toks[k].kind {
-                    TokKind::Ident(s) if s == "pub" => {
-                        saw_pub = true;
-                        break;
-                    }
-                    TokKind::Ident(s)
-                        if s == "const" || s == "unsafe" || s == "extern" || s == "async" => {}
-                    TokKind::Ident(s)
-                        if s == "crate" || s == "super" || s == "in" || s == "self" =>
-                    {
-                        restricted = true;
-                    }
-                    TokKind::Punct("(") | TokKind::Punct(")") => {}
-                    _ => break,
-                }
-            }
-            saw_pub && !restricted
-        };
         self.i += 1; // `fn`
         let name = match self.peek(0).and_then(|k| k.ident()) {
             Some(n) => n.to_string(),
@@ -1051,28 +870,18 @@ impl<'a> Walker<'a> {
         }
         qual.push_str("::");
         qual.push_str(&name);
-        let (calls, allocs, sources, nested) = scan_body(
-            self.toks,
-            body_start,
-            body_end,
-            &self.crate_name,
-            mods,
-            type_name,
-        );
+        let (calls, allocs, nested) = scan_body(self.toks, body_start, body_end, type_name);
         let (closures, sync, guards) = scan_sync(self.toks, body_start, body_end);
         self.out.fns.push(FnItem {
             name,
             qual,
             type_name: type_name.map(str::to_string),
             line: fn_line,
-            is_pub,
             calls,
             allocs,
-            sources,
             closures,
             sync,
             guards,
-            body: (body_start, body_end),
         });
         // Nested `fn` items found inside the body parse as their own items.
         for (start, t_name) in nested {
@@ -1093,9 +902,8 @@ struct GroupCtx {
     is_loop: bool,
 }
 
-/// Scan a function body token range for call sites, allocation primitives
-/// and source primitives. Returns (calls, allocs, sources, nested fn
-/// starts).
+/// Scan a function body token range for call sites and allocation
+/// primitives. Returns (calls, allocs, nested fn starts).
 ///
 /// Loop depth is tracked syntactically: a `for`/`while`/`loop` keyword arms
 /// a *pending loop* at the current group-nesting level, and the next `{`
@@ -1111,18 +919,10 @@ fn scan_body(
     toks: &[Tok],
     start: usize,
     end: usize,
-    _crate_name: &str,
-    _mods: &[String],
     type_name: Option<&str>,
-) -> (
-    Vec<CallSite>,
-    Vec<AllocSite>,
-    Vec<SourceHit>,
-    Vec<(usize, Option<String>)>,
-) {
+) -> (Vec<CallSite>, Vec<AllocSite>, Vec<(usize, Option<String>)>) {
     let mut calls = Vec::new();
     let mut allocs = Vec::new();
-    let mut sources = Vec::new();
     let mut nested: Vec<(usize, Option<String>)> = Vec::new();
     let mut groups: Vec<GroupCtx> = Vec::new();
     let mut pending_loop: Option<usize> = None;
@@ -1256,13 +1056,6 @@ fn scan_body(
                     && matches!(&toks[i - 2].kind, TokKind::Ident(s) if s == "self");
 
                 if is_macro {
-                    if let Some(kind) = panic_macro(&path) {
-                        sources.push(SourceHit {
-                            line: call_line,
-                            kind,
-                            what: format!("{}!", path.join("::")),
-                        });
-                    }
                     if matches!(
                         path.last().map(String::as_str),
                         Some("vec") | Some("format")
@@ -1277,55 +1070,28 @@ fn scan_body(
                     continue;
                 }
                 if is_call {
-                    if let Some((kind, what)) = source_call(&path, is_method) {
-                        sources.push(SourceHit {
+                    if let Some(what) = alloc_call(&path, is_method) {
+                        allocs.push(AllocSite {
                             line: call_line,
-                            kind,
                             what,
-                        });
-                    } else {
-                        if let Some(what) = alloc_call(&path, is_method) {
-                            allocs.push(AllocSite {
-                                line: call_line,
-                                what,
-                                loop_depth,
-                            });
-                        }
-                        calls.push(CallSite {
-                            line: call_line,
-                            tok: i,
-                            path: path.clone(),
-                            method: is_method,
-                            recv_self,
                             loop_depth,
                         });
                     }
-                } else {
-                    // Bare mention: HashMap/HashSet in type position still
-                    // counts as a hash-order source.
-                    if let Some(last) = path.last() {
-                        if last == "HashMap" || last == "HashSet" {
-                            sources.push(SourceHit {
-                                line: call_line,
-                                kind: SourceKind::Hash,
-                                what: last.clone(),
-                            });
-                        }
-                        if last == "ThreadId" {
-                            sources.push(SourceHit {
-                                line: call_line,
-                                kind: SourceKind::Thread,
-                                what: last.clone(),
-                            });
-                        }
-                    }
+                    calls.push(CallSite {
+                        line: call_line,
+                        tok: i,
+                        path: path.clone(),
+                        method: is_method,
+                        recv_self,
+                        loop_depth,
+                    });
                 }
                 i = j;
             }
             _ => i += 1,
         }
     }
-    (calls, allocs, sources, nested)
+    (calls, allocs, nested)
 }
 
 /// Method names that mutate their receiver in place. Atomic RMW methods
@@ -2272,6 +2038,8 @@ fn compute_captures(toks: &[Tok], closures: &mut [ClosureInfo], guards: &[GuardB
         c.captures = caps;
     }
 }
+
+/// Classify a call path as an allocation primitive, if it is one. `.push`
 /// and `.extend` are deliberately excluded — they are the amortized-reuse
 /// idiom the A1 fixes hoist *into*. `Rc::clone`/`Arc::clone` (refcount
 /// bumps) fall through because only `new`/`with_capacity`/`from` count on
@@ -2295,49 +2063,6 @@ fn alloc_call(path: &[String], is_method: bool) -> Option<String> {
         Some(path.join("::"))
     } else {
         None
-    }
-}
-
-fn panic_macro(path: &[String]) -> Option<SourceKind> {
-    let last = path.last()?;
-    match last.as_str() {
-        "panic" | "unreachable" | "todo" | "unimplemented" => Some(SourceKind::Panic),
-        _ => None,
-    }
-}
-
-/// Classify a call-path as a taint-source primitive, if it is one.
-fn source_call(path: &[String], is_method: bool) -> Option<(SourceKind, String)> {
-    let last = path.last()?.as_str();
-    let prev = path.len().checked_sub(2).map(|k| path[k].as_str());
-    let written = path.join("::");
-    if is_method {
-        return match last {
-            "unwrap" | "expect" | "expect_err" => Some((SourceKind::Panic, format!(".{last}()"))),
-            "from_entropy" => Some((SourceKind::Rng, written)),
-            _ => None,
-        };
-    }
-    match (prev, last) {
-        (Some("Instant"), "now") | (Some("SystemTime"), "now") => Some((SourceKind::Time, written)),
-        (_, "thread_rng") => Some((SourceKind::Rng, written)),
-        (_, "from_entropy") => Some((SourceKind::Rng, written)),
-        (Some("env"), "var") | (Some("env"), "var_os") | (Some("env"), "vars") => {
-            Some((SourceKind::Env, written))
-        }
-        (_, "available_parallelism") => Some((SourceKind::Env, written)),
-        (Some("fs"), _)
-            if matches!(
-                last,
-                "read" | "read_to_string" | "read_dir" | "write" | "metadata" | "canonicalize"
-            ) =>
-        {
-            Some((SourceKind::Fs, written))
-        }
-        (Some("File"), "open") | (Some("File"), "create") => Some((SourceKind::Fs, written)),
-        (Some("thread"), "current") => Some((SourceKind::Thread, written)),
-        (Some("HashMap"), _) | (Some("HashSet"), _) => Some((SourceKind::Hash, written)),
-        _ => None,
     }
 }
 
@@ -2371,10 +2096,8 @@ mod tests {
         assert_eq!(p.fns.len(), 2);
         let a = &p.fns[0];
         assert_eq!(a.qual, "socl_model::demo::alpha");
-        assert!(a.is_pub);
         let callees: Vec<String> = a.calls.iter().map(|c| c.path.join("::")).collect();
         assert_eq!(callees, vec!["beta", "gamma::delta"]);
-        assert!(!p.fns[1].is_pub);
     }
 
     #[test]
@@ -2412,24 +2135,6 @@ mod tests {
         let p = parse(src);
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "real");
-    }
-
-    #[test]
-    fn sources_are_detected() {
-        let src = "fn f() {\n  let t = std::time::Instant::now();\n  x.unwrap();\n  panic!(\"boom\");\n  let v = std::env::var(\"X\");\n}";
-        let p = parse(src);
-        let kinds: Vec<SourceKind> = p.fns[0].sources.iter().map(|s| s.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                SourceKind::Time,
-                SourceKind::Panic,
-                SourceKind::Panic,
-                SourceKind::Env
-            ]
-        );
-        assert_eq!(p.fns[0].sources[0].line, 2);
-        assert_eq!(p.fns[0].sources[3].line, 5);
     }
 
     #[test]
@@ -2553,30 +2258,12 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_parse_in_declaration_order() {
-        let src = "pub struct Snap {\n  pub seed: u64,\n  pub(crate) table: BTreeMap<u64, Vec<f64>>,\n  #[allow(dead_code)]\n  flags: u8,\n}\nstruct Unit;\nstruct Tuple(u8, u8);";
+    fn struct_items_are_skipped_cleanly() {
+        let src = "pub struct Snap {\n  pub seed: u64,\n  cb: fn(u8) -> u8,\n}\nstruct W<T> where T: Clone {\n  inner: T,\n}\nstruct Unit;\nstruct Tuple(u8, u8);\nfn after() {}";
         let p = parse(src);
-        // Unit/tuple structs are not recorded — no named fields to audit.
-        assert_eq!(p.structs.len(), 1);
-        let s = &p.structs[0];
-        assert_eq!(s.name, "Snap");
-        let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["seed", "table", "flags"]);
-        assert_eq!(s.fields[1].line, 3);
-    }
-
-    #[test]
-    fn generic_struct_with_where_clause_parses() {
-        let src = "struct W<T> where T: Clone {\n  inner: T,\n  count: usize,\n}\nfn after() {}";
-        let p = parse(src);
-        assert_eq!(p.structs.len(), 1);
-        let names: Vec<&str> = p.structs[0]
-            .fields
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(names, vec!["inner", "count"]);
-        assert_eq!(p.fns.len(), 1); // walker resumes cleanly after the struct
+        assert!(p.errors.is_empty(), "{:?}", p.errors);
+        assert_eq!(p.fns.len(), 1); // walker resumes cleanly after the structs
+        assert_eq!(p.fns[0].name, "after");
     }
 
     #[test]

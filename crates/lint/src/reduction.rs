@@ -5,9 +5,9 @@
 //!
 //! Workers finish in scheduler order. A bare `guard.push(value)` from a
 //! dispatched closure therefore produces a permutation that varies run to
-//! run — a determinism hole T1 cannot see, because no nondeterminism
-//! *source* (clock, RNG, hash order) is involved; the scheduler itself is
-//! the source. Two findings close it:
+//! run — a determinism hole the L3 rules cannot see, because no
+//! nondeterminism *source* (clock, RNG, hash order) is named; the scheduler
+//! itself is the source. Two findings close it:
 //!
 //! * an **untagged aggregation**: a dispatched closure pushes plain values
 //!   (not `(index, value)` tuples) into a captured, locked collection;
@@ -22,32 +22,15 @@
 //! Waivers: `LINT-ALLOW(X3-order-restore)` on the aggregation line (for
 //! untagged pushes) or the dispatch line (for missing re-sorts).
 
-use crate::callgraph::Graph;
-use crate::engine::{allow_status, AllowStatus, Diagnostic, Rule};
-use crate::lexer::{line_views, LineView};
+use crate::engine::{Diagnostic, Rule};
 use crate::parser::SyncKind;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::reach::Ctx;
+use std::collections::BTreeSet;
 
-fn waived(views: &BTreeMap<&str, Vec<LineView>>, file: &str, line: usize) -> bool {
-    let Some(v) = views.get(file) else {
-        return false;
-    };
-    if line == 0 || line > v.len() {
-        return false;
-    }
-    matches!(
-        allow_status(v, line - 1, Rule::X3OrderRestore),
-        AllowStatus::Allowed
-    )
-}
-
-/// Run the X3 pass. `files` must be the set the graph was built from.
-pub fn check(files: &[(String, String)], graph: &Graph) -> Vec<Diagnostic> {
-    let views: BTreeMap<&str, Vec<LineView>> = files
-        .iter()
-        .map(|(rel, src)| (rel.as_str(), line_views(src)))
-        .collect();
-
+/// Run the X3 pass over the graph in `cx`.
+pub fn check(cx: &Ctx) -> Vec<Diagnostic> {
+    const X3: Rule = Rule::X3OrderRestore;
+    let graph = cx.graph;
     let mut out = Vec::new();
     let mut emitted: BTreeSet<(String, usize, String)> = BTreeSet::new();
     for node in graph.nodes.iter() {
@@ -68,7 +51,7 @@ pub fn check(files: &[(String, String)], graph: &Graph) -> Vec<Diagnostic> {
                             any_tagged = true;
                             continue;
                         }
-                        if waived(&views, &node.file, agg.line)
+                        if cx.waived(&node.file, agg.line, X3)
                             || !emitted.insert((node.file.clone(), agg.line, cap.name.clone()))
                         {
                             continue;
@@ -76,7 +59,7 @@ pub fn check(files: &[(String, String)], graph: &Graph) -> Vec<Diagnostic> {
                         out.push(Diagnostic {
                             file: node.file.clone(),
                             line: agg.line,
-                            rule: Rule::X3OrderRestore,
+                            rule: X3,
                             message: format!(
                                 "untagged parallel aggregation: closure dispatched \
                                  via `{}` (line {}) pushes plain values into `{}` — \
@@ -87,7 +70,7 @@ pub fn check(files: &[(String, String)], graph: &Graph) -> Vec<Diagnostic> {
                                 s.what,
                                 s.line,
                                 cap.name,
-                                Rule::X3OrderRestore.id()
+                                X3.id()
                             ),
                         });
                     }
@@ -98,7 +81,7 @@ pub fn check(files: &[(String, String)], graph: &Graph) -> Vec<Diagnostic> {
                             t.kind == SyncKind::Sort && t.tok > s.tok && t.recv == cap.name
                         });
                         if sorted
-                            || waived(&views, &node.file, s.line)
+                            || cx.waived(&node.file, s.line, X3)
                             || !emitted.insert((node.file.clone(), s.line, cap.name.clone()))
                         {
                             continue;
@@ -106,7 +89,7 @@ pub fn check(files: &[(String, String)], graph: &Graph) -> Vec<Diagnostic> {
                         out.push(Diagnostic {
                             file: node.file.clone(),
                             line: s.line,
-                            rule: Rule::X3OrderRestore,
+                            rule: X3,
                             message: format!(
                                 "index-tagged aggregation into `{}` is never re-sorted \
                                  after the `{}` dispatch — tags nobody sorts by do not \
@@ -116,7 +99,7 @@ pub fn check(files: &[(String, String)], graph: &Graph) -> Vec<Diagnostic> {
                                 cap.name,
                                 s.what,
                                 cap.name,
-                                Rule::X3OrderRestore.id()
+                                X3.id()
                             ),
                         });
                     }

@@ -1,9 +1,10 @@
-//! Contract tests for the A1-hot-alloc and C1-codec-coverage passes over
-//! in-memory mini-workspaces, pinning exact `(rule, file, line)` triples and
-//! the rendered call chains / remediation text. The chain is part of the
-//! linter's interface — it is what a developer follows to decide where to
-//! hoist a buffer or place a waiver barrier — so a resolution or summary
-//! change that reroutes, truncates, or drops a diagnostic must fail here.
+//! Contract tests for the A1-hot-alloc pass (and the P0 finding every
+//! call-graph pass carries) over in-memory mini-workspaces, pinning exact
+//! `(rule, file, line)` triples and the rendered call chains / remediation
+//! text. The chain is part of the linter's interface — it is what a
+//! developer follows to decide where to hoist a buffer or place a waiver
+//! barrier — so a resolution or summary change that reroutes, truncates, or
+//! drops a diagnostic must fail here.
 
 use socl_lint::engine::{lint_files, Passes};
 use socl_lint::Rule;
@@ -12,26 +13,11 @@ fn alloc_only() -> Passes {
     Passes::from_list("alloc").expect("pass list parses")
 }
 
-fn codec_only() -> Passes {
-    Passes::from_list("codec").expect("pass list parses")
-}
-
 fn files(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
     pairs
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect()
-}
-
-/// 64-bit FNV-1a, mirroring the C1 shape hash so fixtures can pin exact
-/// marker values instead of copying opaque constants.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------- A1 ----
@@ -224,194 +210,22 @@ fn a1_ambiguous_union_requires_all_candidates_to_allocate() {
     assert_eq!(a1[0].line, 6, "expected the `table.get(i)` call line");
 }
 
-// ---------------------------------------------------------------- C1 ----
+// ---------------------------------------------------------------- P0 ----
 
-/// A correct method-pair codec with a matching shape marker lints clean.
-fn c1_frame_fixture(
-    fields: &str,
-    writer: &str,
-    reader: &str,
-    marker: &str,
-) -> Vec<(String, String)> {
-    files(&[(
-        "crates/sim/src/ckpt.rs",
-        &format!(
-            "// {marker}\n\
-             pub const CKPT_VERSION: u32 = 1;\n\
-             pub struct Frame {{\n\
-             {fields}\
-             }}\n\
-             impl Frame {{\n\
-                 pub fn to_bytes(&self) -> Vec<u8> {{\n\
-                     let mut w = Vec::new();\n\
-             {writer}\
-                     w\n\
-                 }}\n\
-                 pub fn from_bytes(b: &[u8]) -> Frame {{\n\
-             {reader}\
-                 }}\n\
-             }}\n"
-        ),
-    )])
-}
-
+/// Structural parse failure surfaces as `P0-parse` (and blinds the
+/// call-graph passes for that file, which the message says).
 #[test]
-fn c1_clean_codec_is_clean() {
-    let marker = format!("CKPT-SHAPE(v1): {:016x}", fnv1a("Frame{a,b};"));
-    let ws = c1_frame_fixture(
-        "    pub a: u32,\n    pub b: u32,\n",
-        "        w.extend(self.a.to_le_bytes());\n\
-         \x20       w.extend(self.b.to_le_bytes());\n",
-        "        let a = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);\n\
-         \x20       let b = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);\n\
-         \x20       Frame { a, b }\n",
-        &marker,
-    );
-    let diags = lint_files(&ws, &codec_only());
-    assert_eq!(diags, Vec::new(), "clean codec must produce no diagnostics");
-}
-
-/// The seeded drift mutant: an extra struct field the codec never touches
-/// fails lint with a *field-level* diagnostic on both sides.
-#[test]
-fn c1_extra_field_drift_is_caught_field_level() {
-    let marker = format!("CKPT-SHAPE(v1): {:016x}", fnv1a("Frame{a,b,c};"));
-    let ws = c1_frame_fixture(
-        "    pub a: u32,\n    pub b: u32,\n    pub c: u32,\n",
-        "        w.extend(self.a.to_le_bytes());\n\
-         \x20       w.extend(self.b.to_le_bytes());\n",
-        "        let a = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);\n\
-         \x20       let b = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);\n\
-         \x20       Frame { a, b, c: 0 }\n",
-        &marker,
-    );
-    let diags = lint_files(&ws, &codec_only());
-    let c1: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == Rule::C1CodecCoverage)
-        .collect();
-    // `c` is mentioned by the reader (struct literal) but never written:
-    // exactly one field-level diagnostic, anchored at the field definition.
-    assert_eq!(c1.len(), 1, "diags: {diags:?}");
-    assert_eq!(c1[0].file, "crates/sim/src/ckpt.rs");
-    assert_eq!(c1[0].line, 6, "expected the `pub c: u32` definition line");
-    assert!(
-        c1[0]
-            .message
-            .contains("field `c` of `Frame` is never written by `to_bytes`"),
-        "drift message changed: {}",
-        c1[0].message
-    );
-}
-
-/// Writing fields out of declaration order is an error even when every
-/// field is covered — the untagged byte format makes order the schema.
-#[test]
-fn c1_order_swap_is_caught() {
-    let marker = format!("CKPT-SHAPE(v1): {:016x}", fnv1a("Frame{a,b};"));
-    let ws = c1_frame_fixture(
-        "    pub a: u32,\n    pub b: u32,\n",
-        "        w.extend(self.b.to_le_bytes());\n\
-         \x20       w.extend(self.a.to_le_bytes());\n",
-        "        let a = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);\n\
-         \x20       let b = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);\n\
-         \x20       Frame { a, b }\n",
-        &marker,
-    );
-    let diags = lint_files(&ws, &codec_only());
-    let c1: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == Rule::C1CodecCoverage)
-        .collect();
-    assert_eq!(c1.len(), 1, "diags: {diags:?}");
-    assert_eq!(c1[0].line, 10, "expected the first out-of-order write line");
-    assert!(
-        c1[0]
-            .message
-            .contains("field `b` of `Frame` written out of declaration order"),
-        "order message changed: {}",
-        c1[0].message
-    );
-}
-
-/// A stale shape hash demands a version bump; a missing marker is told the
-/// exact line to add, including the computed hash.
-#[test]
-fn c1_shape_marker_forces_version_bumps() {
-    // Stale hash (recorded for the old single-field shape).
-    let stale = format!("CKPT-SHAPE(v1): {:016x}", fnv1a("Frame{a};"));
-    let ws = c1_frame_fixture(
-        "    pub a: u32,\n    pub b: u32,\n",
-        "        w.extend(self.a.to_le_bytes());\n\
-         \x20       w.extend(self.b.to_le_bytes());\n",
-        "        let a = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);\n\
-         \x20       let b = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);\n\
-         \x20       Frame { a, b }\n",
-        &stale,
-    );
-    let diags = lint_files(&ws, &codec_only());
-    let c1: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == Rule::C1CodecCoverage)
-        .collect();
-    assert_eq!(c1.len(), 1, "diags: {diags:?}");
-    assert_eq!(c1[0].line, 1, "expected the marker line");
-    assert!(
-        c1[0].message.contains("bump CKPT_VERSION") && c1[0].message.contains("CKPT-SHAPE(v2)"),
-        "bump message changed: {}",
-        c1[0].message
-    );
-
-    // No marker at all: the suggestion carries the ready-to-paste line.
-    let ws = c1_frame_fixture(
-        "    pub a: u32,\n    pub b: u32,\n",
-        "        w.extend(self.a.to_le_bytes());\n\
-         \x20       w.extend(self.b.to_le_bytes());\n",
-        "        let a = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);\n\
-         \x20       let b = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);\n\
-         \x20       Frame { a, b }\n",
-        "no shape marker here",
-    );
-    let diags = lint_files(&ws, &codec_only());
-    let c1: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == Rule::C1CodecCoverage)
-        .collect();
-    assert_eq!(c1.len(), 1, "diags: {diags:?}");
-    let want = format!("CKPT-SHAPE(v1): {:016x}", fnv1a("Frame{a,b};"));
-    assert!(
-        c1[0].message.contains(&want),
-        "suggestion should carry the computed hash `{want}`: {}",
-        c1[0].message
-    );
-}
-
-/// A free `put_x`/`get_x` pair without a `LINT-CODEC:` marker cannot dodge
-/// the audit: the missing marker is itself a diagnostic.
-#[test]
-fn c1_unmarked_free_pair_is_reported() {
+fn parse_failure_is_reported_as_p0() {
     let ws = files(&[(
-        "crates/sim/src/ckpt.rs",
-        "pub const CKPT_VERSION: u32 = 1;\n\
-         pub struct Pose {\n\
-             pub x: u64,\n\
-         }\n\
-         pub fn put_pose(w: &mut Vec<u8>, p: &Pose) {\n\
-             w.extend(p.x.to_le_bytes());\n\
-         }\n\
-         pub fn get_pose(b: &[u8]) -> Pose {\n\
-             let x = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);\n\
-             Pose { x }\n\
-         }\n",
+        "crates/model/src/broken.rs",
+        "pub fn truncated() {\n    let x = 1;\n",
     )]);
-    let diags = lint_files(&ws, &codec_only());
-    let c1: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == Rule::C1CodecCoverage)
-        .collect();
+    let diags = lint_files(&ws, &alloc_only());
+    let p0: Vec<_> = diags.iter().filter(|d| d.rule == Rule::P0Parse).collect();
+    assert_eq!(p0.len(), 1, "diags: {diags:?}");
     assert!(
-        c1.iter()
-            .any(|d| d.line == 5 && d.message.contains("no `LINT-CODEC:` marker")),
-        "diags: {diags:?}"
+        p0[0].message.contains("interprocedural passes cannot see"),
+        "{}",
+        p0[0].message
     );
 }

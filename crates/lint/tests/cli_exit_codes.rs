@@ -6,7 +6,7 @@
 //! CI and the dogfood test key off these codes, so they are interface, not
 //! implementation detail.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn exitcase(name: &str) -> PathBuf {
@@ -22,7 +22,7 @@ fn run_lint(args: &[&str]) -> Output {
         .expect("socl-lint binary runs")
 }
 
-fn check(root: &PathBuf, extra: &[&str]) -> Output {
+fn check(root: &Path, extra: &[&str]) -> Output {
     let mut args = vec!["check", "--root", root.to_str().unwrap()];
     args.extend_from_slice(extra);
     run_lint(&args)
@@ -41,13 +41,10 @@ fn violations_exit_one_with_stable_lines() {
     let out = check(&exitcase("violation"), &[]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // Stable `file:line:rule: message` lines, token and taint rule together.
+    // Stable `file:line:rule: message` lines; one diagnostic per site.
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
     assert!(
-        stdout.contains("crates/m/src/lib.rs:4:L2-panic-free:"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("crates/m/src/lib.rs:4:T2-panic-reach:"),
+        stdout.starts_with("crates/m/src/lib.rs:4:L2-panic-free:"),
         "{stdout}"
     );
 }
@@ -95,11 +92,11 @@ fn json_mode_emits_parseable_records_on_stdout_only() {
         "{stdout}"
     );
     // One record per diagnostic with the four promised keys.
-    assert_eq!(trimmed.matches("\"file\":").count(), 2, "{stdout}");
-    assert_eq!(trimmed.matches("\"line\":").count(), 2, "{stdout}");
-    assert_eq!(trimmed.matches("\"rule\":").count(), 2, "{stdout}");
-    assert_eq!(trimmed.matches("\"message\":").count(), 2, "{stdout}");
-    assert!(trimmed.contains("\"rule\": \"T2-panic-reach\""), "{stdout}");
+    assert_eq!(trimmed.matches("\"file\":").count(), 1, "{stdout}");
+    assert_eq!(trimmed.matches("\"line\":").count(), 1, "{stdout}");
+    assert_eq!(trimmed.matches("\"rule\":").count(), 1, "{stdout}");
+    assert_eq!(trimmed.matches("\"message\":").count(), 1, "{stdout}");
+    assert!(trimmed.contains("\"rule\": \"L2-panic-free\""), "{stdout}");
     // The human summary stays on stderr so stdout is pure JSON.
     assert!(!stdout.contains("violation(s)"), "{stdout}");
 }
@@ -137,12 +134,19 @@ fn stale_waivers_mode_keeps_the_exit_contract() {
 
 #[test]
 fn pass_selection_limits_the_rules() {
-    // Token-only: the L2 hit remains, the interprocedural T2 twin is gone.
+    // The L2 hit belongs to the token pass and to no other.
     let out = check(&exitcase("violation"), &["--passes", "token"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("L2-panic-free"), "{stdout}");
-    assert!(!stdout.contains("T2-panic-reach"), "{stdout}");
-    // Bad pass names are an internal error, not a silent no-op.
-    let bad = check(&exitcase("clean"), &["--passes", "tokn"]);
-    assert_eq!(bad.status.code(), Some(2), "{bad:?}");
+    let out = check(&exitcase("violation"), &["--passes", "units,alloc"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    // Bad pass names — the retired `taint` and `codec` included — are an
+    // internal error, not a silent no-op.
+    for bad in ["tokn", "taint", "codec", "token,taint"] {
+        let out = check(&exitcase("clean"), &["--passes", bad]);
+        assert_eq!(out.status.code(), Some(2), "{bad}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown pass"), "{bad}: {stderr}");
+    }
 }

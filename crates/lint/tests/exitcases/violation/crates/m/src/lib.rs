@@ -1,4 +1,4 @@
-//! Exit-code fixture: one L2/T2 violation reachable from a pub fn.
+//! Exit-code fixture: one L2 violation.
 
 pub fn first(v: &[f64]) -> f64 {
     *v.first().unwrap()

@@ -59,6 +59,44 @@ fn l3_nondeterminism_is_pinned() {
     );
 }
 
+/// The ambient-state needles (what the retired T1 pass alone knew) are
+/// token-level: a private, never-called fn is flagged like a `pub` one,
+/// one diagnostic per line, in library code outside the linter only.
+#[test]
+fn l3_env_fs_and_thread_identity_are_pinned() {
+    let src = "use std::fs::read_to_string;\n\
+               fn private_and_uncalled() -> usize {\n\
+                   let _ = std::env::var_os(\"HOME\");\n\
+                   let _ = std::fs::File::open(\"x\").or(std::fs::File::create(\"x\"));\n\
+                   let _id: std::thread::ThreadId = std::thread::current().id();\n\
+                   // LINT-ALLOW(L3-nondet-env): sizes the pool, never a result.\n\
+                   std::thread::available_parallelism().map_or(1, |n| n.get())\n\
+               }\n\
+               #[cfg(test)]\n\
+               mod tests {\n\
+                   fn t() { std::fs::write(\"x\", \"y\").ok(); }\n\
+               }\n";
+    let got = lint_lib("ambient.rs", src);
+    assert_eq!(
+        got,
+        vec![
+            (1, Rule::L3Env), // the import names the primitive
+            (3, Rule::L3Env), // env::var_os
+            (4, Rule::L3Env), // File::open
+            (4, Rule::L3Env), // File::create
+            (5, Rule::L3Env), // thread::current
+            (5, Rule::L3Env), // ThreadId
+        ]
+    );
+    // Bins own their I/O, and the linter reads the workspace by design.
+    for (path, kind) in [
+        ("crates/cli/src/main.rs", FileKind::Bin),
+        ("crates/lint/src/engine.rs", FileKind::Lib),
+    ] {
+        assert_eq!(lint_source(path, src, Some(kind)), Vec::new(), "{path}");
+    }
+}
+
 #[test]
 fn l4_unsafe_documentation_is_pinned() {
     let got = lint_lib("bad_l4.rs", include_str!("fixtures/bad_l4.rs"));
@@ -172,8 +210,8 @@ fn diagnostic_display_format_is_stable() {
 
 #[test]
 fn workspace_dogfood_is_clean() {
-    // The repository itself must satisfy its own invariants — all eight
-    // passes, including the X concurrency suite. Integration tests run
+    // The repository itself must satisfy its own invariants — every pass,
+    // including the X concurrency suite. Integration tests run
     // with the package directory (or workspace root) as cwd; walk upward
     // to the workspace root either way.
     let cwd = std::env::current_dir().expect("cwd");

@@ -1,7 +1,7 @@
 //! Deterministic fork-join parallelism for the hot paths.
 //!
 //! The engine's parallelism contract is simple: **thread count never changes
-//! results**. Every fan-out in the workspace goes through [`par_map_indexed`],
+//! results**. Every `par_map*` in the workspace is one private `fan_out`,
 //! which assigns work by index, collects per-chunk outputs, and reassembles
 //! them in index order — so the output of a parallel run is, element for
 //! element, the output of the serial run. Summations downstream then fold in
@@ -38,7 +38,7 @@ pub fn effective_threads() -> usize {
     if n > 0 {
         return n;
     }
-    // LINT-ALLOW(T1-nondet-taint): the thread count only partitions work;
+    // LINT-ALLOW(L3-nondet-env): the thread count only partitions work;
     // PR 2's equivalence proptests prove output is identical for any count.
     if let Ok(v) = std::env::var("SOCL_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -47,7 +47,7 @@ pub fn effective_threads() -> usize {
             }
         }
     }
-    // LINT-ALLOW(T1-nondet-taint): hardware parallelism picks the worker
+    // LINT-ALLOW(L3-nondet-env): hardware parallelism picks the worker
     // count, never the result — par_map_indexed_with is order-preserving.
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -78,17 +78,20 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// Map `f` over `0..n` on `threads` workers, returning results in index
-/// order. Deterministic: the output is identical to `(0..n).map(f)` for any
-/// thread count, including 1 (which short-circuits to the serial loop).
-pub fn par_map_indexed_with<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+/// The one fan-out behind every `par_map*`: map `f` over `0..n` on
+/// `threads` workers, each owning one `new_scratch()` value, and return the
+/// results in index order. One worker (or `n <= 1`) is the plain serial
+/// loop on the calling thread.
+fn fan_out<T, S, N, F>(n: usize, threads: usize, new_scratch: N, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    N: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
 {
     let threads = threads.clamp(1, n.max(1));
     if threads == 1 || n <= 1 {
-        return (0..n).map(f).collect();
+        let mut scratch = new_scratch();
+        return (0..n).map(|i| f(&mut scratch, i)).collect();
     }
     // ~4 chunks per worker: coarse enough to amortize the cursor, fine
     // enough to balance skewed per-item costs.
@@ -97,19 +100,23 @@ where
     let parts: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
+            scope.spawn(|| {
+                let mut scratch = new_scratch();
+                loop {
+                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= n {
+                        break;
+                    }
+                    let end = (start + chunk).min(n);
+                    let out: Vec<T> = (start..end).map(|i| f(&mut scratch, i)).collect();
+                    // A poisoned lock means another worker's `f` panicked
+                    // *inside the critical section* (only possible via
+                    // OOM-abort in `push`); `std::thread::scope` will
+                    // re-raise that panic at join, so pushing through the
+                    // poison is sound.
+                    let mut guard = lock_recover(&parts);
+                    guard.push((start, out));
                 }
-                let end = (start + chunk).min(n);
-                let out: Vec<T> = (start..end).map(&f).collect();
-                // A poisoned lock means another worker's `f` panicked *inside
-                // the critical section* (only possible via OOM-abort in
-                // `push`); `std::thread::scope` will re-raise that panic at
-                // join, so pushing through the poison is sound.
-                let mut guard = lock_recover(&parts);
-                guard.push((start, out));
             });
         }
     });
@@ -126,6 +133,17 @@ where
     }
     debug_assert_eq!(out.len(), n);
     out
+}
+
+/// Map `f` over `0..n` on `threads` workers, returning results in index
+/// order. Deterministic: the output is identical to `(0..n).map(f)` for any
+/// thread count, including 1 (which short-circuits to the serial loop).
+pub fn par_map_indexed_with<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    fan_out(n, threads, || (), |(), i| f(i))
 }
 
 /// [`par_map_indexed_with`] on the globally configured thread count.
@@ -169,43 +187,9 @@ where
     N: Fn() -> S + Sync,
     F: Fn(&mut S, &I) -> T + Sync,
 {
-    let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 || n <= 1 {
-        let mut scratch = new_scratch();
-        return items.iter().map(|it| f(&mut scratch, it)).collect();
-    }
-    let chunk = n.div_ceil(threads * 4).max(1);
-    let cursor = AtomicUsize::new(0);
-    let parts: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = new_scratch();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    let out: Vec<T> = (start..end).map(|i| f(&mut scratch, &items[i])).collect();
-                    // Poison recovery: same argument as `par_map_indexed_with`.
-                    let mut guard = lock_recover(&parts);
-                    guard.push((start, out));
-                }
-            });
-        }
-    });
-    let mut parts = parts
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    parts.sort_by_key(|(start, _)| *start);
-    let mut out = Vec::with_capacity(n);
-    for (_, mut chunk) in parts {
-        out.append(&mut chunk);
-    }
-    debug_assert_eq!(out.len(), n);
-    out
+    fan_out(items.len(), threads, new_scratch, |scratch, i| {
+        f(scratch, &items[i])
+    })
 }
 
 /// Map `f` over a slice on an explicit thread count, preserving order.

@@ -206,8 +206,11 @@ pub struct SoclServe {
     /// shard kills, so replay looks placements up instead of re-solving).
     placements: Vec<Placement>,
     wals: Vec<RegionWal>,
-    /// Checkpoint history per region: `(tick, bytes)` in tick order.
+    /// Checkpoint history per region: `(tick, bytes)` in tick order,
+    /// trimmed to the outbox window (see `take_checkpoints`).
     checkpoints: Vec<Vec<(u32, Vec<u8>)>>,
+    /// Largest checkpoint image ever taken, in bytes.
+    max_checkpoint_bytes: usize,
     /// Per-origin sent history: `(tick, [(target region, service)])` for
     /// cross-region in-flight charges, bounded to the recovery window.
     /// Head state — it survives shard kills, which is what lets a torn
@@ -298,6 +301,7 @@ impl SoclServe {
             placements: Vec::new(),
             wals: (0..n).map(|_| RegionWal::new()).collect(),
             checkpoints: (0..n).map(|_| Vec::new()).collect(),
+            max_checkpoint_bytes: 0,
             outbox: (0..n).map(|_| VecDeque::new()).collect(),
             digest_timeline: (0..n).map(|_| Vec::new()).collect(),
             tick: 0,
@@ -394,11 +398,7 @@ impl SoclServe {
     /// Largest serialized checkpoint taken so far, in bytes.
     #[must_use]
     pub fn max_checkpoint_bytes(&self) -> usize {
-        self.checkpoints
-            .iter()
-            .flat_map(|h| h.iter().map(|(_, b)| b.len()))
-            .max()
-            .unwrap_or(0)
+        self.max_checkpoint_bytes
     }
 
     /// Total WAL bytes across regions.
@@ -656,14 +656,19 @@ impl SoclServe {
     }
 
     /// Serialize every region at tick `t` and append to the checkpoint
-    /// history (parallel over regions).
+    /// history (parallel over regions). Images older than the outbox
+    /// window are dropped: a restore point the peers' outboxes no longer
+    /// reach could not rebuild a torn tick's remote charges anyway.
     fn take_checkpoints(&mut self, t: u32) {
         let images: Vec<Vec<u8>> = sharded(
             &mut self.regions,
             self.cfg.shards,
             &|st: &mut RegionState| snapshot_region(st, t).to_bytes(),
         );
+        let window = outbox_window(self.cfg.checkpoint_every);
         for (r, bytes) in images.into_iter().enumerate() {
+            self.max_checkpoint_bytes = self.max_checkpoint_bytes.max(bytes.len());
+            self.checkpoints[r].retain(|(tick, _)| *tick as usize + window >= t as usize);
             self.checkpoints[r].push((t, bytes));
         }
     }
@@ -744,18 +749,18 @@ impl SoclServe {
         for t in c0 + 1..=t_kill {
             let epoch = self.epoch_of(t);
             let placement = &self.placements[epoch];
+            let per_region = self.scan_arrivals(t);
             for (ki, &r) in killed.iter().enumerate() {
                 if t == 1 {
                     self.regions[r]
                         .scaler
                         .seed_from_placement(placement, &self.catalog, &self.net);
                 }
-                let arrivals = self.region_arrivals(t, r as u32);
                 let budget = self.cfg.drain_per_station * self.region_map.count(r as u32).max(1);
                 let (jobs, _) = region_phase_a(
                     &mut self.regions[r],
                     t,
-                    &arrivals,
+                    &per_region[r],
                     &self.feed,
                     placement,
                     budget,
@@ -845,17 +850,6 @@ impl SoclServe {
             torn_bytes,
             oracle_mismatches: mismatches,
         })
-    }
-
-    /// Arrivals homed to region `r` at tick `t`, in user order (the
-    /// replay-side counterpart of [`scan_arrivals`](Self::scan_arrivals)).
-    fn region_arrivals(&self, t: u32, r: u32) -> Vec<u32> {
-        let users = self.feed.config().users as u32;
-        (0..users)
-            .filter(|&u| {
-                self.feed.arrives(t, u) && self.region_map.region_of(self.feed.home_station(u)) == r
-            })
-            .collect()
     }
 }
 
@@ -1166,5 +1160,69 @@ mod tests {
             "stitched state differs"
         );
         assert_eq!(victim.digest_timeline(), golden.digest_timeline());
+    }
+
+    /// The kill matrix: every shard × every torn-tail mode, killed after
+    /// tick 1 (restore from the tick-0 image, replaying the scaler seeding),
+    /// after a checkpoint tick, one tick after it, and on the first tick of
+    /// a new placement epoch — by which point the checkpoint history has
+    /// been trimmed. Rows share one victim on purpose: every row after the
+    /// first starts from a restored service, so a restore that leaves head
+    /// state (WAL, outbox, checkpoint history) subtly wrong surfaces in a
+    /// later row; kills at 12 and 13 are also the "two kills one tick
+    /// apart" case.
+    #[test]
+    fn kill_matrix_is_bit_identical() {
+        use socl_sim::TornTail::{Clean, Garbage, PartialRecord};
+        const KILL_TICKS: [u32; 4] = [1, 12, 13, 17];
+        const END: u32 = 22;
+        let cfg = ServeConfig {
+            feed: FeedConfig {
+                users: 1500,
+                arrivals_per_tick: 50.0,
+                ..FeedConfig::default()
+            },
+            ..ServeConfig::small(5)
+        };
+        assert_eq!((cfg.checkpoint_every, cfg.resolve_every), (4, 8));
+        let mut golden = SoclServe::new(cfg.clone());
+        let golden_at: Vec<Vec<Vec<u8>>> = KILL_TICKS
+            .iter()
+            .map(|&k| {
+                golden.run(k - golden.completed_ticks());
+                golden.snapshot_all()
+            })
+            .collect();
+        golden.run(END - golden.completed_ticks());
+
+        let mut victim = SoclServe::new(cfg.clone());
+        for (&k, want) in KILL_TICKS.iter().zip(&golden_at) {
+            victim.run(k - victim.completed_ticks());
+            for torn in [Clean, Garbage, PartialRecord] {
+                for shard in 0..cfg.shards {
+                    let row = format!("kill after tick {k}, {torn:?}, shard {shard}");
+                    let report = victim.kill_and_restore(shard, torn).expect(&row);
+                    assert_eq!(report.oracle_mismatches, 0, "{row}");
+                    assert_eq!(&victim.snapshot_all(), want, "{row}");
+                    for (got, full) in victim
+                        .digest_timeline()
+                        .iter()
+                        .zip(golden.digest_timeline())
+                    {
+                        assert_eq!(got[..], full[..k as usize], "{row}");
+                    }
+                }
+            }
+        }
+        victim.run(END - victim.completed_ticks());
+        assert_eq!(victim.snapshot_all(), golden.snapshot_all());
+        assert_eq!(victim.digest_timeline(), golden.digest_timeline());
+        // Both histories are bounded by the outbox window, not the run.
+        let window = outbox_window(cfg.checkpoint_every);
+        for images in &victim.checkpoints {
+            assert!(images.iter().all(|(t, _)| *t as usize + window >= 20));
+            assert_eq!(images.last().map(|(t, _)| *t), Some(20));
+        }
+        assert_eq!(victim.max_checkpoint_bytes(), golden.max_checkpoint_bytes());
     }
 }

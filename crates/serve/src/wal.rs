@@ -21,8 +21,8 @@ use socl_sim::recovery::{get_scaler_state, put_scaler_state};
 
 /// Checkpoint format tag (`b"SRGN"` little-endian).
 const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"SRGN");
-/// Region-checkpoint format version understood by this build.
-// CKPT-SHAPE(v1): 2783521b7bd4231a
+/// Region-checkpoint format version understood by this build. Bump it with
+/// any change to the bytes `to_bytes` writes; `tests/persistence.rs` pins them.
 const CKPT_VERSION: u32 = 1;
 
 /// One tick of one region in the write-ahead log.

@@ -45,8 +45,8 @@ use std::time::Duration;
 
 /// Checkpoint format tag (`b"SCKP"` little-endian).
 const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"SCKP");
-/// Checkpoint format version understood by this build.
-// CKPT-SHAPE(v1): 5709c643363a0312
+/// Checkpoint format version understood by this build. Bump it with any
+/// change to the bytes `to_bytes` writes; `tests/persistence.rs` pins them.
 const CKPT_VERSION: u32 = 1;
 
 /// Frozen position of a `ChaCha12Rng`: `(seed, stream, word position)`
@@ -106,7 +106,6 @@ pub struct Checkpoint {
     pub scaler: Option<ScalerState>,
 }
 
-// LINT-CODEC: RngState
 fn put_rng(w: &mut BinWriter, s: &RngState) {
     w.put_raw(&s.seed);
     w.put_u64(s.stream);
@@ -125,7 +124,6 @@ fn get_rng(r: &mut BinReader<'_>) -> Result<RngState, CodecError> {
     })
 }
 
-// LINT-CODEC: UserRequest
 fn put_request(w: &mut BinWriter, req: &UserRequest) {
     w.put_u32(req.id.0);
     w.put_u32(req.location.0);
@@ -164,7 +162,6 @@ fn get_request(r: &mut BinReader<'_>) -> Result<UserRequest, CodecError> {
 /// simulator — the socl-serve control plane — checkpoint their per-region
 /// autoscalers through the exact codec this module's own [`Checkpoint`]
 /// uses, instead of re-deriving the wire format.
-// LINT-CODEC: ScalerState, ServiceStateSnapshot, ForecasterState
 pub fn put_scaler_state(w: &mut BinWriter, s: &ScalerState) {
     w.put_usize(s.services);
     w.put_usize(s.nodes);

@@ -1,11 +1,11 @@
 //! Repository-level dogfood test: the SoCL workspace must satisfy its own
-//! linter, *including* the interprocedural determinism/panic taint passes
-//! and the units-of-measure pass.
+//! linter — the token rules, the units-of-measure pass and the call-graph
+//! passes (hot-loop allocation, lock/capture/order discipline).
 //!
 //! The per-crate `workspace_dogfood_is_clean` test inside `socl-lint` covers
 //! the same ground when that crate's tests run; this copy lives in the
 //! facade crate's suite so `cargo test -p socl` — the tier-1 gate — fails
-//! on a taint regression even if the lint crate's own tests are skipped.
+//! on a lint regression even if the lint crate's own tests are skipped.
 
 use socl_lint::engine::{lint_workspace_passes, render_json, Passes};
 use socl_lint::find_workspace_root;
@@ -37,7 +37,7 @@ fn every_pass_is_individually_clean() {
     // instead of burying it in a combined report.
     let cwd = std::env::current_dir().expect("cwd");
     let root = find_workspace_root(&cwd).expect("workspace root not found");
-    for sel in ["token", "taint", "units", "alloc", "codec"] {
+    for sel in ["token", "units", "alloc", "lock", "capture", "order"] {
         let passes = Passes::from_list(sel).expect("pass list parses");
         let diags = lint_workspace_passes(&root, &passes).expect("workspace walk failed");
         assert!(

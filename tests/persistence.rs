@@ -13,6 +13,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Debug;
 
+// The fixtures are struct literals holding a non-default value in every
+// field: a field added to a checkpoint struct stops this file compiling
+// until it is given one here, a field its codec then forgets cannot
+// round-trip (`sweep_envelope`), and one it carries moves the pinned bytes
+// (`wire_format_is_pinned`) until the version is bumped on purpose.
+
 fn scaler_state() -> ScalerState {
     ScalerState {
         services: 2,
