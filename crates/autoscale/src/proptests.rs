@@ -2,8 +2,8 @@
 
 use crate::config::{AdmissionPolicy, AutoscaleConfig, KeepAlivePolicy, ScalingMode};
 use crate::scaler::Autoscaler;
-use proptest::prelude::*;
 use socl_model::{Microservice, Placement, ServiceCatalog, ServiceId};
+use socl_net::rng::{cases, ChaCha12Rng};
 use socl_net::{EdgeNetwork, EdgeServer, LinkParams, NodeId};
 
 const SERVICES: usize = 3;
@@ -32,58 +32,48 @@ fn fixture() -> (ServiceCatalog, EdgeNetwork, Placement) {
     (catalog, net, p)
 }
 
-fn arb_config() -> impl Strategy<Value = AutoscaleConfig> {
-    (
-        0u32..3, // mode selector
-        0.5f64..4.0,
-        1u32..3,
-        1u32..6,
-        0.0f64..30.0,
-        (0u32..2, 0.0f64..60.0, 1e-5f64..1e-2), // keep-alive selector + params
-    )
-        .prop_map(
-            |(mode_ix, target, min_r, max_per_node, down_cd, (ka_ix, fixed_w, idle_rate))| {
-                let mode = match mode_ix {
-                    0 => ScalingMode::Reactive,
-                    1 => ScalingMode::Predictive,
-                    _ => ScalingMode::Static,
-                };
-                let keep_alive = if ka_ix == 0 {
-                    KeepAlivePolicy::Fixed(fixed_w)
-                } else {
-                    KeepAlivePolicy::CostOptimal {
-                        idle_cost_per_unit: idle_rate,
-                        latency_value: 1.0,
-                    }
-                };
-                AutoscaleConfig {
-                    mode,
-                    target_concurrency: target,
-                    stable_window: 12.0,
-                    panic_window: 4.0,
-                    scale_interval: 1.0,
-                    down_cooldown: down_cd,
-                    min_replicas: min_r,
-                    max_replicas_per_node: max_per_node,
-                    keep_alive,
-                    ..AutoscaleConfig::default()
-                }
-            },
-        )
+fn arb_config(rng: &mut ChaCha12Rng) -> AutoscaleConfig {
+    let modes = [
+        ScalingMode::Reactive,
+        ScalingMode::Predictive,
+        ScalingMode::Static,
+    ];
+    let keep_alive = if rng.gen() {
+        KeepAlivePolicy::Fixed(rng.gen_range(0.0..60.0))
+    } else {
+        KeepAlivePolicy::CostOptimal {
+            idle_cost_per_unit: rng.gen_range(1e-5..1e-2),
+            latency_value: 1.0,
+        }
+    };
+    AutoscaleConfig {
+        mode: *rng.choose(&modes).unwrap(),
+        target_concurrency: rng.gen_range(0.5..4.0),
+        stable_window: 12.0,
+        panic_window: 4.0,
+        scale_interval: 1.0,
+        down_cooldown: rng.gen_range(0.0..30.0),
+        min_replicas: rng.gen_range(1u32..3),
+        max_replicas_per_node: rng.gen_range(1u32..6),
+        keep_alive,
+        ..AutoscaleConfig::default()
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Per-service in-flight samples below `max` for `1..max_ticks` ticks.
+fn arb_loads(rng: &mut ChaCha12Rng, max: f64, max_ticks: usize) -> Vec<Vec<f64>> {
+    (0..rng.gen_range(1..max_ticks))
+        .map(|_| (0..SERVICES).map(|_| rng.gen_range(0.0..max)).collect())
+        .collect()
+}
 
-    /// Constraint (6) analogue: per-cell replica counts never exceed the
-    /// cell ceiling (configured cap ∧ node storage / service image size),
-    /// under any config and any in-flight trajectory.
-    #[test]
-    fn replicas_never_exceed_node_capacity(
-        cfg in arb_config(),
-        loads in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..50.0, SERVICES), 1..60),
-    ) {
+/// Constraint (6) analogue: per-cell replica counts never exceed the
+/// cell ceiling (configured cap ∧ node storage / service image size),
+/// under any config and any in-flight trajectory.
+#[test]
+fn replicas_never_exceed_node_capacity() {
+    cases(12, |rng| {
+        let (cfg, loads) = (arb_config(rng), arb_loads(rng, 50.0, 60));
         let (catalog, net, p) = fixture();
         let mut sc = Autoscaler::new(cfg, 0.5, SERVICES, NODES);
         sc.seed_from_placement(&p, &catalog, &net);
@@ -96,9 +86,9 @@ proptest! {
                     let node = NodeId(k as u32);
                     let count = sc.counts().get(m, node);
                     if count > 0 {
-                        prop_assert!(p.get(m, node), "replicas on an undeployed cell");
+                        assert!(p.get(m, node), "replicas on an undeployed cell");
                         let ceiling = sc.cell_ceiling(&catalog, &net, m, node);
-                        prop_assert!(
+                        assert!(
                             count <= ceiling,
                             "{count} replicas of {m:?} on {node:?} exceed ceiling {ceiling}"
                         );
@@ -107,16 +97,15 @@ proptest! {
             }
             t += 1.0;
         }
-    }
+    });
+}
 
-    /// Identical configs and observation streams give bit-identical
-    /// scaling timelines — the scaler has no hidden entropy source.
-    #[test]
-    fn scaling_timeline_is_deterministic(
-        cfg in arb_config(),
-        loads in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..50.0, SERVICES), 1..40),
-    ) {
+/// Identical configs and observation streams give bit-identical
+/// scaling timelines — the scaler has no hidden entropy source.
+#[test]
+fn scaling_timeline_is_deterministic() {
+    cases(12, |rng| {
+        let (cfg, loads) = (arb_config(rng), arb_loads(rng, 50.0, 40));
         let (catalog, net, p) = fixture();
         let run = || {
             let mut sc = Autoscaler::new(cfg.clone(), 0.5, SERVICES, NODES);
@@ -129,21 +118,24 @@ proptest! {
             }
             timeline
         };
-        prop_assert_eq!(run(), run());
-    }
+        assert_eq!(run(), run());
+    });
+}
 
-    /// Scale-to-zero never strands a live request: after any tick in which
-    /// a deployed service observes positive in-flight concurrency, at least
-    /// one replica of it stays warm — the keep-alive floor always covers
-    /// the current demand sample, even with `min_replicas == 0`.
-    #[test]
-    fn scale_to_zero_never_strands_inflight_requests(
-        cfg in arb_config(),
-        loads in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..20.0, SERVICES), 1..60),
-    ) {
+/// Scale-to-zero never strands a live request: after any tick in which
+/// a deployed service observes positive in-flight concurrency, at least
+/// one replica of it stays warm — the keep-alive floor always covers
+/// the current demand sample, even with `min_replicas == 0`.
+#[test]
+fn scale_to_zero_never_strands_inflight_requests() {
+    cases(12, |rng| {
+        let (cfg, loads) = (arb_config(rng), arb_loads(rng, 20.0, 60));
         let cfg = AutoscaleConfig {
-            mode: if cfg.mode == ScalingMode::Static { ScalingMode::Reactive } else { cfg.mode },
+            mode: if cfg.mode == ScalingMode::Static {
+                ScalingMode::Reactive
+            } else {
+                cfg.mode
+            },
             min_replicas: 0,
             ..cfg
         };
@@ -156,7 +148,7 @@ proptest! {
             for (i, &y) in inflight.iter().enumerate() {
                 let m = ServiceId(i as u32);
                 if y > 0.0 && sc.max_capacity(m) > 0 {
-                    prop_assert!(
+                    assert!(
                         sc.counts().total_of(m) >= 1,
                         "{m:?} scaled to zero with {y} in flight at t={t}"
                     );
@@ -164,32 +156,29 @@ proptest! {
             }
             t += 1.0;
         }
-    }
+    });
+}
 
-    /// Admission is monotone in priority: whenever a long chain is
-    /// admitted at some load, every shorter chain is admitted too.
-    #[test]
-    fn admission_is_monotone_in_chain_length(
-        queue_limit in 0.5f64..8.0,
-        classes in 1u32..5,
-        strict in 1.0f64..4.0,
-        in_flight in 0.0f64..200.0,
-        cap in 1u32..20,
-        long_chain in 1usize..16,
-    ) {
+/// Admission is monotone in priority: whenever a long chain is
+/// admitted at some load, every shorter chain is admitted too.
+#[test]
+fn admission_is_monotone_in_chain_length() {
+    cases(12, |rng| {
         let p = AdmissionPolicy {
             enabled: true,
-            queue_limit,
-            classes,
-            strict_overload: strict,
+            queue_limit: rng.gen_range(0.5..8.0),
+            classes: rng.gen_range(1u32..5),
+            strict_overload: rng.gen_range(1.0..4.0),
         };
+        let (in_flight, cap) = (rng.gen_range(0.0..200.0), rng.gen_range(1u32..20));
+        let long_chain = rng.gen_range(1usize..16);
         if p.admits(long_chain, in_flight, cap) {
             for shorter in 1..long_chain {
-                prop_assert!(
+                assert!(
                     p.admits(shorter, in_flight, cap),
                     "chain {shorter} shed while {long_chain} admitted"
                 );
             }
         }
-    }
+    });
 }

@@ -6,17 +6,15 @@
 //! reproducibility.
 
 use crate::common::{ensure_coverage, evaluate_with_routes, BaselineResult};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use socl_model::{Placement, Scenario, ServiceId};
+use socl_net::rng::ChaCha12Rng;
 use socl_net::time::Stopwatch;
 use socl_net::NodeId;
 
 /// Run RP on `scenario` with the given RNG seed.
 pub fn random_provisioning(sc: &Scenario, seed: u64) -> BaselineResult {
     let start = Stopwatch::start();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
     let mut placement = Placement::empty(sc.services(), sc.nodes());
     let requested = sc.requested_services();
 
@@ -28,7 +26,7 @@ pub fn random_provisioning(sc: &Scenario, seed: u64) -> BaselineResult {
             .node_ids()
             .filter(|&k| sc.net.storage(k) - placement.storage_used(&sc.catalog, k) >= phi - 1e-9)
             .collect();
-        if let Some(&k) = feasible.as_slice().choose(&mut rng) {
+        if let Some(&k) = rng.choose(&feasible) {
             placement.set(m, k, true);
         }
     }
@@ -42,7 +40,7 @@ pub fn random_provisioning(sc: &Scenario, seed: u64) -> BaselineResult {
         && attempts < 10 * sc.nodes() * requested.len()
     {
         attempts += 1;
-        let Some(&m) = requested.as_slice().choose(&mut rng) else {
+        let Some(&m) = rng.choose(&requested) else {
             break; // no requested services: nothing to provision
         };
         let k = NodeId(rng.gen_range(0..sc.nodes() as u32));
@@ -68,7 +66,7 @@ pub fn random_provisioning(sc: &Scenario, seed: u64) -> BaselineResult {
                 .iter()
                 .map(|&m: &ServiceId| {
                     let hosts = placement.hosts_of(m);
-                    hosts.as_slice().choose(&mut rng).copied()
+                    rng.choose(&hosts).copied()
                 })
                 .collect::<Option<Vec<NodeId>>>()
         })

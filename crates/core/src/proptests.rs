@@ -2,105 +2,135 @@
 
 use crate::config::SoclConfig;
 use crate::pipeline::SoclSolver;
-use proptest::prelude::*;
 use socl_model::{evaluate, Scenario, ScenarioConfig};
+use socl_net::rng::{cases, ChaCha12Rng};
 
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (5usize..=14, 10usize..=45, any::<u64>())
-        .prop_map(|(nodes, users, seed)| ScenarioConfig::paper(nodes, users).build(seed))
+fn arb_config(rng: &mut ChaCha12Rng) -> SoclConfig {
+    SoclConfig {
+        omega: rng.gen_range(0.05..=1.0),
+        xi: rng.gen_range(0.1..=20.0),
+        theta: rng.gen_range(0.0..=5.0),
+        candidate_filter: rng.gen(),
+        parallel: false,
+        ..SoclConfig::default()
+    }
 }
 
-fn arb_config() -> impl Strategy<Value = SoclConfig> {
-    (0.05f64..=1.0, 0.1f64..=20.0, 0.0f64..=5.0, any::<bool>()).prop_map(
-        |(omega, xi, theta, candidate_filter)| SoclConfig {
-            omega,
-            xi,
-            theta,
-            candidate_filter,
-            parallel: false,
-            ..SoclConfig::default()
-        },
-    )
+/// The paper's configuration, whatever the case.
+fn paper_config(_: &mut ChaCha12Rng) -> SoclConfig {
+    SoclConfig::default()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Runs `check` on 24 seeded scenarios (5..=14 nodes, 10..=45 users) under
+/// `config`, after eight fixed cases: the one failure proptest ever saved for
+/// this file shrank to a 5-node / 15-user scenario under ξ and ω at their
+/// floors, no disturbance and no candidate filter. Only proptest could replay
+/// the shrunk scenario itself; the configuration and the size are kept.
+fn for_inputs(config: fn(&mut ChaCha12Rng) -> SoclConfig, check: impl Fn(&Scenario, &SoclConfig)) {
+    let saved = SoclConfig {
+        xi: 0.1,
+        omega: 0.05,
+        theta: 0.0,
+        candidate_filter: false,
+        parallel: false,
+        ..SoclConfig::default()
+    };
+    for seed in 0..8 {
+        eprintln!("for_inputs: fixed case, ScenarioConfig::paper(5, 15).build({seed})");
+        check(&ScenarioConfig::paper(5, 15).build(seed), &saved);
+    }
+    cases(24, |rng| {
+        let (nodes, users) = (rng.gen_range(5usize..=14), rng.gen_range(10usize..=45));
+        let sc = ScenarioConfig::paper(nodes, users).build(rng.next_u64());
+        check(&sc, &config(rng));
+    });
+}
 
-    /// SoCL always returns a solution that (a) serves every request from the
-    /// edge, (b) satisfies per-node storage, and (c) meets the budget
-    /// whenever a single instance of each requested service fits in it.
-    #[test]
-    fn socl_solutions_are_feasible(sc in arb_scenario(), cfg in arb_config()) {
-        let res = SoclSolver::with_config(cfg).solve(&sc);
+/// SoCL always returns a solution that (a) serves every request from the
+/// edge, (b) satisfies per-node storage, and (c) meets the budget
+/// whenever a single instance of each requested service fits in it.
+#[test]
+fn socl_solutions_are_feasible() {
+    for_inputs(arb_config, |sc, cfg| {
+        let res = SoclSolver::with_config(cfg.clone()).solve(sc);
         // Storage feasibility is unconditional (enforce_storage).
-        prop_assert!(res.placement.storage_feasible(&sc.catalog, &sc.net));
+        assert!(res.placement.storage_feasible(&sc.catalog, &sc.net));
         // Full edge service is guaranteed whenever the aggregate storage
         // comfortably fits one instance of each requested service; in
         // over-packed micro-topologies a cloud fallback is the correct
         // semantics, so the assertion is conditional.
-        let min_storage: f64 = sc.requested_services().iter()
-            .map(|&m| sc.catalog.storage(m)).sum();
+        let requested = sc.requested_services();
+        let min_storage: f64 = requested.iter().map(|&m| sc.catalog.storage(m)).sum();
         if sc.net.total_storage() >= 2.0 * min_storage {
-            prop_assert_eq!(res.evaluation.cloud_fallbacks, 0);
+            assert_eq!(res.evaluation.cloud_fallbacks, 0);
         }
-        let min_cost: f64 = sc.requested_services().iter()
-            .map(|&m| sc.catalog.deploy_cost(m)).sum();
+        let min_cost: f64 = requested.iter().map(|&m| sc.catalog.deploy_cost(m)).sum();
         if min_cost <= sc.budget {
-            prop_assert!(res.evaluation.cost <= sc.budget + 1e-6,
-                "cost {} > budget {}", res.evaluation.cost, sc.budget);
+            let cost = res.evaluation.cost;
+            assert!(
+                cost <= sc.budget + 1e-6,
+                "cost {cost} > budget {}",
+                sc.budget
+            );
         }
         // Instance counts stay within demand-node counts + partition slack
         // (the stage-2 bound) — combination only ever removes instances.
-        for m in sc.requested_services() {
+        for m in requested {
             let hosts = res.placement.instance_count(m);
             let parts = res.partitions.partitions_of(m).map_or(1, |p| p.len());
-            prop_assert!(hosts <= sc.request_nodes(m).len().max(1) + parts + sc.nodes());
+            assert!(hosts <= sc.request_nodes(m).len().max(1) + parts + sc.nodes());
         }
-    }
+    });
+}
 
-    /// The evaluation inside the result matches a fresh evaluation of the
-    /// returned placement (no stale state).
-    #[test]
-    fn result_evaluation_is_fresh(sc in arb_scenario()) {
-        let res = SoclSolver::new().solve(&sc);
-        let fresh = evaluate(&sc, &res.placement);
-        prop_assert!((res.objective() - fresh.objective).abs() < 1e-9);
-    }
+/// The evaluation inside the result matches a fresh evaluation of the
+/// returned placement (no stale state).
+#[test]
+fn result_evaluation_is_fresh() {
+    for_inputs(paper_config, |sc, cfg| {
+        let res = SoclSolver::with_config(cfg.clone()).solve(sc);
+        let fresh = evaluate(sc, &res.placement);
+        assert!((res.objective() - fresh.objective).abs() < 1e-9);
+    });
+}
 
-    /// SoCL dominates the trivial single-hub placement (everything on the
-    /// globally busiest node) — a sanity floor for solution quality.
-    #[test]
-    fn socl_beats_single_hub(sc in arb_scenario()) {
-        let res = SoclSolver::new().solve(&sc);
+/// SoCL dominates the trivial single-hub placement (everything on the
+/// globally busiest node) — a sanity floor for solution quality.
+#[test]
+fn socl_beats_single_hub() {
+    for_inputs(paper_config, |sc, cfg| {
+        let res = SoclSolver::with_config(cfg.clone()).solve(sc);
         // Single hub: all requested services on the node with most users.
-        let hub = sc.net.node_ids()
-            .max_by_key(|&k| sc.users_at(k).count())
-            .unwrap();
+        let nodes = sc.net.node_ids();
+        let hub = nodes.max_by_key(|&k| sc.users_at(k).count()).unwrap();
         let mut hub_placement = socl_model::Placement::empty(sc.services(), sc.nodes());
         for m in sc.requested_services() {
             hub_placement.set(m, hub, true);
         }
         if hub_placement.storage_feasible(&sc.catalog, &sc.net) {
-            let hub_ev = evaluate(&sc, &hub_placement);
             // SoCL should beat or roughly match the hub (it can use the hub
             // placement's cost level with strictly better spread). Allow a
             // small tolerance for adversarial tiny scenarios.
-            prop_assert!(res.objective() <= hub_ev.objective * 1.10 + 1e-6,
-                "socl {} vs hub {}", res.objective(), hub_ev.objective);
+            let (socl, hub) = (res.objective(), evaluate(sc, &hub_placement).objective);
+            assert!(socl <= hub * 1.10 + 1e-6, "socl {socl} vs hub {hub}");
         }
-    }
+    });
+}
 
-    /// λ extremes steer the solution: λ→1 (cost only) never yields a more
-    /// expensive deployment than λ→0 (latency only).
-    #[test]
-    fn lambda_steers_cost(sc in arb_scenario()) {
-        let mut cost_heavy = sc.clone();
-        cost_heavy.lambda = 0.95;
-        let mut latency_heavy = sc;
-        latency_heavy.lambda = 0.05;
-        let a = SoclSolver::new().solve(&cost_heavy);
-        let b = SoclSolver::new().solve(&latency_heavy);
-        prop_assert!(a.evaluation.cost <= b.evaluation.cost + 1e-6,
-            "λ=0.95 cost {} > λ=0.05 cost {}", a.evaluation.cost, b.evaluation.cost);
-    }
+/// λ extremes steer the solution: λ→1 (cost only) never yields a more
+/// expensive deployment than λ→0 (latency only).
+#[test]
+fn lambda_steers_cost() {
+    for_inputs(paper_config, |sc, cfg| {
+        let cost_at = |lambda: f64| {
+            let mut sc = sc.clone();
+            sc.lambda = lambda;
+            SoclSolver::with_config(cfg.clone())
+                .solve(&sc)
+                .evaluation
+                .cost
+        };
+        let (a, b) = (cost_at(0.95), cost_at(0.05));
+        assert!(a <= b + 1e-6, "λ=0.95 cost {a} > λ=0.05 cost {b}");
+    });
 }

@@ -4,36 +4,29 @@ use crate::combine::Combiner;
 use crate::config::{SoclConfig, StoragePolicy};
 use crate::partition::initial_partition;
 use crate::preprovision::preprovision;
-use proptest::prelude::*;
 use socl_model::{evaluate, Scenario, ScenarioConfig};
+use socl_net::rng::{cases, ChaCha12Rng};
 
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (8usize..=14, 15usize..=50, any::<u64>(), 4000.0f64..9000.0).prop_map(
-        |(nodes, users, seed, budget)| {
-            let mut cfg = ScenarioConfig::paper(nodes, users);
-            cfg.budget = budget;
-            cfg.build(seed)
-        },
-    )
+const POLICIES: [StoragePolicy; 2] = [StoragePolicy::FuzzyAhp, StoragePolicy::CheapestOut];
+
+fn arb_scenario(rng: &mut ChaCha12Rng) -> Scenario {
+    let mut cfg = ScenarioConfig::paper(rng.gen_range(8usize..=14), rng.gen_range(15usize..=50));
+    let seed = rng.next_u64();
+    cfg.budget = rng.gen_range(4000.0..9000.0);
+    cfg.build(seed)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The combiner never breaks these invariants, for any storage policy
-    /// and ζ mode: final storage feasibility, budget compliance whenever a
-    /// one-instance-per-service deployment fits it, and service continuity.
-    #[test]
-    fn combiner_invariants(
-        sc in arb_scenario(),
-        exact_zeta in any::<bool>(),
-        cheapest in any::<bool>(),
-        relocation in any::<bool>(),
-    ) {
+/// The combiner never breaks these invariants, for any storage policy
+/// and ζ mode: final storage feasibility, budget compliance whenever a
+/// one-instance-per-service deployment fits it, and service continuity.
+#[test]
+fn combiner_invariants() {
+    cases(16, |rng| {
+        let sc = arb_scenario(rng);
         let cfg = SoclConfig {
-            exact_zeta,
-            relocation,
-            storage_policy: if cheapest { StoragePolicy::CheapestOut } else { StoragePolicy::FuzzyAhp },
+            exact_zeta: rng.gen(),
+            relocation: rng.gen(),
+            storage_policy: *rng.choose(&POLICIES).unwrap(),
             parallel: false,
             ..SoclConfig::default()
         };
@@ -41,32 +34,44 @@ proptest! {
         let pre = preprovision(&sc, &parts, &cfg);
         let (placement, stats) = Combiner::new(&sc, &cfg, &parts, pre.placement).run();
 
-        prop_assert!(placement.storage_feasible(&sc.catalog, &sc.net));
-        let min_cost: f64 = sc.requested_services().iter()
-            .map(|&m| sc.catalog.deploy_cost(m)).sum();
+        assert!(placement.storage_feasible(&sc.catalog, &sc.net));
+        let requested = sc.requested_services();
+        let min_cost: f64 = requested.iter().map(|&m| sc.catalog.deploy_cost(m)).sum();
         if min_cost <= sc.budget {
-            prop_assert!(
-                placement.deployment_cost(&sc.catalog) <= sc.budget + 1e-6,
-                "cost {} > budget {}", placement.deployment_cost(&sc.catalog), sc.budget
+            let cost = placement.deployment_cost(&sc.catalog);
+            assert!(
+                cost <= sc.budget + 1e-6,
+                "cost {cost} > budget {}",
+                sc.budget
             );
         }
         // Continuity: combination proper never drops a service to zero;
         // only the storage last-resort can, and then only under extreme
         // packing pressure that these scenarios cannot produce.
-        for m in sc.requested_services() {
-            prop_assert!(placement.instance_count(m) >= 1, "{m} lost continuity");
+        for m in requested {
+            assert!(placement.instance_count(m) >= 1, "{m} lost continuity");
         }
         // Stats are self-consistent.
         let ev = evaluate(&sc, &placement);
-        prop_assert!((stats.final_objective - ev.objective).abs() < 1e-6);
-    }
+        assert!((stats.final_objective - ev.objective).abs() < 1e-6);
+    });
+}
 
-    /// Relocation can only improve (or preserve) the objective relative to
-    /// the same configuration without it.
-    #[test]
-    fn relocation_never_hurts(sc in arb_scenario()) {
-        let with = SoclConfig { relocation: true, parallel: false, ..SoclConfig::default() };
-        let without = SoclConfig { relocation: false, parallel: false, ..SoclConfig::default() };
+/// Relocation can only improve (or preserve) the objective relative to
+/// the same configuration without it.
+#[test]
+fn relocation_never_hurts() {
+    cases(16, |rng| {
+        let sc = arb_scenario(rng);
+        let with = SoclConfig {
+            relocation: true,
+            parallel: false,
+            ..SoclConfig::default()
+        };
+        let without = SoclConfig {
+            relocation: false,
+            ..with.clone()
+        };
         let parts = initial_partition(&sc, &with);
         let pre_a = preprovision(&sc, &parts, &with);
         let (pa, _) = Combiner::new(&sc, &with, &parts, pre_a.placement.clone()).run();
@@ -75,6 +80,6 @@ proptest! {
         let eb = evaluate(&sc, &pb).objective;
         // The descents interleave differently, so strict dominance does not
         // hold pointwise — but relocation must not catastrophically regress.
-        prop_assert!(ea <= eb * 1.10 + 1e-6, "relocation regressed: {ea} vs {eb}");
-    }
+        assert!(ea <= eb * 1.10 + 1e-6, "relocation regressed: {ea} vs {eb}");
+    });
 }

@@ -257,6 +257,132 @@ fn closes_raw(bytes: &[char], i: usize, hashes: u8) -> bool {
     (1..=hashes as usize).all(|k| bytes.get(i + k) == Some(&'#'))
 }
 
+/// Byte offsets (per line) of regions gated behind `#[cfg(test)]` (or any
+/// `cfg` predicate mentioning `test`): returns a per-line mask where `true`
+/// marks a column belonging to a test-only item body.
+///
+/// Detection: each `#[cfg(…test…)]` attribute arms a pending skip; the next
+/// top-level-relative `{` opens the gated body, which is masked through its
+/// matching `}`. A `;` before any `{` (e.g. `#[cfg(test)] mod proptests;`)
+/// disarms without masking.
+pub fn test_gated_mask(views: &[LineView]) -> Vec<Vec<bool>> {
+    let mut mask: Vec<Vec<bool>> = views
+        .iter()
+        .map(|v| vec![false; v.code.chars().count()])
+        .collect();
+
+    // Flatten to (line, col, char) stream of the code view.
+    let stream: Vec<(usize, usize, char)> = views
+        .iter()
+        .enumerate()
+        .flat_map(|(ln, v)| {
+            v.code
+                .chars()
+                .enumerate()
+                .map(move |(col, c)| (ln, col, c))
+                .chain(std::iter::once((ln, usize::MAX, '\n')))
+        })
+        .collect();
+
+    let mut i = 0usize;
+    while i < stream.len() {
+        let (_, _, c) = stream[i];
+        if c == '#' && matches!(stream.get(i + 1), Some((_, _, '['))) {
+            // Collect the attribute text up to the matching ']'.
+            let mut j = i + 2;
+            let mut depth = 1i32;
+            let mut attr = String::new();
+            while j < stream.len() && depth > 0 {
+                let ch = stream[j].2;
+                match ch {
+                    '[' => depth += 1,
+                    ']' => depth -= 1,
+                    _ => {}
+                }
+                if depth > 0 {
+                    attr.push(ch);
+                }
+                j += 1;
+            }
+            let is_test_cfg = attr.trim_start().starts_with("cfg") && contains_word(&attr, "test");
+            if is_test_cfg {
+                // Find next `{` or `;` (skipping further attributes).
+                let mut k = j;
+                let mut in_attr = 0i32;
+                while k < stream.len() {
+                    let ch = stream[k].2;
+                    match ch {
+                        '[' => in_attr += 1,
+                        ']' => in_attr -= 1,
+                        '{' if in_attr == 0 => break,
+                        ';' if in_attr == 0 => break,
+                        _ => {}
+                    }
+                    k += 1;
+                }
+                if k < stream.len() && stream[k].2 == '{' {
+                    // Mask from the attribute start through the matching '}'.
+                    let mut depth = 0i32;
+                    let mut m = k;
+                    while m < stream.len() {
+                        let ch = stream[m].2;
+                        match ch {
+                            '{' => depth += 1,
+                            '}' => {
+                                depth -= 1;
+                                if depth == 0 {
+                                    break;
+                                }
+                            }
+                            _ => {}
+                        }
+                        m += 1;
+                    }
+                    for item in &stream[i..=m.min(stream.len() - 1)] {
+                        let (ln, col, _) = *item;
+                        if col != usize::MAX {
+                            mask[ln][col] = true;
+                        }
+                    }
+                    i = m + 1;
+                    continue;
+                }
+                i = k;
+                continue;
+            }
+            i = j;
+            continue;
+        }
+        i += 1;
+    }
+    mask
+}
+
+/// Whole-word containment (`test` matches in `any(test, loom)` but not in
+/// `integration_tests`).
+pub fn contains_word(haystack: &str, word: &str) -> bool {
+    let mut start = 0usize;
+    while let Some(pos) = haystack[start..].find(word) {
+        let abs = start + pos;
+        let before_ok = abs == 0
+            || !haystack[..abs]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        let after = abs + word.len();
+        let after_ok = after >= haystack.len()
+            || !haystack[after..]
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        if before_ok && after_ok {
+            return true;
+        }
+        start = abs + word.len();
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,130 +583,4 @@ mod tests {
             assert_eq!(view.code.chars().count(), line.chars().count());
         }
     }
-}
-
-/// Byte offsets (per line) of regions gated behind `#[cfg(test)]` (or any
-/// `cfg` predicate mentioning `test`): returns a per-line mask where `true`
-/// marks a column belonging to a test-only item body.
-///
-/// Detection: each `#[cfg(…test…)]` attribute arms a pending skip; the next
-/// top-level-relative `{` opens the gated body, which is masked through its
-/// matching `}`. A `;` before any `{` (e.g. `#[cfg(test)] mod proptests;`)
-/// disarms without masking.
-pub fn test_gated_mask(views: &[LineView]) -> Vec<Vec<bool>> {
-    let mut mask: Vec<Vec<bool>> = views
-        .iter()
-        .map(|v| vec![false; v.code.chars().count()])
-        .collect();
-
-    // Flatten to (line, col, char) stream of the code view.
-    let stream: Vec<(usize, usize, char)> = views
-        .iter()
-        .enumerate()
-        .flat_map(|(ln, v)| {
-            v.code
-                .chars()
-                .enumerate()
-                .map(move |(col, c)| (ln, col, c))
-                .chain(std::iter::once((ln, usize::MAX, '\n')))
-        })
-        .collect();
-
-    let mut i = 0usize;
-    while i < stream.len() {
-        let (_, _, c) = stream[i];
-        if c == '#' && matches!(stream.get(i + 1), Some((_, _, '['))) {
-            // Collect the attribute text up to the matching ']'.
-            let mut j = i + 2;
-            let mut depth = 1i32;
-            let mut attr = String::new();
-            while j < stream.len() && depth > 0 {
-                let ch = stream[j].2;
-                match ch {
-                    '[' => depth += 1,
-                    ']' => depth -= 1,
-                    _ => {}
-                }
-                if depth > 0 {
-                    attr.push(ch);
-                }
-                j += 1;
-            }
-            let is_test_cfg = attr.trim_start().starts_with("cfg") && contains_word(&attr, "test");
-            if is_test_cfg {
-                // Find next `{` or `;` (skipping further attributes).
-                let mut k = j;
-                let mut in_attr = 0i32;
-                while k < stream.len() {
-                    let ch = stream[k].2;
-                    match ch {
-                        '[' => in_attr += 1,
-                        ']' => in_attr -= 1,
-                        '{' if in_attr == 0 => break,
-                        ';' if in_attr == 0 => break,
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                if k < stream.len() && stream[k].2 == '{' {
-                    // Mask from the attribute start through the matching '}'.
-                    let mut depth = 0i32;
-                    let mut m = k;
-                    while m < stream.len() {
-                        let ch = stream[m].2;
-                        match ch {
-                            '{' => depth += 1,
-                            '}' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        m += 1;
-                    }
-                    for item in &stream[i..=m.min(stream.len() - 1)] {
-                        let (ln, col, _) = *item;
-                        if col != usize::MAX {
-                            mask[ln][col] = true;
-                        }
-                    }
-                    i = m + 1;
-                    continue;
-                }
-                i = k;
-                continue;
-            }
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    mask
-}
-
-/// Whole-word containment (`test` matches in `any(test, loom)` but not in
-/// `integration_tests`).
-pub fn contains_word(haystack: &str, word: &str) -> bool {
-    let mut start = 0usize;
-    while let Some(pos) = haystack[start..].find(word) {
-        let abs = start + pos;
-        let before_ok = abs == 0
-            || !haystack[..abs]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = abs + word.len();
-        let after_ok = after >= haystack.len()
-            || !haystack[after..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        start = abs + word.len();
-    }
-    false
 }

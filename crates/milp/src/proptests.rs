@@ -3,24 +3,29 @@
 use crate::branch_bound::{solve_milp, MilpOptions, MilpStatus};
 use crate::model::{Model, Relation, VarId};
 use crate::simplex::{solve_lp, LpStatus};
-use proptest::prelude::*;
+use socl_net::rng::{cases, ChaCha12Rng};
 
 /// A random binary program with n ≤ 10 variables and a few knapsack-style
 /// rows, solvable by brute force.
-#[derive(Debug, Clone)]
 struct BinaryProgram {
     n: usize,
     obj: Vec<f64>,
     rows: Vec<(Vec<f64>, f64)>, // Σ aᵢxᵢ ≤ b
 }
 
-fn arb_binary_program() -> impl Strategy<Value = BinaryProgram> {
-    (2usize..=9, 1usize..=3).prop_flat_map(|(n, m)| {
-        let obj = proptest::collection::vec(-10.0f64..10.0, n);
-        let rows =
-            proptest::collection::vec((proptest::collection::vec(0.0f64..5.0, n), 2.0f64..12.0), m);
-        (obj, rows).prop_map(move |(obj, rows)| BinaryProgram { n, obj, rows })
-    })
+/// Runs `check` on 96 seeded programs and their models.
+fn for_programs(check: impl Fn(&BinaryProgram, &Model, &[VarId])) {
+    cases(96, |rng| {
+        let (n, m) = (rng.gen_range(2usize..=9), rng.gen_range(1usize..=3));
+        let obj = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
+        let row = |rng: &mut ChaCha12Rng| (0..n).map(|_| rng.gen_range(0.0..5.0)).collect();
+        let rows = (0..m)
+            .map(|_| (row(rng), rng.gen_range(2.0..12.0)))
+            .collect();
+        let bp = BinaryProgram { n, obj, rows };
+        let (model, vars) = bp.to_model();
+        check(&bp, &model, &vars);
+    });
 }
 
 impl BinaryProgram {
@@ -55,83 +60,91 @@ impl BinaryProgram {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// Branch-and-bound matches exhaustive enumeration on binary programs.
+#[test]
+fn milp_matches_brute_force() {
+    for_programs(|bp, m, _| {
+        let sol = solve_milp(m, &MilpOptions::default());
+        assert_eq!(sol.status, MilpStatus::Optimal);
+        let (bb, exact) = (sol.objective, bp.brute_force());
+        assert!((bb - exact).abs() < 1e-5, "bb {bb} vs brute {exact}");
+        assert!(m.is_feasible(&sol.values, 1e-6));
+    });
+}
 
-    /// Branch-and-bound matches exhaustive enumeration on binary programs.
-    #[test]
-    fn milp_matches_brute_force(bp in arb_binary_program()) {
-        let (m, _) = bp.to_model();
-        let sol = solve_milp(&m, &MilpOptions::default());
-        prop_assert_eq!(sol.status, MilpStatus::Optimal);
-        let exact = bp.brute_force();
-        prop_assert!((sol.objective - exact).abs() < 1e-5,
-            "bb {} vs brute {}", sol.objective, exact);
-        prop_assert!(m.is_feasible(&sol.values, 1e-6));
-    }
+/// The LP relaxation lower-bounds the ILP optimum.
+#[test]
+fn lp_bounds_ilp() {
+    for_programs(|bp, m, _| {
+        let lp = solve_lp(m);
+        assert_eq!(lp.status, LpStatus::Optimal);
+        let (lp, exact) = (lp.objective, bp.brute_force());
+        assert!(
+            lp <= exact + 1e-6,
+            "relaxation {lp} above integer optimum {exact}"
+        );
+    });
+}
 
-    /// The LP relaxation lower-bounds the ILP optimum.
-    #[test]
-    fn lp_bounds_ilp(bp in arb_binary_program()) {
-        let (m, _) = bp.to_model();
-        let lp = solve_lp(&m);
-        prop_assert_eq!(lp.status, LpStatus::Optimal);
-        let exact = bp.brute_force();
-        prop_assert!(lp.objective <= exact + 1e-6,
-            "relaxation {} above integer optimum {}", lp.objective, exact);
-    }
-
-    /// The simplex solution satisfies all constraints and bounds.
-    #[test]
-    fn lp_solution_feasible(bp in arb_binary_program()) {
-        let (m, _) = bp.to_model();
-        let lp = solve_lp(&m);
-        prop_assert_eq!(lp.status, LpStatus::Optimal);
+/// The simplex solution satisfies all constraints and bounds.
+#[test]
+fn lp_solution_feasible() {
+    for_programs(|bp, m, _| {
+        let lp = solve_lp(m);
+        assert_eq!(lp.status, LpStatus::Optimal);
         // Feasible ignoring integrality: check rows and [0,1] box manually.
         for (v, &x) in lp.values.iter().enumerate() {
-            prop_assert!((-1e-6..=1.0 + 1e-6).contains(&x), "var {v} = {x}");
+            assert!((-1e-6..=1.0 + 1e-6).contains(&x), "var {v} = {x}");
         }
         for (coeffs, b) in &bp.rows {
             let lhs: f64 = coeffs.iter().zip(&lp.values).map(|(a, x)| a * x).sum();
-            prop_assert!(lhs <= b + 1e-6);
+            assert!(lhs <= b + 1e-6);
         }
-    }
+    });
+}
 
-    /// Solving twice gives identical results (determinism).
-    #[test]
-    fn deterministic(bp in arb_binary_program()) {
-        let (m, _) = bp.to_model();
-        let a = solve_milp(&m, &MilpOptions::default());
-        let b = solve_milp(&m, &MilpOptions::default());
-        prop_assert_eq!(a.status, b.status);
-        prop_assert_eq!(a.objective, b.objective);
-        prop_assert_eq!(a.nodes, b.nodes);
-    }
+/// Solving twice gives identical results (determinism).
+#[test]
+fn deterministic() {
+    for_programs(|_, m, _| {
+        let a = solve_milp(m, &MilpOptions::default());
+        let b = solve_milp(m, &MilpOptions::default());
+        assert_eq!(a.status, b.status);
+        assert_eq!(a.objective, b.objective);
+        assert_eq!(a.nodes, b.nodes);
+    });
+}
 
-    /// Presolve never changes the proven optimum.
-    #[test]
-    fn presolve_is_transparent(bp in arb_binary_program()) {
-        let (m, _) = bp.to_model();
-        let with = solve_milp(&m, &MilpOptions::default());
-        let without = solve_milp(&m, &MilpOptions { presolve: false, ..MilpOptions::default() });
-        prop_assert_eq!(with.status, without.status);
+/// Presolve never changes the proven optimum.
+#[test]
+fn presolve_is_transparent() {
+    for_programs(|_, m, _| {
+        let mut options = MilpOptions::default();
+        let with = solve_milp(m, &options);
+        options.presolve = false;
+        let without = solve_milp(m, &options);
+        assert_eq!(with.status, without.status);
         if with.status == MilpStatus::Optimal {
-            prop_assert!((with.objective - without.objective).abs() < 1e-6,
-                "presolve changed the optimum: {} vs {}", with.objective, without.objective);
+            let (a, b) = (with.objective, without.objective);
+            assert!(
+                (a - b).abs() < 1e-6,
+                "presolve changed the optimum: {a} vs {b}"
+            );
         }
-    }
+    });
+}
 
-    /// Adding a redundant constraint never changes the optimum.
-    #[test]
-    fn redundant_row_invariance(bp in arb_binary_program()) {
-        let (m, vars) = bp.to_model();
-        let base = solve_milp(&m, &MilpOptions::default());
+/// Adding a redundant constraint never changes the optimum.
+#[test]
+fn redundant_row_invariance() {
+    for_programs(|bp, m, vars| {
+        let base = solve_milp(m, &MilpOptions::default());
         let mut m2 = m.clone();
         // Σ xᵢ ≤ n is implied by binarity.
         m2.add_constraint(vars.iter().map(|&v| (v, 1.0)), Relation::Le, bp.n as f64);
         let with = solve_milp(&m2, &MilpOptions::default());
-        prop_assert!((base.objective - with.objective).abs() < 1e-6);
-    }
+        assert!((base.objective - with.objective).abs() < 1e-6);
+    });
 }
 
 /// Equality-constrained integer program cross-check: exact cover style.

@@ -701,8 +701,7 @@ impl<R: Record> Journal<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use socl_net::rng::ChaCha12Rng;
 
     #[test]
     fn primitives_roundtrip_bit_exactly() {
@@ -784,7 +783,7 @@ mod tests {
         assert_ne!(crc32(b"checkpoint"), crc32(b"chedkpoint"));
         // Every length 0..=4096 (all eight alignments of the sliced loop's
         // remainder) over seeded random bytes.
-        let mut rng = StdRng::seed_from_u64(0xC4C);
+        let mut rng = ChaCha12Rng::seed_from_u64(0xC4C);
         let mut buf = vec![0u8; 4096];
         rng.fill_bytes(&mut buf);
         for len in 0..=buf.len() {

@@ -12,10 +12,7 @@
 
 use crate::request::{RequestConfig, UserId, UserRequest};
 use crate::service::{Microservice, ServiceCatalog, ServiceId};
-use rand::seq::SliceRandom;
-use rand::Rng;
-#[cfg(test)]
-use rand::SeedableRng;
+use socl_net::rng::ChaCha12Rng;
 use socl_net::NodeId;
 
 /// Reusable buffers for in-place chain sampling
@@ -136,7 +133,7 @@ impl DependencyDataset {
     /// Instantiate a [`ServiceCatalog`] with parameters sampled from the
     /// paper's ranges: compute `q ∈ [1,3]` GFLOP, deployment cost
     /// `κ ∈ [200, 500]`, storage `φ ∈ [1, 2]` units.
-    pub fn catalog<R: Rng>(&self, rng: &mut R) -> ServiceCatalog {
+    pub fn catalog(&self, rng: &mut ChaCha12Rng) -> ServiceCatalog {
         let mut cat = ServiceCatalog::new();
         for &name in &self.names {
             cat.push(Microservice::named(
@@ -155,9 +152,9 @@ impl DependencyDataset {
     /// The walk follows caller→callee edges, never revisits a service (the
     /// graph is a DAG, so this is automatic) and stops at a sink or when the
     /// target length is reached. Always returns at least one service.
-    pub fn sample_chain<R: Rng>(
+    pub fn sample_chain(
         &self,
-        rng: &mut R,
+        rng: &mut ChaCha12Rng,
         min_len: usize,
         max_len: usize,
     ) -> Vec<ServiceId> {
@@ -175,9 +172,9 @@ impl DependencyDataset {
     ///
     /// Draws from `rng` in exactly the same order as `sample_chain`, so a
     /// seeded run produces identical chains through either entry point.
-    pub fn sample_chain_into<R: Rng>(
+    pub fn sample_chain_into(
         &self,
-        rng: &mut R,
+        rng: &mut ChaCha12Rng,
         min_len: usize,
         max_len: usize,
         attempt: &mut Vec<ServiceId>,
@@ -193,7 +190,7 @@ impl DependencyDataset {
         for _ in 0..8 {
             let target = rng.gen_range(min_len..=max_len);
             attempt.clear();
-            let mut cur = *self.entries.choose(rng).unwrap_or(&0);
+            let mut cur = *rng.choose(&self.entries).unwrap_or(&0);
             attempt.push(ServiceId(cur));
             while attempt.len() < target {
                 succ.clear();
@@ -201,7 +198,7 @@ impl DependencyDataset {
                 if succ.is_empty() {
                     break;
                 }
-                match succ.choose(rng) {
+                match rng.choose(succ) {
                     Some(&next) => cur = next,
                     None => break,
                 }
@@ -219,9 +216,9 @@ impl DependencyDataset {
 
     /// Sample a full request set: `users` requests located uniformly at
     /// random over `nodes` edge servers, chains per [`RequestConfig`].
-    pub fn sample_requests<R: Rng>(
+    pub fn sample_requests(
         &self,
-        rng: &mut R,
+        rng: &mut ChaCha12Rng,
         users: usize,
         nodes: usize,
         cfg: &RequestConfig,
@@ -341,10 +338,9 @@ pub fn linear_dataset(n: usize) -> DependencyDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
+    fn rng() -> ChaCha12Rng {
+        ChaCha12Rng::seed_from_u64(7)
     }
 
     #[test]
@@ -437,8 +433,8 @@ mod tests {
     fn request_sampling_is_deterministic() {
         let ds = EshopDataset::build();
         let cfg = RequestConfig::default();
-        let a = ds.sample_requests(&mut StdRng::seed_from_u64(3), 20, 5, &cfg);
-        let b = ds.sample_requests(&mut StdRng::seed_from_u64(3), 20, 5, &cfg);
+        let a = ds.sample_requests(&mut ChaCha12Rng::seed_from_u64(3), 20, 5, &cfg);
+        let b = ds.sample_requests(&mut ChaCha12Rng::seed_from_u64(3), 20, 5, &cfg);
         assert_eq!(a, b);
     }
 

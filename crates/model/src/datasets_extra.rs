@@ -180,8 +180,7 @@ impl TrainTicketDataset {
 mod tests {
     use super::*;
     use crate::request::RequestConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use socl_net::rng::ChaCha12Rng;
 
     #[test]
     fn sock_shop_is_a_valid_dag() {
@@ -200,7 +199,7 @@ mod tests {
         assert_eq!(ds.len(), 24);
         // The booking flow admits chains of depth ≥ 5:
         // ui → preserve → order → inside-payment → payment.
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = ChaCha12Rng::seed_from_u64(1);
         let mut max = 0;
         for _ in 0..800 {
             max = max.max(ds.sample_chain(&mut rng, 4, 10).len());
@@ -215,7 +214,7 @@ mod tests {
             ("sock-shop", SockShopDataset::build()),
             ("train-ticket", TrainTicketDataset::build()),
         ] {
-            let mut rng = StdRng::seed_from_u64(2);
+            let mut rng = ChaCha12Rng::seed_from_u64(2);
             let reqs = ds.sample_requests(&mut rng, 30, 8, &cfg);
             assert_eq!(reqs.len(), 30, "{name}");
             for r in &reqs {

@@ -18,8 +18,7 @@
 use crate::dataset::{ChainScratch, DependencyDataset};
 use crate::request::{RequestConfig, UserId, UserRequest};
 use crate::service::ServiceId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use socl_net::rng::ChaCha12Rng;
 use socl_net::NodeId;
 
 /// Per-user affinity weights over the service pool.
@@ -35,7 +34,7 @@ impl PreferenceModel {
     /// Sample a preference model: each user gets a sparse affinity profile
     /// (strong pull to a few favourite services, baseline elsewhere).
     pub fn sample(users: usize, services: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE_BA5E);
+        let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xD1CE_BA5E);
         let weights = (0..users)
             .map(|_| {
                 let mut w = vec![1.0f64; services];
@@ -65,7 +64,7 @@ impl PreferenceModel {
     }
 
     /// Weighted choice among `options` for `user`.
-    fn choose<R: Rng>(&self, user: usize, options: &[u32], rng: &mut R) -> u32 {
+    fn choose(&self, user: usize, options: &[u32], rng: &mut ChaCha12Rng) -> u32 {
         debug_assert!(!options.is_empty());
         let total: f64 = options
             .iter()
@@ -88,11 +87,11 @@ impl PreferenceModel {
     /// Sample a loop-free chain for `user`: like
     /// [`DependencyDataset::sample_chain`], but successor choice is weighted
     /// by the user's affinities (entry choice too).
-    pub fn sample_chain<R: Rng>(
+    pub fn sample_chain(
         &self,
         dataset: &DependencyDataset,
         user: usize,
-        rng: &mut R,
+        rng: &mut ChaCha12Rng,
         min_len: usize,
         max_len: usize,
     ) -> Vec<ServiceId> {
@@ -110,11 +109,11 @@ impl PreferenceModel {
     /// Draws from `rng` in exactly the same order as `sample_chain`, so a
     /// seeded run produces identical chains through either entry point.
     #[allow(clippy::too_many_arguments)]
-    pub fn sample_chain_into<R: Rng>(
+    pub fn sample_chain_into(
         &self,
         dataset: &DependencyDataset,
         user: usize,
-        rng: &mut R,
+        rng: &mut ChaCha12Rng,
         min_len: usize,
         max_len: usize,
         scratch: &mut ChainScratch,
@@ -165,10 +164,10 @@ impl PreferenceModel {
     }
 
     /// Sample a full preference-driven request set over `nodes` stations.
-    pub fn sample_requests<R: Rng>(
+    pub fn sample_requests(
         &self,
         dataset: &DependencyDataset,
-        rng: &mut R,
+        rng: &mut ChaCha12Rng,
         nodes: usize,
         cfg: &RequestConfig,
     ) -> Vec<UserRequest> {
@@ -213,7 +212,7 @@ mod tests {
     fn chains_remain_valid_dag_walks() {
         let ds = EshopDataset::build();
         let prefs = PreferenceModel::sample(10, ds.len(), 1);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = ChaCha12Rng::seed_from_u64(2);
         for user in 0..10 {
             for _ in 0..50 {
                 let chain = prefs.sample_chain(&ds, user, &mut rng, 2, 8);
@@ -233,7 +232,7 @@ mod tests {
     fn same_user_is_more_self_similar_than_cross_user() {
         let ds = EshopDataset::build();
         let prefs = PreferenceModel::sample(20, ds.len(), 3);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = ChaCha12Rng::seed_from_u64(4);
         // Mean self-similarity: consecutive chains of the same user.
         let mut self_sim = 0.0;
         let mut cross_sim = 0.0;
@@ -264,8 +263,8 @@ mod tests {
         prefs.weights[0] = vec![1.0; ds.len()];
         prefs.weights[0][EshopDataset::IDENTITY_API as usize] = 1000.0;
         prefs.weights[1] = vec![1.0; ds.len()];
-        let mut rng = StdRng::seed_from_u64(6);
-        let count = |user: usize, rng: &mut StdRng| -> usize {
+        let mut rng = ChaCha12Rng::seed_from_u64(6);
+        let count = |user: usize, rng: &mut ChaCha12Rng| -> usize {
             (0..300)
                 .filter(|_| {
                     prefs
@@ -286,7 +285,7 @@ mod tests {
     fn requests_are_well_formed() {
         let ds = EshopDataset::build();
         let prefs = PreferenceModel::sample(15, ds.len(), 7);
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = ChaCha12Rng::seed_from_u64(8);
         let reqs = prefs.sample_requests(&ds, &mut rng, 6, &RequestConfig::default());
         assert_eq!(reqs.len(), 15);
         for r in &reqs {

@@ -5,20 +5,17 @@ use crate::placement::Placement;
 use crate::routing::{greedy_route, optimal_route, RouteOutcome};
 use crate::scenario::{Scenario, ScenarioConfig};
 use crate::service::ServiceId;
-use proptest::prelude::*;
+use socl_net::rng::{cases, ChaCha12Rng};
 use socl_net::NodeId;
 
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (3usize..=10, 5usize..=25, any::<u64>())
-        .prop_map(|(nodes, users, seed)| ScenarioConfig::paper(nodes, users).build(seed))
+fn arb_scenario(rng: &mut ChaCha12Rng) -> Scenario {
+    let (nodes, users) = (rng.gen_range(3usize..=10), rng.gen_range(5usize..=25));
+    ScenarioConfig::paper(nodes, users).build(rng.next_u64())
 }
 
 /// Random placement with roughly `density` of all (service, node) pairs set,
 /// patched to cover all requested services.
-fn random_covering_placement(sc: &Scenario, density: f64, seed: u64) -> Placement {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
+fn random_covering_placement(sc: &Scenario, density: f64, rng: &mut ChaCha12Rng) -> Placement {
     let mut p = Placement::empty(sc.services(), sc.nodes());
     for i in 0..sc.services() {
         for k in 0..sc.nodes() {
@@ -36,32 +33,37 @@ fn random_covering_placement(sc: &Scenario, density: f64, seed: u64) -> Placemen
     p
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// DP routing is never worse than greedy routing on any scenario.
-    #[test]
-    fn dp_dominates_greedy(sc in arb_scenario(), density in 0.2f64..0.9, pseed in any::<u64>()) {
-        let p = random_covering_placement(&sc, density, pseed);
+/// DP routing is never worse than greedy routing on any scenario.
+#[test]
+fn dp_dominates_greedy() {
+    cases(48, |rng| {
+        let sc = arb_scenario(rng);
+        let p = random_covering_placement(&sc, rng.gen_range(0.2..0.9), rng);
         for req in &sc.requests {
             let o = optimal_route(req, &p, &sc.net, &sc.ap, &sc.catalog);
             let g = greedy_route(req, &p, &sc.net, &sc.ap, &sc.catalog);
             match (&o, &g) {
-                (RouteOutcome::Edge { breakdown: ob, .. }, RouteOutcome::Edge { breakdown: gb, .. }) => {
-                    prop_assert!(ob.total() <= gb.total() + 1e-9,
-                        "{}: dp {} > greedy {}", req.id, ob.total(), gb.total());
+                (
+                    RouteOutcome::Edge { breakdown: ob, .. },
+                    RouteOutcome::Edge { breakdown: gb, .. },
+                ) => {
+                    let (dp, greedy) = (ob.total(), gb.total());
+                    assert!(dp <= greedy + 1e-9, "{}: dp {dp} > greedy {greedy}", req.id);
                 }
                 (RouteOutcome::CloudFallback, RouteOutcome::CloudFallback) => {}
-                _ => prop_assert!(false, "dp and greedy disagree on feasibility"),
+                _ => panic!("dp and greedy disagree on feasibility"),
             }
         }
-    }
+    });
+}
 
-    /// Adding instances never increases any request's optimal latency
-    /// (monotonicity of the routing relaxation).
-    #[test]
-    fn more_instances_never_hurt_latency(sc in arb_scenario(), pseed in any::<u64>()) {
-        let small = random_covering_placement(&sc, 0.3, pseed);
+/// Adding instances never increases any request's optimal latency
+/// (monotonicity of the routing relaxation).
+#[test]
+fn more_instances_never_hurt_latency() {
+    cases(48, |rng| {
+        let sc = arb_scenario(rng);
+        let small = random_covering_placement(&sc, 0.3, rng);
         let mut big = small.clone();
         // Add instances everywhere for service 0 and on node 0 for all.
         for k in 0..sc.nodes() {
@@ -73,59 +75,70 @@ proptest! {
         let ev_small = evaluate(&sc, &small);
         let ev_big = evaluate(&sc, &big);
         for (a, b) in ev_small.per_request.iter().zip(&ev_big.per_request) {
-            prop_assert!(b <= &(a + 1e-9), "latency rose after adding instances");
+            assert!(b <= &(a + 1e-9), "latency rose after adding instances");
         }
-        prop_assert!(ev_big.cost >= ev_small.cost);
-    }
+        assert!(ev_big.cost >= ev_small.cost);
+    });
+}
 
-    /// Routing respects Eq. 9/10: exactly one node per chain position, every
-    /// node hosts the service it serves.
-    #[test]
-    fn routing_respects_decision_constraints(sc in arb_scenario(), pseed in any::<u64>()) {
-        let p = random_covering_placement(&sc, 0.4, pseed);
+/// Routing respects Eq. 9/10: exactly one node per chain position, every
+/// node hosts the service it serves.
+#[test]
+fn routing_respects_decision_constraints() {
+    cases(48, |rng| {
+        let sc = arb_scenario(rng);
+        let p = random_covering_placement(&sc, 0.4, rng);
         let ev = evaluate(&sc, &p);
-        prop_assert!(ev.assignment.consistent_with(&p, &sc.requests));
+        assert!(ev.assignment.consistent_with(&p, &sc.requests));
         for (h, req) in sc.requests.iter().enumerate() {
             if let Some(route) = ev.assignment.route(h) {
-                prop_assert_eq!(route.len(), req.chain.len());
+                assert_eq!(route.len(), req.chain.len());
             }
         }
-    }
+    });
+}
 
-    /// The objective is exactly λ·cost + (1-λ)·scale·latency.
-    #[test]
-    fn objective_identity(sc in arb_scenario(), density in 0.2f64..0.9, pseed in any::<u64>()) {
-        let p = random_covering_placement(&sc, density, pseed);
+/// The objective is exactly λ·cost + (1-λ)·scale·latency.
+#[test]
+fn objective_identity() {
+    cases(48, |rng| {
+        let sc = arb_scenario(rng);
+        let p = random_covering_placement(&sc, rng.gen_range(0.2..0.9), rng);
         let ev = evaluate(&sc, &p);
-        let manual = sc.lambda * ev.cost
-            + (1.0 - sc.lambda) * sc.latency_scale * ev.total_latency;
-        prop_assert!((ev.objective - manual).abs() < 1e-6);
-        prop_assert!((ev.per_request.iter().sum::<f64>() - ev.total_latency).abs() < 1e-6);
-    }
+        let manual = sc.lambda * ev.cost + (1.0 - sc.lambda) * sc.latency_scale * ev.total_latency;
+        assert!((ev.objective - manual).abs() < 1e-6);
+        assert!((ev.per_request.iter().sum::<f64>() - ev.total_latency).abs() < 1e-6);
+    });
+}
 
-    /// Evaluation is deterministic.
-    #[test]
-    fn evaluation_deterministic(sc in arb_scenario(), pseed in any::<u64>()) {
-        let p = random_covering_placement(&sc, 0.5, pseed);
+/// Evaluation is deterministic.
+#[test]
+fn evaluation_deterministic() {
+    cases(48, |rng| {
+        let sc = arb_scenario(rng);
+        let p = random_covering_placement(&sc, 0.5, rng);
         let a = evaluate(&sc, &p);
         let b = evaluate(&sc, &p);
-        prop_assert_eq!(a.objective, b.objective);
-        prop_assert_eq!(a.per_request, b.per_request);
-    }
+        assert_eq!(a.objective, b.objective);
+        assert_eq!(a.per_request, b.per_request);
+    });
+}
 
-    /// Full placement gives per-request latencies that lower-bound every
-    /// covering placement's (the full placement is the latency-optimal
-    /// relaxation).
-    #[test]
-    fn full_placement_is_latency_lower_bound(sc in arb_scenario(), pseed in any::<u64>()) {
+/// Full placement gives per-request latencies that lower-bound every
+/// covering placement's (the full placement is the latency-optimal
+/// relaxation).
+#[test]
+fn full_placement_is_latency_lower_bound() {
+    cases(48, |rng| {
+        let sc = arb_scenario(rng);
         let full = Placement::full(sc.services(), sc.nodes());
-        let any = random_covering_placement(&sc, 0.35, pseed);
+        let any = random_covering_placement(&sc, 0.35, rng);
         let ev_full = evaluate(&sc, &full);
         let ev_any = evaluate(&sc, &any);
         for (f, a) in ev_full.per_request.iter().zip(&ev_any.per_request) {
-            prop_assert!(f <= &(a + 1e-9));
+            assert!(f <= &(a + 1e-9));
         }
-    }
+    });
 }
 
 /// Small routing instance for exhaustive oracle checks: a connected random
@@ -134,16 +147,13 @@ proptest! {
 fn small_instance(
     nodes: usize,
     chain_len: usize,
-    seed: u64,
+    rng: &mut ChaCha12Rng,
 ) -> (Scenario, Placement, crate::request::UserRequest) {
     use crate::request::{UserId, UserRequest};
     use crate::service::{Microservice, ServiceCatalog};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     use socl_net::TopologyConfig;
 
-    let mut rng = StdRng::seed_from_u64(seed);
-    let net = TopologyConfig::paper(nodes).build(seed);
+    let net = TopologyConfig::paper(nodes).build(rng.next_u64());
     let catalog = ServiceCatalog::from_services(
         (0..chain_len)
             .map(|_| {
@@ -185,24 +195,19 @@ fn small_instance(
     (scenario, placement, req)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Brute-force oracle: on small instances, enumerating every assignment
+/// `Y` (one host per chain position) exhaustively must not find anything
+/// better than the layered DP — and the DP's claimed cost must be
+/// realized by its own route.
+#[test]
+fn dp_is_latency_optimal_against_exhaustive_enumeration() {
+    use crate::latency::completion_time;
 
-    /// Brute-force oracle: on small instances, enumerating every assignment
-    /// `Y` (one host per chain position) exhaustively must not find anything
-    /// better than the layered DP — and the DP's claimed cost must be
-    /// realized by its own route.
-    #[test]
-    fn dp_is_latency_optimal_against_exhaustive_enumeration(
-        nodes in 2usize..=6,
-        chain_len in 1usize..=5,
-        seed in any::<u64>(),
-    ) {
-        use crate::latency::completion_time;
-
-        let (sc, placement, req) = small_instance(nodes, chain_len, seed);
+    cases(64, |rng| {
+        let (nodes, chain_len) = (rng.gen_range(2usize..=6), rng.gen_range(1usize..=5));
+        let (sc, placement, req) = small_instance(nodes, chain_len, rng);
         let layers: Vec<Vec<NodeId>> = req.chain.iter().map(|&m| placement.hosts_of(m)).collect();
-        prop_assert!(layers.iter().all(|l| !l.is_empty()));
+        assert!(layers.iter().all(|l| !l.is_empty()));
 
         let out = optimal_route(&req, &placement, &sc.net, &sc.ap, &sc.catalog);
         let RouteOutcome::Edge { route, breakdown } = out else {
@@ -215,8 +220,7 @@ proptest! {
         let mut best = f64::INFINITY;
         let mut best_route = Vec::new();
         loop {
-            let candidate: Vec<NodeId> =
-                idx.iter().zip(&layers).map(|(&i, l)| l[i]).collect();
+            let candidate: Vec<NodeId> = idx.iter().zip(&layers).map(|(&i, l)| l[i]).collect();
             let t = completion_time(&req, &candidate, &sc.net, &sc.ap, &sc.catalog).total();
             if t < best {
                 best = t;
@@ -239,41 +243,42 @@ proptest! {
             }
         }
 
-        prop_assert!(
+        assert!(
             (dp_cost - best).abs() < 1e-9,
             "DP {dp_cost} vs exhaustive {best} (dp route {route:?}, best {best_route:?})"
         );
         // The DP's route itself achieves the optimum.
         let realized = completion_time(&req, &route, &sc.net, &sc.ap, &sc.catalog).total();
-        prop_assert!((realized - best).abs() < 1e-9);
-    }
+        assert!((realized - best).abs() < 1e-9);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Parallel chain evaluation is bit-identical to serial: same objective
-    /// bits, `total_cmp`-equal per-request latencies, identical routes. The
-    /// scenario is sized so the fan-out threshold genuinely engages.
-    #[test]
-    fn parallel_evaluation_identical_to_serial(seed in any::<u64>(), pseed in any::<u64>()) {
-        let sc = ScenarioConfig::paper(30, 120).build(seed);
-        let p = random_covering_placement(&sc, 0.4, pseed);
+/// Parallel chain evaluation is bit-identical to serial: same objective
+/// bits, `total_cmp`-equal per-request latencies, identical routes. The
+/// scenario is sized so the fan-out threshold genuinely engages.
+#[test]
+fn parallel_evaluation_identical_to_serial() {
+    cases(6, |rng| {
+        let sc = ScenarioConfig::paper(30, 120).build(rng.next_u64());
+        let p = random_covering_placement(&sc, 0.4, rng);
         socl_net::set_threads(1);
         let serial = evaluate(&sc, &p);
         socl_net::set_threads(4);
         let parallel = evaluate(&sc, &p);
         socl_net::set_threads(0);
-        prop_assert_eq!(serial.objective.to_bits(), parallel.objective.to_bits());
-        prop_assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits());
-        prop_assert_eq!(serial.total_latency.to_bits(), parallel.total_latency.to_bits());
-        prop_assert_eq!(serial.cloud_fallbacks, parallel.cloud_fallbacks);
-        prop_assert_eq!(serial.per_request.len(), parallel.per_request.len());
+        assert_eq!(serial.objective.to_bits(), parallel.objective.to_bits());
+        assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits());
+        assert_eq!(
+            serial.total_latency.to_bits(),
+            parallel.total_latency.to_bits()
+        );
+        assert_eq!(serial.cloud_fallbacks, parallel.cloud_fallbacks);
+        assert_eq!(serial.per_request.len(), parallel.per_request.len());
         for (a, b) in serial.per_request.iter().zip(&parallel.per_request) {
-            prop_assert!(a.total_cmp(b) == std::cmp::Ordering::Equal);
+            assert!(a.total_cmp(b) == std::cmp::Ordering::Equal);
         }
         for h in 0..sc.requests.len() {
-            prop_assert_eq!(serial.assignment.route(h), parallel.assignment.route(h));
+            assert_eq!(serial.assignment.route(h), parallel.assignment.route(h));
         }
-    }
+    });
 }

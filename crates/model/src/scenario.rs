@@ -9,8 +9,7 @@
 use crate::dataset::{DependencyDataset, EshopDataset};
 use crate::request::{RequestConfig, UserRequest};
 use crate::service::{ServiceCatalog, ServiceId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use socl_net::rng::ChaCha12Rng;
 use socl_net::{AllPairs, EdgeNetwork, NodeId, TopologyConfig};
 
 /// A complete problem instance.
@@ -172,7 +171,7 @@ impl ScenarioConfig {
         let net = topo.build(seed);
         let ap = AllPairs::build(&net);
         let mut rng =
-            StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
+            ChaCha12Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
         let catalog = dataset.catalog(&mut rng);
         let requests = dataset.sample_requests(&mut rng, self.users, self.nodes, &self.requests);
         Scenario {

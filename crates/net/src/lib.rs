@@ -32,6 +32,7 @@ pub mod incremental;
 pub mod par;
 pub mod paths;
 pub mod resilience;
+pub mod rng;
 pub mod time;
 pub mod topology;
 pub mod virtual_graph;

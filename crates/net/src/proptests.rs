@@ -3,34 +3,32 @@
 use crate::graph::{EdgeNetwork, NodeId};
 use crate::incremental::ApspCache;
 use crate::paths::{AllPairs, PathMetric, ShortestPaths};
+use crate::rng::{cases, ChaCha12Rng};
 use crate::topology::{TopologyConfig, TopologyKind};
 use crate::virtual_graph::VirtualGraph;
-use proptest::prelude::*;
 
-/// Strategy: a connected random topology (5..=20 nodes) plus its seed.
-fn arb_net() -> impl Strategy<Value = EdgeNetwork> {
-    (2usize..=20, any::<u64>(), 0usize..3).prop_map(|(n, seed, kind)| {
-        let kind = match kind {
-            0 => TopologyKind::UniformDisk,
-            1 => TopologyKind::Clustered { clusters: 3 },
-            _ => TopologyKind::RingWithChords,
-        };
-        TopologyConfig {
-            nodes: n,
-            kind,
+/// Runs `check` on 64 connected random topologies of 2..=20 nodes.
+fn for_nets(mut check: impl FnMut(&EdgeNetwork, &mut ChaCha12Rng)) {
+    let kinds = [
+        TopologyKind::UniformDisk,
+        TopologyKind::Clustered { clusters: 3 },
+        TopologyKind::RingWithChords,
+    ];
+    cases(64, |rng| {
+        let config = TopologyConfig {
+            nodes: rng.gen_range(2usize..=20),
+            kind: *rng.choose(&kinds).unwrap(),
             ..TopologyConfig::default()
-        }
-        .build(seed)
-    })
+        };
+        check(&config.build(rng.next_u64()), rng);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Triangle inequality holds for shortest-path latency weights.
-    #[test]
-    fn triangle_inequality(net in arb_net()) {
-        let ap = AllPairs::build(&net);
+/// Triangle inequality holds for shortest-path latency weights.
+#[test]
+fn triangle_inequality() {
+    for_nets(|net, _| {
+        let ap = AllPairs::build(net);
         let n = net.node_count();
         for a in 0..n {
             for b in 0..n {
@@ -38,28 +36,34 @@ proptest! {
                     let (a, b, c) = (NodeId(a as u32), NodeId(b as u32), NodeId(c as u32));
                     let direct = ap.latency_weight(a, c);
                     let via = ap.latency_weight(a, b) + ap.latency_weight(b, c);
-                    prop_assert!(direct <= via + 1e-9,
-                        "triangle violated: {a}->{c} {direct} > {a}->{b}->{c} {via}");
+                    assert!(
+                        direct <= via + 1e-9,
+                        "triangle violated: {a}->{c} {direct} > {a}->{b}->{c} {via}"
+                    );
                 }
             }
         }
-    }
+    });
+}
 
-    /// The latency-metric path is never slower than the hop-metric path.
-    #[test]
-    fn latency_metric_dominates(net in arb_net()) {
-        let ap = AllPairs::build(&net);
+/// The latency-metric path is never slower than the hop-metric path.
+#[test]
+fn latency_metric_dominates() {
+    for_nets(|net, _| {
+        let ap = AllPairs::build(net);
         for a in net.node_ids() {
             for b in net.node_ids() {
-                prop_assert!(ap.latency_weight(a, b) <= ap.hop_path_weight(a, b) + 1e-9);
+                assert!(ap.latency_weight(a, b) <= ap.hop_path_weight(a, b) + 1e-9);
             }
         }
-    }
+    });
+}
 
-    /// Hop-metric distances match plain BFS hop counts.
-    #[test]
-    fn hop_counts_match_bfs(net in arb_net()) {
-        let ap = AllPairs::build(&net);
+/// Hop-metric distances match plain BFS hop counts.
+#[test]
+fn hop_counts_match_bfs() {
+    for_nets(|net, _| {
+        let ap = AllPairs::build(net);
         for s in net.node_ids() {
             // BFS.
             let n = net.node_count();
@@ -75,125 +79,137 @@ proptest! {
                 }
             }
             for t in net.node_ids() {
-                prop_assert_eq!(ap.hop_count(s, t), dist[t.idx()]);
+                assert_eq!(ap.hop_count(s, t), dist[t.idx()]);
             }
         }
-    }
+    });
+}
 
-    /// Reconstructed paths are consistent: edge-connected, start/end correct,
-    /// and their accumulated weight equals the reported weight.
-    #[test]
-    fn paths_are_consistent(net in arb_net()) {
+/// Reconstructed paths are consistent: edge-connected, start/end correct,
+/// and their accumulated weight equals the reported weight.
+#[test]
+fn paths_are_consistent() {
+    for_nets(|net, _| {
         for s in net.node_ids() {
             for metric in [PathMetric::Latency, PathMetric::Hops] {
-                let sp = ShortestPaths::dijkstra(&net, s, metric);
+                let sp = ShortestPaths::dijkstra(net, s, metric);
                 for t in net.node_ids() {
                     let Some(path) = sp.path_to(t) else { continue };
-                    prop_assert_eq!(path[0], s);
-                    prop_assert_eq!(*path.last().unwrap(), t);
+                    assert_eq!(path[0], s);
+                    assert_eq!(*path.last().unwrap(), t);
                     let mut acc = 0.0;
                     for w in path.windows(2) {
                         let rate = net.direct_rate(w[0], w[1]);
-                        prop_assert!(rate.is_some(), "path uses missing edge");
+                        assert!(rate.is_some(), "path uses missing edge");
                         acc += 1.0 / rate.unwrap();
                     }
                     // Accumulated weight can only be <= due to parallel-link max.
-                    prop_assert!(acc <= sp.latency_weight(t) + 1e-9);
-                    prop_assert_eq!(path.len() as u32 - 1, sp.hop_count(t));
+                    assert!(acc <= sp.latency_weight(t) + 1e-9);
+                    assert_eq!(path.len() as u32 - 1, sp.hop_count(t));
                 }
             }
         }
-    }
+    });
+}
 
-    /// Virtual-link speed never exceeds the slowest link of the underlying
-    /// shortest path (harmonic composition is dominated by its minimum), and
-    /// never exceeds any direct link's rate upper bound.
-    #[test]
-    fn virtual_speed_bounded_by_components(net in arb_net()) {
-        let ap = AllPairs::build(&net);
-        let max_rate = net
-            .links()
-            .iter()
-            .map(|l| l.rate())
-            .fold(0.0_f64, f64::max);
+/// Virtual-link speed never exceeds the slowest link of the underlying
+/// shortest path (harmonic composition is dominated by its minimum), and
+/// never exceeds any direct link's rate upper bound.
+#[test]
+fn virtual_speed_bounded_by_components() {
+    for_nets(|net, _| {
+        let ap = AllPairs::build(net);
+        let max_rate = net.links().iter().map(|l| l.rate()).fold(0.0_f64, f64::max);
         for a in net.node_ids() {
             for b in net.node_ids() {
-                if a == b { continue; }
+                if a == b {
+                    continue;
+                }
                 let v = ap.virtual_speed(a, b);
-                prop_assert!(v <= max_rate + 1e-9,
-                    "virtual speed {v} exceeds fastest physical link {max_rate}");
+                assert!(
+                    v <= max_rate + 1e-9,
+                    "virtual speed {v} exceeds fastest physical link {max_rate}"
+                );
             }
         }
-    }
+    });
+}
 
-    /// Partition is a disjoint cover of the member set for any threshold.
-    #[test]
-    fn partition_is_disjoint_cover(net in arb_net(), xi in 0.0f64..100.0) {
-        let ap = AllPairs::build(&net);
+/// Partition is a disjoint cover of the member set for any threshold.
+#[test]
+fn partition_is_disjoint_cover() {
+    for_nets(|net, rng| {
+        let xi = rng.gen_range(0.0..100.0);
+        let ap = AllPairs::build(net);
         let members: Vec<NodeId> = net.node_ids().collect();
         let vg = VirtualGraph::build(&members, &ap);
         let parts = vg.partition(xi);
         let mut seen = std::collections::HashSet::new();
         for p in &parts {
-            prop_assert!(!p.is_empty());
+            assert!(!p.is_empty());
             for &n in p {
-                prop_assert!(seen.insert(n), "node {n} in two partitions");
+                assert!(seen.insert(n), "node {n} in two partitions");
             }
         }
-        prop_assert_eq!(seen.len(), members.len());
-    }
+        assert_eq!(seen.len(), members.len());
+    });
+}
 
-    /// Raising the threshold never merges partitions (monotone refinement).
-    #[test]
-    fn partition_refines_monotonically(net in arb_net()) {
-        let ap = AllPairs::build(&net);
+/// Raising the threshold never merges partitions (monotone refinement).
+#[test]
+fn partition_refines_monotonically() {
+    for_nets(|net, _| {
+        let ap = AllPairs::build(net);
         let members: Vec<NodeId> = net.node_ids().collect();
         let vg = VirtualGraph::build(&members, &ap);
         let coarse = vg.partition(1.0);
         let fine = vg.partition(10.0);
         // Every fine partition must be contained in exactly one coarse one.
         for f in &fine {
-            let container = coarse.iter().filter(|c| f.iter().all(|n| c.contains(n))).count();
-            prop_assert_eq!(container, 1, "fine part {:?} not nested in coarse", f);
+            let container = coarse
+                .iter()
+                .filter(|c| f.iter().all(|n| c.contains(n)))
+                .count();
+            assert_eq!(container, 1, "fine part {f:?} not nested in coarse");
         }
-    }
+    });
+}
 
-    /// Generated topology attribute ranges hold for arbitrary sizes/seeds.
-    #[test]
-    fn topology_ranges(n in 1usize..=25, seed in any::<u64>()) {
-        let net = TopologyConfig::paper(n).build(seed);
-        prop_assert!(net.is_connected());
+/// Generated topology attribute ranges hold for arbitrary sizes/seeds.
+#[test]
+fn topology_ranges() {
+    cases(64, |rng| {
+        let net = TopologyConfig::paper(rng.gen_range(1usize..=25)).build(rng.next_u64());
+        assert!(net.is_connected());
         for id in net.node_ids() {
             let s = net.server(id);
-            prop_assert!((5.0..=20.0).contains(&s.compute_gflops));
-            prop_assert!((4.0..=8.0).contains(&s.storage_units));
+            assert!((5.0..=20.0).contains(&s.compute_gflops));
+            assert!((4.0..=8.0).contains(&s.storage_units));
         }
-    }
+    });
+}
 
-    /// Parallel APSP construction is bit-identical to the serial reference
-    /// for every thread count: `total_cmp`-equal weights, identical hop
-    /// counts and identical predecessor (i.e. path) matrices.
-    #[test]
-    fn parallel_apsp_identical_to_serial(net in arb_net(), threads in 2usize..=8) {
-        let serial = AllPairs::build_serial(&net);
-        let parallel = AllPairs::build_with_threads(&net, threads);
-        prop_assert!(parallel.identical(&serial), "threads={threads} diverged");
-    }
+/// Parallel APSP construction is bit-identical to the serial reference
+/// for every thread count: `total_cmp`-equal weights, identical hop
+/// counts and identical predecessor (i.e. path) matrices.
+#[test]
+fn parallel_apsp_identical_to_serial() {
+    for_nets(|net, rng| {
+        let threads = rng.gen_range(2usize..=8);
+        let serial = AllPairs::build_serial(net);
+        let parallel = AllPairs::build_with_threads(net, threads);
+        assert!(parallel.identical(&serial), "threads={threads} diverged");
+    });
+}
 
-    /// Incremental post-fault recompute is bit-identical to a serial full
-    /// rebuild after every event of a random fault/repair schedule (node
-    /// crashes, link degradations, restores — the PR 1 fault vocabulary).
-    #[test]
-    fn incremental_matches_rebuild_under_fault_schedule(
-        net in arb_net(),
-        fseed in any::<u64>(),
-        steps in 1usize..=12,
-    ) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(fseed);
-        let mut cache = ApspCache::new(&net);
+/// Incremental post-fault recompute is bit-identical to a serial full
+/// rebuild after every event of a random fault/repair schedule (node
+/// crashes, link degradations, restores — the PR 1 fault vocabulary).
+#[test]
+fn incremental_matches_rebuild_under_fault_schedule() {
+    for_nets(|net, rng| {
+        let steps = rng.gen_range(1usize..=12);
+        let mut cache = ApspCache::new(net);
         for step in 0..steps {
             match rng.gen_range(0..4u8) {
                 0 if net.link_count() > 0 => {
@@ -217,12 +233,12 @@ proptest! {
                 }
             }
             let rebuilt = AllPairs::build_serial(cache.network());
-            prop_assert!(
+            assert!(
                 cache.all_pairs().identical(&rebuilt),
                 "cache diverged from full rebuild at step {step}"
             );
         }
-    }
+    });
 }
 
 /// Brute-force Bellman-Ford cross-check of Dijkstra on small graphs.

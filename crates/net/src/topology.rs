@@ -8,8 +8,7 @@
 //! distance-biased random graph that is then patched to be connected.
 
 use crate::graph::{EdgeNetwork, EdgeServer, LinkParams, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::ChaCha12Rng;
 
 /// Spatial layout of generated base stations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +90,7 @@ impl TopologyConfig {
     /// network, independent of platform.
     pub fn build(&self, seed: u64) -> EdgeNetwork {
         assert!(self.nodes >= 1, "topology needs at least one node");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let mut net = EdgeNetwork::new();
 
         let positions = self.positions(&mut rng);
@@ -109,7 +108,7 @@ impl TopologyConfig {
         net
     }
 
-    fn positions(&self, rng: &mut StdRng) -> Vec<(f64, f64)> {
+    fn positions(&self, rng: &mut ChaCha12Rng) -> Vec<(f64, f64)> {
         let n = self.nodes;
         match self.kind {
             TopologyKind::UniformDisk => (0..n)
@@ -148,7 +147,7 @@ impl TopologyConfig {
         }
     }
 
-    fn random_link_params(&self, rng: &mut StdRng) -> LinkParams {
+    fn random_link_params(&self, rng: &mut ChaCha12Rng) -> LinkParams {
         LinkParams {
             bandwidth: rng.gen_range(self.bandwidth.0..=self.bandwidth.1),
             tx_power: self.tx_power,
@@ -159,7 +158,7 @@ impl TopologyConfig {
         }
     }
 
-    fn wire(&self, net: &mut EdgeNetwork, rng: &mut StdRng) {
+    fn wire(&self, net: &mut EdgeNetwork, rng: &mut ChaCha12Rng) {
         let n = net.node_count();
         if n < 2 {
             return;
@@ -218,7 +217,7 @@ impl TopologyConfig {
 
     /// Join remaining components by linking each component's node closest to
     /// the largest component.
-    fn connect_components(&self, net: &mut EdgeNetwork, rng: &mut StdRng) {
+    fn connect_components(&self, net: &mut EdgeNetwork, rng: &mut ChaCha12Rng) {
         loop {
             let comps = components(net);
             if comps.len() <= 1 {

@@ -10,10 +10,8 @@
 //! 64-bit FNV-1a hash, so the *arrival set is independent of the region
 //! partitioning*: regions group arrivals, they never change them.
 
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 use socl_model::{DependencyDataset, EshopDataset, RequestConfig, UserId, UserRequest};
+use socl_net::rng::ChaCha12Rng;
 use socl_net::NodeId;
 use socl_trace::{TemporalConfig, TemporalWorkload};
 

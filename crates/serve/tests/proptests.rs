@@ -14,12 +14,11 @@
 //!   is silently dropped: every arrival is decided, shed with an explicit
 //!   outcome, or still queued, and the invariant auditor stays clean.
 //!
-//! Each property lives in a plain function so the fixed-seed pins below
-//! execute the same code deterministically; the `proptest!` wrappers
-//! explore the parameter space on top.
+//! Each property lives in a plain function; the seeded case loops explore
+//! the parameter space and the fixed-seed pins below run the same code.
 
-use proptest::prelude::*;
 use socl_autoscale::AdmissionPolicy;
+use socl_net::rng::cases;
 use socl_serve::{audit_serve, DecisionEvent, FeedConfig, ServeConfig, SoclServe};
 
 /// A configuration where no queue, budget, or admission limit can bind:
@@ -167,42 +166,33 @@ fn check_backpressure_conservation(
     assert!(violations.is_empty(), "violations: {violations:?}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn partitioned_run_matches_single_world(
-        seed in 0u64..500,
-        regions in 2usize..=4,
-        shards in 1usize..=4,
-    ) {
-        check_partition_equivalence(seed, regions, shards);
-    }
-
-    #[test]
-    fn shard_count_is_invisible_under_load(
-        seed in 0u64..500,
-        shards in 2usize..=4,
-    ) {
-        check_shard_invariance(seed, shards);
-    }
-
-    #[test]
-    fn backpressure_conserves_every_request(
-        seed in 0u64..500,
-        queue_cap in 1usize..=4,
-        drain in 1usize..=3,
-        rate in 100.0f64..400.0,
-        ticks in 3u32..=8,
-    ) {
-        check_backpressure_conservation(seed, queue_cap, drain, rate, ticks);
-    }
+#[test]
+fn partitioned_run_matches_single_world() {
+    cases(8, |rng| {
+        let (regions, shards) = (rng.gen_range(2usize..=4), rng.gen_range(1usize..=4));
+        check_partition_equivalence(rng.gen_range(0u64..500), regions, shards);
+    });
 }
 
-/// Deterministic pins: run each property at fixed seeds so the checks
-/// execute even where the proptest driver is unavailable, and so the
-/// partition-equivalence sample is known to contain both a chain
-/// confined to one region and a chain spanning two.
+#[test]
+fn shard_count_is_invisible_under_load() {
+    cases(8, |rng| {
+        check_shard_invariance(rng.gen_range(0u64..500), rng.gen_range(2usize..=4))
+    });
+}
+
+#[test]
+fn backpressure_conserves_every_request() {
+    cases(8, |rng| {
+        let (queue_cap, drain) = (rng.gen_range(1usize..=4), rng.gen_range(1usize..=3));
+        let (rate, ticks) = (rng.gen_range(100.0..400.0), rng.gen_range(3u32..=8));
+        check_backpressure_conservation(rng.gen_range(0u64..500), queue_cap, drain, rate, ticks);
+    });
+}
+
+/// Pins: each property at fixed seeds, chosen so the partition-equivalence
+/// sample is known to contain both a chain confined to one region and a
+/// chain spanning two.
 #[test]
 fn partition_equivalence_pinned_covers_both_chain_kinds() {
     let mut confined_total = 0usize;

@@ -21,9 +21,8 @@
 //! Schedules are plain data: same seed + same plan ⇒ byte-identical events,
 //! which is what makes the faulted-testbed determinism proptests possible.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use socl_model::{Placement, ServiceId};
+use socl_net::rng::ChaCha12Rng;
 use socl_net::{link_criticality, node_criticality, EdgeNetwork, NodeId};
 
 /// One injected fault (or the matching recovery).
@@ -232,7 +231,7 @@ impl FaultPlan {
         users: usize,
         seed: u64,
     ) -> FaultSchedule {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17_5EED);
+        let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xFA17_5EED);
         let mut events = Vec::new();
 
         // --- node crashes (never all nodes down at once) ------------------
@@ -409,7 +408,7 @@ fn parse_node_tag(component: &str) -> NodeId {
 }
 
 /// Deterministic positive duration around `mean` (0.5×–1.5× spread).
-fn spread(rng: &mut StdRng, mean: f64) -> f64 {
+fn spread(rng: &mut ChaCha12Rng, mean: f64) -> f64 {
     if mean <= 0.0 {
         return 0.0;
     }

@@ -7,16 +7,13 @@
 //! reproduces both gradual drift and the occasional long hop seen in the
 //! paper's trace analysis.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha12Rng;
+use socl_net::rng::ChaCha12Rng;
 use socl_net::{EdgeNetwork, NodeId};
 
 /// Seeded mobility model over a fixed topology.
 ///
-/// The RNG is `ChaCha12Rng` — the exact generator `rand`'s `StdRng` wraps,
-/// so seeded trajectories are unchanged — because its stream position is
-/// observable and settable, which lets a checkpoint freeze mobility
-/// mid-run (see [`crate::recovery`]).
+/// The generator's stream position is observable and settable, which lets
+/// a checkpoint freeze mobility mid-run (see [`crate::recovery`]).
 #[derive(Debug, Clone)]
 pub struct MobilityModel {
     /// Probability a user relocates in a given slot.

@@ -22,12 +22,11 @@
 use crate::faults::{FaultKind, FaultSchedule};
 use crate::mobility::MobilityModel;
 use crate::policy::Policy;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha12Rng;
 use socl_autoscale::{AutoscaleConfig, Autoscaler};
 use socl_model::{
     evaluate, DependencyDataset, EshopDataset, ReplicaCounts, Scenario, ScenarioConfig, UserRequest,
 };
+use socl_net::rng::ChaCha12Rng;
 use socl_net::time::Stopwatch;
 use socl_net::NodeId;
 use std::time::Duration;
@@ -224,8 +223,7 @@ impl OnlineSimulator {
         let locations = base.requests.iter().map(|r| r.location).collect();
         let requests = base.requests.clone();
         let mobility = MobilityModel::new(cfg.move_prob, 0.7, cfg.seed ^ 0xA5A5);
-        // ChaCha12 is exactly what rand 0.8's `StdRng` wraps, so seeded
-        // streams are unchanged — but its counter is observable, which is
+        // The generator's position is observable and settable, which is
         // what makes the RNG checkpointable (see `crate::recovery`).
         let rng = ChaCha12Rng::seed_from_u64(cfg.seed ^ 0x5A5A_5A5A);
         let alive = vec![true; cfg.nodes];

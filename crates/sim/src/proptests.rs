@@ -3,16 +3,16 @@
 use crate::faults::{FaultPlan, FaultSchedule, Targeting};
 use crate::policy::Policy;
 use crate::testbed::{run_testbed, RetryPolicy, TestbedConfig};
-use proptest::prelude::*;
 use socl_core::SoclConfig;
 use socl_model::{evaluate, Placement, Scenario, ScenarioConfig};
+use socl_net::rng::{cases, ChaCha12Rng};
 
 use crate::online::{OnlineConfig, OnlineSimulator};
 use crate::recovery::{Checkpoint, SlotMetrics};
 
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (6usize..=12, 10usize..=40, any::<u64>())
-        .prop_map(|(nodes, users, seed)| ScenarioConfig::paper(nodes, users).build(seed))
+fn arb_scenario(rng: &mut ChaCha12Rng) -> Scenario {
+    let (nodes, users) = (rng.gen_range(6usize..=12), rng.gen_range(10usize..=40));
+    ScenarioConfig::paper(nodes, users).build(rng.next_u64())
 }
 
 /// A 5-slot online config exercising failure injection (and optionally
@@ -51,141 +51,146 @@ fn drain_metrics(sim: &mut OnlineSimulator, policy: &Policy) -> Vec<SlotMetrics>
     out
 }
 
-/// A fault schedule of arbitrary intensity and targeting against the
-/// given scenario/placement pair.
+/// A fault schedule of arbitrary targeting and intensity up to
+/// `max_level` against the given scenario/placement pair.
 fn arb_faults(
+    rng: &mut ChaCha12Rng,
     sc: &Scenario,
     placement: &Placement,
     epochs: usize,
-    seed: u64,
-    level: f64,
-    mode: u8,
+    max_level: f64,
 ) -> FaultSchedule {
     let horizon = epochs as f64 * TestbedConfig::default().epoch_secs;
-    let targeting = match mode % 3 {
-        0 => Targeting::Random,
-        1 => Targeting::Critical,
-        _ => Targeting::NonCritical,
-    };
-    FaultPlan::at_intensity(horizon, level)
-        .with_targeting(targeting)
-        .generate(&sc.net, placement, sc.users(), seed)
+    let targetings = [
+        Targeting::Random,
+        Targeting::Critical,
+        Targeting::NonCritical,
+    ];
+    FaultPlan::at_intensity(horizon, rng.gen_range(0.0..=max_level))
+        .with_targeting(*rng.choose(&targetings).unwrap())
+        .generate(&sc.net, placement, sc.users(), rng.next_u64())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Testbed latencies dominate unloaded DP latencies per request: the
-    /// emulator adds queueing and cold starts on top of the same routes, so
-    /// no request can finish faster than its unloaded completion time.
-    #[test]
-    fn testbed_dominates_unloaded_latency(sc in arb_scenario(), seed in any::<u64>()) {
+/// Testbed latencies dominate unloaded DP latencies per request: the
+/// emulator adds queueing and cold starts on top of the same routes, so
+/// no request can finish faster than its unloaded completion time.
+#[test]
+fn testbed_dominates_unloaded_latency() {
+    cases(12, |rng| {
+        let sc = arb_scenario(rng);
         let placement = Policy::Socl(SoclConfig::default()).place(&sc, 0);
         let ev = evaluate(&sc, &placement);
-        let cfg = TestbedConfig { seed, ..TestbedConfig::default() };
-        let res = run_testbed(&sc, &placement, &cfg);
-        prop_assert_eq!(res.fallbacks, ev.cloud_fallbacks);
-        for (measured, unloaded) in res.per_request.iter().zip(&ev.per_request) {
-            if let Some(m) = measured {
-                prop_assert!(
-                    *m >= unloaded - 1e-9,
-                    "testbed {m} below unloaded bound {unloaded}"
-                );
-            }
-        }
-    }
-
-    /// Longer epochs (lighter load) can only reduce queueing: the mean
-    /// latency with double the epoch length is no larger.
-    #[test]
-    fn lighter_load_reduces_queueing(sc in arb_scenario()) {
-        let placement = Policy::Jdr.place(&sc, 0);
-        let tight = run_testbed(&sc, &placement, &TestbedConfig {
-            epoch_secs: 10.0, cold_start: 0.0, ..TestbedConfig::default()
-        });
-        let loose = run_testbed(&sc, &placement, &TestbedConfig {
-            epoch_secs: 1000.0, cold_start: 0.0, ..TestbedConfig::default()
-        });
-        prop_assert!(loose.mean <= tight.mean + 1e-9,
-            "spreading arrivals raised latency: {} vs {}", loose.mean, tight.mean);
-    }
-
-    /// Conservation: every issued request ends in exactly one outcome —
-    /// completed, degraded to the cloud mid-chain, dropped, or a cloud
-    /// fallback — under any fault schedule, targeting, and retry policy.
-    #[test]
-    fn faults_conserve_requests(
-        sc in arb_scenario(),
-        fseed in any::<u64>(),
-        tseed in any::<u64>(),
-        level in 0.0f64..=2.0,
-        mode in any::<u8>(),
-        retries in any::<bool>(),
-        degrade in any::<bool>(),
-    ) {
-        let placement = Policy::Jdr.place(&sc, 0);
-        let epochs = 2usize;
         let cfg = TestbedConfig {
-            epochs,
-            seed: tseed,
-            faults: arb_faults(&sc, &placement, epochs, fseed, level, mode),
-            retry: if retries { RetryPolicy::resilient() } else { RetryPolicy::default() },
-            degrade_to_cloud: degrade,
+            seed: rng.next_u64(),
             ..TestbedConfig::default()
         };
         let res = run_testbed(&sc, &placement, &cfg);
-        prop_assert_eq!(
-            res.completed + res.degraded + res.dropped + res.fallbacks,
-            res.issued,
-            "conservation violated: {} + {} + {} + {} != {}",
-            res.completed, res.degraded, res.dropped, res.fallbacks, res.issued
+        assert_eq!(res.fallbacks, ev.cloud_fallbacks);
+        for (measured, unloaded) in res.per_request.iter().zip(&ev.per_request) {
+            if let Some(m) = measured {
+                let bound = unloaded - 1e-9;
+                assert!(*m >= bound, "testbed {m} below unloaded bound {unloaded}");
+            }
+        }
+    });
+}
+
+/// Longer epochs (lighter load) can only reduce queueing: the mean
+/// latency with double the epoch length is no larger.
+#[test]
+fn lighter_load_reduces_queueing() {
+    cases(12, |rng| {
+        let sc = arb_scenario(rng);
+        let placement = Policy::Jdr.place(&sc, 0);
+        let run = |epoch_secs: f64| {
+            let cfg = TestbedConfig {
+                epoch_secs,
+                cold_start: 0.0,
+                ..TestbedConfig::default()
+            };
+            run_testbed(&sc, &placement, &cfg).mean
+        };
+        let (tight, loose) = (run(10.0), run(1000.0));
+        assert!(
+            loose <= tight + 1e-9,
+            "spreading arrivals raised latency: {loose} vs {tight}"
         );
-        prop_assert!(res.availability >= 0.0 && res.availability <= 1.0);
+    });
+}
+
+/// Conservation: every issued request ends in exactly one outcome —
+/// completed, degraded to the cloud mid-chain, dropped, or a cloud
+/// fallback — under any fault schedule, targeting, and retry policy.
+#[test]
+fn faults_conserve_requests() {
+    cases(12, |rng| {
+        let sc = arb_scenario(rng);
+        let placement = Policy::Jdr.place(&sc, 0);
+        let epochs = 2usize;
+        let cfg = TestbedConfig {
+            epochs,
+            seed: rng.next_u64(),
+            faults: arb_faults(rng, &sc, &placement, epochs, 2.0),
+            retry: if rng.gen() {
+                RetryPolicy::resilient()
+            } else {
+                RetryPolicy::default()
+            },
+            degrade_to_cloud: rng.gen(),
+            ..TestbedConfig::default()
+        };
+        let res = run_testbed(&sc, &placement, &cfg);
+        let outcomes = [res.completed, res.degraded, res.dropped, res.fallbacks];
+        let (sum, issued) = (outcomes.iter().sum::<usize>(), res.issued);
+        assert_eq!(
+            sum, issued,
+            "conservation violated: {outcomes:?} vs {issued}"
+        );
+        assert!(res.availability >= 0.0 && res.availability <= 1.0);
         // Measured latencies are only recorded for requests that ran.
         let measured = res.per_request.iter().filter(|r| r.is_some()).count();
-        prop_assert!(measured <= res.issued);
-    }
+        assert!(measured <= res.issued);
+    });
+}
 
-    /// Determinism: the same scenario, placement, fault schedule, and seed
-    /// reproduce the identical result, field for field — retries, hedging
-    /// jitter, and fault timing all draw from the run's seeded RNG.
-    #[test]
-    fn faulted_runs_are_deterministic(
-        sc in arb_scenario(),
-        fseed in any::<u64>(),
-        tseed in any::<u64>(),
-        level in 0.0f64..=1.5,
-        mode in any::<u8>(),
-    ) {
+/// Determinism: the same scenario, placement, fault schedule, and seed
+/// reproduce the identical result, field for field — retries, hedging
+/// jitter, and fault timing all draw from the run's seeded RNG.
+#[test]
+fn faulted_runs_are_deterministic() {
+    cases(12, |rng| {
+        let sc = arb_scenario(rng);
         let placement = Policy::Socl(SoclConfig::default()).place(&sc, 0);
         let epochs = 2usize;
         let cfg = TestbedConfig {
             epochs,
-            seed: tseed,
-            faults: arb_faults(&sc, &placement, epochs, fseed, level, mode),
+            seed: rng.next_u64(),
+            faults: arb_faults(rng, &sc, &placement, epochs, 1.5),
             retry: RetryPolicy::resilient(),
             ..TestbedConfig::default()
         };
         let a = run_testbed(&sc, &placement, &cfg);
         let b = run_testbed(&sc, &placement, &cfg);
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
+}
 
-    /// The control plane adds no entropy: with autoscaling (and admission)
-    /// enabled, identical seeds and configs reproduce the identical testbed
-    /// result — scaling events, shed counts, replica-seconds and per-request
-    /// latencies — at any worker-thread count.
-    #[test]
-    fn scaling_timelines_are_thread_count_invariant(
-        sc in arb_scenario(),
-        seed in any::<u64>(),
-        predictive in any::<bool>(),
-        admission in any::<bool>(),
-    ) {
-        use socl_autoscale::{AdmissionPolicy, AutoscaleConfig, KeepAlivePolicy, ScalingMode};
+/// The control plane adds no entropy: with autoscaling (and admission)
+/// enabled, identical seeds and configs reproduce the identical testbed
+/// result — scaling events, shed counts, replica-seconds and per-request
+/// latencies — at any worker-thread count.
+#[test]
+fn scaling_timelines_are_thread_count_invariant() {
+    use socl_autoscale::{AdmissionPolicy, AutoscaleConfig, KeepAlivePolicy, ScalingMode};
+    cases(12, |rng| {
+        let sc = arb_scenario(rng);
         let placement = Policy::Socl(SoclConfig::default()).place(&sc, 0);
         let ac = AutoscaleConfig {
-            mode: if predictive { ScalingMode::Predictive } else { ScalingMode::Reactive },
+            mode: if rng.gen() {
+                ScalingMode::Predictive
+            } else {
+                ScalingMode::Reactive
+            },
             target_concurrency: 2.0,
             stable_window: 8.0,
             panic_window: 3.0,
@@ -195,7 +200,7 @@ proptest! {
             max_replicas_per_node: 4,
             keep_alive: KeepAlivePolicy::Fixed(4.0),
             admission: AdmissionPolicy {
-                enabled: admission,
+                enabled: rng.gen(),
                 queue_limit: 1.0,
                 classes: 3,
                 strict_overload: 3.0,
@@ -204,7 +209,7 @@ proptest! {
         };
         let cfg = TestbedConfig {
             epochs: 3,
-            seed,
+            seed: rng.next_u64(),
             autoscale: Some(ac),
             ..TestbedConfig::default()
         };
@@ -214,23 +219,20 @@ proptest! {
             socl_net::set_threads(0);
             r
         };
-        let serial = run_at(1);
-        let parallel = run_at(3);
-        prop_assert_eq!(serial, parallel);
-    }
+        assert_eq!(run_at(1), run_at(3));
+    });
+}
 
-    /// Crash consistency, part 1: `restore(snapshot(s))` is observationally
-    /// the identity for arbitrary mid-run states — a simulator frozen after
-    /// any number of slots, round-tripped through the binary checkpoint
-    /// format into a *fresh* simulator, continues bit-identically to the
-    /// uninterrupted run, with and without the control plane.
-    #[test]
-    fn snapshot_restore_is_observational_identity(
-        seed in any::<u64>(),
-        freeze_at in 0usize..=5,
-        scaled in any::<bool>(),
-    ) {
-        let cfg = small_online_cfg(seed, scaled);
+/// Crash consistency, part 1: `restore(snapshot(s))` is observationally
+/// the identity for arbitrary mid-run states — a simulator frozen after
+/// any number of slots, round-tripped through the binary checkpoint
+/// format into a *fresh* simulator, continues bit-identically to the
+/// uninterrupted run, with and without the control plane.
+#[test]
+fn snapshot_restore_is_observational_identity() {
+    cases(12, |rng| {
+        let freeze_at = rng.gen_range(0usize..=5);
+        let cfg = small_online_cfg(rng.next_u64(), rng.gen());
         let policy = Policy::Socl(SoclConfig::default());
         let mut golden_sim = OnlineSimulator::new(cfg.clone());
         let golden = drain_metrics(&mut golden_sim, &policy);
@@ -238,65 +240,62 @@ proptest! {
         for _ in 0..freeze_at {
             victim.step(&policy, &mut |_, _| None);
         }
-        let ck = Checkpoint::from_bytes(&victim.snapshot().to_bytes());
-        prop_assert!(ck.is_ok(), "checkpoint failed to decode: {:?}", ck.err());
-        let Ok(ck) = ck else { return Ok(()) };
+        let ck = Checkpoint::from_bytes(&victim.snapshot().to_bytes())
+            .unwrap_or_else(|e| panic!("checkpoint failed to decode: {e:?}"));
         drop(victim);
         let mut thawed = OnlineSimulator::new(cfg);
-        prop_assert!(thawed.restore(&ck).is_ok());
+        assert!(thawed.restore(&ck).is_ok());
         let suffix = drain_metrics(&mut thawed, &policy);
-        prop_assert_eq!(&golden[freeze_at..], &suffix[..]);
-    }
+        assert_eq!(&golden[freeze_at..], &suffix[..]);
+    });
+}
 
-    /// Crash consistency, part 2: the full kill-and-recover driver matches
-    /// the uninterrupted golden run bit for bit — for arbitrary kill-points,
-    /// checkpoint cadences and torn-tail modes, at any worker-thread count —
-    /// and the invariant auditor stays clean.
-    #[test]
-    fn crash_recovery_replay_matches_golden(
-        seed in any::<u64>(),
-        kill_at in 0usize..=5,
-        every in 1usize..=4,
-        torn in 0u8..3,
-        scaled in any::<bool>(),
-        threads in 1usize..=3,
-    ) {
-        use crate::recovery::{run_crash_recovery, RecoveryConfig, TornTail};
-        let cfg = small_online_cfg(seed, scaled);
+/// Crash consistency, part 2: the full kill-and-recover driver matches
+/// the uninterrupted golden run bit for bit — for arbitrary kill-points,
+/// checkpoint cadences and torn-tail modes, at any worker-thread count —
+/// and the invariant auditor stays clean.
+#[test]
+fn crash_recovery_replay_matches_golden() {
+    use crate::recovery::{run_crash_recovery, RecoveryConfig, TornTail};
+    const TORN_TAILS: [TornTail; 3] = [TornTail::Clean, TornTail::Garbage, TornTail::PartialRecord];
+    cases(12, |rng| {
+        let cfg = small_online_cfg(rng.next_u64(), rng.gen());
         let policy = Policy::Socl(SoclConfig::default());
         let rcfg = RecoveryConfig {
-            checkpoint_every: every,
-            kill_at_slot: kill_at,
-            torn_tail: match torn {
-                1 => TornTail::Garbage,
-                2 => TornTail::PartialRecord,
-                _ => TornTail::Clean,
-            },
+            checkpoint_every: rng.gen_range(1usize..=4),
+            kill_at_slot: rng.gen_range(0usize..=5),
+            torn_tail: *rng.choose(&TORN_TAILS).unwrap(),
         };
-        socl_net::set_threads(threads);
+        socl_net::set_threads(rng.gen_range(1usize..=3));
         let out = run_crash_recovery(&cfg, &policy, &rcfg);
         socl_net::set_threads(0);
-        prop_assert!(out.is_ok(), "recovery failed: {:?}", out.err());
-        let Ok(out) = out else { return Ok(()) };
-        prop_assert_eq!(out.metric_mismatches, 0,
-            "stitched timeline diverged from golden");
-        prop_assert_eq!(out.replay_log_mismatches, 0,
-            "replay contradicted the durable log");
-        prop_assert!(out.audit.is_clean(), "audit: {:?}", out.audit.violations);
-        prop_assert_eq!(out.stitched.len(), out.golden.len());
-    }
+        let out = out.unwrap_or_else(|e| panic!("recovery failed: {e:?}"));
+        let (metrics, log) = (out.metric_mismatches, out.replay_log_mismatches);
+        assert_eq!(metrics, 0, "stitched timeline diverged from golden");
+        assert_eq!(log, 0, "replay contradicted the durable log");
+        assert!(out.audit.is_clean(), "audit: {:?}", out.audit.violations);
+        assert_eq!(out.stitched.len(), out.golden.len());
+    });
+}
 
-    /// Cold starts only ever add latency.
-    #[test]
-    fn cold_starts_only_add(sc in arb_scenario()) {
+/// Cold starts only ever add latency.
+#[test]
+fn cold_starts_only_add() {
+    cases(12, |rng| {
+        let sc = arb_scenario(rng);
         let placement = Policy::Socl(SoclConfig::default()).place(&sc, 0);
-        let with = run_testbed(&sc, &placement, &TestbedConfig {
-            cold_start: 1.0, keep_warm: 0.0, ..TestbedConfig::default()
-        });
-        let without = run_testbed(&sc, &placement, &TestbedConfig {
-            cold_start: 0.0, ..TestbedConfig::default()
-        });
-        prop_assert!(with.mean >= without.mean - 1e-9);
-        prop_assert!(with.cold_starts > 0);
-    }
+        let with = TestbedConfig {
+            cold_start: 1.0,
+            keep_warm: 0.0,
+            ..TestbedConfig::default()
+        };
+        let without = TestbedConfig {
+            cold_start: 0.0,
+            ..TestbedConfig::default()
+        };
+        let with = run_testbed(&sc, &placement, &with);
+        let without = run_testbed(&sc, &placement, &without);
+        assert!(with.mean >= without.mean - 1e-9);
+        assert!(with.cold_starts > 0);
+    });
 }

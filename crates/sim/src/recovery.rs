@@ -33,12 +33,11 @@
 
 use crate::online::{OnlineConfig, OnlineSimulator, SlotRecord};
 use crate::policy::Policy;
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 use socl_autoscale::{ForecasterState, ScalerState, ServiceStateSnapshot};
 use socl_model::codec::{open, seal, Journal, Record};
 pub use socl_model::codec::{TailReport, TornTailReason};
 use socl_model::{BinReader, BinWriter, CodecError, ServiceId, UserId, UserRequest};
+use socl_net::rng::ChaCha12Rng;
 use socl_net::time::Stopwatch;
 use socl_net::NodeId;
 use std::time::Duration;

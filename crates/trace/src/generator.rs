@@ -12,8 +12,7 @@
 //!   similarity of even the *same* service stays well below 1 and the
 //!   cross-service maximum lands around the paper's 0.65 (Figure 3b).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use socl_net::rng::ChaCha12Rng;
 
 /// Generation parameters.
 #[derive(Debug, Clone)]
@@ -81,7 +80,7 @@ impl TraceGenerator {
     /// Build canonical per-service chains with overlapping preferences.
     pub fn new(cfg: TraceConfig, seed: u64) -> Self {
         assert!(cfg.pool >= cfg.chain_len, "pool smaller than chain length");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let canonical = (0..cfg.services)
             .map(|s| {
                 // Service s prefers a window of the pool plus random picks —
@@ -112,7 +111,7 @@ impl TraceGenerator {
 
     /// Sample one trace file for `service`.
     pub fn sample_trace(&self, service: usize, seed: u64) -> ServiceTrace {
-        let mut rng = StdRng::seed_from_u64(seed ^ (service as u64) << 32);
+        let mut rng = ChaCha12Rng::seed_from_u64(seed ^ (service as u64) << 32);
         let mut usage = vec![0.0; self.cfg.pool];
         let mut edges: Vec<(u32, u32)> = Vec::new();
         let chain = &self.canonical[service];

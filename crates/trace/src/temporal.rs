@@ -8,8 +8,7 @@
 //! * multiplicative log-normal-ish noise,
 //! * occasional short bursts (flash-crowd events).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use socl_net::rng::ChaCha12Rng;
 
 /// Workload-series parameters.
 #[derive(Debug, Clone)]
@@ -94,7 +93,7 @@ impl TemporalWorkload {
     pub fn generate(cfg: &TemporalConfig, seed: u64) -> Self {
         assert_eq!(cfg.peak_centers.len(), cfg.peak_heights.len());
         assert_eq!(cfg.peak_centers.len(), cfg.peak_widths.len());
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let n = cfg.intervals;
         let volumes = (0..n)
             .map(|i| {

@@ -9,8 +9,8 @@
 //! loudly here with a diff of expected vs actual.
 //!
 //! If a change *intentionally* alters results (e.g. a model fix), regenerate
-//! with: `cargo test -p socl --test golden_snapshot -- --nocapture` and copy
-//! the printed block.
+//! with: `cargo test -p socl --test golden_snapshot -- --ignored --nocapture`
+//! and copy the printed block.
 
 use socl::prelude::*;
 
@@ -52,23 +52,26 @@ fn measure() -> [(&'static str, f64, f64, f64); 5] {
     ]
 }
 
-/// Pinned values (printed by `print_current_values` below).
+/// Pinned values (printed by `print_current_values` below), recorded under
+/// `socl_net::rng`. PR 2 (e940f81), where this test was written, prints these
+/// same fifteen numbers when built against that generator: the values pinned
+/// before PR 19 came from a different random stream, not from different code.
 #[allow(clippy::excessive_precision)]
 const GOLDEN: [(&str, f64, f64, f64); 5] = [
-    ("socl", 3334.048521166402, 2930.488757407803, 3.737608284925),
+    ("socl", 3663.886927095648, 2928.185349739043, 4.399588504452),
     (
         "exact",
-        3312.888028129706,
-        2930.488757407803,
-        3.695287298852,
+        3645.789859295395,
+        2928.185349739043,
+        4.363394368852,
     ),
-    ("rp", 6064.550892285900, 5706.241057231079, 6.422860727341),
-    ("jdr", 4830.981193665455, 5860.977514815606, 3.800984872515),
+    ("rp", 5350.092219935364, 4419.748121288249, 6.280436318582),
+    ("jdr", 5202.605389420998, 5924.652300839168, 4.480558478003),
     (
         "gc_og",
-        3589.194241027163,
-        2930.488757407803,
-        4.247899724647,
+        4421.399433597840,
+        2928.185349739043,
+        5.914613517457,
     ),
 ];
 

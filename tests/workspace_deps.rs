@@ -1,14 +1,13 @@
-//! The workspace's registry dependencies are a closed set. ROADMAP's north
-//! star: "a dependency … that cannot point to the test or number that needs
-//! it goes" — `rand`/`rand_chacha` are the seeded streams every pinned value
-//! and checkpoint rests on, `proptest` drives the property suites. Adding a
-//! fourth means editing this test and saying what needs it.
+//! The workspace has no registry dependencies. ROADMAP's north star: "a
+//! dependency … that cannot point to the test or number that needs it goes".
+//! The last three went in PR 19: the random stream every pinned value and
+//! checkpoint rests on is `socl_net::rng`, and the property suites run on its
+//! case loop. `cargo build --offline --locked` is the standing proof; this
+//! test says which line broke it. Adding a registry crate means editing this
+//! test and saying what needs it.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
-
-const REGISTRY: [&str; 3] = ["proptest", "rand", "rand_chacha"];
 
 /// `(name, is_path)` for every entry of the manifest tables whose header
 /// satisfies `table`. Enough TOML for Cargo manifests written one dependency
@@ -21,7 +20,7 @@ fn deps(manifest: &str, table: impl Fn(&str) -> bool) -> Vec<(String, bool)> {
             inside = table(header.trim_end_matches(']'));
         } else if inside && !line.is_empty() && !line.starts_with('#') {
             let (key, value) = line.split_once('=').expect("`key = value`");
-            // `rand.workspace = true` and `rand = { … }` both name `rand`.
+            // `socl-net.workspace = true` and `socl-net = { … }` both name `socl-net`.
             let name = key.trim().split('.').next().unwrap_or_default();
             out.push((name.to_string(), value.contains("path")));
         }
@@ -30,35 +29,47 @@ fn deps(manifest: &str, table: impl Fn(&str) -> bool) -> Vec<(String, bool)> {
 }
 
 #[test]
-fn registry_dependencies_are_exactly_rand_rand_chacha_proptest() {
+fn every_dependency_is_a_workspace_path() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let read = |p: &Path| fs::read_to_string(p).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
 
-    let workspace = deps(&read(&root.join("Cargo.toml")), |t| {
-        t == "workspace.dependencies"
-    });
-    let (local, registry): (Vec<_>, Vec<_>) = workspace.into_iter().partition(|(_, path)| *path);
-    let registry: BTreeSet<String> = registry.into_iter().map(|(name, _)| name).collect();
-    assert_eq!(registry, REGISTRY.map(String::from).into());
-    assert!(!local.is_empty(), "member crates are path entries");
+    let root_manifest = read(&root.join("Cargo.toml"));
+    assert!(
+        !root_manifest
+            .lines()
+            .any(|l| l.trim().starts_with("[patch")),
+        "a [patch] table would select another source for a dependency"
+    );
+    let workspace = deps(&root_manifest, |t| t == "workspace.dependencies");
+    assert!(!workspace.is_empty(), "member crates are path entries");
+    for (name, path) in &workspace {
+        assert!(
+            *path,
+            "[workspace.dependencies] `{name}` is not a path entry"
+        );
+    }
 
-    let known: BTreeSet<String> = local
-        .into_iter()
-        .map(|(name, _)| name)
-        .chain(registry)
-        .collect();
     let mut crates = 0;
     for dir in fs::read_dir(root.join("crates")).expect("crates/") {
         let manifest = dir.expect("dir entry").path().join("Cargo.toml");
-        let named = deps(&read(&manifest), |t| t.ends_with("dependencies"));
-        for (name, path) in named {
+        for (name, path) in deps(&read(&manifest), |t| t.ends_with("dependencies")) {
             assert!(
-                path || known.contains(&name),
-                "{}: `{name}` is neither a workspace crate nor one of {REGISTRY:?}",
+                path || workspace.iter().any(|(known, _)| *known == name),
+                "{}: `{name}` is not a workspace crate",
                 manifest.display()
             );
         }
         crates += 1;
     }
     assert!(crates >= 14, "walked {crates} crate manifests");
+
+    let lock = read(&root.join("Cargo.lock"));
+    assert!(
+        lock.contains("name = \"socl-net\""),
+        "Cargo.lock lists the members"
+    );
+    assert!(
+        !lock.lines().any(|l| l.trim().starts_with("source =")),
+        "Cargo.lock names a registry package"
+    );
 }
