@@ -7,10 +7,21 @@
 //!
 //! ```sh
 //! cargo run --release -p socl-bench --bin fig8_baselines
+//! SOCL_FULL=1 cargo run --release -p socl-bench --bin fig8_baselines   # + 30/50/100-node sweep
 //! ```
+//!
+//! `SOCL_FULL=1` appends the scalability sweep the paper's title claims:
+//! 30 / 50 / 100 servers at 20 users per server. GC-OG joins it until one of
+//! its points takes longer than [`GCOG_CAP`]; larger points read `capped`.
 
 use socl::prelude::*;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Once the median GC-OG run of a sweep point exceeds this, GC-OG sits out
+/// the larger points. Its runtime grows ~4× per step of the sweep on the way
+/// to 50 servers and faster beyond (a 100-server point did not finish in 20
+/// minutes), so the cap keeps the whole sweep under two minutes.
+const GCOG_CAP: Duration = Duration::from_secs(10);
 
 struct Row {
     objective: f64,
@@ -22,6 +33,60 @@ struct Row {
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
     v[v.len() / 2]
+}
+
+/// Median over `seeds` of every algorithm's result on `nodes` servers and
+/// `users` requests, in the order SoCL, RP, JDR, GC-OG (the last only when
+/// `with_gcog`).
+fn point(nodes: usize, users: usize, seeds: &[u64], with_gcog: bool) -> Vec<(&'static str, Row)> {
+    let mut per_algo: Vec<(&str, Vec<Row>)> = vec![
+        ("SoCL", Vec::new()),
+        ("RP", Vec::new()),
+        ("JDR", Vec::new()),
+        ("GC-OG", Vec::new()),
+    ];
+    if !with_gcog {
+        per_algo.pop();
+    }
+    for &seed in seeds {
+        let sc = ScenarioConfig::paper(nodes, users).build(seed);
+
+        let t = Instant::now();
+        let socl = SoclSolver::new().solve(&sc);
+        per_algo[0].1.push(Row {
+            objective: socl.objective(),
+            cost: socl.evaluation.cost,
+            latency: socl.evaluation.total_latency,
+            seconds: t.elapsed().as_secs_f64(),
+        });
+
+        let mut baseline = |slot: usize, res: BaselineResult| {
+            per_algo[slot].1.push(Row {
+                objective: res.objective,
+                cost: res.cost,
+                latency: res.total_latency,
+                seconds: res.elapsed.as_secs_f64(),
+            });
+        };
+        baseline(1, random_provisioning(&sc, seed ^ 0xBEEF));
+        baseline(2, jdr(&sc));
+        if with_gcog {
+            baseline(3, gc_og(&sc));
+        }
+    }
+    per_algo
+        .into_iter()
+        .map(|(name, rows)| {
+            let col = |f: fn(&Row) -> f64| median(rows.iter().map(f).collect());
+            let row = Row {
+                objective: col(|r| r.objective),
+                cost: col(|r| r.cost),
+                latency: col(|r| r.latency),
+                seconds: col(|r| r.seconds),
+            };
+            (name, row)
+        })
+        .collect()
 }
 
 fn main() {
@@ -36,55 +101,12 @@ fn main() {
     let mut summary: Vec<(usize, String, f64)> = Vec::new();
 
     for &users in scales {
-        let mut per_algo: Vec<(&str, Vec<Row>)> = vec![
-            ("SoCL", Vec::new()),
-            ("RP", Vec::new()),
-            ("JDR", Vec::new()),
-            ("GC-OG", Vec::new()),
-        ];
-        for &seed in seeds {
-            let sc = ScenarioConfig::paper(10, users).build(seed);
-
-            let t = Instant::now();
-            let socl = SoclSolver::new().solve(&sc);
-            per_algo[0].1.push(Row {
-                objective: socl.objective(),
-                cost: socl.evaluation.cost,
-                latency: socl.evaluation.total_latency,
-                seconds: t.elapsed().as_secs_f64(),
-            });
-
-            let rp = random_provisioning(&sc, seed ^ 0xBEEF);
-            per_algo[1].1.push(Row {
-                objective: rp.objective,
-                cost: rp.cost,
-                latency: rp.total_latency,
-                seconds: rp.elapsed.as_secs_f64(),
-            });
-
-            let j = jdr(&sc);
-            per_algo[2].1.push(Row {
-                objective: j.objective,
-                cost: j.cost,
-                latency: j.total_latency,
-                seconds: j.elapsed.as_secs_f64(),
-            });
-
-            let g = gc_og(&sc);
-            per_algo[3].1.push(Row {
-                objective: g.objective,
-                cost: g.cost,
-                latency: g.total_latency,
-                seconds: g.elapsed.as_secs_f64(),
-            });
-        }
-        for (name, rows) in &per_algo {
-            let obj = median(rows.iter().map(|r| r.objective).collect());
-            let cost = median(rows.iter().map(|r| r.cost).collect());
-            let lat = median(rows.iter().map(|r| r.latency).collect());
-            let secs = median(rows.iter().map(|r| r.seconds).collect());
-            println!("{users},{name},{obj:.1},{cost:.1},{lat:.2},{secs:.4}");
-            summary.push((users, name.to_string(), obj));
+        for (name, r) in point(10, users, seeds, true) {
+            println!(
+                "{users},{name},{:.1},{:.1},{:.2},{:.4}",
+                r.objective, r.cost, r.latency, r.seconds
+            );
+            summary.push((users, name.to_string(), r.objective));
         }
         println!();
     }
@@ -104,5 +126,45 @@ fn main() {
             "users={users}: SoCL {s:.0} | GC-OG {g:.0} | JDR {j:.0} | RP {r:.0}  (SoCL lowest: {})",
             s <= r.min(j).min(g)
         );
+    }
+
+    if std::env::var_os("SOCL_FULL").is_some() {
+        scale_sweep(seeds);
+    }
+}
+
+/// The scalability sweep: 20 users per server up to 100 servers.
+fn scale_sweep(seeds: &[u64]) {
+    println!(
+        "\n# FIG8-SCALE: 20 users per server (median of {} seeds; GC-OG until a point exceeds {} s)",
+        seeds.len(),
+        GCOG_CAP.as_secs()
+    );
+    println!("nodes,users,algo,objective,cost,latency_s,runtime_s");
+    let mut with_gcog = true;
+    let mut verdicts = Vec::new();
+    for nodes in [30, 50, 100] {
+        let users = 20 * nodes;
+        let rows = point(nodes, users, seeds, with_gcog);
+        for (name, r) in &rows {
+            println!(
+                "{nodes},{users},{name},{:.1},{:.1},{:.2},{:.4}",
+                r.objective, r.cost, r.latency, r.seconds
+            );
+        }
+        if !with_gcog {
+            println!("{nodes},{users},GC-OG,capped,capped,capped,capped");
+        }
+        with_gcog = rows
+            .iter()
+            .any(|(name, r)| *name == "GC-OG" && r.seconds <= GCOG_CAP.as_secs_f64());
+        let socl = &rows[0].1;
+        let lowest = rows.iter().all(|(_, r)| socl.objective <= r.objective);
+        verdicts.push((nodes, users, socl.seconds, lowest));
+        println!();
+    }
+    println!("# scale check (SoCL lowest on objective among the algorithms that ran)");
+    for (nodes, users, secs, lowest) in verdicts {
+        println!("nodes={nodes} users={users}: SoCL {secs:.3} s  (SoCL lowest: {lowest})");
     }
 }

@@ -215,6 +215,10 @@ pub fn solve(args: &Args) -> Result<(), String> {
                 res.combine_stats.migrations
             );
             if args.flag("verbose") {
+                println!(
+                    "combine work: {} trials scored, {} requests re-routed",
+                    res.combine_stats.trials, res.combine_stats.routes
+                );
                 println!("deployment map:");
                 for m in sc.catalog.ids() {
                     let hosts = res.placement.hosts_of(m);

@@ -21,11 +21,19 @@
 //!   instance with the lowest FuzzyAHP local demand factor `ρ`
 //!   (Definition 9) and migrate it to the nearest (fastest-channel) node
 //!   with room; if no node can take it, signal the caller to keep combining.
+//!
+//! The combiner keeps the routing state of its current placement (DESIGN.md
+//! "Combiner state and through-cost tables"): every request's completion
+//! time, and per (request, chain position) the completion time *through*
+//! every node. A candidate that changes one service's host set — a removal,
+//! a migration — is scored by table lookups over the requests using that
+//! service; the chain DP runs only for requests whose chain touches a
+//! service an *accepted* step changed ([`Combiner::move_to`]).
 
 use crate::config::{SoclConfig, StoragePolicy};
 use crate::fuzzy::{order_factor, rho_scores, RhoCriteria};
 use crate::partition::ServicePartitions;
-use socl_model::{evaluate, Placement, Scenario, ServiceId};
+use socl_model::{through_costs, Placement, Scenario, ServiceId, ThroughScratch};
 use socl_net::NodeId;
 
 /// Statistics of a combination run, used by tests and the bench harness.
@@ -47,6 +55,12 @@ pub struct CombineStats {
     pub objective_after_serial: f64,
     /// Final objective value.
     pub final_objective: f64,
+    /// Candidates scored: one per combinable instance per `ζ` list, one per
+    /// feasible move per migration sweep.
+    pub trials: usize,
+    /// Requests re-routed (chain DP plus through-cost table rebuild): once
+    /// each at start, then only the users of services a step changed.
+    pub routes: usize,
 }
 
 /// Signal from storage planning that total storage cannot host the current
@@ -54,21 +68,45 @@ pub struct CombineStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InsufficientStorage;
 
-/// The multi-scale combiner. Owns the evolving placement.
+/// Marks an absent runner-up in [`Combiner::top2`].
+const NO_HOST: NodeId = NodeId(u32::MAX);
+
+/// The multi-scale combiner. Owns the evolving placement and its routing
+/// state; both change only through [`Combiner::move_to`].
 pub struct Combiner<'a> {
-    sc: &'a Scenario,
+    pub(crate) sc: &'a Scenario,
     cfg: &'a SoclConfig,
     parts: &'a ServicePartitions,
     placement: Placement,
     /// Instances excluded from combination after a roll-back.
     locked: Vec<bool>,
-    /// `(a, b)` service pairs adjacent in some user chain (symmetric).
-    conflicts: Vec<(ServiceId, ServiceId)>,
+    /// Services × services bitmap: set when the pair is adjacent in some
+    /// user chain (symmetric).
+    conflicts: Vec<bool>,
+    /// Per service, the `(request, table row)` of every request whose chain
+    /// uses it, in ascending request order.
+    pub(crate) users_of: Vec<Vec<(usize, usize)>>,
+    /// First table row of each request; position `j` is row `row_of[h] + j`.
+    pub(crate) row_of: Vec<usize>,
+    /// Completion time of every request under `placement`, bit-equal to
+    /// `evaluate(sc, &placement).per_request`.
+    pub(crate) per_request: Vec<f64>,
+    /// `through[row · |V| + k]`: the row's request completing through node
+    /// `k` at the row's chain position (see [`through_costs`]).
+    pub(crate) through: Vec<f64>,
+    /// Per row, the cheapest and second-cheapest current host of the row's
+    /// service by `through` (ties to the lower node id, like the DP).
+    top2: Vec<[NodeId; 2]>,
+    scratch: ThroughScratch,
     stats: CombineStats,
     /// Emit per-round traces to stderr. Off by default; binaries opt in via
     /// [`Combiner::with_debug`] (the library never reads the environment, so
     /// combining stays deterministic under the T1 taint lint).
     debug: bool,
+    /// Shown every state the combiner scores candidates from: the starting
+    /// one and the one after each [`Combiner::move_to`].
+    #[cfg(test)]
+    pub(crate) audit: Option<&'a (dyn Fn(&Combiner<'a>) + Sync)>,
 }
 
 /// Per-user data volume consumed by a service: the incoming-edge flow, or
@@ -90,26 +128,44 @@ impl<'a> Combiner<'a> {
         placement: Placement,
     ) -> Self {
         cfg.validate();
-        let mut conflicts = Vec::new();
-        for req in &sc.requests {
+        let services = sc.services();
+        let mut conflicts = vec![false; services * services];
+        let mut users_of = vec![Vec::new(); services];
+        let mut row_of = Vec::with_capacity(sc.users());
+        let mut rows = 0;
+        for (h, req) in sc.requests.iter().enumerate() {
             for (a, b, _) in req.edges() {
-                if !conflicts.contains(&(a, b)) {
-                    conflicts.push((a, b));
-                    conflicts.push((b, a));
-                }
+                conflicts[a.idx() * services + b.idx()] = true;
+                conflicts[b.idx() * services + a.idx()] = true;
             }
+            row_of.push(rows);
+            for (j, m) in req.chain.iter().enumerate() {
+                users_of[m.idx()].push((h, rows + j));
+            }
+            rows += req.len();
         }
-        let locked = vec![false; sc.services() * sc.nodes()];
-        Self {
+        let mut this = Self {
             sc,
             cfg,
             parts,
             placement,
-            locked,
+            locked: vec![false; services * sc.nodes()],
             conflicts,
+            users_of,
+            row_of,
+            per_request: vec![0.0; sc.users()],
+            through: vec![0.0; rows * sc.nodes()],
+            top2: vec![[NO_HOST; 2]; rows],
+            scratch: ThroughScratch::new(),
             stats: CombineStats::default(),
             debug: false,
+            #[cfg(test)]
+            audit: None,
+        };
+        for h in 0..sc.users() {
+            this.reroute(h);
         }
+        this
     }
 
     /// Enable or disable stderr trace output for debugging combine rounds.
@@ -123,35 +179,154 @@ impl<'a> Combiner<'a> {
         m.idx() * self.sc.nodes() + k.idx()
     }
 
-    /// The users currently relying on instance `(service, host)`: each user
-    /// requesting `service` relies on the instance minimizing its
-    /// transmission-computation cycle `r/b + q/c` (ties to the smaller node
-    /// id) — the same accounting `ψ` uses, so `ζ` measures real deltas.
-    fn reliers(&self, placement: &Placement, service: ServiceId, host: NodeId) -> Vec<usize> {
-        let hosts = placement.hosts_of(service);
-        self.sc
-            .requests
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.uses(service))
-            .filter(|(_, r)| {
-                self.best_host(&hosts, r.location, inbound_data(r, service), service) == Some(host)
-            })
-            .map(|(h, _)| h)
-            .collect()
+    /// Re-route request `h` under the current placement: its completion time
+    /// (the DP's), its through-cost rows, and each row's two cheapest hosts.
+    fn reroute(&mut self, h: usize) {
+        let sc = self.sc;
+        let req = &sc.requests[h];
+        let nodes = sc.nodes();
+        let rows = self.row_of[h]..self.row_of[h] + req.len();
+        let table = &mut self.through[rows.start * nodes..rows.end * nodes];
+        let routed = through_costs(
+            &mut self.scratch,
+            req,
+            &self.placement,
+            &sc.net,
+            &sc.ap,
+            &sc.catalog,
+            table,
+        );
+        self.per_request[h] = match routed {
+            Some(d) => d,
+            // On cloud fallback no single-service change can help, so every
+            // through-cost is the penalty too.
+            None => {
+                table.fill(sc.cloud_penalty);
+                sc.cloud_penalty
+            }
+        };
+        for (row, &m) in rows.zip(&req.chain) {
+            let costs = &self.through[row * nodes..(row + 1) * nodes];
+            let mut top = [(f64::INFINITY, NO_HOST); 2];
+            for k in self.placement.hosts_iter(m) {
+                let c = costs[k.idx()];
+                if c < top[0].0 {
+                    top = [(c, k), top[0]];
+                } else if c < top[1].0 {
+                    top[1] = (c, k);
+                }
+            }
+            self.top2[row] = [top[0].1, top[1].1];
+        }
+        self.stats.routes += 1;
+    }
+
+    /// Replace the placement and bring the routing state along: only
+    /// requests using a service whose host set differs are re-routed (a
+    /// storage-planned step may have moved services besides the combined one).
+    /// Returns the placement it replaced, for a serial step to roll back to.
+    fn move_to(&mut self, next: Placement) -> Placement {
+        let mut stale = vec![false; self.sc.users()];
+        for m in self.sc.catalog.ids() {
+            let moved = self
+                .sc
+                .net
+                .node_ids()
+                .any(|k| self.placement.get(m, k) != next.get(m, k));
+            if moved {
+                for &(h, _) in &self.users_of[m.idx()] {
+                    stale[h] = true;
+                }
+            }
+        }
+        let previous = std::mem::replace(&mut self.placement, next);
+        for h in (0..stale.len()).filter(|&h| stale[h]) {
+            self.reroute(h);
+        }
+        #[cfg(test)]
+        self.audit.inspect(|audit| audit(self));
+        previous
+    }
+
+    /// The objective of the current placement, formed from the kept
+    /// per-request times by `evaluate`'s own expression (never a running
+    /// delta), so it is bit-equal to a fresh evaluation.
+    pub(crate) fn objective(&self) -> f64 {
+        let total_latency: f64 = self.per_request.iter().sum();
+        let cost = self.placement.deployment_cost(&self.sc.catalog);
+        self.sc.objective(cost, total_latency)
+    }
+
+    /// The host the request of `row` is served by at the row's position once
+    /// its service stops being hosted on `drop` and, for a migration, starts
+    /// on `add`: the cheaper of the best kept host and `add`, ties to the
+    /// lower id. `None` when no host is left.
+    pub(crate) fn trial_host(
+        &self,
+        row: usize,
+        drop: NodeId,
+        add: Option<NodeId>,
+    ) -> Option<NodeId> {
+        let costs = &self.through[row * self.sc.nodes()..];
+        let [first, second] = self.top2[row];
+        let kept = if first == drop { second } else { first };
+        let best = match add {
+            Some(q) if kept == NO_HOST => q,
+            Some(q) => {
+                let (ck, cq) = (costs[kept.idx()], costs[q.idx()]);
+                if cq < ck || (cq == ck && q < kept) {
+                    q
+                } else {
+                    kept
+                }
+            }
+            None => kept,
+        };
+        (best != NO_HOST).then_some(best)
+    }
+
+    /// Latency delta, against the kept per-request times, of dropping
+    /// `service`'s instance on `drop` (and adding one on `add`): one table
+    /// lookup per request using the service, summed in request order. Exact
+    /// because changing one service's hosts cannot alter any other request's
+    /// route, and a chain never repeats a service.
+    pub(crate) fn trial_delta(&self, service: ServiceId, drop: NodeId, add: Option<NodeId>) -> f64 {
+        let nodes = self.sc.nodes();
+        let mut delta = 0.0;
+        for &(h, row) in &self.users_of[service.idx()] {
+            let new_d = match self.trial_host(row, drop, add) {
+                Some(k) => self.through[row * nodes + k.idx()],
+                None => self.sc.cloud_penalty,
+            };
+            delta += new_d - self.per_request[h];
+        }
+        delta
+    }
+
+    /// Fan `score` out over `items` when the round's table lookups — one per
+    /// user of the candidate's service — are worth a thread spawn; results
+    /// keep item order, so the output is identical for any thread count.
+    fn score_all<I: Sync, T: Send>(&self, items: &[I], score: impl Fn(&I) -> T + Sync) -> Vec<T> {
+        let requested = self.users_of.iter().filter(|u| !u.is_empty()).count();
+        let lookups = self.top2.len() / requested.max(1);
+        if self.cfg.parallel && socl_net::parallel_worthwhile(items.len(), lookups) {
+            socl_net::par::par_map(items, score)
+        } else {
+            items.iter().map(score).collect()
+        }
     }
 
     /// Host minimizing the user's cycle cost `r/b(loc, host) + q/c(host)`
     /// (the connection-update target selection).
     fn best_host(
         &self,
-        hosts: &[NodeId],
+        hosts: impl Iterator<Item = NodeId>,
         location: NodeId,
         r: f64,
         service: ServiceId,
     ) -> Option<NodeId> {
         let q = self.sc.catalog.compute_gflop(service);
-        hosts.iter().copied().min_by(|&a, &b| {
+        hosts.min_by(|&a, &b| {
             let ca = r / self.sc.ap.best_speed(location, a).min(1e12)
                 + q / self.sc.net.compute_gflops(a);
             let cb = r / self.sc.ap.best_speed(location, b).min(1e12)
@@ -160,52 +335,52 @@ impl<'a> Combiner<'a> {
         })
     }
 
+    /// True when the user at `location` with inbound volume `r` relies on
+    /// instance `(service, host)`: it minimizes the user's
+    /// transmission-computation cycle `r/b + q/c` among the current hosts
+    /// (ties to the smaller node id) — the same accounting `ψ` uses, so `ζ`
+    /// measures real deltas.
+    fn relies_on(&self, service: ServiceId, host: NodeId, location: NodeId, r: f64) -> bool {
+        self.best_host(self.placement.hosts_iter(service), location, r, service) == Some(host)
+    }
+
     /// Connection-update target after removing `(service, removed)`:
     /// prefer hosts in the user's stage-1 group (criteria 1–2), else any
     /// remaining host (continuity fallback), always at max channel speed.
     fn reconnect_target(
         &self,
-        placement: &Placement,
         service: ServiceId,
         removed: NodeId,
         location: NodeId,
         r: f64,
     ) -> Option<NodeId> {
-        let remaining: Vec<NodeId> = placement
-            .hosts_of(service)
-            .into_iter()
-            .filter(|&h| h != removed)
-            .collect();
-        if remaining.is_empty() {
-            return None;
-        }
-        if let Some(group) = self.parts.group_of(service, location) {
-            let in_group: Vec<NodeId> = remaining
-                .iter()
-                .copied()
-                .filter(|&h| self.parts.group_of(service, h) == Some(group))
-                .collect();
-            if let Some(t) = self.best_host(&in_group, location, r, service) {
-                return Some(t);
-            }
-        }
-        self.best_host(&remaining, location, r, service)
+        let remaining = || self.placement.hosts_iter(service).filter(|&h| h != removed);
+        self.parts
+            .group_of(service, location)
+            .and_then(|group| {
+                let in_group =
+                    remaining().filter(|&h| self.parts.group_of(service, h) == Some(group));
+                self.best_host(in_group, location, r, service)
+            })
+            .or_else(|| self.best_host(remaining(), location, r, service))
     }
 
     /// Latency loss `ζ_{i,k}` (Definition 8): completion-time increase when
     /// `(service, host)` is removed and its reliers reconnect.
-    fn latency_loss(&self, placement: &Placement, service: ServiceId, host: NodeId) -> f64 {
-        let reliers = self.reliers(placement, service, host);
+    fn latency_loss(&self, service: ServiceId, host: NodeId) -> f64 {
         let q = self.sc.catalog.compute_gflop(service);
         let mut before = 0.0;
         let mut after = 0.0;
-        for h in reliers {
+        for &(h, _) in &self.users_of[service.idx()] {
             let req = &self.sc.requests[h];
             let r = inbound_data(req, service);
             let loc = req.location;
+            if !self.relies_on(service, host, loc, r) {
+                continue;
+            }
             before += r / self.sc.ap.best_speed(loc, host).min(1e12)
                 + q / self.sc.net.compute_gflops(host);
-            match self.reconnect_target(placement, service, host, loc, r) {
+            match self.reconnect_target(service, host, loc, r) {
                 Some(t) => {
                     after += r / self.sc.ap.best_speed(loc, t).min(1e12)
                         + q / self.sc.net.compute_gflops(t);
@@ -216,91 +391,47 @@ impl<'a> Combiner<'a> {
         after - before
     }
 
-    /// Latency delta of `trial` relative to the cached per-request
-    /// latencies, re-routing only the requests whose chains use `affected`
-    /// — changing one service's hosts cannot alter any other request's
-    /// optimal route, so this is exact and ~|M|× cheaper than a full
-    /// evaluation.
-    fn latency_delta(
-        &self,
-        trial: &Placement,
-        affected: ServiceId,
-        current_per_req: &[f64],
-    ) -> f64 {
-        let mut delta = 0.0;
-        for (h, req) in self.sc.requests.iter().enumerate() {
-            if !req.uses(affected) {
-                continue;
-            }
-            let new_d = match socl_model::optimal_route(
-                req,
-                trial,
-                &self.sc.net,
-                &self.sc.ap,
-                &self.sc.catalog,
-            ) {
-                socl_model::RouteOutcome::Edge { breakdown, .. } => breakdown.total(),
-                socl_model::RouteOutcome::CloudFallback => self.sc.cloud_penalty,
-            };
-            delta += new_d - current_per_req[h];
-        }
-        delta
-    }
-
     /// Exact combination gradient: the true *objective* delta under
     /// chain-aware optimal routing when `(service, host)` is removed —
     /// `(1−λ)·scale·Δlatency − λ·κ(service)`. This is the quantity the
     /// multi-scale descent of Algorithm 3 actually minimizes (`Q″ − Q′`);
     /// ranking by it makes each round remove the most cost-effective
     /// instances first.
-    fn objective_delta_exact(
-        &self,
-        placement: &Placement,
-        current_per_req: &[f64],
-        service: ServiceId,
-        host: NodeId,
-    ) -> f64 {
-        let mut trial = placement.clone();
-        trial.set(service, host, false);
-        let d_latency = self.latency_delta(&trial, service, current_per_req);
+    fn objective_delta_exact(&self, service: ServiceId, host: NodeId) -> f64 {
+        let d_latency = self.trial_delta(service, host, None);
         (1.0 - self.sc.lambda) * self.sc.latency_scale * d_latency
             - self.sc.lambda * self.sc.catalog.deploy_cost(service)
     }
 
-    /// Algorithm 4: latency losses of every combinable instance, ascending.
-    /// Skips services with a single instance (continuity) and locked pairs.
-    fn update_instance_set(&self, placement: &Placement) -> Vec<(f64, ServiceId, NodeId)> {
-        let instances: Vec<(ServiceId, NodeId)> = placement
+    /// Instances Algorithm 4 may combine: not the last of their service
+    /// (continuity) and not locked by a roll-back.
+    pub(crate) fn combinable(&self) -> Vec<(ServiceId, NodeId)> {
+        self.placement
             .iter_deployed()
-            .filter(|&(m, _)| placement.instance_count(m) > 1)
+            .filter(|&(m, _)| self.placement.instance_count(m) > 1)
             .filter(|&(m, k)| !self.locked[self.lock_idx(m, k)])
-            .collect();
-        let current_per_req: Vec<f64> = if self.cfg.exact_zeta {
-            evaluate(self.sc, placement).per_request
-        } else {
-            Vec::new()
-        };
-        let loss = |&(m, k): &(ServiceId, NodeId)| -> (f64, ServiceId, NodeId) {
+            .collect()
+    }
+
+    /// Algorithm 4: latency losses of every combinable instance, ascending.
+    fn update_instance_set(&mut self) -> Vec<(f64, ServiceId, NodeId)> {
+        let instances = self.combinable();
+        self.stats.trials += instances.len();
+        let mut losses = self.score_all(&instances, |&(m, k)| {
             let z = if self.cfg.exact_zeta {
-                self.objective_delta_exact(placement, &current_per_req, m, k)
+                self.objective_delta_exact(m, k)
             } else {
-                self.latency_loss(placement, m, k)
+                self.latency_loss(m, k)
             };
             (z, m, k)
-        };
-        // Order-preserving fan-out: identical output for any thread count.
-        let mut losses: Vec<(f64, ServiceId, NodeId)> = if self.cfg.parallel {
-            socl_net::par::par_map(&instances, loss)
-        } else {
-            instances.iter().map(loss).collect()
-        };
+        });
         losses.retain(|(z, _, _)| z.is_finite());
         losses.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
         losses
     }
 
     fn dependency_conflicted(&self, a: ServiceId, b: ServiceId) -> bool {
-        self.conflicts.contains(&(a, b))
+        self.conflicts[a.idx() * self.sc.services() + b.idx()]
     }
 
     /// Large-scale parallel descent (Algorithm 3 lines 1–5): combine
@@ -311,7 +442,7 @@ impl<'a> Combiner<'a> {
             if cost <= self.sc.budget {
                 break;
             }
-            let losses = self.update_instance_set(&self.placement);
+            let losses = self.update_instance_set();
             if losses.is_empty() {
                 break; // nothing combinable; budget cannot be met
             }
@@ -356,15 +487,17 @@ impl<'a> Combiner<'a> {
             // (the batch may contain several instances of one service) and
             // stopping as soon as the budget is met — removing beyond the
             // constraint is the serial phase's decision, not this one's.
+            let mut next = self.placement.clone();
             for (m, k) in accepted {
-                if self.placement.deployment_cost(&self.sc.catalog) <= self.sc.budget {
+                if next.deployment_cost(&self.sc.catalog) <= self.sc.budget {
                     break;
                 }
-                if self.placement.instance_count(m) > 1 {
-                    self.placement.set(m, k, false);
+                if next.instance_count(m) > 1 {
+                    next.set(m, k, false);
                     self.stats.large_removed += 1;
                 }
             }
+            self.move_to(next);
         }
     }
 
@@ -441,33 +574,19 @@ impl<'a> Combiner<'a> {
                 let criteria: Vec<RhoCriteria> = services
                     .iter()
                     .map(|&m| {
-                        let mut first = 0;
-                        let mut last = 0;
-                        let mut middle = 0;
-                        let mut demand = 0usize;
+                        // Local users of `m` by where it sits in their chain;
+                        // a one-service chain counts as a head.
+                        let (mut first, mut last, mut middle) = (0, 0, 0);
                         for req in self.sc.users_at(k) {
                             match req.position_of(m) {
-                                Some(0) if req.len() == 1 => {
-                                    first += 1;
-                                    demand += 1;
-                                }
-                                Some(0) => {
-                                    first += 1;
-                                    demand += 1;
-                                }
-                                Some(j) if j == req.len() - 1 => {
-                                    last += 1;
-                                    demand += 1;
-                                }
-                                Some(_) => {
-                                    middle += 1;
-                                    demand += 1;
-                                }
+                                Some(0) => first += 1,
+                                Some(j) if j == req.len() - 1 => last += 1,
+                                Some(_) => middle += 1,
                                 None => {}
                             }
                         }
                         RhoCriteria {
-                            demand: demand as f64,
+                            demand: (first + last + middle) as f64,
                             order: order_factor(first, last, middle),
                             cost: self.sc.catalog.deploy_cost(m),
                             storage: self.sc.catalog.storage(m),
@@ -485,6 +604,26 @@ impl<'a> Combiner<'a> {
         }
     }
 
+    /// Single-instance moves `(m: k → q)` onto every other node with room.
+    pub(crate) fn feasible_moves(&self) -> Vec<(ServiceId, NodeId, NodeId)> {
+        let (sc, placement) = (self.sc, &self.placement);
+        placement
+            .iter_deployed()
+            .flat_map(|(m, k)| {
+                let phi = sc.catalog.storage(m);
+                sc.net
+                    .node_ids()
+                    .filter(move |&q| {
+                        q != k
+                            && !placement.get(m, q)
+                            && sc.net.storage(q) - placement.storage_used(&sc.catalog, q)
+                                >= phi - 1e-9
+                    })
+                    .map(move |q| (m, k, q))
+            })
+            .collect()
+    }
+
     /// Objective-guided migration (the serial stage's generalization of
     /// Algorithm 5): hill-climb over single-instance moves `(m: k → q)` with
     /// storage-feasible targets until no move improves the objective.
@@ -493,55 +632,28 @@ impl<'a> Combiner<'a> {
             return;
         }
         loop {
-            let current = evaluate(self.sc, &self.placement);
-            // Candidate moves: every deployed instance to every other node
-            // with room.
-            let moves: Vec<(ServiceId, NodeId, NodeId)> = self
-                .placement
-                .iter_deployed()
-                .flat_map(|(m, k)| {
-                    let phi = self.sc.catalog.storage(m);
-                    let placement = &self.placement;
-                    let sc = self.sc;
-                    sc.net
-                        .node_ids()
-                        .filter(move |&q| {
-                            q != k
-                                && !placement.get(m, q)
-                                && sc.net.storage(q) - placement.storage_used(&sc.catalog, q)
-                                    >= phi - 1e-9
-                        })
-                        .map(move |q| (m, k, q))
-                })
-                .collect();
+            let moves = self.feasible_moves();
+            self.stats.trials += moves.len();
             // Moves keep the cost unchanged, so the objective delta is the
             // (scaled) latency delta of the affected service's requests.
-            let score = |&(m, k, q): &(ServiceId, NodeId, NodeId)| {
-                let mut trial = self.placement.clone();
-                trial.set(m, k, false);
-                trial.set(m, q, true);
-                let d = self.latency_delta(&trial, m, &current.per_request);
-                (d, m, k, q)
-            };
-            let by_delta = |a: &(f64, ServiceId, NodeId, NodeId),
-                            b: &(f64, ServiceId, NodeId, NodeId)| {
-                a.0.total_cmp(&b.0)
-                    .then((a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
-            };
-            // min_by over the order-preserved fan-out ties exactly like the
-            // serial scan (by_delta is a total order over the move tuple).
-            let best = if self.cfg.parallel {
-                socl_net::par::par_map(&moves, score)
-                    .into_iter()
-                    .min_by(|a, b| by_delta(a, b))
-            } else {
-                moves.iter().map(score).min_by(by_delta)
-            };
+            // min_by over the order-preserved scores ties exactly like a
+            // serial scan (the key is a total order over the move tuple).
+            let best = self
+                .score_all(&moves, |&(m, k, q)| {
+                    (self.trial_delta(m, k, Some(q)), m, k, q)
+                })
+                .into_iter()
+                .min_by(|a, b| {
+                    a.0.total_cmp(&b.0)
+                        .then((a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
+                });
             match best {
                 Some((d, m, k, q)) if d < -1e-12 => {
-                    self.placement.set(m, k, false);
-                    self.placement.set(m, q, true);
+                    let mut next = self.placement.clone();
+                    next.set(m, k, false);
+                    next.set(m, q, true);
                     self.stats.migrations += 1;
+                    self.move_to(next);
                 }
                 _ => break,
             }
@@ -555,12 +667,12 @@ impl<'a> Combiner<'a> {
         // positions with the migration pass.
         let mut current = self.placement.clone();
         let _ = self.storage_plan(&mut current);
-        self.placement = current;
+        self.move_to(current);
         self.relocate_pass();
 
         for _ in 0..self.cfg.max_rounds {
-            let q_before = evaluate(self.sc, &self.placement).objective;
-            let losses = self.update_instance_set(&self.placement);
+            let q_before = self.objective();
+            let losses = self.update_instance_set();
             let Some(&(z, m, k)) = losses.first() else {
                 break;
             };
@@ -575,22 +687,22 @@ impl<'a> Combiner<'a> {
                     q_before, z, plan_failed
                 );
             }
+            let before = self.move_to(trial);
             if plan_failed {
                 // Aggregate storage is insufficient: keep combining
                 // (Algorithm 5 line 17) — accept the removal regardless.
-                self.placement = trial;
                 self.stats.small_removed += 1;
                 continue;
             }
 
-            let ev = evaluate(self.sc, &trial);
             // Completion-time constraint (Eq. 4): roll back and lock.
-            let violated = ev
+            let violated = self
                 .per_request
                 .iter()
                 .zip(&self.sc.requests)
                 .any(|(d, r)| *d > r.d_max + 1e-9);
             if violated {
+                self.move_to(before);
                 let idx = self.lock_idx(m, k);
                 self.locked[idx] = true;
                 self.stats.rollbacks += 1;
@@ -599,11 +711,11 @@ impl<'a> Combiner<'a> {
 
             // Gradient δ = Q′ − Q″ + Θ; stop when the objective rises by
             // more than the disturbance tolerance.
-            let delta = q_before - ev.objective + self.cfg.theta;
+            let delta = q_before - self.objective() + self.cfg.theta;
             if delta <= 0.0 {
+                self.move_to(before);
                 break;
             }
-            self.placement = trial;
             self.stats.small_removed += 1;
         }
     }
@@ -616,14 +728,13 @@ impl<'a> Combiner<'a> {
     /// nowhere) drop it — requests then fall back to the cloud, which is
     /// the honest semantics of an over-packed edge.
     fn enforce_storage(&mut self) {
+        let mut next = self.placement.clone();
         loop {
-            let violations = self
-                .placement
-                .storage_violations(&self.sc.catalog, &self.sc.net);
+            let violations = next.storage_violations(&self.sc.catalog, &self.sc.net);
             let Some(&(node, _)) = violations.first() else {
                 break;
             };
-            let services = self.placement.services_on(node);
+            let services = next.services_on(node);
             let Some(victim) = self.pick_victim(&services, node) else {
                 break;
             };
@@ -632,18 +743,17 @@ impl<'a> Combiner<'a> {
                 .sc
                 .net
                 .node_ids()
-                .filter(|&q| q != node && !self.placement.get(victim, q))
+                .filter(|&q| q != node && !next.get(victim, q))
                 .map(|q| {
-                    let room =
-                        self.sc.net.storage(q) - self.placement.storage_used(&self.sc.catalog, q);
+                    let room = self.sc.net.storage(q) - next.storage_used(&self.sc.catalog, q);
                     (room, q)
                 })
                 .filter(|&(room, _)| room >= phi - 1e-9)
                 .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            self.placement.set(victim, node, false);
+            next.set(victim, node, false);
             match target {
                 Some((_, q)) => {
-                    self.placement.set(victim, q, true);
+                    next.set(victim, q, true);
                     self.stats.migrations += 1;
                 }
                 None => {
@@ -652,20 +762,23 @@ impl<'a> Combiner<'a> {
                 }
             }
         }
+        self.move_to(next);
     }
 
     /// Run both descents and return the final placement and statistics.
     pub fn run(mut self) -> (Placement, CombineStats) {
+        #[cfg(test)]
+        self.audit.inspect(|audit| audit(&self));
         self.large_scale();
-        self.stats.objective_after_large = evaluate(self.sc, &self.placement).objective;
+        self.stats.objective_after_large = self.objective();
         self.small_scale();
-        self.stats.objective_after_serial = evaluate(self.sc, &self.placement).objective;
+        self.stats.objective_after_serial = self.objective();
         // Final repair: combination may have stranded demand; one more
         // migration pass converges to a move-stable local optimum, then
         // storage is enforced unconditionally.
         self.relocate_pass();
         self.enforce_storage();
-        self.stats.final_objective = evaluate(self.sc, &self.placement).objective;
+        self.stats.final_objective = self.objective();
         (self.placement, self.stats)
     }
 
@@ -680,7 +793,7 @@ mod tests {
     use super::*;
     use crate::partition::initial_partition;
     use crate::preprovision::preprovision;
-    use socl_model::ScenarioConfig;
+    use socl_model::{evaluate, ScenarioConfig};
 
     fn setup(seed: u64, users: usize) -> (Scenario, SoclConfig) {
         let sc = ScenarioConfig::paper(10, users).build(seed);
@@ -765,8 +878,8 @@ mod tests {
         let (sc, cfg) = setup(5, 30);
         let parts = initial_partition(&sc, &cfg);
         let pre = preprovision(&sc, &parts, &cfg);
-        let combiner = Combiner::new(&sc, &cfg, &parts, pre.placement.clone());
-        let losses = combiner.update_instance_set(&pre.placement);
+        let mut combiner = Combiner::new(&sc, &cfg, &parts, pre.placement.clone());
+        let losses = combiner.update_instance_set();
         assert!(!losses.is_empty(), "expected combinable instances");
         for w in losses.windows(2) {
             assert!(w[0].0 <= w[1].0, "losses not sorted");
@@ -786,10 +899,13 @@ mod tests {
         let combiner = Combiner::new(&sc, &cfg, &parts, pre.placement.clone());
         // Find an instance no user relies on (if any) — its ζ must be 0.
         for (m, k) in pre.placement.iter_deployed() {
-            if pre.placement.instance_count(m) > 1
-                && combiner.reliers(&pre.placement, m, k).is_empty()
-            {
-                let z = combiner.latency_loss(&pre.placement, m, k);
+            let relied_on = sc
+                .requests
+                .iter()
+                .filter(|r| r.uses(m))
+                .any(|r| combiner.relies_on(m, k, r.location, inbound_data(r, m)));
+            if pre.placement.instance_count(m) > 1 && !relied_on {
+                let z = combiner.latency_loss(m, k);
                 assert_eq!(z, 0.0, "{m}@{k} has no reliers but ζ = {z}");
             }
         }
@@ -867,6 +983,88 @@ mod tests {
         let (pa, _) = run(&sc, &serial);
         let (pb, _) = run(&sc, &parallel);
         assert_eq!(pa, pb, "parallel evaluation changed the result");
+    }
+
+    /// The perf guard, without a stopwatch: candidates are scored from the
+    /// tables, so the chain DP runs once per request up front and then only
+    /// for users of services an accepted step changed. A DP per trial would
+    /// put `routes / trials` at the mean users per service (~27 and ~85 here).
+    #[test]
+    fn work_counts_stay_bounded() {
+        for (nodes, users) in [(16, 96), (30, 300)] {
+            let sc = ScenarioConfig::paper(nodes, users).build(17);
+            let (_, stats) = run(&sc, &SoclConfig::default());
+            let steps = stats.large_removed + stats.small_removed + stats.migrations;
+            assert!(
+                steps > 0 && stats.trials > 0,
+                "{nodes}/{users}: nothing to do"
+            );
+            assert!(
+                stats.routes <= users * (2 + steps),
+                "{nodes}/{users}: {} routes for {steps} accepted steps",
+                stats.routes
+            );
+            let per_trial = stats.routes as f64 / stats.trials as f64;
+            assert!(
+                per_trial < 2.0,
+                "{nodes}/{users}: {per_trial:.2} routes per trial"
+            );
+        }
+    }
+
+    /// Two hosts that cost a request exactly the same: the tables must
+    /// prefer the lower node id, as the DP's strict `<` over ascending hosts
+    /// does — random scenarios never produce the tie, so it is staged here.
+    #[test]
+    fn ties_go_to_the_lower_node_id_like_the_dp() {
+        use socl_model::{optimal_route, Microservice, ServiceCatalog, UserId, UserRequest};
+        use socl_net::{EdgeNetwork, EdgeServer, LinkParams};
+
+        let mut net = EdgeNetwork::new();
+        for _ in 0..3 {
+            net.push_server(EdgeServer::new(10.0, 8.0));
+        }
+        net.add_link(NodeId(0), NodeId(1), LinkParams::from_rate(40.0));
+        net.add_link(NodeId(0), NodeId(2), LinkParams::from_rate(40.0));
+        let catalog = ServiceCatalog::from_services(vec![Microservice::new(100.0, 1.0, 2.0)]);
+        let m = ServiceId(0);
+        let request = UserRequest::new(UserId(0), NodeId(0), vec![m], vec![], 1.0, 0.1, 10.0);
+        let sc = ScenarioConfig::paper(3, 1).assemble(net, catalog, vec![request]);
+        let cfg = SoclConfig::default();
+        let parts = initial_partition(&sc, &cfg);
+
+        let mut both = Placement::empty(1, 3);
+        both.set(m, NodeId(1), true);
+        both.set(m, NodeId(2), true);
+        let c = Combiner::new(&sc, &cfg, &parts, both.clone());
+        assert_eq!(c.through[1].to_bits(), c.through[2].to_bits(), "staged tie");
+        let dp = optimal_route(&sc.requests[0], &both, &sc.net, &sc.ap, &sc.catalog);
+        assert_eq!(dp.route(), Some(&[NodeId(1)][..]));
+        assert_eq!(c.top2[0], [NodeId(1), NodeId(2)]);
+        assert_eq!(c.trial_host(0, NodeId(1), None), Some(NodeId(2)));
+
+        // A migration onto the tied lower id wins over the kept higher one.
+        let mut high = Placement::empty(1, 3);
+        high.set(m, NodeId(0), true);
+        high.set(m, NodeId(2), true);
+        let c = Combiner::new(&sc, &cfg, &parts, high);
+        assert_eq!(c.trial_host(0, NodeId(0), Some(NodeId(1))), Some(NodeId(1)));
+    }
+
+    /// `parallel_and_serial_runs_agree` stays below the fan-out gate since
+    /// trials became lookups; this scale opens it for the migration sweep
+    /// (~900 moves × 342 users per service) on any multi-core box.
+    #[test]
+    fn parallel_scoring_agrees_once_the_gate_opens() {
+        let sc = ScenarioConfig::paper(60, 1200).build(8);
+        let serial = SoclConfig {
+            parallel: false,
+            ..SoclConfig::default()
+        };
+        let (pa, sa) = run(&sc, &serial);
+        let (pb, sb) = run(&sc, &SoclConfig::default());
+        assert_eq!(pa, pb, "parallel scoring changed the result");
+        assert_eq!((sa.trials, sa.routes), (sb.trials, sb.routes));
     }
 
     #[test]

@@ -164,13 +164,18 @@ pub fn initial_partition_cached(
         (*service, partitions, added)
     };
 
-    // Services are independent; fan out over the thread pool when enabled.
-    // par_map reassembles in service order, so output is identical to serial.
-    let results: Vec<(ServiceId, Vec<Partition>, usize)> = if cfg.parallel {
-        socl_net::par::par_map(&prepared, run_one)
-    } else {
-        prepared.iter().map(run_one).collect()
-    };
+    // Services are independent; fan out over the thread pool when enabled
+    // and worth a spawn: per service, one O(|U|) demand scan per partition
+    // member plus the candidate × alternative delay sums, both bounded by
+    // |V|. par_map reassembles in service order, so output is identical to
+    // serial.
+    let unit = sc.nodes() * (sc.users() + sc.nodes());
+    let results: Vec<(ServiceId, Vec<Partition>, usize)> =
+        if cfg.parallel && socl_net::parallel_worthwhile(prepared.len(), unit) {
+            socl_net::par::par_map(&prepared, run_one)
+        } else {
+            prepared.iter().map(run_one).collect()
+        };
 
     let candidates_added = results.iter().map(|(_, _, a)| a).sum();
     ServicePartitions {

@@ -127,7 +127,6 @@ impl SoclSolver {
 mod tests {
     use super::*;
     use socl_model::ScenarioConfig;
-    use std::time::Instant;
 
     #[test]
     fn pipeline_produces_feasible_solutions() {
@@ -169,15 +168,18 @@ mod tests {
     #[test]
     fn scales_to_larger_instances_quickly() {
         // 200 users / 10 nodes — the paper's largest Figure 8 scale — must
-        // complete in interactive time (the whole point of SoCL).
+        // stay cheap (the whole point of SoCL). Counted, not timed: each
+        // request is routed once up front and afterwards only when a step
+        // that was accepted touched its chain.
         let sc = ScenarioConfig::paper(10, 200).build(2);
-        let t = Instant::now();
         let res = SoclSolver::new().solve(&sc);
         assert!(res.evaluation.cloud_fallbacks == 0);
+        let stats = &res.combine_stats;
+        let steps = stats.large_removed + stats.small_removed + stats.migrations;
         assert!(
-            t.elapsed() < Duration::from_secs(30),
-            "SoCL took {:?} on 200 users",
-            t.elapsed()
+            stats.routes <= sc.users() * (2 + steps),
+            "{} requests re-routed for {steps} accepted steps on 200 users",
+            stats.routes
         );
     }
 }

@@ -52,17 +52,19 @@ impl PreProvisioning {
 
 /// Instance contribution `𝔻_{p_s(m_i)}(v_k)` (Definition 7): the estimated
 /// overall completion time for the group if `v_k` hosted the only instance.
+/// `demand[i]` is the service's demand at `partition[i]`.
 fn instance_contribution(
     sc: &Scenario,
     service: ServiceId,
     partition: &[NodeId],
+    demand: &[f64],
     candidate: NodeId,
 ) -> f64 {
     let remote: f64 = partition
         .iter()
-        .filter(|&&v| v != candidate)
-        .map(|&v| {
-            let r = sc.demand(service, v) as f64;
+        .zip(demand)
+        .filter(|&(&v, _)| v != candidate)
+        .map(|(&v, &r)| {
             if r == 0.0 {
                 return 0.0;
             }
@@ -100,20 +102,31 @@ pub fn preprovision(sc: &Scenario, parts: &ServicePartitions, cfg: &SoclConfig) 
         partitions
             .iter()
             .map(|p| {
+                // One O(|U|) demand scan per member, shared by its |p| uses.
+                let demand: Vec<f64> = p.iter().map(|&v| sc.demand(*service, v) as f64).collect();
                 let mut scored: Vec<(f64, NodeId)> = p
                     .iter()
-                    .map(|&v| (instance_contribution(sc, *service, p, v), v))
+                    .map(|&v| (instance_contribution(sc, *service, p, &demand, v), v))
                     .collect();
                 scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 scored
             })
             .collect::<Vec<_>>()
     };
-    let scored_all: Vec<Vec<Vec<(f64, NodeId)>>> = if cfg.parallel {
-        socl_net::par::par_map(&parts.per_service, score_service)
-    } else {
-        parts.per_service.iter().map(score_service).collect()
-    };
+    // Scoring partition `p` costs |p| demand scans of O(|U|) and |p|²
+    // contribution terms; gate the fan-out on the mean of that per service.
+    let work: usize = parts
+        .per_service
+        .iter()
+        .flat_map(|(_, partitions)| partitions.iter().map(|p| p.len() * (sc.users() + p.len())))
+        .sum();
+    let unit = work / parts.per_service.len().max(1);
+    let scored_all: Vec<Vec<Vec<(f64, NodeId)>>> =
+        if cfg.parallel && socl_net::parallel_worthwhile(parts.per_service.len(), unit) {
+            socl_net::par::par_map(&parts.per_service, score_service)
+        } else {
+            parts.per_service.iter().map(score_service).collect()
+        };
 
     for ((service, partitions), scored_parts) in parts.per_service.iter().zip(&scored_all) {
         let service = *service;

@@ -4,8 +4,12 @@ use crate::combine::Combiner;
 use crate::config::{SoclConfig, StoragePolicy};
 use crate::partition::initial_partition;
 use crate::preprovision::preprovision;
-use socl_model::{evaluate, Scenario, ScenarioConfig};
+use socl_model::{
+    evaluate, optimal_route, optimal_route_with, through_costs, RouteScratch, Scenario,
+    ScenarioConfig, ServiceId, ThroughScratch,
+};
 use socl_net::rng::{cases, ChaCha12Rng};
+use socl_net::NodeId;
 
 const POLICIES: [StoragePolicy; 2] = [StoragePolicy::FuzzyAhp, StoragePolicy::CheapestOut];
 
@@ -81,5 +85,144 @@ fn relocation_never_hurts() {
         // The descents interleave differently, so strict dominance does not
         // hold pointwise — but relocation must not catastrophically regress.
         assert!(ea <= eb * 1.10 + 1e-6, "relocation regressed: {ea} vs {eb}");
+    });
+}
+
+/// Run the combiner on a random scenario and configuration (both storage
+/// policies, exact ζ and relocation on and off), showing `audit` the
+/// starting state and the state after every step.
+fn audited_run(rng: &mut ChaCha12Rng, audit: &(dyn Fn(&Combiner<'_>) + Sync)) {
+    let sc = arb_scenario(rng);
+    let cfg = SoclConfig {
+        exact_zeta: rng.gen(),
+        relocation: rng.gen(),
+        storage_policy: *rng.choose(&POLICIES).unwrap(),
+        parallel: false,
+        ..SoclConfig::default()
+    };
+    let parts = initial_partition(&sc, &cfg);
+    let pre = preprovision(&sc, &parts, &cfg);
+    let mut combiner = Combiner::new(&sc, &cfg, &parts, pre.placement);
+    combiner.audit = Some(audit);
+    combiner.run();
+}
+
+/// Every candidate a round may score from state `c`: the removals of
+/// Algorithm 4 and the single-instance moves of the migration sweep, as
+/// `(service, dropped host, added host)`.
+fn trials(c: &Combiner<'_>) -> Vec<(ServiceId, NodeId, Option<NodeId>)> {
+    let removals = c.combinable().into_iter().map(|(m, k)| (m, k, None));
+    let moves = c
+        .feasible_moves()
+        .into_iter()
+        .map(|(m, k, q)| (m, k, Some(q)));
+    removals.chain(moves).collect()
+}
+
+/// The combiner's kept per-request times and objective are, bit for bit,
+/// what a fresh `evaluate` of its placement returns — after every step.
+#[test]
+fn combiner_state_is_a_fresh_evaluation() {
+    cases(16, |rng| {
+        audited_run(rng, &|c| {
+            let ev = evaluate(c.sc, c.placement());
+            for (h, (kept, fresh)) in c.per_request.iter().zip(&ev.per_request).enumerate() {
+                assert_eq!(kept.to_bits(), fresh.to_bits(), "request {h}");
+            }
+            assert_eq!(c.objective().to_bits(), ev.objective.to_bits());
+        });
+    });
+}
+
+/// Every trial's table score equals, bit for bit, the score obtained the
+/// way the combiner used to compute it: flip the cells on a scratch
+/// placement, re-run the chain DP for every user of the service, and sum the
+/// differences in request order.
+#[test]
+fn table_scores_equal_rerouted_scores() {
+    cases(16, |rng| {
+        audited_run(rng, &|c| {
+            let sc = c.sc;
+            let mut flipped = c.placement().clone();
+            let mut scratch = RouteScratch::new();
+            for (m, drop, add) in trials(c) {
+                flipped.set(m, drop, false);
+                add.inspect(|&q| flipped.set(m, q, true));
+                let mut rerouted = 0.0;
+                for &(h, _) in &c.users_of[m.idx()] {
+                    let req = &sc.requests[h];
+                    let new_d = optimal_route_with(
+                        &mut scratch,
+                        req,
+                        &flipped,
+                        &sc.net,
+                        &sc.ap,
+                        &sc.catalog,
+                    )
+                    .edge_time()
+                    .unwrap_or(sc.cloud_penalty);
+                    rerouted += new_d - c.per_request[h];
+                }
+                assert_eq!(
+                    c.trial_delta(m, drop, add).to_bits(),
+                    rerouted.to_bits(),
+                    "{m}: {drop} -> {add:?}"
+                );
+                add.inspect(|&q| flipped.set(m, q, false));
+                flipped.set(m, drop, true);
+            }
+        });
+    });
+}
+
+/// For every trial and every request it affects, the route the tables pick
+/// is the route `optimal_route` finds on the flipped placement; and the kept
+/// tables are what `through_costs` builds from the current placement (no row
+/// is ever stale).
+#[test]
+fn table_routes_equal_dp_routes() {
+    cases(16, |rng| {
+        audited_run(rng, &|c| {
+            let sc = c.sc;
+            let trials = trials(c);
+            let mut flipped = c.placement().clone();
+            let mut scratch = ThroughScratch::new();
+            let mut fresh = Vec::new();
+            for (h, req) in sc.requests.iter().enumerate() {
+                let rows = c.row_of[h]..c.row_of[h] + req.len();
+                let kept = &c.through[rows.start * sc.nodes()..rows.end * sc.nodes()];
+                // `through_costs` leaves the table alone on cloud fallback,
+                // where the combiner keeps the penalty in every entry.
+                fresh.clear();
+                fresh.resize(kept.len(), sc.cloud_penalty);
+                let edge = through_costs(
+                    &mut scratch,
+                    req,
+                    c.placement(),
+                    &sc.net,
+                    &sc.ap,
+                    &sc.catalog,
+                    &mut fresh,
+                )
+                .is_some();
+                let bits = |t: &[f64]| t.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(kept), bits(&fresh), "request {h}: stale table");
+
+                for (j, row) in rows.enumerate() {
+                    for &(m, drop, add) in trials.iter().filter(|t| t.0 == req.chain[j]) {
+                        flipped.set(m, drop, false);
+                        add.inspect(|&q| flipped.set(m, q, true));
+                        let dp = optimal_route(req, &flipped, &sc.net, &sc.ap, &sc.catalog);
+                        let table = c
+                            .trial_host(row, drop, add)
+                            .filter(|_| edge)
+                            .and_then(|k| scratch.route_through(req, &sc.ap, j, k));
+                        assert_eq!(table, dp.route(), "request {h}, {m}: {drop} -> {add:?}");
+                        add.inspect(|&q| flipped.set(m, q, false));
+                        flipped.set(m, drop, true);
+                    }
+                }
+            }
+        });
     });
 }

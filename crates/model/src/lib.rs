@@ -46,7 +46,8 @@ pub use placement::{Assignment, Placement, ReplicaCounts};
 pub use preferences::{chain_similarity, PreferenceModel};
 pub use request::{RequestConfig, UserId, UserRequest};
 pub use routing::{
-    greedy_route, optimal_route, optimal_route_with, route_all, RouteOutcome, RouteScratch,
+    greedy_route, optimal_route, optimal_route_with, route_all, through_costs, RouteOutcome,
+    RouteScratch, ThroughScratch,
 };
 pub use scenario::{Scenario, ScenarioConfig};
 pub use service::{Microservice, ServiceCatalog, ServiceId};

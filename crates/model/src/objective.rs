@@ -91,8 +91,7 @@ pub fn evaluate(scenario: &Scenario, placement: &Placement) -> Evaluation {
     }
     let total_latency: f64 = per_request.iter().sum();
     let cost = placement.deployment_cost(&scenario.catalog);
-    let objective =
-        scenario.lambda * cost + (1.0 - scenario.lambda) * scenario.latency_scale * total_latency;
+    let objective = scenario.objective(cost, total_latency);
     Evaluation {
         cost,
         total_latency,

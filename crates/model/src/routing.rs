@@ -182,6 +182,169 @@ pub fn optimal_route_with(
     RouteOutcome::Edge { route, breakdown }
 }
 
+/// `argmin_p base_s[p] + hop_s(hosts[p])` over one layer's slice `layer`,
+/// with the tie rule of the DP's inner loop: strict `<` over ascending hosts
+/// keeps the lowest node id. The argument is `usize::MAX` when no hop is
+/// finite.
+#[inline]
+fn cheapest_hop(
+    layer: std::ops::Range<usize>,
+    base_s: &[f64],
+    hosts: &[NodeId],
+    hop_s: impl Fn(NodeId) -> f64,
+) -> (usize, f64) {
+    let (mut arg, mut best_s) = (usize::MAX, f64::INFINITY);
+    for p in layer {
+        let c_s = base_s[p] + hop_s(hosts[p]);
+        if c_s < best_s {
+            best_s = c_s;
+            arg = p;
+        }
+    }
+    (arg, best_s)
+}
+
+/// Buffers for [`through_costs`]: the DP's forward tables (as
+/// [`optimal_route_with`] leaves them) plus their mirror image — per current
+/// host, the cheapest way to finish the chain from it and the successor that
+/// achieves it.
+#[derive(Debug, Clone, Default)]
+pub struct ThroughScratch {
+    dp: RouteScratch,
+    /// `tail_s[i]`: compute at `hosts[i]` plus the cheapest completion of the
+    /// rest of the chain (transfers, computes, return leg) from there.
+    tail_s: Vec<f64>,
+    next: Vec<usize>,
+    route: Vec<NodeId>,
+}
+
+impl ThroughScratch {
+    /// Empty scratch; grows to the workload's high-water mark and is reused.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The cheapest route serving chain position `j` on node `k` and every
+    /// other position on one of its hosts, for the request and placement of
+    /// the last [`through_costs`] call on this scratch. The prefix follows
+    /// the forward pass's back pointers, the suffix the backward pass's
+    /// successors, both with the DP's tie rule. `None` when `k` is cut off
+    /// from every host of a neighbouring position.
+    pub fn route_through(
+        &mut self,
+        request: &UserRequest,
+        ap: &AllPairs,
+        j: usize,
+        k: NodeId,
+    ) -> Option<&[NodeId]> {
+        let RouteScratch {
+            hosts,
+            off,
+            cost_s,
+            back,
+        } = &self.dp;
+        self.route[j] = k;
+        if j > 0 {
+            let (mut i, _) = cheapest_hop(off[j - 1]..off[j], cost_s, hosts, |p| {
+                ap.transfer_time(p, k, request.edge_data[j - 1])
+            });
+            if i == usize::MAX {
+                return None;
+            }
+            for slot in self.route[..j].iter_mut().rev() {
+                *slot = hosts[i];
+                i = back[i];
+            }
+        }
+        if j + 1 < request.chain.len() {
+            let (mut i, _) = cheapest_hop(off[j + 1]..off[j + 2], &self.tail_s, hosts, |s| {
+                ap.transfer_time(k, s, request.edge_data[j])
+            });
+            if i == usize::MAX {
+                return None;
+            }
+            for slot in self.route[j + 1..].iter_mut() {
+                *slot = hosts[i];
+                i = self.next[i];
+            }
+        }
+        Some(&self.route)
+    }
+}
+
+/// Through-cost table of one request: `out[j · |V| + k]` is the completion
+/// time of the cheapest route that serves chain position `j` on node `k`
+/// (whether or not `k` hosts `chain[j]`) and every other position on one of
+/// its current hosts.
+///
+/// A chain never repeats a service, so row `j` does not depend on the host
+/// set of `chain[j]` itself: the request's completion time under *any* host
+/// set for that one service is the minimum of row `j` over the set, which is
+/// how the combiner scores removals and migrations without re-running the
+/// DP. Routes are picked by accumulated forward + backward delay; each entry
+/// is `completion_time(route).total()`, the expression [`optimal_route_with`]
+/// ends with, so equal routes give bit-equal values; a node cut off from the
+/// neighbouring positions' hosts reads `INFINITY`.
+///
+/// Returns the request's own optimal completion time — [`optimal_route_with`]
+/// is run first and its forward tables reused — or `None`, leaving `out`
+/// untouched, when it falls back to the cloud.
+///
+/// `out.len()` must be `request.chain.len() · net.node_count()`.
+pub fn through_costs(
+    scratch: &mut ThroughScratch,
+    request: &UserRequest,
+    placement: &Placement,
+    net: &EdgeNetwork,
+    ap: &AllPairs,
+    catalog: &ServiceCatalog,
+    out: &mut [f64],
+) -> Option<f64> {
+    let own_s =
+        optimal_route_with(&mut scratch.dp, request, placement, net, ap, catalog).edge_time()?;
+    let n_layers = request.chain.len();
+    let nodes = net.node_count();
+    debug_assert_eq!(out.len(), n_layers * nodes);
+    scratch.route.clear();
+    scratch.route.resize(n_layers, NodeId(0));
+
+    // Backward pass over the current hosts, last layer first.
+    let RouteScratch { hosts, off, .. } = &scratch.dp;
+    scratch.tail_s.clear();
+    scratch.tail_s.resize(hosts.len(), 0.0);
+    scratch.next.clear();
+    scratch.next.resize(hosts.len(), usize::MAX);
+    for j in (0..n_layers).rev() {
+        let q_gflop = catalog.compute_gflop(request.chain[j]);
+        for i in off[j]..off[j + 1] {
+            let k = hosts[i];
+            let (succ, finish_s) = if j + 1 == n_layers {
+                (
+                    usize::MAX,
+                    ap.return_time(k, request.location, request.r_out),
+                )
+            } else {
+                cheapest_hop(off[j + 1]..off[j + 2], &scratch.tail_s, hosts, |s| {
+                    ap.transfer_time(k, s, request.edge_data[j])
+                })
+            };
+            scratch.tail_s[i] = q_gflop / net.compute_gflops(k) + finish_s;
+            scratch.next[i] = succ;
+        }
+    }
+
+    for j in 0..n_layers {
+        for k in net.node_ids() {
+            out[j * nodes + k.idx()] = match scratch.route_through(request, ap, j, k) {
+                Some(route) => completion_time(request, route, net, ap, catalog).total(),
+                None => f64::INFINITY,
+            };
+        }
+    }
+    Some(own_s)
+}
+
 /// Myopic routing: serve each chain position at the instance that minimizes
 /// the *local* cost (transfer from the previous position + compute), ignoring
 /// downstream consequences.
@@ -373,6 +536,43 @@ mod tests {
             .edge_time()
             .unwrap();
         assert!((dp - best).abs() < 1e-12);
+    }
+
+    #[test]
+    fn through_costs_match_pinned_brute_force() {
+        let (net, ap, cat, mut p, req) = trap();
+        p.set(ServiceId(1), NodeId(0), true);
+        let hosts = [p.hosts_of(ServiceId(0)), p.hosts_of(ServiceId(1))];
+        let mut scratch = ThroughScratch::new();
+        let mut table = vec![0.0; 2 * net.node_count()];
+        let own = through_costs(&mut scratch, &req, &p, &net, &ap, &cat, &mut table);
+        assert_eq!(own, optimal_route(&req, &p, &net, &ap, &cat).edge_time());
+        for j in 0..2 {
+            for k in net.node_ids() {
+                // Position j pinned to k, the other position on any host.
+                let best = hosts[1 - j]
+                    .iter()
+                    .map(|&other| {
+                        let route = if j == 0 { [k, other] } else { [other, k] };
+                        (
+                            completion_time(&req, &route, &net, &ap, &cat).total(),
+                            route,
+                        )
+                    })
+                    .min_by(|a, b| a.0.total_cmp(&b.0))
+                    .unwrap();
+                assert_eq!(table[j * net.node_count() + k.idx()], best.0, "j={j} k={k}");
+                assert_eq!(scratch.route_through(&req, &ap, j, k), Some(&best.1[..]));
+            }
+        }
+
+        // No instance of a chain service: no table, the caller's penalty.
+        p.set(ServiceId(1), NodeId(0), false);
+        p.set(ServiceId(1), NodeId(3), false);
+        assert_eq!(
+            through_costs(&mut scratch, &req, &p, &net, &ap, &cat, &mut table),
+            None
+        );
     }
 
     #[test]

@@ -49,6 +49,15 @@ impl Scenario {
         self.catalog.len()
     }
 
+    /// The weighted objective `Q = λ·Σ𝒦 + (1−λ)·latency_scale·Σ𝒟` (Eq. 3/8)
+    /// from a deployment cost and a completion-time sum — the one expression
+    /// [`evaluate`](crate::evaluate) and the combiner's running state share,
+    /// so equal inputs give bit-equal objectives.
+    #[inline]
+    pub fn objective(&self, cost: f64, total_latency: f64) -> f64 {
+        self.lambda * cost + (1.0 - self.lambda) * self.latency_scale * total_latency
+    }
+
     /// Number of user requests `|U|`.
     pub fn users(&self) -> usize {
         self.requests.len()
