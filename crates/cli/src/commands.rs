@@ -903,7 +903,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
         shards: args.get("shards", 4)?,
         policy: policy_from(args)?,
         feed: FeedConfig {
-            users: args.get("users", 100_000)?,
+            // User ids are 32-bit: a larger population is a usage error.
+            users: args.get::<u32>("users", 100_000)? as usize,
             shape,
             arrivals_per_tick: args.get("rate", 500.0)?,
             seed: seed ^ 0x5EED,
@@ -1051,6 +1052,8 @@ mod tests {
     #[test]
     fn serve_rejects_bad_shape_and_kill_window() {
         assert!(serve(&args(&["--shape", "sawtooth"])).is_err());
+        // One past the 32-bit user-id space.
+        assert!(serve(&args(&["--users", "4294967296"])).is_err());
         assert!(serve(&args(&[
             "--kill-shard",
             "0",

@@ -14,10 +14,12 @@
 //! — e.g. Dijkstra trees from well- vs poorly-connected sources — still load
 //! balances.
 //!
-//! Threads are spawned per call with [`std::thread::scope`]. That costs a few
-//! tens of microseconds, which is noise for the workloads this guards
-//! (all-pairs Dijkstra, per-request routing DP sweeps) but real for tiny
-//! inputs — callers gate on a work estimate via [`parallel_worthwhile`].
+//! Threads are spawned per call with [`std::thread::scope`]. One fan-out on
+//! two workers has measured 63–82 µs on the 2-core reference box since the
+//! benchmark first read it (`net.par.dispatch_us`) — noise for all-pairs
+//! Dijkstra, but two to three times the whole of a small phase such as an
+//! 8-region autoscaler tick. Callers therefore gate every fan-out on a work
+//! estimate via [`parallel_worthwhile`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -56,6 +58,14 @@ pub fn effective_threads() -> usize {
 
 /// True when a fan-out over `items` units of roughly `unit_cost` abstract
 /// operations each is worth the thread spawn overhead.
+///
+/// An abstract operation is about a nanosecond (a multiply, a DP cell, a
+/// table look-up). Two workers halve `W` of serial work at the price of one
+/// dispatch `d`, so they win once `W / 2 + d < W`, i.e. `W > 2 d`: with the
+/// measured `d` ≈ 80 µs that is 160 µs ≈ 160 000 operations, and `200_000`
+/// is that figure with a margin for uneven chunks. More workers move the
+/// break-even down only slightly (`W > d · t / (t − 1)`), so one threshold
+/// serves every thread count.
 #[inline]
 pub fn parallel_worthwhile(items: usize, unit_cost: usize) -> bool {
     effective_threads() > 1 && items >= 2 && items.saturating_mul(unit_cost) >= 200_000

@@ -61,6 +61,13 @@ fn main() {
     let threads: usize = parse(&args, "--threads", 0);
     let shape_name = parse_str(&args, "--shape", "flash");
     let csv = args.iter().any(|a| a == "--csv");
+    if u32::try_from(users).is_err() {
+        eprintln!(
+            "loadgen: --users {users} exceeds the 32-bit user-id space ({})",
+            u32::MAX
+        );
+        std::process::exit(2);
+    }
     if threads > 0 {
         set_threads(threads);
     }

@@ -15,19 +15,72 @@ use socl_net::rng::ChaCha12Rng;
 use socl_net::NodeId;
 use socl_trace::{TemporalConfig, TemporalWorkload};
 
-/// FNV-1a 64-bit over a few words — the arrival coin and home-station
-/// picker. Not cryptographic; just a fast, seedable, platform-independent
-/// mix.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const FNV_PRIME_4: u64 = FNV_PRIME.wrapping_pow(4);
+
+/// One FNV-1a 64-bit byte step — the only definition of the hash in this
+/// crate. Not cryptographic; just a fast, seedable, platform-independent
+/// mix. FNV-1a is a left fold over the key's bytes, so every key below is
+/// folded from whichever prefix state its caller already holds.
 #[inline]
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const fn fnv_step(h: u64, byte: u8) -> u64 {
+    (h ^ byte as u64).wrapping_mul(FNV_PRIME)
+}
+
+/// Fold a 32-bit value as one little-endian 64-bit key word: four byte
+/// steps, then the four zero high bytes (`h ^ 0 = h`) as one multiply by
+/// `FNV_PRIME_4` — 5 multiplies, not 8.
+#[inline]
+const fn fnv_word(h: u64, x: u32) -> u64 {
+    let [a, b, c, d] = x.to_le_bytes();
+    fnv_step(fnv_step(fnv_step(fnv_step(h, a), b), c), d).wrapping_mul(FNV_PRIME_4)
+}
+
+/// The float rule the arrival coin is defined by: hash `h` arrives at
+/// per-user probability `p`. Monotone in `h` (`u64 → f64` rounding never
+/// reorders), which is what lets [`cut_off`] replace it by one integer.
+fn float_coin(p: f64, h: u64) -> bool {
+    p >= 1.0 || (p > 0.0 && (h as f64) < p * (u64::MAX as f64))
+}
+
+/// The smallest hash [`float_coin`] rejects at probability `p` — exactly
+/// the hashes below it arrive. `None` when every hash arrives (`p ≥ 1`);
+/// `Some(0)` when none does (`p ≤ 0`). Found by bisecting the float
+/// predicate itself, so the integer comparison cannot disagree with it.
+fn cut_off(p: f64) -> Option<u64> {
+    if float_coin(p, u64::MAX) {
+        return None;
+    }
+    // Every hash below `lo` arrives; `hi` does not.
+    let (mut lo, mut hi) = (0u64, u64::MAX);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if float_coin(p, mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
     }
-    h
+    Some(lo)
+}
+
+/// One tick's arrival coin: the hash state after `(seed, 0xA221, tick)` and
+/// the tick's integer cut-off. Every arrival decision in the crate — the
+/// service's scan, crash replay, [`LoadFeed::arrives`] — is [`Coin::hit`].
+#[derive(Debug, Clone, Copy)]
+pub struct Coin {
+    state: u64,
+    cut: Option<u64>,
+}
+
+impl Coin {
+    /// Does `user` issue a request this tick?
+    #[inline]
+    #[must_use]
+    pub fn hit(&self, user: u32) -> bool {
+        self.cut.is_none_or(|cut| fnv_word(self.state, user) < cut)
+    }
 }
 
 /// Feed parameters: the user population, the temporal intensity shape, and
@@ -66,28 +119,49 @@ impl Default for FeedConfig {
 #[derive(Debug, Clone)]
 pub struct LoadFeed {
     cfg: FeedConfig,
+    /// `cfg.users` bounded to the 32-bit user-id space.
+    population: u32,
     /// Per-tick arrival probability for one user, `volumes` normalized.
     probs: Vec<f64>,
+    /// [`cut_off`] of each entry of `probs`.
+    cuts: Vec<Option<u64>>,
+    /// Hash state after `(seed, 0xA221)`: the arrival-coin key prefix.
+    coin_prefix: u64,
+    /// Hash state after `(seed, 0xB0B0)`: the home-station key prefix.
+    home_prefix: u64,
     dataset: DependencyDataset,
     nodes: usize,
 }
 
 impl LoadFeed {
     /// Build the feed over `nodes` base stations using the embedded
-    /// eshopOnContainers dependency dataset.
+    /// eshopOnContainers dependency dataset. User ids are `u32`: a larger
+    /// `cfg.users` is clamped to `u32::MAX` (`config().users` reports the
+    /// clamped value; `socl serve` and `loadgen` reject it up front).
     #[must_use]
-    pub fn new(cfg: FeedConfig, nodes: usize) -> Self {
+    pub fn new(mut cfg: FeedConfig, nodes: usize) -> Self {
+        let population = u32::try_from(cfg.users).unwrap_or(u32::MAX);
+        cfg.users = population as usize;
         let wl = TemporalWorkload::generate(&cfg.shape, cfg.seed);
         let mean = wl.mean().max(1e-12);
-        let users = cfg.users.max(1) as f64;
-        let probs = wl
+        let users = f64::from(population.max(1));
+        let probs: Vec<f64> = wl
             .volumes
             .iter()
             .map(|&v| (v / mean * cfg.arrivals_per_tick / users).clamp(0.0, 1.0))
             .collect();
+        let seeded = cfg
+            .seed
+            .to_le_bytes()
+            .into_iter()
+            .fold(FNV_OFFSET, fnv_step);
         Self {
-            cfg,
+            population,
+            cuts: probs.iter().map(|&p| cut_off(p)).collect(),
             probs,
+            coin_prefix: fnv_word(seeded, 0xA221),
+            home_prefix: fnv_word(seeded, 0xB0B0),
+            cfg,
             dataset: EshopDataset::build(),
             nodes: nodes.max(1),
         }
@@ -97,6 +171,12 @@ impl LoadFeed {
     #[must_use]
     pub fn config(&self) -> &FeedConfig {
         &self.cfg
+    }
+
+    /// The user population: ids are `0..population()`.
+    #[must_use]
+    pub fn population(&self) -> u32 {
+        self.population
     }
 
     /// Number of ticks the intensity shape covers; arrivals wrap around
@@ -113,19 +193,23 @@ impl LoadFeed {
         self.probs.get(i).copied().unwrap_or(0.0)
     }
 
+    /// The arrival coin of `tick`: hash the tick once, ask about many users.
+    #[inline]
+    #[must_use]
+    pub fn coin(&self, tick: u32) -> Coin {
+        let i = tick as usize % self.horizon();
+        Coin {
+            state: fnv_word(self.coin_prefix, tick),
+            cut: self.cuts.get(i).copied().unwrap_or(Some(0)),
+        }
+    }
+
     /// Does `user` issue a request at `tick`? A pure function — region
     /// partitioning and shard count cannot change it.
+    #[inline]
     #[must_use]
     pub fn arrives(&self, tick: u32, user: u32) -> bool {
-        let p = self.arrival_probability(tick);
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        let h = fnv1a(&[self.cfg.seed, 0xA221, u64::from(tick), u64::from(user)]);
-        (h as f64) < p * (u64::MAX as f64)
+        self.coin(tick).hit(user)
     }
 
     /// The base station `user` is homed at — fixed for the user's lifetime
@@ -133,7 +217,7 @@ impl LoadFeed {
     /// pins users to their home region so shard ownership never migrates).
     #[must_use]
     pub fn home_station(&self, user: u32) -> NodeId {
-        let h = fnv1a(&[self.cfg.seed, 0xB0B0, u64::from(user)]);
+        let h = fnv_word(self.home_prefix, user);
         NodeId((h % self.nodes as u64) as u32)
     }
 
@@ -148,7 +232,7 @@ impl LoadFeed {
             self.cfg
                 .seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(fnv1a(&[0xC0DE, u64::from(user)])),
+                .wrapping_add(fnv_word(fnv_word(FNV_OFFSET, 0xC0DE), user)),
         );
         let rc = &self.cfg.request;
         let chain = self
@@ -172,6 +256,34 @@ impl LoadFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socl_net::rng::cases;
+
+    /// The hash as first written and as every pinned digest was recorded
+    /// under it: byte by byte over whole words. Frozen — the reference the
+    /// hoisted folds are held to.
+    fn fnv1a_reference(words: &[u64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// `LoadFeed::arrives` as first written.
+    fn arrives_reference(f: &LoadFeed, tick: u32, user: u32) -> bool {
+        let p = f.arrival_probability(tick);
+        if p <= 0.0 {
+            return false;
+        }
+        if p >= 1.0 {
+            return true;
+        }
+        let h = fnv1a_reference(&[f.cfg.seed, 0xA221, u64::from(tick), u64::from(user)]);
+        (h as f64) < p * (u64::MAX as f64)
+    }
 
     fn feed() -> LoadFeed {
         LoadFeed::new(
@@ -182,6 +294,141 @@ mod tests {
             },
             12,
         )
+    }
+
+    #[test]
+    fn coin_scan_equals_the_reference_filter() {
+        cases(24, |rng| {
+            // Populations to 300 000 (third user byte non-zero); per-user
+            // probabilities from ~1e-6 up to the `p >= 1` clamp.
+            let users = rng.gen_range(1usize..=300_000);
+            let p = 10f64.powf(rng.gen_range(-6.0..=0.3));
+            let f = LoadFeed::new(
+                FeedConfig {
+                    users,
+                    shape: if rng.gen::<bool>() {
+                        TemporalConfig::flash_crowd()
+                    } else {
+                        TemporalConfig::diurnal()
+                    },
+                    arrivals_per_tick: p * users as f64,
+                    seed: rng.next_u64(),
+                    ..FeedConfig::default()
+                },
+                12,
+            );
+            let n = f.population();
+            // In and past the horizon, and with all four tick bytes set.
+            for tick in [
+                rng.gen_range(0..120u32),
+                rng.gen_range(120..1 << 16),
+                rng.gen_range(1 << 24..=u32::MAX),
+            ] {
+                let want: Vec<u32> = (0..n).filter(|&u| arrives_reference(&f, tick, u)).collect();
+                let coin = f.coin(tick);
+                let hits = |users: std::ops::Range<u32>| users.filter(|&u| coin.hit(u));
+                assert_eq!(hits(0..n).collect::<Vec<_>>(), want, "whole range");
+                let mut edges: Vec<u32> = (0..6).map(|_| rng.gen_range(0..=n)).collect();
+                edges.extend([0, n]);
+                edges.sort_unstable();
+                let split: Vec<u32> = edges.windows(2).flat_map(|w| hits(w[0]..w[1])).collect();
+                assert_eq!(split, want, "split at {edges:?}");
+                let u = rng.gen_range(0..n);
+                assert_eq!(f.arrives(tick, u), arrives_reference(&f, tick, u));
+            }
+        });
+    }
+
+    #[test]
+    fn cut_off_agrees_with_the_float_predicate() {
+        let just_below_one = f64::from_bits(1f64.to_bits() - 1);
+        let mut probs = vec![
+            -1.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            1e-6,
+            0.5,
+            just_below_one,
+            1.0,
+            2.0,
+            f64::NAN,
+        ];
+        for shape in [TemporalConfig::flash_crowd(), TemporalConfig::diurnal()] {
+            for rate in [0.3, 300.0, 150_000.0, 400_000.0] {
+                let f = LoadFeed::new(
+                    FeedConfig {
+                        users: 200_000,
+                        shape: shape.clone(),
+                        arrivals_per_tick: rate,
+                        ..FeedConfig::default()
+                    },
+                    12,
+                );
+                assert_eq!(f.cuts.len(), f.probs.len());
+                for (&p, &cut) in f.probs.iter().zip(&f.cuts) {
+                    assert_eq!(cut, cut_off(p));
+                }
+                probs.extend(&f.probs);
+            }
+        }
+        for p in probs {
+            let coin = |h: u64| cut_off(p).is_none_or(|cut| h < cut);
+            let mut at = vec![0, u64::MAX];
+            if let Some(cut) = cut_off(p) {
+                at.extend([cut.saturating_sub(1), cut]);
+            }
+            for h in at {
+                assert_eq!(coin(h), float_coin(p, h), "p = {p:e}, h = {h}");
+            }
+        }
+        assert_eq!(cut_off(0.0), Some(0));
+        assert_eq!(cut_off(1.0), None);
+        // One ulp below 1.0 the top 3071 hashes already round to `p * 2^64`
+        // or above and are rejected: "every hash arrives" needs `p >= 1`.
+        assert_eq!(cut_off(just_below_one), Some(u64::MAX - 3070));
+    }
+
+    #[test]
+    fn home_station_and_synthesis_keys_equal_the_reference() {
+        let f = LoadFeed::new(
+            FeedConfig {
+                seed: 0xFEED_0123_4567_89AB,
+                ..FeedConfig::default()
+            },
+            24,
+        );
+        for user in (0..100_000u32).chain([0x00FF_FFFF, 0x0100_0000, u32::MAX]) {
+            let h = fnv1a_reference(&[f.cfg.seed, 0xB0B0, u64::from(user)]);
+            assert_eq!(f.home_station(user), NodeId((h % 24) as u32));
+            assert_eq!(
+                fnv_word(fnv_word(FNV_OFFSET, 0xC0DE), user),
+                fnv1a_reference(&[0xC0DE, u64::from(user)])
+            );
+        }
+    }
+
+    #[test]
+    fn population_is_bounded_to_the_user_id_space() {
+        let at = |users: usize| {
+            LoadFeed::new(
+                FeedConfig {
+                    users,
+                    ..FeedConfig::default()
+                },
+                12,
+            )
+        };
+        assert_eq!(at(7).population(), 7);
+        assert_eq!(at(u32::MAX as usize).population(), u32::MAX);
+        let over = at(usize::MAX);
+        assert_eq!(over.population(), u32::MAX);
+        assert_eq!(over.config().users, u32::MAX as usize);
+        // The rate is spread over the population actually scanned.
+        assert_eq!(
+            over.arrival_probability(3),
+            at(u32::MAX as usize).arrival_probability(3)
+        );
     }
 
     #[test]

@@ -13,23 +13,29 @@
 //!
 //! Concurrency runs exclusively on the deterministic pool
 //! (`socl_net::par`): shards own disjoint region subsets (`region %
-//! shards`) and the routing fan-out is order-preserving, so the decision
+//! shards`) and chunk outputs merge in index order, so the decision
 //! stream is **bit-identical for any shard count and any thread count**.
+//! Only the two phases that can outweigh a spawn fan out — the arrival
+//! scan and phase 3 — and each first asks `socl_net::parallel_worthwhile`
+//! with a unit read off its own loop bounds, otherwise running the same
+//! closure in index order on the calling thread. Routing, the autoscaler
+//! tick and checkpoint encoding cost less than one dispatch at any traffic
+//! the queues admit and always run on the calling thread.
 //! No async runtime, no wall clock, no hash-order iteration anywhere in
 //! the decision path.
 //!
 //! Tick phase order (the digest depends on it, so replay mirrors it):
 //!
-//! 1. epoch boundary: re-solve placement from the tick's tracer sample;
-//! 2. arrival scan (parallel over user chunks, concatenated in order);
+//! 1. arrival scan (user chunks, concatenated in ascending user id);
+//! 2. epoch boundary: re-solve placement from the scan's tracer sample;
 //! 3. per-shard: expire in-flight, ingest arrivals (queue-full sheds),
 //!    drain + admission (cloud fallbacks and admission sheds decided
 //!    here) — yields the admitted routing jobs;
-//! 4. routing fan-out (parallel, order-preserving, scratch-pooled);
+//! 4. routing of the admitted jobs, in region then queue order;
 //! 5. head: fold edge decisions, charge in-flight per stage to the
 //!    hosting region, record cross-region sends in the outbox;
-//! 6. per-shard: autoscaler tick; head: WAL record per region;
-//! 7. checkpoint every `checkpoint_every` ticks (parallel serialize).
+//! 6. autoscaler tick and WAL record per region;
+//! 7. checkpoint every `checkpoint_every` ticks.
 
 use crate::feed::{FeedConfig, LoadFeed};
 use crate::region::RegionMap;
@@ -42,8 +48,8 @@ use socl_core::SoclConfig;
 use socl_model::{
     optimal_route_with, Placement, RouteOutcome, RouteScratch, ScenarioConfig, ServiceCatalog,
 };
-use socl_net::par::{lock_recover, par_map_indexed_with, par_map_scratch_with};
-use socl_net::{effective_threads, AllPairs, EdgeNetwork};
+use socl_net::par::{lock_recover, par_map_indexed_with};
+use socl_net::{effective_threads, parallel_worthwhile, AllPairs, EdgeNetwork};
 use socl_sim::Policy;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -231,20 +237,30 @@ fn outbox_window(checkpoint_every: u32) -> usize {
     checkpoint_every as usize + IN_FLIGHT_TICKS + 4
 }
 
+/// `parallel_worthwhile` unit of one arrival-coin flip: the four byte steps
+/// of the user id (the tick's prefix is hashed once).
+const COIN_UNIT: usize = 4;
+
+/// `parallel_worthwhile` unit of one `LoadFeed::synthesize`: the per-user
+/// ChaCha12 stream's first refill, 64 words × 6 double rounds.
+const SYNTHESIZE_UNIT: usize = 64 * 6;
+
 /// Run `f` over every region, grouped by shard, on the deterministic
-/// pool. Regions mutate in place; outputs come back in region order.
+/// pool when `unit` abstract operations per region are worth a spawn.
+/// Regions mutate in place; outputs come back in region order.
 /// Determinism: each region is touched by exactly one shard, shard
 /// outputs are merged by region index, and `f` itself is pure in the
 /// pool sense (no cross-region reads).
 fn sharded<T: Send>(
     regions: &mut [RegionState],
     shards: usize,
+    unit: usize,
     f: &(impl Fn(&mut RegionState) -> T + Sync),
 ) -> Vec<T> {
     let n = regions.len();
     let shards = shards.clamp(1, n.max(1));
     let threads = effective_threads().min(shards);
-    if shards == 1 || threads <= 1 {
+    if shards == 1 || threads <= 1 || !parallel_worthwhile(n, unit) {
         return regions.iter_mut().map(f).collect();
     }
     let mut by_shard: Vec<Vec<(usize, &mut RegionState)>> =
@@ -436,13 +452,14 @@ impl SoclServe {
     /// Execute one tick of the event loop.
     pub fn step(&mut self) -> TickSummary {
         let t = self.tick + 1;
-        // Phase 1: placement epoch.
+        // Phase 1: arrival scan.
+        let arrivals = self.scan_arrivals(t);
+        // Phase 2: placement epoch, sampled from the scan.
         if (t - 1) % self.cfg.resolve_every.max(1) == 0 {
-            self.resolve_placement(t);
+            self.resolve_placement(t, &arrivals);
         }
         let epoch = self.epoch_of(t);
-        // Phase 2: arrival scan, grouped by home region.
-        let per_region = self.scan_arrivals(t);
+        let per_region = self.by_region(&arrivals);
         // Phase 3: per-shard ingest + drain + admission.
         let placement = &self.placements[epoch];
         let feed = &self.feed;
@@ -452,6 +469,7 @@ impl SoclServe {
         let phase_a: Vec<(Vec<Pending>, Vec<DecisionEvent>)> = sharded(
             &mut self.regions,
             self.cfg.shards,
+            arrivals.len().div_ceil(per_region.len().max(1)) * SYNTHESIZE_UNIT,
             &|st: &mut RegionState| {
                 let budget = drain_per_station * map.count(st.id).max(1);
                 region_phase_a(
@@ -467,7 +485,7 @@ impl SoclServe {
                 )
             },
         );
-        // Phase 4: routing fan-out, order-preserving.
+        // Phase 4: routing, in region then queue order.
         let mut events: Vec<DecisionEvent> = Vec::new();
         let flat: Vec<(u32, Pending)> = phase_a
             .into_iter()
@@ -480,12 +498,11 @@ impl SoclServe {
         let net = &self.net;
         let ap = &self.ap;
         let catalog = &self.catalog;
-        let outcomes: Vec<RouteOutcome> = par_map_scratch_with(
-            &flat,
-            effective_threads(),
-            RouteScratch::new,
-            |scratch, (_, p)| optimal_route_with(scratch, &p.request, placement, net, ap, catalog),
-        );
+        let mut scratch = RouteScratch::new();
+        let outcomes: Vec<RouteOutcome> = flat
+            .iter()
+            .map(|(_, p)| optimal_route_with(&mut scratch, &p.request, placement, net, ap, catalog))
+            .collect();
         // Phase 5: fold decisions, charge in-flight, record cross sends.
         let mut sent: Vec<Vec<(u32, u32)>> = (0..self.regions.len()).map(|_| Vec::new()).collect();
         for ((origin, p), outcome) in flat.iter().zip(&outcomes) {
@@ -541,11 +558,11 @@ impl SoclServe {
         let placement = &self.placements[epoch];
         let catalog = &self.catalog;
         let net = &self.net;
-        let records: Vec<TickRecord> = sharded(
-            &mut self.regions,
-            self.cfg.shards,
-            &|st: &mut RegionState| region_phase_scale(st, t, tick_secs, placement, catalog, net),
-        );
+        let records: Vec<TickRecord> = self
+            .regions
+            .iter_mut()
+            .map(|st| region_phase_scale(st, t, tick_secs, placement, catalog, net))
+            .collect();
         let mut summary = TickSummary {
             tick: t,
             arrivals: 0,
@@ -582,26 +599,23 @@ impl SoclServe {
     }
 
     /// Re-solve the global placement from a tracer sample of tick `t`'s
-    /// arrivals (padded with the lowest user ids when arrivals are
-    /// scarce). Pure in `(feed, t)` — replay looks the result up from
-    /// history instead of re-solving.
-    fn resolve_placement(&mut self, t: u32) {
+    /// arrivals: the first `placement_sample` of `arrivals` (the tick's
+    /// scan, ascending by user id), padded with the lowest user ids when
+    /// arrivals are scarce. Pure in `(feed, t)` — replay looks the result
+    /// up from history instead of re-solving.
+    fn resolve_placement(&mut self, t: u32, arrivals: &[(u32, u32)]) {
         let k = self.cfg.placement_sample.max(1);
-        let users = self.feed.config().users as u32;
-        let mut sample = Vec::with_capacity(k);
-        for u in 0..users {
-            if sample.len() == k {
-                break;
-            }
-            if self.feed.arrives(t, u) {
-                sample.push(self.feed.synthesize(u));
-            }
-        }
-        let mut pad = 0u32;
-        while sample.len() < k && pad < users {
-            sample.push(self.feed.synthesize(pad));
-            pad += 1;
-        }
+        let mut sample: Vec<_> = arrivals
+            .iter()
+            .take(k)
+            .map(|&(_, u)| self.feed.synthesize(u))
+            .collect();
+        let pad = k - sample.len();
+        sample.extend(
+            (0..self.feed.population())
+                .take(pad)
+                .map(|u| self.feed.synthesize(u)),
+        );
         let sc = self
             .scenario_cfg
             .assemble(self.net.clone(), self.catalog.clone(), sample);
@@ -611,62 +625,56 @@ impl SoclServe {
         if first {
             // Initial replica pools: seed every region's scaler from the
             // first placement (mirrored by replay at t == 1).
-            let placement = &self.placements[0];
-            let catalog = &self.catalog;
-            let net = &self.net;
-            let _: Vec<()> = sharded(
-                &mut self.regions,
-                self.cfg.shards,
-                &|st: &mut RegionState| {
-                    st.scaler.seed_from_placement(placement, catalog, net);
-                },
-            );
+            for st in &mut self.regions {
+                st.scaler
+                    .seed_from_placement(&self.placements[0], &self.catalog, &self.net);
+            }
         }
     }
 
-    /// Parallel Bernoulli scan of the user population at tick `t`,
-    /// grouped by home region. Chunked over the pool; chunk outputs
-    /// concatenate in user-id order, so the grouping is identical for
-    /// any thread count.
-    fn scan_arrivals(&self, t: u32) -> Vec<Vec<u32>> {
-        let users = self.feed.config().users;
-        let chunk = 16_384usize;
-        let chunks = users.div_ceil(chunk).max(1);
+    /// Bernoulli scan of the user population at tick `t`: every arrival as
+    /// `(home region, user)`, ascending by user id. Chunked over the pool
+    /// when the population is worth a spawn; chunk outputs concatenate in
+    /// order, so the list is identical for any thread count.
+    fn scan_arrivals(&self, t: u32) -> Vec<(u32, u32)> {
+        const CHUNK: u32 = 16_384;
+        let users = self.feed.population();
+        let coin = self.feed.coin(t);
         let feed = &self.feed;
         let map = &self.region_map;
-        let parts: Vec<Vec<(u32, u32)>> = par_map_indexed_with(chunks, effective_threads(), |c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(users);
-            let mut out = Vec::new();
-            for u in lo..hi {
-                let u = u as u32;
-                if feed.arrives(t, u) {
-                    out.push((map.region_of(feed.home_station(u)), u));
-                }
-            }
-            out
-        });
+        let threads = if parallel_worthwhile(users as usize, COIN_UNIT) {
+            effective_threads()
+        } else {
+            1
+        };
+        let chunks = users.div_ceil(CHUNK) as usize;
+        par_map_indexed_with(chunks, threads, |c| {
+            let lo = c as u32 * CHUNK;
+            (lo..users.min(lo.saturating_add(CHUNK)))
+                .filter(|&u| coin.hit(u))
+                .map(|u| (map.region_of(feed.home_station(u)), u))
+                .collect::<Vec<_>>()
+        })
+        .concat()
+    }
+
+    /// Group a scan's arrivals by home region, keeping user-id order.
+    fn by_region(&self, arrivals: &[(u32, u32)]) -> Vec<Vec<u32>> {
         let mut per_region: Vec<Vec<u32>> = (0..self.regions.len()).map(|_| Vec::new()).collect();
-        for part in parts {
-            for (r, u) in part {
-                per_region[r as usize].push(u);
-            }
+        for &(r, u) in arrivals {
+            per_region[r as usize].push(u);
         }
         per_region
     }
 
     /// Serialize every region at tick `t` and append to the checkpoint
-    /// history (parallel over regions). Images older than the outbox
+    /// history. Images older than the outbox
     /// window are dropped: a restore point the peers' outboxes no longer
     /// reach could not rebuild a torn tick's remote charges anyway.
     fn take_checkpoints(&mut self, t: u32) {
-        let images: Vec<Vec<u8>> = sharded(
-            &mut self.regions,
-            self.cfg.shards,
-            &|st: &mut RegionState| snapshot_region(st, t).to_bytes(),
-        );
         let window = outbox_window(self.cfg.checkpoint_every);
-        for (r, bytes) in images.into_iter().enumerate() {
+        for (r, st) in self.regions.iter().enumerate() {
+            let bytes = snapshot_region(st, t).to_bytes();
             self.max_checkpoint_bytes = self.max_checkpoint_bytes.max(bytes.len());
             self.checkpoints[r].retain(|(tick, _)| *tick as usize + window >= t as usize);
             self.checkpoints[r].push((t, bytes));
@@ -749,7 +757,7 @@ impl SoclServe {
         for t in c0 + 1..=t_kill {
             let epoch = self.epoch_of(t);
             let placement = &self.placements[epoch];
-            let per_region = self.scan_arrivals(t);
+            let per_region = self.by_region(&self.scan_arrivals(t));
             for (ki, &r) in killed.iter().enumerate() {
                 if t == 1 {
                     self.regions[r]
@@ -1050,20 +1058,10 @@ fn mangle_tail(bytes: &mut Vec<u8>, torn: socl_sim::TornTail, seed: u64) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn service_runs_and_conserves() {
-        let small = ServeConfig {
-            feed: FeedConfig {
-                users: 2000,
-                arrivals_per_tick: 60.0,
-                ..FeedConfig::default()
-            },
-            ..ServeConfig::small(3)
-        };
-        // The overloaded flash-crowd configuration `serve-flash-crash`
-        // measures in `benchmark/`: both shed paths fire, and the decision
-        // stream is a pure function of it, so its totals are exact.
-        let flash = ServeConfig {
+    /// The overloaded flash-crowd configuration `serve-flash-crash`
+    /// measures in `benchmark/`.
+    fn flash() -> ServeConfig {
+        ServeConfig {
             nodes: 24,
             regions: 4,
             shards: 4,
@@ -1075,10 +1073,24 @@ mod tests {
                 ..FeedConfig::default()
             },
             ..ServeConfig::small(17)
+        }
+    }
+
+    #[test]
+    fn service_runs_and_conserves() {
+        let small = ServeConfig {
+            feed: FeedConfig {
+                users: 2000,
+                arrivals_per_tick: 60.0,
+                ..FeedConfig::default()
+            },
+            ..ServeConfig::small(3)
         };
+        // Both shed paths fire under `flash`, and the decision stream is a
+        // pure function of the configuration, so its totals are exact.
         for (cfg, ticks, pinned) in [
             (small, 10, None),
-            (flash, 60, Some([11475, 6514, 10, 4951])),
+            (flash(), 60, Some([11475, 6514, 10, 4951])),
         ] {
             let mut serve = SoclServe::new(cfg);
             let summaries = serve.run(ticks);
@@ -1130,6 +1142,73 @@ mod tests {
             .collect();
         assert_eq!(digests[0], digests[1]);
         assert_eq!(digests[0], digests[2]);
+    }
+
+    /// Holds the process-wide thread override at `n` for a test's scope:
+    /// tests that set it take turns, and a failed assert still resets it.
+    struct Threads {
+        _turn: std::sync::MutexGuard<'static, ()>,
+    }
+
+    fn threads(n: usize) -> Threads {
+        static TURN: Mutex<()> = Mutex::new(());
+        let _turn = lock_recover(&TURN);
+        socl_net::set_threads(n);
+        Threads { _turn }
+    }
+
+    impl Drop for Threads {
+        fn drop(&mut self) {
+            socl_net::set_threads(0);
+        }
+    }
+
+    /// Both sides of both fan-out gates: one worker is all-serial; with
+    /// more, `flash` scans 200 000 users on the pool and crosses the
+    /// phase A gate on the 584-arrival burst of tick 8.
+    #[test]
+    fn thread_count_does_not_change_results() {
+        let runs: Vec<_> = [1usize, 2, 4]
+            .iter()
+            .map(|&n| {
+                let _held = threads(n);
+                let mut serve = SoclServe::new(flash());
+                serve.run(24);
+                (serve.digest_timeline().to_vec(), serve.snapshot_all())
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0], runs[2]);
+    }
+
+    /// Which side the two gated fan-outs take at the benchmark's sizes,
+    /// from the units `scan_arrivals` and phase A pass.
+    #[test]
+    fn gates_at_benchmark_sizes() {
+        let _held = threads(4);
+        let scan = |cfg: &ServeConfig| parallel_worthwhile(cfg.feed.users, COIN_UNIT);
+        let phase_a = |cfg: &ServeConfig, arrivals: usize| {
+            parallel_worthwhile(
+                cfg.regions,
+                arrivals.div_ceil(cfg.regions) * SYNTHESIZE_UNIT,
+            )
+        };
+        // `serve-steady`: 40 000 users at a diurnal 2000 arrivals a tick.
+        let steady = ServeConfig {
+            nodes: 48,
+            regions: 8,
+            feed: FeedConfig {
+                users: 40_000,
+                arrivals_per_tick: 2000.0,
+                ..FeedConfig::default()
+            },
+            ..ServeConfig::small(17)
+        };
+        assert!(scan(&flash()));
+        assert!(!scan(&steady));
+        assert!(!phase_a(&flash(), flash().feed.arrivals_per_tick as usize));
+        assert!(phase_a(&flash(), 584));
+        assert!(phase_a(&steady, steady.feed.arrivals_per_tick as usize));
     }
 
     #[test]
