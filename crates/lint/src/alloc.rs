@@ -116,7 +116,7 @@ pub fn check(files: &[(String, String)], cx: &Ctx) -> Vec<Diagnostic> {
                 .map(|a| a.what.clone())
         })
         .collect();
-    let allocates = cx.propagate(seeds, Some(A1));
+    let allocates = cx.propagate(seeds, A1);
 
     // ---- Hot traversal over the covered files -------------------------
     // Two states per node: reached outside any loop (ctx = false) or inside

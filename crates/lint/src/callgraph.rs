@@ -7,7 +7,7 @@
 //! gate of [`crate::reach`] (trust the site only when every candidate
 //! misbehaves). Calls that resolve to nothing (std / external crates)
 //! simply have no edge; the passes see the primitives themselves instead
-//! (`vec![]`, `.lock()`, `par_map`, …).
+//! (`vec![]`, `.collect()`, `Box::new`, …).
 
 use crate::parser::{parse_file, CallSite, FnItem};
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,9 +33,6 @@ pub struct Edge {
     pub line: usize,
     /// Syntactic loop depth of the call site inside `from`'s body.
     pub loop_depth: usize,
-    /// Token index of the call site's first path token in `from`'s file —
-    /// lets the concurrency passes order calls against guard live ranges.
-    pub tok: usize,
     /// Call-site id, unique across the graph: an ambiguous method call fans
     /// out into several edges sharing one `site`, so passes can reason about
     /// the candidate *set* instead of each maybe-target in isolation.
@@ -130,7 +127,6 @@ impl Graph {
                         to,
                         line: call.line,
                         loop_depth: call.loop_depth,
-                        tok: call.tok,
                         site,
                         certain,
                     });
@@ -153,13 +149,6 @@ impl Graph {
     /// Index of the node with this fully-qualified path.
     pub fn node_by_qual(&self, qual: &str) -> Option<usize> {
         self.qual_index.get(qual).copied()
-    }
-
-    /// Node indices of every function with this bare name — the name-union
-    /// the capture pass resolves captured identifiers through (same
-    /// over-approximation the method resolver uses, gated by the caller).
-    pub fn fns_named(&self, name: &str) -> &[usize] {
-        self.name_index.get(name).map_or(&[], |v| v.as_slice())
     }
 
     /// Sorted, deduplicated callee quals of a function — for golden tests.

@@ -28,16 +28,6 @@ pub enum Rule {
     /// entry point (APSP builds, routing DP, online per-slot step, scaler
     /// tick, incremental cache repair).
     A1HotAlloc,
-    /// Lock discipline: no second lock while a guard is live, no guard
-    /// held across a pool dispatch or loop-allocating call, no hoistable
-    /// lock inside a sequential loop.
-    X1LockDiscipline,
-    /// Closures dispatched to the pool may share mutable state only
-    /// through the index-tagged Mutex bucket or per-worker scratch.
-    X2CaptureDisjoint,
-    /// Parallel aggregation must be index-tagged and re-sorted before the
-    /// collection's contents escape.
-    X3OrderRestore,
     /// A `LINT-ALLOW`/`LINT-HOT` marker whose removal changes no
     /// diagnostic (reported by `--stale-waivers`).
     W0StaleWaiver,
@@ -46,7 +36,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 10] = [
         Rule::L1FloatCmp,
         Rule::L2PanicFree,
         Rule::L3Time,
@@ -55,9 +45,6 @@ impl Rule {
         Rule::L4Safety,
         Rule::T3Units,
         Rule::A1HotAlloc,
-        Rule::X1LockDiscipline,
-        Rule::X2CaptureDisjoint,
-        Rule::X3OrderRestore,
         Rule::W0StaleWaiver,
         Rule::P0Parse,
     ];
@@ -73,9 +60,6 @@ impl Rule {
             Rule::L4Safety => "L4-unsafe-doc",
             Rule::T3Units => "T3-units",
             Rule::A1HotAlloc => "A1-hot-alloc",
-            Rule::X1LockDiscipline => "X1-lock-discipline",
-            Rule::X2CaptureDisjoint => "X2-capture-disjoint",
-            Rule::X3OrderRestore => "X3-order-restore",
             Rule::W0StaleWaiver => "W0-stale-waiver",
             Rule::P0Parse => "P0-parse",
         }
@@ -129,28 +113,6 @@ impl Rule {
                  step, scaler tick, incremental cache repair) — per-iteration \
                  allocation is why the parallel hot path loses; hoist buffers \
                  into reusable scratch structs, or waive with a barrier"
-            }
-            Rule::X1LockDiscipline => {
-                "lock hygiene: a second `.lock()` while a guard is live orders \
-                 locks implicitly (deadlock hazard), a guard held across a call \
-                 that dispatches to the pool or allocates in a loop serializes \
-                 or deadlocks the workers, and a lock inside a sequential loop \
-                 is reacquired every iteration — drop/scope guards tightly and \
-                 hoist loop-invariant locks"
-            }
-            Rule::X2CaptureDisjoint => {
-                "closures dispatched to the pool (`par_map*`, scoped `.spawn`) \
-                 may share mutable state only through the index-tagged Mutex \
-                 bucket pattern or per-worker scratch; any other mutable \
-                 capture — or a captured fn with interior mutability — makes \
-                 the write interleaving scheduler-dependent"
-            }
-            Rule::X3OrderRestore => {
-                "parallel aggregation into a shared collection must push \
-                 `(index, value)` tuples and re-sort by the tag before the \
-                 contents escape (the `par.rs` idiom); anything else is a \
-                 determinism hole the L3 rules cannot see, because the \
-                 scheduler itself is the nondeterminism source"
             }
             Rule::W0StaleWaiver => {
                 "a `LINT-ALLOW`/`LINT-HOT` marker that no longer suppresses \
@@ -537,12 +499,6 @@ pub struct Passes {
     pub units: bool,
     /// The A1 hot-loop allocation pass (plus P0 parse diagnostics).
     pub alloc: bool,
-    /// The X1 lock-discipline pass (plus P0 parse diagnostics).
-    pub lock: bool,
-    /// The X2 spawn-capture-disjointness pass (plus P0 parse diagnostics).
-    pub capture: bool,
-    /// The X3 order-restoring-reduction pass (plus P0 parse diagnostics).
-    pub order: bool,
 }
 
 impl Default for Passes {
@@ -551,9 +507,6 @@ impl Default for Passes {
             token: true,
             units: true,
             alloc: true,
-            lock: true,
-            capture: true,
-            order: true,
         }
     }
 }
@@ -562,14 +515,10 @@ const NO_PASSES: Passes = Passes {
     token: false,
     units: false,
     alloc: false,
-    lock: false,
-    capture: false,
-    order: false,
 };
 
 impl Passes {
-    /// Parse a comma-separated `--passes` value
-    /// (`token,units,alloc,lock,capture,order`).
+    /// Parse a comma-separated `--passes` value (`token,units,alloc`).
     pub fn from_list(list: &str) -> Result<Passes, String> {
         let mut p = NO_PASSES;
         for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -577,14 +526,7 @@ impl Passes {
                 "token" => p.token = true,
                 "units" => p.units = true,
                 "alloc" => p.alloc = true,
-                "lock" => p.lock = true,
-                "capture" => p.capture = true,
-                "order" => p.order = true,
-                other => {
-                    return Err(format!(
-                        "unknown pass `{other}` (token, units, alloc, lock, capture, order)"
-                    ))
-                }
+                other => return Err(format!("unknown pass `{other}` (token, units, alloc)")),
             }
         }
         if p == NO_PASSES {
@@ -598,9 +540,9 @@ impl Passes {
 ///
 /// This is the core the CLI, the workspace walk, the fixture tests and the
 /// dogfood test all share. Token rules run per file; the units pass runs on
-/// the covered latency/objective files; the A1/X passes share one call
-/// graph and one [`crate::reach::Ctx`] over the library-kind files (the
-/// linter's own crate is excluded).
+/// the covered latency/objective files; the A1 pass runs on one call graph
+/// and one [`crate::reach::Ctx`] over the library-kind files (the linter's
+/// own crate is excluded).
 pub fn lint_files(files: &[(String, String)], passes: &Passes) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if passes.token {
@@ -615,7 +557,7 @@ pub fn lint_files(files: &[(String, String)], passes: &Passes) -> Vec<Diagnostic
             }
         }
     }
-    if passes.alloc || passes.lock || passes.capture || passes.order {
+    if passes.alloc {
         let lib_files: Vec<(String, String)> = files
             .iter()
             .filter(|(rel, _)| classify(rel) == FileKind::Lib && !rel.starts_with("crates/lint/"))
@@ -631,21 +573,7 @@ pub fn lint_files(files: &[(String, String)], passes: &Passes) -> Vec<Diagnostic
             });
         }
         let cx = crate::reach::Ctx::new(&lib_files, &graph);
-        if passes.alloc {
-            out.extend(crate::alloc::check(&lib_files, &cx));
-        }
-        if passes.lock || passes.capture {
-            let summ = crate::conc::Summaries::build(&cx);
-            if passes.lock {
-                out.extend(crate::lock::check(&cx, &summ));
-            }
-            if passes.capture {
-                out.extend(crate::capture::check(&cx, &summ));
-            }
-        }
-        if passes.order {
-            out.extend(crate::reduction::check(&cx));
-        }
+        out.extend(crate::alloc::check(&lib_files, &cx));
     }
     out.sort_by(|a, b| {
         a.file

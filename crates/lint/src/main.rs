@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! socl-lint check [--root <dir>] [--json]
-//!                 [--passes token,units,alloc,lock,capture,order]
+//!                 [--passes token,units,alloc]
 //!                 [--stale-waivers]
 //!                                  lint the workspace (default command);
 //!                                  with --stale-waivers, audit the
@@ -45,10 +45,7 @@ fn main() -> ExitCode {
                         }
                     },
                     None => {
-                        eprintln!(
-                            "socl-lint: --passes requires a list \
-                             (token,units,alloc,lock,capture,order)"
-                        );
+                        eprintln!("socl-lint: --passes requires a list (token,units,alloc)");
                         return ExitCode::from(2);
                     }
                 }

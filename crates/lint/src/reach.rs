@@ -1,6 +1,6 @@
-//! The one reachability engine behind the call-graph passes (A1, X1–X3).
+//! The reachability engine behind the call-graph pass (A1).
 //!
-//! [`Ctx`] bundles what every graph pass needs, built once per lint run:
+//! [`Ctx`] bundles what a graph pass needs, built once per lint run:
 //! the call graph, the per-file line views that waivers are read from, and
 //! the call-site → edges index behind the ambiguity gate. On top of it:
 //!
@@ -12,8 +12,8 @@
 //!   ubiquitous name like `get` would smear the property over the whole
 //!   workspace.
 //! * [`Ctx::propagate`] — reverse (callee → caller) propagation of a
-//!   seeded property, gated, optionally severed at waived call lines, with
-//!   shortest witness chains ([`Reach::witness`]).
+//!   seeded property, gated, severed at waived call lines, with shortest
+//!   witness chains ([`Reach::witness`]).
 //! * [`Ctx::forward`] — forward BFS over caller-defined states, with
 //!   shortest chains from a root ([`Forward::path`]).
 
@@ -22,7 +22,7 @@ use crate::engine::{allow_status, AllowStatus, Rule};
 use crate::lexer::{line_views, LineView};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Graph, waiver views and call-site index shared by the graph passes.
+/// Graph, waiver views and call-site index of one lint run.
 pub struct Ctx<'a> {
     pub graph: &'a Graph,
     views: BTreeMap<&'a str, Vec<LineView>>,
@@ -37,8 +37,8 @@ pub struct Reach {
     pub has: Vec<bool>,
     /// Next node on the shortest path toward a direct site.
     parent: Vec<Option<usize>>,
-    /// For direct holders: what the concrete site is (`par_map`, `lock`,
-    /// `vec!`, …).
+    /// For direct holders: what the concrete site is (`vec!`, `.clone()`,
+    /// …).
     what: Vec<Option<String>>,
 }
 
@@ -101,10 +101,9 @@ impl<'a> Ctx<'a> {
     /// node `i`'s direct site when it has one. An edge is followed only
     /// through the ambiguity gate (which closes over the fixpoint because
     /// `has` only grows: a site is re-checked from each candidate's own
-    /// queue entry) and, with `barrier`, only when its call line carries no
-    /// waiver for that rule — a waived call does not make the *caller* a
-    /// holder.
-    pub fn propagate(&self, seeds: Vec<Option<String>>, barrier: Option<Rule>) -> Reach {
+    /// queue entry) and only when its call line carries no `barrier`
+    /// waiver — a waived call does not make the *caller* a holder.
+    pub fn propagate(&self, seeds: Vec<Option<String>>, barrier: Rule) -> Reach {
         let graph = self.graph;
         let mut has: Vec<bool> = seeds.iter().map(Option::is_some).collect();
         let mut parent: Vec<Option<usize>> = vec![None; has.len()];
@@ -113,7 +112,7 @@ impl<'a> Ctx<'a> {
             for &ei in &graph.rev[ni] {
                 let e = &graph.edges[ei];
                 if has[e.from]
-                    || barrier.is_some_and(|r| self.waived(&graph.nodes[e.from].file, e.line, r))
+                    || self.waived(&graph.nodes[e.from].file, e.line, barrier)
                     || !self.trusted(e, &has)
                 {
                     continue;

@@ -141,9 +141,17 @@ fn pass_selection_limits_the_rules() {
     assert!(stdout.contains("L2-panic-free"), "{stdout}");
     let out = check(&exitcase("violation"), &["--passes", "units,alloc"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    // Bad pass names — the retired `taint` and `codec` included — are an
-    // internal error, not a silent no-op.
-    for bad in ["tokn", "taint", "codec", "token,taint"] {
+    // Bad pass names — the retired `taint`, `codec`, `lock`, `capture` and
+    // `order` included — are an internal error, not a silent no-op.
+    for bad in [
+        "tokn",
+        "taint",
+        "codec",
+        "token,taint",
+        "lock",
+        "capture",
+        "order",
+    ] {
         let out = check(&exitcase("clean"), &["--passes", bad]);
         assert_eq!(out.status.code(), Some(2), "{bad}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);

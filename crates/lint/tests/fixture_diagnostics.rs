@@ -5,6 +5,7 @@
 //! — rule id and 1-based line — the engine must produce, so any change to
 //! the detection logic shows up as a precise diff, not a count drift.
 
+use socl_lint::engine::{stale_waivers, Passes};
 use socl_lint::{lint_source, lint_workspace, Diagnostic, FileKind, Rule};
 
 /// Lint a fixture as library-kind code under a synthetic workspace path
@@ -211,7 +212,7 @@ fn diagnostic_display_format_is_stable() {
 #[test]
 fn workspace_dogfood_is_clean() {
     // The repository itself must satisfy its own invariants — every pass,
-    // including the X concurrency suite. Integration tests run
+    // including the A1 call-graph pass. Integration tests run
     // with the package directory (or workspace root) as cwd; walk upward
     // to the workspace root either way.
     let cwd = std::env::current_dir().expect("cwd");
@@ -227,6 +228,40 @@ fn workspace_dogfood_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+#[test]
+fn stale_waiver_audit_separates_live_from_dead() {
+    let live = "pub fn f(x: Option<u32>) -> u32 {\n    \
+                // LINT-ALLOW(L2-panic-free): fixture — always Some here.\n    \
+                x.unwrap()\n}\n";
+    let dead = "pub fn g(x: u32) -> u32 {\n    \
+                // LINT-ALLOW(L2-panic-free): nothing on the next line panics.\n    \
+                x + 1\n}\n";
+    let files = vec![
+        ("crates/model/src/w1.rs".to_string(), live.to_string()),
+        ("crates/model/src/w2.rs".to_string(), dead.to_string()),
+    ];
+    let diags = stale_waivers(&files, &Passes::default());
+    let got: Vec<(usize, Rule)> = diags.iter().map(|d| (d.line, d.rule)).collect();
+    assert_eq!(got, vec![(2, Rule::W0StaleWaiver)], "{diags:#?}");
+    assert_eq!(diags[0].file, "crates/model/src/w2.rs");
+    assert!(diags[0].message.contains("stale"), "{}", diags[0].message);
+}
+
+#[test]
+fn stale_waiver_audit_skips_tests_and_the_linter_itself() {
+    let dead = "pub fn g(x: u32) -> u32 {\n    \
+                // LINT-ALLOW(L2-panic-free): dead waiver.\n    \
+                x + 1\n}\n";
+    for path in ["crates/model/tests/t.rs", "crates/lint/src/x.rs"] {
+        let files = vec![(path.to_string(), dead.to_string())];
+        assert_eq!(
+            stale_waivers(&files, &Passes::default()),
+            Vec::new(),
+            "{path} must be exempt from the waiver audit"
+        );
+    }
 }
 
 #[test]

@@ -15,49 +15,60 @@
 //! balances.
 //!
 //! Threads are spawned per call with [`std::thread::scope`]. One fan-out on
-//! two workers has measured 63–82 µs on the 2-core reference box since the
-//! benchmark first read it (`net.par.dispatch_us`) — noise for all-pairs
-//! Dijkstra, but two to three times the whole of a small phase such as an
-//! 8-region autoscaler tick. Callers therefore gate every fan-out on a work
-//! estimate via [`parallel_worthwhile`].
+//! two workers has measured 58–82 µs on the 2-core reference box since the
+//! benchmark first read it (`net.par.dispatch_us`, which passes its thread
+//! count explicitly, so no thread-count lookup sits in that figure) — noise
+//! for all-pairs Dijkstra, but two to three times the whole of a small
+//! phase such as an 8-region autoscaler tick. Callers therefore gate every
+//! fan-out on a work estimate via [`parallel_worthwhile`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Global thread-count override: 0 = auto (env, then hardware).
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Override the worker-thread count for all subsequent parallel sections.
-/// `0` restores auto-detection (`SOCL_THREADS`, then hardware parallelism);
-/// `1` forces every hot path serial.
+/// `0` restores the auto-detected count (`SOCL_THREADS`, then hardware
+/// parallelism, resolved once per process); `1` forces every hot path
+/// serial.
 pub fn set_threads(n: usize) {
     THREADS.store(n, Ordering::SeqCst);
 }
 
 /// The number of worker threads a parallel section will use right now.
+///
+/// The auto-detected count is resolved on first use and cached:
+/// `available_parallelism` reads cgroup files (~18 µs per call on the
+/// 2-core reference box), and the exact solver's branch-and-bound asks on
+/// every gated evaluation.
 pub fn effective_threads() -> usize {
     let n = THREADS.load(Ordering::SeqCst);
     if n > 0 {
         return n;
     }
-    // LINT-ALLOW(L3-nondet-env): the thread count only partitions work;
-    // PR 2's equivalence proptests prove output is identical for any count.
-    if let Ok(v) = std::env::var("SOCL_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| {
+        // LINT-ALLOW(L3-nondet-env): the thread count only partitions work;
+        // the equivalence proptests prove output is identical for any count.
+        if let Ok(v) = std::env::var("SOCL_THREADS") {
+            if let Ok(n) = v.trim().parse::<usize>() {
+                if n > 0 {
+                    return n;
+                }
             }
         }
-    }
-    // LINT-ALLOW(L3-nondet-env): hardware parallelism picks the worker
-    // count, never the result — par_map_indexed_with is order-preserving.
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+        // LINT-ALLOW(L3-nondet-env): hardware parallelism picks the worker
+        // count, never the result — par_map_indexed_with is order-preserving.
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// True when a fan-out over `items` units of roughly `unit_cost` abstract
-/// operations each is worth the thread spawn overhead.
+/// operations each is worth the thread spawn overhead. The volume test
+/// runs first, so a shut gate costs one multiply.
 ///
 /// An abstract operation is about a nanosecond (a multiply, a DP cell, a
 /// table look-up). Two workers halve `W` of serial work at the price of one
@@ -68,7 +79,7 @@ pub fn effective_threads() -> usize {
 /// serves every thread count.
 #[inline]
 pub fn parallel_worthwhile(items: usize, unit_cost: usize) -> bool {
-    effective_threads() > 1 && items >= 2 && items.saturating_mul(unit_cost) >= 200_000
+    items >= 2 && items.saturating_mul(unit_cost) >= 200_000 && effective_threads() > 1
 }
 
 /// Acquire `m`'s guard, absorbing poison instead of panicking.
@@ -78,8 +89,7 @@ pub fn parallel_worthwhile(items: usize, unit_cost: usize) -> bool {
 /// (`std::thread::scope` propagates worker panics at join) or tolerates a
 /// possibly part-written value (per-shard counters that are only read for
 /// monotonic snapshots), so recovering the guard keeps library code
-/// panic-free without hiding the original failure. This is the sanctioned
-/// lock entry point the `X1`/`X2` lint passes recognize — prefer it over
+/// panic-free without hiding the original failure. Prefer it over
 /// open-coded `match m.lock()` poison handling.
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
@@ -266,8 +276,42 @@ mod tests {
         );
     }
 
+    /// Holds the process-wide thread override at `n` for a test's scope:
+    /// tests that set it take turns, and a failed assert still resets it.
+    struct Threads {
+        _turn: MutexGuard<'static, ()>,
+    }
+
+    fn threads(n: usize) -> Threads {
+        static TURN: Mutex<()> = Mutex::new(());
+        let _turn = lock_recover(&TURN);
+        set_threads(n);
+        Threads { _turn }
+    }
+
+    impl Drop for Threads {
+        fn drop(&mut self) {
+            set_threads(0);
+        }
+    }
+
+    #[test]
+    fn auto_thread_count_is_stable_and_overridable() {
+        let _held = threads(0);
+        let auto = effective_threads();
+        assert!(auto >= 1);
+        for _ in 0..3 {
+            assert_eq!(effective_threads(), auto);
+        }
+        set_threads(auto + 2);
+        assert_eq!(effective_threads(), auto + 2);
+        set_threads(0);
+        assert_eq!(effective_threads(), auto);
+    }
+
     #[test]
     fn thread_override_roundtrips() {
+        let _held = threads(0);
         let before = effective_threads();
         set_threads(3);
         assert_eq!(effective_threads(), 3);
@@ -279,6 +323,7 @@ mod tests {
 
     #[test]
     fn worthwhile_requires_threads_and_volume() {
+        let _held = threads(0);
         set_threads(1);
         assert!(!parallel_worthwhile(1_000_000, 1_000_000));
         set_threads(4);

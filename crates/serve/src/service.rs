@@ -1181,6 +1181,29 @@ mod tests {
         assert_eq!(runs[0], runs[2]);
     }
 
+    /// `sharded` hands results back in region order however the regions
+    /// are dealt to shards. With more regions than shards, shard order
+    /// (0, 3, 6, 1, …) is not region order, and no end-to-end test opens
+    /// the phase A gate in that shape.
+    #[test]
+    fn sharded_returns_region_order() {
+        let mut serve = SoclServe::new(ServeConfig {
+            regions: 8,
+            shards: 3,
+            ..ServeConfig::small(1)
+        });
+        let ids: Vec<u32> = (0..8).collect();
+        let id = |st: &mut RegionState| st.id;
+        for n in [1, 2, 4] {
+            let _held = threads(n);
+            assert_eq!(
+                sharded(&mut serve.regions, 3, 1 << 20, &id),
+                ids,
+                "threads={n}"
+            );
+        }
+    }
+
     /// Which side the two gated fan-outs take at the benchmark's sizes,
     /// from the units `scan_arrivals` and phase A pass.
     #[test]
