@@ -216,8 +216,10 @@ pub fn solve(args: &Args) -> Result<(), String> {
             );
             if args.flag("verbose") {
                 println!(
-                    "combine work: {} trials scored, {} requests re-routed",
-                    res.combine_stats.trials, res.combine_stats.routes
+                    "combine work: {} trials scored, {} requests re-routed, {} requests' rows filled at every node",
+                    res.combine_stats.trials,
+                    res.combine_stats.routes,
+                    res.combine_stats.row_fills
                 );
                 println!("deployment map:");
                 for m in sc.catalog.ids() {

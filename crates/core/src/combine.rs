@@ -25,15 +25,16 @@
 //! The combiner keeps the routing state of its current placement (DESIGN.md
 //! "Combiner state and through-cost tables"): every request's completion
 //! time, and per (request, chain position) the completion time *through*
-//! every node. A candidate that changes one service's host set — a removal,
-//! a migration — is scored by table lookups over the requests using that
-//! service; the chain DP runs only for requests whose chain touches a
-//! service an *accepted* step changed ([`Combiner::move_to`]).
+//! each current host — through every node while the migration sweep, the
+//! only reader of other nodes, runs. A candidate that changes one service's
+//! host set — a removal, a migration — is scored by table lookups over the
+//! requests using that service; the chain DP runs only for requests whose
+//! chain touches a service an *accepted* step changed ([`Combiner::move_to`]).
 
 use crate::config::{SoclConfig, StoragePolicy};
 use crate::fuzzy::{order_factor, rho_scores, RhoCriteria};
 use crate::partition::ServicePartitions;
-use socl_model::{through_costs, Placement, Scenario, ServiceId, ThroughScratch};
+use socl_model::{through_costs, Placement, Scenario, ServiceId, ThroughFill, ThroughScratch};
 use socl_net::NodeId;
 
 /// Statistics of a combination run, used by tests and the bench harness.
@@ -61,6 +62,10 @@ pub struct CombineStats {
     /// Requests re-routed (chain DP plus through-cost table rebuild): once
     /// each at start, then only the users of services a step changed.
     pub routes: usize,
+    /// Through-cost rows filled at every node rather than only at the
+    /// current hosts: the migration sweep's re-routes and the completion of
+    /// rows it reads off-host.
+    pub row_fills: usize,
 }
 
 /// Signal from storage planning that total storage cannot host the current
@@ -92,12 +97,23 @@ pub struct Combiner<'a> {
     /// `evaluate(sc, &placement).per_request`.
     pub(crate) per_request: Vec<f64>,
     /// `through[row · |V| + k]`: the row's request completing through node
-    /// `k` at the row's chain position (see [`through_costs`]).
+    /// `k` at the row's chain position (see [`through_costs`]). Filled at the
+    /// current hosts only — `NaN` elsewhere — unless the request is
+    /// `complete`.
     pub(crate) through: Vec<f64>,
+    /// Per request, whether its rows hold every node's entry. Only the
+    /// migration sweep reads an entry off the current hosts, so only
+    /// [`Combiner::complete_rows`] and re-routes during a sweep fill them.
+    pub(crate) complete: Vec<bool>,
+    /// Set from [`Combiner::complete_rows`] until the sweep returns:
+    /// re-routes fill every node.
+    pub(crate) sweeping: bool,
     /// Per row, the cheapest and second-cheapest current host of the row's
     /// service by `through` (ties to the lower node id, like the DP).
     top2: Vec<[NodeId; 2]>,
     scratch: ThroughScratch,
+    /// Per request, whether [`Combiner::move_to`] must re-route it.
+    stale: Vec<bool>,
     stats: CombineStats,
     /// Emit per-round traces to stderr. Off by default; binaries opt in via
     /// [`Combiner::with_debug`] (the library never reads the environment, so
@@ -155,8 +171,11 @@ impl<'a> Combiner<'a> {
             row_of,
             per_request: vec![0.0; sc.users()],
             through: vec![0.0; rows * sc.nodes()],
+            complete: vec![false; sc.users()],
+            sweeping: false,
             top2: vec![[NO_HOST; 2]; rows],
             scratch: ThroughScratch::new(),
+            stale: vec![false; sc.users()],
             stats: CombineStats::default(),
             debug: false,
             #[cfg(test)]
@@ -182,11 +201,24 @@ impl<'a> Combiner<'a> {
     /// Re-route request `h` under the current placement: its completion time
     /// (the DP's), its through-cost rows, and each row's two cheapest hosts.
     fn reroute(&mut self, h: usize) {
+        self.fill_rows(h);
+        self.stats.routes += 1;
+    }
+
+    /// Route request `h` and fill its rows: at the current hosts, or at every
+    /// node during a sweep.
+    fn fill_rows(&mut self, h: usize) {
         let sc = self.sc;
         let req = &sc.requests[h];
         let nodes = sc.nodes();
         let rows = self.row_of[h]..self.row_of[h] + req.len();
         let table = &mut self.through[rows.start * nodes..rows.end * nodes];
+        let fill = if self.sweeping {
+            self.stats.row_fills += 1;
+            ThroughFill::Every
+        } else {
+            ThroughFill::Hosts
+        };
         let routed = through_costs(
             &mut self.scratch,
             req,
@@ -194,15 +226,16 @@ impl<'a> Combiner<'a> {
             &sc.net,
             &sc.ap,
             &sc.catalog,
+            fill,
             table,
         );
-        self.per_request[h] = match routed {
-            Some(d) => d,
+        (self.per_request[h], self.complete[h]) = match routed {
+            Some(d) => (d, self.sweeping),
             // On cloud fallback no single-service change can help, so every
             // through-cost is the penalty too.
             None => {
                 table.fill(sc.cloud_penalty);
-                sc.cloud_penalty
+                (sc.cloud_penalty, true)
             }
         };
         for (row, &m) in rows.zip(&req.chain) {
@@ -218,7 +251,18 @@ impl<'a> Combiner<'a> {
             }
             self.top2[row] = [top[0].1, top[1].1];
         }
-        self.stats.routes += 1;
+    }
+
+    /// Fill every node's entry of every request's rows, and keep filling
+    /// them on re-route until [`Combiner::relocate_pass`] returns: the
+    /// migration sweep scores moves onto nodes that do not host the service.
+    pub(crate) fn complete_rows(&mut self) {
+        self.sweeping = true;
+        for h in 0..self.complete.len() {
+            if !self.complete[h] {
+                self.fill_rows(h);
+            }
+        }
     }
 
     /// Replace the placement and bring the routing state along: only
@@ -226,22 +270,19 @@ impl<'a> Combiner<'a> {
     /// storage-planned step may have moved services besides the combined one).
     /// Returns the placement it replaced, for a serial step to roll back to.
     fn move_to(&mut self, next: Placement) -> Placement {
-        let mut stale = vec![false; self.sc.users()];
+        self.stale.fill(false);
         for m in self.sc.catalog.ids() {
-            let moved = self
-                .sc
-                .net
-                .node_ids()
-                .any(|k| self.placement.get(m, k) != next.get(m, k));
-            if moved {
+            if self.placement.host_row(m) != next.host_row(m) {
                 for &(h, _) in &self.users_of[m.idx()] {
-                    stale[h] = true;
+                    self.stale[h] = true;
                 }
             }
         }
         let previous = std::mem::replace(&mut self.placement, next);
-        for h in (0..stale.len()).filter(|&h| stale[h]) {
-            self.reroute(h);
+        for h in 0..self.stale.len() {
+            if self.stale[h] {
+                self.reroute(h);
+            }
         }
         #[cfg(test)]
         self.audit.inspect(|audit| audit(self));
@@ -607,18 +648,19 @@ impl<'a> Combiner<'a> {
     /// Single-instance moves `(m: k → q)` onto every other node with room.
     pub(crate) fn feasible_moves(&self) -> Vec<(ServiceId, NodeId, NodeId)> {
         let (sc, placement) = (self.sc, &self.placement);
+        let free: Vec<f64> = sc
+            .net
+            .node_ids()
+            .map(|q| sc.net.storage(q) - placement.storage_used(&sc.catalog, q))
+            .collect();
+        let free = &free;
         placement
             .iter_deployed()
             .flat_map(|(m, k)| {
                 let phi = sc.catalog.storage(m);
                 sc.net
                     .node_ids()
-                    .filter(move |&q| {
-                        q != k
-                            && !placement.get(m, q)
-                            && sc.net.storage(q) - placement.storage_used(&sc.catalog, q)
-                                >= phi - 1e-9
-                    })
+                    .filter(move |&q| q != k && !placement.get(m, q) && free[q.idx()] >= phi - 1e-9)
                     .map(move |q| (m, k, q))
             })
             .collect()
@@ -626,11 +668,15 @@ impl<'a> Combiner<'a> {
 
     /// Objective-guided migration (the serial stage's generalization of
     /// Algorithm 5): hill-climb over single-instance moves `(m: k → q)` with
-    /// storage-feasible targets until no move improves the objective.
+    /// storage-feasible targets until no move improves the objective. Moves
+    /// are scored off the current hosts, so the rows are completed first.
     fn relocate_pass(&mut self) {
         if !self.cfg.relocation {
             return;
         }
+        self.complete_rows();
+        #[cfg(test)]
+        self.audit.inspect(|audit| audit(self));
         loop {
             let moves = self.feasible_moves();
             self.stats.trials += moves.len();
@@ -658,6 +704,7 @@ impl<'a> Combiner<'a> {
                 _ => break,
             }
         }
+        self.sweeping = false;
     }
 
     /// Small-scale serial descent (Algorithm 3 lines 6–15).
@@ -1009,6 +1056,13 @@ mod tests {
                 per_trial < 2.0,
                 "{nodes}/{users}: {per_trial:.2} routes per trial"
             );
+            // Rows are widened to every node only for the migration sweep.
+            assert!(
+                stats.row_fills < stats.routes / 2,
+                "{nodes}/{users}: {} of {} re-routes filled at every node",
+                stats.row_fills,
+                stats.routes
+            );
         }
     }
 
@@ -1043,11 +1097,13 @@ mod tests {
         assert_eq!(c.top2[0], [NodeId(1), NodeId(2)]);
         assert_eq!(c.trial_host(0, NodeId(1), None), Some(NodeId(2)));
 
-        // A migration onto the tied lower id wins over the kept higher one.
+        // A migration onto the tied lower id wins over the kept higher one;
+        // the sweep's rows hold every node's entry.
         let mut high = Placement::empty(1, 3);
         high.set(m, NodeId(0), true);
         high.set(m, NodeId(2), true);
-        let c = Combiner::new(&sc, &cfg, &parts, high);
+        let mut c = Combiner::new(&sc, &cfg, &parts, high);
+        c.complete_rows();
         assert_eq!(c.trial_host(0, NodeId(0), Some(NodeId(1))), Some(NodeId(1)));
     }
 

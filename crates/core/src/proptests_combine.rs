@@ -6,7 +6,7 @@ use crate::partition::initial_partition;
 use crate::preprovision::preprovision;
 use socl_model::{
     evaluate, optimal_route, optimal_route_with, through_costs, RouteScratch, Scenario,
-    ScenarioConfig, ServiceId, ThroughScratch,
+    ScenarioConfig, ServiceId, ThroughFill, ThroughScratch,
 };
 use socl_net::rng::{cases, ChaCha12Rng};
 use socl_net::NodeId;
@@ -137,7 +137,9 @@ fn combiner_state_is_a_fresh_evaluation() {
 /// Every trial's table score equals, bit for bit, the score obtained the
 /// way the combiner used to compute it: flip the cells on a scratch
 /// placement, re-run the chain DP for every user of the service, and sum the
-/// differences in request order.
+/// differences in request order. Removals are scored at every state,
+/// migrations wherever every row is complete — every state of the migration
+/// sweep, the completed one before its first move included.
 #[test]
 fn table_scores_equal_rerouted_scores() {
     cases(16, |rng| {
@@ -145,7 +147,12 @@ fn table_scores_equal_rerouted_scores() {
             let sc = c.sc;
             let mut flipped = c.placement().clone();
             let mut scratch = RouteScratch::new();
-            for (m, drop, add) in trials(c) {
+            let complete = c.complete.iter().all(|&done| done);
+            assert!(
+                complete || !c.sweeping,
+                "a sweep state with incomplete rows"
+            );
+            for (m, drop, add) in trials(c).into_iter().filter(|t| t.2.is_none() || complete) {
                 flipped.set(m, drop, false);
                 add.inspect(|&q| flipped.set(m, q, true));
                 let mut rerouted = 0.0;
@@ -178,7 +185,9 @@ fn table_scores_equal_rerouted_scores() {
 /// For every trial and every request it affects, the route the tables pick
 /// is the route `optimal_route` finds on the flipped placement; and the kept
 /// tables are what `through_costs` builds from the current placement (no row
-/// is ever stale).
+/// is ever stale): every entry of a request the combiner holds complete, the
+/// current hosts' entries of any other, whose off-host entries are `NaN`.
+/// Migrations are checked wherever the request is complete.
 #[test]
 fn table_routes_equal_dp_routes() {
     cases(16, |rng| {
@@ -202,14 +211,28 @@ fn table_routes_equal_dp_routes() {
                     &sc.net,
                     &sc.ap,
                     &sc.catalog,
+                    ThroughFill::Every,
                     &mut fresh,
                 )
                 .is_some();
-                let bits = |t: &[f64]| t.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(kept), bits(&fresh), "request {h}: stale table");
+                for (e, (kept, fresh)) in kept.iter().zip(&fresh).enumerate() {
+                    let (j, k) = (e / sc.nodes(), NodeId((e % sc.nodes()) as u32));
+                    if c.complete[h] || c.placement().get(req.chain[j], k) {
+                        assert_eq!(
+                            kept.to_bits(),
+                            fresh.to_bits(),
+                            "request {h}: stale {j}@{k}"
+                        );
+                    } else {
+                        assert!(kept.is_nan(), "request {h}: {j}@{k} filled off-host");
+                    }
+                }
 
                 for (j, row) in rows.enumerate() {
-                    for &(m, drop, add) in trials.iter().filter(|t| t.0 == req.chain[j]) {
+                    for &(m, drop, add) in trials
+                        .iter()
+                        .filter(|t| t.0 == req.chain[j] && (t.2.is_none() || c.complete[h]))
+                    {
                         flipped.set(m, drop, false);
                         add.inspect(|&q| flipped.set(m, q, true));
                         let dp = optimal_route(req, &flipped, &sc.net, &sc.ap, &sc.catalog);

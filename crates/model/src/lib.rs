@@ -47,7 +47,7 @@ pub use preferences::{chain_similarity, PreferenceModel};
 pub use request::{RequestConfig, UserId, UserRequest};
 pub use routing::{
     greedy_route, optimal_route, optimal_route_with, route_all, through_costs, RouteOutcome,
-    RouteScratch, ThroughScratch,
+    RouteScratch, ThroughFill, ThroughScratch,
 };
 pub use scenario::{Scenario, ScenarioConfig};
 pub use service::{Microservice, ServiceCatalog, ServiceId};

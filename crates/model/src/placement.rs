@@ -63,6 +63,12 @@ impl Placement {
         self.x[m.idx() * self.nodes + k.idx()] = v;
     }
 
+    /// Row `m` of the matrix: `x(m, k)` for every node `k`, in id order.
+    #[inline]
+    pub fn host_row(&self, m: ServiceId) -> &[bool] {
+        &self.x[m.idx() * self.nodes..(m.idx() + 1) * self.nodes]
+    }
+
     /// Nodes hosting an instance of `m`.
     pub fn hosts_of(&self, m: ServiceId) -> Vec<NodeId> {
         self.hosts_iter(m).collect()

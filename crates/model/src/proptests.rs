@@ -1,12 +1,16 @@
 //! Property-based tests spanning the model crate.
 
+use crate::latency::completion_time;
 use crate::objective::evaluate;
 use crate::placement::Placement;
-use crate::routing::{greedy_route, optimal_route, RouteOutcome};
+use crate::request::{UserId, UserRequest};
+use crate::routing::{
+    greedy_route, optimal_route, through_costs, RouteOutcome, ThroughFill, ThroughScratch,
+};
 use crate::scenario::{Scenario, ScenarioConfig};
-use crate::service::ServiceId;
+use crate::service::{Microservice, ServiceCatalog, ServiceId};
 use socl_net::rng::{cases, ChaCha12Rng};
-use socl_net::NodeId;
+use socl_net::{AllPairs, EdgeNetwork, EdgeServer, LinkParams, NodeId};
 
 fn arb_scenario(rng: &mut ChaCha12Rng) -> Scenario {
     let (nodes, users) = (rng.gen_range(3usize..=10), rng.gen_range(5usize..=25));
@@ -281,4 +285,121 @@ fn parallel_evaluation_identical_to_serial() {
             assert_eq!(serial.assignment.route(h), parallel.assignment.route(h));
         }
     });
+}
+
+/// `through_costs` against its definition, bit for bit: every entry of a
+/// full-width fill is `completion_time` of the route `route_through` names
+/// (`INFINITY` where it names none), a hosts-only fill agrees at the current
+/// hosts and is `NaN` elsewhere, and both return `optimal_route`'s time.
+fn assert_through_costs_are_route_times(
+    net: &EdgeNetwork,
+    ap: &AllPairs,
+    catalog: &ServiceCatalog,
+    placement: &Placement,
+    req: &UserRequest,
+) {
+    let nodes = net.node_count();
+    let mut scratch = ThroughScratch::new();
+    let mut hosts_only = vec![0.0; req.len() * nodes];
+    let mut every = hosts_only.clone();
+    let dp = optimal_route(req, placement, net, ap, catalog).edge_time();
+    for (fill, out) in [
+        (ThroughFill::Hosts, &mut hosts_only),
+        (ThroughFill::Every, &mut every),
+    ] {
+        let own = through_costs(&mut scratch, req, placement, net, ap, catalog, fill, out);
+        assert_eq!(
+            own.map(f64::to_bits),
+            dp.map(f64::to_bits),
+            "{fill:?} own time"
+        );
+    }
+    for j in 0..req.len() {
+        for k in net.node_ids() {
+            let want = match scratch.route_through(req, ap, j, k) {
+                Some(route) => completion_time(req, route, net, ap, catalog).total(),
+                None => f64::INFINITY,
+            };
+            let e = j * nodes + k.idx();
+            assert_eq!(every[e].to_bits(), want.to_bits(), "every: {j}@{k}");
+            if placement.get(req.chain[j], k) {
+                assert_eq!(hosts_only[e].to_bits(), want.to_bits(), "hosts: {j}@{k}");
+            } else {
+                assert!(hosts_only[e].is_nan(), "hosts: {j}@{k} filled off-host");
+            }
+        }
+    }
+}
+
+/// The folds `through_costs` assembles its entries from add the same terms
+/// in the same order as `completion_time` on the entry's route.
+#[test]
+fn through_costs_equal_route_completion_times() {
+    cases(32, |rng| {
+        let sc = arb_scenario(rng);
+        let p = random_covering_placement(&sc, rng.gen_range(0.1..0.7), rng);
+        for req in &sc.requests {
+            assert_through_costs_are_route_times(&sc.net, &sc.ap, &sc.catalog, &p, req);
+        }
+    });
+}
+
+/// The cases random scenarios rarely or never produce, staged: a
+/// one-service chain, hosts cut off from each other (two components), and
+/// two hosts at exactly the same cost.
+#[test]
+fn through_costs_equal_route_completion_times_in_staged_corners() {
+    let catalog = ServiceCatalog::from_services(vec![
+        Microservice::new(1.0, 1.0, 2.0),
+        Microservice::new(1.0, 1.0, 3.0),
+        Microservice::new(1.0, 1.0, 1.0),
+    ]);
+    let request = |location: u32, chain: Vec<ServiceId>| {
+        let edge_data = vec![1.5; chain.len() - 1];
+        UserRequest::new(UserId(0), NodeId(location), chain, edge_data, 1.0, 0.2, 1e9)
+    };
+    let placed = |hosts: &[&[u32]]| {
+        let mut p = Placement::empty(3, 4);
+        for (m, on) in hosts.iter().enumerate() {
+            for &k in *on {
+                p.set(ServiceId(m as u32), NodeId(k), true);
+            }
+        }
+        p
+    };
+
+    // Two components {0, 1} and {2, 3}: entries across them read INFINITY,
+    // hosts cut off from the previous layer included.
+    let mut split = EdgeNetwork::new();
+    for c in [10.0, 20.0, 15.0, 30.0] {
+        split.push_server(EdgeServer::new(c, 8.0));
+    }
+    split.add_link(NodeId(0), NodeId(1), LinkParams::from_rate(40.0));
+    split.add_link(NodeId(2), NodeId(3), LinkParams::from_rate(60.0));
+    let ap = AllPairs::build(&split);
+    let p = placed(&[&[0, 2], &[1, 3], &[1, 2]]);
+    let chain = vec![ServiceId(0), ServiceId(1), ServiceId(2)];
+    assert_through_costs_are_route_times(&split, &ap, &catalog, &p, &request(0, chain.clone()));
+    assert_through_costs_are_route_times(&split, &ap, &catalog, &p, &request(3, chain));
+    // A one-service chain: no transfer term, no neighbouring layer.
+    for loc in 0..4 {
+        let req = request(loc, vec![ServiceId(1)]);
+        assert_through_costs_are_route_times(&split, &ap, &catalog, &p, &req);
+    }
+
+    // A star with identical arms: hosts 1 and 2 tie exactly, in both
+    // directions, so the lower id must win in the folds as in the scans.
+    let mut star = EdgeNetwork::new();
+    for _ in 0..4 {
+        star.push_server(EdgeServer::new(10.0, 8.0));
+    }
+    for arm in 1..4 {
+        star.add_link(NodeId(0), NodeId(arm), LinkParams::from_rate(40.0));
+    }
+    let ap = AllPairs::build(&star);
+    let p = placed(&[&[1, 2], &[0], &[1, 2]]);
+    let req = request(0, vec![ServiceId(0), ServiceId(1), ServiceId(2)]);
+    let dp = optimal_route(&req, &p, &star, &ap, &catalog);
+    assert_eq!(dp.route(), Some(&[NodeId(1), NodeId(0), NodeId(1)][..]));
+    assert_through_costs_are_route_times(&star, &ap, &catalog, &p, &req);
 }

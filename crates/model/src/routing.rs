@@ -184,30 +184,32 @@ pub fn optimal_route_with(
 
 /// `argmin_p base_s[p] + hop_s(hosts[p])` over one layer's slice `layer`,
 /// with the tie rule of the DP's inner loop: strict `<` over ascending hosts
-/// keeps the lowest node id. The argument is `usize::MAX` when no hop is
-/// finite.
+/// keeps the lowest node id. Returns the argument, its sum and its hop term;
+/// the argument is `usize::MAX` when no sum is finite.
 #[inline]
 fn cheapest_hop(
     layer: std::ops::Range<usize>,
     base_s: &[f64],
     hosts: &[NodeId],
     hop_s: impl Fn(NodeId) -> f64,
-) -> (usize, f64) {
-    let (mut arg, mut best_s) = (usize::MAX, f64::INFINITY);
+) -> (usize, f64, f64) {
+    let (mut arg, mut best_s, mut best_hop_s) = (usize::MAX, f64::INFINITY, f64::INFINITY);
     for p in layer {
-        let c_s = base_s[p] + hop_s(hosts[p]);
+        let h_s = hop_s(hosts[p]);
+        let c_s = base_s[p] + h_s;
         if c_s < best_s {
             best_s = c_s;
+            best_hop_s = h_s;
             arg = p;
         }
     }
-    (arg, best_s)
+    (arg, best_s, best_hop_s)
 }
 
 /// Buffers for [`through_costs`]: the DP's forward tables (as
 /// [`optimal_route_with`] leaves them) plus their mirror image — per current
 /// host, the cheapest way to finish the chain from it and the successor that
-/// achieves it.
+/// achieves it — and the per-host folds every table entry is assembled from.
 #[derive(Debug, Clone, Default)]
 pub struct ThroughScratch {
     dp: RouteScratch,
@@ -215,7 +217,38 @@ pub struct ThroughScratch {
     /// rest of the chain (transfers, computes, return leg) from there.
     tail_s: Vec<f64>,
     next: Vec<usize>,
+    /// `compute_s[i]`: the compute term of `hosts[i]` at its chain position.
+    compute_s: Vec<f64>,
+    folds: Vec<HostFolds>,
     route: Vec<NodeId>,
+}
+
+/// The terms of [`completion_time`] one current host contributes to every
+/// route through it: the prefix along its back pointers folded in chain
+/// order, and for suffix walks its hop to its successor and its return leg.
+#[derive(Debug, Clone, Copy, Default)]
+struct HostFolds {
+    /// `d_in`: the upload leg to the head of the prefix.
+    upload_s: f64,
+    /// The prefix's compute terms, this host's last, summed from the head.
+    compute_s: f64,
+    /// The prefix's transfer terms, the hop into this host last, summed
+    /// from `0.0`.
+    transfer_s: f64,
+    /// The hop from this host to `next[i]`.
+    next_transfer_s: f64,
+    /// `d_out` when this host serves the last position.
+    return_s: f64,
+}
+
+/// Which entries of a row [`through_costs`] fills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ThroughFill {
+    /// Only the nodes currently hosting the row's service; every other
+    /// entry is `NaN`, so a read of one poisons whatever sums it.
+    Hosts,
+    /// Every node.
+    Every,
 }
 
 impl ThroughScratch {
@@ -223,6 +256,191 @@ impl ThroughScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Prefix folds along the forward pass's back pointers, then the backward
+    /// pass over the current hosts (last layer first) with its suffix terms.
+    fn fold(
+        &mut self,
+        request: &UserRequest,
+        net: &EdgeNetwork,
+        ap: &AllPairs,
+        catalog: &ServiceCatalog,
+    ) {
+        let n_layers = request.chain.len();
+        let RouteScratch {
+            hosts, off, back, ..
+        } = &self.dp;
+        let (compute_s, folds, tail_s, next) = (
+            &mut self.compute_s,
+            &mut self.folds,
+            &mut self.tail_s,
+            &mut self.next,
+        );
+        compute_s.clear();
+        for (j, &m) in request.chain.iter().enumerate() {
+            let q_gflop = catalog.compute_gflop(m);
+            compute_s.extend(
+                hosts[off[j]..off[j + 1]]
+                    .iter()
+                    .map(|&k| q_gflop / net.compute_gflops(k)),
+            );
+        }
+        folds.clear();
+        folds.resize(hosts.len(), HostFolds::default());
+        for i in off[0]..off[1] {
+            // `transfer_s` stays 0.0, where `completion_time` starts it, and
+            // `compute_s` is `0.0 + compute_s[i]`, which has its bits.
+            folds[i].upload_s = ap.transfer_time(request.location, hosts[i], request.r_in);
+            folds[i].compute_s = compute_s[i];
+        }
+        for j in 1..n_layers {
+            for i in off[j]..off[j + 1] {
+                // A host cut off from the previous layer is nobody's prefix.
+                if back[i] == usize::MAX {
+                    continue;
+                }
+                let p = folds[back[i]];
+                let hop_s = ap.transfer_time(hosts[back[i]], hosts[i], request.edge_data[j - 1]);
+                folds[i] = HostFolds {
+                    compute_s: p.compute_s + compute_s[i],
+                    transfer_s: p.transfer_s + hop_s,
+                    ..p
+                };
+            }
+        }
+
+        tail_s.clear();
+        tail_s.resize(hosts.len(), 0.0);
+        next.clear();
+        next.resize(hosts.len(), usize::MAX);
+        for j in (0..n_layers).rev() {
+            for i in off[j]..off[j + 1] {
+                let k = hosts[i];
+                let finish_s = if j + 1 == n_layers {
+                    folds[i].return_s = ap.return_time(k, request.location, request.r_out);
+                    folds[i].return_s
+                } else {
+                    let (succ, finish_s, hop_s) =
+                        cheapest_hop(off[j + 1]..off[j + 2], tail_s, hosts, |s| {
+                            ap.transfer_time(k, s, request.edge_data[j])
+                        });
+                    if succ != usize::MAX {
+                        folds[i].next_transfer_s = hop_s;
+                        next[i] = succ;
+                    }
+                    finish_s
+                };
+                tail_s[i] = compute_s[i] + finish_s;
+            }
+        }
+    }
+
+    /// Entry `(j, hosts[i])`: the DP's inner loop and the backward pass
+    /// already took this host's argmins, so the route is `back[i]`'s prefix
+    /// and `next[i]`'s suffix with no scan.
+    fn host_entry_s(&self, n_layers: usize, j: usize, i: usize) -> f64 {
+        if j > 0 && self.dp.back[i] == usize::MAX {
+            return f64::INFINITY;
+        }
+        let f = &self.folds[i];
+        if j + 1 == n_layers {
+            return f.upload_s + f.compute_s + f.transfer_s + f.return_s;
+        }
+        match self.next[i] {
+            usize::MAX => f64::INFINITY,
+            succ => self.close_s(
+                n_layers,
+                j + 1,
+                [f.upload_s, f.compute_s, f.transfer_s],
+                succ,
+                f.next_transfer_s,
+            ),
+        }
+    }
+
+    /// Entry `(j, k)` for any node `k`: the prefix at the cheapest host of
+    /// position `j − 1` to reach `k` and the suffix at the cheapest host of
+    /// position `j + 1` to leave it, the choices [`route_through`] makes.
+    ///
+    /// [`route_through`]: Self::route_through
+    fn entry_s(
+        &self,
+        request: &UserRequest,
+        net: &EdgeNetwork,
+        ap: &AllPairs,
+        catalog: &ServiceCatalog,
+        j: usize,
+        k: NodeId,
+    ) -> f64 {
+        let RouteScratch {
+            hosts, off, cost_s, ..
+        } = &self.dp;
+        let n_layers = request.chain.len();
+        let own_compute_s = catalog.compute_gflop(request.chain[j]) / net.compute_gflops(k);
+        let [upload_s, compute_s, transfer_s] = if j == 0 {
+            [
+                ap.transfer_time(request.location, k, request.r_in),
+                own_compute_s,
+                0.0,
+            ]
+        } else {
+            let (pred, _, hop_s) = cheapest_hop(off[j - 1]..off[j], cost_s, hosts, |p| {
+                ap.transfer_time(p, k, request.edge_data[j - 1])
+            });
+            if pred == usize::MAX {
+                return f64::INFINITY;
+            }
+            let p = &self.folds[pred];
+            [
+                p.upload_s,
+                p.compute_s + own_compute_s,
+                p.transfer_s + hop_s,
+            ]
+        };
+        if j + 1 == n_layers {
+            return upload_s
+                + compute_s
+                + transfer_s
+                + ap.return_time(k, request.location, request.r_out);
+        }
+        let (succ, _, hop_s) = cheapest_hop(off[j + 1]..off[j + 2], &self.tail_s, hosts, |s| {
+            ap.transfer_time(k, s, request.edge_data[j])
+        });
+        if succ == usize::MAX {
+            return f64::INFINITY;
+        }
+        self.close_s(
+            n_layers,
+            j + 1,
+            [upload_s, compute_s, transfer_s],
+            succ,
+            hop_s,
+        )
+    }
+
+    /// `completion_time(route).total()` of a route folded up to position
+    /// `from − 1` (`prefix_s` = upload leg, compute and transfer sums) that
+    /// continues at host index `succ` of position `from` over a hop of
+    /// `hop_s`: the suffix terms are appended one at a time in chain order,
+    /// so every addition is the one `completion_time` makes.
+    fn close_s(
+        &self,
+        n_layers: usize,
+        from: usize,
+        prefix_s: [f64; 3],
+        mut succ: usize,
+        hop_s: f64,
+    ) -> f64 {
+        let [upload_s, mut compute_s, mut transfer_s] = prefix_s;
+        transfer_s += hop_s;
+        compute_s += self.compute_s[succ];
+        for _ in from + 1..n_layers {
+            transfer_s += self.folds[succ].next_transfer_s;
+            succ = self.next[succ];
+            compute_s += self.compute_s[succ];
+        }
+        upload_s + compute_s + transfer_s + self.folds[succ].return_s
     }
 
     /// The cheapest route serving chain position `j` on node `k` and every
@@ -243,10 +461,12 @@ impl ThroughScratch {
             off,
             cost_s,
             back,
+            ..
         } = &self.dp;
+        self.route.resize(request.chain.len(), NodeId(0));
         self.route[j] = k;
         if j > 0 {
-            let (mut i, _) = cheapest_hop(off[j - 1]..off[j], cost_s, hosts, |p| {
+            let (mut i, _, _) = cheapest_hop(off[j - 1]..off[j], cost_s, hosts, |p| {
                 ap.transfer_time(p, k, request.edge_data[j - 1])
             });
             if i == usize::MAX {
@@ -258,7 +478,7 @@ impl ThroughScratch {
             }
         }
         if j + 1 < request.chain.len() {
-            let (mut i, _) = cheapest_hop(off[j + 1]..off[j + 2], &self.tail_s, hosts, |s| {
+            let (mut i, _, _) = cheapest_hop(off[j + 1]..off[j + 2], &self.tail_s, hosts, |s| {
                 ap.transfer_time(k, s, request.edge_data[j])
             });
             if i == usize::MAX {
@@ -282,16 +502,20 @@ impl ThroughScratch {
 /// set of `chain[j]` itself: the request's completion time under *any* host
 /// set for that one service is the minimum of row `j` over the set, which is
 /// how the combiner scores removals and migrations without re-running the
-/// DP. Routes are picked by accumulated forward + backward delay; each entry
-/// is `completion_time(route).total()`, the expression [`optimal_route_with`]
-/// ends with, so equal routes give bit-equal values; a node cut off from the
-/// neighbouring positions' hosts reads `INFINITY`.
+/// DP. Routes are picked by accumulated forward + backward delay (the route
+/// [`ThroughScratch::route_through`] returns); each entry is
+/// `completion_time(route).total()`, assembled from per-host folds with the
+/// same operands added in the same order, so equal routes give bit-equal
+/// values; a node cut off from the neighbouring positions' hosts reads
+/// `INFINITY`. `fill` picks the entries written: [`ThroughFill::Hosts`]
+/// leaves `NaN` off the current hosts.
 ///
 /// Returns the request's own optimal completion time — [`optimal_route_with`]
 /// is run first and its forward tables reused — or `None`, leaving `out`
 /// untouched, when it falls back to the cloud.
 ///
 /// `out.len()` must be `request.chain.len() · net.node_count()`.
+#[allow(clippy::too_many_arguments)]
 pub fn through_costs(
     scratch: &mut ThroughScratch,
     request: &UserRequest,
@@ -299,47 +523,29 @@ pub fn through_costs(
     net: &EdgeNetwork,
     ap: &AllPairs,
     catalog: &ServiceCatalog,
+    fill: ThroughFill,
     out: &mut [f64],
 ) -> Option<f64> {
     let own_s =
         optimal_route_with(&mut scratch.dp, request, placement, net, ap, catalog).edge_time()?;
+    scratch.fold(request, net, ap, catalog);
     let n_layers = request.chain.len();
     let nodes = net.node_count();
     debug_assert_eq!(out.len(), n_layers * nodes);
-    scratch.route.clear();
-    scratch.route.resize(n_layers, NodeId(0));
 
-    // Backward pass over the current hosts, last layer first.
-    let RouteScratch { hosts, off, .. } = &scratch.dp;
-    scratch.tail_s.clear();
-    scratch.tail_s.resize(hosts.len(), 0.0);
-    scratch.next.clear();
-    scratch.next.resize(hosts.len(), usize::MAX);
-    for j in (0..n_layers).rev() {
-        let q_gflop = catalog.compute_gflop(request.chain[j]);
-        for i in off[j]..off[j + 1] {
-            let k = hosts[i];
-            let (succ, finish_s) = if j + 1 == n_layers {
-                (
-                    usize::MAX,
-                    ap.return_time(k, request.location, request.r_out),
-                )
-            } else {
-                cheapest_hop(off[j + 1]..off[j + 2], &scratch.tail_s, hosts, |s| {
-                    ap.transfer_time(k, s, request.edge_data[j])
-                })
-            };
-            scratch.tail_s[i] = q_gflop / net.compute_gflops(k) + finish_s;
-            scratch.next[i] = succ;
+    for (j, row) in out.chunks_exact_mut(nodes).enumerate() {
+        let m = request.chain[j];
+        match fill {
+            ThroughFill::Hosts => row.fill(f64::NAN),
+            ThroughFill::Every => {
+                for k in net.node_ids().filter(|&k| !placement.get(m, k)) {
+                    row[k.idx()] = scratch.entry_s(request, net, ap, catalog, j, k);
+                }
+            }
         }
-    }
-
-    for j in 0..n_layers {
-        for k in net.node_ids() {
-            out[j * nodes + k.idx()] = match scratch.route_through(request, ap, j, k) {
-                Some(route) => completion_time(request, route, net, ap, catalog).total(),
-                None => f64::INFINITY,
-            };
+        let RouteScratch { hosts, off, .. } = &scratch.dp;
+        for i in off[j]..off[j + 1] {
+            row[hosts[i].idx()] = scratch.host_entry_s(n_layers, j, i);
         }
     }
     Some(own_s)
@@ -545,7 +751,16 @@ mod tests {
         let hosts = [p.hosts_of(ServiceId(0)), p.hosts_of(ServiceId(1))];
         let mut scratch = ThroughScratch::new();
         let mut table = vec![0.0; 2 * net.node_count()];
-        let own = through_costs(&mut scratch, &req, &p, &net, &ap, &cat, &mut table);
+        let own = through_costs(
+            &mut scratch,
+            &req,
+            &p,
+            &net,
+            &ap,
+            &cat,
+            ThroughFill::Every,
+            &mut table,
+        );
         assert_eq!(own, optimal_route(&req, &p, &net, &ap, &cat).edge_time());
         for j in 0..2 {
             for k in net.node_ids() {
@@ -570,7 +785,16 @@ mod tests {
         p.set(ServiceId(1), NodeId(0), false);
         p.set(ServiceId(1), NodeId(3), false);
         assert_eq!(
-            through_costs(&mut scratch, &req, &p, &net, &ap, &cat, &mut table),
+            through_costs(
+                &mut scratch,
+                &req,
+                &p,
+                &net,
+                &ap,
+                &cat,
+                ThroughFill::Every,
+                &mut table
+            ),
             None
         );
     }
