@@ -132,7 +132,7 @@ pub struct Autoscaler {
     down_events: u64,
     /// Water-fill scratch (hosts / per-cell ceilings / per-cell targets),
     /// recycled across [`apply_total_into`](Self::apply_total_into) calls so
-    /// the per-service tick loop allocates nothing (rule `A1-hot-alloc`).
+    /// the per-service tick loop allocates nothing.
     /// Dead between calls; excluded from checkpoints.
     fill_hosts: Vec<NodeId>,
     fill_ceil: Vec<u32>,

@@ -24,19 +24,13 @@ pub enum Rule {
     L4Safety,
     /// Units-of-measure suffix convention over latency/objective arithmetic.
     T3Units,
-    /// Interprocedural: no allocation reachable inside a loop of a hot
-    /// entry point (APSP builds, routing DP, online per-slot step, scaler
-    /// tick, incremental cache repair).
-    A1HotAlloc,
-    /// A `LINT-ALLOW`/`LINT-HOT` marker whose removal changes no
-    /// diagnostic (reported by `--stale-waivers`).
+    /// A `LINT-ALLOW` marker whose removal changes no diagnostic (reported
+    /// by `--stale-waivers`).
     W0StaleWaiver,
-    /// The item parser could not recover structure from a file.
-    P0Parse,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 8] = [
         Rule::L1FloatCmp,
         Rule::L2PanicFree,
         Rule::L3Time,
@@ -44,9 +38,7 @@ impl Rule {
         Rule::L3Env,
         Rule::L4Safety,
         Rule::T3Units,
-        Rule::A1HotAlloc,
         Rule::W0StaleWaiver,
-        Rule::P0Parse,
     ];
 
     /// Stable rule id as written in diagnostics and `LINT-ALLOW(...)`.
@@ -59,9 +51,7 @@ impl Rule {
             Rule::L3Env => "L3-nondet-env",
             Rule::L4Safety => "L4-unsafe-doc",
             Rule::T3Units => "T3-units",
-            Rule::A1HotAlloc => "A1-hot-alloc",
             Rule::W0StaleWaiver => "W0-stale-waiver",
-            Rule::P0Parse => "P0-parse",
         }
     }
 
@@ -106,24 +96,11 @@ impl Rule {
                  `_gflops`, …); adding seconds to gigabytes, dividing data by a \
                  non-rate, or calling a unit-ambiguous function is an error"
             }
-            Rule::A1HotAlloc => {
-                "no allocation primitive (`Vec::new`, `vec![]`, `.collect()`, \
-                 `.clone()`, `format!`, …) may execute inside a loop of a hot \
-                 entry point (APSP builds, the routing DP, the online per-slot \
-                 step, scaler tick, incremental cache repair) — per-iteration \
-                 allocation is why the parallel hot path loses; hoist buffers \
-                 into reusable scratch structs, or waive with a barrier"
-            }
             Rule::W0StaleWaiver => {
-                "a `LINT-ALLOW`/`LINT-HOT` marker that no longer suppresses \
-                 any diagnostic is dead weight that hides future violations \
-                 at the same site; `--stale-waivers` re-runs the passes with \
+                "a `LINT-ALLOW` marker that no longer suppresses any \
+                 diagnostic is dead weight that hides future violations at \
+                 the same site; `--stale-waivers` re-runs the passes with \
                  each marker masked and reports the ones that change nothing"
-            }
-            Rule::P0Parse => {
-                "the item-level parser must be able to recover fn/impl/mod \
-                 structure from every linted file; structural damage here \
-                 would silently blind the call-graph passes"
             }
         }
     }
@@ -422,11 +399,7 @@ pub(crate) enum AllowStatus {
 /// First `Some` that `f` returns over the comments *attached* to line
 /// `idx`: the line's own comment, then the contiguous run of comment-only
 /// lines directly above it (a code line or a blank line ends the run).
-pub(crate) fn attached<T>(
-    views: &[LineView],
-    idx: usize,
-    f: impl Fn(&str) -> Option<T>,
-) -> Option<T> {
+fn attached<T>(views: &[LineView], idx: usize, f: impl Fn(&str) -> Option<T>) -> Option<T> {
     if let Some(t) = f(&views.get(idx)?.comment) {
         return Some(t);
     }
@@ -490,90 +463,18 @@ fn find_macro(code: &str, mac: &str) -> bool {
     false
 }
 
-/// Which pass families to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Passes {
-    /// The token-level L1–L4 rules.
-    pub token: bool,
-    /// The T3 units-of-measure pass.
-    pub units: bool,
-    /// The A1 hot-loop allocation pass (plus P0 parse diagnostics).
-    pub alloc: bool,
-}
-
-impl Default for Passes {
-    fn default() -> Self {
-        Passes {
-            token: true,
-            units: true,
-            alloc: true,
-        }
-    }
-}
-
-const NO_PASSES: Passes = Passes {
-    token: false,
-    units: false,
-    alloc: false,
-};
-
-impl Passes {
-    /// Parse a comma-separated `--passes` value (`token,units,alloc`).
-    pub fn from_list(list: &str) -> Result<Passes, String> {
-        let mut p = NO_PASSES;
-        for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            match name {
-                "token" => p.token = true,
-                "units" => p.units = true,
-                "alloc" => p.alloc = true,
-                other => return Err(format!("unknown pass `{other}` (token, units, alloc)")),
-            }
-        }
-        if p == NO_PASSES {
-            return Err("empty pass list".to_string());
-        }
-        Ok(p)
-    }
-}
-
 /// Lint a set of in-memory `(workspace-relative path, source)` files.
 ///
 /// This is the core the CLI, the workspace walk, the fixture tests and the
 /// dogfood test all share. Token rules run per file; the units pass runs on
-/// the covered latency/objective files; the A1 pass runs on one call graph
-/// and one [`crate::reach::Ctx`] over the library-kind files (the linter's
-/// own crate is excluded).
-pub fn lint_files(files: &[(String, String)], passes: &Passes) -> Vec<Diagnostic> {
+/// the covered latency/objective files.
+pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if passes.token {
-        for (rel, src) in files {
-            out.extend(lint_source(rel, src, None));
+    for (rel, src) in files {
+        out.extend(lint_source(rel, src, None));
+        if classify(rel) == FileKind::Lib && crate::units::is_covered(rel) {
+            out.extend(crate::units::check_file(rel, src));
         }
-    }
-    if passes.units {
-        for (rel, src) in files {
-            if classify(rel) == FileKind::Lib && crate::units::is_covered(rel) {
-                out.extend(crate::units::check_file(rel, src));
-            }
-        }
-    }
-    if passes.alloc {
-        let lib_files: Vec<(String, String)> = files
-            .iter()
-            .filter(|(rel, _)| classify(rel) == FileKind::Lib && !rel.starts_with("crates/lint/"))
-            .cloned()
-            .collect();
-        let graph = crate::callgraph::Graph::build(&lib_files);
-        for (file, line, msg) in &graph.parse_errors {
-            out.push(Diagnostic {
-                file: file.clone(),
-                line: *line,
-                rule: Rule::P0Parse,
-                message: format!("{msg}; the interprocedural passes cannot see through this file"),
-            });
-        }
-        let cx = crate::reach::Ctx::new(&lib_files, &graph);
-        out.extend(crate::alloc::check(&lib_files, &cx));
     }
     out.sort_by(|a, b| {
         a.file
@@ -590,12 +491,7 @@ pub fn lint_files(files: &[(String, String)], passes: &Passes) -> Vec<Diagnostic
 /// Fixture files under `crates/lint/tests/` are skipped (they are deliberate
 /// violations), as are `target/` and hidden directories.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    lint_workspace_passes(root, &Passes::default())
-}
-
-/// [`lint_workspace`] with an explicit pass selection.
-pub fn lint_workspace_passes(root: &Path, passes: &Passes) -> Result<Vec<Diagnostic>, String> {
-    Ok(lint_files(&workspace_files(root)?, passes))
+    Ok(lint_files(&workspace_files(root)?))
 }
 
 /// The `(workspace-relative path, source)` pairs the workspace walk lints:
@@ -634,10 +530,10 @@ pub fn workspace_files(root: &Path) -> Result<Vec<(String, String)>, String> {
     Ok(pairs)
 }
 
-/// Stale-waiver detection: re-run the selected passes with one
-/// `LINT-ALLOW(...)`/`LINT-HOT(...)` marker masked at a time; a marker
-/// whose masking leaves the diagnostic set bit-identical suppresses
-/// nothing and is reported as `W0-stale-waiver` at its line.
+/// Stale-waiver detection: re-run the passes with one `LINT-ALLOW(...)`
+/// marker masked at a time; a marker whose masking leaves the diagnostic
+/// set bit-identical suppresses nothing and is reported as
+/// `W0-stale-waiver` at its line.
 ///
 /// The mask is length-preserving (`LINT-` → `SKIP-` inside the comment),
 /// so every other diagnostic keeps its exact line/column and the
@@ -645,8 +541,9 @@ pub fn workspace_files(root: &Path) -> Result<Vec<(String, String)>, String> {
 /// comments (via the lexer's line views), only in `Lib`/`Bin` files, and
 /// never inside `crates/lint/` itself — the linter's sources and docs
 /// mention markers by name without meaning them.
-pub fn stale_waivers(files: &[(String, String)], passes: &Passes) -> Vec<Diagnostic> {
-    let baseline = lint_files(files, passes);
+pub fn stale_waivers(files: &[(String, String)]) -> Vec<Diagnostic> {
+    const MARKER: &str = "LINT-ALLOW(";
+    let baseline = lint_files(files);
     let mut out = Vec::new();
     for (fi, (rel, src)) in files.iter().enumerate() {
         if classify(rel) == FileKind::Test || rel.starts_with("crates/lint/") {
@@ -667,44 +564,40 @@ pub fn stale_waivers(files: &[(String, String)], passes: &Passes) -> Vec<Diagnos
             };
             let line_end = line_starts.get(idx + 1).copied().unwrap_or(src.len());
             let raw = &src[ls..line_end];
-            for marker in ["LINT-ALLOW(", "LINT-HOT("] {
-                if !view.comment.contains(marker) {
+            if !view.comment.contains(MARKER) {
+                continue;
+            }
+            let mut from = 0usize;
+            while let Some(col) = raw[from..].find(MARKER) {
+                let col = from + col;
+                from = col + MARKER.len();
+                // `view.code` blanks comment bytes in place (same byte
+                // length as the raw line), so a comment-resident marker
+                // has whitespace at its column — a code- or
+                // string-resident lookalike does not survive both tests.
+                let in_code = view
+                    .code
+                    .as_bytes()
+                    .get(col)
+                    .is_some_and(|b| !b.is_ascii_whitespace());
+                if in_code {
                     continue;
                 }
-                let mut from = 0usize;
-                while let Some(col) = raw[from..].find(marker) {
-                    let col = from + col;
-                    from = col + marker.len();
-                    // `view.code` blanks comment bytes in place (same byte
-                    // length as the raw line), so a comment-resident marker
-                    // has whitespace at its column — a code- or
-                    // string-resident lookalike does not survive both tests.
-                    let in_code = view
-                        .code
-                        .as_bytes()
-                        .get(col)
-                        .is_some_and(|b| !b.is_ascii_whitespace());
-                    if in_code {
-                        continue;
-                    }
-                    let at = ls + col;
-                    let mut masked = src.clone();
-                    masked.replace_range(at..at + 5, "SKIP-");
-                    let mut trial: Vec<(String, String)> = files.to_vec();
-                    trial[fi].1 = masked;
-                    if lint_files(&trial, passes) == baseline {
-                        out.push(Diagnostic {
-                            file: rel.clone(),
-                            line: idx + 1,
-                            rule: Rule::W0StaleWaiver,
-                            message: format!(
-                                "stale `{}...)` marker: masking it changes no \
-                                 diagnostic under the selected passes — delete it \
-                                 (dead waivers hide future violations at this site)",
-                                &marker[..marker.len() - 1]
-                            ),
-                        });
-                    }
+                let at = ls + col;
+                let mut masked = src.clone();
+                masked.replace_range(at..at + 5, "SKIP-");
+                let mut trial: Vec<(String, String)> = files.to_vec();
+                trial[fi].1 = masked;
+                if lint_files(&trial) == baseline {
+                    out.push(Diagnostic {
+                        file: rel.clone(),
+                        line: idx + 1,
+                        rule: Rule::W0StaleWaiver,
+                        message: "stale `LINT-ALLOW...)` marker: masking it changes no \
+                                  diagnostic under the selected passes — delete it \
+                                  (dead waivers hide future violations at this site)"
+                            .to_string(),
+                    });
                 }
             }
         }
@@ -714,8 +607,8 @@ pub fn stale_waivers(files: &[(String, String)], passes: &Passes) -> Vec<Diagnos
 }
 
 /// [`stale_waivers`] over the workspace at `root`.
-pub fn stale_waivers_workspace(root: &Path, passes: &Passes) -> Result<Vec<Diagnostic>, String> {
-    Ok(stale_waivers(&workspace_files(root)?, passes))
+pub fn stale_waivers_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
+    Ok(stale_waivers(&workspace_files(root)?))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {

@@ -6,7 +6,8 @@
 //! (the line with comment and string-literal interiors blanked to spaces,
 //! byte-for-byte the same length) and a *comment view* (the concatenated
 //! comment text of the line, where `LINT-ALLOW` and `SAFETY:` directives
-//! live).
+//! live). [`tokenize`] turns the masked code views into the flat token
+//! stream the units pass (T3) parses expressions from.
 //!
 //! Handled syntax: `//` line comments, nested `/* */` block comments,
 //! `"…"` strings with escapes, raw strings `r"…"` / `r#"…"#` (any number of
@@ -383,6 +384,164 @@ pub fn contains_word(haystack: &str, word: &str) -> bool {
     false
 }
 
+/// One token of the code view.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tok {
+    /// 1-based source line.
+    pub line: usize,
+    pub kind: TokKind,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TokKind {
+    /// Identifier or keyword (raw identifiers keep their name, flagged raw).
+    Ident(String),
+    /// Numeric literal text.
+    Num(String),
+    /// Lifetime (`'a`), without the quote.
+    Lifetime(String),
+    /// Operator / punctuation, multi-char ops joined (`::`, `->`, `=>`,
+    /// `==`, `!=`, `<=`, `>=`, `&&`, `||`, `+=`, `-=`, `*=`, `/=`, `..`).
+    Punct(&'static str),
+    /// Any other single char (string-literal quotes survive blanking).
+    Other(char),
+}
+
+const PUNCT2: [&str; 14] = [
+    "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "..",
+];
+
+/// Tokenize masked code views into a flat stream.
+pub fn tokenize(views: &[LineView], mask: &[Vec<bool>]) -> Vec<Tok> {
+    let mut out = Vec::new();
+    for (ln, view) in views.iter().enumerate() {
+        let chars: Vec<char> = view.code.chars().collect();
+        let masked = |i: usize| mask[ln].get(i).copied().unwrap_or(false);
+        let mut push = |kind: TokKind| out.push(Tok { line: ln + 1, kind });
+        let mut i = 0usize;
+        while i < chars.len() {
+            let c = chars[i];
+            if c.is_whitespace() || masked(i) {
+                i += 1;
+                continue;
+            }
+            if c.is_alphabetic() || c == '_' {
+                let mut s = String::new();
+                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
+                    s.push(chars[i]);
+                    i += 1;
+                }
+                // Raw identifier `r#name`: keep the name.
+                if s == "r" && chars.get(i) == Some(&'#') {
+                    let mut j = i + 1;
+                    let mut raw = String::new();
+                    while j < chars.len() && (chars[j].is_alphanumeric() || chars[j] == '_') {
+                        raw.push(chars[j]);
+                        j += 1;
+                    }
+                    if !raw.is_empty() {
+                        i = j;
+                        s = raw;
+                    }
+                }
+                push(TokKind::Ident(s));
+            } else if c.is_ascii_digit() {
+                let mut s = String::new();
+                while i < chars.len()
+                    && (chars[i].is_alphanumeric() || chars[i] == '_' || chars[i] == '.')
+                {
+                    // `1..2` — don't absorb a range operator into the number.
+                    if chars[i] == '.' && chars.get(i + 1) == Some(&'.') {
+                        break;
+                    }
+                    s.push(chars[i]);
+                    i += 1;
+                    // Exponent sign: `1e-9`, `2.5E+3`.
+                    if (s.ends_with('e') || s.ends_with('E'))
+                        && s.chars().next().is_some_and(|c| c.is_ascii_digit())
+                        && matches!(chars.get(i), Some('+') | Some('-'))
+                        && chars.get(i + 1).is_some_and(|c| c.is_ascii_digit())
+                    {
+                        s.push(chars[i]);
+                        i += 1;
+                    }
+                }
+                push(TokKind::Num(s));
+            } else if c == '\'' {
+                // The lexer kept lifetimes intact and blanked char-literal
+                // interiors (leaving `'  '`). Distinguish: a quote followed
+                // by an identifier char is a lifetime.
+                if chars
+                    .get(i + 1)
+                    .is_some_and(|n| n.is_alphabetic() || *n == '_')
+                {
+                    let mut s = String::new();
+                    i += 1;
+                    while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
+                        s.push(chars[i]);
+                        i += 1;
+                    }
+                    push(TokKind::Lifetime(s));
+                } else {
+                    // Blanked char literal `'  '`: skip to the closing quote.
+                    let mut j = i + 1;
+                    while j < chars.len() && chars[j] != '\'' {
+                        j += 1;
+                    }
+                    i = (j + 1).min(chars.len());
+                    push(TokKind::Other('\''));
+                }
+            } else if c == '"' {
+                // Blanked string literal: skip to the closing quote.
+                let mut j = i + 1;
+                while j < chars.len() && chars[j] != '"' {
+                    j += 1;
+                }
+                let mut k = (j + 1).min(chars.len());
+                // Only skip a hash directly after the closing quote (the
+                // raw-string terminator); later hashes tokenize normally.
+                if k < chars.len() && chars[k] == '#' && chars.get(k.wrapping_sub(1)) == Some(&'"')
+                {
+                    k += 1;
+                }
+                i = k.max(j + 1).min(chars.len());
+                push(TokKind::Other('"'));
+            } else {
+                // Multi-char operators first.
+                let two: String = chars[i..chars.len().min(i + 2)].iter().collect();
+                if let Some(p) = PUNCT2.iter().find(|p| **p == two) {
+                    // `..=` — absorb the `=` so it can't look like an assign.
+                    if *p == ".." && chars.get(i + 2) == Some(&'=') {
+                        i += 3;
+                    } else {
+                        i += 2;
+                    }
+                    push(TokKind::Punct(p));
+                } else {
+                    i += 1;
+                    const SINGLES: &str = "(){}[]<>,;:#!&|+-*/=.?@$%^~";
+                    if let Some(pos) = SINGLES.find(c) {
+                        // Map to a 'static single-char str.
+                        const TABLE: [&str; 28] = [
+                            "(", ")", "{", "}", "[", "]", "<", ">", ",", ";", ":", "#", "!", "&",
+                            "|", "+", "-", "*", "/", "=", ".", "?", "@", "$", "%", "^", "~",
+                            "\u{0}",
+                        ];
+                        let idx = SINGLES
+                            .char_indices()
+                            .position(|(p, _)| p == pos)
+                            .unwrap_or(27);
+                        push(TokKind::Punct(TABLE[idx]));
+                    } else {
+                        push(TokKind::Other(c));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,7 +560,7 @@ mod tests {
     #[test]
     fn raw_string_interior_is_blanked() {
         // Item-looking tokens inside a raw string must never reach the
-        // parser; code after the literal must survive.
+        // rules; code after the literal must survive.
         let src = r##"let s = r#"fn fake() { // not a comment "q" }"#; let real = 1;"##;
         let code = code_of(src);
         assert!(!code.contains("fake"), "{code}");
@@ -465,7 +624,7 @@ mod tests {
         // The lifetime is code (kept); the char literal interior is blanked.
         assert!(code.contains("fn f<'a>(x: &'a str)"), "{code}");
         assert!(!code.contains('x') || !code.contains("'x'"), "{code}");
-        // Braces must balance for the item parser.
+        // Braces must balance for the `#[cfg(test)]` mask.
         assert_eq!(code.matches('{').count(), code.matches('}').count());
     }
 
@@ -565,7 +724,7 @@ mod tests {
         assert!(code.contains("let x = 1;"), "{code}");
     }
 
-    // ---- misc invariants the item parser relies on -------------------
+    // ---- misc invariants the passes rely on --------------------------
 
     #[test]
     fn string_escape_at_eol_continues_string() {

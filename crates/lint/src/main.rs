@@ -1,23 +1,20 @@
 //! `socl-lint` CLI.
 //!
 //! ```text
-//! socl-lint check [--root <dir>] [--json]
-//!                 [--passes token,units,alloc]
-//!                 [--stale-waivers]
+//! socl-lint check [--root <dir>] [--json] [--stale-waivers]
 //!                                  lint the workspace (default command);
 //!                                  with --stale-waivers, audit the
-//!                                  LINT-ALLOW/LINT-HOT markers instead
+//!                                  LINT-ALLOW markers instead
 //! socl-lint rules                  list rules with their rationale
 //! ```
 //!
-//! Exit codes: `0` clean, `1` violations found (including `P0-parse`
-//! structural parse failures), `2` internal error (unreadable files, bad
-//! arguments, no workspace root). Diagnostics go to stdout, one per line, in
-//! the stable `file:line:rule: message` format — or as a JSON array with
-//! `--json` — and errors go to stderr.
+//! Exit codes: `0` clean, `1` violations found, `2` internal error
+//! (unreadable files, bad arguments, no workspace root). Diagnostics go to
+//! stdout, one per line, in the stable `file:line:rule: message` format —
+//! or as a JSON array with `--json` — and errors go to stderr.
 
-use socl_lint::engine::{lint_workspace_passes, render_json, stale_waivers_workspace, Passes};
-use socl_lint::{find_workspace_root, Rule};
+use socl_lint::engine::{render_json, stale_waivers_workspace};
+use socl_lint::{find_workspace_root, lint_workspace, Rule};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -27,29 +24,12 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
     let mut stale = false;
-    let mut passes = Passes::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "check" | "rules" if cmd.is_none() => cmd = Some(args[i].as_str()),
             "--json" => json = true,
             "--stale-waivers" => stale = true,
-            "--passes" => {
-                i += 1;
-                match args.get(i) {
-                    Some(list) => match Passes::from_list(list) {
-                        Ok(p) => passes = p,
-                        Err(e) => {
-                            eprintln!("socl-lint: --passes: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    None => {
-                        eprintln!("socl-lint: --passes requires a list (token,units,alloc)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             "--root" => {
                 i += 1;
                 match args.get(i) {
@@ -100,9 +80,9 @@ fn main() -> ExitCode {
                 }
             };
             let result = if stale {
-                stale_waivers_workspace(&root, &passes)
+                stale_waivers_workspace(&root)
             } else {
-                lint_workspace_passes(&root, &passes)
+                lint_workspace(&root)
             };
             match result {
                 Ok(diags) => {

@@ -34,8 +34,7 @@
 //! objective) stay legal — the blend terms simply never carry suffixes.
 
 use crate::engine::{allow_status, AllowStatus, Diagnostic, Rule};
-use crate::lexer::{line_views, test_gated_mask};
-use crate::parser::{tokenize, Tok, TokKind};
+use crate::lexer::{line_views, test_gated_mask, tokenize, Tok, TokKind};
 
 /// Files the units pass covers (workspace-relative).
 pub const COVERED_FILES: [&str; 4] = [

@@ -5,7 +5,7 @@
 //! — rule id and 1-based line — the engine must produce, so any change to
 //! the detection logic shows up as a precise diff, not a count drift.
 
-use socl_lint::engine::{stale_waivers, Passes};
+use socl_lint::engine::stale_waivers;
 use socl_lint::{lint_source, lint_workspace, Diagnostic, FileKind, Rule};
 
 /// Lint a fixture as library-kind code under a synthetic workspace path
@@ -211,10 +211,9 @@ fn diagnostic_display_format_is_stable() {
 
 #[test]
 fn workspace_dogfood_is_clean() {
-    // The repository itself must satisfy its own invariants — every pass,
-    // including the A1 call-graph pass. Integration tests run
-    // with the package directory (or workspace root) as cwd; walk upward
-    // to the workspace root either way.
+    // The repository itself must satisfy its own invariants — every pass.
+    // Integration tests run with the package directory (or workspace root)
+    // as cwd; walk upward to the workspace root either way.
     let cwd = std::env::current_dir().expect("cwd");
     let root = socl_lint::find_workspace_root(&cwd).expect("workspace root not found");
     let diags = lint_workspace(&root).expect("workspace walk failed");
@@ -242,7 +241,7 @@ fn stale_waiver_audit_separates_live_from_dead() {
         ("crates/model/src/w1.rs".to_string(), live.to_string()),
         ("crates/model/src/w2.rs".to_string(), dead.to_string()),
     ];
-    let diags = stale_waivers(&files, &Passes::default());
+    let diags = stale_waivers(&files);
     let got: Vec<(usize, Rule)> = diags.iter().map(|d| (d.line, d.rule)).collect();
     assert_eq!(got, vec![(2, Rule::W0StaleWaiver)], "{diags:#?}");
     assert_eq!(diags[0].file, "crates/model/src/w2.rs");
@@ -257,7 +256,7 @@ fn stale_waiver_audit_skips_tests_and_the_linter_itself() {
     for path in ["crates/model/tests/t.rs", "crates/lint/src/x.rs"] {
         let files = vec![(path.to_string(), dead.to_string())];
         assert_eq!(
-            stale_waivers(&files, &Passes::default()),
+            stale_waivers(&files),
             Vec::new(),
             "{path} must be exempt from the waiver audit"
         );
@@ -266,13 +265,11 @@ fn stale_waiver_audit_skips_tests_and_the_linter_itself() {
 
 #[test]
 fn workspace_waivers_are_all_load_bearing() {
-    // Every committed `LINT-ALLOW`/`LINT-HOT` marker must still suppress
-    // at least one diagnostic; dead waivers hide future violations.
+    // Every committed `LINT-ALLOW` marker must still suppress at least one
+    // diagnostic; dead waivers hide future violations.
     let cwd = std::env::current_dir().expect("cwd");
     let root = socl_lint::find_workspace_root(&cwd).expect("workspace root not found");
-    let stale =
-        socl_lint::engine::stale_waivers_workspace(&root, &socl_lint::engine::Passes::default())
-            .expect("workspace walk failed");
+    let stale = socl_lint::engine::stale_waivers_workspace(&root).expect("workspace walk failed");
     assert!(
         stale.is_empty(),
         "workspace has {} stale waiver(s):\n{}",

@@ -18,8 +18,8 @@ use socl_net::NodeId;
 /// Reusable buffers for in-place chain sampling
 /// ([`DependencyDataset::sample_chain_into`] and
 /// [`PreferenceModel::sample_chain_into`](crate::preferences::PreferenceModel::sample_chain_into)).
-/// One instance amortizes every chain re-sample in a simulation run
-/// (rule `A1-hot-alloc`); contents between calls are meaningless.
+/// One instance amortizes every chain re-sample in a simulation run;
+/// contents between calls are meaningless.
 #[derive(Debug, Clone, Default)]
 pub struct ChainScratch {
     /// Candidate chain for the current attempt.
@@ -98,8 +98,7 @@ impl DependencyDataset {
         self.successors_iter(s).collect()
     }
 
-    /// Direct callees of `s`, without allocating — the form hot loops use
-    /// (rule `A1-hot-alloc`).
+    /// Direct callees of `s`, without allocating — the form hot loops use.
     pub fn successors_iter(&self, s: u32) -> impl Iterator<Item = u32> + '_ {
         self.edges
             .iter()
@@ -166,9 +165,9 @@ impl DependencyDataset {
     }
 
     /// [`sample_chain`](Self::sample_chain) into caller-owned buffers, so the
-    /// online simulator's churn loop re-samples chains without allocating
-    /// (rule `A1-hot-alloc`). `attempt` and `succ` are pure scratch; the
-    /// chain is left in `out` (previous contents discarded).
+    /// online simulator's churn loop re-samples chains without allocating.
+    /// `attempt` and `succ` are pure scratch; the chain is left in `out`
+    /// (previous contents discarded).
     ///
     /// Draws from `rng` in exactly the same order as `sample_chain`, so a
     /// seeded run produces identical chains through either entry point.

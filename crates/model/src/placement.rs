@@ -75,8 +75,7 @@ impl Placement {
     }
 
     /// Nodes hosting an instance of `m`, in ascending id order, without
-    /// allocating — the hot-loop variant of [`hosts_of`](Self::hosts_of)
-    /// (rule `A1-hot-alloc`).
+    /// allocating — the hot-loop variant of [`hosts_of`](Self::hosts_of).
     pub fn hosts_iter(&self, m: ServiceId) -> impl Iterator<Item = NodeId> + '_ {
         let row = m.idx() * self.nodes;
         (0..self.nodes)

@@ -102,9 +102,9 @@ impl PreferenceModel {
     }
 
     /// [`sample_chain`](Self::sample_chain) into caller-owned buffers — the
-    /// allocation-free form the online simulator's churn loop uses (rule
-    /// `A1-hot-alloc`). The chain is left in `out` (previous contents
-    /// discarded); `scratch` is recycled across calls.
+    /// allocation-free form the online simulator's churn loop uses. The
+    /// chain is left in `out` (previous contents discarded); `scratch` is
+    /// recycled across calls.
     ///
     /// Draws from `rng` in exactly the same order as `sample_chain`, so a
     /// seeded run produces identical chains through either entry point.

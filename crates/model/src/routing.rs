@@ -53,7 +53,7 @@ impl RouteOutcome {
 
 /// Reusable buffers for the routing DP, so per-request calls in hot loops
 /// (`route_all`, the online per-slot sweep) never re-allocate the layer
-/// tables (rule `A1-hot-alloc`). All four vectors are flat: entry `i`
+/// tables. All four vectors are flat: entry `i`
 /// describes host `hosts[i]`, and `off[j]..off[j+1]` is layer `j`'s slice.
 #[derive(Debug, Clone, Default)]
 pub struct RouteScratch {

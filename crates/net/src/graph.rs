@@ -300,7 +300,7 @@ impl EdgeNetwork {
     /// (pass `usize::MAX` for none) — without building the subgraph.
     /// Reusable `scratch` keeps repeated checks (the simulator probes one
     /// candidate link per fault event) allocation-free after the first
-    /// call (rule `A1-hot-alloc`). Links whose index is beyond `alive` are
+    /// call. Links whose index is beyond `alive` are
     /// treated as alive.
     pub fn is_connected_masked(
         &self,

@@ -189,8 +189,7 @@ where
 ///
 /// `new_scratch` runs once per worker (and once on the serial path), so a
 /// fan-out over `n` items performs `threads` scratch constructions instead
-/// of `n` — the hot-loop allocation pattern `A1-hot-alloc` exists to
-/// enforce. Determinism contract: `f` must produce the same output for a
+/// of `n`, so the per-item loop allocates nothing. Determinism contract: `f` must produce the same output for a
 /// given item regardless of what a previous call left in the scratch —
 /// scratch exists to recycle allocations, never to carry state — so
 /// results stay identical for any thread count, exactly like

@@ -221,17 +221,9 @@ pub struct AllPairs {
     pred_hop: Vec<u32>,
 }
 
-/// One source's worth of all-pairs data (both metrics), as produced by the
-/// per-source Dijkstra fan-out.
-pub(crate) struct SourceRow {
-    latency: Vec<f64>,
-    hop_latency: Vec<f64>,
-    hops: Vec<u32>,
-    pred_lat: Vec<u32>,
-    pred_hop: Vec<u32>,
-}
-
-/// The latency-metric half of a source row (distances + predecessors).
+/// The latency-metric half of a source row (distances + predecessors). A
+/// full build computes both halves of every row; the incremental cache
+/// recomputes or repairs them one at a time.
 pub(crate) struct LatHalf {
     latency: Vec<f64>,
     pred_lat: Vec<u32>,
@@ -558,30 +550,6 @@ fn repaired_half_decrease(
     (lat, hops, pred)
 }
 
-fn compute_row(net: &EdgeNetwork, s: NodeId) -> SourceRow {
-    let n = net.node_count();
-    let lat_tree = ShortestPaths::dijkstra(net, s, PathMetric::Latency);
-    let hop_tree = ShortestPaths::dijkstra(net, s, PathMetric::Hops);
-    let mut row = SourceRow {
-        latency: Vec::with_capacity(n),
-        hop_latency: Vec::with_capacity(n),
-        hops: Vec::with_capacity(n),
-        pred_lat: Vec::with_capacity(n),
-        pred_hop: Vec::with_capacity(n),
-    };
-    for t in 0..n {
-        let t = NodeId(t as u32);
-        row.latency.push(lat_tree.latency_weight(t));
-        row.hop_latency.push(hop_tree.latency_weight(t));
-        row.hops.push(hop_tree.hop_count(t));
-        row.pred_lat
-            .push(lat_tree.predecessor(t).map_or(u32::MAX, |p| p.0));
-        row.pred_hop
-            .push(hop_tree.predecessor(t).map_or(u32::MAX, |p| p.0));
-    }
-    row
-}
-
 impl AllPairs {
     /// Precompute both metrics from every source, fanning the per-source
     /// Dijkstra trees out over the configured thread pool. Results are
@@ -607,8 +575,10 @@ impl AllPairs {
     /// equivalence tests use this to force real fan-out on small graphs).
     pub fn build_with_threads(net: &EdgeNetwork, threads: usize) -> Self {
         let n = net.node_count();
-        let rows =
-            crate::par::par_map_indexed_with(n, threads, |s| compute_row(net, NodeId(s as u32)));
+        let rows = crate::par::par_map_indexed_with(n, threads, |s| {
+            let s = NodeId(s as u32);
+            (compute_lat_half(net, s), compute_hop_half(net, s))
+        });
         let mut ap = Self {
             n,
             latency: Vec::with_capacity(n * n),
@@ -617,12 +587,12 @@ impl AllPairs {
             pred_lat: Vec::with_capacity(n * n),
             pred_hop: Vec::with_capacity(n * n),
         };
-        for mut row in rows {
-            ap.latency.append(&mut row.latency);
-            ap.hop_latency.append(&mut row.hop_latency);
-            ap.hops.append(&mut row.hops);
-            ap.pred_lat.append(&mut row.pred_lat);
-            ap.pred_hop.append(&mut row.pred_hop);
+        for (mut lat, mut hop) in rows {
+            ap.latency.append(&mut lat.latency);
+            ap.pred_lat.append(&mut lat.pred_lat);
+            ap.hop_latency.append(&mut hop.hop_latency);
+            ap.hops.append(&mut hop.hops);
+            ap.pred_hop.append(&mut hop.pred_hop);
         }
         ap
     }

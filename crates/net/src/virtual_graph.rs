@@ -139,7 +139,7 @@ pub struct VgCache {
     hits: u64,
     misses: u64,
     /// Dedup buffer for lookups, recycled across calls so cache *hits* —
-    /// the steady state — allocate nothing (rule `A1-hot-alloc`). On a miss
+    /// the steady state — allocate nothing. On a miss
     /// the buffer moves into the memo as the key and is replaced lazily.
     key_scratch: Vec<NodeId>,
 }

@@ -205,10 +205,10 @@ pub struct OnlineSimulator {
     /// every crash recovery.
     pub(crate) billed_replica_slots: u64,
     /// Reusable DFS state for bridge probes — transient scratch, never
-    /// checkpointed (rule `A1-hot-alloc`).
+    /// checkpointed.
     pub(crate) conn_scratch: socl_net::ConnScratch,
     /// Reusable chain-sampling buffers for the churn loop — transient
-    /// scratch, never checkpointed (rule `A1-hot-alloc`).
+    /// scratch, never checkpointed.
     pub(crate) chain_scratch: socl_model::ChainScratch,
 }
 
@@ -290,7 +290,7 @@ impl OnlineSimulator {
     /// True when removing every currently-dead link *plus* `extra` keeps the
     /// substrate connected. Probes the masked substrate in place — no
     /// subgraph is materialized, and the DFS buffers are recycled across
-    /// calls (rule `A1-hot-alloc`).
+    /// calls.
     fn connected_without(&mut self, extra: usize) -> bool {
         self.base
             .net
@@ -443,7 +443,7 @@ impl OnlineSimulator {
             if self.rng.gen::<f64>() < self.cfg.rechain_prob {
                 // Chains are re-sampled straight into the request's own
                 // buffers; `chain_scratch` is recycled across users and
-                // slots (rule `A1-hot-alloc`). Draw order matches the
+                // slots. Draw order matches the
                 // allocating samplers exactly, so seeded runs are unchanged.
                 match &self.preferences {
                     Some(prefs) => prefs.sample_chain_into(
