@@ -24,7 +24,8 @@ use socl_net::NodeId;
 pub struct ChainScratch {
     /// Candidate chain for the current attempt.
     pub attempt: Vec<ServiceId>,
-    /// Successor candidates of the walk's current service.
+    /// Unvisited successors of the walk's current service
+    /// (preference-guided sampling only).
     pub succ: Vec<u32>,
     /// Single-service head chain (preference-guided sampling only).
     pub head: Vec<ServiceId>,
@@ -158,16 +159,15 @@ impl DependencyDataset {
         max_len: usize,
     ) -> Vec<ServiceId> {
         let mut attempt = Vec::new();
-        let mut succ = Vec::new();
         let mut out = Vec::new();
-        self.sample_chain_into(rng, min_len, max_len, &mut attempt, &mut succ, &mut out);
+        self.sample_chain_into(rng, min_len, max_len, &mut attempt, &mut out);
         out
     }
 
     /// [`sample_chain`](Self::sample_chain) into caller-owned buffers, so the
     /// online simulator's churn loop re-samples chains without allocating.
-    /// `attempt` and `succ` are pure scratch; the chain is left in `out`
-    /// (previous contents discarded).
+    /// `attempt` is pure scratch; the chain is left in `out` (previous
+    /// contents discarded).
     ///
     /// Draws from `rng` in exactly the same order as `sample_chain`, so a
     /// seeded run produces identical chains through either entry point.
@@ -177,7 +177,6 @@ impl DependencyDataset {
         min_len: usize,
         max_len: usize,
         attempt: &mut Vec<ServiceId>,
-        succ: &mut Vec<u32>,
         out: &mut Vec<ServiceId>,
     ) {
         assert!(!self.names.is_empty(), "empty dataset");
@@ -192,13 +191,15 @@ impl DependencyDataset {
             let mut cur = *rng.choose(&self.entries).unwrap_or(&0);
             attempt.push(ServiceId(cur));
             while attempt.len() < target {
-                succ.clear();
-                succ.extend(self.successors_iter(cur));
-                if succ.is_empty() {
+                // The draw `choose` makes on the collected successors,
+                // without collecting them.
+                let n = self.successors_iter(cur).count();
+                if n == 0 {
                     break;
                 }
-                match rng.choose(succ) {
-                    Some(&next) => cur = next,
+                let pick = rng.gen_range(0..n as u32) as usize;
+                match self.successors_iter(cur).nth(pick) {
+                    Some(next) => cur = next,
                     None => break,
                 }
                 attempt.push(ServiceId(cur));
@@ -337,6 +338,8 @@ pub fn linear_dataset(n: usize) -> DependencyDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets_extra::{SockShopDataset, TrainTicketDataset};
+    use socl_net::rng::cases;
 
     fn rng() -> ChaCha12Rng {
         ChaCha12Rng::seed_from_u64(7)
@@ -385,6 +388,65 @@ mod tests {
             s.dedup();
             assert_eq!(s.len(), chain.len());
         }
+    }
+
+    /// `sample_chain_into` as first written: successors collected into a
+    /// list, then `choose`. Frozen — the reference the allocation-free walk
+    /// is held to.
+    fn sample_chain_reference(
+        ds: &DependencyDataset,
+        rng: &mut ChaCha12Rng,
+        min_len: usize,
+        max_len: usize,
+    ) -> Vec<ServiceId> {
+        let max_len = max_len.max(1);
+        let min_len = min_len.clamp(1, max_len);
+        let mut out = Vec::new();
+        for _ in 0..8 {
+            let target = rng.gen_range(min_len..=max_len);
+            let mut cur = *rng.choose(&ds.entries).unwrap_or(&0);
+            let mut attempt = vec![ServiceId(cur)];
+            while attempt.len() < target {
+                let succ: Vec<u32> = ds.successors_iter(cur).collect();
+                match rng.choose(&succ) {
+                    Some(&next) => cur = next,
+                    None => break,
+                }
+                attempt.push(ServiceId(cur));
+            }
+            if attempt.len() >= min_len {
+                return attempt;
+            }
+            if attempt.len() > out.len() {
+                out = attempt;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn chain_walk_equals_the_collecting_reference() {
+        let datasets = [
+            EshopDataset::build(),
+            SockShopDataset::build(),
+            TrainTicketDataset::build(),
+        ];
+        cases(32, |rng| {
+            let min_len = rng.gen_range(0..=6usize);
+            let max_len = rng.gen_range(0..=12usize);
+            let seed = rng.next_u64();
+            for ds in &datasets {
+                let mut want_rng = ChaCha12Rng::seed_from_u64(seed);
+                let mut got_rng = want_rng.clone();
+                let (mut attempt, mut got) = (Vec::new(), Vec::new());
+                for _ in 0..16 {
+                    let want = sample_chain_reference(ds, &mut want_rng, min_len, max_len);
+                    ds.sample_chain_into(&mut got_rng, min_len, max_len, &mut attempt, &mut got);
+                    assert_eq!(got, want, "min {min_len}, max {max_len}");
+                    assert_eq!(got_rng.get_word_pos(), want_rng.get_word_pos());
+                }
+            }
+        });
     }
 
     #[test]

@@ -131,9 +131,9 @@ impl PreferenceModel {
             let target = rng.gen_range(min_len..=max_len);
             // Head drawn from the dataset's entry points (its own sampler
             // encodes them); preferences steer the walk from there. The
-            // head sampler borrows `attempt`/`succ` as scratch — both are
-            // dead here and reset immediately after.
-            dataset.sample_chain_into(rng, 1, 1, attempt, succ, head);
+            // head sampler borrows `attempt` as scratch — it is dead here
+            // and reset immediately after.
+            dataset.sample_chain_into(rng, 1, 1, attempt, head);
             attempt.clear();
             let Some(&h) = head.first() else {
                 break;

@@ -70,12 +70,11 @@ impl UserRequest {
             chain.len() - 1,
             "request {id}: edge_data must have chain.len()-1 entries"
         );
-        let mut sorted = chain.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(
-            sorted.len(),
-            chain.len(),
+        assert!(
+            chain
+                .iter()
+                .enumerate()
+                .all(|(i, m)| !chain[..i].contains(m)),
             "request {id}: chain repeats a microservice"
         );
         Self {

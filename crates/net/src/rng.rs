@@ -8,7 +8,7 @@
 //! defined.
 //!
 //! [`ChaCha12Rng`] is the ChaCha block function with 12 rounds, a 64-bit
-//! block counter and a 64-bit stream id, buffered four blocks at a time. Its
+//! block counter and a 64-bit stream id, buffered one block at a time. Its
 //! position is the triple `(seed, stream, word_pos)` the checkpoints of
 //! `socl-sim::recovery` store. `seed_from_u64` expands the seed with PCG32;
 //! the samplers are widening-multiply rejection for integers and the 52-bit
@@ -19,54 +19,31 @@
 //! [`cases`] is the seeded case loop the property suites run on.
 
 const BLOCK_WORDS: usize = 16;
-const BUF_BLOCKS: usize = 4;
-const BUF_WORDS: usize = BLOCK_WORDS * BUF_BLOCKS;
+/// Words per buffer refill: one block.
+const BUF_WORDS: usize = BLOCK_WORDS;
 const DOUBLE_ROUNDS: usize = 6;
 
-/// One lane per buffered block, so the rounds vectorize four-wide.
-type Lanes = [u32; BUF_BLOCKS];
-
 #[inline(always)]
-fn add(a: Lanes, b: Lanes) -> Lanes {
-    std::array::from_fn(|i| a[i].wrapping_add(b[i]))
+fn quarter(x: &mut [u32; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
+    x[a] = x[a].wrapping_add(x[b]);
+    x[d] = (x[d] ^ x[a]).rotate_left(16);
+    x[c] = x[c].wrapping_add(x[d]);
+    x[b] = (x[b] ^ x[c]).rotate_left(12);
+    x[a] = x[a].wrapping_add(x[b]);
+    x[d] = (x[d] ^ x[a]).rotate_left(8);
+    x[c] = x[c].wrapping_add(x[d]);
+    x[b] = (x[b] ^ x[c]).rotate_left(7);
 }
 
-#[inline(always)]
-fn xor_rotl(a: Lanes, b: Lanes, n: u32) -> Lanes {
-    std::array::from_fn(|i| (a[i] ^ b[i]).rotate_left(n))
-}
-
-#[inline(always)]
-fn quarter(x: &mut [Lanes; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
-    x[a] = add(x[a], x[b]);
-    x[d] = xor_rotl(x[d], x[a], 16);
-    x[c] = add(x[c], x[d]);
-    x[b] = xor_rotl(x[b], x[c], 12);
-    x[a] = add(x[a], x[b]);
-    x[d] = xor_rotl(x[d], x[a], 8);
-    x[c] = add(x[c], x[d]);
-    x[b] = xor_rotl(x[b], x[c], 7);
-}
-
-/// Four consecutive ChaCha blocks (counters `block_pos..block_pos + 4`),
-/// block-major: words `16 * b..16 * (b + 1)` are block `b`.
-fn blocks4(key: &[u32; 8], block_pos: u64, stream: u64, double_rounds: usize) -> [u32; BUF_WORDS] {
-    let mut init = [[0u32; BUF_BLOCKS]; BLOCK_WORDS];
-    for (w, c) in [0x6170_7865u32, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]
-        .into_iter()
-        .enumerate()
-    {
-        init[w] = [c; BUF_BLOCKS];
-    }
-    for (w, k) in key.iter().enumerate() {
-        init[4 + w] = [*k; BUF_BLOCKS];
-    }
-    let counters: [u64; BUF_BLOCKS] =
-        std::array::from_fn(|lane| block_pos.wrapping_add(lane as u64));
-    init[12] = counters.map(|c| c as u32);
-    init[13] = counters.map(|c| (c >> 32) as u32);
-    init[14] = [stream as u32; BUF_BLOCKS];
-    init[15] = [(stream >> 32) as u32; BUF_BLOCKS];
+/// The ChaCha block at counter `block_pos`.
+fn block(key: &[u32; 8], block_pos: u64, stream: u64, double_rounds: usize) -> [u32; BLOCK_WORDS] {
+    let mut init = [0u32; BLOCK_WORDS];
+    init[..4].copy_from_slice(&[0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]);
+    init[4..12].copy_from_slice(key);
+    init[12] = block_pos as u32;
+    init[13] = (block_pos >> 32) as u32;
+    init[14] = stream as u32;
+    init[15] = (stream >> 32) as u32;
     let mut x = init;
     for _ in 0..double_rounds {
         quarter(&mut x, 0, 4, 8, 12);
@@ -78,14 +55,10 @@ fn blocks4(key: &[u32; 8], block_pos: u64, stream: u64, double_rounds: usize) ->
         quarter(&mut x, 2, 7, 8, 13);
         quarter(&mut x, 3, 4, 9, 14);
     }
-    let mut out = [0u32; BUF_WORDS];
-    for w in 0..BLOCK_WORDS {
-        let sum = add(x[w], init[w]);
-        for lane in 0..BUF_BLOCKS {
-            out[lane * BLOCK_WORDS + w] = sum[lane];
-        }
+    for (w, i) in x.iter_mut().zip(init) {
+        *w = w.wrapping_add(i);
     }
-    out
+    x
 }
 
 /// ChaCha with 12 rounds as a seedable, seekable generator.
@@ -132,8 +105,8 @@ impl ChaCha12Rng {
     }
 
     fn generate_and_set(&mut self, index: usize) {
-        self.results = blocks4(&self.key, self.block_pos, self.stream, DOUBLE_ROUNDS);
-        self.block_pos = self.block_pos.wrapping_add(BUF_BLOCKS as u64);
+        self.results = block(&self.key, self.block_pos, self.stream, DOUBLE_ROUNDS);
+        self.block_pos = self.block_pos.wrapping_add(1);
         self.index = index;
     }
 
@@ -162,7 +135,7 @@ impl ChaCha12Rng {
 
     /// Position in the keystream, in 32-bit words.
     pub fn get_word_pos(&self) -> u128 {
-        let buf_start_block = self.block_pos.wrapping_sub(BUF_BLOCKS as u64);
+        let buf_start_block = self.block_pos.wrapping_sub(1);
         let pos_block = buf_start_block.wrapping_add((self.index / BLOCK_WORDS) as u64);
         u128::from(pos_block) * BLOCK_WORDS as u128 + (self.index % BLOCK_WORDS) as u128
     }
@@ -449,9 +422,10 @@ mod tests {
     /// key/nonce ChaCha20 keystream, then the second block (counter 1).
     #[test]
     fn block_function_matches_chacha20_zero_vector() {
-        let out = blocks4(&[0; 8], 0, 0, 10);
+        let first = block(&[0; 8], 0, 0, 10);
+        let second = block(&[0; 8], 1, 0, 10);
         assert_eq!(
-            le_bytes(&out[..8]),
+            le_bytes(&first[..8]),
             [
                 0x76, 0xb8, 0xe0, 0xad, 0xa0, 0xf1, 0x3d, 0x90, 0x40, 0x5d, 0x6a, 0xe5, 0x53, 0x86,
                 0xbd, 0x28, 0xbd, 0xd2, 0x19, 0xb8, 0xa0, 0x8d, 0xed, 0x1a, 0xa8, 0x36, 0xef, 0xcc,
@@ -459,7 +433,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            le_bytes(&out[16..20]),
+            le_bytes(&second[..4]),
             [
                 0x9f, 0x07, 0xe7, 0xbe, 0x55, 0x51, 0x38, 0x7a, 0x98, 0xba, 0x97, 0x7c, 0x73, 0x2d,
                 0x08, 0x0d
@@ -517,6 +491,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// FNV-1a over the first 4096 `next_u32` words of `seed_from_u64(17)` on
+    /// streams 0 and 7, recorded under the four-block buffer this generator
+    /// had before it refilled one block at a time: every refill boundary,
+    /// far past the first block, is pinned whatever the buffer size.
+    #[test]
+    fn long_stream_digests_are_pinned() {
+        let digest = |stream: u64| {
+            let mut rng = ChaCha12Rng::seed_from_u64(17);
+            rng.set_stream(stream);
+            (0..4096).fold(0xcbf2_9ce4_8422_2325u64, |h, _| {
+                rng.next_u32().to_le_bytes().into_iter().fold(h, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+            })
+        };
+        assert_eq!(
+            [digest(0), digest(7)],
+            [0x418f_8ee9_e391_a111, 0x64df_9bc9_d43f_602c]
+        );
     }
 
     #[test]

@@ -443,6 +443,29 @@ mod tests {
         }
     }
 
+    /// FNV-1a over `synthesize(u)` for the first 10 000 users — location,
+    /// chain, every `edge_data` bit, `r_in` and `r_out` — recorded before
+    /// the chain walk stopped collecting successors and the generator
+    /// refilled one block at a time.
+    #[test]
+    fn synthesis_digest_is_pinned() {
+        let f = feed();
+        let mut h = FNV_OFFSET;
+        for user in 0..10_000 {
+            let r = f.synthesize(user);
+            h = fnv_word(h, r.location.0);
+            h = fnv_word(h, r.chain.len() as u32);
+            for m in &r.chain {
+                h = fnv_word(h, m.0);
+            }
+            for x in r.edge_data.iter().chain([&r.r_in, &r.r_out]) {
+                let bits = x.to_bits();
+                h = fnv_word(fnv_word(h, bits as u32), (bits >> 32) as u32);
+            }
+        }
+        assert_eq!(h, 0x6787_9969_ed86_955f);
+    }
+
     #[test]
     fn arrival_rate_tracks_target() {
         let f = feed();

@@ -16,11 +16,12 @@
 //! shards`) and chunk outputs merge in index order, so the decision
 //! stream is **bit-identical for any shard count and any thread count**.
 //! Only the two phases that can outweigh a spawn fan out — the arrival
-//! scan and phase 3 — and each first asks `socl_net::parallel_worthwhile`
-//! with a unit read off its own loop bounds, otherwise running the same
-//! closure in index order on the calling thread. Routing, the autoscaler
-//! tick and checkpoint encoding cost less than one dispatch at any traffic
-//! the queues admit and always run on the calling thread.
+//! scan and phase 3 (synthesis, admission and routing) — and each first
+//! asks `socl_net::parallel_worthwhile` with a unit read off its own loop
+//! bounds, otherwise running the same closure in index order on the
+//! calling thread. The autoscaler tick and checkpoint encoding cost less
+//! than one dispatch at any traffic the queues admit and always run on
+//! the calling thread.
 //! No async runtime, no wall clock, no hash-order iteration anywhere in
 //! the decision path.
 //!
@@ -30,12 +31,12 @@
 //! 2. epoch boundary: re-solve placement from the scan's tracer sample;
 //! 3. per-shard: expire in-flight, ingest arrivals (queue-full sheds),
 //!    drain + admission (cloud fallbacks and admission sheds decided
-//!    here) — yields the admitted routing jobs;
-//! 4. routing of the admitted jobs, in region then queue order;
-//! 5. head: fold edge decisions, charge in-flight per stage to the
-//!    hosting region, record cross-region sends in the outbox;
-//! 6. autoscaler tick and WAL record per region;
-//! 7. checkpoint every `checkpoint_every` ticks.
+//!    here), then routing of the region's admitted jobs in queue order;
+//! 4. head: fold edge decisions in region then queue order, charge
+//!    in-flight per stage to the hosting region, record cross-region
+//!    sends in the outbox;
+//! 5. autoscaler tick and WAL record per region;
+//! 6. checkpoint every `checkpoint_every` ticks.
 
 use crate::feed::{FeedConfig, LoadFeed};
 use crate::region::RegionMap;
@@ -208,9 +209,13 @@ pub struct SoclServe {
     region_map: RegionMap,
     feed: LoadFeed,
     regions: Vec<RegionState>,
-    /// Placement per resolve epoch, in epoch order (head state; survives
-    /// shard kills, so replay looks placements up instead of re-solving).
-    placements: Vec<Placement>,
+    /// Placement per resolve epoch, in epoch order, from epoch
+    /// `placement_base` on (head state; survives shard kills, so replay
+    /// looks placements up instead of re-solving). Epochs before the
+    /// oldest retained checkpoint's are dropped: no replay reaches them.
+    placements: VecDeque<Placement>,
+    /// Epoch of `placements[0]`.
+    placement_base: usize,
     wals: Vec<RegionWal>,
     /// Checkpoint history per region: `(tick, bytes)` in tick order,
     /// trimmed to the outbox window (see `take_checkpoints`).
@@ -241,9 +246,10 @@ fn outbox_window(checkpoint_every: u32) -> usize {
 /// of the user id (the tick's prefix is hashed once).
 const COIN_UNIT: usize = 4;
 
-/// `parallel_worthwhile` unit of one `LoadFeed::synthesize`: the per-user
-/// ChaCha12 stream's first refill, 64 words × 6 double rounds.
-const SYNTHESIZE_UNIT: usize = 64 * 6;
+/// `parallel_worthwhile` unit of one arrival in phase 3: its
+/// `LoadFeed::synthesize` (two 16-word ChaCha12 blocks × 6 double rounds)
+/// and, if admitted, its route (about as much again).
+const SYNTHESIZE_UNIT: usize = 2 * (2 * 16 * 6);
 
 /// Run `f` over every region, grouped by shard, on the deterministic
 /// pool when `unit` abstract operations per region are worth a spawn.
@@ -314,7 +320,8 @@ impl SoclServe {
             region_map,
             feed,
             regions,
-            placements: Vec::new(),
+            placements: VecDeque::new(),
+            placement_base: 0,
             wals: (0..n).map(|_| RegionWal::new()).collect(),
             checkpoints: (0..n).map(|_| Vec::new()).collect(),
             max_checkpoint_bytes: 0,
@@ -366,7 +373,7 @@ impl SoclServe {
     /// Current placement, if an epoch has been resolved.
     #[must_use]
     pub fn placement(&self) -> Option<&Placement> {
-        self.placements.last()
+        self.placements.back()
     }
 
     /// Record every decision into a capture buffer (off by default; the
@@ -438,7 +445,7 @@ impl SoclServe {
         scratch: &mut RouteScratch,
         req: &socl_model::UserRequest,
     ) -> RouteOutcome {
-        match self.placements.last() {
+        match self.placements.back() {
             Some(p) => optimal_route_with(scratch, req, p, &self.net, &self.ap, &self.catalog),
             None => RouteOutcome::CloudFallback,
         }
@@ -460,19 +467,21 @@ impl SoclServe {
         }
         let epoch = self.epoch_of(t);
         let per_region = self.by_region(&arrivals);
-        // Phase 3: per-shard ingest + drain + admission.
-        let placement = &self.placements[epoch];
+        // Phase 3: per-shard ingest + drain + admission, then routing of
+        // the admitted jobs in queue order.
+        let placement = &self.placements[epoch - self.placement_base];
         let feed = &self.feed;
         let map = &self.region_map;
+        let (net, ap, catalog) = (&self.net, &self.ap, &self.catalog);
         let drain_per_station = self.cfg.drain_per_station;
         let capturing = self.capture.is_some();
-        let phase_a: Vec<(Vec<Pending>, Vec<DecisionEvent>)> = sharded(
+        let mut phase_a = sharded(
             &mut self.regions,
             self.cfg.shards,
             arrivals.len().div_ceil(per_region.len().max(1)) * SYNTHESIZE_UNIT,
             &|st: &mut RegionState| {
                 let budget = drain_per_station * map.count(st.id).max(1);
-                region_phase_a(
+                let (jobs, events) = region_phase_a(
                     st,
                     t,
                     per_region
@@ -482,63 +491,53 @@ impl SoclServe {
                     placement,
                     budget,
                     capturing,
-                )
+                );
+                (route_jobs(jobs, placement, net, ap, catalog), events)
             },
         );
-        // Phase 4: routing, in region then queue order.
+        // Phase 4: fold decisions in region then queue order, charge
+        // in-flight, record cross sends.
         let mut events: Vec<DecisionEvent> = Vec::new();
-        let flat: Vec<(u32, Pending)> = phase_a
-            .into_iter()
-            .enumerate()
-            .flat_map(|(r, (jobs, evts))| {
-                events.extend(evts);
-                jobs.into_iter().map(move |p| (r as u32, p))
-            })
-            .collect();
-        let net = &self.net;
-        let ap = &self.ap;
-        let catalog = &self.catalog;
-        let mut scratch = RouteScratch::new();
-        let outcomes: Vec<RouteOutcome> = flat
-            .iter()
-            .map(|(_, p)| optimal_route_with(&mut scratch, &p.request, placement, net, ap, catalog))
-            .collect();
-        // Phase 5: fold decisions, charge in-flight, record cross sends.
+        for (_, evts) in &mut phase_a {
+            events.append(evts);
+        }
         let mut sent: Vec<Vec<(u32, u32)>> = (0..self.regions.len()).map(|_| Vec::new()).collect();
-        for ((origin, p), outcome) in flat.iter().zip(&outcomes) {
-            let o = *origin as usize;
-            match outcome {
-                RouteOutcome::Edge { route, .. } => {
-                    self.regions[o].decide(t, p.user, Some(route));
-                    for (j, &host) in route.iter().enumerate() {
-                        let m = p.request.chain[j];
-                        let target = self.region_map.region_of(host);
-                        let remote = target != *origin;
-                        self.regions[target as usize].charge(m, t, remote);
-                        if remote {
-                            sent[o].push((target, m.0));
+        for (o, (jobs, _)) in phase_a.iter().enumerate() {
+            let origin = o as u32;
+            for (p, outcome) in jobs {
+                match outcome {
+                    RouteOutcome::Edge { route, .. } => {
+                        self.regions[o].decide(t, p.user, Some(route));
+                        for (j, &host) in route.iter().enumerate() {
+                            let m = p.request.chain[j];
+                            let target = self.region_map.region_of(host);
+                            let remote = target != origin;
+                            self.regions[target as usize].charge(m, t, remote);
+                            if remote {
+                                sent[o].push((target, m.0));
+                            }
+                        }
+                        if capturing {
+                            events.push(DecisionEvent {
+                                tick: t,
+                                user: p.user,
+                                tag: TAG_EDGE,
+                                route: route.clone(),
+                            });
                         }
                     }
-                    if capturing {
-                        events.push(DecisionEvent {
-                            tick: t,
-                            user: p.user,
-                            tag: TAG_EDGE,
-                            route: route.clone(),
-                        });
-                    }
-                }
-                // Unreachable under a fixed placement (coverage was
-                // checked at drain), but a decision is a decision.
-                RouteOutcome::CloudFallback => {
-                    self.regions[o].decide(t, p.user, None);
-                    if capturing {
-                        events.push(DecisionEvent {
-                            tick: t,
-                            user: p.user,
-                            tag: TAG_CLOUD,
-                            route: Vec::new(),
-                        });
+                    // Unreachable under a fixed placement (coverage was
+                    // checked at drain), but a decision is a decision.
+                    RouteOutcome::CloudFallback => {
+                        self.regions[o].decide(t, p.user, None);
+                        if capturing {
+                            events.push(DecisionEvent {
+                                tick: t,
+                                user: p.user,
+                                tag: TAG_CLOUD,
+                                route: Vec::new(),
+                            });
+                        }
                     }
                 }
             }
@@ -553,9 +552,9 @@ impl SoclServe {
                 self.outbox[o].pop_front();
             }
         }
-        // Phase 6: autoscaler tick per region, then the WAL record.
+        // Phase 5: autoscaler tick per region, then the WAL record.
         let tick_secs = self.cfg.tick_secs;
-        let placement = &self.placements[epoch];
+        let placement = &self.placements[epoch - self.placement_base];
         let catalog = &self.catalog;
         let net = &self.net;
         let records: Vec<TickRecord> = self
@@ -586,7 +585,7 @@ impl SoclServe {
         }
         self.tick = t;
         summary.digest = self.global_digest();
-        // Phase 7: checkpoint cadence.
+        // Phase 6: checkpoint cadence.
         if t % self.cfg.checkpoint_every.max(1) == 0 {
             self.take_checkpoints(t);
         }
@@ -621,7 +620,7 @@ impl SoclServe {
             .assemble(self.net.clone(), self.catalog.clone(), sample);
         let placement = self.cfg.policy.place(&sc, u64::from(t));
         let first = self.placements.is_empty();
-        self.placements.push(placement);
+        self.placements.push_back(placement);
         if first {
             // Initial replica pools: seed every region's scaler from the
             // first placement (mirrored by replay at t == 1).
@@ -670,7 +669,9 @@ impl SoclServe {
     /// Serialize every region at tick `t` and append to the checkpoint
     /// history. Images older than the outbox
     /// window are dropped: a restore point the peers' outboxes no longer
-    /// reach could not rebuild a torn tick's remote charges anyway.
+    /// reach could not rebuild a torn tick's remote charges anyway. So are
+    /// the placements of epochs before the oldest image's next tick, the
+    /// first a replay can run (the newest placement always stays).
     fn take_checkpoints(&mut self, t: u32) {
         let window = outbox_window(self.cfg.checkpoint_every);
         for (r, st) in self.regions.iter().enumerate() {
@@ -678,6 +679,17 @@ impl SoclServe {
             self.max_checkpoint_bytes = self.max_checkpoint_bytes.max(bytes.len());
             self.checkpoints[r].retain(|(tick, _)| *tick as usize + window >= t as usize);
             self.checkpoints[r].push((t, bytes));
+        }
+        let oldest = self
+            .checkpoints
+            .iter()
+            .filter_map(|images| images.first().map(|(tick, _)| *tick))
+            .min()
+            .unwrap_or(t);
+        let keep_from = self.epoch_of(oldest + 1);
+        while self.placement_base < keep_from && self.placements.len() > 1 {
+            self.placements.pop_front();
+            self.placement_base += 1;
         }
     }
 
@@ -756,7 +768,7 @@ impl SoclServe {
         let mut mismatches = 0usize;
         for t in c0 + 1..=t_kill {
             let epoch = self.epoch_of(t);
-            let placement = &self.placements[epoch];
+            let placement = &self.placements[epoch - self.placement_base];
             let per_region = self.by_region(&self.scan_arrivals(t));
             for (ki, &r) in killed.iter().enumerate() {
                 if t == 1 {
@@ -777,16 +789,8 @@ impl SoclServe {
                 // Route and fold the region's own decisions; charge only
                 // stages hosted in this region (remote stages belong to
                 // peers that never lost them).
-                let mut scratch = RouteScratch::new();
-                for p in &jobs {
-                    let outcome = optimal_route_with(
-                        &mut scratch,
-                        &p.request,
-                        placement,
-                        &self.net,
-                        &self.ap,
-                        &self.catalog,
-                    );
+                for (p, outcome) in route_jobs(jobs, placement, &self.net, &self.ap, &self.catalog)
+                {
                     match outcome {
                         RouteOutcome::Edge { route, .. } => {
                             self.regions[r].decide(t, p.user, Some(&route));
@@ -934,6 +938,24 @@ fn region_phase_a(
         jobs.push(p);
     }
     (jobs, events)
+}
+
+/// Route one region's admitted jobs against `placement`, in queue order
+/// (live and replay share it).
+fn route_jobs(
+    jobs: Vec<Pending>,
+    placement: &Placement,
+    net: &EdgeNetwork,
+    ap: &AllPairs,
+    catalog: &ServiceCatalog,
+) -> Vec<(Pending, RouteOutcome)> {
+    let mut scratch = RouteScratch::new();
+    jobs.into_iter()
+        .map(|p| {
+            let outcome = optimal_route_with(&mut scratch, &p.request, placement, net, ap, catalog);
+            (p, outcome)
+        })
+        .collect()
 }
 
 /// Autoscaler tick + WAL record for one region (live and replay share it).
@@ -1262,6 +1284,43 @@ mod tests {
             "stitched state differs"
         );
         assert_eq!(victim.digest_timeline(), golden.digest_timeline());
+    }
+
+    /// The placement history keeps the epochs a replay can still reach,
+    /// not one per epoch ever run: over 200 ticks of an epoch every two
+    /// ticks it stays bounded by the outbox window, and a torn kill right
+    /// after the checkpoint of tick 200 — which restores from tick 196's
+    /// image and replays two epochs — still reproduces the WAL.
+    #[test]
+    fn placement_history_is_bounded_by_the_outbox_window() {
+        let cfg = ServeConfig {
+            resolve_every: 2,
+            feed: FeedConfig {
+                users: 1500,
+                arrivals_per_tick: 50.0,
+                ..FeedConfig::default()
+            },
+            ..ServeConfig::small(5)
+        };
+        let window = outbox_window(cfg.checkpoint_every);
+        let bound = (window + cfg.checkpoint_every as usize).div_ceil(2) + 1;
+        let mut serve = SoclServe::new(cfg);
+        for t in 1..=200 {
+            serve.step();
+            assert_eq!(
+                serve.placement_base + serve.placements.len(),
+                serve.epoch_of(t) + 1,
+                "tick {t}"
+            );
+            assert!(serve.placements.len() <= bound, "tick {t}");
+        }
+        assert!(serve.placement_base > 0);
+        let report = serve
+            .kill_and_restore(0, socl_sim::TornTail::PartialRecord)
+            .expect("restore after the history was trimmed");
+        assert_eq!(report.checkpoint_tick, 196);
+        assert_eq!(report.oracle_mismatches, 0);
+        serve.step();
     }
 
     /// The kill matrix: every shard × every torn-tail mode, killed after

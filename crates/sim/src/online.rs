@@ -460,7 +460,6 @@ impl OnlineSimulator {
                         req_cfg.chain_len.0,
                         req_cfg.chain_len.1,
                         &mut self.chain_scratch.attempt,
-                        &mut self.chain_scratch.succ,
                         &mut req.chain,
                     ),
                 }
