@@ -95,15 +95,14 @@ impl FuzzyAhp {
         let mut matrix = vec![TriangularFuzzy::crisp(1.0); n * n];
         for i in 0..n {
             for j in (i + 1)..n {
+                #[expect(
+                    clippy::panic,
+                    reason = "documented `# Panics` contract of this constructor — a missing pairwise judgment is a programming error in the caller's hierarchy definition, not a runtime condition"
+                )]
                 let j_val = judgments
                     .iter()
                     .find(|((a, b), _)| *a == i && *b == j)
                     .map(|(_, v)| *v)
-                    // LINT-ALLOW(L2-panic-free): documented `# Panics`
-                    // contract of this constructor — a missing pairwise
-                    // judgment is a programming error in the caller's
-                    // hierarchy definition, not a runtime condition. Doubles
-                    // as the T2-panic-reach barrier behind the constructor.
                     .unwrap_or_else(|| panic!("missing judgment ({i}, {j})"));
                 matrix[i * n + j] = j_val;
                 matrix[j * n + i] = j_val.recip();

@@ -56,10 +56,10 @@ pub fn build_ilp(sc: &Scenario) -> (Model, IlpArtifacts) {
                 .collect()
         })
         .collect();
-    // LINT-ALLOW(L2-panic-free): `requested_services()` contains every
-    // service referenced by any request chain by construction, so the lookup
-    // cannot miss; a panic here is a lowering bug worth failing loudly on.
-    // Doubles as the T2-panic-reach barrier for `build_ilp`'s callers.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`requested_services()` contains every service referenced by any request chain by construction, so the lookup cannot miss; a panic here is a lowering bug worth failing loudly on"
+    )]
     let service_col = |s: ServiceId| services.iter().position(|&t| t == s).unwrap();
 
     // y(h,j,k) with node-local cost terms (upload, compute, return).

@@ -11,6 +11,7 @@ use socl_net::NodeId;
 
 /// Dense identifier of a user request (`u_h` in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[allow(clippy::disallowed_methods, reason = "derived over integer fields")]
 pub struct UserId(pub u32);
 
 impl UserId {
@@ -108,10 +109,11 @@ impl UserRequest {
 
     /// The last microservice of the chain.
     #[inline]
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`UserRequest::new` asserts the chain is non-empty, so `last()` cannot fail on a constructed request"
+    )]
     pub fn last_service(&self) -> ServiceId {
-        // LINT-ALLOW(L2-panic-free): `UserRequest::new` asserts the chain is
-        // non-empty, so `last()` cannot fail on a constructed request. Also
-        // the T2-panic-reach barrier: callers of `last_service` are clean.
         *self.chain.last().unwrap()
     }
 

@@ -2,6 +2,7 @@
 
 /// Dense identifier of a microservice (`m_i` in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[allow(clippy::disallowed_methods, reason = "derived over integer fields")]
 pub struct ServiceId(pub u32);
 
 impl ServiceId {

@@ -1,7 +1,8 @@
 //! NaN-safe float comparison — the one sanctioned way to order `f64`s.
 //!
-//! The workspace invariant (DESIGN.md "Enforced invariants", rule
-//! `L1-float-cmp`) bans raw `partial_cmp` on computed floats: a NaN produced
+//! The workspace invariant (DESIGN.md "Enforced invariants", rule L1:
+//! `PartialOrd::partial_cmp` in `clippy.toml`'s `disallowed-methods`) bans
+//! raw `partial_cmp` on computed floats: a NaN produced
 //! by a degenerate input (zero-rate link, empty mean, 0/0 ratio) makes
 //! `partial_cmp` return `None`, and the usual escapes — `.unwrap()` (panic)
 //! or `.unwrap_or(Equal)` (silently treats NaN as equal to *everything*,

@@ -7,6 +7,7 @@
 
 /// Dense identifier of an edge server (`v_k` in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[allow(clippy::disallowed_methods, reason = "derived over integer fields")]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -49,8 +49,10 @@ pub fn effective_threads() -> usize {
     }
     static AUTO: OnceLock<usize> = OnceLock::new();
     *AUTO.get_or_init(|| {
-        // LINT-ALLOW(L3-nondet-env): the thread count only partitions work;
-        // the equivalence proptests prove output is identical for any count.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the thread count only partitions work; the equivalence proptests prove output is identical for any count"
+        )]
         if let Ok(v) = std::env::var("SOCL_THREADS") {
             if let Ok(n) = v.trim().parse::<usize>() {
                 if n > 0 {
@@ -58,8 +60,10 @@ pub fn effective_threads() -> usize {
                 }
             }
         }
-        // LINT-ALLOW(L3-nondet-env): hardware parallelism picks the worker
-        // count, never the result — par_map_indexed_with is order-preserving.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "hardware parallelism picks the worker count, never the result — par_map_indexed_with is order-preserving"
+        )]
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)

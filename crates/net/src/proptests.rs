@@ -1,5 +1,7 @@
 //! Property-based tests for the network substrate.
 
+#![allow(clippy::disallowed_types, reason = "test code")]
+
 use crate::graph::{EdgeNetwork, NodeId};
 use crate::incremental::ApspCache;
 use crate::paths::{AllPairs, PathMetric, ShortestPaths};

@@ -132,6 +132,8 @@ pub fn node_criticality(net: &EdgeNetwork) -> Vec<FailureImpact> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods, reason = "test code")]
+
     use super::*;
     use crate::graph::{EdgeServer, LinkParams};
     use crate::topology::TopologyConfig;

@@ -1,8 +1,9 @@
 //! Sanctioned wall-clock access for runtime *reporting*.
 //!
-//! Rule `L3-nondet-time` bans raw `Instant::now`/`SystemTime::now` outside
-//! `crates/bench`: wall-clock reads scattered through solver code are how
-//! time-dependent behavior (and thus nondeterminism) creeps in. The one
+//! `clippy.toml`'s `disallowed-methods` bans raw `Instant::now` /
+//! `SystemTime::now` outside `crates/bench` (DESIGN.md §6c, rule L3):
+//! wall-clock reads scattered through solver code are how time-dependent
+//! behavior (and thus nondeterminism) creeps in. The one
 //! legitimate use in library code is measuring how long a solve took so the
 //! result can *report* it — the measured duration must never feed back into
 //! a decision.
@@ -26,20 +27,21 @@ pub struct Stopwatch(std::time::Instant);
 impl Stopwatch {
     /// Start timing now.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this is the single sanctioned wall-clock read; everything else in the workspace goes through Stopwatch so timing never silently influences results: time flows into reports (Stopwatch -> millis), never into placement or routing decisions"
+    )]
     pub fn start() -> Self {
-        // LINT-ALLOW(L3-nondet-time): this is the single sanctioned
-        // wall-clock read; everything else in the workspace goes through
-        // Stopwatch so timing never silently influences results. The same
-        // waiver is the T1-nondet-taint barrier: time flows into reports
-        // (Stopwatch -> millis), never into placement or routing decisions.
         Stopwatch(std::time::Instant::now())
     }
 
     /// Elapsed time since [`start`](Self::start).
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "paired read for the sanctioned wrapper; same rationale as `start`"
+    )]
     pub fn elapsed(&self) -> Duration {
-        // LINT-ALLOW(L3-nondet-time): paired read for the sanctioned
-        // wrapper; same T1 barrier rationale as `start`.
         std::time::Instant::now().duration_since(self.0)
     }
 

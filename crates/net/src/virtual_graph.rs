@@ -134,7 +134,7 @@ impl VirtualGraph {
 pub struct VgCache {
     generation: u64,
     // BTreeMap (not HashMap) so every traversal of the memo — debugging
-    // dumps, future eviction policies — is deterministic (rule L3-nondet-hash).
+    // dumps, future eviction policies — is deterministic (`clippy.toml`'s `disallowed-types`).
     memo: BTreeMap<Vec<NodeId>, Arc<VirtualGraph>>,
     hits: u64,
     misses: u64,

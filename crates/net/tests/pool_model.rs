@@ -28,6 +28,8 @@
 //! `real_pool_*` tests at the bottom exercise the actual implementation
 //! against the same invariants under the OS scheduler.
 
+#![allow(clippy::unreachable, clippy::disallowed_methods, reason = "test code")]
+
 use socl_net::par::{par_map_indexed_with, par_map_with};
 
 /// Per-worker program counter over the protocol's atomic steps.

@@ -66,6 +66,7 @@ impl SoakPlan {
 
 /// Identity of one soak run within the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[allow(clippy::disallowed_methods, reason = "derived over integer fields")]
 pub struct SoakCase {
     /// Run seed.
     pub seed: u64,

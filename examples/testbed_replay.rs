@@ -7,6 +7,8 @@
 //! cargo run --release -p socl --example testbed_replay
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::disallowed_methods, reason = "test code")]
+
 use socl::prelude::*;
 
 fn main() {

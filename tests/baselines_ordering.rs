@@ -1,6 +1,8 @@
 //! The paper's headline comparative claims (Figure 8): SoCL achieves the
 //! lowest objective; RP is the worst; the ordering stabilizes as users grow.
 
+#![allow(clippy::unwrap_used, clippy::disallowed_methods, reason = "test code")]
+
 use socl::prelude::*;
 
 /// Median-of-seeds objective for each algorithm at one scale.

@@ -12,6 +12,8 @@
 //! with: `cargo test -p socl --test golden_snapshot -- --ignored --nocapture`
 //! and copy the printed block.
 
+#![allow(clippy::expect_used, reason = "test code")]
+
 use socl::prelude::*;
 
 /// One scenario small enough for the exact solver, rich enough to exercise

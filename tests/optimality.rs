@@ -5,6 +5,8 @@
 //! MILP solver, and brute-force enumeration must all agree; SoCL must stay
 //! within a small gap of the proven optimum (the paper reports ≤ 9.9%).
 
+#![allow(clippy::disallowed_methods, reason = "test code")]
+
 use socl::prelude::*;
 
 /// Tiny scenarios both exact paths can afford.

@@ -5,6 +5,8 @@
 //! for all four; so is the one text format, the JSON snapshot documents of
 //! `socl_model::io`.
 
+#![allow(clippy::expect_used, clippy::panic, reason = "test code")]
+
 use socl::autoscale::{ForecasterState, ScalerState, ServiceStateSnapshot};
 use socl::model::codec::{Journal, Record, TornTailReason};
 use socl::model::{crc32, CodecError, PlacementSnapshot, ScenarioSnapshot};

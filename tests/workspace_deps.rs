@@ -5,14 +5,19 @@
 //! case loop. `cargo build --offline --locked` is the standing proof; this
 //! test says which line broke it. Adding a registry crate means editing this
 //! test and saying what needs it.
+//!
+//! The manifests also decide which crates the lint contract covers: every
+//! member inherits `[workspace.lints]`.
+
+#![allow(clippy::expect_used, clippy::disallowed_methods, reason = "test code")]
 
 use std::fs;
 use std::path::Path;
 
-/// `(name, is_path)` for every entry of the manifest tables whose header
-/// satisfies `table`. Enough TOML for Cargo manifests written one dependency
-/// per line, which these are.
-fn deps(manifest: &str, table: impl Fn(&str) -> bool) -> Vec<(String, bool)> {
+/// `(key, value)` for every entry of the manifest tables whose header
+/// satisfies `table`. Enough TOML for Cargo manifests written one entry per
+/// line, which these are.
+fn entries(manifest: &str, table: impl Fn(&str) -> bool) -> Vec<(String, String)> {
     let mut inside = false;
     let mut out = Vec::new();
     for line in manifest.lines().map(str::trim) {
@@ -20,12 +25,22 @@ fn deps(manifest: &str, table: impl Fn(&str) -> bool) -> Vec<(String, bool)> {
             inside = table(header.trim_end_matches(']'));
         } else if inside && !line.is_empty() && !line.starts_with('#') {
             let (key, value) = line.split_once('=').expect("`key = value`");
-            // `socl-net.workspace = true` and `socl-net = { … }` both name `socl-net`.
-            let name = key.trim().split('.').next().unwrap_or_default();
-            out.push((name.to_string(), value.contains("path")));
+            out.push((key.trim().to_string(), value.trim().to_string()));
         }
     }
     out
+}
+
+/// `(name, is_path)` for every dependency in the tables `table` selects.
+fn deps(manifest: &str, table: impl Fn(&str) -> bool) -> Vec<(String, bool)> {
+    entries(manifest, table)
+        .into_iter()
+        .map(|(key, value)| {
+            // `socl-net.workspace = true` and `socl-net = { … }` both name `socl-net`.
+            let name = key.split('.').next().unwrap_or_default();
+            (name.to_string(), value.contains("path"))
+        })
+        .collect()
 }
 
 #[test]
@@ -61,7 +76,7 @@ fn every_dependency_is_a_workspace_path() {
         }
         crates += 1;
     }
-    assert!(crates >= 14, "walked {crates} crate manifests");
+    assert!(crates >= 13, "walked {crates} crate manifests");
 
     let lock = read(&root.join("Cargo.lock"));
     assert!(
@@ -72,4 +87,29 @@ fn every_dependency_is_a_workspace_path() {
         !lock.lines().any(|l| l.trim().starts_with("source =")),
         "Cargo.lock names a registry package"
     );
+}
+
+/// clippy applies `[workspace.lints]` (and so the deny set DESIGN.md §6c
+/// enforces) only to a crate whose manifest says `[lints] workspace = true`.
+/// A crate that drops the line leaves the contract silently, so every member
+/// must carry it. The one exception is `crates/bench`, whose figure binaries
+/// declare their own `[lints.clippy]` table.
+#[test]
+fn every_crate_inherits_the_workspace_lints() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut crates = 0;
+    for dir in fs::read_dir(root.join("crates")).expect("crates/") {
+        let dir = dir.expect("dir entry").path();
+        let manifest = dir.join("Cargo.toml");
+        let text = fs::read_to_string(&manifest).expect("Cargo.toml");
+        let own_table = !entries(&text, |t| t == "lints.clippy").is_empty();
+        let inherits = entries(&text, |t| t == "lints") == [("workspace".into(), "true".into())];
+        assert!(
+            inherits || (dir.ends_with("bench") && own_table),
+            "{}: `[lints] workspace = true` is missing",
+            manifest.display()
+        );
+        crates += 1;
+    }
+    assert!(crates >= 13, "walked {crates} crate manifests");
 }
