@@ -4,8 +4,10 @@
 //! runtime exploding (log-scale y axis, >10× growth from 40 to 60 users).
 //! Our Gurobi stand-in is the specialized exact branch-and-bound; its search
 //! is exponential in the same way, so the *shape* reproduces at a scale a
-//! laptop can certify: servers ∈ {4, 6, 8}, users swept until the per-point
-//! time cap bites. Points that hit the cap are marked `>cap`.
+//! laptop can certify: servers ∈ {4, 6, 8}, users 2–10. The search is capped
+//! at `ExactOptions::default().node_limit` (50M B&B nodes), not by seconds,
+//! so which points finish is the same on every machine; a point that hits
+//! the cap is marked `(>cap)`. No default point comes near it.
 //!
 //! ```sh
 //! cargo run --release -p socl-bench --bin fig2_opt_runtime
@@ -14,15 +16,9 @@
 
 use socl::prelude::*;
 use socl_bench::GeoSeries;
-use std::time::Duration;
 
 fn main() {
     let full = std::env::var_os("SOCL_FULL").is_some();
-    let cap = if full {
-        Duration::from_secs(300)
-    } else {
-        Duration::from_secs(20)
-    };
     let servers: &[usize] = if full { &[4, 6, 8, 10] } else { &[4, 6, 8] };
     let users: Vec<usize> = if full {
         (2..=16).step_by(2).collect()
@@ -39,13 +35,7 @@ fn main() {
             let mut cfg = ScenarioConfig::paper(n, u);
             cfg.requests.chain_len = (2, 4);
             let sc = cfg.build(7);
-            let opt = solve_exact(
-                &sc,
-                &ExactOptions {
-                    time_limit: Some(cap),
-                    ..ExactOptions::default()
-                },
-            );
+            let opt = solve_exact(&sc, &ExactOptions::default());
             let t = std::time::Instant::now();
             let _ = SoclSolver::new().solve(&sc);
             let socl_secs = t.elapsed().as_secs_f64();

@@ -11,6 +11,7 @@ socl — SoCL microservice provisioning (CLUSTER 2025 reproduction)
 USAGE:
   socl solve    [--nodes N] [--users U] [--seed S] [--budget B] [--lambda L]
                 [--algo socl|rp|jdr|gcog|opt] [--omega W] [--xi X] [--theta T]
+                [--node-limit N]
   socl compare  [--nodes N] [--users U] [--seed S] [--budget B]
   socl simulate [--nodes N] [--users U] [--slots K] [--seed S]
                 [--policy socl|rp|jdr] [--fail-prob P]
@@ -53,6 +54,9 @@ Global flags (any command):
                 output is identical for every thread count)
 
 Defaults follow the paper's setup: 10 nodes, 40 users, budget 6000, λ=0.5.
+`solve --algo opt` runs the exact branch-and-bound; --node-limit N caps
+the nodes it expands (default 50000000), and a capped run prints its gap
+instead of `proved optimal`.
 `autoscale` replays a flash-crowd workload under every scaling mode and
 prints a latency/replica-seconds comparison. `export` prints a scenario
 snapshot as JSON to stdout (add --solve to append the SoCL placement
@@ -100,6 +104,28 @@ fn socl_config_from(args: &Args) -> Result<SoclConfig, String> {
         return Err("--omega must be in (0, 1]".into());
     }
     Ok(cfg)
+}
+
+/// Exact-solver options for `--algo opt`: `--node-limit N` caps the B&B
+/// nodes expanded (default [`ExactOptions::default`]'s).
+fn exact_options_from(args: &Args) -> Result<ExactOptions, String> {
+    Ok(ExactOptions {
+        node_limit: args.get("node-limit", ExactOptions::default().node_limit)?,
+    })
+}
+
+/// The `--algo opt` status line: nodes expanded, bound, and proof or gap.
+fn opt_verdict(res: &ExactSolution) -> String {
+    format!(
+        "nodes explored {}, bound {:.1}, {}",
+        res.nodes,
+        res.bound,
+        if res.proved_optimal {
+            "proved optimal".to_string()
+        } else {
+            format!("gap {:.2}%", res.gap() * 100.0)
+        }
+    )
 }
 
 /// Build the autoscaler configuration from CLI flags; `None` when
@@ -268,29 +294,13 @@ pub fn solve(args: &Args) -> Result<(), String> {
             );
         }
         "opt" => {
-            let cap: u64 = args.get("time-limit", 60)?;
-            let res = solve_exact(
-                &sc,
-                &ExactOptions {
-                    time_limit: Some(std::time::Duration::from_secs(cap)),
-                    ..ExactOptions::default()
-                },
-            );
+            let res = solve_exact(&sc, &exact_options_from(args)?);
             let secs = t.elapsed().as_secs_f64();
             match &res.evaluation {
                 Some(ev) => print_summary("OPT", res.objective, ev.cost, ev.total_latency, secs),
-                None => println!("OPT found no feasible solution within the limits"),
+                None => println!("OPT found no feasible solution within the node limit"),
             }
-            println!(
-                "nodes explored {}, bound {:.1}, {}",
-                res.nodes,
-                res.bound,
-                if res.proved_optimal {
-                    "proved optimal".to_string()
-                } else {
-                    format!("gap {:.2}%", res.gap() * 100.0)
-                }
-            );
+            println!("{}", opt_verdict(&res));
         }
         other => return Err(format!("unknown --algo `{other}`")),
     }
@@ -1006,6 +1016,31 @@ mod tests {
     #[test]
     fn solve_rejects_unknown_algo() {
         assert!(solve(&args(&["--algo", "quantum"])).is_err());
+    }
+
+    #[test]
+    fn solve_opt_under_a_node_limit_reports_a_gap() {
+        let a = args(&[
+            "--algo",
+            "opt",
+            "--node-limit",
+            "3",
+            "--nodes",
+            "5",
+            "--users",
+            "10",
+        ]);
+        solve(&a).unwrap();
+        let res = solve_exact(
+            &scenario_from(&a).unwrap(),
+            &exact_options_from(&a).unwrap(),
+        );
+        assert_eq!(res.nodes, 3);
+        let verdict = opt_verdict(&res);
+        assert!(
+            verdict.contains("gap") && !verdict.contains("proved optimal"),
+            "{verdict}"
+        );
     }
 
     #[test]

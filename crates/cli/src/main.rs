@@ -3,6 +3,7 @@
 //! ```text
 //! socl solve    [--nodes N] [--users U] [--seed S] [--budget B] [--lambda L]
 //!               [--algo socl|rp|jdr|gcog|opt] [--omega W] [--xi X] [--theta T]
+//!               [--node-limit N]
 //! socl compare  [--nodes N] [--users U] [--seed S] [--budget B]
 //! socl simulate [--nodes N] [--users U] [--slots K] [--seed S]
 //!               [--policy socl|rp|jdr] [--fail-prob P]

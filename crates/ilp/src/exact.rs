@@ -17,6 +17,8 @@
 //!   `x=1` child first (finds good incumbents early).
 //! * **Feasibility** — budget (Eq. 5) and per-node storage (Eq. 6) prune
 //!   `Forced1` sets; the per-request bound (Eq. 4) rejects candidate leaves.
+//! * **Limit** — a count of expanded nodes (`ExactOptions::node_limit`),
+//!   never wall-clock time, so a capped result is the same on every machine.
 //!
 //! Runtime grows exponentially with users and nodes — by design, this is the
 //! behaviour of the paper's Gurobi baseline that Figures 2 and 7 measure.
@@ -29,27 +31,17 @@ use std::time::Duration;
 /// Options for the exact search.
 #[derive(Debug, Clone)]
 pub struct ExactOptions {
-    /// Wall-clock cap; on expiry the incumbent (if any) is returned with
-    /// `proved_optimal = false`.
-    pub time_limit: Option<Duration>,
-    /// Node cap, same semantics.
+    /// Cap on branch-and-bound nodes expanded. When it fires, the incumbent
+    /// (if any) is returned with `proved_optimal = false` and the tree's
+    /// greatest proved lower bound. A node count, not a clock, so the result
+    /// is the same on every machine.
     pub node_limit: usize,
-    /// Enforce the per-request completion bound Eq. 4 (default true).
-    pub enforce_latency_bound: bool,
-    /// Warm-start incumbent: a feasible placement (typically SoCL's output)
-    /// installed before the search starts. A good incumbent prunes large
-    /// subtrees immediately — the standard way exact solvers exploit a
-    /// strong heuristic. Infeasible warm starts are silently ignored.
-    pub warm_start: Option<Placement>,
 }
 
 impl Default for ExactOptions {
     fn default() -> Self {
         Self {
-            time_limit: None,
             node_limit: 50_000_000,
-            enforce_latency_bound: true,
-            warm_start: None,
         }
     }
 }
@@ -95,8 +87,7 @@ struct Search<'a> {
     sc: &'a Scenario,
     services: Vec<ServiceId>,
     n: usize,
-    opts: &'a ExactOptions,
-    start: Stopwatch,
+    node_limit: usize,
     nodes: usize,
     incumbent: f64,
     best: Option<(Placement, Evaluation)>,
@@ -134,11 +125,6 @@ impl<'a> Search<'a> {
         p
     }
 
-    fn out_of_budget(&self) -> bool {
-        self.nodes >= self.opts.node_limit
-            || self.opts.time_limit.is_some_and(|t| self.start.exceeded(t))
-    }
-
     /// Try to install a fully decided placement as the incumbent.
     fn offer(&mut self, placement: Placement) {
         if !placement.storage_feasible(&self.sc.catalog, &self.sc.net) {
@@ -148,11 +134,9 @@ impl<'a> Search<'a> {
         if ev.cost > self.sc.budget + 1e-9 {
             return;
         }
-        if self.opts.enforce_latency_bound {
-            for (d, req) in ev.per_request.iter().zip(&self.sc.requests) {
-                if *d > req.d_max + 1e-9 {
-                    return;
-                }
+        for (d, req) in ev.per_request.iter().zip(&self.sc.requests) {
+            if *d > req.d_max + 1e-9 {
+                return;
             }
         }
         if ev.objective < self.incumbent - 1e-9 {
@@ -164,7 +148,7 @@ impl<'a> Search<'a> {
     /// Depth-first search. Returns the proved lower bound for this subtree
     /// (≥ actual optimum of the subtree; INFINITY when pruned infeasible).
     fn dfs(&mut self, state: &mut Vec<Bit>) -> f64 {
-        if self.out_of_budget() {
+        if self.nodes >= self.node_limit {
             self.hit_limit = true;
             // Unexplored: only the admissible bound is known.
             return self.lower_bound_only(state);
@@ -239,7 +223,7 @@ impl<'a> Search<'a> {
         b1.min(b0).max(bound)
     }
 
-    /// Bound of an unexplored subtree (used when limits fire).
+    /// Bound of an unexplored subtree (used when the node limit fires).
     fn lower_bound_only(&self, state: &[Bit]) -> f64 {
         let forced = self.forced_placement(state);
         let forced_cost = forced.deployment_cost(&self.sc.catalog);
@@ -253,7 +237,19 @@ impl<'a> Search<'a> {
     }
 }
 
-/// Solve `scenario` to proven optimality (or until a limit fires).
+/// The search's first incumbent: each requested service on its
+/// highest-demand node (best-effort second copies are left to the search).
+fn greedy_seed(sc: &Scenario, services: &[ServiceId]) -> Placement {
+    let mut seed = Placement::empty(sc.services(), sc.nodes());
+    for &svc in services {
+        if let Some(best) = sc.net.node_ids().max_by_key(|&k| sc.demand(svc, k)) {
+            seed.set(svc, best, true);
+        }
+    }
+    seed
+}
+
+/// Solve `scenario` to proven optimality (or until the node limit fires).
 ///
 /// ```
 /// use socl_ilp::{solve_exact, ExactOptions};
@@ -274,32 +270,15 @@ pub fn solve_exact(sc: &Scenario, opts: &ExactOptions) -> ExactSolution {
         sc,
         services: services.clone(),
         n,
-        opts,
-        start,
+        node_limit: opts.node_limit,
         nodes: 0,
         incumbent: f64::INFINITY,
         best: None,
         hit_limit: false,
     };
 
-    // Seed the incumbent with a cheap greedy placement: each requested
-    // service on its highest-demand node (then best-effort second copies are
-    // left to the search). Pruning benefits enormously from any incumbent.
-    {
-        let mut seed = Placement::empty(sc.services(), sc.nodes());
-        for &svc in &services {
-            if let Some(best) = sc.net.node_ids().max_by_key(|&k| sc.demand(svc, k)) {
-                seed.set(svc, best, true);
-            }
-        }
-        search.offer(seed);
-    }
-    // Caller-provided warm start (typically SoCL's solution).
-    if let Some(ws) = &opts.warm_start {
-        if ws.services() == sc.services() && ws.nodes() == sc.nodes() {
-            search.offer(ws.clone());
-        }
-    }
+    // Pruning benefits enormously from any incumbent.
+    search.offer(greedy_seed(sc, &services));
 
     let mut state = vec![Bit::Free; services.len() * n];
     let bound = search.dfs(&mut state);
@@ -398,30 +377,95 @@ mod tests {
                 bf
             );
         }
+        // Eq. 4 binds: cap the slowest request just below its latency in the
+        // unconstrained optimum, which forces a strictly costlier placement.
+        for seed in [1, 6, 8] {
+            let mut sc = micro(seed);
+            for req in &mut sc.requests {
+                req.d_max = f64::INFINITY;
+            }
+            let free = solve_exact(&sc, &ExactOptions::default());
+            let ev = free.evaluation.as_ref().expect("has incumbent");
+            let (slowest, &d) = ev
+                .per_request
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .unwrap();
+            sc.requests[slowest].d_max = 0.999 * d;
+            let sol = solve_exact(&sc, &ExactOptions::default());
+            assert!(
+                sol.proved_optimal,
+                "seed {seed} (Eq. 4 bound) did not prove"
+            );
+            let bf = brute_force(&sc);
+            assert!(
+                (sol.objective - bf).abs() < 1e-6,
+                "seed {seed} (Eq. 4 bound): exact {} vs brute force {bf}",
+                sol.objective
+            );
+            assert!(
+                sol.objective > free.objective + 1e-6,
+                "seed {seed}: Eq. 4 does not bind ({} vs unconstrained {})",
+                sol.objective,
+                free.objective
+            );
+        }
     }
 
     #[test]
-    fn exact_solution_is_feasible() {
-        let sc = tiny(11, 4, 6);
-        let sol = solve_exact(&sc, &ExactOptions::default());
-        assert!(sol.proved_optimal);
-        let ev = sol.evaluation.as_ref().expect("has incumbent");
-        assert!(ev.cost <= sc.budget + 1e-6);
-        assert!(sol.placement.storage_feasible(&sc.catalog, &sc.net));
-        assert_eq!(ev.cloud_fallbacks, 0);
-        assert!(sol.gap() < 1e-9);
+    fn exact_optimum_satisfies_eqs_4_to_6() {
+        // Paper instances: at the default cloud penalty no optimum falls back.
+        let mut cases: Vec<(String, Scenario, bool)> = (0..4)
+            .map(|s| (format!("seed {s}"), tiny(s, 3, 4), false))
+            .chain([("seed 11".to_string(), tiny(11, 4, 6), false)])
+            .collect();
+        // Eq. 5 binds: the budget is just under the greedy seed's cost, the
+        // cheapest placement that hosts every requested service, so the seed
+        // must be rejected and the optimum leaves some service to the cloud.
+        for seed in 20..28 {
+            let mut sc = tiny(seed, 3, 4);
+            for req in &mut sc.requests {
+                req.d_max = f64::INFINITY;
+            }
+            sc.budget =
+                greedy_seed(&sc, &sc.requested_services()).deployment_cost(&sc.catalog) - 1e-3;
+            cases.push((format!("seed {seed}, budget below the seed"), sc, true));
+        }
+        for (what, sc, falls_back) in cases {
+            let sol = solve_exact(&sc, &ExactOptions::default());
+            assert!(sol.proved_optimal, "{what}: did not prove optimality");
+            assert!(sol.gap() < 1e-9, "{what}: gap {}", sol.gap());
+            let ev = sol.evaluation.as_ref().expect("has incumbent");
+            assert!(
+                sol.placement.storage_feasible(&sc.catalog, &sc.net),
+                "{what}: storage (Eq. 6) overflows"
+            );
+            assert!(
+                ev.cost <= sc.budget + 1e-9,
+                "{what}: cost {} over budget {} (Eq. 5)",
+                ev.cost,
+                sc.budget
+            );
+            for (h, (d, req)) in ev.per_request.iter().zip(&sc.requests).enumerate() {
+                assert!(
+                    *d <= req.d_max + 1e-9,
+                    "{what}: request {h} takes {d} > d_max {} (Eq. 4)",
+                    req.d_max
+                );
+            }
+            assert_eq!(
+                ev.cloud_fallbacks > 0,
+                falls_back,
+                "{what}: cloud fallbacks"
+            );
+        }
     }
 
     #[test]
     fn node_limit_returns_incumbent_without_proof() {
         let sc = tiny(12, 5, 10);
-        let sol = solve_exact(
-            &sc,
-            &ExactOptions {
-                node_limit: 3,
-                ..ExactOptions::default()
-            },
-        );
+        let sol = solve_exact(&sc, &ExactOptions { node_limit: 3 });
         assert!(!sol.proved_optimal);
         // Greedy seed guarantees an incumbent exists.
         assert!(sol.objective.is_finite());
@@ -432,56 +476,8 @@ mod tests {
     fn exact_never_worse_than_greedy_seed() {
         let sc = tiny(13, 4, 8);
         let sol = solve_exact(&sc, &ExactOptions::default());
-        let mut seed = Placement::empty(sc.services(), sc.nodes());
-        for svc in sc.requested_services() {
-            let best = sc
-                .net
-                .node_ids()
-                .max_by_key(|&k| sc.demand(svc, k))
-                .unwrap();
-            seed.set(svc, best, true);
-        }
-        let ev_seed = evaluate(&sc, &seed);
+        let ev_seed = evaluate(&sc, &greedy_seed(&sc, &sc.requested_services()));
         assert!(sol.objective <= ev_seed.objective + 1e-9);
-    }
-
-    #[test]
-    fn warm_start_prunes_but_preserves_optimality() {
-        let sc = tiny(15, 4, 8);
-        let cold = solve_exact(&sc, &ExactOptions::default());
-        assert!(cold.proved_optimal);
-        // Warm-start with the known optimum: node count must not grow, and
-        // the optimum must be identical.
-        let warm = solve_exact(
-            &sc,
-            &ExactOptions {
-                warm_start: Some(cold.placement.clone()),
-                ..ExactOptions::default()
-            },
-        );
-        assert!(warm.proved_optimal);
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
-        assert!(
-            warm.nodes <= cold.nodes,
-            "warm start explored more nodes: {} vs {}",
-            warm.nodes,
-            cold.nodes
-        );
-    }
-
-    #[test]
-    fn mismatched_warm_start_is_ignored() {
-        let sc = tiny(16, 4, 6);
-        let bogus = Placement::empty(1, 1);
-        let sol = solve_exact(
-            &sc,
-            &ExactOptions {
-                warm_start: Some(bogus),
-                ..ExactOptions::default()
-            },
-        );
-        assert!(sol.proved_optimal);
-        assert!(sol.objective.is_finite());
     }
 
     #[test]

@@ -1,29 +1,22 @@
 //! # socl-ilp — the exact optimizer (Gurobi stand-in)
 //!
 //! The paper benchmarks SoCL against the optimal solution produced by Gurobi
-//! on the ILP reformulation of Definition 4. This crate provides two exact
-//! paths:
+//! on the ILP reformulation of Definition 4 (stated in prose in
+//! `docs/ALGORITHMS.md`). This crate solves the same problem with
+//! [`exact`], a specialized branch-and-bound over the deployment matrix
+//! alone. For any fixed placement the optimal assignment decomposes per
+//! request into a layered shortest-path DP (see `socl_model::routing`), so
+//! the search only branches on `x(i,k)`, using an admissible bound built
+//! from the relaxed placement (forced-1 ∪ free). The search is capped by a
+//! count of expanded nodes, never by wall-clock time, so a capped result is
+//! the same on every machine.
 //!
-//! * [`lowering`] — builds the ILP *faithfully* on the from-scratch
-//!   [`socl_milp`] solver: binary deployment variables `x(i,k)`, assignment
-//!   variables `y(h,j,k)` (Eq. 9–11), and a standard product linearization
-//!   `z(h,j,k,k′)` for the chain-coupling transfer terms so the optimum is
-//!   the *true* joint optimum rather than the per-cycle approximation.
-//!   Practical only for small instances — which is the paper's own point.
-//!
-//! * [`exact`] — a specialized branch-and-bound over the deployment matrix
-//!   alone. For any fixed placement the optimal assignment decomposes per
-//!   request into a layered shortest-path DP (see `socl_model::routing`), so
-//!   the search only branches on `x(i,k)`, using an admissible bound built
-//!   from the relaxed placement (forced-1 ∪ free). This is the `OPT` used by
-//!   the Figure 2/7 harnesses; its runtime grows exponentially with users
-//!   and nodes, reproducing the blow-up the paper reports for Gurobi.
-//!
-//! Both paths agree on every instance small enough to cross-check (see the
-//! tests and `tests/optimality.rs` at the workspace root).
+//! This is the `OPT` of the Figure 2/7 harnesses, the golden snapshot and
+//! `socl solve --algo opt`; its runtime grows exponentially with users and
+//! nodes, reproducing the blow-up the paper reports for Gurobi. Its tests
+//! check it against brute-force enumeration and assert Eqs. 4–6 on every
+//! returned optimum.
 
 pub mod exact;
-pub mod lowering;
 
 pub use exact::{solve_exact, ExactOptions, ExactSolution};
-pub use lowering::{build_ilp, solve_ilp, IlpArtifacts};

@@ -11,7 +11,7 @@
 //! is defined and deterministic.
 //!
 //! This module is defined once in `socl-net` and re-exported by the facade
-//! crate; downstream crates (`socl-milp`, `socl-baselines`, …) use it rather
+//! crate; downstream crates (`socl-model`, …) use it rather
 //! than duplicating helpers, so the NaN policy has exactly one home.
 
 use std::cmp::Ordering;

@@ -12,11 +12,8 @@
 //! one place makes the contract auditable: a `Stopwatch` can tell you how
 //! long something took, but offers no absolute time, no comparison against
 //! deadlines of other stopwatches, and no way to seed randomness.
-//!
-//! The exception that proves the rule: `socl-milp`'s branch-and-bound time
-//! limit *does* gate on elapsed time (an explicit, documented anytime-solver
-//! knob, default off). It uses [`Stopwatch::exceeded`] so every
-//! time-sensitive site remains grep-able from this module.
+//! It has no way to compare elapsed time against a deadline either: solver
+//! limits are counts (B&B nodes, rounds), never seconds.
 
 use std::time::Duration;
 
@@ -56,13 +53,6 @@ impl Stopwatch {
     pub fn elapsed_secs(&self) -> f64 {
         self.elapsed().as_secs_f64()
     }
-
-    /// Has the given budget elapsed? For explicit anytime-solver time
-    /// limits only (see module docs) — never for tie-breaking.
-    #[inline]
-    pub fn exceeded(&self, budget: Duration) -> bool {
-        self.elapsed() >= budget
-    }
 }
 
 #[cfg(test)]
@@ -75,8 +65,6 @@ mod tests {
         let a = sw.elapsed_ms();
         let b = sw.elapsed_ms();
         assert!(b >= a && a >= 0.0);
-        assert!(!sw.exceeded(Duration::from_secs(3600)));
-        assert!(sw.exceeded(Duration::ZERO));
         assert!(sw.elapsed_secs() >= 0.0);
     }
 }

@@ -17,8 +17,7 @@
 //! |---|---|---|
 //! | [`net`] | socl-net | edge topology, shortest paths, virtual graphs |
 //! | [`model`] | socl-model | workload, cost/latency models, routing DP |
-//! | [`milp`] | socl-milp | from-scratch simplex + branch-and-bound |
-//! | [`ilp`] | socl-ilp | exact optimizer (Gurobi stand-in) |
+//! | [`ilp`] | socl-ilp | exact optimizer (Gurobi stand-in): node-capped branch-and-bound |
 //! | [`core`] | socl-core | the SoCL three-stage pipeline |
 //! | [`autoscale`] | socl-autoscale | serverless control plane: autoscaling, keep-alive, admission |
 //! | [`baselines`] | socl-baselines | RP, JDR, GC-OG |
@@ -30,7 +29,6 @@ pub use socl_autoscale as autoscale;
 pub use socl_baselines as baselines;
 pub use socl_core as core;
 pub use socl_ilp as ilp;
-pub use socl_milp as milp;
 pub use socl_model as model;
 pub use socl_net as net;
 pub use socl_serve as serve;
@@ -48,8 +46,7 @@ pub mod prelude {
         ReplicaRepairReport, SoclConfig, SoclResult, SoclSolver, StoragePolicy, WarmSlotResult,
         WarmStartSolver,
     };
-    pub use socl_ilp::{solve_exact, solve_ilp, ExactOptions, ExactSolution};
-    pub use socl_milp::{solve_milp, MilpOptions, Model, Relation, VarKind};
+    pub use socl_ilp::{solve_exact, ExactOptions, ExactSolution};
     pub use socl_model::{
         evaluate, link_loads, optimal_route, route_all_contention_aware, Assignment,
         ContentionReport, EshopDataset, Evaluation, LinkLoads, Microservice, Placement,

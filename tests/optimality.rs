@@ -1,36 +1,20 @@
-//! Optimality cross-checks: SoCL and both exact paths against each other.
+//! Optimality cross-checks: SoCL and the heuristics against the exact
+//! optimum.
 //!
-//! These are the repository's strongest correctness guarantees: the
-//! specialized branch-and-bound, the ILP lowering solved by the from-scratch
-//! MILP solver, and brute-force enumeration must all agree; SoCL must stay
-//! within a small gap of the proven optimum (the paper reports ≤ 9.9%).
+//! The exact branch-and-bound is checked against brute-force enumeration and
+//! Eqs. 4–6 in its own unit tests (`socl_ilp::exact`); here the proven
+//! optimum lower-bounds every heuristic, and SoCL must stay within a small
+//! gap of it (the paper reports ≤ 9.9%).
 
 #![allow(clippy::disallowed_methods, reason = "test code")]
 
 use socl::prelude::*;
 
-/// Tiny scenarios both exact paths can afford.
+/// Tiny scenarios the exact search can afford.
 fn tiny(seed: u64, nodes: usize, users: usize) -> Scenario {
     let mut cfg = ScenarioConfig::paper(nodes, users);
     cfg.requests.chain_len = (2, 3);
     cfg.build(seed)
-}
-
-#[test]
-fn exact_paths_agree() {
-    for seed in 0..4 {
-        let sc = tiny(seed, 3, 4);
-        let bb = solve_exact(&sc, &ExactOptions::default());
-        assert!(bb.proved_optimal, "seed {seed}: B&B did not prove");
-        let (_, milp) = solve_ilp(&sc, &MilpOptions::default())
-            .unwrap_or_else(|| panic!("seed {seed}: ILP found no solution"));
-        assert!(
-            (bb.objective - milp.objective).abs() < 1e-3,
-            "seed {seed}: specialized B&B {} vs MILP lowering {}",
-            bb.objective,
-            milp.objective
-        );
-    }
 }
 
 #[test]
@@ -103,23 +87,4 @@ fn exact_runtime_blows_up_with_scale_while_socl_stays_flat() {
     let t = std::time::Instant::now();
     let _ = SoclSolver::new().solve(&large);
     assert!(t.elapsed() < std::time::Duration::from_secs(5));
-}
-
-#[test]
-fn milp_time_limit_degrades_gracefully_on_socl_ilp() {
-    use std::time::Duration;
-    let sc = tiny(30, 4, 6);
-    let res = solve_ilp(
-        &sc,
-        &MilpOptions {
-            time_limit: Some(Duration::from_millis(50)),
-            ..MilpOptions::default()
-        },
-    );
-    // Either it solved fast, or it returned a feasible incumbent, or
-    // None — but it must not hang or panic.
-    if let Some((placement, sol)) = res {
-        assert!(sol.objective.is_finite());
-        assert!(placement.covers(&sc.requests) || sol.objective > 0.0);
-    }
 }

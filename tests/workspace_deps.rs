@@ -76,7 +76,7 @@ fn every_dependency_is_a_workspace_path() {
         }
         crates += 1;
     }
-    assert!(crates >= 13, "walked {crates} crate manifests");
+    assert!(crates >= 12, "walked {crates} crate manifests");
 
     let lock = read(&root.join("Cargo.lock"));
     assert!(
@@ -111,5 +111,5 @@ fn every_crate_inherits_the_workspace_lints() {
         );
         crates += 1;
     }
-    assert!(crates >= 13, "walked {crates} crate manifests");
+    assert!(crates >= 12, "walked {crates} crate manifests");
 }
