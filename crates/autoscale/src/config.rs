@@ -15,11 +15,6 @@ pub enum ScalingMode {
     /// `ceil(observed in-flight / target_concurrency)`, averaged over the
     /// stable window, with a short panic window for flash crowds.
     Reactive,
-    /// Reactive, plus a Holt trend forecast (`socl_trace::Forecaster`) over
-    /// the in-flight series: the scaler provisions for the *predicted*
-    /// concurrency `lead_ticks` ahead, so replicas are warm before a
-    /// diurnal ramp arrives.
-    Predictive,
 }
 
 impl ScalingMode {
@@ -28,7 +23,6 @@ impl ScalingMode {
         match self {
             ScalingMode::Static => "static",
             ScalingMode::Reactive => "reactive",
-            ScalingMode::Predictive => "predictive",
         }
     }
 
@@ -37,9 +31,8 @@ impl ScalingMode {
         match s {
             "static" => Ok(ScalingMode::Static),
             "reactive" => Ok(ScalingMode::Reactive),
-            "predictive" => Ok(ScalingMode::Predictive),
             other => Err(format!(
-                "unknown scaling mode `{other}` (expected static|reactive|predictive)"
+                "unknown scaling mode `{other}` (expected static|reactive)"
             )),
         }
     }
@@ -148,8 +141,6 @@ pub struct AutoscaleConfig {
     /// Hard per-(service, node) replica cap, additionally bounded by the
     /// node's storage (constraint (6): replicas hold container images).
     pub max_replicas_per_node: u32,
-    /// Ticks of lead the predictive controller provisions ahead.
-    pub lead_ticks: f64,
     /// Scale-to-zero economics.
     pub keep_alive: KeepAlivePolicy,
     /// Load shedding at admission.
@@ -168,7 +159,6 @@ impl Default for AutoscaleConfig {
             down_cooldown: 30.0,
             min_replicas: 1,
             max_replicas_per_node: 8,
-            lead_ticks: 3.0,
             keep_alive: KeepAlivePolicy::Fixed(60.0),
             admission: AdmissionPolicy::default(),
         }
@@ -260,13 +250,10 @@ mod tests {
 
     #[test]
     fn mode_tags_round_trip() {
-        for m in [
-            ScalingMode::Static,
-            ScalingMode::Reactive,
-            ScalingMode::Predictive,
-        ] {
+        for m in [ScalingMode::Static, ScalingMode::Reactive] {
             assert_eq!(ScalingMode::parse(m.name()).unwrap(), m);
         }
+        assert!(ScalingMode::parse("predictive").is_err());
         assert!(ScalingMode::parse("chaotic").is_err());
     }
 }

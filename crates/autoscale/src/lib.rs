@@ -9,9 +9,7 @@
 //!
 //! * [`Autoscaler`] — the replica-count controller. Reactive mode is
 //!   Knative-shaped concurrency targeting (stable window mean + panic
-//!   window max); predictive mode adds a Holt trend forecast
-//!   ([`socl_trace::Forecaster`]) so replicas are warm *before* a diurnal
-//!   ramp arrives. Capacity ceilings come from the paper's per-node
+//!   window max). Capacity ceilings come from the paper's per-node
 //!   constraints (4)–(6): replicas hold container images, so a node's
 //!   storage bounds its pool.
 //! * [`KeepAlivePolicy`] — scale-to-zero economics. The cost-optimal
@@ -32,9 +30,6 @@ pub mod scaler;
 
 pub use config::{AdmissionPolicy, AutoscaleConfig, KeepAlivePolicy, ScalingMode};
 pub use scaler::{Autoscaler, ScalerState, ScalingAction, ServiceStateSnapshot};
-// Re-exported so checkpoint code serializing a [`ScalerState`] can name the
-// forecaster field's type without depending on `socl-trace` directly.
-pub use socl_trace::ForecasterState;
 
 #[cfg(test)]
 mod proptests;

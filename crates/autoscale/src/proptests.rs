@@ -33,11 +33,7 @@ fn fixture() -> (ServiceCatalog, EdgeNetwork, Placement) {
 }
 
 fn arb_config(rng: &mut ChaCha12Rng) -> AutoscaleConfig {
-    let modes = [
-        ScalingMode::Reactive,
-        ScalingMode::Predictive,
-        ScalingMode::Static,
-    ];
+    let modes = [ScalingMode::Reactive, ScalingMode::Static];
     let keep_alive = if rng.gen() {
         KeepAlivePolicy::Fixed(rng.gen_range(0.0..60.0))
     } else {

@@ -7,7 +7,6 @@
 //!     stable  = mean in-flight over stable_window
 //!     panicky = max  in-flight over panic_window
 //!     desired = ceil(stable / target_concurrency)
-//!     if predictive: desired = max(desired, ceil(forecast / target))
 //!     if ceil(panicky / target) >= panic_factor * current: enter panic
 //!     clamp desired to [min_replicas, capacity ceiling (constraints 4-6)]
 //!     scale up immediately; scale down only after down_cooldown,
@@ -21,7 +20,6 @@
 use crate::config::{AutoscaleConfig, ScalingMode};
 use socl_model::{Placement, ReplicaCounts, ServiceCatalog, ServiceId};
 use socl_net::{EdgeNetwork, NodeId};
-use socl_trace::ForecasterState;
 
 /// One replica-count change for a single `(service, node)` cell, as
 /// *planned* by the scaler. The execution layer applies it best-effort
@@ -49,8 +47,6 @@ struct ServiceState {
     /// "a replica stays warm for W seconds after it was last needed" is
     /// realised without per-replica timers.
     desires: Vec<(f64, u32)>,
-    /// Holt forecaster over the per-tick in-flight series.
-    forecaster: socl_trace::Forecaster,
     /// Time of the last executed scale-down.
     last_down: f64,
     /// Panic mode is active until this time.
@@ -62,7 +58,6 @@ impl ServiceState {
         Self {
             samples: Vec::new(),
             desires: Vec::new(),
-            forecaster: socl_trace::Forecaster::scaling_default(),
             last_down: f64::NEG_INFINITY,
             panic_until: f64::NEG_INFINITY,
         }
@@ -76,8 +71,6 @@ pub struct ServiceStateSnapshot {
     pub samples: Vec<(f64, f64)>,
     /// Recent `(time, instantaneous desired)` keep-alive markers.
     pub desires: Vec<(f64, u32)>,
-    /// Holt forecaster smoothing state.
-    pub forecaster: ForecasterState,
     /// Time of the last executed scale-down.
     pub last_down: f64,
     /// Panic mode is active until this time.
@@ -283,7 +276,6 @@ impl Autoscaler {
             if keep_window.is_finite() {
                 st.desires.retain(|&(ts, _)| ts >= t - keep_window);
             }
-            st.forecaster.observe(y);
 
             let stable_mean =
                 st.samples.iter().map(|&(_, v)| v).sum::<f64>() / st.samples.len().max(1) as f64;
@@ -296,10 +288,6 @@ impl Autoscaler {
 
             let current = self.counts.total_of(m);
             let mut desired = ceil_div(stable_mean, target);
-            if self.cfg.mode == ScalingMode::Predictive {
-                let predicted = st.forecaster.forecast(self.cfg.lead_ticks);
-                desired = desired.max(ceil_div(predicted, target));
-            }
             let desired_panic = ceil_div(panic_max, target);
             if desired_panic as f64 >= self.cfg.panic_factor * current.max(1) as f64 {
                 st.panic_until = t + self.cfg.stable_window;
@@ -360,7 +348,6 @@ impl Autoscaler {
                 .map(|st| ServiceStateSnapshot {
                     samples: st.samples.clone(),
                     desires: st.desires.clone(),
-                    forecaster: st.forecaster.state(),
                     last_down: st.last_down,
                     panic_until: st.panic_until,
                 })
@@ -377,7 +364,7 @@ impl Autoscaler {
     ///
     /// # Errors
     /// Returns a message when the state's dimensions disagree with this
-    /// scaler's grid or a forecaster state is corrupt.
+    /// scaler's grid.
     pub fn restore_state(&mut self, s: &ScalerState) -> Result<(), String> {
         let services = self.counts.services();
         let nodes = self.counts.nodes();
@@ -396,16 +383,16 @@ impl Autoscaler {
         if !s.cold_start.is_finite() || s.cold_start < 0.0 {
             return Err("scaler cold_start invalid".to_string());
         }
-        let mut states = Vec::with_capacity(s.states.len());
-        for snap in &s.states {
-            states.push(ServiceState {
+        let states = s
+            .states
+            .iter()
+            .map(|snap| ServiceState {
                 samples: snap.samples.clone(),
                 desires: snap.desires.clone(),
-                forecaster: socl_trace::Forecaster::from_state(snap.forecaster)?,
                 last_down: snap.last_down,
                 panic_until: snap.panic_until,
-            });
-        }
+            })
+            .collect();
         let mut counts = ReplicaCounts::zero(services, nodes);
         for i in 0..services {
             for k in 0..nodes {
@@ -737,41 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn predictive_mode_leads_a_ramp() {
-        let (catalog, net, p) = fixture();
-        let mk = |mode| {
-            let mut sc = Autoscaler::new(
-                AutoscaleConfig {
-                    mode,
-                    lead_ticks: 4.0,
-                    ..cfg()
-                },
-                0.5,
-                2,
-                3,
-            );
-            sc.seed_from_placement(&p, &catalog, &net);
-            sc
-        };
-        let mut reactive = mk(ScalingMode::Reactive);
-        let mut predictive = mk(ScalingMode::Predictive);
-        // A steady ramp: in-flight grows 1 per tick.
-        let mut t = 0.0;
-        for i in 0..8 {
-            let y = i as f64;
-            reactive.tick(t, &[y, 0.0], &p, &catalog, &net);
-            predictive.tick(t, &[y, 0.0], &p, &catalog, &net);
-            t += 1.0;
-        }
-        assert!(
-            predictive.counts().total_of(ServiceId(0)) > reactive.counts().total_of(ServiceId(0)),
-            "predictive {} should lead reactive {}",
-            predictive.counts().total_of(ServiceId(0)),
-            reactive.counts().total_of(ServiceId(0))
-        );
-    }
-
-    #[test]
     fn scaling_timeline_is_bit_identical_across_runs() {
         let (catalog, net, p) = fixture();
         let run = || {
@@ -829,11 +781,6 @@ mod tests {
         let mut truncated = frozen.clone();
         truncated.caps.pop();
         assert!(sc.restore_state(&truncated).is_err());
-        let mut corrupt = frozen.clone();
-        if let Some(st) = corrupt.states.first_mut() {
-            st.forecaster.alpha = 7.0;
-        }
-        assert!(sc.restore_state(&corrupt).is_err());
         // The good state still restores after the failed attempts.
         assert!(sc.restore_state(&frozen).is_ok());
     }

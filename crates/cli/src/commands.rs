@@ -41,7 +41,7 @@ USAGE:
   socl help
 
 Autoscaler flags (testbed, simulate, autoscale):
-  --autoscale MODE           static|reactive|predictive — run the serverless
+  --autoscale MODE           static|reactive — run the serverless
                              control plane; replica pools track concurrency
   --target-concurrency C     in-flight requests one replica should absorb
   --scale-interval SECS      control-loop period
@@ -136,7 +136,7 @@ fn autoscale_from(args: &Args) -> Result<Option<AutoscaleConfig>, String> {
         return Ok(None);
     }
     if tag == "true" {
-        return Err("--autoscale needs a mode (static|reactive|predictive)".into());
+        return Err("--autoscale needs a mode (static|reactive)".into());
     }
     let mode = ScalingMode::parse(&tag)?;
     let d = AutoscaleConfig::default();
@@ -562,13 +562,6 @@ pub fn autoscale(args: &Args) -> Result<(), String> {
             "reactive",
             AutoscaleConfig {
                 mode: ScalingMode::Reactive,
-                ..knobs.clone()
-            },
-        ),
-        (
-            "predictive",
-            AutoscaleConfig {
-                mode: ScalingMode::Predictive,
                 ..knobs.clone()
             },
         ),
@@ -1246,7 +1239,7 @@ mod tests {
             "--seed",
             "3",
             "--autoscale",
-            "predictive",
+            "reactive",
         ]))
         .unwrap();
     }

@@ -15,30 +15,6 @@ use crate::service::{Microservice, ServiceCatalog, ServiceId};
 use socl_net::rng::ChaCha12Rng;
 use socl_net::NodeId;
 
-/// Reusable buffers for in-place chain sampling
-/// ([`DependencyDataset::sample_chain_into`] and
-/// [`PreferenceModel::sample_chain_into`](crate::preferences::PreferenceModel::sample_chain_into)).
-/// One instance amortizes every chain re-sample in a simulation run;
-/// contents between calls are meaningless.
-#[derive(Debug, Clone, Default)]
-pub struct ChainScratch {
-    /// Candidate chain for the current attempt.
-    pub attempt: Vec<ServiceId>,
-    /// Unvisited successors of the walk's current service
-    /// (preference-guided sampling only).
-    pub succ: Vec<u32>,
-    /// Single-service head chain (preference-guided sampling only).
-    pub head: Vec<ServiceId>,
-}
-
-impl ChainScratch {
-    /// Empty scratch; buffers grow on first use and are then recycled.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A microservice dependency graph from which request chains are sampled.
 #[derive(Debug, Clone)]
 pub struct DependencyDataset {

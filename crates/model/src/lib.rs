@@ -21,14 +21,12 @@
 //! baselines, the simulator and the benches) consumes [`scenario::Scenario`].
 
 pub mod codec;
-pub mod contention;
 pub mod dataset;
 pub mod datasets_extra;
 pub mod io;
 pub mod latency;
 pub mod objective;
 pub mod placement;
-pub mod preferences;
 pub mod request;
 pub mod routing;
 pub mod scenario;
@@ -36,14 +34,12 @@ pub mod service;
 pub mod stats;
 
 pub use codec::{crc32, BinReader, BinWriter, CodecError};
-pub use contention::{link_loads, route_all_contention_aware, ContentionReport, LinkLoads};
-pub use dataset::{ChainScratch, DependencyDataset, EshopDataset};
+pub use dataset::{DependencyDataset, EshopDataset};
 pub use datasets_extra::{SockShopDataset, TrainTicketDataset};
 pub use io::{PlacementSnapshot, ScenarioSnapshot};
 pub use latency::{completion_time, CompletionBreakdown};
 pub use objective::{evaluate, ConstraintReport, Evaluation};
 pub use placement::{Assignment, Placement, ReplicaCounts};
-pub use preferences::{chain_similarity, PreferenceModel};
 pub use request::{RequestConfig, UserId, UserRequest};
 pub use routing::{
     greedy_route, optimal_route, optimal_route_with, route_all, through_costs, RouteOutcome,

@@ -23,7 +23,7 @@ use socl_sim::recovery::{get_scaler_state, put_scaler_state};
 const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"SRGN");
 /// Region-checkpoint format version understood by this build. Bump it with
 /// any change to the bytes `to_bytes` writes; `tests/persistence.rs` pins them.
-const CKPT_VERSION: u32 = 1;
+const CKPT_VERSION: u32 = 2;
 
 /// One tick of one region in the write-ahead log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -269,6 +269,8 @@ mod tests {
                 decode(&image(magic, CKPT_VERSION + 1)),
                 Some(CodecError::BadVersion(CKPT_VERSION + 1))
             );
+            // An image from before the last format bump is refused, not misread.
+            assert_eq!(decode(&image(magic, 1)), Some(CodecError::BadVersion(1)));
             // Shorter than magic + version + CRC: nothing to check yet.
             for have in 0..12 {
                 assert_eq!(

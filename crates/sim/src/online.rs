@@ -61,10 +61,6 @@ pub struct OnlineConfig {
     pub link_fail_prob: f64,
     /// Per-slot probability that a failed link recovers.
     pub link_recover_prob: f64,
-    /// Use the user-preference model (the paper's future-work feature):
-    /// chain churn re-draws follow each user's stable service affinities,
-    /// so successive requests of one user stay self-similar.
-    pub user_preferences: bool,
     /// Per-slot probability that an alive node crashes *mid-slot*, after
     /// the policy has committed its placement (0 disables). The victim is
     /// the alive node hosting the most instances — the worst-case crash —
@@ -114,7 +110,6 @@ impl Default for OnlineConfig {
             recover_prob: 0.5,
             link_fail_prob: 0.0,
             link_recover_prob: 0.5,
-            user_preferences: false,
             mid_slot_fail_prob: 0.0,
             repair: false,
             autoscale: None,
@@ -187,7 +182,6 @@ pub struct OnlineSimulator {
     pub(crate) rng: ChaCha12Rng,
     pub(crate) alive: Vec<bool>,
     pub(crate) alive_links: Vec<bool>,
-    pub(crate) preferences: Option<socl_model::PreferenceModel>,
     /// Incrementally-maintained APSP over the substrate with dead links
     /// masked out; only trees crossing a flipped link are recomputed when
     /// the alive-link set changes between slots.
@@ -207,9 +201,9 @@ pub struct OnlineSimulator {
     /// Reusable DFS state for bridge probes — transient scratch, never
     /// checkpointed.
     pub(crate) conn_scratch: socl_net::ConnScratch,
-    /// Reusable chain-sampling buffers for the churn loop — transient
-    /// scratch, never checkpointed.
-    pub(crate) chain_scratch: socl_model::ChainScratch,
+    /// Reusable chain-sampling attempt buffer for the churn loop —
+    /// transient scratch, never checkpointed.
+    pub(crate) chain_scratch: Vec<socl_model::ServiceId>,
 }
 
 impl OnlineSimulator {
@@ -228,9 +222,6 @@ impl OnlineSimulator {
         let rng = ChaCha12Rng::seed_from_u64(cfg.seed ^ 0x5A5A_5A5A);
         let alive = vec![true; cfg.nodes];
         let alive_links = vec![true; base.net.link_count()];
-        let preferences = cfg
-            .user_preferences
-            .then(|| socl_model::PreferenceModel::sample(cfg.users, base.catalog.len(), cfg.seed));
         let apsp = socl_net::ApspCache::new(&base.net);
         let scaler = cfg
             .autoscale
@@ -246,14 +237,13 @@ impl OnlineSimulator {
             rng,
             alive,
             alive_links,
-            preferences,
             apsp,
             scaler,
             next_slot: 0,
             fault_cursor: 0,
             billed_replica_slots: 0,
             conn_scratch: socl_net::ConnScratch::new(),
-            chain_scratch: socl_model::ChainScratch::new(),
+            chain_scratch: Vec::new(),
         }
     }
 
@@ -438,31 +428,20 @@ impl OnlineSimulator {
 
         // Chain churn + location update.
         let req_cfg = &self.cfg.scenario.requests;
-        for (h, (req, &loc)) in self.requests.iter_mut().zip(&self.locations).enumerate() {
+        for (req, &loc) in self.requests.iter_mut().zip(&self.locations) {
             req.location = loc;
             if self.rng.gen::<f64>() < self.cfg.rechain_prob {
                 // Chains are re-sampled straight into the request's own
                 // buffers; `chain_scratch` is recycled across users and
-                // slots. Draw order matches the
-                // allocating samplers exactly, so seeded runs are unchanged.
-                match &self.preferences {
-                    Some(prefs) => prefs.sample_chain_into(
-                        &self.dataset,
-                        h,
-                        &mut self.rng,
-                        req_cfg.chain_len.0,
-                        req_cfg.chain_len.1,
-                        &mut self.chain_scratch,
-                        &mut req.chain,
-                    ),
-                    None => self.dataset.sample_chain_into(
-                        &mut self.rng,
-                        req_cfg.chain_len.0,
-                        req_cfg.chain_len.1,
-                        &mut self.chain_scratch.attempt,
-                        &mut req.chain,
-                    ),
-                }
+                // slots. Draw order matches the allocating sampler exactly,
+                // so seeded runs are unchanged.
+                self.dataset.sample_chain_into(
+                    &mut self.rng,
+                    req_cfg.chain_len.0,
+                    req_cfg.chain_len.1,
+                    &mut self.chain_scratch,
+                    &mut req.chain,
+                );
                 req.edge_data.clear();
                 for _ in 0..req.chain.len().saturating_sub(1) {
                     req.edge_data.push(
@@ -882,38 +861,6 @@ mod tests {
         // With 20 users, 40% mobility and 30% chain churn, the request sets
         // almost surely differ between consecutive slots.
         assert_ne!(first.requests, second.requests);
-    }
-
-    #[test]
-    fn preference_mode_keeps_chains_self_similar() {
-        use socl_model::chain_similarity;
-        // Two simulators differing only in the preference flag; measure the
-        // mean similarity of each user's chain across consecutive slots.
-        let sim_mean = |prefs: bool| -> f64 {
-            let mut sim = OnlineSimulator::new(OnlineConfig {
-                rechain_prob: 1.0, // re-draw every chain every slot
-                user_preferences: prefs,
-                ..small_cfg(13)
-            });
-            let mut total = 0.0;
-            let mut n = 0.0;
-            let mut prev = sim.advance().requests;
-            for _ in 0..6 {
-                let cur = sim.advance().requests;
-                for (a, b) in prev.iter().zip(&cur) {
-                    total += chain_similarity(&a.chain, &b.chain);
-                    n += 1.0;
-                }
-                prev = cur;
-            }
-            total / n
-        };
-        let with = sim_mean(true);
-        let without = sim_mean(false);
-        assert!(
-            with > without,
-            "preference chains ({with:.3}) should be more self-similar than random ({without:.3})"
-        );
     }
 
     #[test]

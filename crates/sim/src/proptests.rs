@@ -186,11 +186,7 @@ fn scaling_timelines_are_thread_count_invariant() {
         let sc = arb_scenario(rng);
         let placement = Policy::Socl(SoclConfig::default()).place(&sc, 0);
         let ac = AutoscaleConfig {
-            mode: if rng.gen() {
-                ScalingMode::Predictive
-            } else {
-                ScalingMode::Reactive
-            },
+            mode: ScalingMode::Reactive,
             target_concurrency: 2.0,
             stable_window: 8.0,
             panic_window: 3.0,

@@ -33,7 +33,7 @@
 
 use crate::online::{OnlineConfig, OnlineSimulator, SlotRecord};
 use crate::policy::Policy;
-use socl_autoscale::{ForecasterState, ScalerState, ServiceStateSnapshot};
+use socl_autoscale::{ScalerState, ServiceStateSnapshot};
 use socl_model::codec::{open, seal, Journal, Record};
 pub use socl_model::codec::{TailReport, TornTailReason};
 use socl_model::{BinReader, BinWriter, CodecError, ServiceId, UserId, UserRequest};
@@ -46,7 +46,7 @@ use std::time::Duration;
 const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"SCKP");
 /// Checkpoint format version understood by this build. Bump it with any
 /// change to the bytes `to_bytes` writes; `tests/persistence.rs` pins them.
-const CKPT_VERSION: u32 = 1;
+const CKPT_VERSION: u32 = 2;
 
 /// Frozen position of a `ChaCha12Rng`: `(seed, stream, word position)`
 /// fully determine the generator's future output.
@@ -157,7 +157,7 @@ fn get_request(r: &mut BinReader<'_>) -> Result<UserRequest, CodecError> {
 }
 
 /// Serialize a full [`ScalerState`] (counts, caps, per-service windows,
-/// forecaster, cooldowns) into `w`. Public so services layered above the
+/// cooldowns) into `w`. Public so services layered above the
 /// simulator — the socl-serve control plane — checkpoint their per-region
 /// autoscalers through the exact codec this module's own [`Checkpoint`]
 /// uses, instead of re-deriving the wire format.
@@ -178,11 +178,6 @@ pub fn put_scaler_state(w: &mut BinWriter, s: &ScalerState) {
             w.put_f64(t);
             w.put_u32(v);
         }
-        w.put_f64(st.forecaster.alpha);
-        w.put_f64(st.forecaster.beta);
-        w.put_f64(st.forecaster.level);
-        w.put_f64(st.forecaster.trend);
-        w.put_u64(st.forecaster.seen);
         w.put_f64(st.last_down);
         w.put_f64(st.panic_until);
     }
@@ -201,8 +196,8 @@ pub fn get_scaler_state(r: &mut BinReader<'_>) -> Result<ScalerState, CodecError
     let nodes = r.get_usize()?;
     let counts = r.get_u32_vec()?;
     let caps = r.get_u32_vec()?;
-    // Two length prefixes, forecaster (40) and two cooldown stamps.
-    let n_states = r.seq_len(72)?;
+    // Two length prefixes and two cooldown stamps.
+    let n_states = r.seq_len(32)?;
     let mut states = Vec::with_capacity(n_states);
     for _ in 0..n_states {
         let n_samples = r.seq_len(16)?;
@@ -215,17 +210,9 @@ pub fn get_scaler_state(r: &mut BinReader<'_>) -> Result<ScalerState, CodecError
         for _ in 0..n_desires {
             desires.push((r.get_f64()?, r.get_u32()?));
         }
-        let forecaster = ForecasterState {
-            alpha: r.get_f64()?,
-            beta: r.get_f64()?,
-            level: r.get_f64()?,
-            trend: r.get_f64()?,
-            seen: r.get_u64()?,
-        };
         states.push(ServiceStateSnapshot {
             samples,
             desires,
-            forecaster,
             last_down: r.get_f64()?,
             panic_until: r.get_f64()?,
         });

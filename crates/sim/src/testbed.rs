@@ -1512,12 +1512,12 @@ mod tests {
 
     use socl_autoscale::{AdmissionPolicy, AutoscaleConfig, ScalingMode};
 
-    fn scaled_cfg(mode: ScalingMode) -> TestbedConfig {
+    /// A reactive control plane (the default mode) sized for 3 short epochs.
+    fn scaled_cfg() -> TestbedConfig {
         TestbedConfig {
             epochs: 3,
             epoch_secs: 60.0,
             autoscale: Some(AutoscaleConfig {
-                mode,
                 scale_interval: 2.0,
                 stable_window: 20.0,
                 down_cooldown: 10.0,
@@ -1533,7 +1533,7 @@ mod tests {
     fn control_plane_conserves_requests_and_scales() {
         let sc = scenario(20);
         let placement = SoclSolver::new().solve(&sc).placement;
-        let cfg = scaled_cfg(ScalingMode::Reactive);
+        let cfg = scaled_cfg();
         let res = run_testbed(&sc, &placement, &cfg);
         assert_eq!(
             res.completed + res.degraded + res.dropped + res.fallbacks + res.shed_requests,
@@ -1551,7 +1551,7 @@ mod tests {
     fn control_plane_is_deterministic() {
         let sc = scenario(21);
         let placement = SoclSolver::new().solve(&sc).placement;
-        let cfg = scaled_cfg(ScalingMode::Predictive);
+        let cfg = scaled_cfg();
         let a = run_testbed(&sc, &placement, &cfg);
         let b = run_testbed(&sc, &placement, &cfg);
         assert_eq!(a, b, "same seed + config must reproduce exactly");

@@ -48,8 +48,7 @@ pub mod prelude {
     };
     pub use socl_ilp::{solve_exact, ExactOptions, ExactSolution};
     pub use socl_model::{
-        evaluate, link_loads, optimal_route, route_all_contention_aware, Assignment,
-        ContentionReport, EshopDataset, Evaluation, LinkLoads, Microservice, Placement,
+        evaluate, optimal_route, Assignment, EshopDataset, Evaluation, Microservice, Placement,
         ReplicaCounts, RequestConfig, Scenario, ScenarioConfig, ServiceCatalog, ServiceId,
         SockShopDataset, TrainTicketDataset, UserId, UserRequest,
     };

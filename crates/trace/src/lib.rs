@@ -24,4 +24,4 @@ pub mod temporal;
 pub use generator::{ServiceTrace, TraceConfig, TraceGenerator};
 pub use metrics::{acf, autocorrelation, burst_count, coefficient_of_variation, dominant_period};
 pub use similarity::{cosine_similarity, jaccard_similarity, similarity_matrix};
-pub use temporal::{Forecaster, ForecasterState, TemporalConfig, TemporalWorkload};
+pub use temporal::{TemporalConfig, TemporalWorkload};

@@ -150,232 +150,9 @@ impl TemporalWorkload {
     }
 }
 
-/// Holt double-exponential smoothing over an arrival series — the forecast
-/// that drives the predictive autoscaler in `socl-autoscale`.
-///
-/// The model keeps a smoothed *level* `ℓ` and *trend* `b`:
-///
-/// ```text
-/// ℓ_t = α·y_t + (1-α)·(ℓ_{t-1} + b_{t-1})
-/// b_t = β·(ℓ_t - ℓ_{t-1}) + (1-β)·b_{t-1}
-/// ŷ_{t+h} = ℓ_t + h·b_t
-/// ```
-///
-/// Trend-following is what lets a scaler provision *ahead* of a diurnal
-/// ramp instead of chasing it: during the rising edge of a peak the trend
-/// term is positive and the `h`-step-ahead forecast exceeds the current
-/// observation, so replicas are warm before the load arrives. The update is
-/// a pure fold over observations — no clocks, no RNG — so identical inputs
-/// give bit-identical forecasts.
-#[derive(Debug, Clone)]
-pub struct Forecaster {
-    /// Level smoothing factor `α ∈ (0, 1]`.
-    alpha: f64,
-    /// Trend smoothing factor `β ∈ [0, 1]`.
-    beta: f64,
-    level: f64,
-    trend: f64,
-    /// Number of observations folded in so far (0 or 1 = not warmed up).
-    seen: usize,
-}
-
-impl Forecaster {
-    /// New forecaster with the given smoothing factors.
-    ///
-    /// # Panics
-    /// Panics when `alpha` is outside `(0, 1]` or `beta` outside `[0, 1]`.
-    pub fn new(alpha: f64, beta: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha out of range");
-        assert!((0.0..=1.0).contains(&beta), "beta out of range");
-        Self {
-            alpha,
-            beta,
-            level: 0.0,
-            trend: 0.0,
-            seen: 0,
-        }
-    }
-
-    /// Responsive defaults for scaler ticks (α 0.5, β 0.3): the level
-    /// tracks the last few samples, the trend catches ramps within
-    /// a handful of ticks.
-    pub fn scaling_default() -> Self {
-        Self::new(0.5, 0.3)
-    }
-
-    /// Fold in the next observation.
-    pub fn observe(&mut self, y: f64) {
-        let y = y.max(0.0);
-        match self.seen {
-            0 => {
-                self.level = y;
-                self.trend = 0.0;
-            }
-            1 => {
-                // Two points pin the initial trend exactly.
-                self.trend = y - self.level;
-                self.level = y;
-            }
-            _ => {
-                let prev = self.level;
-                self.level = self.alpha * y + (1.0 - self.alpha) * (self.level + self.trend);
-                self.trend = self.beta * (self.level - prev) + (1.0 - self.beta) * self.trend;
-            }
-        }
-        self.seen += 1;
-    }
-
-    /// Forecast `horizon` steps ahead (clamped to ≥ 0). Before any
-    /// observation the forecast is 0; with one observation it is flat.
-    pub fn forecast(&self, horizon: f64) -> f64 {
-        (self.level + horizon.max(0.0) * self.trend).max(0.0)
-    }
-
-    /// Number of observations folded in.
-    pub fn observations(&self) -> usize {
-        self.seen
-    }
-
-    /// Freeze the full smoothing state for checkpointing. Together with
-    /// [`Forecaster::from_state`] this round-trips bit-exactly: the fields
-    /// are the *entire* model, so a restored forecaster continues the
-    /// series as if the crash never happened.
-    pub fn state(&self) -> ForecasterState {
-        ForecasterState {
-            alpha: self.alpha,
-            beta: self.beta,
-            level: self.level,
-            trend: self.trend,
-            seen: self.seen as u64,
-        }
-    }
-
-    /// Rebuild a forecaster from a frozen state.
-    ///
-    /// # Errors
-    /// Returns a message when the smoothing factors are out of range or the
-    /// level/trend are non-finite — a checkpoint carrying such values is
-    /// corrupt, and restoring it would poison every later forecast.
-    pub fn from_state(s: ForecasterState) -> Result<Self, String> {
-        if !(s.alpha > 0.0 && s.alpha <= 1.0) {
-            return Err(format!("forecaster alpha {} out of (0, 1]", s.alpha));
-        }
-        if !(0.0..=1.0).contains(&s.beta) {
-            return Err(format!("forecaster beta {} out of [0, 1]", s.beta));
-        }
-        if !s.level.is_finite() || !s.trend.is_finite() {
-            return Err("forecaster level/trend not finite".to_string());
-        }
-        let seen =
-            usize::try_from(s.seen).map_err(|_| "forecaster seen overflows usize".to_string())?;
-        Ok(Self {
-            alpha: s.alpha,
-            beta: s.beta,
-            level: s.level,
-            trend: s.trend,
-            seen,
-        })
-    }
-}
-
-/// Frozen [`Forecaster`] smoothing state (checkpoint payload).
-///
-/// `seen` is widened to `u64` so the on-disk encoding is identical on 32-
-/// and 64-bit hosts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ForecasterState {
-    /// Level smoothing factor `α ∈ (0, 1]`.
-    pub alpha: f64,
-    /// Trend smoothing factor `β ∈ [0, 1]`.
-    pub beta: f64,
-    /// Smoothed level `ℓ`.
-    pub level: f64,
-    /// Smoothed trend `b`.
-    pub trend: f64,
-    /// Observations folded in so far.
-    pub seen: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn forecaster_tracks_a_linear_ramp() {
-        let mut f = Forecaster::new(0.8, 0.8);
-        for i in 0..20 {
-            f.observe(3.0 * i as f64);
-        }
-        // On a clean ramp the 2-step-ahead forecast leads the last sample.
-        let last = 3.0 * 19.0;
-        assert!(f.forecast(2.0) > last, "{} !> {last}", f.forecast(2.0));
-        // And tracks the true continuation within a step's slope.
-        assert!((f.forecast(1.0) - (last + 3.0)).abs() < 3.0);
-    }
-
-    #[test]
-    fn forecaster_is_flat_on_constant_input() {
-        let mut f = Forecaster::scaling_default();
-        for _ in 0..10 {
-            f.observe(7.0);
-        }
-        assert!((f.forecast(5.0) - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn forecaster_never_goes_negative() {
-        let mut f = Forecaster::scaling_default();
-        for v in [10.0, 5.0, 1.0, 0.0, 0.0, 0.0] {
-            f.observe(v);
-        }
-        assert!(f.forecast(10.0) >= 0.0);
-    }
-
-    #[test]
-    fn forecaster_is_deterministic() {
-        let run = || {
-            let mut f = Forecaster::scaling_default();
-            for i in 0..50 {
-                f.observe(((i * 37) % 11) as f64);
-            }
-            f.forecast(3.0).to_bits()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn forecaster_state_roundtrips_bit_exactly() {
-        let mut f = Forecaster::scaling_default();
-        for i in 0..23 {
-            f.observe(((i * 13) % 7) as f64 + 0.25);
-        }
-        let mut g = Forecaster::from_state(f.state()).unwrap();
-        assert_eq!(f.forecast(4.0).to_bits(), g.forecast(4.0).to_bits());
-        // Continuation after restore is indistinguishable from the original.
-        f.observe(9.5);
-        g.observe(9.5);
-        assert_eq!(f.forecast(1.0).to_bits(), g.forecast(1.0).to_bits());
-        assert_eq!(f.observations(), g.observations());
-    }
-
-    #[test]
-    fn forecaster_state_rejects_corrupt_values() {
-        let good = Forecaster::scaling_default().state();
-        assert!(Forecaster::from_state(ForecasterState { alpha: 0.0, ..good }).is_err());
-        assert!(Forecaster::from_state(ForecasterState { alpha: 1.5, ..good }).is_err());
-        assert!(Forecaster::from_state(ForecasterState { beta: -0.1, ..good }).is_err());
-        assert!(Forecaster::from_state(ForecasterState {
-            level: f64::NAN,
-            ..good
-        })
-        .is_err());
-        assert!(Forecaster::from_state(ForecasterState {
-            trend: f64::INFINITY,
-            ..good
-        })
-        .is_err());
-        assert!(Forecaster::from_state(good).is_ok());
-    }
 
     #[test]
     fn series_has_configured_length_and_positivity() {

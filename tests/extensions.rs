@@ -1,26 +1,10 @@
-//! Integration tests for the extension subsystems: contention analysis,
-//! extra datasets, snapshots, resilience, and warm starts.
+//! Integration tests for the extension subsystems: extra datasets,
+//! snapshots, resilience, and warm starts.
 
 use socl::core::{placement_churn, WarmStartSolver};
-use socl::model::contention::{link_loads, route_all_contention_aware};
-use socl::model::{route_all, PlacementSnapshot, ScenarioSnapshot};
+use socl::model::{PlacementSnapshot, ScenarioSnapshot};
 use socl::net::{link_criticality, node_criticality};
 use socl::prelude::*;
-
-#[test]
-fn contention_pricing_interoperates_with_socl_placements() {
-    let sc = ScenarioConfig::paper(10, 60).build(1);
-    let placement = SoclSolver::new().solve(&sc).placement;
-    let selfish = route_all(&sc.requests, &placement, &sc.net, &sc.ap, &sc.catalog);
-    let priced = route_all_contention_aware(&sc, &placement, 2.0);
-    assert_eq!(priced.cloud_fallbacks(), selfish.cloud_fallbacks());
-    let l_selfish = link_loads(&sc, &selfish);
-    let l_priced = link_loads(&sc, &priced);
-    // Pricing never concentrates load more than the selfish optimum.
-    let peak = |l: &socl::model::LinkLoads| l.hottest().map_or(0.0, |(_, g)| g);
-    assert!(peak(&l_priced) <= peak(&l_selfish) + 1e-9);
-    assert!(l_priced.fairness() >= l_selfish.fairness() - 1e-9);
-}
 
 #[test]
 fn socl_runs_on_every_embedded_dataset() {

@@ -7,7 +7,7 @@
 
 #![allow(clippy::expect_used, clippy::panic, reason = "test code")]
 
-use socl::autoscale::{ForecasterState, ScalerState, ServiceStateSnapshot};
+use socl::autoscale::{ScalerState, ServiceStateSnapshot};
 use socl::model::codec::{Journal, Record, TornTailReason};
 use socl::model::{crc32, CodecError, PlacementSnapshot, ScenarioSnapshot};
 use socl::prelude::*;
@@ -31,26 +31,12 @@ fn scaler_state() -> ScalerState {
             ServiceStateSnapshot {
                 samples: vec![(1.0, 2.5), (2.0, 3.5)],
                 desires: vec![(2.0, 3)],
-                forecaster: ForecasterState {
-                    alpha: 0.5,
-                    beta: 0.25,
-                    level: 3.0,
-                    trend: -0.125,
-                    seen: 2,
-                },
                 last_down: f64::NEG_INFINITY,
                 panic_until: 4.0,
             },
             ServiceStateSnapshot {
                 samples: Vec::new(),
                 desires: Vec::new(),
-                forecaster: ForecasterState {
-                    alpha: 0.5,
-                    beta: 0.25,
-                    level: 0.0,
-                    trend: 0.0,
-                    seen: 0,
-                },
                 last_down: 1.5,
                 panic_until: f64::NEG_INFINITY,
             },
@@ -187,8 +173,8 @@ fn wire_format_is_pinned() {
     ];
     let got = images.each_ref().map(|b| (fnv1a(b), b.len()));
     let pinned = [
-        (0x638a_d987_0764_93c2, 664),
-        (0x2267_3de2_18b8_b82a, 448),
+        (0xa9a3_4677_b42c_823a, 584),
+        (0xb433_0423_fbee_878d, 368),
         (0x6d4a_d4ef_f57e_9f2a, 175),
         (0xff8c_d06f_3a69_e4f1, 168),
     ];
