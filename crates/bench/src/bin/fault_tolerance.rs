@@ -55,7 +55,6 @@ fn main() {
     for intensity in [0.0f64, 0.5, 1.0, 2.0] {
         for (name, placement) in policy_placements(&sc) {
             let faults = FaultPlan::at_intensity(horizon, intensity)
-                .with_targeting(Targeting::Random)
                 .generate(&sc.net, &placement, users, 17);
             for retries in [false, true] {
                 let retry = if retries {

@@ -51,6 +51,16 @@ impl Args {
         }
     }
 
+    /// True when the flag is present, whatever its value.
+    pub fn has(&self, key: &str) -> bool {
+        self.map.contains_key(key)
+    }
+
+    /// Every flag given, without its `--`.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.map.keys().map(String::as_str)
+    }
+
     /// True when the flag is present (with any value other than "false").
     pub fn flag(&self, key: &str) -> bool {
         self.map.get(key).is_some_and(|v| v != "false")

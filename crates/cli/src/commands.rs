@@ -11,23 +11,20 @@ socl — SoCL microservice provisioning (CLUSTER 2025 reproduction)
 USAGE:
   socl solve    [--nodes N] [--users U] [--seed S] [--budget B] [--lambda L]
                 [--algo socl|rp|jdr|gcog|opt] [--omega W] [--xi X] [--theta T]
-                [--node-limit N]
-  socl compare  [--nodes N] [--users U] [--seed S] [--budget B]
+                [--node-limit N] [--verbose]
+  socl compare  [--nodes N] [--users U] [--seed S] [--budget B] [--lambda L]
   socl simulate [--nodes N] [--users U] [--slots K] [--seed S]
                 [--policy socl|rp|jdr] [--fail-prob P]
                 [--mid-slot-fail-prob P] [--recover-prob P] [--repair]
                 [autoscaler flags]
-  socl testbed  [--nodes N] [--users U] [--seed S] [--epochs E]
-                [--algo socl|rp|jdr] [--fault-intensity F]
-                [--schedule targeted|noncritical|random] [--retries R]
-                [--timeout SECS] [--hedge SECS] [--no-degrade]
+  socl testbed  [--nodes N] [--users U] [--seed S] [--budget B] [--lambda L]
+                [--epochs E] [--algo socl|rp|jdr] [--fault-intensity F]
+                [--retries R] [--timeout SECS] [--hedge SECS] [--no-degrade]
                 [--cold-start SECS] [--keep-warm SECS] [autoscaler flags]
-  socl autoscale [--nodes N] [--users U] [--seed S] [--epochs E]
-                [--surge REQS] [--cold-start SECS] [autoscaler flags]
+  socl autoscale [--nodes N] [--users U] [--seed S] [--budget B] [--lambda L]
+                [--epochs E] [--surge REQS] [--cold-start SECS]
+                [autoscaler flags]
   socl trace    [--seed S]
-  socl resilience [--nodes N] [--seed S] [--top K]
-                [--schedule targeted|noncritical|random]
-                [--cold-start SECS] [--keep-warm SECS]
   socl chaos    [--nodes N] [--users U] [--slots K] [--policy socl|rp|jdr]
                 [--seeds S1,S2,..] [--kill-slots K1,K2,..]
                 [--checkpoint-every N] [--guided N] [--torn MODE,..]
@@ -37,10 +34,11 @@ USAGE:
                 [--ticks T] [--rate R] [--shape flash|diurnal] [--seed S]
                 [--policy socl|rp|jdr] [--kill-shard K] [--kill-at T]
                 [--torn clean|garbage|partial] [--csv]
-  socl export   [--nodes N] [--users U] [--seed S] [--solve]
+  socl export   [--nodes N] [--users U] [--seed S] [--budget B] [--lambda L]
+                [--solve]
   socl help
 
-Autoscaler flags (testbed, simulate, autoscale):
+Autoscaler flags (testbed, simulate, autoscale, chaos):
   --autoscale MODE           static|reactive — run the serverless
                              control plane; replica pools track concurrency
   --target-concurrency C     in-flight requests one replica should absorb
@@ -53,7 +51,9 @@ Global flags (any command):
   --threads N   worker threads for the parallel hot paths (0 = auto, 1 = serial;
                 output is identical for every thread count)
 
-Defaults follow the paper's setup: 10 nodes, 40 users, budget 6000, λ=0.5.
+A command accepts only the flags listed for it; any other flag is an error.
+Defaults follow the paper's setup: 10 nodes, 40 users, budget 6000, λ=0.5
+(`testbed`: the paper's 8-node testbed with 50 users).
 `solve --algo opt` runs the exact branch-and-bound; --node-limit N caps
 the nodes it expands (default 50000000), and a capped run prints its gap
 instead of `proved optimal`.
@@ -75,9 +75,49 @@ and journals every region to a checkpoint + WAL substrate. Optional
 its checkpoint, replaying the WAL; the stitched state must be
 bit-identical to never having crashed.";
 
-fn scenario_from(args: &Args) -> Result<Scenario, String> {
-    let nodes: usize = args.get("nodes", 10)?;
-    let users: usize = args.get("users", 40)?;
+/// The flags `command` accepts: every `--flag` its [`USAGE`] entry names
+/// (`[autoscaler flags]` expanded), plus the global `--threads`.
+pub fn flags_of(command: &str) -> Vec<&'static str> {
+    fn names(text: &'static str) -> impl Iterator<Item = &'static str> {
+        text.split("--").skip(1).map(|rest| {
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+    }
+    let head = format!("  socl {command} ");
+    let mut flags = vec!["threads"];
+    let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+    if let Some(first) = lines.next() {
+        // An entry's continuation lines are indented past `  socl`.
+        for line in std::iter::once(first).chain(lines.take_while(|l| l.starts_with("   "))) {
+            flags.extend(names(line));
+            if line.contains("[autoscaler flags]") {
+                let (_, section) = USAGE.split_once("\nAutoscaler flags").unwrap_or_default();
+                flags.extend(names(section.split("\n\n").next().unwrap_or_default()));
+            }
+        }
+    }
+    flags
+}
+
+/// Parse `argv` as `command`'s flags; a flag [`flags_of`] does not list
+/// is an error, so a typo never runs with the default silently.
+pub fn parse_args(command: &str, argv: &[String]) -> Result<Args, String> {
+    let args = Args::parse(argv)?;
+    let known = flags_of(command);
+    if let Some(unknown) = args.keys().find(|k| !known.contains(k)) {
+        return Err(format!("unknown flag --{unknown}"));
+    }
+    Ok(args)
+}
+
+/// The scenario the `--nodes --users --seed --budget --lambda` flags
+/// describe, with `nodes` × `users` when those two are absent.
+fn scenario_from(args: &Args, nodes: usize, users: usize) -> Result<Scenario, String> {
+    let nodes: usize = args.get("nodes", nodes)?;
+    let users: usize = args.get("users", users)?;
     let seed: u64 = args.get("seed", 42)?;
     let budget: f64 = args.get("budget", 6000.0)?;
     let lambda: f64 = args.get("lambda", 0.5)?;
@@ -178,7 +218,7 @@ fn policy_from(args: &Args) -> Result<Policy, String> {
 
 /// Parse a comma-separated list flag; `None` when the flag is absent.
 fn csv_list<T: std::str::FromStr>(args: &Args, key: &str) -> Result<Option<Vec<T>>, String> {
-    if !argish(args, key) {
+    if !args.has(key) {
         return Ok(None);
     }
     let raw = args.get_str(key, "");
@@ -206,7 +246,7 @@ fn print_summary(name: &str, objective: f64, cost: f64, latency: f64, secs: f64)
 
 /// `socl solve`.
 pub fn solve(args: &Args) -> Result<(), String> {
-    let sc = scenario_from(args)?;
+    let sc = scenario_from(args, 10, 40)?;
     let algo = args.get_str("algo", "socl");
     println!(
         "scenario: {} nodes, {} users, {} services, budget {}, λ {}",
@@ -309,7 +349,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
 
 /// `socl compare`.
 pub fn compare(args: &Args) -> Result<(), String> {
-    let sc = scenario_from(args)?;
+    let sc = scenario_from(args, 10, 40)?;
     println!(
         "scenario: {} nodes, {} users, budget {}, λ {}\n",
         sc.nodes(),
@@ -405,18 +445,8 @@ pub fn simulate(args: &Args) -> Result<(), String> {
 
 /// `socl testbed`.
 pub fn testbed(args: &Args) -> Result<(), String> {
-    let sc = {
-        let mut a = scenario_from(args)?;
-        // Default to the paper's 8-node testbed unless --nodes was given.
-        if !argish(args, "nodes") {
-            a = {
-                let mut cfg = ScenarioConfig::paper(8, args.get("users", 50)?);
-                cfg.budget = args.get("budget", 6000.0)?;
-                cfg.build(args.get("seed", 42)?)
-            };
-        }
-        a
-    };
+    // The paper's testbed: 8 nodes, 50 users.
+    let sc = scenario_from(args, 8, 50)?;
     let placement = match args.get_str("algo", "socl").as_str() {
         "socl" => SoclSolver::new().solve(&sc).placement,
         "rp" => random_provisioning(&sc, args.get("seed", 42)?).placement,
@@ -427,14 +457,9 @@ pub fn testbed(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get("seed", 42)?;
     let intensity: f64 = args.get("fault-intensity", 0.0)?;
     let base = TestbedConfig::default();
-    // Validate --schedule even when faults are off, so a typo never
-    // silently runs a fault-free replay.
-    let targeting = parse_targeting(&args.get_str("schedule", "random"))?;
     let faults = if intensity > 0.0 {
         let horizon = epochs as f64 * base.epoch_secs;
-        FaultPlan::at_intensity(horizon, intensity)
-            .with_targeting(targeting)
-            .generate(&sc.net, &placement, sc.users(), seed)
+        FaultPlan::at_intensity(horizon, intensity).generate(&sc.net, &placement, sc.users(), seed)
     } else {
         FaultSchedule::empty()
     };
@@ -512,7 +537,7 @@ pub fn testbed(args: &Args) -> Result<(), String> {
 /// `socl autoscale` — replay a flash-crowd workload on the testbed under
 /// every scaling mode and compare latency against replica-seconds billed.
 pub fn autoscale(args: &Args) -> Result<(), String> {
-    let sc = scenario_from(args)?;
+    let sc = scenario_from(args, 10, 40)?;
     let placement = SoclSolver::new().solve(&sc).placement;
     let epochs: usize = args.get("epochs", 4)?;
     if epochs == 0 {
@@ -611,21 +636,6 @@ pub fn autoscale(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_targeting(s: &str) -> Result<Targeting, String> {
-    match s {
-        "random" => Ok(Targeting::Random),
-        "targeted" | "critical" => Ok(Targeting::Critical),
-        "noncritical" => Ok(Targeting::NonCritical),
-        other => Err(format!(
-            "unknown --schedule `{other}` (expected targeted|noncritical|random)"
-        )),
-    }
-}
-
-fn argish(args: &Args, key: &str) -> bool {
-    args.get_str(key, "\u{0}") != "\u{0}"
-}
-
 /// `socl trace`.
 pub fn trace(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get("seed", 42)?;
@@ -654,86 +664,10 @@ pub fn trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `socl resilience`.
-pub fn resilience(args: &Args) -> Result<(), String> {
-    use socl::net::{link_criticality, node_criticality};
-    let nodes: usize = args.get("nodes", 10)?;
-    let seed: u64 = args.get("seed", 42)?;
-    let top: usize = args.get("top", 5)?;
-    let net = TopologyConfig::paper(nodes).build(seed);
-    println!(
-        "resilience analysis: {} nodes, {} links\n",
-        net.node_count(),
-        net.link_count()
-    );
-    println!("most critical links:");
-    for i in link_criticality(&net).into_iter().take(top) {
-        println!(
-            "  {:<14} partitions={} mean stretch {:.3} max {:.3}",
-            i.component, i.partitions, i.mean_stretch, i.max_stretch
-        );
-    }
-    println!("\nmost critical nodes:");
-    for i in node_criticality(&net).into_iter().take(top) {
-        println!(
-            "  {:<14} partitions={} mean stretch {:.3} max {:.3}",
-            i.component, i.partitions, i.mean_stretch, i.max_stretch
-        );
-    }
-
-    // With --schedule, turn the criticality ranking into a fault schedule
-    // and replay it on the testbed with the dispatcher's retries off/on.
-    let sched = args.get_str("schedule", "");
-    if !sched.is_empty() && sched != "\u{0}" {
-        let targeting = parse_targeting(&sched)?;
-        let users: usize = args.get("users", 40)?;
-        let sc = ScenarioConfig::paper(nodes, users).build(seed);
-        let placement = SoclSolver::new().solve(&sc).placement;
-        let epochs = 4usize;
-        let mut base = TestbedConfig::default();
-        base.cold_start = args.get("cold-start", base.cold_start)?;
-        base.keep_warm = args.get("keep-warm", base.keep_warm)?;
-        if base.cold_start < 0.0 || base.keep_warm < 0.0 {
-            return Err("--cold-start and --keep-warm must be non-negative".into());
-        }
-        let faults = FaultPlan::moderate(epochs as f64 * base.epoch_secs)
-            .with_targeting(targeting)
-            .generate(&sc.net, &placement, users, seed);
-        let st = faults.stats();
-        println!(
-            "\n{sched} fault schedule: {} crashes, {} link degrades, {} instance kills, {} losses",
-            st.node_crashes, st.link_degrades, st.instance_kills, st.request_losses
-        );
-        for (label, retry) in [
-            ("retries off", RetryPolicy::default()),
-            ("retries on ", RetryPolicy::resilient()),
-        ] {
-            let res = run_testbed(
-                &sc,
-                &placement,
-                &TestbedConfig {
-                    epochs,
-                    faults: faults.clone(),
-                    retry,
-                    ..base.clone()
-                },
-            );
-            println!(
-                "  {label}: availability {:.4}, effective mean {:.1} ms, degraded {}, retried {}",
-                res.availability,
-                res.effective_mean(sc.cloud_penalty) * 1e3,
-                res.degraded,
-                res.retried
-            );
-        }
-    }
-    Ok(())
-}
-
 /// `socl export`.
 pub fn export(args: &Args) -> Result<(), String> {
     use socl::model::{PlacementSnapshot, ScenarioSnapshot};
-    let sc = scenario_from(args)?;
+    let sc = scenario_from(args, 10, 40)?;
     println!("{}", ScenarioSnapshot::capture(&sc).to_json());
     if args.flag("solve") {
         let res = SoclSolver::new().solve(&sc);
@@ -1025,7 +959,7 @@ mod tests {
         ]);
         solve(&a).unwrap();
         let res = solve_exact(
-            &scenario_from(&a).unwrap(),
+            &scenario_from(&a, 10, 40).unwrap(),
             &exact_options_from(&a).unwrap(),
         );
         assert_eq!(res.nodes, 3);
@@ -1106,8 +1040,6 @@ mod tests {
             "4",
             "--fault-intensity",
             "1.0",
-            "--schedule",
-            "targeted",
             "--retries",
             "2",
             "--timeout",
@@ -1120,15 +1052,27 @@ mod tests {
 
     #[test]
     fn testbed_rejects_unknown_schedule() {
-        assert!(testbed(&args(&[
-            "--users",
-            "10",
-            "--fault-intensity",
-            "1.0",
-            "--schedule",
-            "chaotic",
-        ]))
-        .is_err());
+        // `--schedule` is not a testbed flag and `--retires` is a typo of
+        // `--retries`: each exits 2 before anything runs.
+        for (flag, value) in [("--schedule", "chaotic"), ("--retires", "3")] {
+            let argv: Vec<String> = ["--users", "10", "--fault-intensity", "1.0", flag, value]
+                .iter()
+                .map(|x| x.to_string())
+                .collect();
+            assert_eq!(
+                parse_args("testbed", &argv).unwrap_err(),
+                format!("unknown flag {flag}")
+            );
+            let mut cli = vec!["testbed".to_string()];
+            cli.extend(argv);
+            assert_eq!(crate::run(&cli), 2, "{flag}");
+        }
+        // Listed flags, autoscaler and global ones included, still parse.
+        let ok: Vec<String> = ["--retries", "3", "--admission", "--threads", "1"]
+            .iter()
+            .map(|x| x.to_string())
+            .collect();
+        assert!(parse_args("testbed", &ok).is_ok());
     }
 
     #[test]
@@ -1255,28 +1199,6 @@ mod tests {
     #[test]
     fn autoscale_rejects_zero_epochs() {
         assert!(autoscale(&args(&["--epochs", "0"])).is_err());
-    }
-
-    #[test]
-    fn resilience_runs_small() {
-        resilience(&args(&["--nodes", "6", "--seed", "6", "--top", "3"])).unwrap();
-    }
-
-    #[test]
-    fn resilience_runs_a_schedule_replay() {
-        resilience(&args(&[
-            "--nodes",
-            "6",
-            "--users",
-            "10",
-            "--seed",
-            "6",
-            "--top",
-            "2",
-            "--schedule",
-            "noncritical",
-        ]))
-        .unwrap();
     }
 
     #[test]

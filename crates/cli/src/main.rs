@@ -1,31 +1,7 @@
 //! `socl` — command-line interface for the SoCL reproduction.
 //!
-//! ```text
-//! socl solve    [--nodes N] [--users U] [--seed S] [--budget B] [--lambda L]
-//!               [--algo socl|rp|jdr|gcog|opt] [--omega W] [--xi X] [--theta T]
-//!               [--node-limit N]
-//! socl compare  [--nodes N] [--users U] [--seed S] [--budget B]
-//! socl simulate [--nodes N] [--users U] [--slots K] [--seed S]
-//!               [--policy socl|rp|jdr] [--fail-prob P]
-//!               [--mid-slot-fail-prob P] [--recover-prob P] [--repair]
-//! socl testbed  [--nodes N] [--users U] [--seed S] [--epochs E]
-//!               [--algo socl|rp|jdr] [--fault-intensity F]
-//!               [--schedule targeted|noncritical|random] [--retries R]
-//!               [--timeout SECS] [--hedge SECS] [--no-degrade]
-//!               [--cold-start SECS] [--keep-warm SECS] [autoscaler flags]
-//! socl autoscale [--nodes N] [--users U] [--seed S] [--epochs E]
-//!               [--surge REQS] [--cold-start SECS] [autoscaler flags]
-//! socl trace    [--seed S]
-//! socl resilience [--nodes N] [--seed S] [--top K]
-//!               [--schedule targeted|noncritical|random]
-//! socl chaos    [--nodes N] [--users U] [--slots K] [--policy socl|rp|jdr]
-//!               [--seeds S1,S2,..] [--kill-slots K1,K2,..]
-//!               [--checkpoint-every N] [--guided N] [--torn MODE,..]
-//! socl serve    [--nodes N] [--regions R] [--shards S] [--users U]
-//!               [--ticks T] [--rate R] [--shape flash|diurnal] [--seed S]
-//!               [--policy socl|rp|jdr] [--kill-shard K] [--kill-at T]
-//!               [--torn clean|garbage|partial] [--csv]
-//! ```
+//! `socl help` prints the commands and their flags ([`commands::USAGE`]);
+//! a command rejects any flag its entry there does not list.
 //!
 //! Every command additionally accepts the global `--threads N` flag, which
 //! sizes the worker pool of the parallel hot paths (0 = auto-detect, 1 =
@@ -50,41 +26,11 @@ fn run(argv: &[String]) -> i32 {
         eprintln!("{}", commands::USAGE);
         return 2;
     };
-    let args = match Args::parse(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", commands::USAGE);
-            return 2;
-        }
-    };
-    // Global flag: worker threads for the parallel hot paths (0 = auto).
-    match args.get::<usize>("threads", 0) {
-        Ok(threads) => socl::net::set_threads(threads),
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", commands::USAGE);
-            return 2;
-        }
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{}", commands::USAGE);
+        return 0;
     }
-    let result = match command.as_str() {
-        "solve" => commands::solve(&args),
-        "compare" => commands::compare(&args),
-        "simulate" => commands::simulate(&args),
-        "testbed" => commands::testbed(&args),
-        "autoscale" => commands::autoscale(&args),
-        "trace" => commands::trace(&args),
-        "resilience" => commands::resilience(&args),
-        "chaos" => commands::chaos(&args),
-        "serve" => commands::serve(&args),
-        "export" => commands::export(&args),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match result {
+    match dispatch(command, rest) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("error: {e}");
@@ -92,6 +38,25 @@ fn run(argv: &[String]) -> i32 {
             2
         }
     }
+}
+
+fn dispatch(command: &str, rest: &[String]) -> Result<(), String> {
+    let run: fn(&Args) -> Result<(), String> = match command {
+        "solve" => commands::solve,
+        "compare" => commands::compare,
+        "simulate" => commands::simulate,
+        "testbed" => commands::testbed,
+        "autoscale" => commands::autoscale,
+        "trace" => commands::trace,
+        "chaos" => commands::chaos,
+        "serve" => commands::serve,
+        "export" => commands::export,
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    let args = commands::parse_args(command, rest)?;
+    // Global flag: worker threads for the parallel hot paths (0 = auto).
+    socl::net::set_threads(args.get("threads", 0)?);
+    run(&args)
 }
 
 #[cfg(test)]
@@ -110,6 +75,7 @@ mod tests {
     #[test]
     fn unknown_command_rejected() {
         assert_eq!(run(&s(&["frobnicate"])), 2);
+        assert_eq!(run(&s(&["resilience"])), 2);
     }
 
     #[test]

@@ -30,16 +30,6 @@ pub fn by_key<T, F: Fn(&T) -> f64>(key: F) -> impl Fn(&T, &T) -> Ordering {
     move |a, b| key(a).total_cmp(&key(b))
 }
 
-/// Strict "less than" under the total order: `true` iff `a` sorts before
-/// `b` per [`f64::total_cmp`]. Unlike the raw `<` operator this is total —
-/// a NaN operand yields a deterministic answer (`-NaN` sorts below all
-/// numbers, `+NaN` above) instead of always-`false`, so selection loops
-/// cannot silently skip entries.
-#[inline]
-pub fn lt(a: f64, b: f64) -> bool {
-    total(&a, &b) == Ordering::Less
-}
-
 /// Sort a float slice ascending under the total order (NaNs sort last).
 #[inline]
 pub fn sort_f64s(v: &mut [f64]) {

@@ -289,8 +289,7 @@ impl ApspCache {
     }
 
     /// Mask every link incident to `node` (a node crash: the vertex stays so
-    /// indices remain stable, exactly like the resilience module's
-    /// remove-node semantics).
+    /// node and link indices remain stable).
     pub fn mask_node(&mut self, node: NodeId) {
         let changes: Vec<(usize, f64)> = self
             .net
@@ -364,6 +363,10 @@ mod tests {
         let mut cache = ApspCache::new(&net);
         cache.mask_node(NodeId(5));
         assert!(cache.all_pairs().identical(&rebuilt(&cache)));
+        // A crashed node is cut off: every incident link is masked.
+        for k in net.node_ids().filter(|&k| k != NodeId(5)) {
+            assert!(cache.all_pairs().latency_weight(NodeId(5), k).is_infinite());
+        }
         cache.unmask_node(NodeId(5));
         assert!(cache.all_pairs().identical(&AllPairs::build_serial(&net)));
         let stats = cache.stats();

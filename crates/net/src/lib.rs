@@ -31,7 +31,6 @@ pub mod graph;
 pub mod incremental;
 pub mod par;
 pub mod paths;
-pub mod resilience;
 pub mod rng;
 pub mod time;
 pub mod topology;
@@ -42,7 +41,6 @@ pub use graph::{ConnScratch, EdgeNetwork, EdgeServer, Link, LinkParams, NodeId};
 pub use incremental::{ApspCache, CacheStats};
 pub use par::{effective_threads, lock_recover, parallel_worthwhile, set_threads};
 pub use paths::{AllPairs, PathMetric, ShortestPaths};
-pub use resilience::{link_criticality, node_criticality, FailureImpact};
 pub use time::Stopwatch;
 pub use topology::{TopologyConfig, TopologyKind};
 pub use virtual_graph::{communication_intensity, Partition, VgCache, VirtualGraph};

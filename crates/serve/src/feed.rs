@@ -137,7 +137,7 @@ impl LoadFeed {
     /// Build the feed over `nodes` base stations using the embedded
     /// eshopOnContainers dependency dataset. User ids are `u32`: a larger
     /// `cfg.users` is clamped to `u32::MAX` (`config().users` reports the
-    /// clamped value; `socl serve` and `loadgen` reject it up front).
+    /// clamped value; `socl serve` rejects it up front).
     #[must_use]
     pub fn new(mut cfg: FeedConfig, nodes: usize) -> Self {
         let population = u32::try_from(cfg.users).unwrap_or(u32::MAX);

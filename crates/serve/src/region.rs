@@ -127,12 +127,6 @@ impl RegionMap {
             .filter(move |&(_, &rr)| rr == r)
             .map(|(i, _)| NodeId(i as u32))
     }
-
-    /// The shard that executes region `r` when `shards` workers run.
-    #[must_use]
-    pub fn shard_of(&self, r: u32, shards: usize) -> usize {
-        r as usize % shards.max(1)
-    }
 }
 
 #[cfg(test)]

@@ -430,13 +430,6 @@ impl SoclServe {
         self.wals.iter().map(RegionWal::len_bytes).sum()
     }
 
-    /// A request synthesized by the feed, for external probes (the bench
-    /// times individual routing decisions against the live placement).
-    #[must_use]
-    pub fn probe_request(&self, user: u32) -> socl_model::UserRequest {
-        self.feed.synthesize(user)
-    }
-
     /// Route one request against the current placement (no state change)
     /// — the bench's per-decision latency probe.
     #[must_use]

@@ -7,23 +7,15 @@
 //! the testbed emulator replays mid-run and the online simulator applies
 //! between and within slots.
 //!
-//! Two generator families:
-//!
-//! * [`FaultPlan::generate`] with [`Targeting::Random`] — uniformly random
-//!   victims (the classic chaos-monkey setup);
-//! * criticality-*targeted* schedules ([`Targeting::Critical`] /
-//!   [`Targeting::NonCritical`]) driven by `socl-net::resilience` rankings.
-//!   `Critical` attacks the highest-stretch components (worst case an
-//!   operator should plan for); `NonCritical` fails only components whose
-//!   loss neither partitions the network nor stretches latency — the regime
-//!   the resilience module's doc-comment promises the simulator exercises.
+//! [`FaultPlan::generate`] draws victims uniformly at random (the classic
+//! chaos-monkey setup).
 //!
 //! Schedules are plain data: same seed + same plan ⇒ byte-identical events,
 //! which is what makes the faulted-testbed determinism proptests possible.
 
 use socl_model::{Placement, ServiceId};
 use socl_net::rng::ChaCha12Rng;
-use socl_net::{link_criticality, node_criticality, EdgeNetwork, NodeId};
+use socl_net::{EdgeNetwork, NodeId};
 
 /// One injected fault (or the matching recovery).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,21 +122,6 @@ pub struct FaultStats {
     pub request_losses: usize,
 }
 
-/// Which components a generated schedule is allowed to hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Targeting {
-    /// Uniformly random victims.
-    #[default]
-    Random,
-    /// Attack the most critical components first (top third of the
-    /// `socl-net::resilience` stretch ranking — worst-case planning).
-    Critical,
-    /// Fail only components whose loss neither partitions the network nor
-    /// carries latency-critical traffic (bottom third of the ranking,
-    /// partition-inducing components excluded).
-    NonCritical,
-}
-
 /// Knobs for schedule generation. Counts are *expected totals over the
 /// horizon*; [`FaultPlan::at_intensity`] scales them together.
 #[derive(Debug, Clone)]
@@ -165,8 +142,6 @@ pub struct FaultPlan {
     pub instance_kills: usize,
     /// In-flight request losses to schedule.
     pub request_losses: usize,
-    /// Victim selection policy.
-    pub targeting: Targeting,
 }
 
 impl FaultPlan {
@@ -181,7 +156,6 @@ impl FaultPlan {
             mean_degrade: 0.0,
             instance_kills: 0,
             request_losses: 0,
-            targeting: Targeting::Random,
         }
     }
 
@@ -197,7 +171,6 @@ impl FaultPlan {
             mean_degrade: horizon * 0.2,
             instance_kills: 4,
             request_losses: 3,
-            targeting: Targeting::Random,
         }
     }
 
@@ -215,12 +188,6 @@ impl FaultPlan {
         }
     }
 
-    /// Use the given targeting policy.
-    pub fn with_targeting(mut self, targeting: Targeting) -> Self {
-        self.targeting = targeting;
-        self
-    }
-
     /// Generate the schedule for `net` under `placement` (instance kills
     /// pick deployed instances; pass an empty placement to skip them) with
     /// `users` request sources. Deterministic in `seed`.
@@ -235,9 +202,9 @@ impl FaultPlan {
         let mut events = Vec::new();
 
         // --- node crashes (never all nodes down at once) ------------------
-        let node_pool = self.node_pool(net);
+        let nodes = net.node_count();
         let mut down_intervals: Vec<(f64, f64, usize)> = Vec::new();
-        if !node_pool.is_empty() {
+        if nodes > 1 {
             for _ in 0..self.node_crashes {
                 let t = rng.gen_range(0.0..self.horizon);
                 let d = spread(&mut rng, self.mean_downtime);
@@ -246,10 +213,10 @@ impl FaultPlan {
                     .iter()
                     .filter(|(a, b, _)| *a < t + d && t < *b)
                     .count();
-                if overlap + 1 >= net.node_count() {
+                if overlap + 1 >= nodes {
                     continue;
                 }
-                let &victim = &node_pool[rng.gen_range(0..node_pool.len())];
+                let victim = NodeId(rng.gen_range(0..nodes) as u32);
                 // One outage per node at a time.
                 if down_intervals
                     .iter()
@@ -270,13 +237,13 @@ impl FaultPlan {
         }
 
         // --- link flaps ---------------------------------------------------
-        let link_pool = self.link_pool(net);
-        if !link_pool.is_empty() {
+        let links = net.link_count();
+        if links > 0 {
             let mut busy: Vec<(f64, f64, usize)> = Vec::new();
             for _ in 0..self.link_flaps {
                 let t = rng.gen_range(0.0..self.horizon);
                 let d = spread(&mut rng, self.mean_degrade);
-                let link = link_pool[rng.gen_range(0..link_pool.len())];
+                let link = rng.gen_range(0..links);
                 if busy
                     .iter()
                     .any(|(a, b, l)| *l == link && *a < t + d && t < *b)
@@ -328,83 +295,6 @@ impl FaultPlan {
 
         FaultSchedule::from_events(events)
     }
-
-    /// Nodes the plan may crash, per the targeting policy.
-    fn node_pool(&self, net: &EdgeNetwork) -> Vec<NodeId> {
-        let all: Vec<NodeId> = net.node_ids().collect();
-        if all.len() <= 1 {
-            return Vec::new();
-        }
-        match self.targeting {
-            Targeting::Random => all,
-            Targeting::Critical | Targeting::NonCritical => {
-                let ranked = node_criticality(net);
-                let take = (ranked.len() / 3).max(1);
-                let tagged: Vec<(bool, NodeId)> = ranked
-                    .iter()
-                    .map(|i| (i.partitions, parse_node_tag(&i.component)))
-                    .collect();
-                match self.targeting {
-                    Targeting::Critical => tagged.iter().take(take).map(|&(_, k)| k).collect(),
-                    _ => {
-                        // Non-critical: bottom of the ranking, and never a
-                        // cut vertex (its loss would partition the net).
-                        let safe: Vec<NodeId> = tagged
-                            .iter()
-                            .rev()
-                            .filter(|(partitions, _)| !*partitions)
-                            .map(|&(_, k)| k)
-                            .collect();
-                        safe.into_iter().take(take).collect()
-                    }
-                }
-            }
-        }
-    }
-
-    /// Links the plan may degrade, per the targeting policy. (Degradation
-    /// never partitions, so bridges are only excluded for `NonCritical`,
-    /// where the promise is "latency-irrelevant victims only".)
-    fn link_pool(&self, net: &EdgeNetwork) -> Vec<usize> {
-        let n = net.link_count();
-        if n == 0 {
-            return Vec::new();
-        }
-        match self.targeting {
-            Targeting::Random => (0..n).collect(),
-            Targeting::Critical | Targeting::NonCritical => {
-                let ranked = link_criticality(net);
-                let take = (n / 3).max(1);
-                // Recover each ranked entry's link index by matching tags.
-                let tag_of = |idx: usize| {
-                    let l = net.links()[idx];
-                    format!("link {}-{}", l.a, l.b)
-                };
-                let index_of = |component: &str| (0..n).find(|&i| tag_of(i) == component);
-                let ordered: Vec<(bool, usize)> = ranked
-                    .iter()
-                    .filter_map(|i| index_of(&i.component).map(|idx| (i.partitions, idx)))
-                    .collect();
-                match self.targeting {
-                    Targeting::Critical => ordered.iter().take(take).map(|&(_, i)| i).collect(),
-                    _ => ordered
-                        .iter()
-                        .rev()
-                        .filter(|(partitions, _)| !*partitions)
-                        .map(|&(_, i)| i)
-                        .take(take)
-                        .collect(),
-                }
-            }
-        }
-    }
-}
-
-/// Parse "node v3" back into `NodeId(3)`; the resilience rankings only
-/// expose the display tag.
-fn parse_node_tag(component: &str) -> NodeId {
-    let digits: String = component.chars().filter(|c| c.is_ascii_digit()).collect();
-    NodeId(digits.parse().unwrap_or(0))
 }
 
 /// Deterministic positive duration around `mean` (0.5×–1.5× spread).
@@ -518,19 +408,11 @@ impl FaultTimeline {
         }
     }
 
-    /// True when `(service, node)` was cold-killed inside `(t0, t1)`.
+    /// True when `(service, node)` was cold-killed inside `(t0, t1]`.
     pub fn killed_between(&self, service: ServiceId, node: NodeId, t0: f64, t1: f64) -> bool {
         self.kills
             .iter()
             .any(|&(t, m, k)| m == service && k == node && t0 < t && t <= t1)
-    }
-
-    /// First scheduled loss of `user`'s request inside `(t0, t1)`.
-    pub fn loss_between(&self, user: usize, t0: f64, t1: f64) -> Option<f64> {
-        self.losses
-            .iter()
-            .find(|&&(t, u)| u == user && t0 < t && t <= t1)
-            .map(|&(t, _)| t)
     }
 
     /// Sorted link-state change points (times at which transfer times must
@@ -642,67 +524,22 @@ mod tests {
             .filter(|e| matches!(e.kind, FaultKind::NodeRecover(_)))
             .count();
         assert_eq!(stats.node_crashes, recoveries);
-    }
-
-    #[test]
-    fn noncritical_targeting_avoids_cut_vertices_and_bridges() {
-        // A line topology: the middle node and both links are critical.
-        let mut net = EdgeNetwork::new();
-        for _ in 0..3 {
-            net.push_server(socl_net::EdgeServer::new(10.0, 8.0));
+        // However many long outages a plan asks for, one node stays up.
+        let pair = test_net(2);
+        let storm = FaultPlan {
+            node_crashes: 40,
+            ..FaultPlan::moderate(900.0)
         }
-        net.add_link(NodeId(0), NodeId(1), socl_net::LinkParams::from_rate(50.0));
-        net.add_link(NodeId(1), NodeId(2), socl_net::LinkParams::from_rate(50.0));
-        let plan = FaultPlan {
-            node_crashes: 20,
-            link_flaps: 20,
-            ..FaultPlan::moderate(1000.0)
+        .generate(&pair, &Placement::empty(1, 2), 0, 5);
+        let tl = FaultTimeline::build(&storm, 2);
+        assert!(storm.stats().node_crashes > 1);
+        for e in storm.events() {
+            assert!(
+                pair.node_ids().any(|k| !tl.is_down(k, e.time)),
+                "every node down at {}",
+                e.time
+            );
         }
-        .with_targeting(Targeting::NonCritical);
-        let s = plan.generate(&net, &Placement::empty(2, 3), 10, 11);
-        for e in s.events() {
-            match &e.kind {
-                FaultKind::NodeCrash(k) => {
-                    assert_ne!(*k, NodeId(1), "non-critical plan crashed the cut vertex");
-                }
-                FaultKind::LinkDegrade { .. } => {
-                    panic!("non-critical plan degraded a bridge link");
-                }
-                _ => {}
-            }
-        }
-    }
-
-    #[test]
-    fn critical_targeting_hits_the_top_ranked_node() {
-        let mut net = EdgeNetwork::new();
-        for _ in 0..3 {
-            net.push_server(socl_net::EdgeServer::new(10.0, 8.0));
-        }
-        net.add_link(NodeId(0), NodeId(1), socl_net::LinkParams::from_rate(50.0));
-        net.add_link(NodeId(1), NodeId(2), socl_net::LinkParams::from_rate(50.0));
-        let plan = FaultPlan {
-            node_crashes: 10,
-            link_flaps: 0,
-            instance_kills: 0,
-            request_losses: 0,
-            ..FaultPlan::moderate(1000.0)
-        }
-        .with_targeting(Targeting::Critical);
-        let s = plan.generate(&net, &Placement::empty(2, 3), 10, 4);
-        let crashes: Vec<NodeId> = s
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::NodeCrash(k) => Some(k),
-                _ => None,
-            })
-            .collect();
-        assert!(!crashes.is_empty());
-        assert!(
-            crashes.iter().all(|&k| k == NodeId(1)),
-            "critical plan must attack the cut vertex, got {crashes:?}"
-        );
     }
 
     #[test]
@@ -724,8 +561,19 @@ mod tests {
                 time: 90.0,
                 kind: FaultKind::NodeRecover(NodeId(1)),
             },
+            FaultEvent {
+                time: 30.0,
+                kind: FaultKind::InstanceKill {
+                    service: ServiceId(2),
+                    node: NodeId(1),
+                },
+            },
         ]);
         let tl = FaultTimeline::build(&s, 2);
+        // Kill windows are (t0, t1]: a kill at t0 predates the last use.
+        assert!(tl.killed_between(ServiceId(2), NodeId(1), 20.0, 30.0));
+        assert!(!tl.killed_between(ServiceId(2), NodeId(1), 30.0, 40.0));
+        assert!(!tl.killed_between(ServiceId(2), NodeId(0), 20.0, 30.0));
         assert!(tl.is_down(NodeId(0), 15.0));
         assert!(!tl.is_down(NodeId(0), 35.0));
         assert_eq!(tl.next_up(NodeId(1), 60.0), 90.0);

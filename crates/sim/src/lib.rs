@@ -13,8 +13,7 @@
 //!   failure-triggered warm repair (`socl-core::online::repair_placement`).
 //! * [`faults`] — deterministic, seedable fault schedules (node crash and
 //!   recovery, link degradation, instance cold-kills, in-flight request
-//!   loss) with random and criticality-targeted generators driven by the
-//!   `socl-net::resilience` rankings.
+//!   loss) drawn uniformly at random from a seeded plan.
 //! * [`recovery`] — crash-consistent checkpoint/restore for the online
 //!   simulator: a versioned binary [`recovery::Checkpoint`] of every live
 //!   piece of state and a checksummed write-ahead
@@ -46,9 +45,7 @@ pub mod recovery;
 pub mod testbed;
 
 pub use chaos::{run_chaos_soak, SoakCase, SoakError, SoakPlan, SoakRow, SoakSummary};
-pub use faults::{
-    FaultEvent, FaultKind, FaultPlan, FaultSchedule, FaultStats, FaultTimeline, Targeting,
-};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultSchedule, FaultStats, FaultTimeline};
 pub use mobility::MobilityModel;
 pub use online::{ControlPlaneDisabled, OnlineConfig, OnlineSimulator, SlotRecord};
 pub use policy::Policy;

@@ -1,6 +1,6 @@
 //! Property tests for the simulator and the testbed emulator.
 
-use crate::faults::{FaultPlan, FaultSchedule, Targeting};
+use crate::faults::{FaultPlan, FaultSchedule};
 use crate::policy::Policy;
 use crate::testbed::{run_testbed, RetryPolicy, TestbedConfig};
 use socl_core::SoclConfig;
@@ -51,8 +51,8 @@ fn drain_metrics(sim: &mut OnlineSimulator, policy: &Policy) -> Vec<SlotMetrics>
     out
 }
 
-/// A fault schedule of arbitrary targeting and intensity up to
-/// `max_level` against the given scenario/placement pair.
+/// A fault schedule of arbitrary intensity up to `max_level` against the
+/// given scenario/placement pair.
 fn arb_faults(
     rng: &mut ChaCha12Rng,
     sc: &Scenario,
@@ -61,14 +61,12 @@ fn arb_faults(
     max_level: f64,
 ) -> FaultSchedule {
     let horizon = epochs as f64 * TestbedConfig::default().epoch_secs;
-    let targetings = [
-        Targeting::Random,
-        Targeting::Critical,
-        Targeting::NonCritical,
-    ];
-    FaultPlan::at_intensity(horizon, rng.gen_range(0.0..=max_level))
-        .with_targeting(*rng.choose(&targetings).unwrap())
-        .generate(&sc.net, placement, sc.users(), rng.next_u64())
+    FaultPlan::at_intensity(horizon, rng.gen_range(0.0..=max_level)).generate(
+        &sc.net,
+        placement,
+        sc.users(),
+        rng.next_u64(),
+    )
 }
 
 /// Testbed latencies dominate unloaded DP latencies per request: the

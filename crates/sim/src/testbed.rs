@@ -1155,7 +1155,7 @@ pub fn run_testbed(sc: &Scenario, placement: &Placement, cfg: &TestbedConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultEvent, FaultKind, FaultPlan, Targeting};
+    use crate::faults::{FaultEvent, FaultKind, FaultPlan};
     use socl_core::SoclSolver;
     use socl_model::ScenarioConfig;
 
@@ -1353,7 +1353,7 @@ mod tests {
     fn faulted_run_is_deterministic_and_conserves_requests() {
         let sc = scenario(10);
         let placement = SoclSolver::new().solve(&sc).placement;
-        let plan = FaultPlan::moderate(300.0).with_targeting(Targeting::Critical);
+        let plan = FaultPlan::moderate(300.0);
         let cfg = TestbedConfig {
             faults: plan.generate(&sc.net, &placement, sc.users(), 5),
             retry: RetryPolicy {

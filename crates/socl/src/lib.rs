@@ -68,8 +68,8 @@ pub mod prelude {
         DecisionLog, FaultEvent, FaultKind, FaultPlan, FaultSchedule, FaultStats, FaultTimeline,
         LogRecord, MobilityModel, OnlineConfig, OnlineSimulator, Policy, RecoveryConfig,
         RecoveryError, RecoveryOutcome, RestoreError, RetryPolicy, RngState, SlotMetrics,
-        SlotRecord, SoakCase, SoakError, SoakPlan, SoakRow, SoakSummary, TailReport, Targeting,
-        TestbedConfig, TestbedResult, TornTail, TornTailReason,
+        SlotRecord, SoakCase, SoakError, SoakPlan, SoakRow, SoakSummary, TailReport, TestbedConfig,
+        TestbedResult, TornTail, TornTailReason,
     };
     pub use socl_trace::{
         cosine_similarity, jaccard_similarity, similarity_matrix, TemporalConfig, TemporalWorkload,

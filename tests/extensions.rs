@@ -1,9 +1,8 @@
 //! Integration tests for the extension subsystems: extra datasets,
-//! snapshots, resilience, and warm starts.
+//! snapshots, and warm starts.
 
 use socl::core::{placement_churn, WarmStartSolver};
 use socl::model::{PlacementSnapshot, ScenarioSnapshot};
-use socl::net::{link_criticality, node_criticality};
 use socl::prelude::*;
 
 #[test]
@@ -48,19 +47,6 @@ fn snapshots_make_runs_portable() {
         .unwrap();
     let ev2 = evaluate(&sc2, &p2);
     assert_eq!(ev2.objective, res.evaluation.objective);
-}
-
-#[test]
-fn resilience_rankings_cover_all_components() {
-    let sc = ScenarioConfig::paper(10, 20).build(4);
-    let links = link_criticality(&sc.net);
-    let nodes = node_criticality(&sc.net);
-    assert_eq!(links.len(), sc.net.link_count());
-    assert_eq!(nodes.len(), sc.nodes());
-    // Stretch is a ratio ≥ 1 whenever defined.
-    for i in links.iter().chain(&nodes) {
-        assert!(i.mean_stretch >= 1.0 - 1e-12);
-    }
 }
 
 #[test]
