@@ -237,7 +237,7 @@ fn csv_list<T: std::str::FromStr>(args: &Args, key: &str) -> Result<Option<Vec<T
 }
 
 fn print_summary(name: &str, objective: f64, cost: f64, latency: f64, secs: f64) {
-    println!(
+    out!(
         "{name:<6} objective {objective:>10.1}  cost {cost:>8.1}  latency {:>9.1} ms  time {:>8.3}s",
         latency * 1e3,
         secs
@@ -248,7 +248,7 @@ fn print_summary(name: &str, objective: f64, cost: f64, latency: f64, secs: f64)
 pub fn solve(args: &Args) -> Result<(), String> {
     let sc = scenario_from(args, 10, 40)?;
     let algo = args.get_str("algo", "socl");
-    println!(
+    out!(
         "scenario: {} nodes, {} users, {} services, budget {}, λ {}",
         sc.nodes(),
         sc.users(),
@@ -269,11 +269,13 @@ pub fn solve(args: &Args) -> Result<(), String> {
                 res.evaluation.total_latency,
                 secs,
             );
-            println!(
+            out!(
                 "stages: partition {:?} | pre-provision {:?} | combine {:?}",
-                res.timings.partition, res.timings.preprovision, res.timings.combine
+                res.timings.partition,
+                res.timings.preprovision,
+                res.timings.combine
             );
-            println!(
+            out!(
                 "combine: {} parallel + {} serial removals, {} rollbacks, {} migrations",
                 res.combine_stats.large_removed,
                 res.combine_stats.small_removed,
@@ -281,20 +283,21 @@ pub fn solve(args: &Args) -> Result<(), String> {
                 res.combine_stats.migrations
             );
             if args.flag("verbose") {
-                println!(
-                    "combine work: {} trials scored, {} requests re-routed, {} requests' rows filled at every node",
+                out!(
+                    "combine work: {} trials scored, {} requests re-routed, {} rows patched, {} requests' rows filled at every node",
                     res.combine_stats.trials,
                     res.combine_stats.routes,
+                    res.combine_stats.patched,
                     res.combine_stats.row_fills
                 );
-                println!("deployment map:");
+                out!("deployment map:");
                 for m in sc.catalog.ids() {
                     let hosts = res.placement.hosts_of(m);
                     if hosts.is_empty() {
                         continue;
                     }
                     let hosts: Vec<String> = hosts.iter().map(|k| k.to_string()).collect();
-                    println!(
+                    out!(
                         "  {:<22} x{:<2} on {}",
                         sc.catalog.get(m).name,
                         hosts.len(),
@@ -338,9 +341,9 @@ pub fn solve(args: &Args) -> Result<(), String> {
             let secs = t.elapsed().as_secs_f64();
             match &res.evaluation {
                 Some(ev) => print_summary("OPT", res.objective, ev.cost, ev.total_latency, secs),
-                None => println!("OPT found no feasible solution within the node limit"),
+                None => out!("OPT found no feasible solution within the node limit"),
             }
-            println!("{}", opt_verdict(&res));
+            out!("{}", opt_verdict(&res));
         }
         other => return Err(format!("unknown --algo `{other}`")),
     }
@@ -350,7 +353,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
 /// `socl compare`.
 pub fn compare(args: &Args) -> Result<(), String> {
     let sc = scenario_from(args, 10, 40)?;
-    println!(
+    out!(
         "scenario: {} nodes, {} users, budget {}, λ {}\n",
         sc.nodes(),
         sc.users(),
@@ -397,7 +400,7 @@ pub fn simulate(args: &Args) -> Result<(), String> {
         autoscale: autoscale_from(args)?,
         ..OnlineConfig::default()
     };
-    println!(
+    out!(
         "online simulation: {} nodes, {} users, {} slots, policy {}{}{}",
         cfg.nodes,
         cfg.users,
@@ -409,7 +412,7 @@ pub fn simulate(args: &Args) -> Result<(), String> {
             .map(|a| format!(" (autoscale {})", a.mode.name()))
             .unwrap_or_default()
     );
-    println!(
+    out!(
         "{:>4} {:>10} {:>9} {:>10} {:>10} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}",
         "slot",
         "objective",
@@ -425,7 +428,7 @@ pub fn simulate(args: &Args) -> Result<(), String> {
     );
     let mut sim = OnlineSimulator::new(cfg);
     for r in sim.run(&policy) {
-        println!(
+        out!(
             "{:>4} {:>10.1} {:>9.1} {:>10.2} {:>10.2} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}",
             r.slot,
             r.objective,
@@ -487,13 +490,13 @@ pub fn testbed(args: &Args) -> Result<(), String> {
         ..base
     };
     let res = run_testbed(&sc, &placement, &cfg);
-    println!(
+    out!(
         "testbed: {} nodes, {} users, {} epochs",
         sc.nodes(),
         sc.users(),
         cfg.epochs
     );
-    println!(
+    out!(
         "mean {:.2} ms, max {:.2} ms, cold starts {}, fallbacks {}",
         res.mean * 1e3,
         res.max * 1e3,
@@ -501,7 +504,7 @@ pub fn testbed(args: &Args) -> Result<(), String> {
         res.fallbacks
     );
     if let Some(ac) = &cfg.autoscale {
-        println!(
+        out!(
             "control plane ({}): {} scale-ups, {} scale-downs, {} shed, {:.0} replica-seconds, p99 {:.2} ms",
             ac.mode.name(),
             res.scale_up_events,
@@ -513,11 +516,15 @@ pub fn testbed(args: &Args) -> Result<(), String> {
     }
     if !cfg.faults.is_empty() || !cfg.retry.is_disabled() {
         let st = cfg.faults.stats();
-        println!(
+        out!(
             "faults: {} crashes, {} link degrades, {} instance kills, {} losses (mttr {:.1} s)",
-            st.node_crashes, st.link_degrades, st.instance_kills, st.request_losses, res.mttr
+            st.node_crashes,
+            st.link_degrades,
+            st.instance_kills,
+            st.request_losses,
+            res.mttr
         );
-        println!(
+        out!(
             "availability {:.4} | retried {} hedged {} timeouts {} | degraded {} dropped {} | effective mean {:.2} ms",
             res.availability,
             res.retried,
@@ -529,7 +536,7 @@ pub fn testbed(args: &Args) -> Result<(), String> {
         );
     }
     for (e, m) in res.per_epoch_mean.iter().enumerate() {
-        println!("  epoch {e}: mean {:.2} ms", m * 1e3);
+        out!("  epoch {e}: mean {:.2} ms", m * 1e3);
     }
     Ok(())
 }
@@ -599,7 +606,7 @@ pub fn autoscale(args: &Args) -> Result<(), String> {
         ),
     ];
 
-    println!(
+    out!(
         "autoscale comparison: {} nodes, {} users, {} epochs, surge {} requests at epoch {}",
         sc.nodes(),
         sc.users(),
@@ -607,9 +614,16 @@ pub fn autoscale(args: &Args) -> Result<(), String> {
         surge,
         peak
     );
-    println!(
+    out!(
         "{:>10} {:>10} {:>10} {:>6} {:>6} {:>6} {:>6} {:>12}",
-        "mode", "mean(ms)", "p99(ms)", "cold", "ups", "downs", "shed", "repl-seconds"
+        "mode",
+        "mean(ms)",
+        "p99(ms)",
+        "cold",
+        "ups",
+        "downs",
+        "shed",
+        "repl-seconds"
     );
     for (name, ac) in modes {
         let cfg = TestbedConfig {
@@ -621,7 +635,7 @@ pub fn autoscale(args: &Args) -> Result<(), String> {
             ..base.clone()
         };
         let res = run_testbed(&sc, &placement, &cfg);
-        println!(
+        out!(
             "{:>10} {:>10.2} {:>10.2} {:>6} {:>6} {:>6} {:>6} {:>12.0}",
             name,
             res.mean * 1e3,
@@ -643,18 +657,18 @@ pub fn trace(args: &Args) -> Result<(), String> {
     let all = g.sample_all(seed ^ 1);
     let m = similarity_matrix(&all, |a, b| cosine_similarity(&a.usage, &b.usage));
     let n = all.len();
-    println!("service similarity (cosine, {n}x{n}): ");
+    out!("service similarity (cosine, {n}x{n}): ");
     let off: Vec<f64> = (0..n * n)
         .filter(|i| i / n != i % n)
         .map(|i| m[i])
         .collect();
     let mean = off.iter().sum::<f64>() / off.len() as f64;
     let max = off.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    println!("  off-diagonal mean {mean:.3}, max {max:.3}");
+    out!("  off-diagonal mean {mean:.3}, max {max:.3}");
 
     let w = TemporalWorkload::generate(&TemporalConfig::default(), seed);
-    println!("temporal workload (120 x 5-minute bins):");
-    println!(
+    out!("temporal workload (120 x 5-minute bins):");
+    out!(
         "  mean {:.1}, peak-to-mean {:.2}, cv {:.2}, bursts {}",
         w.mean(),
         w.peak_to_mean(),
@@ -668,10 +682,10 @@ pub fn trace(args: &Args) -> Result<(), String> {
 pub fn export(args: &Args) -> Result<(), String> {
     use socl::model::{PlacementSnapshot, ScenarioSnapshot};
     let sc = scenario_from(args, 10, 40)?;
-    println!("{}", ScenarioSnapshot::capture(&sc).to_json());
+    out!("{}", ScenarioSnapshot::capture(&sc).to_json());
     if args.flag("solve") {
         let res = SoclSolver::new().solve(&sc);
-        println!("{}", PlacementSnapshot::capture(&res.placement).to_json());
+        out!("{}", PlacementSnapshot::capture(&res.placement).to_json());
     }
     Ok(())
 }
@@ -744,7 +758,7 @@ pub fn chaos(args: &Args) -> Result<(), String> {
         ));
     }
 
-    println!(
+    out!(
         "chaos soak: {} nodes, {} users, {} slots, policy {}, checkpoint every {} slot(s)",
         plan.base.nodes,
         plan.base.users,
@@ -752,7 +766,7 @@ pub fn chaos(args: &Args) -> Result<(), String> {
         plan.policy.name(),
         plan.checkpoint_every
     );
-    println!(
+    out!(
         "matrix: seeds {:?} × kill-slots {:?} × schedules {} × torn {:?}, {} guided round(s)",
         plan.seeds,
         plan.kill_slots,
@@ -774,12 +788,21 @@ pub fn chaos(args: &Args) -> Result<(), String> {
 
     let summary = run_chaos_soak(&plan).map_err(|e| e.to_string())?;
 
-    println!(
+    out!(
         "{:>6} {:>4} {:>5} {:>8} {:>8} {:>6} {:>8} {:>8} {:>4} {:>4}  features",
-        "seed", "kill", "fault", "torn", "restored", "replay", "ckpt(B)", "log(B)", "mism", "viol"
+        "seed",
+        "kill",
+        "fault",
+        "torn",
+        "restored",
+        "replay",
+        "ckpt(B)",
+        "log(B)",
+        "mism",
+        "viol"
     );
     for r in &summary.rows {
-        println!(
+        out!(
             "{:>6} {:>4} {:>5} {:>8} {:>8} {:>6} {:>8} {:>8} {:>4} {:>4}  {}{}",
             r.case.seed,
             r.case.kill_slot,
@@ -795,18 +818,20 @@ pub fn chaos(args: &Args) -> Result<(), String> {
             r.features.join(",")
         );
         for v in &r.violations {
-            println!("       violation: {v}");
+            out!("       violation: {v}");
         }
     }
-    println!(
+    out!(
         "\n{} run(s); coverage ({} features): {}",
         summary.rows.len(),
         summary.coverage.len(),
         summary.coverage.join(", ")
     );
-    println!(
+    out!(
         "checkpoint bytes: max {}, mean {:.0}; log bytes at kill: mean {:.0}",
-        summary.max_checkpoint_bytes, summary.mean_checkpoint_bytes, summary.mean_log_bytes
+        summary.max_checkpoint_bytes,
+        summary.mean_checkpoint_bytes,
+        summary.mean_log_bytes
     );
     if !summary.is_clean() {
         return Err(format!(
@@ -814,7 +839,7 @@ pub fn chaos(args: &Args) -> Result<(), String> {
             summary.violations, summary.mismatch_runs
         ));
     }
-    println!("all runs recovered bit-identically and passed the invariant audit");
+    out!("all runs recovered bit-identically and passed the invariant audit");
     Ok(())
 }
 
@@ -859,7 +884,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     }
     let shards = cfg.shards;
     let mut serve = SoclServe::new(cfg);
-    println!(
+    out!(
         "serve: {} nodes in {} regions on {} shards, {} users, policy {}, {} ticks",
         serve.config().nodes,
         serve.region_map().regions(),
@@ -869,20 +894,25 @@ pub fn serve(args: &Args) -> Result<(), String> {
         ticks
     );
     if csv {
-        println!("tick,arrivals,decided,shed_queue,shed_admission,queued");
+        out!("tick,arrivals,decided,shed_queue,shed_admission,queued");
     }
     let watch = Stopwatch::start();
     for tick in 1..=ticks {
         let s = serve.step();
         if csv {
-            println!(
+            out!(
                 "{},{},{},{},{},{}",
-                s.tick, s.arrivals, s.decided, s.shed_queue, s.shed_admission, s.queued
+                s.tick,
+                s.arrivals,
+                s.decided,
+                s.shed_queue,
+                s.shed_admission,
+                s.queued
             );
         }
         if kill_shard >= 0 && tick == kill_at {
             let report = serve.kill_and_restore(kill_shard as usize, torn)?;
-            println!(
+            out!(
                 "killed shard {kill_shard} at tick {tick}: regions {:?} restored from \
                  checkpoint {} ({} tick(s) replayed, {} torn byte(s), {} oracle mismatch(es))",
                 report.killed_regions,
@@ -898,7 +928,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     }
     let secs = watch.elapsed_secs();
     let t = serve.totals();
-    println!(
+    out!(
         "{} arrivals, {} decided ({} cloud fallback), {} shed (queue {} + admission {}), \
          {} still queued; peak queue depth {}",
         t.arrivals,
@@ -910,7 +940,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
         t.queued,
         t.queue_peak
     );
-    println!(
+    out!(
         "{:.0} decisions/s over {ticks} ticks; WAL {} B, largest checkpoint {} B",
         t.decided as f64 / secs.max(1e-9),
         serve.wal_bytes(),
@@ -919,11 +949,11 @@ pub fn serve(args: &Args) -> Result<(), String> {
     let violations = audit_serve(&serve);
     if !violations.is_empty() {
         for v in &violations {
-            println!("violation: {v}");
+            out!("violation: {v}");
         }
         return Err(format!("{} invariant violation(s)", violations.len()));
     }
-    println!("invariant audit clean");
+    out!("invariant audit clean");
     Ok(())
 }
 

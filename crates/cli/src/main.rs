@@ -10,10 +10,31 @@
 //! Argument parsing is hand-rolled (`--key value` pairs) to keep the binary
 //! dependency-free; see [`args::Args`].
 
+/// `println!` for command output: once the reader has closed stdout
+/// (`socl solve | head -2`), the process stops quietly with status 0
+/// instead of panicking with a backtrace.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_line(format_args!($($arg)*))
+    };
+}
+
 mod args;
 mod commands;
 
 use args::Args;
+use std::io::{ErrorKind, Write as _};
+
+/// One line of command output; see [`out!`].
+fn write_line(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -27,7 +48,7 @@ fn run(argv: &[String]) -> i32 {
         return 2;
     };
     if matches!(command.as_str(), "help" | "--help" | "-h") {
-        println!("{}", commands::USAGE);
+        out!("{}", commands::USAGE);
         return 0;
     }
     match dispatch(command, rest) {

@@ -60,8 +60,14 @@ pub struct CombineStats {
     /// feasible move per migration sweep.
     pub trials: usize,
     /// Requests re-routed (chain DP plus through-cost table rebuild): once
-    /// each at start, then only the users of services a step changed.
+    /// each at start, then only the users of a service a step changed whose
+    /// table that step can change — the service gained a host, a migration
+    /// sweep is running, or a lost host is pinned in the user's row.
     pub routes: usize,
+    /// Rows brought along without a re-route: their service lost only hosts
+    /// the row's table does not depend on, so the lost entries become `NaN`
+    /// and every other number stays bit-identical.
+    pub patched: usize,
     /// Through-cost rows filled at every node rather than only at the
     /// current hosts: the migration sweep's re-routes and the completion of
     /// rows it reads off-host.
@@ -101,6 +107,12 @@ pub struct Combiner<'a> {
     /// current hosts only — `NaN` elsewhere — unless the request is
     /// `complete`.
     pub(crate) through: Vec<f64>,
+    /// `pinned[row · |V| + k]`: the request's table depends on host `k` of
+    /// the row's position beyond `k`'s own entry
+    /// ([`ThroughScratch::pinned`]); every entry of a cloud-fallback
+    /// request. Written on every fill; a patch keeps it, since the patched
+    /// table pins a subset of it.
+    pinned: Vec<bool>,
     /// Per request, whether its rows hold every node's entry. Only the
     /// migration sweep reads an entry off the current hosts, so only
     /// [`Combiner::complete_rows`] and re-routes during a sweep fill them.
@@ -123,6 +135,20 @@ pub struct Combiner<'a> {
     /// one and the one after each [`Combiner::move_to`].
     #[cfg(test)]
     pub(crate) audit: Option<&'a (dyn Fn(&Combiner<'a>) + Sync)>,
+}
+
+/// Writes to `lost` the nodes host row `was` sets and `now` does not;
+/// false when `now` also sets a node `was` does not (a host was gained).
+fn only_lost(was: &[bool], now: &[bool], lost: &mut Vec<usize>) -> bool {
+    lost.clear();
+    for (k, (&a, &b)) in was.iter().zip(now).enumerate() {
+        match (a, b) {
+            (false, true) => return false,
+            (true, false) => lost.push(k),
+            _ => {}
+        }
+    }
+    true
 }
 
 /// Per-user data volume consumed by a service: the incoming-edge flow, or
@@ -171,6 +197,7 @@ impl<'a> Combiner<'a> {
             row_of,
             per_request: vec![0.0; sc.users()],
             through: vec![0.0; rows * sc.nodes()],
+            pinned: vec![false; rows * sc.nodes()],
             complete: vec![false; sc.users()],
             sweeping: false,
             top2: vec![[NO_HOST; 2]; rows],
@@ -229,28 +256,69 @@ impl<'a> Combiner<'a> {
             fill,
             table,
         );
+        let pins = &mut self.pinned[rows.start * nodes..rows.end * nodes];
         (self.per_request[h], self.complete[h]) = match routed {
-            Some(d) => (d, self.sweeping),
+            Some(d) => {
+                pins.fill(false);
+                self.scratch.pinned(|j, k| pins[j * nodes + k.idx()] = true);
+                (d, self.sweeping)
+            }
             // On cloud fallback no single-service change can help, so every
-            // through-cost is the penalty too.
+            // through-cost is the penalty too; any change re-routes it.
             None => {
                 table.fill(sc.cloud_penalty);
+                pins.fill(true);
                 (sc.cloud_penalty, true)
             }
         };
         for (row, &m) in rows.zip(&req.chain) {
-            let costs = &self.through[row * nodes..(row + 1) * nodes];
-            let mut top = [(f64::INFINITY, NO_HOST); 2];
-            for k in self.placement.hosts_iter(m) {
-                let c = costs[k.idx()];
-                if c < top[0].0 {
-                    top = [(c, k), top[0]];
-                } else if c < top[1].0 {
-                    top[1] = (c, k);
+            self.rank_hosts(row, m);
+        }
+    }
+
+    /// `top2[row]`: the two cheapest current hosts of `m` by the row's
+    /// entries, ties to the lower node id.
+    fn rank_hosts(&mut self, row: usize, m: ServiceId) {
+        let nodes = self.sc.nodes();
+        let costs = &self.through[row * nodes..(row + 1) * nodes];
+        let mut top = [(f64::INFINITY, NO_HOST); 2];
+        for k in self.placement.hosts_iter(m) {
+            let c = costs[k.idx()];
+            if c < top[0].0 {
+                top = [(c, k), top[0]];
+            } else if c < top[1].0 {
+                top[1] = (c, k);
+            }
+        }
+        self.top2[row] = [top[0].1, top[1].1];
+    }
+
+    /// Bring `row` of request `h` along after its service `m` lost the
+    /// nodes `lost`, none of them pinned in the row, and gained none: the
+    /// table's numbers keep their bits ([`ThroughScratch::pinned`]), so the
+    /// lost entries become `NaN`, and `top2` is re-ranked if it named a lost
+    /// node. A complete request's off-host entries scan whole layers and may
+    /// have read a lost host, so it drops to hosts-only, as a re-route
+    /// outside a sweep would leave it.
+    fn patch(&mut self, h: usize, row: usize, m: ServiceId, lost: &[usize]) {
+        let (sc, nodes) = (self.sc, self.sc.nodes());
+        if self.complete[h] {
+            for (r, &s) in (self.row_of[h]..).zip(&sc.requests[h].chain) {
+                let hosted = self.placement.host_row(s);
+                for k in (0..nodes).filter(|&k| !hosted[k]) {
+                    self.through[r * nodes + k] = f64::NAN;
                 }
             }
-            self.top2[row] = [top[0].1, top[1].1];
+            self.complete[h] = false;
+        } else {
+            for &k in lost {
+                self.through[row * nodes + k] = f64::NAN;
+            }
         }
+        if self.top2[row].iter().any(|t| lost.contains(&t.idx())) {
+            self.rank_hosts(row, m);
+        }
+        self.stats.patched += 1;
     }
 
     /// Fill every node's entry of every request's rows, and keep filling
@@ -266,19 +334,44 @@ impl<'a> Combiner<'a> {
     }
 
     /// Replace the placement and bring the routing state along: only
-    /// requests using a service whose host set differs are re-routed (a
-    /// storage-planned step may have moved services besides the combined one).
-    /// Returns the placement it replaced, for a serial step to roll back to.
+    /// requests using a service whose host set differs are touched (a
+    /// storage-planned step may have moved services besides the combined
+    /// one). Such a request is re-routed when the step can change its table —
+    /// the service gained a host, a migration sweep needs every entry, or a
+    /// lost host is pinned in the request's row — and otherwise has the row
+    /// patched in place ([`Combiner::patch`]). Returns the placement it
+    /// replaced, for a serial step to roll back to.
     fn move_to(&mut self, next: Placement) -> Placement {
+        let nodes = self.sc.nodes();
+        let mut lost = Vec::new();
         self.stale.fill(false);
         for m in self.sc.catalog.ids() {
-            if self.placement.host_row(m) != next.host_row(m) {
-                for &(h, _) in &self.users_of[m.idx()] {
+            let (was, now) = (self.placement.host_row(m), next.host_row(m));
+            if was == now {
+                continue;
+            }
+            let reroute_all = self.sweeping || !only_lost(was, now, &mut lost);
+            for &(h, row) in &self.users_of[m.idx()] {
+                let pins = &self.pinned[row * nodes..(row + 1) * nodes];
+                if reroute_all || lost.iter().any(|&k| pins[k]) {
                     self.stale[h] = true;
                 }
             }
         }
         let previous = std::mem::replace(&mut self.placement, next);
+        for m in self.sc.catalog.ids() {
+            let (was, now) = (previous.host_row(m), self.placement.host_row(m));
+            // A sweep or a gained host left every user stale.
+            if was == now || !only_lost(was, now, &mut lost) {
+                continue;
+            }
+            for u in 0..self.users_of[m.idx()].len() {
+                let (h, row) = self.users_of[m.idx()][u];
+                if !self.stale[h] {
+                    self.patch(h, row, m, &lost);
+                }
+            }
+        }
         for h in 0..self.stale.len() {
             if self.stale[h] {
                 self.reroute(h);
@@ -1034,11 +1127,18 @@ mod tests {
 
     /// The perf guard, without a stopwatch: candidates are scored from the
     /// tables, so the chain DP runs once per request up front and then only
-    /// for users of services an accepted step changed. A DP per trial would
-    /// put `routes / trials` at the mean users per service (~27 and ~85 here).
+    /// where a step can change a table. A DP per trial would put
+    /// `routes / trials` at the mean users per service (~27 and ~85 here).
+    /// A removal re-routes only the users whose rows pin a lost host and
+    /// patches the rest, so re-routes after the first routing are bounded by
+    /// the steps that add hosts (migrations, roll-backs) — re-routing every
+    /// user of a changed service reads 1201 and 4256 against 768 and 2700.
+    /// Rows are widened to every node only for the migration sweep, and a
+    /// patch leaves a request as incomplete as a re-route would, so the
+    /// full-width fills are exactly those of re-routing every user.
     #[test]
     fn work_counts_stay_bounded() {
-        for (nodes, users) in [(16, 96), (30, 300)] {
+        for (nodes, users, fills) in [(16, 96, 287), (30, 300, 1119)] {
             let sc = ScenarioConfig::paper(nodes, users).build(17);
             let (_, stats) = run(&sc, &SoclConfig::default());
             let steps = stats.large_removed + stats.small_removed + stats.migrations;
@@ -1046,22 +1146,21 @@ mod tests {
                 steps > 0 && stats.trials > 0,
                 "{nodes}/{users}: nothing to do"
             );
+            let adding = stats.migrations + stats.rollbacks;
             assert!(
-                stats.routes <= users * (2 + steps),
-                "{nodes}/{users}: {} routes for {steps} accepted steps",
+                stats.routes - users <= users * (adding + 2),
+                "{nodes}/{users}: {} routes for {adding} host-adding steps",
                 stats.routes
             );
+            assert!(stats.patched > 0, "{nodes}/{users}: no row patched");
             let per_trial = stats.routes as f64 / stats.trials as f64;
             assert!(
                 per_trial < 2.0,
                 "{nodes}/{users}: {per_trial:.2} routes per trial"
             );
-            // Rows are widened to every node only for the migration sweep.
-            assert!(
-                stats.row_fills < stats.routes / 2,
-                "{nodes}/{users}: {} of {} re-routes filled at every node",
-                stats.row_fills,
-                stats.routes
+            assert_eq!(
+                stats.row_fills, fills,
+                "{nodes}/{users}: re-routes filled at every node"
             );
         }
     }

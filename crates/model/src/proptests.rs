@@ -403,3 +403,168 @@ fn through_costs_equal_route_completion_times_in_staged_corners() {
     assert_eq!(dp.route(), Some(&[NodeId(1), NodeId(0), NodeId(1)][..]));
     assert_through_costs_are_route_times(&star, &ap, &catalog, &p, &req);
 }
+
+/// Removes from `placement` the hosts of `chain[j]` that `pick` selects
+/// among those `req`'s table is not pinned to, and checks the lemma of
+/// [`ThroughScratch::pinned`]: a fresh table has the same own time and
+/// every remaining host entry, bit for bit, and pins no host the old table
+/// did not. Returns how many hosts it removed.
+fn assert_unpinned_removal_keeps_the_table(
+    net: &EdgeNetwork,
+    ap: &AllPairs,
+    catalog: &ServiceCatalog,
+    placement: &Placement,
+    req: &UserRequest,
+    j: usize,
+    mut pick: impl FnMut(NodeId) -> bool,
+) -> usize {
+    let nodes = net.node_count();
+    let (mut scratch, mut fresh_scratch) = (ThroughScratch::new(), ThroughScratch::new());
+    let mut kept = vec![0.0; req.len() * nodes];
+    let mut fresh = kept.clone();
+    let Some(own) = through_costs(
+        &mut scratch,
+        req,
+        placement,
+        net,
+        ap,
+        catalog,
+        ThroughFill::Hosts,
+        &mut kept,
+    ) else {
+        return 0;
+    };
+    let mut pins = Vec::new();
+    scratch.pinned(|j, k| pins.push((j, k)));
+    let m = req.chain[j];
+    let mut cut = placement.clone();
+    let mut removed = 0;
+    for k in placement.hosts_iter(m) {
+        if !pins.contains(&(j, k)) && pick(k) {
+            cut.set(m, k, false);
+            removed += 1;
+        }
+    }
+    let fresh_own = through_costs(
+        &mut fresh_scratch,
+        req,
+        &cut,
+        net,
+        ap,
+        catalog,
+        ThroughFill::Hosts,
+        &mut fresh,
+    );
+    assert_eq!(fresh_own.map(f64::to_bits), Some(own.to_bits()), "own time");
+    for (jj, &s) in req.chain.iter().enumerate() {
+        for k in cut.hosts_iter(s) {
+            let e = jj * nodes + k.idx();
+            assert_eq!(fresh[e].to_bits(), kept[e].to_bits(), "{jj}@{k}");
+        }
+    }
+    let mut fresh_pins = Vec::new();
+    fresh_scratch.pinned(|j, k| fresh_pins.push((j, k)));
+    assert!(
+        fresh_pins.iter().all(|pin| pins.contains(pin)),
+        "new pins {fresh_pins:?} beyond {pins:?}"
+    );
+    removed
+}
+
+/// The lemma behind the combiner's patched rows: removing any set of
+/// unpinned hosts of one chain position changes no number of the table
+/// (own time, remaining host entries) and adds no pin.
+#[test]
+fn removing_unpinned_hosts_keeps_the_table() {
+    let mut removed = 0;
+    cases(32, |rng| {
+        let sc = arb_scenario(rng);
+        let p = random_covering_placement(&sc, rng.gen_range(0.2..0.8), rng);
+        for req in &sc.requests {
+            let j = rng.gen_range(0..req.len());
+            let keep_odds = rng.gen_range(0.0..1.0);
+            removed += assert_unpinned_removal_keeps_the_table(
+                &sc.net,
+                &sc.ap,
+                &sc.catalog,
+                &p,
+                req,
+                j,
+                |_| rng.gen::<f64>() >= keep_odds,
+            );
+        }
+    });
+    assert!(removed > 0, "no host was ever removed");
+}
+
+/// The lemma in the corners random scenarios rarely reach, staged: a
+/// one-service chain, where only the terminal pin protects the best host,
+/// and two hosts at exactly the same cost, where only the lower id is
+/// pinned.
+#[test]
+fn removing_unpinned_hosts_keeps_the_table_in_staged_corners() {
+    let catalog = ServiceCatalog::from_services(vec![
+        Microservice::new(1.0, 1.0, 2.0),
+        Microservice::new(1.0, 1.0, 3.0),
+        Microservice::new(1.0, 1.0, 1.0),
+    ]);
+    let request = |location: u32, chain: Vec<ServiceId>| {
+        let edge_data = vec![1.5; chain.len() - 1];
+        UserRequest::new(UserId(0), NodeId(location), chain, edge_data, 1.0, 0.2, 1e9)
+    };
+    // A line 0 — 1 — 2 — 3 with rising compute: every node hosts every
+    // service, so each corner has hosts to remove.
+    let mut line = EdgeNetwork::new();
+    for c in [10.0, 20.0, 15.0, 30.0] {
+        line.push_server(EdgeServer::new(c, 8.0));
+    }
+    for k in 0..3 {
+        line.add_link(NodeId(k), NodeId(k + 1), LinkParams::from_rate(40.0));
+    }
+    let ap = AllPairs::build(&line);
+    let mut everywhere = Placement::empty(3, 4);
+    for m in 0..3 {
+        for k in 0..4 {
+            everywhere.set(ServiceId(m), NodeId(k), true);
+        }
+    }
+    for loc in 0..4 {
+        let req = request(loc, vec![ServiceId(1)]);
+        let removed = assert_unpinned_removal_keeps_the_table(
+            &line,
+            &ap,
+            &catalog,
+            &everywhere,
+            &req,
+            0,
+            |_| true,
+        );
+        assert_eq!(
+            removed, 3,
+            "one-service chain at {loc}: only the best host is pinned"
+        );
+    }
+
+    // A star with identical arms: hosts 1 and 2 tie exactly at both ends
+    // of the chain, and the lower id carries the pins.
+    let mut star = EdgeNetwork::new();
+    for _ in 0..4 {
+        star.push_server(EdgeServer::new(10.0, 8.0));
+    }
+    for arm in 1..4 {
+        star.add_link(NodeId(0), NodeId(arm), LinkParams::from_rate(40.0));
+    }
+    let ap = AllPairs::build(&star);
+    let mut p = Placement::empty(3, 4);
+    for (m, on) in [&[1, 2][..], &[0], &[1, 2]].iter().enumerate() {
+        for &k in *on {
+            p.set(ServiceId(m as u32), NodeId(k), true);
+        }
+    }
+    let req = request(0, vec![ServiceId(0), ServiceId(1), ServiceId(2)]);
+    for j in [0, 2] {
+        let removed =
+            assert_unpinned_removal_keeps_the_table(&star, &ap, &catalog, &p, &req, j, |_| true);
+        assert_eq!(removed, 1, "tie at position {j}: the higher id goes");
+    }
+}

@@ -95,9 +95,47 @@ pub fn optimal_route_with(
     ap: &AllPairs,
     catalog: &ServiceCatalog,
 ) -> RouteOutcome {
+    let Some((best_i, best_total_s)) = forward(scratch, request, placement, net, ap, catalog)
+    else {
+        return RouteOutcome::CloudFallback;
+    };
+    let RouteScratch { hosts, back, .. } = scratch;
+
+    // Backtrack.
+    let n_layers = request.chain.len();
+    let mut route = vec![NodeId(0); n_layers];
+    let mut i = best_i;
+    for j in (0..n_layers).rev() {
+        route[j] = hosts[i];
+        i = back[i];
+    }
+
+    let breakdown = completion_time(request, &route, net, ap, catalog);
+    debug_assert!(
+        (breakdown.total() - best_total_s).abs() < 1e-6,
+        "DP cost {} disagrees with evaluation {}",
+        best_total_s,
+        breakdown.total()
+    );
+    RouteOutcome::Edge { route, breakdown }
+}
+
+/// The DP's forward pass, shared by [`optimal_route_with`] and
+/// [`through_costs`]: fills the hosting sets, accumulated delays and back
+/// pointers of `scratch`, and returns the host index the optimal route ends
+/// on (the terminal argmin) with its accumulated delay. `None` when the
+/// chain is empty or a chain service has no host (cloud fallback).
+fn forward(
+    scratch: &mut RouteScratch,
+    request: &UserRequest,
+    placement: &Placement,
+    net: &EdgeNetwork,
+    ap: &AllPairs,
+    catalog: &ServiceCatalog,
+) -> Option<(usize, f64)> {
     let n_layers = request.chain.len();
     if n_layers == 0 {
-        return RouteOutcome::CloudFallback;
+        return None;
     }
     let RouteScratch {
         hosts,
@@ -116,13 +154,13 @@ pub fn optimal_route_with(
         let before = hosts.len();
         hosts.extend(placement.hosts_iter(m));
         if hosts.len() == before {
-            return RouteOutcome::CloudFallback;
+            return None;
         }
         off.push(hosts.len());
     }
 
-    // DP forward pass. cost_s[i] = best accumulated delay (seconds) ending
-    // with chain[j] served at hosts[i], for i in layer j's slice.
+    // cost_s[i] = best accumulated delay (seconds) ending with chain[j]
+    // served at hosts[i], for i in layer j's slice.
 
     // Layer 0: upload + compute.
     for &k in &hosts[off[0]..off[1]] {
@@ -163,23 +201,7 @@ pub fn optimal_route_with(
             best_i = i;
         }
     }
-
-    // Backtrack.
-    let mut route = vec![NodeId(0); n_layers];
-    let mut i = best_i;
-    for j in (0..n_layers).rev() {
-        route[j] = hosts[i];
-        i = back[i];
-    }
-
-    let breakdown = completion_time(request, &route, net, ap, catalog);
-    debug_assert!(
-        (breakdown.total() - best_total_s).abs() < 1e-6,
-        "DP cost {} disagrees with evaluation {}",
-        best_total_s,
-        breakdown.total()
-    );
-    RouteOutcome::Edge { route, breakdown }
+    Some((best_i, best_total_s))
 }
 
 /// `argmin_p base_s[p] + hop_s(hosts[p])` over one layer's slice `layer`,
@@ -209,7 +231,8 @@ fn cheapest_hop(
 /// Buffers for [`through_costs`]: the DP's forward tables (as
 /// [`optimal_route_with`] leaves them) plus their mirror image — per current
 /// host, the cheapest way to finish the chain from it and the successor that
-/// achieves it — and the per-host folds every table entry is assembled from.
+/// achieves it — the per-host folds every table entry is assembled from, and
+/// which hosts the table depends on beyond their own entries.
 #[derive(Debug, Clone, Default)]
 pub struct ThroughScratch {
     dp: RouteScratch,
@@ -220,6 +243,10 @@ pub struct ThroughScratch {
     /// `compute_s[i]`: the compute term of `hosts[i]` at its chain position.
     compute_s: Vec<f64>,
     folds: Vec<HostFolds>,
+    /// `pinned[i]`: `hosts[i]` is the target of a back pointer from the
+    /// next position, of a successor pointer from the previous one, or the
+    /// terminal argmin ([`ThroughScratch::pinned`]).
+    pinned: Vec<bool>,
     route: Vec<NodeId>,
 }
 
@@ -259,24 +286,30 @@ impl ThroughScratch {
     }
 
     /// Prefix folds along the forward pass's back pointers, then the backward
-    /// pass over the current hosts (last layer first) with its suffix terms.
+    /// pass over the current hosts (last layer first) with its suffix terms;
+    /// pins every pointer's target and the forward pass's `terminal` argmin.
     fn fold(
         &mut self,
         request: &UserRequest,
         net: &EdgeNetwork,
         ap: &AllPairs,
         catalog: &ServiceCatalog,
+        terminal: usize,
     ) {
         let n_layers = request.chain.len();
         let RouteScratch {
             hosts, off, back, ..
         } = &self.dp;
-        let (compute_s, folds, tail_s, next) = (
+        let (compute_s, folds, tail_s, next, pinned) = (
             &mut self.compute_s,
             &mut self.folds,
             &mut self.tail_s,
             &mut self.next,
+            &mut self.pinned,
         );
+        pinned.clear();
+        pinned.resize(hosts.len(), false);
+        pinned[terminal] = true;
         compute_s.clear();
         for (j, &m) in request.chain.iter().enumerate() {
             let q_gflop = catalog.compute_gflop(m);
@@ -300,6 +333,7 @@ impl ThroughScratch {
                 if back[i] == usize::MAX {
                     continue;
                 }
+                pinned[back[i]] = true;
                 let p = folds[back[i]];
                 let hop_s = ap.transfer_time(hosts[back[i]], hosts[i], request.edge_data[j - 1]);
                 folds[i] = HostFolds {
@@ -328,6 +362,7 @@ impl ThroughScratch {
                     if succ != usize::MAX {
                         folds[i].next_transfer_s = hop_s;
                         next[i] = succ;
+                        pinned[succ] = true;
                     }
                     finish_s
                 };
@@ -443,6 +478,34 @@ impl ThroughScratch {
         upload_s + compute_s + transfer_s + self.folds[succ].return_s
     }
 
+    /// Calls `f(j, k)` for every host `k` of chain position `j` that the
+    /// table of the last [`through_costs`] call returning `Some` depends on
+    /// beyond its own entry: the target of a back pointer from position
+    /// `j + 1`, of a successor pointer from position `j − 1`, or, at the last
+    /// position, the terminal argmin — in ascending `(j, k)`.
+    ///
+    /// Removing only *unpinned* hosts of `chain[j]` leaves the own time and
+    /// every remaining host's entry bit-identical: under the DP's strict-`<`
+    /// / ascending-id tie rule, dropping a candidate that is not an argmin
+    /// keeps every argmin, so every remaining pointer names the same host,
+    /// every accumulated delay keeps its bits, and equal routes give equal
+    /// folds. The pins lose at most the targets of the removed hosts' own
+    /// pointers, so the old pinned set still covers the new table. Off-host
+    /// entries scan whole layers and may change.
+    pub fn pinned(&self, mut f: impl FnMut(usize, NodeId)) {
+        let RouteScratch { hosts, off, .. } = &self.dp;
+        for (j, layer) in off.windows(2).enumerate() {
+            let layer = layer[0]..layer[1];
+            for (&k, _) in hosts[layer.clone()]
+                .iter()
+                .zip(&self.pinned[layer])
+                .filter(|(_, &pinned)| pinned)
+            {
+                f(j, k);
+            }
+        }
+    }
+
     /// The cheapest route serving chain position `j` on node `k` and every
     /// other position on one of its hosts, for the request and placement of
     /// the last [`through_costs`] call on this scratch. The prefix follows
@@ -510,9 +573,11 @@ impl ThroughScratch {
 /// `INFINITY`. `fill` picks the entries written: [`ThroughFill::Hosts`]
 /// leaves `NaN` off the current hosts.
 ///
-/// Returns the request's own optimal completion time — [`optimal_route_with`]
-/// is run first and its forward tables reused — or `None`, leaving `out`
-/// untouched, when it falls back to the cloud.
+/// Returns the request's own optimal completion time — the host entry of the
+/// forward pass's terminal argmin, which folds the DP's route and so has the
+/// bits of [`optimal_route_with`]'s time — or `None`, leaving `out`
+/// untouched, when it falls back to the cloud. [`ThroughScratch::pinned`]
+/// then names the hosts the table depends on.
 ///
 /// `out.len()` must be `request.chain.len() · net.node_count()`.
 #[allow(clippy::too_many_arguments)]
@@ -526,9 +591,8 @@ pub fn through_costs(
     fill: ThroughFill,
     out: &mut [f64],
 ) -> Option<f64> {
-    let own_s =
-        optimal_route_with(&mut scratch.dp, request, placement, net, ap, catalog).edge_time()?;
-    scratch.fold(request, net, ap, catalog);
+    let (terminal, _) = forward(&mut scratch.dp, request, placement, net, ap, catalog)?;
+    scratch.fold(request, net, ap, catalog, terminal);
     let n_layers = request.chain.len();
     let nodes = net.node_count();
     debug_assert_eq!(out.len(), n_layers * nodes);
@@ -548,7 +612,7 @@ pub fn through_costs(
             row[hosts[i].idx()] = scratch.host_entry_s(n_layers, j, i);
         }
     }
-    Some(own_s)
+    Some(scratch.host_entry_s(n_layers, n_layers - 1, terminal))
 }
 
 /// Myopic routing: serve each chain position at the instance that minimizes
