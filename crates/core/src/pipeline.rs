@@ -165,6 +165,49 @@ mod tests {
         );
     }
 
+    /// Which side the routing fan-out of `evaluate` and `route_all` takes at
+    /// the benchmark's sizes. SoCL hosts each service once there, so it stays
+    /// serial at the `SoclServe` epochs (48 and 24 nodes, a 48-user sample),
+    /// `solve-metro`'s 16 × 96 and `online-churn`'s 24 × 40, where one
+    /// dispatch costs several times the routing. It opens at 100 × 2000 and
+    /// on GC-OG's demand-saturated start at Fig. 8's 30 × 600.
+    #[test]
+    fn routing_gate_at_benchmark_sizes() {
+        struct ResetThreads;
+        impl Drop for ResetThreads {
+            fn drop(&mut self) {
+                socl_net::set_threads(0);
+            }
+        }
+        socl_net::set_threads(4);
+        let _reset = ResetThreads;
+        let fans_out = |sc: &Scenario, placement: &Placement| {
+            socl_model::route_threads(&sc.requests, placement) > 1
+        };
+        for (nodes, users, opens) in [
+            (48, 48, false),
+            (24, 48, false),
+            (16, 96, false),
+            (24, 40, false),
+            (100, 2000, true),
+        ] {
+            let sc = ScenarioConfig::paper(nodes, users).build(17);
+            let placement = SoclSolver::new().solve(&sc).placement;
+            assert_eq!(fans_out(&sc, &placement), opens, "{nodes} x {users}");
+        }
+        let sc = ScenarioConfig::paper(30, 600).build(17);
+        let mut saturated = Placement::empty(sc.services(), sc.nodes());
+        for m in sc.requested_services() {
+            for k in sc.request_nodes(m) {
+                let free = sc.net.storage(k) - saturated.storage_used(&sc.catalog, k);
+                if free >= sc.catalog.storage(m) - 1e-9 {
+                    saturated.set(m, k, true);
+                }
+            }
+        }
+        assert!(fans_out(&sc, &saturated));
+    }
+
     #[test]
     fn scales_to_larger_instances_quickly() {
         // 200 users / 10 nodes — the paper's largest Figure 8 scale — must

@@ -12,7 +12,7 @@
 //! bound (Eq. 4), the budget (Eq. 5) and per-node storage (Eq. 6).
 
 use crate::placement::{Assignment, Placement};
-use crate::routing::{optimal_route, RouteOutcome};
+use crate::routing::{optimal_route_with, route_threads, RouteOutcome, RouteScratch};
 use crate::scenario::Scenario;
 use socl_net::NodeId;
 
@@ -53,26 +53,28 @@ impl Evaluation {
 /// Evaluate `placement` on `scenario` with exact (DP) routing.
 ///
 /// Requests are independent, so the routing DP fans out over the configured
-/// thread pool when the workload clears the spawn-overhead threshold. Results
-/// are reassembled and summed in request order, so the evaluation is
-/// bit-identical for any thread count (including the serial path).
+/// thread pool when [`route_threads`] prices the DP's cells under
+/// `placement` above the spawn-overhead threshold, and each worker reuses
+/// one set of DP buffers. Results are reassembled and summed in request
+/// order, so the evaluation is bit-identical for any thread count (including
+/// the serial path).
 pub fn evaluate(scenario: &Scenario, placement: &Placement) -> Evaluation {
-    // The per-request DP is O(|chain| · |V|²).
-    let unit = scenario.nodes() * scenario.nodes() * 8;
-    let threads = if socl_net::parallel_worthwhile(scenario.requests.len(), unit) {
-        socl_net::effective_threads()
-    } else {
-        1
-    };
-    let outcomes = socl_net::par::par_map_with(&scenario.requests, threads, |req| {
-        optimal_route(
-            req,
-            placement,
-            &scenario.net,
-            &scenario.ap,
-            &scenario.catalog,
-        )
-    });
+    let threads = route_threads(&scenario.requests, placement);
+    let outcomes = socl_net::par::par_map_scratch_with(
+        &scenario.requests,
+        threads,
+        RouteScratch::new,
+        |scratch, req| {
+            optimal_route_with(
+                scratch,
+                req,
+                placement,
+                &scenario.net,
+                &scenario.ap,
+                &scenario.catalog,
+            )
+        },
+    );
     let mut per_request = Vec::with_capacity(scenario.users());
     let mut routes = Vec::with_capacity(scenario.users());
     let mut fallbacks = 0;

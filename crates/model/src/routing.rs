@@ -17,7 +17,7 @@
 use crate::latency::{completion_time, CompletionBreakdown};
 use crate::placement::{Assignment, Placement};
 use crate::request::UserRequest;
-use crate::service::ServiceCatalog;
+use crate::service::{ServiceCatalog, ServiceId};
 use socl_net::{AllPairs, EdgeNetwork, NodeId};
 
 /// Result of routing one request.
@@ -657,12 +657,61 @@ pub fn greedy_route(
     RouteOutcome::Edge { route, breakdown }
 }
 
+/// Abstract operations (`socl_net::parallel_worthwhile`'s, ≈ 1 ns each) one
+/// chain layer of a route costs besides its DP cells: the scan of the
+/// placement row for the layer's hosts, its hop of the route fold
+/// ([`completion_time`]) and its share of the per-request set-up. Read off
+/// the one-host-per-service epoch placements of `serve-steady` (48 nodes):
+/// one route there takes 0.46 µs (`model.routing.route_us_p50`) for 3.4
+/// layers and 2.4 cells (`model.routing.dp_cells_per_route`).
+const LAYER_OPS: usize = 128;
+
+/// Operations of one DP cell: a `transfer_time` look-up, an add and a
+/// compare. Every service on every node of 10–50 nodes measured 4–10 ns a
+/// cell, set-up included.
+const CELL_OPS: usize = 8;
+
+/// Worker count for routing every request of `requests` under `placement`,
+/// shared by [`route_all`] and [`crate::evaluate`]: the pool when the DP's
+/// work clears `socl_net::parallel_worthwhile`, one thread otherwise.
+///
+/// The work is read off the placement. Per request it is [`LAYER_OPS`] per
+/// chain layer plus [`CELL_OPS`] per cell, and the cells between positions
+/// `j` and `j + 1` number `hosts(chain[j]) · hosts(chain[j + 1])`. An epoch
+/// placement that hosts each service once routes a request in a few hundred
+/// operations, so the 48 requests of a `SoclServe` re-solve stay on the
+/// calling thread instead of paying a dispatch several times their routing.
+/// The output never depends on the answer: the fan-out keeps request order.
+#[must_use]
+pub fn route_threads(requests: &[UserRequest], placement: &Placement) -> usize {
+    let hosts: Vec<usize> = (0..placement.services())
+        .map(|m| placement.instance_count(ServiceId(m as u32)))
+        .collect();
+    let work: usize = requests
+        .iter()
+        .map(|r| {
+            let cells: usize = r
+                .chain
+                .windows(2)
+                .map(|w| hosts[w[0].idx()] * hosts[w[1].idx()])
+                .sum();
+            r.chain.len() * LAYER_OPS + cells * CELL_OPS
+        })
+        .sum();
+    let n = requests.len();
+    if socl_net::parallel_worthwhile(n, work.div_ceil(n.max(1))) {
+        socl_net::effective_threads()
+    } else {
+        1
+    }
+}
+
 /// Route every request optimally; returns the assignment (with `None` for
 /// cloud fallbacks).
 ///
 /// Requests are routed independently and fan out over the thread pool when
-/// the workload warrants it; results keep request order, so the assignment is
-/// identical for any thread count.
+/// [`route_threads`] says the work warrants it; results keep request order,
+/// so the assignment is identical for any thread count.
 pub fn route_all(
     requests: &[UserRequest],
     placement: &Placement,
@@ -670,12 +719,7 @@ pub fn route_all(
     ap: &AllPairs,
     catalog: &ServiceCatalog,
 ) -> Assignment {
-    let unit = net.node_count() * net.node_count() * 8;
-    let threads = if socl_net::parallel_worthwhile(requests.len(), unit) {
-        socl_net::effective_threads()
-    } else {
-        1
-    };
+    let threads = route_threads(requests, placement);
     Assignment::new(socl_net::par::par_map_scratch_with(
         requests,
         threads,

@@ -15,12 +15,14 @@
 //! balances.
 //!
 //! Threads are spawned per call with [`std::thread::scope`]. One fan-out on
-//! two workers has measured 58–82 µs on the 2-core reference box since the
-//! benchmark first read it (`net.par.dispatch_us`, which passes its thread
-//! count explicitly, so no thread-count lookup sits in that figure) — noise
-//! for all-pairs Dijkstra, but two to three times the whole of a small
-//! phase such as an 8-region autoscaler tick. Callers therefore gate every
-//! fan-out on a work estimate via [`parallel_worthwhile`].
+//! two workers measures 71–110 µs on the 2-vCPU reference box when its host
+//! is quiet and up to ~240 µs when it is busy (`net.par.dispatch_us`, which
+//! passes its thread count explicitly, so no thread-count lookup sits in
+//! that figure) — noise for
+//! all-pairs Dijkstra, but two to three times the whole of a small phase
+//! such as an 8-region autoscaler tick, and twice the 48 routes of a
+//! `SoclServe` epoch re-solve. Callers therefore gate every fan-out on a
+//! work estimate via [`parallel_worthwhile`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -74,11 +76,16 @@ pub fn effective_threads() -> usize {
 /// operations each is worth the thread spawn overhead. The volume test
 /// runs first, so a shut gate costs one multiply.
 ///
-/// An abstract operation is about a nanosecond (a multiply, a DP cell, a
-/// table look-up). Two workers halve `W` of serial work at the price of one
-/// dispatch `d`, so they win once `W / 2 + d < W`, i.e. `W > 2 d`: with the
-/// measured `d` ≈ 80 µs that is 160 µs ≈ 160 000 operations, and `200_000`
-/// is that figure with a margin for uneven chunks. More workers move the
+/// An abstract operation is about a nanosecond (a multiply, a table
+/// look-up). Callers price a unit from what it was measured to cost, not
+/// from its asymptotic bound: the routing DP (`socl_model::route_threads`)
+/// counts 8 per DP cell (one look-up, add and compare: 4–10 ns measured)
+/// plus 128 per chain layer (the host scan and the route fold, read off a
+/// 0.46 µs route of 3.4 layers and 2.4 cells). Two workers halve `W` of
+/// serial work at the price of one dispatch `d`, so they win once
+/// `W / 2 + d < W`, i.e. `W > 2 d`: with a quiet host's `d` of 71–110 µs
+/// that is 140–220 µs, and `200_000` operations sits in that range (a busy
+/// host's slower dispatch moves the break-even up). More workers move the
 /// break-even down only slightly (`W > d · t / (t − 1)`), so one threshold
 /// serves every thread count.
 #[inline]

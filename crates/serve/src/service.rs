@@ -47,10 +47,10 @@ use crate::wal::{RegionCheckpoint, RegionWal, TickRecord};
 use socl_autoscale::{AdmissionPolicy, AutoscaleConfig};
 use socl_core::SoclConfig;
 use socl_model::{
-    optimal_route_with, Placement, RouteOutcome, RouteScratch, ScenarioConfig, ServiceCatalog,
+    optimal_route_with, Placement, RouteOutcome, RouteScratch, Scenario, ScenarioConfig,
 };
 use socl_net::par::{lock_recover, par_map_indexed_with};
-use socl_net::{effective_threads, parallel_worthwhile, AllPairs, EdgeNetwork};
+use socl_net::{effective_threads, parallel_worthwhile};
 use socl_sim::Policy;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -202,10 +202,10 @@ type OutboxHistory = VecDeque<(u32, Vec<(u32, u32)>)>;
 #[derive(Debug)]
 pub struct SoclServe {
     cfg: ServeConfig,
-    scenario_cfg: ScenarioConfig,
-    net: EdgeNetwork,
-    ap: AllPairs,
-    catalog: ServiceCatalog,
+    /// The metro: topology, all-pairs paths, catalog and scenario constants,
+    /// built once. Its `requests` are the tracer sample of the newest epoch,
+    /// the only part a re-solve changes.
+    world: Scenario,
     region_map: RegionMap,
     feed: LoadFeed,
     regions: Vec<RegionState>,
@@ -292,18 +292,17 @@ fn sharded<T: Send>(
 }
 
 impl SoclServe {
-    /// Build the service: topology + catalog from the scenario generator,
-    /// region partition, per-region worlds, and a mandatory tick-0
-    /// checkpoint of every region (so a kill at any point has an image to
-    /// restore from).
+    /// Build the service: the world scenario (topology, all-pairs paths,
+    /// catalog) from the scenario generator, region partition, per-region
+    /// states, and a mandatory tick-0 checkpoint of every region (so a kill
+    /// at any point has an image to restore from).
     #[must_use]
     pub fn new(cfg: ServeConfig) -> Self {
-        let scenario_cfg = ScenarioConfig::paper(cfg.nodes, cfg.placement_sample.max(1));
-        let base = scenario_cfg.build(cfg.seed);
-        let region_map = RegionMap::partition(&base.net, cfg.regions);
+        let world = ScenarioConfig::paper(cfg.nodes, cfg.placement_sample.max(1)).build(cfg.seed);
+        let region_map = RegionMap::partition(&world.net, cfg.regions);
         let feed = LoadFeed::new(cfg.feed.clone(), cfg.nodes);
-        let services = base.catalog.len();
-        let nodes = base.net.node_count();
+        let services = world.catalog.len();
+        let nodes = world.net.node_count();
         let regions: Vec<RegionState> = (0..region_map.regions() as u32)
             .map(|r| {
                 let cap = cfg.queue_cap_per_station * region_map.count(r).max(1);
@@ -313,10 +312,7 @@ impl SoclServe {
         let n = regions.len();
         let mut serve = Self {
             cfg,
-            scenario_cfg,
-            net: base.net,
-            ap: base.ap,
-            catalog: base.catalog,
+            world,
             region_map,
             feed,
             regions,
@@ -439,7 +435,10 @@ impl SoclServe {
         req: &socl_model::UserRequest,
     ) -> RouteOutcome {
         match self.placements.back() {
-            Some(p) => optimal_route_with(scratch, req, p, &self.net, &self.ap, &self.catalog),
+            Some(p) => {
+                let w = &self.world;
+                optimal_route_with(scratch, req, p, &w.net, &w.ap, &w.catalog)
+            }
             None => RouteOutcome::CloudFallback,
         }
     }
@@ -465,7 +464,7 @@ impl SoclServe {
         let placement = &self.placements[epoch - self.placement_base];
         let feed = &self.feed;
         let map = &self.region_map;
-        let (net, ap, catalog) = (&self.net, &self.ap, &self.catalog);
+        let world = &self.world;
         let drain_per_station = self.cfg.drain_per_station;
         let capturing = self.capture.is_some();
         let mut phase_a = sharded(
@@ -485,7 +484,7 @@ impl SoclServe {
                     budget,
                     capturing,
                 );
-                (route_jobs(jobs, placement, net, ap, catalog), events)
+                (route_jobs(jobs, placement, world), events)
             },
         );
         // Phase 4: fold decisions in region then queue order, charge
@@ -548,12 +547,11 @@ impl SoclServe {
         // Phase 5: autoscaler tick per region, then the WAL record.
         let tick_secs = self.cfg.tick_secs;
         let placement = &self.placements[epoch - self.placement_base];
-        let catalog = &self.catalog;
-        let net = &self.net;
+        let world = &self.world;
         let records: Vec<TickRecord> = self
             .regions
             .iter_mut()
-            .map(|st| region_phase_scale(st, t, tick_secs, placement, catalog, net))
+            .map(|st| region_phase_scale(st, t, tick_secs, placement, world))
             .collect();
         let mut summary = TickSummary {
             tick: t,
@@ -593,8 +591,11 @@ impl SoclServe {
     /// Re-solve the global placement from a tracer sample of tick `t`'s
     /// arrivals: the first `placement_sample` of `arrivals` (the tick's
     /// scan, ascending by user id), padded with the lowest user ids when
-    /// arrivals are scarce. Pure in `(feed, t)` — replay looks the result
-    /// up from history instead of re-solving.
+    /// arrivals are scarce. The sample becomes the world's request set and
+    /// the policy solves the world as it stands: the network never changes,
+    /// so no epoch rebuilds all-pairs paths or copies the topology or the
+    /// catalog. Pure in `(feed, t)` — replay looks the result up from
+    /// history instead of re-solving.
     fn resolve_placement(&mut self, t: u32, arrivals: &[(u32, u32)]) {
         let k = self.cfg.placement_sample.max(1);
         let mut sample: Vec<_> = arrivals
@@ -608,18 +609,19 @@ impl SoclServe {
                 .take(pad)
                 .map(|u| self.feed.synthesize(u)),
         );
-        let sc = self
-            .scenario_cfg
-            .assemble(self.net.clone(), self.catalog.clone(), sample);
-        let placement = self.cfg.policy.place(&sc, u64::from(t));
+        self.world.requests = sample;
+        let placement = self.cfg.policy.place(&self.world, u64::from(t));
         let first = self.placements.is_empty();
         self.placements.push_back(placement);
         if first {
             // Initial replica pools: seed every region's scaler from the
             // first placement (mirrored by replay at t == 1).
             for st in &mut self.regions {
-                st.scaler
-                    .seed_from_placement(&self.placements[0], &self.catalog, &self.net);
+                st.scaler.seed_from_placement(
+                    &self.placements[0],
+                    &self.world.catalog,
+                    &self.world.net,
+                );
             }
         }
     }
@@ -765,9 +767,11 @@ impl SoclServe {
             let per_region = self.by_region(&self.scan_arrivals(t));
             for (ki, &r) in killed.iter().enumerate() {
                 if t == 1 {
-                    self.regions[r]
-                        .scaler
-                        .seed_from_placement(placement, &self.catalog, &self.net);
+                    self.regions[r].scaler.seed_from_placement(
+                        placement,
+                        &self.world.catalog,
+                        &self.world.net,
+                    );
                 }
                 let budget = self.cfg.drain_per_station * self.region_map.count(r as u32).max(1);
                 let (jobs, _) = region_phase_a(
@@ -782,8 +786,7 @@ impl SoclServe {
                 // Route and fold the region's own decisions; charge only
                 // stages hosted in this region (remote stages belong to
                 // peers that never lost them).
-                for (p, outcome) in route_jobs(jobs, placement, &self.net, &self.ap, &self.catalog)
-                {
+                for (p, outcome) in route_jobs(jobs, placement, &self.world) {
                     match outcome {
                         RouteOutcome::Edge { route, .. } => {
                             self.regions[r].decide(t, p.user, Some(&route));
@@ -831,8 +834,7 @@ impl SoclServe {
                     t,
                     self.cfg.tick_secs,
                     placement,
-                    &self.catalog,
-                    &self.net,
+                    &self.world,
                 );
                 // Oracle: a clean WAL tick must be reproduced exactly.
                 if let Some(stored) = stored {
@@ -938,10 +940,11 @@ fn region_phase_a(
 fn route_jobs(
     jobs: Vec<Pending>,
     placement: &Placement,
-    net: &EdgeNetwork,
-    ap: &AllPairs,
-    catalog: &ServiceCatalog,
+    world: &Scenario,
 ) -> Vec<(Pending, RouteOutcome)> {
+    let Scenario {
+        net, ap, catalog, ..
+    } = world;
     let mut scratch = RouteScratch::new();
     jobs.into_iter()
         .map(|p| {
@@ -957,16 +960,19 @@ fn region_phase_scale(
     t: u32,
     tick_secs: f64,
     placement: &Placement,
-    catalog: &ServiceCatalog,
-    net: &EdgeNetwork,
+    world: &Scenario,
 ) -> TickRecord {
     for m in 0..st.services() {
         st.signal[m] = f64::from(st.in_flight[m]);
     }
     let signal = std::mem::take(&mut st.signal);
-    let _actions = st
-        .scaler
-        .tick(f64::from(t) * tick_secs, &signal, placement, catalog, net);
+    let _actions = st.scaler.tick(
+        f64::from(t) * tick_secs,
+        &signal,
+        placement,
+        &world.catalog,
+        &world.net,
+    );
     st.signal = signal;
     TickRecord {
         tick: t,
@@ -1247,6 +1253,51 @@ mod tests {
         assert!(!phase_a(&flash(), flash().feed.arrivals_per_tick as usize));
         assert!(phase_a(&flash(), 584));
         assert!(phase_a(&steady, steady.feed.arrivals_per_tick as usize));
+    }
+
+    /// A re-solve solves the world the service built once, with the epoch's
+    /// tracer sample swapped in, and that is the scenario `assemble` builds
+    /// from an independently generated metro and the same sample: all-pairs
+    /// paths identical to a fresh build, the same placement. 48 nodes in 8
+    /// regions under a diurnal feed, as `serve-steady`, for two epochs.
+    #[test]
+    fn epoch_world_is_the_assembled_world() {
+        let cfg = ServeConfig {
+            nodes: 48,
+            regions: 8,
+            feed: FeedConfig {
+                users: 40_000,
+                shape: socl_trace::TemporalConfig::diurnal(),
+                arrivals_per_tick: 2000.0,
+                ..FeedConfig::default()
+            },
+            ..ServeConfig::small(17)
+        };
+        let scenario_cfg = ScenarioConfig::paper(cfg.nodes, cfg.placement_sample);
+        let base = scenario_cfg.build(cfg.seed);
+        let mut serve = SoclServe::new(cfg.clone());
+        for t in [1, 9] {
+            let sample: Vec<_> = serve
+                .scan_arrivals(t)
+                .iter()
+                .map(|&(_, u)| u)
+                .chain(0..)
+                .take(cfg.placement_sample)
+                .map(|u| serve.feed().synthesize(u))
+                .collect();
+            serve.run(t - serve.completed_ticks());
+            let world = &serve.world;
+            let fresh = socl_net::AllPairs::build(&world.net);
+            assert!(world.ap.identical(&fresh), "tick {t}");
+            assert_eq!(world.requests, sample, "tick {t}");
+            let assembled = scenario_cfg.assemble(base.net.clone(), base.catalog.clone(), sample);
+            assert_eq!(
+                serve.placement(),
+                Some(&cfg.policy.place(&assembled, u64::from(t))),
+                "tick {t}"
+            );
+        }
+        assert_eq!(serve.placements.len(), 2);
     }
 
     #[test]
