@@ -29,7 +29,10 @@ pub mod config;
 pub mod scaler;
 
 pub use config::{AdmissionPolicy, AutoscaleConfig, KeepAlivePolicy, ScalingMode};
-pub use scaler::{Autoscaler, ScalerState, ScalingAction, ServiceStateSnapshot};
+pub use scaler::{
+    get_scaler_state, put_scaler_state, Autoscaler, ScalerState, ScalingAction,
+    ServiceStateSnapshot,
+};
 
 #[cfg(test)]
 mod proptests;

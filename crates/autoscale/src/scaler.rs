@@ -18,7 +18,9 @@
 //! regardless of worker-thread count.
 
 use crate::config::{AutoscaleConfig, ScalingMode};
-use socl_model::{Placement, ReplicaCounts, ServiceCatalog, ServiceId};
+use socl_model::{
+    BinReader, BinWriter, CodecError, Placement, ReplicaCounts, ServiceCatalog, ServiceId,
+};
 use socl_net::{EdgeNetwork, NodeId};
 
 /// One replica-count change for a single `(service, node)` cell, as
@@ -102,6 +104,77 @@ pub struct ScalerState {
     pub down_events: u64,
     /// Cold-start penalty the scaler was constructed with.
     pub cold_start: f64,
+}
+
+/// Serialize a full [`ScalerState`] (counts, caps, per-service windows,
+/// cooldowns) into `w`: the one wire format of a frozen scaler, shared by
+/// the simulator's `Checkpoint` and the service's `RegionCheckpoint`.
+pub fn put_scaler_state(w: &mut BinWriter, s: &ScalerState) {
+    w.put_usize(s.services);
+    w.put_usize(s.nodes);
+    w.put_u32_slice(&s.counts);
+    w.put_u32_slice(&s.caps);
+    w.put_usize(s.states.len());
+    for st in &s.states {
+        w.put_usize(st.samples.len());
+        for &(t, v) in &st.samples {
+            w.put_f64(t);
+            w.put_f64(v);
+        }
+        w.put_usize(st.desires.len());
+        for &(t, v) in &st.desires {
+            w.put_f64(t);
+            w.put_u32(v);
+        }
+        w.put_f64(st.last_down);
+        w.put_f64(st.panic_until);
+    }
+    w.put_u64(s.up_events);
+    w.put_u64(s.down_events);
+    w.put_f64(s.cold_start);
+}
+
+/// Decode a [`ScalerState`] written by [`put_scaler_state`].
+///
+/// # Errors
+/// [`CodecError`] on truncated input or a sequence length the remaining
+/// input cannot hold.
+pub fn get_scaler_state(r: &mut BinReader<'_>) -> Result<ScalerState, CodecError> {
+    let services = r.get_usize()?;
+    let nodes = r.get_usize()?;
+    let counts = r.get_u32_vec()?;
+    let caps = r.get_u32_vec()?;
+    // Two length prefixes and two cooldown stamps.
+    let n_states = r.seq_len(32)?;
+    let mut states = Vec::with_capacity(n_states);
+    for _ in 0..n_states {
+        let n_samples = r.seq_len(16)?;
+        let mut samples = Vec::with_capacity(n_samples);
+        for _ in 0..n_samples {
+            samples.push((r.get_f64()?, r.get_f64()?));
+        }
+        let n_desires = r.seq_len(12)?;
+        let mut desires = Vec::with_capacity(n_desires);
+        for _ in 0..n_desires {
+            desires.push((r.get_f64()?, r.get_u32()?));
+        }
+        states.push(ServiceStateSnapshot {
+            samples,
+            desires,
+            last_down: r.get_f64()?,
+            panic_until: r.get_f64()?,
+        });
+    }
+    Ok(ScalerState {
+        services,
+        nodes,
+        counts,
+        caps,
+        states,
+        up_events: r.get_u64()?,
+        down_events: r.get_u64()?,
+        cold_start: r.get_f64()?,
+    })
 }
 
 /// The serverless control plane's replica-count controller.

@@ -51,11 +51,6 @@ impl Args {
         }
     }
 
-    /// True when the flag is present, whatever its value.
-    pub fn has(&self, key: &str) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// Every flag given, without its `--`.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.map.keys().map(String::as_str)

@@ -25,11 +25,6 @@ USAGE:
                 [--epochs E] [--surge REQS] [--cold-start SECS]
                 [autoscaler flags]
   socl trace    [--seed S]
-  socl chaos    [--nodes N] [--users U] [--slots K] [--policy socl|rp|jdr]
-                [--seeds S1,S2,..] [--kill-slots K1,K2,..]
-                [--checkpoint-every N] [--guided N] [--torn MODE,..]
-                [--no-schedules] [--fail-prob P] [--mid-slot-fail-prob P]
-                [--recover-prob P] [--repair] [autoscaler flags]
   socl serve    [--nodes N] [--regions R] [--shards S] [--users U]
                 [--ticks T] [--rate R] [--shape flash|diurnal] [--seed S]
                 [--policy socl|rp|jdr] [--kill-shard K] [--kill-at T]
@@ -38,7 +33,7 @@ USAGE:
                 [--solve]
   socl help
 
-Autoscaler flags (testbed, simulate, autoscale, chaos):
+Autoscaler flags (testbed, simulate, autoscale):
   --autoscale MODE           static|reactive — run the serverless
                              control plane; replica pools track concurrency
   --target-concurrency C     in-flight requests one replica should absorb
@@ -60,12 +55,7 @@ instead of `proved optimal`.
 `autoscale` replays a flash-crowd workload under every scaling mode and
 prints a latency/replica-seconds comparison. `export` prints a scenario
 snapshot as JSON to stdout (add --solve to append the SoCL placement
-snapshot). `chaos` runs the coverage-guided crash-recovery soak: every
-run is killed at a slot boundary, restored from its last checkpoint, the
-decision-log suffix is replayed (torn tails truncated, never trusted),
-and the recovered timeline must match the uninterrupted run bit for bit
-and pass the invariant auditor; any violation fails the command. Torn
-modes for --torn: clean, garbage, partial (default all three).
+snapshot).
 `serve` runs the sharded control-plane service: a persistent event loop
 that partitions the base-station graph into regions, streams a synthetic
 user population through bounded per-region queues into the admission
@@ -204,7 +194,7 @@ fn autoscale_from(args: &Args) -> Result<Option<AutoscaleConfig>, String> {
     Ok(Some(cfg))
 }
 
-/// Parse the `--policy` flag shared by `simulate` and `chaos`.
+/// Parse the `--policy` flag shared by `simulate` and `serve`.
 fn policy_from(args: &Args) -> Result<Policy, String> {
     match args.get_str("policy", "socl").as_str() {
         "socl" => Ok(Policy::Socl(SoclConfig::default())),
@@ -214,26 +204,6 @@ fn policy_from(args: &Args) -> Result<Policy, String> {
         "jdr" => Ok(Policy::Jdr),
         other => Err(format!("unknown --policy `{other}`")),
     }
-}
-
-/// Parse a comma-separated list flag; `None` when the flag is absent.
-fn csv_list<T: std::str::FromStr>(args: &Args, key: &str) -> Result<Option<Vec<T>>, String> {
-    if !args.has(key) {
-        return Ok(None);
-    }
-    let raw = args.get_str(key, "");
-    let mut out = Vec::new();
-    for part in raw.split(',').filter(|p| !p.trim().is_empty()) {
-        out.push(
-            part.trim()
-                .parse()
-                .map_err(|_| format!("invalid value `{part}` in --{key}"))?,
-        );
-    }
-    if out.is_empty() {
-        return Err(format!("--{key} needs a comma-separated list"));
-    }
-    Ok(Some(out))
 }
 
 fn print_summary(name: &str, objective: f64, cost: f64, latency: f64, secs: f64) {
@@ -690,159 +660,6 @@ pub fn export(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn torn_name(ord: u8) -> &'static str {
-    match ord {
-        1 => "garbage",
-        2 => "partial",
-        _ => "clean",
-    }
-}
-
-fn torn_list(args: &Args) -> Result<Option<Vec<TornTail>>, String> {
-    let Some(names) = csv_list::<String>(args, "torn")? else {
-        return Ok(None);
-    };
-    names
-        .iter()
-        .map(|n| match n.as_str() {
-            "clean" => Ok(TornTail::Clean),
-            "garbage" => Ok(TornTail::Garbage),
-            "partial" => Ok(TornTail::PartialRecord),
-            other => Err(format!(
-                "unknown --torn mode `{other}` (expected clean|garbage|partial)"
-            )),
-        })
-        .collect::<Result<Vec<_>, _>>()
-        .map(Some)
-}
-
-/// `socl chaos` — the coverage-guided crash-recovery soak.
-pub fn chaos(args: &Args) -> Result<(), String> {
-    let policy = policy_from(args)?;
-    let base = OnlineConfig {
-        slots: args.get("slots", 8)?,
-        users: args.get("users", 18)?,
-        nodes: args.get("nodes", 8)?,
-        fail_prob: args.get("fail-prob", 0.3)?,
-        mid_slot_fail_prob: args.get("mid-slot-fail-prob", 0.0)?,
-        recover_prob: args.get("recover-prob", 0.4)?,
-        repair: args.flag("repair"),
-        autoscale: autoscale_from(args)?,
-        ..OnlineConfig::default()
-    };
-    if base.slots == 0 || base.users == 0 || base.nodes == 0 {
-        return Err("--slots, --users, and --nodes must be positive".into());
-    }
-    let mut plan = SoakPlan::ci(base, policy);
-    if let Some(seeds) = csv_list(args, "seeds")? {
-        plan.seeds = seeds;
-    }
-    if let Some(kills) = csv_list(args, "kill-slots")? {
-        plan.kill_slots = kills;
-    }
-    if let Some(torn) = torn_list(args)? {
-        plan.torn_tails = torn;
-    }
-    plan.checkpoint_every = args.get("checkpoint-every", plan.checkpoint_every)?;
-    plan.guided_rounds = args.get("guided", plan.guided_rounds)?;
-    if args.flag("no-schedules") {
-        plan.with_fault_schedules = false;
-    }
-    if plan.checkpoint_every == 0 {
-        return Err("--checkpoint-every must be positive".into());
-    }
-    if let Some(&k) = plan.kill_slots.iter().find(|&&k| k > plan.base.slots) {
-        return Err(format!(
-            "--kill-slots entry {k} exceeds --slots {}",
-            plan.base.slots
-        ));
-    }
-
-    out!(
-        "chaos soak: {} nodes, {} users, {} slots, policy {}, checkpoint every {} slot(s)",
-        plan.base.nodes,
-        plan.base.users,
-        plan.base.slots,
-        plan.policy.name(),
-        plan.checkpoint_every
-    );
-    out!(
-        "matrix: seeds {:?} × kill-slots {:?} × schedules {} × torn {:?}, {} guided round(s)",
-        plan.seeds,
-        plan.kill_slots,
-        if plan.with_fault_schedules {
-            "off+moderate"
-        } else {
-            "off"
-        },
-        plan.torn_tails
-            .iter()
-            .map(|t| torn_name(match t {
-                TornTail::Clean => 0,
-                TornTail::Garbage => 1,
-                TornTail::PartialRecord => 2,
-            }))
-            .collect::<Vec<_>>(),
-        plan.guided_rounds
-    );
-
-    let summary = run_chaos_soak(&plan).map_err(|e| e.to_string())?;
-
-    out!(
-        "{:>6} {:>4} {:>5} {:>8} {:>8} {:>6} {:>8} {:>8} {:>4} {:>4}  features",
-        "seed",
-        "kill",
-        "fault",
-        "torn",
-        "restored",
-        "replay",
-        "ckpt(B)",
-        "log(B)",
-        "mism",
-        "viol"
-    );
-    for r in &summary.rows {
-        out!(
-            "{:>6} {:>4} {:>5} {:>8} {:>8} {:>6} {:>8} {:>8} {:>4} {:>4}  {}{}",
-            r.case.seed,
-            r.case.kill_slot,
-            if r.case.faulted { "yes" } else { "no" },
-            torn_name(r.case.torn),
-            r.restored_from_slot,
-            r.replayed_slots,
-            r.checkpoint_bytes,
-            r.log_bytes,
-            r.metric_mismatches + r.replay_log_mismatches,
-            r.violations.len(),
-            if r.guided { "[guided] " } else { "" },
-            r.features.join(",")
-        );
-        for v in &r.violations {
-            out!("       violation: {v}");
-        }
-    }
-    out!(
-        "\n{} run(s); coverage ({} features): {}",
-        summary.rows.len(),
-        summary.coverage.len(),
-        summary.coverage.join(", ")
-    );
-    out!(
-        "checkpoint bytes: max {}, mean {:.0}; log bytes at kill: mean {:.0}",
-        summary.max_checkpoint_bytes,
-        summary.mean_checkpoint_bytes,
-        summary.mean_log_bytes
-    );
-    if !summary.is_clean() {
-        return Err(format!(
-            "chaos soak failed: {} invariant violation(s), {} run(s) diverged from golden",
-            summary.violations, summary.mismatch_runs
-        ));
-    }
-    out!("all runs recovered bit-identically and passed the invariant audit");
-    Ok(())
-}
-
 /// `socl serve` — run the sharded control-plane service.
 pub fn serve(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get("seed", 42)?;
@@ -1229,38 +1046,6 @@ mod tests {
     #[test]
     fn autoscale_rejects_zero_epochs() {
         assert!(autoscale(&args(&["--epochs", "0"])).is_err());
-    }
-
-    #[test]
-    fn chaos_runs_a_tiny_soak() {
-        chaos(&args(&[
-            "--nodes",
-            "6",
-            "--users",
-            "12",
-            "--slots",
-            "4",
-            "--seeds",
-            "1",
-            "--kill-slots",
-            "0,2",
-            "--checkpoint-every",
-            "2",
-            "--guided",
-            "1",
-            "--torn",
-            "clean,garbage",
-        ]))
-        .unwrap();
-    }
-
-    #[test]
-    fn chaos_rejects_bad_flags() {
-        assert!(chaos(&args(&["--torn", "shredded"])).is_err());
-        assert!(chaos(&args(&["--checkpoint-every", "0"])).is_err());
-        assert!(chaos(&args(&["--slots", "4", "--kill-slots", "9"])).is_err());
-        assert!(chaos(&args(&["--policy", "quantum"])).is_err());
-        assert!(chaos(&args(&["--seeds", "one,two"])).is_err());
     }
 
     #[test]

@@ -557,6 +557,42 @@ pub struct TailReport {
     pub reason: Option<TornTailReason>,
 }
 
+/// How a crash leaves a [`Journal`]'s durable bytes between the kill and
+/// the recovery: the one crash model for a journal's tail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TornTail {
+    /// The log survived intact.
+    Clean,
+    /// A dying writer appended garbage after the last complete frame.
+    Garbage,
+    /// The crash cut the last frame short.
+    PartialRecord,
+}
+
+impl TornTail {
+    /// Apply this crash to `bytes`: 13 xorshift bytes seeded by `seed`
+    /// (deterministic, checksum-hostile) for [`Garbage`](Self::Garbage),
+    /// the last 5 bytes cut for [`PartialRecord`](Self::PartialRecord).
+    pub fn mangle(self, bytes: &mut Vec<u8>, seed: u64) {
+        match self {
+            TornTail::Clean => {}
+            TornTail::Garbage => {
+                let mut x = seed | 1;
+                for _ in 0..13 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    bytes.push((x & 0xFF) as u8);
+                }
+            }
+            TornTail::PartialRecord => {
+                let cut = bytes.len().saturating_sub(5);
+                bytes.truncate(cut);
+            }
+        }
+    }
+}
+
 /// Read one `[u32 len][u32 crc32][payload]` frame off the front of `r`.
 fn read_frame<'a>(r: &mut BinReader<'a>) -> Result<&'a [u8], CodecError> {
     let len = r.get_u32()? as usize;

@@ -46,6 +46,7 @@ use crate::shard::{
 use crate::wal::{RegionCheckpoint, RegionWal, TickRecord};
 use socl_autoscale::{AdmissionPolicy, AutoscaleConfig};
 use socl_core::SoclConfig;
+use socl_model::codec::TornTail;
 use socl_model::{
     optimal_route_with, Placement, RouteOutcome, RouteScratch, Scenario, ScenarioConfig,
 };
@@ -712,7 +713,7 @@ impl SoclServe {
     pub fn kill_and_restore(
         &mut self,
         shard: usize,
-        torn: socl_sim::TornTail,
+        torn: TornTail,
     ) -> Result<RestoreReport, String> {
         let t_kill = self.tick;
         let shards = self.cfg.shards.clamp(1, self.regions.len().max(1));
@@ -728,7 +729,7 @@ impl SoclServe {
         let mut records: Vec<Vec<TickRecord>> = Vec::with_capacity(killed.len());
         for &r in &killed {
             let mut bytes = self.wals[r].as_bytes().to_vec();
-            mangle_tail(&mut bytes, torn, self.cfg.seed ^ r as u64);
+            torn.mangle(&mut bytes, self.cfg.seed ^ r as u64);
             let (wal, report) = RegionWal::from_bytes(&bytes);
             torn_bytes += report.truncated_bytes;
             let recs = wal.records().map_err(|e| format!("wal decode: {e:?}"))?;
@@ -1051,28 +1052,6 @@ fn restore_region(
     st.cloud_fallbacks = ck.cloud_fallbacks;
     st.digest = ck.digest;
     Ok(st)
-}
-
-/// Apply a torn-tail mode to durable WAL bytes (the PR 6 crash model:
-/// garbage appended by a dying writer, or a record cut mid-frame).
-fn mangle_tail(bytes: &mut Vec<u8>, torn: socl_sim::TornTail, seed: u64) {
-    match torn {
-        socl_sim::TornTail::Clean => {}
-        socl_sim::TornTail::Garbage => {
-            let mut x = seed | 1;
-            for _ in 0..13 {
-                // xorshift garbage — deterministic, checksum-hostile.
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                bytes.push((x & 0xFF) as u8);
-            }
-        }
-        socl_sim::TornTail::PartialRecord => {
-            let cut = bytes.len().saturating_sub(5);
-            bytes.truncate(cut);
-        }
-    }
 }
 
 #[cfg(test)]

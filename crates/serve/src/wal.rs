@@ -4,8 +4,8 @@
 //! Both artifacts are thin users of `socl_model::codec`: the checkpoint image
 //! is sealed in its envelope (magic `SRGN`, version, trailing CRC-32), the
 //! WAL is its `Journal` over [`TickRecord`] (torn tails truncate, never
-//! replay). Scaler state crosses through the same codec pair as the
-//! simulator's own checkpoints (`socl_sim::recovery`).
+//! replay). Scaler state crosses through `socl_autoscale`'s codec pair, the
+//! same one the simulator's checkpoints use.
 //!
 //! The [`TickRecord`] is deliberately minimal: the *local* half of a
 //! region's evolution (arrivals, drains, routes, sheds) is a pure function
@@ -14,10 +14,9 @@
 //! here but decided elsewhere — plus the oracle fields (digest, counters)
 //! that prove the replay honest go to disk.
 
-use socl_autoscale::ScalerState;
+use socl_autoscale::{get_scaler_state, put_scaler_state, ScalerState};
 use socl_model::codec::{open, seal, Journal, Record};
 use socl_model::{BinReader, BinWriter, CodecError};
-use socl_sim::recovery::{get_scaler_state, put_scaler_state};
 
 /// Checkpoint format tag (`b"SRGN"` little-endian).
 const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"SRGN");

@@ -13,13 +13,21 @@
 //! * **Backpressure conservation** — under queue-full bursts no request
 //!   is silently dropped: every arrival is decided, shed with an explicit
 //!   outcome, or still queued, and the invariant auditor stays clean.
+//! * **Kill soak** — shards killed at random tick boundaries with random
+//!   torn WAL tails, over random shard, region, checkpoint and epoch
+//!   cadences, always restore to the uninterrupted run's state and end
+//!   bit-identical to it. The soak asserts it still reaches a fixed set
+//!   of recovery behaviours, so a generator that stops reaching one fails.
 //!
 //! Each property lives in a plain function; the seeded case loops explore
 //! the parameter space and the fixed-seed pins below run the same code.
 
 use socl_autoscale::AdmissionPolicy;
-use socl_net::rng::cases;
+use socl_model::codec::TornTail;
+use socl_net::rng::{cases, ChaCha12Rng};
 use socl_serve::{audit_serve, DecisionEvent, FeedConfig, ServeConfig, SoclServe};
+use socl_trace::TemporalConfig;
+use std::collections::BTreeSet;
 
 /// A configuration where no queue, budget, or admission limit can bind:
 /// decisions depend only on the feed and the placement, which are both
@@ -166,6 +174,164 @@ fn check_backpressure_conservation(
     assert!(violations.is_empty(), "violations: {violations:?}");
 }
 
+/// The recovery behaviours the kill soak must reach across its cases.
+const SOAK_FEATURES: [&str; 9] = [
+    // The torn-tail scan discarded bytes.
+    "torn-bytes",
+    // Nothing to replay: the restore point is the kill tick.
+    "replay-empty",
+    // Restored from the tick-0 image (replaying the scaler seeding).
+    "from-tick-0",
+    // Killed on a checkpoint tick.
+    "kill-on-checkpoint",
+    // Two different shards killed at one boundary.
+    "multi-shard",
+    // A shard killed again before any tick ran since its restore.
+    "kill-after-restore",
+    // The replayed window crossed a placement epoch.
+    "replay-crosses-epoch",
+    // The replayed window had queue-full sheds in a killed region.
+    "queue-shed-replayed",
+    // The replayed window had admission sheds in a killed region.
+    "admission-shed-replayed",
+];
+
+/// A kill-soak configuration: `ServeConfig::small` with drawn shard and
+/// region counts and checkpoint and epoch cadences; half the draws are a
+/// flash crowd into tiny queues and drain budgets, so both shed paths fire.
+fn soak_cfg(rng: &mut ChaCha12Rng) -> ServeConfig {
+    let mut cfg = ServeConfig::small(rng.gen_range(0u64..500));
+    cfg.shards = rng.gen_range(1usize..=4);
+    cfg.regions = rng.gen_range(2usize..=5);
+    cfg.checkpoint_every = rng.gen_range(1u32..=5);
+    cfg.resolve_every = rng.gen_range(2u32..=8);
+    cfg.feed = FeedConfig {
+        users: 1500,
+        arrivals_per_tick: 50.0,
+        seed: cfg.seed ^ 0xFEED,
+        ..FeedConfig::default()
+    };
+    if rng.gen() {
+        cfg.feed.shape = TemporalConfig::flash_crowd();
+        cfg.feed.arrivals_per_tick = 150.0;
+        cfg.queue_cap_per_station = rng.gen_range(1usize..=3);
+        cfg.drain_per_station = rng.gen_range(1usize..=2);
+    }
+    cfg
+}
+
+/// Lifetime `(queue, admission)` sheds per region.
+fn region_sheds(serve: &SoclServe) -> Vec<(u64, u64)> {
+    serve
+        .regions()
+        .iter()
+        .map(|st| (st.shed_queue, st.shed_admission))
+        .collect()
+}
+
+/// Kill soak: run `cfg` for `ticks` ticks, killing shards at random tick
+/// boundaries with random torn tails — sometimes two shards at one
+/// boundary, sometimes the shard just restored again. Every restore must
+/// agree with the WAL oracle, reproduce the uninterrupted run's state and
+/// digests at that boundary, and audit clean; the run ends bit-identical
+/// to the uninterrupted one. Returns the features reached and the kills,
+/// or the restore error.
+fn check_kill_soak(
+    cfg: &ServeConfig,
+    ticks: u32,
+    rng: &mut ChaCha12Rng,
+) -> Result<(BTreeSet<&'static str>, usize), String> {
+    const TORN_TAILS: [TornTail; 3] = [TornTail::Clean, TornTail::Garbage, TornTail::PartialRecord];
+    let mut golden = SoclServe::new(cfg.clone());
+    let mut states = vec![golden.snapshot_all()];
+    let mut sheds = vec![region_sheds(&golden)];
+    for _ in 0..ticks {
+        golden.step();
+        states.push(golden.snapshot_all());
+        sheds.push(region_sheds(&golden));
+    }
+    let shards = cfg.shards.clamp(1, golden.regions().len());
+    let epoch = |t: u32| (t - 1) / cfg.resolve_every;
+    let mut features = BTreeSet::new();
+    let mut kills = 0;
+    let mut victim = SoclServe::new(cfg.clone());
+    for t in 1..=ticks {
+        victim.step();
+        if rng.gen::<f64>() >= 0.5 {
+            continue;
+        }
+        let first = rng.gen_range(0..shards);
+        let mut plan = vec![first];
+        if shards > 1 && rng.gen::<f64>() < 0.3 {
+            plan.push((first + rng.gen_range(1..shards)) % shards);
+            features.insert("multi-shard");
+        }
+        if rng.gen::<f64>() < 0.2 {
+            plan.push(first);
+            features.insert("kill-after-restore");
+        }
+        for shard in plan {
+            let torn = TORN_TAILS[rng.gen_range(0..TORN_TAILS.len())];
+            let row = format!(
+                "seed {}, kill shard {shard} after tick {t}, {torn:?}",
+                cfg.seed
+            );
+            let report = victim
+                .kill_and_restore(shard, torn)
+                .map_err(|e| format!("{row}: {e}"))?;
+            kills += 1;
+            assert_eq!(report.oracle_mismatches, 0, "{row}");
+            assert_eq!(victim.snapshot_all(), states[t as usize], "{row}");
+            for (got, full) in victim
+                .digest_timeline()
+                .iter()
+                .zip(golden.digest_timeline())
+            {
+                assert_eq!(got[..], full[..t as usize], "{row}");
+            }
+            let violations = audit_serve(&victim);
+            assert!(violations.is_empty(), "{row}: {violations:?}");
+
+            let c0 = report.checkpoint_tick;
+            let (mut queue_shed, mut admission_shed) = (false, false);
+            for &r in &report.killed_regions {
+                let (from, to) = (
+                    sheds[c0 as usize][r as usize],
+                    sheds[t as usize][r as usize],
+                );
+                queue_shed |= to.0 > from.0;
+                admission_shed |= to.1 > from.1;
+            }
+            for (hit, feature) in [
+                (report.torn_bytes > 0, "torn-bytes"),
+                (report.replayed_ticks == 0, "replay-empty"),
+                (c0 == 0, "from-tick-0"),
+                (t % cfg.checkpoint_every == 0, "kill-on-checkpoint"),
+                (c0 < t && epoch(c0 + 1) != epoch(t), "replay-crosses-epoch"),
+                (queue_shed, "queue-shed-replayed"),
+                (admission_shed, "admission-shed-replayed"),
+            ] {
+                if hit {
+                    features.insert(feature);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        victim.snapshot_all(),
+        golden.snapshot_all(),
+        "seed {}",
+        cfg.seed
+    );
+    assert_eq!(
+        victim.digest_timeline(),
+        golden.digest_timeline(),
+        "seed {}",
+        cfg.seed
+    );
+    Ok((features, kills))
+}
+
 #[test]
 fn partitioned_run_matches_single_world() {
     cases(8, |rng| {
@@ -188,6 +354,30 @@ fn backpressure_conserves_every_request() {
         let (rate, ticks) = (rng.gen_range(100.0..400.0), rng.gen_range(3u32..=8));
         check_backpressure_conservation(rng.gen_range(0u64..500), queue_cap, drain, rate, ticks);
     });
+}
+
+#[test]
+fn kill_soak_matches_golden_and_reaches_every_feature() {
+    let mut reached = BTreeSet::new();
+    let (mut runs, mut kills) = (0, 0);
+    cases(12, |rng| {
+        let cfg = soak_cfg(rng);
+        let ticks = rng.gen_range(12u32..=24);
+        let (features, n) =
+            check_kill_soak(&cfg, ticks, rng).unwrap_or_else(|e| panic!("restore failed: {e}"));
+        reached.extend(features);
+        runs += 1;
+        kills += n;
+    });
+    eprintln!("kill soak: {runs} cases, {kills} kills, reached {reached:?}");
+    let missing: Vec<_> = SOAK_FEATURES
+        .iter()
+        .filter(|f| !reached.contains(*f))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "the kill soak stopped reaching {missing:?} ({kills} kills)"
+    );
 }
 
 /// Pins: each property at fixed seeds, chosen so the partition-equivalence

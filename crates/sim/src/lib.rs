@@ -1,6 +1,6 @@
 //! # socl-sim — simulation platform and testbed emulator
 //!
-//! Six pieces:
+//! Five pieces:
 //!
 //! * [`mobility`] — the user mobility model: between time slots users hop
 //!   between base stations (random-waypoint over the topology), reproducing
@@ -16,16 +16,11 @@
 //!   loss) drawn uniformly at random from a seeded plan.
 //! * [`recovery`] — crash-consistent checkpoint/restore for the online
 //!   simulator: a versioned binary [`recovery::Checkpoint`] of every live
-//!   piece of state and a checksummed write-ahead
-//!   [`recovery::DecisionLog`] (envelope, framing and torn-tail detection
-//!   are `socl_model::codec`'s), a seeded kill-and-recover driver
-//!   ([`recovery::run_crash_recovery`]) that must converge bit-identically
-//!   with the uninterrupted run, and an invariant auditor
-//!   ([`recovery::audit_invariants`]).
-//! * [`chaos`] — a coverage-guided chaos soak ([`chaos::run_chaos_soak`])
-//!   sweeping seeds × kill-points × fault schedules × torn-tail modes and
-//!   auditing every recovery; drives `socl chaos` and the soak unit
-//!   tests (coverage floor, checkpoint size cap).
+//!   piece of state, a checksummed write-ahead [`recovery::DecisionLog`]
+//!   (envelope, framing and torn-tail detection are `socl_model::codec`'s),
+//!   and an invariant auditor ([`recovery::audit_invariants`]). The
+//!   kill-and-replay drill and its soak run on the service
+//!   (`socl-serve`), the system that takes load.
 //! * [`testbed`] — a discrete-event emulator standing in for the paper's
 //!   17-machine Kubernetes cluster (Section V.C): per-node FIFO CPU queues,
 //!   bandwidth-delayed transfers along the routed paths, serverless
@@ -36,7 +31,6 @@
 //!   configurable [`testbed::RetryPolicy`] (timeouts, bounded backoff
 //!   retries, hedged duplicates) and graceful cloud degradation.
 
-pub mod chaos;
 pub mod faults;
 pub mod mobility;
 pub mod online;
@@ -44,16 +38,16 @@ pub mod policy;
 pub mod recovery;
 pub mod testbed;
 
-pub use chaos::{run_chaos_soak, SoakCase, SoakError, SoakPlan, SoakRow, SoakSummary};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultSchedule, FaultStats, FaultTimeline};
 pub use mobility::MobilityModel;
 pub use online::{ControlPlaneDisabled, OnlineConfig, OnlineSimulator, SlotRecord};
 pub use policy::Policy;
 pub use recovery::{
-    audit_invariants, get_scaler_state, put_scaler_state, run_crash_recovery, AuditReport,
-    Checkpoint, DecisionLog, LogRecord, RecoveryConfig, RecoveryError, RecoveryOutcome,
-    RestoreError, RngState, SlotMetrics, TailReport, TornTail, TornTailReason,
+    audit_invariants, AuditReport, Checkpoint, DecisionLog, LogRecord, RestoreError, RngState,
+    SlotMetrics, TailReport, TornTailReason,
 };
+/// The journal crash model (`socl_model::codec`), where its callers import it.
+pub use socl_model::codec::TornTail;
 pub use testbed::{run_testbed, RetryPolicy, TestbedConfig, TestbedResult};
 
 #[cfg(test)]

@@ -5,19 +5,28 @@ use crate::policy::Policy;
 use crate::testbed::{run_testbed, RetryPolicy, TestbedConfig};
 use socl_core::SoclConfig;
 use socl_model::{evaluate, Placement, Scenario, ScenarioConfig};
+use socl_net::par::lock_recover;
 use socl_net::rng::{cases, ChaCha12Rng};
+use std::sync::Mutex;
 
 use crate::online::{OnlineConfig, OnlineSimulator};
-use crate::recovery::{Checkpoint, SlotMetrics};
+use crate::recovery::{audit_invariants, Checkpoint, DecisionLog, LogRecord, SlotMetrics};
+use socl_model::codec::TornTail;
+
+/// The tests that set the process-wide thread override take turns, so no
+/// test resets another's count mid-case.
+static THREADS_TURN: Mutex<()> = Mutex::new(());
 
 fn arb_scenario(rng: &mut ChaCha12Rng) -> Scenario {
     let (nodes, users) = (rng.gen_range(6usize..=12), rng.gen_range(10usize..=40));
     ScenarioConfig::paper(nodes, users).build(rng.next_u64())
 }
 
-/// A 5-slot online config exercising failure injection (and optionally
-/// the control plane with mid-slot crashes + repair) — small enough for
-/// property-test case counts, rich enough to churn every checkpoint field.
+/// A 5-slot online config exercising node and link failure injection (and
+/// optionally the control plane with mid-slot crashes + repair) — small
+/// enough for property-test case counts, rich enough to churn every
+/// checkpoint field. Links recover slowly, so a frozen run often carries a
+/// masked link into the restore.
 fn small_online_cfg(seed: u64, scaled: bool) -> OnlineConfig {
     OnlineConfig {
         slots: 5,
@@ -25,6 +34,8 @@ fn small_online_cfg(seed: u64, scaled: bool) -> OnlineConfig {
         nodes: 6,
         fail_prob: 0.3,
         recover_prob: 0.4,
+        link_fail_prob: 0.3,
+        link_recover_prob: 0.2,
         autoscale: scaled.then(|| socl_autoscale::AutoscaleConfig {
             min_replicas: 1,
             stable_window: 8.0,
@@ -39,6 +50,15 @@ fn small_online_cfg(seed: u64, scaled: bool) -> OnlineConfig {
         seed,
         ..OnlineConfig::default()
     }
+}
+
+/// A moderate fault schedule over `cfg`'s horizon, targeted at its
+/// topology and `policy`'s slot-0 placement.
+fn scheduled_faults(cfg: &OnlineConfig, policy: &Policy) -> FaultSchedule {
+    let sim = OnlineSimulator::new(cfg.clone());
+    let sc = sim.base();
+    let horizon = cfg.slots as f64 * cfg.slot_secs;
+    FaultPlan::moderate(horizon).generate(&sc.net, &policy.place(sc, 0), cfg.users, cfg.seed)
 }
 
 /// Step `sim` to its horizon, collecting the deterministic metrics.
@@ -180,6 +200,7 @@ fn faulted_runs_are_deterministic() {
 #[test]
 fn scaling_timelines_are_thread_count_invariant() {
     use socl_autoscale::{AdmissionPolicy, AutoscaleConfig, KeepAlivePolicy, ScalingMode};
+    let _turn = lock_recover(&THREADS_TURN);
     cases(12, |rng| {
         let sc = arb_scenario(rng);
         let placement = Policy::Socl(SoclConfig::default()).place(&sc, 0);
@@ -217,17 +238,25 @@ fn scaling_timelines_are_thread_count_invariant() {
     });
 }
 
-/// Crash consistency, part 1: `restore(snapshot(s))` is observationally
-/// the identity for arbitrary mid-run states — a simulator frozen after
-/// any number of slots, round-tripped through the binary checkpoint
-/// format into a *fresh* simulator, continues bit-identically to the
-/// uninterrupted run, with and without the control plane.
+/// Crash consistency: `restore(snapshot(s))` is observationally the
+/// identity for arbitrary mid-run states. A simulator frozen after any
+/// number of slots of node and link churn — with or without the control
+/// plane, with or without a scheduled fault storm, at any worker-thread
+/// count — and round-tripped through the binary checkpoint format into a
+/// *fresh* simulator continues bit-identically to the uninterrupted run,
+/// and the stitched timeline passes the invariant auditor (billing,
+/// replicas, fault-cursor partition, cache-vs-rebuild).
 #[test]
 fn snapshot_restore_is_observational_identity() {
+    let _turn = lock_recover(&THREADS_TURN);
     cases(12, |rng| {
         let freeze_at = rng.gen_range(0usize..=5);
-        let cfg = small_online_cfg(rng.next_u64(), rng.gen());
+        let mut cfg = small_online_cfg(rng.next_u64(), rng.gen());
         let policy = Policy::Socl(SoclConfig::default());
+        if rng.gen() {
+            cfg.faults = scheduled_faults(&cfg, &policy);
+        }
+        socl_net::set_threads(rng.gen_range(1usize..=3));
         let mut golden_sim = OnlineSimulator::new(cfg.clone());
         let golden = drain_metrics(&mut golden_sim, &policy);
         let mut victim = OnlineSimulator::new(cfg.clone());
@@ -240,35 +269,79 @@ fn snapshot_restore_is_observational_identity() {
         let mut thawed = OnlineSimulator::new(cfg);
         assert!(thawed.restore(&ck).is_ok());
         let suffix = drain_metrics(&mut thawed, &policy);
+        socl_net::set_threads(0);
         assert_eq!(&golden[freeze_at..], &suffix[..]);
+        let stitched = [&golden[..freeze_at], &suffix[..]].concat();
+        let audit = audit_invariants(&thawed, &stitched);
+        assert!(audit.is_clean(), "audit: {:?}", audit.violations);
     });
 }
 
-/// Crash consistency, part 2: the full kill-and-recover driver matches
-/// the uninterrupted golden run bit for bit — for arbitrary kill-points,
-/// checkpoint cadences and torn-tail modes, at any worker-thread count —
-/// and the invariant auditor stays clean.
+/// Crash consistency through the durable bytes: a victim logs every
+/// slot's `SlotEnd` into a [`DecisionLog`] and checkpoints on a drawn
+/// cadence, dies at an arbitrary slot boundary with a torn log tail, and
+/// recovers from its last checkpoint image. The clean log prefix supplies
+/// the slots before the restore point, every replayed slot the log still
+/// holds reproduces its record, the stitched timeline equals the
+/// uninterrupted run at any worker-thread count, and the invariant auditor
+/// stays clean.
 #[test]
 fn crash_recovery_replay_matches_golden() {
-    use crate::recovery::{run_crash_recovery, RecoveryConfig, TornTail};
     const TORN_TAILS: [TornTail; 3] = [TornTail::Clean, TornTail::Garbage, TornTail::PartialRecord];
+    let _turn = lock_recover(&THREADS_TURN);
     cases(12, |rng| {
         let cfg = small_online_cfg(rng.next_u64(), rng.gen());
         let policy = Policy::Socl(SoclConfig::default());
-        let rcfg = RecoveryConfig {
-            checkpoint_every: rng.gen_range(1usize..=4),
-            kill_at_slot: rng.gen_range(0usize..=5),
-            torn_tail: *rng.choose(&TORN_TAILS).unwrap(),
-        };
+        let (every, kill) = (rng.gen_range(1usize..=4), rng.gen_range(0usize..=5));
+        let torn = *rng.choose(&TORN_TAILS).unwrap();
         socl_net::set_threads(rng.gen_range(1usize..=3));
-        let out = run_crash_recovery(&cfg, &policy, &rcfg);
+        let golden = drain_metrics(&mut OnlineSimulator::new(cfg.clone()), &policy);
+
+        let mut victim = OnlineSimulator::new(cfg.clone());
+        let (mut log, mut image) = (DecisionLog::new(), victim.snapshot().to_bytes());
+        while victim.next_slot() < kill {
+            let slot = victim.next_slot();
+            if slot % every == 0 {
+                image = victim.snapshot().to_bytes();
+            }
+            let metrics = SlotMetrics::of(&victim.step(&policy, &mut |_, _| None));
+            let slot = slot as u64;
+            log.append(&LogRecord::SlotEnd { slot, metrics });
+        }
+        drop(victim);
+        let mut wire = log.into_bytes();
+        torn.mangle(&mut wire, rng.next_u64());
+
+        let (clean, tail) = DecisionLog::from_bytes(&wire);
+        let logged: Vec<SlotMetrics> = clean
+            .records()
+            .unwrap_or_else(|e| panic!("clean log prefix failed to decode: {e:?}"))
+            .into_iter()
+            .filter_map(|r| match r {
+                LogRecord::SlotEnd { metrics, .. } => Some(metrics),
+                _ => None,
+            })
+            .collect();
+        let ck = Checkpoint::from_bytes(&image)
+            .unwrap_or_else(|e| panic!("checkpoint failed to decode: {e:?}"));
+        let mut thawed = OnlineSimulator::new(cfg);
+        assert!(thawed.restore(&ck).is_ok());
+        let from = thawed.next_slot();
+        let replayed = drain_metrics(&mut thawed, &policy);
         socl_net::set_threads(0);
-        let out = out.unwrap_or_else(|e| panic!("recovery failed: {e:?}"));
-        let (metrics, log) = (out.metric_mismatches, out.replay_log_mismatches);
-        assert_eq!(metrics, 0, "stitched timeline diverged from golden");
-        assert_eq!(log, 0, "replay contradicted the durable log");
-        assert!(out.audit.is_clean(), "audit: {:?}", out.audit.violations);
-        assert_eq!(out.stitched.len(), out.golden.len());
+
+        let torn_away = torn != TornTail::Clean && !wire.is_empty();
+        assert_eq!(tail.truncated_bytes > 0, torn_away);
+        assert!(
+            logged.len() >= from,
+            "a slot before the checkpoint was lost"
+        );
+        let relogged = &replayed[..logged.len() - from];
+        assert_eq!(&logged[from..], relogged, "replay contradicted the log");
+        let stitched = [&logged[..from], &replayed[..]].concat();
+        assert_eq!(golden, stitched, "stitched timeline diverged from golden");
+        let audit = audit_invariants(&thawed, &stitched);
+        assert!(audit.is_clean(), "audit: {:?}", audit.violations);
     });
 }
 

@@ -1,10 +1,10 @@
-//! Crash-consistent checkpoint/restore and deterministic event-log replay.
+//! Crash-consistent checkpoint/restore and the simulator's event log.
 //!
 //! The online simulator is a deterministic fold over its own state, which
 //! makes it crash-recoverable in the strongest sense: freeze the complete
-//! live state at any slot boundary, kill the process, restore, and the
-//! resumed run is **bit-identical** to the uninterrupted one — not merely
-//! statistically equivalent. This module provides the three pieces:
+//! live state at any slot boundary, restore it into a fresh simulator, and
+//! the resumed run is **bit-identical** to the uninterrupted one — not
+//! merely statistically equivalent. This module provides three pieces:
 //!
 //! * [`Checkpoint`] — a versioned binary image of everything
 //!   [`OnlineSimulator`] accumulates at runtime: the slot clock, the
@@ -22,25 +22,22 @@
 //!   advances, checkpoint markers): a `socl_model::codec::Journal` of
 //!   [`LogRecord`]s, so a torn or corrupted tail is truncated at the first
 //!   bad frame and reported — a partial record is never silently replayed.
-//! * [`run_crash_recovery`] — the driver: runs a victim to a seeded
-//!   kill-point (checkpointing every `checkpoint_every` slots), tears it
-//!   down, restores from the last checkpoint plus the clean log prefix,
-//!   replays the suffix, and stitches a full timeline that must equal the
-//!   uninterrupted golden run slot for slot, bit for bit. After recovery
-//!   the [`audit_invariants`] auditor checks conservation laws the crash
-//!   must not have bent: population, billing, replica placement, fault-
-//!   cursor partition, and cache-vs-rebuild equivalence.
+//! * [`audit_invariants`] — the conservation laws a restore must not bend:
+//!   population, billing, replica placement, fault-cursor partition, and
+//!   cache-vs-rebuild equivalence.
+//!
+//! The kill-and-replay drill runs on the service that takes load
+//! (`SoclServe::kill_and_restore`, soaked in `serve/tests/proptests.rs`);
+//! here `snapshot_restore_is_observational_identity` (`proptests.rs`)
+//! freezes and thaws arbitrary faulted runs and audits the result.
 
-use crate::online::{OnlineConfig, OnlineSimulator, SlotRecord};
-use crate::policy::Policy;
-use socl_autoscale::{ScalerState, ServiceStateSnapshot};
+use crate::online::{OnlineSimulator, SlotRecord};
+use socl_autoscale::{get_scaler_state, put_scaler_state, ScalerState};
 use socl_model::codec::{open, seal, Journal, Record};
 pub use socl_model::codec::{TailReport, TornTailReason};
 use socl_model::{BinReader, BinWriter, CodecError, ServiceId, UserId, UserRequest};
 use socl_net::rng::ChaCha12Rng;
-use socl_net::time::Stopwatch;
 use socl_net::NodeId;
-use std::time::Duration;
 
 /// Checkpoint format tag (`b"SCKP"` little-endian).
 const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"SCKP");
@@ -153,79 +150,6 @@ fn get_request(r: &mut BinReader<'_>) -> Result<UserRequest, CodecError> {
         r_in: r.get_f64()?,
         r_out: r.get_f64()?,
         d_max: r.get_f64()?,
-    })
-}
-
-/// Serialize a full [`ScalerState`] (counts, caps, per-service windows,
-/// cooldowns) into `w`. Public so services layered above the
-/// simulator — the socl-serve control plane — checkpoint their per-region
-/// autoscalers through the exact codec this module's own [`Checkpoint`]
-/// uses, instead of re-deriving the wire format.
-pub fn put_scaler_state(w: &mut BinWriter, s: &ScalerState) {
-    w.put_usize(s.services);
-    w.put_usize(s.nodes);
-    w.put_u32_slice(&s.counts);
-    w.put_u32_slice(&s.caps);
-    w.put_usize(s.states.len());
-    for st in &s.states {
-        w.put_usize(st.samples.len());
-        for &(t, v) in &st.samples {
-            w.put_f64(t);
-            w.put_f64(v);
-        }
-        w.put_usize(st.desires.len());
-        for &(t, v) in &st.desires {
-            w.put_f64(t);
-            w.put_u32(v);
-        }
-        w.put_f64(st.last_down);
-        w.put_f64(st.panic_until);
-    }
-    w.put_u64(s.up_events);
-    w.put_u64(s.down_events);
-    w.put_f64(s.cold_start);
-}
-
-/// Decode a [`ScalerState`] written by [`put_scaler_state`].
-///
-/// # Errors
-/// [`CodecError`] on truncated input or a sequence length the remaining
-/// input cannot hold.
-pub fn get_scaler_state(r: &mut BinReader<'_>) -> Result<ScalerState, CodecError> {
-    let services = r.get_usize()?;
-    let nodes = r.get_usize()?;
-    let counts = r.get_u32_vec()?;
-    let caps = r.get_u32_vec()?;
-    // Two length prefixes and two cooldown stamps.
-    let n_states = r.seq_len(32)?;
-    let mut states = Vec::with_capacity(n_states);
-    for _ in 0..n_states {
-        let n_samples = r.seq_len(16)?;
-        let mut samples = Vec::with_capacity(n_samples);
-        for _ in 0..n_samples {
-            samples.push((r.get_f64()?, r.get_f64()?));
-        }
-        let n_desires = r.seq_len(12)?;
-        let mut desires = Vec::with_capacity(n_desires);
-        for _ in 0..n_desires {
-            desires.push((r.get_f64()?, r.get_u32()?));
-        }
-        states.push(ServiceStateSnapshot {
-            samples,
-            desires,
-            last_down: r.get_f64()?,
-            panic_until: r.get_f64()?,
-        });
-    }
-    Ok(ScalerState {
-        services,
-        nodes,
-        counts,
-        caps,
-        states,
-        up_events: r.get_u64()?,
-        down_events: r.get_u64()?,
-        cold_start: r.get_f64()?,
     })
 }
 
@@ -892,303 +816,11 @@ pub fn audit_invariants(sim: &OnlineSimulator, timeline: &[SlotMetrics]) -> Audi
     AuditReport { violations: v }
 }
 
-// ---------------------------------------------------------------------------
-// The crash-recovery driver.
-// ---------------------------------------------------------------------------
-
-/// How the log's tail is mangled between the kill and the recovery —
-/// models a crash mid-write to durable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TornTail {
-    /// The log survived intact.
-    Clean,
-    /// Arbitrary garbage bytes follow the last complete record.
-    Garbage,
-    /// The crash tore a record mid-frame: a valid header plus a payload
-    /// prefix.
-    PartialRecord,
-}
-
-/// Parameters of one crash-recovery exercise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Checkpoint every this many slots (≥ 1; slot 0 is always
-    /// checkpointed, so recovery is possible from any kill-point).
-    pub checkpoint_every: usize,
-    /// Kill the victim when its clock reaches this slot (clamped to the
-    /// horizon; the kill lands at the slot *boundary*, i.e. after slot
-    /// `kill_at_slot − 1` completed).
-    pub kill_at_slot: usize,
-    /// How the crash mangles the log tail.
-    pub torn_tail: TornTail,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        Self {
-            checkpoint_every: 4,
-            kill_at_slot: 6,
-            torn_tail: TornTail::Clean,
-        }
-    }
-}
-
-/// What one kill-and-recover exercise produced.
-#[derive(Debug, Clone)]
-pub struct RecoveryOutcome {
-    /// Per-slot metrics of the uninterrupted golden run.
-    pub golden: Vec<SlotMetrics>,
-    /// The recovered timeline: durably-logged slots before the restore
-    /// point, re-executed slots from there to the horizon.
-    pub stitched: Vec<SlotMetrics>,
-    /// Slot the last usable checkpoint resumed at.
-    pub restored_from_slot: usize,
-    /// Slots re-executed after the restore.
-    pub replayed_slots: usize,
-    /// Replayed slots whose metrics matched their logged `SlotEnd`
-    /// record bit for bit.
-    pub replay_log_matches: usize,
-    /// Replayed slots that contradicted the log — must be 0.
-    pub replay_log_mismatches: usize,
-    /// Stitched slots that differ from the golden run — must be 0.
-    pub metric_mismatches: usize,
-    /// Serialized size of the checkpoint recovery restored from.
-    pub checkpoint_bytes: usize,
-    /// Log size at the kill (before tail mangling).
-    pub log_bytes: usize,
-    /// Bytes the torn-tail scan discarded.
-    pub truncated_tail_bytes: usize,
-    /// Wall-clock spent serializing checkpoints during the victim run.
-    pub checkpoint_wall: Duration,
-    /// Wall-clock of the recovery itself: log scan + checkpoint decode +
-    /// restore + replay to the kill-point.
-    pub recovery_wall: Duration,
-    /// Invariant audit of the recovered simulator and stitched timeline.
-    pub audit: AuditReport,
-}
-
-/// Why a recovery exercise could not complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveryError {
-    /// The checkpoint image failed to decode.
-    Checkpoint(CodecError),
-    /// The decoded checkpoint did not fit the run configuration.
-    Restore(RestoreError),
-}
-
-impl std::fmt::Display for RecoveryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecoveryError::Checkpoint(e) => write!(f, "checkpoint decode failed: {e}"),
-            RecoveryError::Restore(e) => write!(f, "checkpoint restore failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RecoveryError {}
-
-impl From<CodecError> for RecoveryError {
-    fn from(e: CodecError) -> Self {
-        RecoveryError::Checkpoint(e)
-    }
-}
-
-impl From<RestoreError> for RecoveryError {
-    fn from(e: RestoreError) -> Self {
-        RecoveryError::Restore(e)
-    }
-}
-
-fn no_measure(_: &socl_model::Scenario, _: &socl_model::Placement) -> Option<(f64, f64)> {
-    None
-}
-
-/// Run the full kill-and-recover exercise for `cfg` under `policy`:
-/// golden run, victim run torn down at the kill-point, restore from the
-/// last checkpoint plus the clean log prefix, deterministic replay to the
-/// horizon, then the invariant audit.
-///
-/// # Errors
-/// [`RecoveryError`] when the checkpoint fails to decode or apply — both
-/// indicate a bug (or a deliberately corrupted image), never a normal
-/// crash, since torn *logs* are handled by truncation.
-pub fn run_crash_recovery(
-    cfg: &OnlineConfig,
-    policy: &Policy,
-    rcfg: &RecoveryConfig,
-) -> Result<RecoveryOutcome, RecoveryError> {
-    // -- golden: the uninterrupted reference ------------------------------
-    let mut golden_sim = OnlineSimulator::new(cfg.clone());
-    let mut golden = Vec::with_capacity(cfg.slots);
-    while golden_sim.next_slot() < cfg.slots {
-        let rec = golden_sim.step(policy, &mut no_measure);
-        golden.push(SlotMetrics::of(&rec));
-    }
-
-    // -- victim: run to the kill-point, checkpointing and logging ---------
-    let kill = rcfg.kill_at_slot.min(cfg.slots);
-    let every = rcfg.checkpoint_every.max(1);
-    let mut victim = OnlineSimulator::new(cfg.clone());
-    let mut log = DecisionLog::new();
-    let mut checkpoint_wall = Duration::ZERO;
-    let t0 = Stopwatch::start();
-    let mut ck_bytes = victim.snapshot().to_bytes();
-    checkpoint_wall += t0.elapsed();
-    let mut ck_slot = 0usize;
-    log.append(&LogRecord::CheckpointTaken {
-        slot: 0,
-        bytes: ck_bytes.len() as u64,
-    });
-    while victim.next_slot() < kill {
-        let s = victim.next_slot();
-        if s > 0 && s % every == 0 {
-            let t = Stopwatch::start();
-            let bytes = victim.snapshot().to_bytes();
-            checkpoint_wall += t.elapsed();
-            log.append(&LogRecord::CheckpointTaken {
-                slot: s as u64,
-                bytes: bytes.len() as u64,
-            });
-            ck_bytes = bytes;
-            ck_slot = s;
-        }
-        log.append(&LogRecord::SlotBegin { slot: s as u64 });
-        let rec = victim.step(policy, &mut no_measure);
-        let m = SlotMetrics::of(&rec);
-        log.append(&LogRecord::FaultCursor {
-            slot: s as u64,
-            cursor: victim.fault_cursor as u64,
-        });
-        if m.scale_ups + m.scale_downs > 0 {
-            log.append(&LogRecord::ScalerTick {
-                slot: s as u64,
-                ups: m.scale_ups,
-                downs: m.scale_downs,
-            });
-        }
-        if m.shed_requests > 0 {
-            log.append(&LogRecord::Shed {
-                slot: s as u64,
-                count: m.shed_requests,
-            });
-        }
-        if m.mid_slot_failures > 0 {
-            log.append(&LogRecord::Repair {
-                slot: s as u64,
-                churn: m.repair_churn,
-            });
-        }
-        log.append(&LogRecord::SlotEnd {
-            slot: s as u64,
-            metrics: m,
-        });
-    }
-    // The crash: the victim's in-memory state is gone…
-    drop(victim);
-    let log_bytes = log.len_bytes();
-    // …and the durable log may have a torn tail.
-    let mut wire = log.into_bytes();
-    match rcfg.torn_tail {
-        TornTail::Clean => {}
-        TornTail::Garbage => {
-            wire.extend_from_slice(&[0xDE, 0xAD, 0xBE, 0xEF, 0x5A, 0xA5, 0x0F]);
-        }
-        TornTail::PartialRecord => {
-            let mut torn = DecisionLog::new();
-            torn.append(&LogRecord::SlotBegin { slot: u64::MAX });
-            let frame = torn.into_bytes();
-            let cut = frame.len().saturating_sub(3);
-            wire.extend(frame.iter().take(cut));
-        }
-    }
-
-    // -- recovery: truncate the tail, restore, replay ---------------------
-    let t = Stopwatch::start();
-    let (clean, tail) = DecisionLog::from_bytes(&wire);
-    let ck = Checkpoint::from_bytes(&ck_bytes)?;
-    let mut recovered = OnlineSimulator::new(cfg.clone());
-    recovered.restore(&ck)?;
-    let restored_from = recovered.next_slot();
-    let records = clean.records()?;
-    let logged_ends: Vec<(u64, SlotMetrics)> = records
-        .iter()
-        .filter_map(|r| match r {
-            LogRecord::SlotEnd { slot, metrics } => Some((*slot, *metrics)),
-            _ => None,
-        })
-        .collect();
-
-    // Slots before the restore point come from the durable log.
-    let mut stitched: Vec<SlotMetrics> = logged_ends
-        .iter()
-        .filter(|(s, _)| (*s as usize) < restored_from)
-        .map(|(_, m)| *m)
-        .collect();
-    let mut driver_violations = Vec::new();
-    if stitched.len() != restored_from {
-        driver_violations.push(format!(
-            "log: only {} of {restored_from} pre-checkpoint slots were durably logged",
-            stitched.len()
-        ));
-    }
-
-    // Replay from the checkpoint; the log is the oracle up to the kill.
-    let mut replay_log_matches = 0usize;
-    let mut replay_log_mismatches = 0usize;
-    let mut replayed_slots = 0usize;
-    while recovered.next_slot() < cfg.slots {
-        let s = recovered.next_slot();
-        let rec = recovered.step(policy, &mut no_measure);
-        let m = SlotMetrics::of(&rec);
-        if s < kill {
-            replayed_slots += 1;
-        }
-        if let Some((_, logged)) = logged_ends.iter().find(|(ls, _)| *ls as usize == s) {
-            if *logged == m {
-                replay_log_matches += 1;
-            } else {
-                replay_log_mismatches += 1;
-            }
-        }
-        stitched.push(m);
-    }
-    let recovery_wall = t.elapsed();
-
-    let metric_mismatches = golden.iter().zip(&stitched).filter(|(g, r)| g != r).count()
-        + golden.len().abs_diff(stitched.len());
-
-    let mut audit = audit_invariants(&recovered, &stitched);
-    audit.violations.splice(0..0, driver_violations);
-    // The checkpoint-vs-run consistency the ISSUE calls "coverage": the
-    // restore point must sit on the checkpoint cadence and never after
-    // the kill.
-    if restored_from != ck_slot || restored_from > kill {
-        audit.violations.push(format!(
-            "driver: restored from slot {restored_from}, expected checkpoint slot {ck_slot} ≤ kill {kill}"
-        ));
-    }
-
-    Ok(RecoveryOutcome {
-        golden,
-        stitched,
-        restored_from_slot: restored_from,
-        replayed_slots,
-        replay_log_matches,
-        replay_log_mismatches,
-        metric_mismatches,
-        checkpoint_bytes: ck_bytes.len(),
-        log_bytes,
-        truncated_tail_bytes: tail.truncated_bytes,
-        checkpoint_wall,
-        recovery_wall,
-        audit,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultEvent, FaultKind, FaultSchedule};
+    use crate::online::OnlineConfig;
+    use crate::policy::Policy;
     use socl_core::SoclConfig;
 
     fn small_cfg(seed: u64) -> OnlineConfig {
@@ -1218,6 +850,10 @@ mod tests {
             repair: true,
             ..small_cfg(seed)
         }
+    }
+
+    fn no_measure(_: &socl_model::Scenario, _: &socl_model::Placement) -> Option<(f64, f64)> {
+        None
     }
 
     fn policy() -> Policy {
@@ -1383,118 +1019,6 @@ mod tests {
             records.len() - 1
         );
         assert_eq!(tail.reason, Some(TornTailReason::ChecksumMismatch));
-    }
-
-    #[test]
-    fn kill_and_recover_matches_golden_at_every_kill_point() {
-        let p = policy();
-        let cfg = small_cfg(7);
-        for kill in 0..=cfg.slots {
-            let out = run_crash_recovery(
-                &cfg,
-                &p,
-                &RecoveryConfig {
-                    checkpoint_every: 3,
-                    kill_at_slot: kill,
-                    torn_tail: TornTail::Clean,
-                },
-            )
-            .expect("recovery must complete");
-            assert_eq!(
-                out.metric_mismatches, 0,
-                "kill at {kill}: stitched timeline diverged from golden"
-            );
-            assert_eq!(
-                out.replay_log_mismatches, 0,
-                "kill at {kill}: replay contradicted the log"
-            );
-            assert!(
-                out.audit.is_clean(),
-                "kill at {kill}: {:?}",
-                out.audit.violations
-            );
-            assert_eq!(out.golden.len(), cfg.slots);
-            assert_eq!(out.stitched.len(), cfg.slots);
-        }
-    }
-
-    #[test]
-    fn kill_and_recover_survives_torn_tails_and_control_plane_churn() {
-        let p = policy();
-        let cfg = scaled_cfg(13);
-        for torn in [TornTail::Clean, TornTail::Garbage, TornTail::PartialRecord] {
-            let out = run_crash_recovery(
-                &cfg,
-                &p,
-                &RecoveryConfig {
-                    checkpoint_every: 2,
-                    kill_at_slot: 5,
-                    torn_tail: torn,
-                },
-            )
-            .expect("recovery must complete");
-            assert_eq!(out.metric_mismatches, 0, "{torn:?}: diverged from golden");
-            assert_eq!(out.replay_log_mismatches, 0, "{torn:?}: contradicted log");
-            assert!(out.audit.is_clean(), "{torn:?}: {:?}", out.audit.violations);
-            if torn != TornTail::Clean {
-                assert!(
-                    out.truncated_tail_bytes > 0,
-                    "{torn:?}: torn tail was not detected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn recovery_works_under_a_scheduled_fault_storm() {
-        let p = policy();
-        let schedule = FaultSchedule::from_events(vec![
-            FaultEvent {
-                time: 0.0,
-                kind: FaultKind::NodeCrash(NodeId(1)),
-            },
-            FaultEvent {
-                time: 650.0,
-                kind: FaultKind::NodeRecover(NodeId(1)),
-            },
-            FaultEvent {
-                time: 900.0,
-                kind: FaultKind::LinkDegrade {
-                    link: 0,
-                    factor: 4.0,
-                },
-            },
-            FaultEvent {
-                time: 1500.0,
-                kind: FaultKind::LinkRestore { link: 0 },
-            },
-        ]);
-        let cfg = OnlineConfig {
-            faults: schedule,
-            // The schedule is the only fault source: random churn could
-            // revive node 1 before a metrics snapshot observes the outage.
-            fail_prob: 0.0,
-            recover_prob: 0.0,
-            ..small_cfg(29)
-        };
-        // Kill inside the outage window: the restored run must resume
-        // mid-schedule without replaying or skipping events.
-        let out = run_crash_recovery(
-            &cfg,
-            &p,
-            &RecoveryConfig {
-                checkpoint_every: 2,
-                kill_at_slot: 3,
-                torn_tail: TornTail::Garbage,
-            },
-        )
-        .expect("recovery must complete");
-        assert_eq!(out.metric_mismatches, 0);
-        assert!(out.audit.is_clean(), "{:?}", out.audit.violations);
-        assert!(
-            out.golden.iter().any(|m| m.failed_nodes > 0),
-            "the schedule never took a node down"
-        );
     }
 
     #[test]

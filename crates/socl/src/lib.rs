@@ -64,12 +64,10 @@ pub mod prelude {
         TickRecord, TickSummary,
     };
     pub use socl_sim::{
-        audit_invariants, run_chaos_soak, run_crash_recovery, run_testbed, AuditReport, Checkpoint,
-        DecisionLog, FaultEvent, FaultKind, FaultPlan, FaultSchedule, FaultStats, FaultTimeline,
-        LogRecord, MobilityModel, OnlineConfig, OnlineSimulator, Policy, RecoveryConfig,
-        RecoveryError, RecoveryOutcome, RestoreError, RetryPolicy, RngState, SlotMetrics,
-        SlotRecord, SoakCase, SoakError, SoakPlan, SoakRow, SoakSummary, TailReport, TestbedConfig,
-        TestbedResult, TornTail, TornTailReason,
+        audit_invariants, run_testbed, AuditReport, Checkpoint, DecisionLog, FaultEvent, FaultKind,
+        FaultPlan, FaultSchedule, FaultStats, FaultTimeline, LogRecord, MobilityModel,
+        OnlineConfig, OnlineSimulator, Policy, RestoreError, RetryPolicy, RngState, SlotMetrics,
+        SlotRecord, TailReport, TestbedConfig, TestbedResult, TornTail, TornTailReason,
     };
     pub use socl_trace::{
         cosine_similarity, jaccard_similarity, similarity_matrix, TemporalConfig, TemporalWorkload,
