@@ -34,6 +34,7 @@
 use crate::config::{SoclConfig, StoragePolicy};
 use crate::fuzzy::{order_factor, rho_scores, RhoCriteria};
 use crate::partition::ServicePartitions;
+use socl_model::placement::ones;
 use socl_model::{through_costs, Placement, Scenario, ServiceId, ThroughFill, ThroughScratch};
 use socl_net::NodeId;
 
@@ -139,15 +140,12 @@ pub struct Combiner<'a> {
 
 /// Writes to `lost` the nodes host row `was` sets and `now` does not;
 /// false when `now` also sets a node `was` does not (a host was gained).
-fn only_lost(was: &[bool], now: &[bool], lost: &mut Vec<usize>) -> bool {
+fn only_lost(was: &[u64], now: &[u64], lost: &mut Vec<usize>) -> bool {
     lost.clear();
-    for (k, (&a, &b)) in was.iter().zip(now).enumerate() {
-        match (a, b) {
-            (false, true) => return false,
-            (true, false) => lost.push(k),
-            _ => {}
-        }
+    if was.iter().zip(now).any(|(&a, &b)| b & !a != 0) {
+        return false;
     }
+    lost.extend(ones(was.iter().zip(now).map(|(&a, &b)| a & !b)));
     true
 }
 
@@ -304,8 +302,9 @@ impl<'a> Combiner<'a> {
         let (sc, nodes) = (self.sc, self.sc.nodes());
         if self.complete[h] {
             for (r, &s) in (self.row_of[h]..).zip(&sc.requests[h].chain) {
-                let hosted = self.placement.host_row(s);
-                for k in (0..nodes).filter(|&k| !hosted[k]) {
+                let vacant = ones(self.placement.host_row(s).iter().map(|&w| !w));
+                // Padding bits read vacant too: stop at the last node.
+                for k in vacant.take_while(|&k| k < nodes) {
                     self.through[r * nodes + k] = f64::NAN;
                 }
             }

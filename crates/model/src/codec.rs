@@ -538,11 +538,13 @@ pub trait Record: Sized {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TornTailReason {
     /// The tail is shorter than its frame header or declared payload —
-    /// the classic torn write.
+    /// the classic torn write ([`TornTail::PartialRecord`]).
     TruncatedFrame,
-    /// A complete frame whose payload fails its CRC.
+    /// A complete frame whose payload fails its CRC ([`TornTail::Garbage`]).
     ChecksumMismatch,
-    /// A CRC-valid payload that does not decode to a record.
+    /// A CRC-valid payload that does not decode to a record. No crash can
+    /// write one, so no [`TornTail`] reaches it: only a bit-flip sweep of
+    /// stored bytes does (`tests/persistence.rs`).
     MalformedRecord,
 }
 
@@ -570,20 +572,27 @@ pub enum TornTail {
 }
 
 impl TornTail {
-    /// Apply this crash to `bytes`: 13 xorshift bytes seeded by `seed`
-    /// (deterministic, checksum-hostile) for [`Garbage`](Self::Garbage),
-    /// the last 5 bytes cut for [`PartialRecord`](Self::PartialRecord).
+    /// Apply this crash to `bytes`. [`Garbage`](Self::Garbage) appends one
+    /// complete 13-byte frame: a header declaring a 5-byte payload, then 5
+    /// xorshift bytes seeded by `seed`, under a CRC that xorshift bits
+    /// always make wrong, so the scan stops at the checksum. The
+    /// [`PartialRecord`](Self::PartialRecord) crash cuts the last 5 bytes.
     pub fn mangle(self, bytes: &mut Vec<u8>, seed: u64) {
         match self {
             TornTail::Clean => {}
             TornTail::Garbage => {
                 let mut x = seed | 1;
-                for _ in 0..13 {
+                let mut xorshift = || {
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
-                    bytes.push((x & 0xFF) as u8);
-                }
+                    x
+                };
+                let payload: [u8; 5] = std::array::from_fn(|_| xorshift() as u8);
+                let crc = crc32(&payload) ^ (xorshift() as u32 | 1);
+                bytes.extend(5u32.to_le_bytes());
+                bytes.extend(crc.to_le_bytes());
+                bytes.extend(payload);
             }
             TornTail::PartialRecord => {
                 let cut = bytes.len().saturating_sub(5);

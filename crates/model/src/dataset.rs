@@ -24,6 +24,10 @@ pub struct DependencyDataset {
     edges: Vec<(u32, u32)>,
     /// Services at which user-facing chains start (front doors).
     entries: Vec<u32>,
+    /// `succ[succ_off[s]..succ_off[s + 1]]`: the callees of `s`, in `edges`
+    /// order.
+    succ_off: Vec<usize>,
+    succ: Vec<u32>,
 }
 
 impl DependencyDataset {
@@ -41,7 +45,14 @@ impl DependencyDataset {
         for &e in &entries {
             assert!(e < n, "entry {e} out of range");
         }
+        // A stable sort keeps each caller's callees in edge-list order.
+        let mut by_caller = edges.clone();
+        by_caller.sort_by_key(|&(a, _)| a);
         let ds = Self {
+            succ_off: (0..=n)
+                .map(|s| by_caller.partition_point(|&(a, _)| a < s))
+                .collect(),
+            succ: by_caller.iter().map(|&(_, b)| b).collect(),
             names,
             edges,
             entries,
@@ -70,17 +81,9 @@ impl DependencyDataset {
         &self.edges
     }
 
-    /// Direct callees of `s`.
-    pub fn successors(&self, s: u32) -> Vec<u32> {
-        self.successors_iter(s).collect()
-    }
-
-    /// Direct callees of `s`, without allocating — the form hot loops use.
-    pub fn successors_iter(&self, s: u32) -> impl Iterator<Item = u32> + '_ {
-        self.edges
-            .iter()
-            .filter(move |&&(a, _)| a == s)
-            .map(|&(_, b)| b)
+    /// Direct callees of `s`, in edge-list order.
+    pub fn successors(&self, s: u32) -> &[u32] {
+        &self.succ[self.succ_off[s as usize]..self.succ_off[s as usize + 1]]
     }
 
     fn is_acyclic(&self) -> bool {
@@ -134,8 +137,10 @@ impl DependencyDataset {
         min_len: usize,
         max_len: usize,
     ) -> Vec<ServiceId> {
-        let mut attempt = Vec::new();
-        let mut out = Vec::new();
+        // A chain never repeats a service.
+        let longest = max_len.min(self.len());
+        let mut attempt = Vec::with_capacity(longest);
+        let mut out = Vec::with_capacity(longest);
         self.sample_chain_into(rng, min_len, max_len, &mut attempt, &mut out);
         out
     }
@@ -167,15 +172,8 @@ impl DependencyDataset {
             let mut cur = *rng.choose(&self.entries).unwrap_or(&0);
             attempt.push(ServiceId(cur));
             while attempt.len() < target {
-                // The draw `choose` makes on the collected successors,
-                // without collecting them.
-                let n = self.successors_iter(cur).count();
-                if n == 0 {
-                    break;
-                }
-                let pick = rng.gen_range(0..n as u32) as usize;
-                match self.successors_iter(cur).nth(pick) {
-                    Some(next) => cur = next,
+                match rng.choose(self.successors(cur)) {
+                    Some(&next) => cur = next,
                     None => break,
                 }
                 attempt.push(ServiceId(cur));
@@ -383,7 +381,12 @@ mod tests {
             let mut cur = *rng.choose(&ds.entries).unwrap_or(&0);
             let mut attempt = vec![ServiceId(cur)];
             while attempt.len() < target {
-                let succ: Vec<u32> = ds.successors_iter(cur).collect();
+                let succ: Vec<u32> = ds
+                    .edges()
+                    .iter()
+                    .filter(|&&(a, _)| a == cur)
+                    .map(|&(_, b)| b)
+                    .collect();
                 match rng.choose(&succ) {
                     Some(&next) => cur = next,
                     None => break,

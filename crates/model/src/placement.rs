@@ -1,8 +1,9 @@
 //! Deployment decisions `x(i,k)` and service assignments `y(h,i,k)`.
 //!
-//! [`Placement`] is the dense binary matrix of deployment decisions
-//! (Definition 3); [`Assignment`] materializes the service decision — for
-//! each request and each chain position, the node that serves it. The
+//! [`Placement`] is the binary matrix of deployment decisions (Definition
+//! 3), one row of 64-bit words per service with bit `k % 64` of word `k / 64`
+//! standing for node `k`; [`Assignment`] materializes the service decision —
+//! for each request and each chain position, the node that serves it. The
 //! assignment representation exploits that `Σ_k y(h,i,k) = 1` (Eq. 9): we
 //! store one node per (request, position) instead of the full tensor.
 
@@ -11,31 +12,77 @@ use crate::service::{ServiceCatalog, ServiceId};
 use socl_net::{EdgeNetwork, NodeId};
 
 /// The deployment matrix `x(i,k) ∈ {0,1}` for `|M|` services × `|V|` nodes.
+///
+/// Row `i` is `⌈|V|/64⌉` words; bits at or past `|V|` are always zero, so
+/// two placements with the same cells compare equal word for word.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     services: usize,
     nodes: usize,
+    /// Words per service row.
+    words: usize,
     /// Row-major service-by-node bitmap.
-    x: Vec<bool>,
+    x: Vec<u64>,
+}
+
+/// Ascending indices of the set bits of a run of words, bit `b` of word
+/// `w` being index `64·w + b` — how every listing of a [`Placement`] row
+/// ([`Placement::host_row`]) walks it.
+pub fn ones<I: Iterator<Item = u64>>(words: I) -> Ones<I> {
+    Ones {
+        words: words.enumerate(),
+        word: 0,
+        base: 0,
+    }
+}
+
+/// The iterator [`ones`] returns.
+#[derive(Debug, Clone)]
+pub struct Ones<I> {
+    words: std::iter::Enumerate<I>,
+    word: u64,
+    base: usize,
+}
+
+impl<I: Iterator<Item = u64>> Iterator for Ones<I> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (w, word) = self.words.next()?;
+            (self.base, self.word) = (64 * w, word);
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
 }
 
 impl Placement {
     /// All-zero placement.
     pub fn empty(services: usize, nodes: usize) -> Self {
+        let words = nodes.div_ceil(64);
         Self {
             services,
             nodes,
-            x: vec![false; services * nodes],
+            words,
+            x: vec![0; services * words],
         }
     }
 
     /// Placement with an instance of every service on every node
     /// (GC-OG's starting point; also the latency-optimal extreme).
     pub fn full(services: usize, nodes: usize) -> Self {
+        let mut row = vec![u64::MAX; nodes.div_ceil(64)];
+        if let Some(last) = row.last_mut().filter(|_| nodes % 64 != 0) {
+            *last = (1 << (nodes % 64)) - 1;
+        }
         Self {
             services,
             nodes,
-            x: vec![true; services * nodes],
+            words: row.len(),
+            x: row.repeat(services),
         }
     }
 
@@ -54,19 +101,27 @@ impl Placement {
     /// Read `x(i,k)`.
     #[inline]
     pub fn get(&self, m: ServiceId, k: NodeId) -> bool {
-        self.x[m.idx() * self.nodes + k.idx()]
+        debug_assert!(k.idx() < self.nodes, "node {k} of {}", self.nodes);
+        (self.x[m.idx() * self.words + k.idx() / 64] >> (k.idx() % 64)) & 1 != 0
     }
 
     /// Write `x(i,k)`.
     #[inline]
     pub fn set(&mut self, m: ServiceId, k: NodeId, v: bool) {
-        self.x[m.idx() * self.nodes + k.idx()] = v;
+        debug_assert!(k.idx() < self.nodes, "node {k} of {}", self.nodes);
+        let (word, bit) = (m.idx() * self.words + k.idx() / 64, 1 << (k.idx() % 64));
+        if v {
+            self.x[word] |= bit;
+        } else {
+            self.x[word] &= !bit;
+        }
     }
 
-    /// Row `m` of the matrix: `x(m, k)` for every node `k`, in id order.
+    /// Row `m` of the matrix as words: bit `k % 64` of word `k / 64` is
+    /// `x(m, k)`, and every bit at or past `|V|` is zero.
     #[inline]
-    pub fn host_row(&self, m: ServiceId) -> &[bool] {
-        &self.x[m.idx() * self.nodes..(m.idx() + 1) * self.nodes]
+    pub fn host_row(&self, m: ServiceId) -> &[u64] {
+        &self.x[m.idx() * self.words..(m.idx() + 1) * self.words]
     }
 
     /// Nodes hosting an instance of `m`.
@@ -76,58 +131,56 @@ impl Placement {
 
     /// Nodes hosting an instance of `m`, in ascending id order, without
     /// allocating — the hot-loop variant of [`hosts_of`](Self::hosts_of).
+    #[inline]
     pub fn hosts_iter(&self, m: ServiceId) -> impl Iterator<Item = NodeId> + '_ {
-        let row = m.idx() * self.nodes;
-        (0..self.nodes)
-            .filter(move |&k| self.x[row + k])
-            .map(|k| NodeId(k as u32))
+        ones(self.host_row(m).iter().copied()).map(|k| NodeId(k as u32))
     }
 
     /// Number of instances of `m` across the network.
+    #[inline]
     pub fn instance_count(&self, m: ServiceId) -> usize {
-        let row = m.idx() * self.nodes;
-        self.x[row..row + self.nodes].iter().filter(|&&b| b).count()
+        self.host_row(m)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Services hosted on `k`.
     pub fn services_on(&self, k: NodeId) -> Vec<ServiceId> {
-        (0..self.services)
-            .filter(|&i| self.x[i * self.nodes + k.idx()])
-            .map(|i| ServiceId(i as u32))
-            .collect()
+        self.services_on_iter(k).collect()
     }
 
     /// Number of services hosted on `k` — [`services_on`](Self::services_on)
     /// without materializing the list.
     pub fn services_count_on(&self, k: NodeId) -> usize {
+        self.services_on_iter(k).count()
+    }
+
+    /// Services hosted on `k`, in ascending id order.
+    fn services_on_iter(&self, k: NodeId) -> impl Iterator<Item = ServiceId> + '_ {
         (0..self.services)
-            .filter(|&i| self.x[i * self.nodes + k.idx()])
-            .count()
+            .map(|i| ServiceId(i as u32))
+            .filter(move |&m| self.get(m, k))
     }
 
     /// Total number of deployed instances.
     pub fn total_instances(&self) -> usize {
-        self.x.iter().filter(|&&b| b).count()
+        self.x.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Total deployment cost `Σ_k 𝒦_k = Σ_k Σ_i κ(m_i)·x(i,k)` (Eq. 1).
     pub fn deployment_cost(&self, catalog: &ServiceCatalog) -> f64 {
         let mut total = 0.0;
         for i in 0..self.services {
-            let kappa = catalog.deploy_cost(ServiceId(i as u32));
-            let row = i * self.nodes;
-            let count = self.x[row..row + self.nodes].iter().filter(|&&b| b).count();
-            total += kappa * count as f64;
+            let m = ServiceId(i as u32);
+            total += catalog.deploy_cost(m) * self.instance_count(m) as f64;
         }
         total
     }
 
     /// Storage used on node `k`: `Σ_i x(i,k)·φ(m_i)`.
     pub fn storage_used(&self, catalog: &ServiceCatalog, k: NodeId) -> f64 {
-        (0..self.services)
-            .filter(|&i| self.x[i * self.nodes + k.idx()])
-            .map(|i| catalog.storage(ServiceId(i as u32)))
-            .sum()
+        self.services_on_iter(k).map(|m| catalog.storage(m)).sum()
     }
 
     /// True if every node satisfies the storage constraint (Eq. 6):
@@ -160,13 +213,12 @@ impl Placement {
             .all(|&m| self.instance_count(m) > 0)
     }
 
-    /// Iterator over all deployed `(service, node)` pairs.
+    /// Iterator over all deployed `(service, node)` pairs, in ascending
+    /// `(service, node)` order.
     pub fn iter_deployed(&self) -> impl Iterator<Item = (ServiceId, NodeId)> + '_ {
         (0..self.services).flat_map(move |i| {
-            let row = i * self.nodes;
-            (0..self.nodes)
-                .filter(move |&k| self.x[row + k])
-                .map(move |k| (ServiceId(i as u32), NodeId(k as u32)))
+            let m = ServiceId(i as u32);
+            self.hosts_iter(m).map(move |k| (m, k))
         })
     }
 }
@@ -320,6 +372,8 @@ impl Assignment {
 mod tests {
     use super::*;
     use crate::request::UserId;
+    use crate::service::Microservice;
+    use socl_net::rng::cases;
     use socl_net::{EdgeServer, LinkParams};
 
     fn catalog() -> ServiceCatalog {
@@ -335,6 +389,131 @@ mod tests {
         net.push_server(EdgeServer::new(10.0, 8.0));
         net.add_link(NodeId(0), NodeId(1), LinkParams::from_rate(10.0));
         net
+    }
+
+    /// The matrix as first written, one `bool` per cell in row-major order,
+    /// with its listings and folds. Frozen — the reference the bit rows are
+    /// held to.
+    struct DenseReference {
+        services: usize,
+        nodes: usize,
+        x: Vec<bool>,
+    }
+
+    impl DenseReference {
+        fn hosts(&self, i: usize) -> Vec<NodeId> {
+            (0..self.nodes)
+                .filter(|&k| self.x[i * self.nodes + k])
+                .map(|k| NodeId(k as u32))
+                .collect()
+        }
+
+        fn services_on(&self, k: usize) -> Vec<ServiceId> {
+            (0..self.services)
+                .filter(|&i| self.x[i * self.nodes + k])
+                .map(|i| ServiceId(i as u32))
+                .collect()
+        }
+
+        fn storage_used(&self, catalog: &ServiceCatalog, k: usize) -> f64 {
+            self.services_on(k)
+                .iter()
+                .map(|&m| catalog.storage(m))
+                .sum()
+        }
+
+        fn deployment_cost(&self, catalog: &ServiceCatalog) -> f64 {
+            let mut total = 0.0;
+            for i in 0..self.services {
+                let count = self.hosts(i).len();
+                total += catalog.deploy_cost(ServiceId(i as u32)) * count as f64;
+            }
+            total
+        }
+    }
+
+    /// Random set and clear sequences from the empty or the full matrix, at
+    /// node counts on both sides of a word boundary: every read, listing and
+    /// float fold equals the dense reference's (the folds to the bit), and
+    /// clearing every cell gives the empty matrix word for word, padding
+    /// included.
+    #[test]
+    fn bit_rows_equal_the_dense_reference() {
+        cases(24, |rng| {
+            for nodes in [1, 63, 64, 65, 130] {
+                let services = rng.gen_range(1..=5usize);
+                let catalog = ServiceCatalog::from_services(
+                    (0..services)
+                        .map(|_| {
+                            Microservice::new(
+                                rng.gen_range(200.0..=500.0),
+                                rng.gen_range(1.0..=2.0),
+                                1.0,
+                            )
+                        })
+                        .collect(),
+                );
+                let full = rng.gen::<bool>();
+                let mut p = if full {
+                    Placement::full(services, nodes)
+                } else {
+                    Placement::empty(services, nodes)
+                };
+                let mut want = DenseReference {
+                    services,
+                    nodes,
+                    x: vec![full; services * nodes],
+                };
+                for _ in 0..rng.gen_range(0..=3 * nodes) {
+                    let (i, k, v) = (
+                        rng.gen_range(0..services),
+                        rng.gen_range(0..nodes),
+                        rng.gen::<bool>(),
+                    );
+                    p.set(ServiceId(i as u32), NodeId(k as u32), v);
+                    want.x[i * nodes + k] = v;
+                }
+                let mut deployed = Vec::new();
+                for i in 0..services {
+                    let m = ServiceId(i as u32);
+                    for k in 0..nodes {
+                        assert_eq!(p.get(m, NodeId(k as u32)), want.x[i * nodes + k]);
+                    }
+                    assert_eq!(p.hosts_of(m), want.hosts(i), "|V| = {nodes}");
+                    assert_eq!(p.instance_count(m), want.hosts(i).len());
+                    deployed.extend(want.hosts(i).into_iter().map(|k| (m, k)));
+                }
+                assert_eq!(p.iter_deployed().collect::<Vec<_>>(), deployed);
+                assert_eq!(p.total_instances(), deployed.len());
+                for k in 0..nodes {
+                    let node = NodeId(k as u32);
+                    assert_eq!(p.services_on(node), want.services_on(k));
+                    assert_eq!(p.services_count_on(node), want.services_on(k).len());
+                    assert_eq!(
+                        p.storage_used(&catalog, node).to_bits(),
+                        want.storage_used(&catalog, k).to_bits()
+                    );
+                }
+                assert_eq!(
+                    p.deployment_cost(&catalog).to_bits(),
+                    want.deployment_cost(&catalog).to_bits()
+                );
+
+                let (m, k) = (
+                    ServiceId(rng.gen_range(0..services) as u32),
+                    NodeId(rng.gen_range(0..nodes) as u32),
+                );
+                let mut q = p.clone();
+                q.set(m, k, !p.get(m, k));
+                assert_ne!(q, p);
+                q.set(m, k, p.get(m, k));
+                assert_eq!(q, p);
+                for (m, k) in deployed {
+                    p.set(m, k, false);
+                }
+                assert_eq!(p, Placement::empty(services, nodes), "|V| = {nodes}");
+            }
+        });
     }
 
     #[test]

@@ -5,7 +5,8 @@ use crate::objective::evaluate;
 use crate::placement::Placement;
 use crate::request::{UserId, UserRequest};
 use crate::routing::{
-    greedy_route, optimal_route, through_costs, RouteOutcome, ThroughFill, ThroughScratch,
+    greedy_route, optimal_hosts_into, optimal_route, optimal_route_with, through_costs,
+    RouteOutcome, RouteScratch, ThroughFill, ThroughScratch,
 };
 use crate::scenario::{Scenario, ScenarioConfig};
 use crate::service::{Microservice, ServiceCatalog, ServiceId};
@@ -57,6 +58,40 @@ fn dp_dominates_greedy() {
                 (RouteOutcome::CloudFallback, RouteOutcome::CloudFallback) => {}
                 _ => panic!("dp and greedy disagree on feasibility"),
             }
+        }
+    });
+}
+
+/// `optimal_hosts_into` appends exactly the route `optimal_route_with`
+/// returns, after whatever the buffer holds, with the DP's time; a cloud
+/// fallback leaves the buffer as it was. Sparse placements, some with a
+/// requested service left unhosted.
+#[test]
+fn hosts_only_route_equals_the_full_route() {
+    cases(48, |rng| {
+        let sc = arb_scenario(rng);
+        let mut p = random_covering_placement(&sc, rng.gen_range(0.05..0.9), rng);
+        if rng.gen::<bool>() {
+            let m = ServiceId(rng.gen_range(0..sc.services()) as u32);
+            for k in sc.net.node_ids() {
+                p.set(m, k, false);
+            }
+        }
+        let (mut scratch, mut full_scratch) = (RouteScratch::new(), RouteScratch::new());
+        let (mut hosts, mut want) = (vec![NodeId(u32::MAX)], vec![NodeId(u32::MAX)]);
+        for req in &sc.requests {
+            let (net, ap, cat) = (&sc.net, &sc.ap, &sc.catalog);
+            let full = optimal_route_with(&mut full_scratch, req, &p, net, ap, cat);
+            let dp_s = optimal_hosts_into(&mut scratch, req, &p, net, ap, cat, &mut hosts);
+            match full {
+                RouteOutcome::Edge { route, breakdown } => {
+                    want.extend(route);
+                    let dp_s = dp_s.expect("edge-served");
+                    assert!((dp_s - breakdown.total()).abs() < 1e-6, "{}", req.id);
+                }
+                RouteOutcome::CloudFallback => assert_eq!(dp_s, None),
+            }
+            assert_eq!(hosts, want, "{}", req.id);
         }
     });
 }

@@ -95,21 +95,12 @@ pub fn optimal_route_with(
     ap: &AllPairs,
     catalog: &ServiceCatalog,
 ) -> RouteOutcome {
-    let Some((best_i, best_total_s)) = forward(scratch, request, placement, net, ap, catalog)
+    let mut route = Vec::with_capacity(request.chain.len());
+    let Some(best_total_s) =
+        optimal_hosts_into(scratch, request, placement, net, ap, catalog, &mut route)
     else {
         return RouteOutcome::CloudFallback;
     };
-    let RouteScratch { hosts, back, .. } = scratch;
-
-    // Backtrack.
-    let n_layers = request.chain.len();
-    let mut route = vec![NodeId(0); n_layers];
-    let mut i = best_i;
-    for j in (0..n_layers).rev() {
-        route[j] = hosts[i];
-        i = back[i];
-    }
-
     let breakdown = completion_time(request, &route, net, ap, catalog);
     debug_assert!(
         (breakdown.total() - best_total_s).abs() < 1e-6,
@@ -120,7 +111,31 @@ pub fn optimal_route_with(
     RouteOutcome::Edge { route, breakdown }
 }
 
-/// The DP's forward pass, shared by [`optimal_route_with`] and
+/// The route of [`optimal_route_with`] without its breakdown: appends one
+/// host per chain position to `route` and returns the DP's accumulated
+/// delay, or returns `None` with `route` untouched when the request falls
+/// back to the cloud. The form a caller that reads only the hosts uses.
+pub fn optimal_hosts_into(
+    scratch: &mut RouteScratch,
+    request: &UserRequest,
+    placement: &Placement,
+    net: &EdgeNetwork,
+    ap: &AllPairs,
+    catalog: &ServiceCatalog,
+    route: &mut Vec<NodeId>,
+) -> Option<f64> {
+    let (mut i, best_total_s) = forward(scratch, request, placement, net, ap, catalog)?;
+    let start = route.len();
+    route.resize(start + request.chain.len(), NodeId(0));
+    // Backtrack.
+    for slot in route[start..].iter_mut().rev() {
+        *slot = scratch.hosts[i];
+        i = scratch.back[i];
+    }
+    Some(best_total_s)
+}
+
+/// The DP's forward pass, shared by [`optimal_hosts_into`] and
 /// [`through_costs`]: fills the hosting sets, accumulated delays and back
 /// pointers of `scratch`, and returns the host index the optimal route ends
 /// on (the terminal argmin) with its accumulated delay. `None` when the

@@ -48,12 +48,14 @@ use socl_autoscale::{AdmissionPolicy, AutoscaleConfig};
 use socl_core::SoclConfig;
 use socl_model::codec::TornTail;
 use socl_model::{
-    optimal_route_with, Placement, RouteOutcome, RouteScratch, Scenario, ScenarioConfig,
+    optimal_hosts_into, optimal_route_with, Placement, RouteOutcome, RouteScratch, Scenario,
+    ScenarioConfig,
 };
 use socl_net::par::{lock_recover, par_map_indexed_with};
-use socl_net::{effective_threads, parallel_worthwhile};
+use socl_net::{effective_threads, parallel_worthwhile, NodeId};
 use socl_sim::Policy;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Service configuration.
@@ -243,13 +245,16 @@ fn outbox_window(checkpoint_every: u32) -> usize {
     checkpoint_every as usize + IN_FLIGHT_TICKS + 4
 }
 
-/// `parallel_worthwhile` unit of one arrival-coin flip: the four byte steps
-/// of the user id (the tick's prefix is hashed once).
-const COIN_UNIT: usize = 4;
+/// `parallel_worthwhile` unit of one arrival-coin flip: the three
+/// multiplies of `Coin::hits_into` (the tick's prefix is hashed once, the
+/// user's low byte is a table look-up).
+const COIN_UNIT: usize = 3;
 
 /// `parallel_worthwhile` unit of one arrival in phase 3: its
 /// `LoadFeed::synthesize` (two 16-word ChaCha12 blocks × 6 double rounds)
-/// and, if admitted, its route (about as much again).
+/// plus as much again for admitting and routing it — generous now that a
+/// route is only its hosts over bit rows, and kept so the gate opens at
+/// the same arrival counts.
 const SYNTHESIZE_UNIT: usize = 2 * (2 * 16 * 6);
 
 /// Run `f` over every region, grouped by shard, on the deterministic
@@ -495,11 +500,11 @@ impl SoclServe {
             events.append(evts);
         }
         let mut sent: Vec<Vec<(u32, u32)>> = (0..self.regions.len()).map(|_| Vec::new()).collect();
-        for (o, (jobs, _)) in phase_a.iter().enumerate() {
+        for (o, (routed, _)) in phase_a.iter().enumerate() {
             let origin = o as u32;
-            for (p, outcome) in jobs {
-                match outcome {
-                    RouteOutcome::Edge { route, .. } => {
+            for (p, route) in routed.iter() {
+                match route {
+                    Some(route) => {
                         self.regions[o].decide(t, p.user, Some(route));
                         for (j, &host) in route.iter().enumerate() {
                             let m = p.request.chain[j];
@@ -515,13 +520,13 @@ impl SoclServe {
                                 tick: t,
                                 user: p.user,
                                 tag: TAG_EDGE,
-                                route: route.clone(),
+                                route: route.to_vec(),
                             });
                         }
                     }
                     // Unreachable under a fixed placement (coverage was
                     // checked at drain), but a decision is a decision.
-                    RouteOutcome::CloudFallback => {
+                    None => {
                         self.regions[o].decide(t, p.user, None);
                         if capturing {
                             events.push(DecisionEvent {
@@ -645,8 +650,9 @@ impl SoclServe {
         let chunks = users.div_ceil(CHUNK) as usize;
         par_map_indexed_with(chunks, threads, |c| {
             let lo = c as u32 * CHUNK;
-            (lo..users.min(lo.saturating_add(CHUNK)))
-                .filter(|&u| coin.hit(u))
+            let mut hits = Vec::new();
+            coin.hits_into(lo..users.min(lo.saturating_add(CHUNK)), &mut hits);
+            hits.into_iter()
                 .map(|u| (map.region_of(feed.home_station(u)), u))
                 .collect::<Vec<_>>()
         })
@@ -787,10 +793,10 @@ impl SoclServe {
                 // Route and fold the region's own decisions; charge only
                 // stages hosted in this region (remote stages belong to
                 // peers that never lost them).
-                for (p, outcome) in route_jobs(jobs, placement, &self.world) {
-                    match outcome {
-                        RouteOutcome::Edge { route, .. } => {
-                            self.regions[r].decide(t, p.user, Some(&route));
+                for (p, route) in route_jobs(jobs, placement, &self.world).iter() {
+                    match route {
+                        Some(route) => {
+                            self.regions[r].decide(t, p.user, Some(route));
                             for (j, &host) in route.iter().enumerate() {
                                 if self.region_map.region_of(host) == r as u32 {
                                     let m = p.request.chain[j];
@@ -798,7 +804,7 @@ impl SoclServe {
                                 }
                             }
                         }
-                        RouteOutcome::CloudFallback => self.regions[r].decide(t, p.user, None),
+                        None => self.regions[r].decide(t, p.user, None),
                     }
                 }
                 // Remote in-flight traffic: from the WAL record where the
@@ -936,23 +942,49 @@ fn region_phase_a(
     (jobs, events)
 }
 
+/// One region's admitted jobs of a tick with their routes: the hosts of
+/// every edge route back to back in `hosts`, and per job the range of its
+/// route there (`None`: cloud fallback).
+struct Routed {
+    jobs: Vec<(Pending, Option<Range<usize>>)>,
+    hosts: Vec<NodeId>,
+}
+
+impl Routed {
+    /// Each job with its route, in queue order.
+    fn iter(&self) -> impl Iterator<Item = (&Pending, Option<&[NodeId]>)> {
+        self.jobs
+            .iter()
+            .map(|(p, route)| (p, route.clone().map(|r| &self.hosts[r])))
+    }
+}
+
 /// Route one region's admitted jobs against `placement`, in queue order
 /// (live and replay share it).
-fn route_jobs(
-    jobs: Vec<Pending>,
-    placement: &Placement,
-    world: &Scenario,
-) -> Vec<(Pending, RouteOutcome)> {
+fn route_jobs(jobs: Vec<Pending>, placement: &Placement, world: &Scenario) -> Routed {
     let Scenario {
         net, ap, catalog, ..
     } = world;
     let mut scratch = RouteScratch::new();
-    jobs.into_iter()
+    let mut hosts = Vec::new();
+    let jobs = jobs
+        .into_iter()
         .map(|p| {
-            let outcome = optimal_route_with(&mut scratch, &p.request, placement, net, ap, catalog);
-            (p, outcome)
+            let start = hosts.len();
+            let route = optimal_hosts_into(
+                &mut scratch,
+                &p.request,
+                placement,
+                net,
+                ap,
+                catalog,
+                &mut hosts,
+            )
+            .map(|_| start..hosts.len());
+            (p, route)
         })
-        .collect()
+        .collect();
+    Routed { jobs, hosts }
 }
 
 /// Autoscaler tick + WAL record for one region (live and replay share it).

@@ -169,6 +169,7 @@ impl RegionCheckpoint {
 mod tests {
     use super::*;
     use socl_autoscale::{AutoscaleConfig, Autoscaler};
+    use socl_model::codec::{TornTail, TornTailReason};
     use socl_model::crc32;
 
     fn checkpoint() -> RegionCheckpoint {
@@ -310,5 +311,40 @@ mod tests {
         assert_eq!(report.clean_records, 2);
         assert!(report.reason.is_some());
         assert_eq!(prefix.records().expect("clean").len(), 2);
+    }
+
+    /// Each crash model stops the torn-tail scan for its own reason on a
+    /// region's log: a dying writer's garbage frame at the checksum with
+    /// every record kept, a cut last frame at the short read with the other
+    /// two kept.
+    #[test]
+    fn each_torn_tail_stops_the_scan_for_its_own_reason() {
+        let mut wal = RegionWal::new();
+        for t in 1..=3u32 {
+            wal.append(&TickRecord {
+                tick: t,
+                remote_add: vec![t, 0, 2],
+                arrivals: 20 + t,
+                decided: 9,
+                shed_queue: t,
+                shed_admission: 0,
+                digest: u64::from(t) * 0x9E37,
+            });
+        }
+        let cases = [
+            (TornTail::Garbage, TornTailReason::ChecksumMismatch, 3),
+            (TornTail::PartialRecord, TornTailReason::TruncatedFrame, 2),
+        ];
+        for seed in 0..200u64 {
+            for (torn, reason, clean_records) in cases {
+                let mut bytes = wal.as_bytes().to_vec();
+                torn.mangle(&mut bytes, seed);
+                let (back, report) = RegionWal::from_bytes(&bytes);
+                assert_eq!(report.reason, Some(reason), "{torn:?}, seed {seed}");
+                assert_eq!(report.clean_records, clean_records, "{torn:?}");
+                assert_eq!(back.records().expect("clean").len(), clean_records);
+                assert_eq!(back.as_bytes(), &wal.as_bytes()[..back.len_bytes()]);
+            }
+        }
     }
 }
