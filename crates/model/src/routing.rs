@@ -673,13 +673,16 @@ pub fn greedy_route(
 }
 
 /// Abstract operations (`socl_net::parallel_worthwhile`'s, ≈ 1 ns each) one
-/// chain layer of a route costs besides its DP cells: the scan of the
-/// placement row for the layer's hosts, its hop of the route fold
+/// chain layer of a route costs besides its DP cells: the walk of the
+/// placement row's bits for the layer's hosts, its hop of the route fold
 /// ([`completion_time`]) and its share of the per-request set-up. Read off
-/// the one-host-per-service epoch placements of `serve-steady` (48 nodes):
-/// one route there takes 0.46 µs (`model.routing.route_us_p50`) for 3.4
-/// layers and 2.4 cells (`model.routing.dp_cells_per_route`).
-const LAYER_OPS: usize = 128;
+/// the one-host-per-service epoch placements of the serve workloads (24
+/// and 48 nodes, 2-vCPU box): one route there takes 0.073–0.103 µs
+/// (`model.routing.route_us_p50`; up to 0.15 µs on a busy host) for about
+/// 3.4 layers and 2.4 cells (`model.routing.dp_cells_per_route`), so
+/// 16–25 ns a layer once the cells are paid; this is the top of that
+/// range.
+const LAYER_OPS: usize = 24;
 
 /// Operations of one DP cell: a `transfer_time` look-up, an add and a
 /// compare. Every service on every node of 10–50 nodes measured 4–10 ns a
@@ -693,7 +696,7 @@ const CELL_OPS: usize = 8;
 /// The work is read off the placement. Per request it is [`LAYER_OPS`] per
 /// chain layer plus [`CELL_OPS`] per cell, and the cells between positions
 /// `j` and `j + 1` number `hosts(chain[j]) · hosts(chain[j + 1])`. An epoch
-/// placement that hosts each service once routes a request in a few hundred
+/// placement that hosts each service once routes a request in about a hundred
 /// operations, so the 48 requests of a `SoclServe` re-solve stay on the
 /// calling thread instead of paying a dispatch several times their routing.
 /// The output never depends on the answer: the fan-out keeps request order.

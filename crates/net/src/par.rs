@@ -6,6 +6,10 @@
 //! them in index order — so the output of a parallel run is, element for
 //! element, the output of the serial run. Summations downstream then fold in
 //! index order too, keeping floating-point results bit-identical.
+//! [`par_map_then`] runs two such stages on one set of workers, with a
+//! barrier between them where the calling thread alone folds the first
+//! stage's outputs, in index order, into the value every second-stage call
+//! reads (`SoclServe`'s tick: the arrival scan, then the regions).
 //!
 //! The pool size is a process-global knob ([`set_threads`] / the
 //! `SOCL_THREADS` environment variable / `--threads` on the CLI), defaulting
@@ -14,18 +18,22 @@
 //! — e.g. Dijkstra trees from well- vs poorly-connected sources — still load
 //! balances.
 //!
-//! Threads are spawned per call with [`std::thread::scope`]. One fan-out on
-//! two workers measures 71–110 µs on the 2-vCPU reference box when its host
-//! is quiet and up to ~240 µs when it is busy (`net.par.dispatch_us`, which
+//! Threads are spawned per call with [`std::thread::scope`], and the calling
+//! thread works too: a fan-out on `t` workers spawns `t − 1` helpers and
+//! runs the same claim loop itself instead of waiting at the join. One
+//! fan-out of eight trivial items on two workers measures 29–46 µs on the
+//! 2-vCPU reference box after a benchmark workload, down from 50–106 µs
+//! (once 160 µs) when the caller only waited (`net.par.dispatch_us`, which
 //! passes its thread count explicitly, so no thread-count lookup sits in
-//! that figure) — noise for
-//! all-pairs Dijkstra, but two to three times the whole of a small phase
-//! such as an 8-region autoscaler tick, and twice the 48 routes of a
+//! that figure) — noise for all-pairs Dijkstra, but more than a small
+//! phase such as an 8-region autoscaler tick or the 48 routes of a
 //! `SoclServe` epoch re-solve. Callers therefore gate every fan-out on a
 //! work estimate via [`parallel_worthwhile`].
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Barrier, Mutex, MutexGuard, OnceLock};
 
 /// Global thread-count override: 0 = auto (env, then hardware).
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -80,14 +88,18 @@ pub fn effective_threads() -> usize {
 /// look-up). Callers price a unit from what it was measured to cost, not
 /// from its asymptotic bound: the routing DP (`socl_model::route_threads`)
 /// counts 8 per DP cell (one look-up, add and compare: 4–10 ns measured)
-/// plus 128 per chain layer (the host scan and the route fold, read off a
-/// 0.46 µs route of 3.4 layers and 2.4 cells). Two workers halve `W` of
-/// serial work at the price of one dispatch `d`, so they win once
-/// `W / 2 + d < W`, i.e. `W > 2 d`: with a quiet host's `d` of 71–110 µs
-/// that is 140–220 µs, and `200_000` operations sits in that range (a busy
-/// host's slower dispatch moves the break-even up). More workers move the
-/// break-even down only slightly (`W > d · t / (t − 1)`), so one threshold
-/// serves every thread count.
+/// plus 24 per chain layer (the host walk and the route fold, read off
+/// 0.073–0.103 µs routes of 3.4 layers and 2.4 cells). The calling thread
+/// starts on `W` of serial work at once and a helper joins after the
+/// dispatch `d`; claiming chunks, they finish together at about
+/// `(W + d) / 2`, so two workers win once `W > d`, and `t` workers, whose
+/// helpers all start after `d`, at `(W + (t − 1) d) / t` — the same
+/// break-even for every thread count. With `d` of 29–46 µs that is
+/// 29–46 k operations. The threshold stays at `200_000`: a busy host's
+/// dispatch has measured up to ~240 µs, a helper inside a running tick
+/// starts later than an isolated one, and every gate's side at the
+/// benchmark's sizes is pinned by a test (`routing_gate_at_benchmark_sizes`
+/// in `socl-core`, `tick_gate_at_benchmark_sizes` in `socl-serve`).
 #[inline]
 pub fn parallel_worthwhile(items: usize, unit_cost: usize) -> bool {
     items >= 2 && items.saturating_mul(unit_cost) >= 200_000 && effective_threads() > 1
@@ -109,10 +121,64 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
+/// One stage of a fan-out: `n` items claimed `chunk` at a time off an
+/// atomic cursor, each claimed chunk's outputs kept with its start index.
+/// Every worker runs the same claim loop ([`Stage::work`]); the outputs are
+/// reassembled in index order ([`Stage::output`]) whatever order the
+/// chunks were claimed or finished in.
+struct Stage<T> {
+    n: usize,
+    chunk: usize,
+    cursor: AtomicUsize,
+    parts: Mutex<Vec<(usize, Vec<T>)>>,
+}
+
+impl<T> Stage<T> {
+    fn new(n: usize, threads: usize) -> Self {
+        Self {
+            n,
+            // ~4 chunks per worker: coarse enough to amortize the cursor,
+            // fine enough to balance skewed per-item costs.
+            chunk: n.div_ceil(threads * 4).max(1),
+            cursor: AtomicUsize::new(0),
+            parts: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Claim chunks until the cursor passes `n`, mapping each item by `f`.
+    fn work(&self, mut f: impl FnMut(usize) -> T) {
+        loop {
+            let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
+            if start >= self.n {
+                break;
+            }
+            let end = (start + self.chunk).min(self.n);
+            let out: Vec<T> = (start..end).map(&mut f).collect();
+            // A poisoned lock means another worker panicked *inside the
+            // critical section* (only possible via OOM-abort in `push`); the
+            // panic is re-raised at join, so pushing through it is sound.
+            lock_recover(&self.parts).push((start, out));
+        }
+    }
+
+    /// Take the claimed outputs, in index order. Called once every worker
+    /// is past its claim loop (after the scope's join or a barrier).
+    fn output(&self) -> Vec<T> {
+        let mut parts = std::mem::take(&mut *lock_recover(&self.parts));
+        parts.sort_by_key(|(start, _)| *start);
+        let mut out = Vec::with_capacity(self.n);
+        for (_, mut chunk) in parts {
+            out.append(&mut chunk);
+        }
+        out
+    }
+}
+
 /// The one fan-out behind every `par_map*`: map `f` over `0..n` on
 /// `threads` workers, each owning one `new_scratch()` value, and return the
-/// results in index order. One worker (or `n <= 1`) is the plain serial
-/// loop on the calling thread.
+/// results in index order. The calling thread is one of the workers, so
+/// `threads - 1` helpers are spawned. One worker (or `n <= 1`) is the
+/// plain serial loop on the calling thread.
 fn fan_out<T, S, N, F>(n: usize, threads: usize, new_scratch: N, f: F) -> Vec<T>
 where
     T: Send,
@@ -124,46 +190,109 @@ where
         let mut scratch = new_scratch();
         return (0..n).map(|i| f(&mut scratch, i)).collect();
     }
-    // ~4 chunks per worker: coarse enough to amortize the cursor, fine
-    // enough to balance skewed per-item costs.
-    let chunk = n.div_ceil(threads * 4).max(1);
-    let cursor = AtomicUsize::new(0);
-    let parts: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
+    let stage = Stage::new(n, threads);
+    let work = || {
+        let mut scratch = new_scratch();
+        stage.work(|i| f(&mut scratch, i));
+    };
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
+    });
+    let out = stage.output();
+    debug_assert_eq!(out.len(), n);
+    out
+}
+
+/// Two fan-outs in one: map `first` over `0..n1`, hand its outputs in
+/// index order to `between`, then map `second(&b, i)` over `0..n2`, on the
+/// same `threads` workers (the calling thread among them). Returns
+/// `between`'s value and the second stage's outputs in index order —
+/// exactly what the serial `between((0..n1).map(first))` followed by
+/// `(0..n2).map(|i| second(&b, i))` returns, for any thread count.
+///
+/// Each stage is [`fan_out`]'s claim loop. Between them every worker waits
+/// at a [`Barrier`]; the calling thread alone runs `between`, and a second
+/// barrier releases the others into stage two once its value is published.
+/// One spawn serves both stages. A panic in `first` or `between` is caught
+/// so that no worker is stranded at a barrier, and is re-raised on the
+/// calling thread after the join; a panic in `second` surfaces at the join
+/// like any `par_map*` worker panic.
+pub fn par_map_then<A, B, C, F, G, H>(
+    threads: usize,
+    n1: usize,
+    first: F,
+    between: G,
+    n2: usize,
+    second: H,
+) -> (B, Vec<C>)
+where
+    A: Send,
+    B: Send + Sync,
+    C: Send,
+    F: Fn(usize) -> A + Sync,
+    G: FnOnce(Vec<A>) -> B,
+    H: Fn(&B, usize) -> C + Sync,
+{
+    let threads = threads.clamp(1, n1.max(n2).max(1));
+    if threads == 1 {
+        let b = between((0..n1).map(first).collect());
+        let c = (0..n2).map(|i| second(&b, i)).collect();
+        return (b, c);
+    }
+    let one = Stage::new(n1, threads);
+    let two = Stage::new(n2, threads);
+    let barrier = Barrier::new(threads);
+    let mid: OnceLock<B> = OnceLock::new();
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let catch = |f: &mut dyn FnMut()| {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
+            lock_recover(&panicked).get_or_insert(payload);
+        }
+    };
+    let stage_two = || {
+        if let Some(b) = mid.get() {
+            two.work(|i| second(b, i));
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
             scope.spawn(|| {
-                let mut scratch = new_scratch();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    let out: Vec<T> = (start..end).map(|i| f(&mut scratch, i)).collect();
-                    // A poisoned lock means another worker's `f` panicked
-                    // *inside the critical section* (only possible via
-                    // OOM-abort in `push`); `std::thread::scope` will
-                    // re-raise that panic at join, so pushing through the
-                    // poison is sound.
-                    let mut guard = lock_recover(&parts);
-                    guard.push((start, out));
+                catch(&mut || one.work(&first));
+                barrier.wait();
+                barrier.wait();
+                stage_two();
+            });
+        }
+        catch(&mut || one.work(&first));
+        barrier.wait();
+        if lock_recover(&panicked).is_none() {
+            let mut between = Some(between);
+            catch(&mut || {
+                if let Some(between) = between.take() {
+                    let _ = mid.set(between(one.output()));
                 }
             });
         }
+        barrier.wait();
+        stage_two();
     });
-    // Reaching this line means `scope` joined every worker without a panic,
-    // so the lock cannot be poisoned; recover defensively instead of
-    // unwrapping to keep the library panic-free.
-    let mut parts = parts
+    let payload = panicked
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    parts.sort_by_key(|(start, _)| *start);
-    let mut out = Vec::with_capacity(n);
-    for (_, mut chunk) in parts {
-        out.append(&mut chunk);
+    match (mid.into_inner(), payload) {
+        (Some(b), None) => {
+            let c = two.output();
+            debug_assert_eq!(c.len(), n2);
+            (b, c)
+        }
+        // Without a caught panic `between` always publishes its value.
+        (_, payload) => {
+            resume_unwind(payload.unwrap_or_else(|| Box::new("between published nothing")))
+        }
     }
-    debug_assert_eq!(out.len(), n);
-    out
 }
 
 /// Map `f` over `0..n` on `threads` workers, returning results in index
@@ -284,6 +413,99 @@ mod tests {
             par_map_scratch_with(&[] as &[usize], 4, || 0u8, |_, &x| x),
             Vec::<usize>::new()
         );
+    }
+
+    /// Spin for about `n` dependent float steps: a per-item cost the
+    /// optimizer cannot fold away.
+    fn spin(n: usize, seed: usize) -> f64 {
+        let mut acc = seed as f64;
+        for k in 1..n {
+            acc += 1.0 / (k as f64 * (seed + 1) as f64);
+        }
+        acc
+    }
+
+    #[test]
+    fn two_stage_keeps_index_order_under_skewed_cost() {
+        // Item 0 of each stage costs ~1000x the rest, so the chunk holding
+        // it finishes last whichever worker claims it.
+        let cost = |i: usize| if i == 0 { 200_000 } else { 200 };
+        let first = |i: usize| (i, spin(cost(i), i).to_bits());
+        let second = |b: &Vec<(usize, u64)>, i: usize| (b.len(), i, spin(cost(i), i).to_bits());
+        let serial_one: Vec<(usize, u64)> = (0..57).map(first).collect();
+        let serial_two: Vec<(usize, usize, u64)> =
+            (0..23).map(|i| second(&serial_one, i)).collect();
+        for threads in 1..=4 {
+            let (b, c) = par_map_then(threads, 57, first, |a| a, 23, second);
+            assert_eq!(b, serial_one, "threads={threads}");
+            assert_eq!(c, serial_two, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn between_sees_stage_one_in_index_order() {
+        for threads in 2..=4 {
+            let calls = AtomicUsize::new(0);
+            let (seen, c) = par_map_then(
+                threads,
+                16,
+                |i| {
+                    if i == 0 {
+                        // Every other chunk is claimed and pushed first.
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    }
+                    i
+                },
+                |a| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    a
+                },
+                8,
+                |b: &Vec<usize>, i| b.iter().sum::<usize>() + i,
+            );
+            assert_eq!(seen, (0..16).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(c, (0..8).map(|i| 120 + i).collect::<Vec<_>>());
+            assert_eq!(calls.load(Ordering::SeqCst), 1, "between runs once");
+        }
+    }
+
+    #[test]
+    fn two_stage_handles_empty_and_single_stages() {
+        for threads in 1..=4 {
+            for n1 in 0..=2 {
+                for n2 in 0..=2 {
+                    let (b, c) = par_map_then(
+                        threads,
+                        n1,
+                        |i| i + 10,
+                        |a: Vec<usize>| a,
+                        n2,
+                        |b: &Vec<usize>, i| (b.len(), i),
+                    );
+                    assert_eq!(b, (0..n1).map(|i| i + 10).collect::<Vec<_>>());
+                    assert_eq!(c, (0..n2).map(|i| (n1, i)).collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_stage_reraises_a_panic_from_either_stage_or_between() {
+        for (stage, at) in [(1, 5), (1, 0), (2, 3), (3, 0)] {
+            for threads in [2, 4] {
+                let result = std::panic::catch_unwind(|| {
+                    par_map_then(
+                        threads,
+                        16,
+                        |i| assert!(stage != 1 || i != at, "stage one"),
+                        |_| assert!(stage != 3, "between"),
+                        16,
+                        |(), i| assert!(stage != 2 || i != at, "stage two"),
+                    )
+                });
+                assert!(result.is_err(), "stage {stage} at {at}, threads={threads}");
+            }
+        }
     }
 
     /// Holds the process-wide thread override at `n` for a test's scope:

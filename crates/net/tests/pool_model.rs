@@ -13,13 +13,22 @@
 //! is observably one step). Everything between those points is thread-local.
 //! A worker is therefore the loop `Fetch → (Push | Done)`, and every real
 //! execution corresponds to one interleaving of those atomic steps. The
+//! two-stage fan-out (`par_map_then`) runs that loop once per stage with a
+//! barrier step between: a worker past stage one's cursor waits at the
+//! barrier, the leader (the calling thread) then hands stage one's parts to
+//! `between`, and a second barrier releases everyone into stage two. The
 //! model explores *all* such interleavings via DFS and asserts, at every
-//! terminal state, the invariants the pool's correctness rests on:
+//! terminal state and for each stage, the invariants the pool's correctness
+//! rests on:
 //!
 //! 1. claimed chunk starts are unique and chunk-aligned (no double claim),
 //! 2. the pushed chunks tile `0..n` exactly (no loss, no overlap),
 //! 3. sort-by-start reassembly reproduces the serial output,
-//! 4. every schedule terminates (the cursor is strictly monotone).
+//! 4. every schedule terminates (the cursor is strictly monotone, and no
+//!    worker is left waiting at a barrier),
+//!
+//! and, for two stages, that `between` ran once, on all of stage one in
+//! index order, before any worker claimed a chunk of stage two.
 //!
 //! What this cannot cover — and `loom` would — is weak-memory reordering of
 //! *other* locations around the relaxed cursor. The protocol is insensitive
@@ -35,93 +44,151 @@ use socl_net::par::{par_map_indexed_with, par_map_with};
 /// Per-worker program counter over the protocol's atomic steps.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Pc {
-    /// About to `fetch_add` the cursor.
-    Fetch,
-    /// Claimed `(start, end)`, about to lock and push it.
-    Push(usize, usize),
-    /// Observed `start >= n` and exited.
+    /// About to `fetch_add` stage `s`'s cursor.
+    Fetch(usize),
+    /// Claimed `(start, end)` of stage `s`, about to lock and push it.
+    Push(usize, usize, usize),
+    /// Arrived at barrier `b` (two-stage only), waiting for the others.
+    Wait(usize),
+    /// The leader, released from barrier 0, handing stage one's parts to
+    /// `between` (two-stage only).
+    Between,
+    /// Observed `start >= n` of the last stage and exited.
     Done,
 }
 
-/// Shared + per-thread state of the modeled pool.
+/// Shared + per-thread state of the modeled pool: one stage (`fan_out`) or
+/// two stages around a barrier (`par_map_then`).
 #[derive(Clone)]
 struct Model {
-    n: usize,
+    n: Vec<usize>,
     chunk: usize,
-    cursor: usize,
-    /// Pushed parts in push order: `(start, end)`.
-    parts: Vec<(usize, usize)>,
+    cursor: Vec<usize>,
+    /// Pushed parts per stage, in push order: `(start, end)`.
+    parts: Vec<Vec<(usize, usize)>>,
+    /// Workers that have reached each barrier.
+    arrived: [usize; 2],
+    /// What `between` was handed: stage one's parts in index order.
+    between: Option<Vec<(usize, usize)>>,
     pc: Vec<Pc>,
 }
 
 impl Model {
     fn new(n: usize, threads: usize, chunk: usize) -> Self {
+        Self::staged(vec![n], threads, chunk)
+    }
+
+    fn two_stage(n1: usize, n2: usize, threads: usize, chunk: usize) -> Self {
+        Self::staged(vec![n1, n2], threads, chunk)
+    }
+
+    fn staged(n: Vec<usize>, threads: usize, chunk: usize) -> Self {
         Model {
-            n,
             chunk,
-            cursor: 0,
-            parts: Vec::new(),
-            pc: vec![Pc::Fetch; threads],
+            cursor: vec![0; n.len()],
+            parts: vec![Vec::new(); n.len()],
+            n,
+            arrived: [0; 2],
+            between: None,
+            pc: vec![Pc::Fetch(0); threads],
         }
     }
 
     fn runnable(&self) -> Vec<usize> {
-        (0..self.pc.len())
-            .filter(|&t| self.pc[t] != Pc::Done)
+        let threads = self.pc.len();
+        (0..threads)
+            .filter(|&t| match self.pc[t] {
+                Pc::Done => false,
+                Pc::Wait(b) => self.arrived[b] == threads,
+                _ => true,
+            })
             .collect()
+    }
+
+    fn arrive(&mut self, t: usize, b: usize) {
+        self.arrived[b] += 1;
+        self.pc[t] = Pc::Wait(b);
     }
 
     /// Execute thread `t`'s next atomic step.
     fn step(&mut self, t: usize) {
         match self.pc[t] {
-            Pc::Fetch => {
-                let start = self.cursor;
-                self.cursor += self.chunk; // atomic RMW: indivisible
-                if start >= self.n {
-                    self.pc[t] = Pc::Done;
+            Pc::Fetch(s) => {
+                if s == 1 {
+                    assert!(self.between.is_some(), "stage two claimed before between");
+                }
+                let start = self.cursor[s];
+                self.cursor[s] += self.chunk; // atomic RMW: indivisible
+                if start < self.n[s] {
+                    self.pc[t] = Pc::Push(s, start, (start + self.chunk).min(self.n[s]));
+                } else if s + 1 < self.n.len() {
+                    self.arrive(t, 0);
                 } else {
-                    self.pc[t] = Pc::Push(start, (start + self.chunk).min(self.n));
+                    self.pc[t] = Pc::Done;
                 }
             }
-            Pc::Push(start, end) => {
-                self.parts.push((start, end)); // mutex: one observable step
-                self.pc[t] = Pc::Fetch;
+            Pc::Push(s, start, end) => {
+                self.parts[s].push((start, end)); // mutex: one observable step
+                self.pc[t] = Pc::Fetch(s);
+            }
+            // Released: the leader (the calling thread, worker 0) runs
+            // `between`, everyone else goes on to barrier 1.
+            Pc::Wait(0) if t == 0 => self.pc[t] = Pc::Between,
+            Pc::Wait(0) => self.arrive(t, 1),
+            Pc::Wait(_) => self.pc[t] = Pc::Fetch(1),
+            Pc::Between => {
+                assert!(self.between.is_none(), "between ran twice");
+                let mut sorted = self.parts[0].clone();
+                sorted.sort_by_key(|&(s, _)| s);
+                self.between = Some(sorted);
+                self.arrive(t, 1);
             }
             Pc::Done => unreachable!("done threads are never scheduled"),
         }
     }
 
-    /// Invariants that must hold in every terminal state.
+    /// Invariants that must hold in every terminal state, per stage.
     fn check_terminal(&self) {
-        // 1. Unique, aligned claims.
-        let mut starts: Vec<usize> = self.parts.iter().map(|&(s, _)| s).collect();
-        let pushed = starts.len();
-        starts.sort_unstable();
-        starts.dedup();
-        assert_eq!(
-            starts.len(),
-            pushed,
-            "duplicate chunk claim: {:?}",
-            self.parts
+        assert!(
+            self.pc.iter().all(|&pc| pc == Pc::Done),
+            "deadlock: {:?}",
+            self.pc
         );
-        for &(s, e) in &self.parts {
-            assert_eq!(s % self.chunk, 0, "unaligned claim {s}");
-            assert!(s < self.n && e <= self.n && s < e, "bad claim ({s}, {e})");
+        for (s, parts) in self.parts.iter().enumerate() {
+            let n = self.n[s];
+            // 1. Unique, aligned claims.
+            let mut starts: Vec<usize> = parts.iter().map(|&(s, _)| s).collect();
+            let pushed = starts.len();
+            starts.sort_unstable();
+            starts.dedup();
+            assert_eq!(starts.len(), pushed, "duplicate chunk claim: {parts:?}");
+            for &(s, e) in parts {
+                assert_eq!(s % self.chunk, 0, "unaligned claim {s}");
+                assert!(s < n && e <= n && s < e, "bad claim ({s}, {e})");
+            }
+            // 2–3. Sorted reassembly tiles 0..n exactly (the serial output).
+            let mut sorted = parts.clone();
+            sorted.sort_by_key(|&(s, _)| s);
+            let mut next = 0usize;
+            for &(s, e) in &sorted {
+                assert_eq!(s, next, "gap or overlap at {s} (expected {next})");
+                next = e;
+            }
+            assert_eq!(next, n, "chunks do not cover 0..{n}");
+            // `between` saw all of stage one, already in index order.
+            if s == 0 && self.n.len() == 2 {
+                assert_eq!(
+                    self.between.as_ref(),
+                    Some(&sorted),
+                    "between saw a partial stage"
+                );
+            }
+            // 4. Bounded overshoot: the cursor advances once per successful
+            // claim (chunk-aligned coverage of 0..n) plus at most one failed
+            // fetch per thread.
+            let claimed = n.div_ceil(self.chunk) * self.chunk;
+            assert!(self.cursor[s] <= claimed + self.pc.len() * self.chunk);
         }
-        // 2–3. Sorted reassembly tiles 0..n exactly (the serial output).
-        let mut sorted = self.parts.clone();
-        sorted.sort_by_key(|&(s, _)| s);
-        let mut next = 0usize;
-        for &(s, e) in &sorted {
-            assert_eq!(s, next, "gap or overlap at {s} (expected {next})");
-            next = e;
-        }
-        assert_eq!(next, self.n, "chunks do not cover 0..{}", self.n);
-        // 4. Bounded overshoot: the cursor advances once per successful
-        // claim (chunk-aligned coverage of 0..n) plus at most one failed
-        // fetch per thread.
-        let claimed = self.n.div_ceil(self.chunk) * self.chunk;
-        assert!(self.cursor <= claimed + self.pc.len() * self.chunk);
     }
 }
 
@@ -162,6 +229,24 @@ fn exhaustive_small_configs() {
 }
 
 #[test]
+fn exhaustive_two_stage_configs() {
+    // The barrier step: every worker finishes stage one, the leader alone
+    // runs `between`, and nobody claims stage two before it has.
+    let mut total = 0usize;
+    for (n1, n2) in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)] {
+        // Three workers only where the schedule space stays enumerable.
+        let max_threads = if n1 + n2 <= 1 { 3 } else { 2 };
+        for threads in 1..=max_threads {
+            for chunk in 1..=2 {
+                let mut budget = 5_000_000;
+                total += explore(&Model::two_stage(n1, n2, threads, chunk), &mut budget);
+            }
+        }
+    }
+    assert!(total > 10_000, "only {total} schedules explored");
+}
+
+#[test]
 fn exhaustive_skewed_chunking() {
     // chunk larger than n, chunk not dividing n, single-item tails.
     for (n, threads, chunk) in [(1, 3, 4), (5, 2, 3), (4, 2, 4), (3, 3, 2)] {
@@ -197,6 +282,29 @@ fn random_walks_on_larger_configs() {
         let mut rng = Lcg(0x5eed ^ (n as u64) << 16 ^ (threads as u64));
         for _ in 0..walks {
             let mut m = Model::new(n, threads, chunk);
+            loop {
+                let runnable = m.runnable();
+                if runnable.is_empty() {
+                    break;
+                }
+                let pick = runnable[rng.next(runnable.len())];
+                m.step(pick);
+            }
+            m.check_terminal();
+        }
+    }
+}
+
+#[test]
+fn random_walks_on_larger_two_stage_configs() {
+    let walks: usize = std::env::var("POOL_MODEL_WALKS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(2_000);
+    for (n1, n2, threads, chunk) in [(16, 4, 4, 2), (33, 8, 5, 3), (13, 4, 2, 2)] {
+        let mut rng = Lcg(0xba77 ^ (n1 as u64) << 16 ^ (threads as u64));
+        for _ in 0..walks {
+            let mut m = Model::two_stage(n1, n2, threads, chunk);
             loop {
                 let runnable = m.runnable();
                 if runnable.is_empty() {

@@ -18,17 +18,19 @@ use socl_net::rng::ChaCha12Rng;
 use socl_net::NodeId;
 use socl_trace::{TemporalConfig, TemporalWorkload};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 const FNV_PRIME_4: u64 = FNV_PRIME.wrapping_pow(4);
 const FNV_PRIME_5: u64 = FNV_PRIME.wrapping_pow(5);
 
 /// One FNV-1a 64-bit byte step — the only definition of the hash in this
-/// crate. Not cryptographic; just a fast, seedable, platform-independent
-/// mix. FNV-1a is a left fold over the key's bytes, so every key below is
-/// folded from whichever prefix state its caller already holds.
+/// crate: the feed's keys here and the decision digest (`shard::mix`) fold
+/// through it. Not cryptographic; just a fast, seedable,
+/// platform-independent mix. FNV-1a is a left fold over the key's bytes,
+/// so every key below is folded from whichever prefix state its caller
+/// already holds.
 #[inline]
-const fn fnv_step(h: u64, byte: u8) -> u64 {
+pub(crate) const fn fnv_step(h: u64, byte: u8) -> u64 {
     (h ^ byte as u64).wrapping_mul(FNV_PRIME)
 }
 
@@ -36,7 +38,7 @@ const fn fnv_step(h: u64, byte: u8) -> u64 {
 /// steps, then the four zero high bytes (`h ^ 0 = h`) as one multiply by
 /// `FNV_PRIME_4` — 5 multiplies, not 8.
 #[inline]
-const fn fnv_word(h: u64, x: u32) -> u64 {
+pub(crate) const fn fnv_word(h: u64, x: u32) -> u64 {
     let [a, b, c, d] = x.to_le_bytes();
     fnv_step(fnv_step(fnv_step(fnv_step(h, a), b), c), d).wrapping_mul(FNV_PRIME_4)
 }
@@ -236,6 +238,24 @@ impl LoadFeed {
         }
     }
 
+    /// The first `k` users to arrive at `tick`, ascending by user id:
+    /// exactly the first `k` of the tick's full scan (all of it when fewer
+    /// arrive), found by scanning only as far as the `k`-th arrival.
+    #[must_use]
+    pub fn first_arrivals(&self, tick: u32, k: usize) -> Vec<u32> {
+        const BLOCK: u32 = 4096;
+        let coin = self.coin(tick);
+        let mut out = Vec::new();
+        let mut lo = 0;
+        while out.len() < k && lo < self.population {
+            let hi = self.population.min(lo.saturating_add(BLOCK));
+            coin.hits_into(lo..hi, &mut out);
+            lo = hi;
+        }
+        out.truncate(k);
+        out
+    }
+
     /// Does `user` issue a request at `tick`? A pure function — region
     /// partitioning and shard count cannot change it.
     #[inline]
@@ -410,6 +430,85 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// `shard::mix`, the decision digest, is FNV-1a over whole words:
+    /// words below 2³² (ids, tags) through `fnv_word`, full 64-bit words
+    /// through eight byte steps, chained from any state.
+    #[test]
+    fn digest_mix_equals_the_reference() {
+        cases(64, |rng| {
+            let words: Vec<u64> = (0..rng.gen_range(0..12usize))
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => u64::from(rng.next_u32()),
+                    1 => rng.next_u64() | 1 << 63,
+                    _ => rng.next_u64(),
+                })
+                .collect();
+            let want = fnv1a_reference(&words);
+            assert_eq!(crate::shard::mix(0, &words), want, "{words:x?}");
+            let cut = rng.gen_range(0..=words.len());
+            let head = crate::shard::mix(0, &words[..cut]);
+            assert_eq!(crate::shard::mix(head, &words[cut..]), want, "{words:x?}");
+        });
+        for w in [0, 1, u64::from(u32::MAX), 1 << 32, u64::MAX] {
+            assert_eq!(crate::shard::mix(0, &[w]), fnv1a_reference(&[w]), "{w:x}");
+        }
+    }
+
+    /// The epoch sample's prefix scan is the first `k` of the full scan:
+    /// `k` past the tick's arrivals, `k` of 0 and 1, sparse and dense
+    /// ticks, and `p >= 1`, where every user arrives.
+    #[test]
+    fn first_arrivals_are_the_prefix_of_the_full_scan() {
+        cases(24, |rng| {
+            let users = rng.gen_range(1usize..=40_000);
+            let p = 10f64.powf(rng.gen_range(-4.0..=0.5));
+            let f = LoadFeed::new(
+                FeedConfig {
+                    users,
+                    arrivals_per_tick: p * users as f64,
+                    seed: rng.next_u64(),
+                    ..FeedConfig::default()
+                },
+                12,
+            );
+            let tick = rng.gen_range(0..200u32);
+            let mut scan = Vec::new();
+            f.coin(tick).hits_into(0..f.population(), &mut scan);
+            let arrived = scan.len();
+            for k in [
+                0,
+                1,
+                47,
+                48,
+                4097,
+                arrived.saturating_sub(1),
+                arrived,
+                arrived + 1,
+                users + 5,
+            ] {
+                let got = f.first_arrivals(tick, k);
+                assert_eq!(got, scan[..k.min(arrived)], "k = {k}, p = {p:e}");
+            }
+        });
+        let every = LoadFeed::new(
+            FeedConfig {
+                users: 9000,
+                arrivals_per_tick: 1e9,
+                ..FeedConfig::default()
+            },
+            12,
+        );
+        assert!(every.arrival_probability(3) >= 1.0);
+        assert_eq!(
+            every.first_arrivals(3, 5000),
+            (0..5000).collect::<Vec<u32>>()
+        );
+        assert_eq!(
+            every.first_arrivals(3, 10_000),
+            (0..9000).collect::<Vec<u32>>()
+        );
     }
 
     #[test]

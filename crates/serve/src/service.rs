@@ -12,33 +12,41 @@
 //! the feed.
 //!
 //! Concurrency runs exclusively on the deterministic pool
-//! (`socl_net::par`): shards own disjoint region subsets (`region %
-//! shards`) and chunk outputs merge in index order, so the decision
-//! stream is **bit-identical for any shard count and any thread count**.
-//! Only the two phases that can outweigh a spawn fan out — the arrival
-//! scan and phase 3 (synthesis, admission and routing) — and each first
-//! asks `socl_net::parallel_worthwhile` with a unit read off its own loop
-//! bounds, otherwise running the same closure in index order on the
-//! calling thread. The autoscaler tick and checkpoint encoding cost less
-//! than one dispatch at any traffic the queues admit and always run on
-//! the calling thread.
+//! (`socl_net::par`), and a tick fans out exactly once: one
+//! `par_map_then` whose first stage scans the users in chunks and whose
+//! second stage claims whole regions, with the calling thread among the
+//! workers and a barrier between the stages. Chunk outputs merge in index
+//! order and region outputs in region order, so the decision stream is
+//! **bit-identical for any shard count and any thread count**. The
+//! fan-out first asks `socl_net::parallel_worthwhile` about the tick's
+//! work (every user's coin flip plus every expected arrival's synthesis,
+//! admission and routing), otherwise running the same closures in index
+//! order on the calling thread; `ServeConfig::shards` caps its workers.
+//! The autoscaler tick and checkpoint encoding cost less than one
+//! dispatch at any traffic the queues admit and always run on the calling
+//! thread.
 //! No async runtime, no wall clock, no hash-order iteration anywhere in
 //! the decision path.
 //!
 //! Tick phase order (the digest depends on it, so replay mirrors it):
 //!
-//! 1. arrival scan (user chunks, concatenated in ascending user id);
-//! 2. epoch boundary: re-solve placement from the scan's tracer sample;
-//! 3. per-shard: expire in-flight, ingest arrivals (queue-full sheds),
-//!    drain + admission (cloud fallbacks and admission sheds decided
-//!    here), then routing of the region's admitted jobs in queue order;
-//! 4. head: fold edge decisions in region then queue order, charge
-//!    in-flight per stage to the hosting region, record cross-region
-//!    sends in the outbox;
-//! 5. autoscaler tick and WAL record per region;
-//! 6. checkpoint every `checkpoint_every` ticks.
+//! 1. epoch boundary: re-solve placement from the tick's first
+//!    `placement_sample` arrivals (a prefix scan that stops at the last
+//!    one it needs);
+//! 2. the fan-out: the arrival scan (user chunks, concatenated in
+//!    ascending user id and grouped by home region between the stages),
+//!    then per region: expire in-flight, ingest arrivals (queue-full
+//!    sheds), drain + admission (each request synthesized as it is
+//!    popped; cloud fallbacks and admission sheds decided here), routing
+//!    of the admitted requests in queue order, and the fold of their
+//!    decisions into the region's digest;
+//! 3. head: charge in-flight per edge stage to the hosting region, in
+//!    region then queue order, and record cross-region sends in the
+//!    outbox (after the fan-out, because admission reads `in_flight`);
+//! 4. autoscaler tick and WAL record per region;
+//! 5. checkpoint every `checkpoint_every` ticks.
 
-use crate::feed::{FeedConfig, LoadFeed};
+use crate::feed::{Coin, FeedConfig, LoadFeed};
 use crate::region::RegionMap;
 use crate::shard::{
     Pending, RegionState, IN_FLIGHT_TICKS, TAG_CLOUD, TAG_EDGE, TAG_SHED_ADMISSION, TAG_SHED_QUEUE,
@@ -49,9 +57,9 @@ use socl_core::SoclConfig;
 use socl_model::codec::TornTail;
 use socl_model::{
     optimal_hosts_into, optimal_route_with, Placement, RouteOutcome, RouteScratch, Scenario,
-    ScenarioConfig,
+    ScenarioConfig, UserRequest,
 };
-use socl_net::par::{lock_recover, par_map_indexed_with};
+use socl_net::par::{lock_recover, par_map_indexed_with, par_map_then};
 use socl_net::{effective_threads, parallel_worthwhile, NodeId};
 use socl_sim::Policy;
 use std::collections::VecDeque;
@@ -250,51 +258,72 @@ fn outbox_window(checkpoint_every: u32) -> usize {
 /// user's low byte is a table look-up).
 const COIN_UNIT: usize = 3;
 
-/// `parallel_worthwhile` unit of one arrival in phase 3: its
-/// `LoadFeed::synthesize` (two 16-word ChaCha12 blocks × 6 double rounds)
-/// plus as much again for admitting and routing it — generous now that a
-/// route is only its hosts over bit rows, and kept so the gate opens at
-/// the same arrival counts.
+/// `parallel_worthwhile` unit of one expected arrival: its
+/// `LoadFeed::synthesize` at the drain (two 16-word ChaCha12 blocks × 6
+/// double rounds) plus as much again for admitting and routing it.
 const SYNTHESIZE_UNIT: usize = 2 * (2 * 16 * 6);
 
-/// Run `f` over every region, grouped by shard, on the deterministic
-/// pool when `unit` abstract operations per region are worth a spawn.
-/// Regions mutate in place; outputs come back in region order.
-/// Determinism: each region is touched by exactly one shard, shard
-/// outputs are merged by region index, and `f` itself is pure in the
-/// pool sense (no cross-region reads).
-fn sharded<T: Send>(
+/// Users one chunk of the arrival scan covers.
+const SCAN_CHUNK: u32 = 16_384;
+
+/// Chunks of a scan over `feed`'s population.
+fn scan_chunks(feed: &LoadFeed) -> usize {
+    feed.population().div_ceil(SCAN_CHUNK) as usize
+}
+
+/// Chunk `c` of a tick's arrival scan: every arrival among its users as
+/// `(home region, user)`, ascending by user id. The live tick and crash
+/// replay both scan through here.
+fn scan_chunk(feed: &LoadFeed, map: &RegionMap, coin: &Coin, c: usize) -> Vec<(u32, u32)> {
+    let lo = c as u32 * SCAN_CHUNK;
+    let mut hits = Vec::new();
+    coin.hits_into(
+        lo..feed.population().min(lo.saturating_add(SCAN_CHUNK)),
+        &mut hits,
+    );
+    hits.into_iter()
+        .map(|u| (map.region_of(feed.home_station(u)), u))
+        .collect()
+}
+
+/// Group a scan's arrivals by home region, keeping user-id order.
+fn by_region<'a>(
+    regions: usize,
+    arrivals: impl IntoIterator<Item = &'a (u32, u32)>,
+) -> Vec<Vec<u32>> {
+    let mut per_region: Vec<Vec<u32>> = (0..regions).map(|_| Vec::new()).collect();
+    for &(r, u) in arrivals {
+        per_region[r as usize].push(u);
+    }
+    per_region
+}
+
+/// A tick's one fan-out on `threads` workers: stage one maps `first` over
+/// `0..n1`, `between` gets its outputs in index order, and stage two runs
+/// `f` on every region, each region claimed whole by one worker; outputs
+/// come back in region order. Regions mutate in place, and `f` reads no
+/// other region, so the result is the serial loop's for any thread count.
+fn scan_then_regions<A, B, T>(
     regions: &mut [RegionState],
-    shards: usize,
-    unit: usize,
-    f: &(impl Fn(&mut RegionState) -> T + Sync),
-) -> Vec<T> {
+    threads: usize,
+    n1: usize,
+    first: impl Fn(usize) -> A + Sync,
+    between: impl FnOnce(Vec<A>) -> B,
+    f: impl Fn(&B, &mut RegionState) -> T + Sync,
+) -> (B, Vec<T>)
+where
+    A: Send,
+    B: Send + Sync,
+    T: Send,
+{
     let n = regions.len();
-    let shards = shards.clamp(1, n.max(1));
-    let threads = effective_threads().min(shards);
-    if shards == 1 || threads <= 1 || !parallel_worthwhile(n, unit) {
-        return regions.iter_mut().map(f).collect();
-    }
-    let mut by_shard: Vec<Vec<(usize, &mut RegionState)>> =
-        (0..shards).map(|_| Vec::new()).collect();
-    for (i, st) in regions.iter_mut().enumerate() {
-        by_shard[i % shards].push((i, st));
-    }
-    let buckets: Vec<Mutex<Vec<(usize, &mut RegionState)>>> =
-        by_shard.into_iter().map(Mutex::new).collect();
-    let shard_outs: Vec<Vec<(usize, T)>> = par_map_indexed_with(shards, threads, |s| {
-        // A poisoned lock would mean `f` panicked on another worker; the
-        // scope join re-raises that, so recovering here is sound.
-        let mut guard = lock_recover(&buckets[s]);
-        guard.iter_mut().map(|(i, st)| (*i, f(st))).collect()
-    });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for outs in shard_outs {
-        for (i, v) in outs {
-            slots[i] = Some(v);
-        }
-    }
-    slots.into_iter().flatten().collect()
+    let regions: Vec<Mutex<&mut RegionState>> = regions.iter_mut().map(Mutex::new).collect();
+    par_map_then(threads, n1, first, between, n, |b, r| {
+        // Each region is claimed by exactly one worker, so the lock is never
+        // contended; a poisoned one means another worker panicked, which
+        // the join re-raises.
+        f(b, &mut lock_recover(&regions[r]))
+    })
 }
 
 impl SoclServe {
@@ -457,86 +486,68 @@ impl SoclServe {
     /// Execute one tick of the event loop.
     pub fn step(&mut self) -> TickSummary {
         let t = self.tick + 1;
-        // Phase 1: arrival scan.
-        let arrivals = self.scan_arrivals(t);
-        // Phase 2: placement epoch, sampled from the scan.
+        // Phase 1: placement epoch, sampled from the tick's first arrivals.
         if (t - 1) % self.cfg.resolve_every.max(1) == 0 {
-            self.resolve_placement(t, &arrivals);
+            self.resolve_placement(t);
         }
         let epoch = self.epoch_of(t);
-        let per_region = self.by_region(&arrivals);
-        // Phase 3: per-shard ingest + drain + admission, then routing of
-        // the admitted jobs in queue order.
+        // Phase 2: the tick's one fan-out. Stage one scans the users in
+        // chunks; between the stages the arrivals are grouped by home
+        // region; stage two runs each region's ingest, drain, admission,
+        // routing and own-decision fold.
+        let threads = self.tick_threads(t);
         let placement = &self.placements[epoch - self.placement_base];
         let feed = &self.feed;
         let map = &self.region_map;
-        let world = &self.world;
+        let tick = Tick {
+            t,
+            feed,
+            placement,
+            world: &self.world,
+            capturing: self.capture.is_some(),
+        };
+        let coin = feed.coin(t);
         let drain_per_station = self.cfg.drain_per_station;
-        let capturing = self.capture.is_some();
-        let mut phase_a = sharded(
+        let n = self.regions.len();
+        let (_, mut phase_a) = scan_then_regions(
             &mut self.regions,
-            self.cfg.shards,
-            arrivals.len().div_ceil(per_region.len().max(1)) * SYNTHESIZE_UNIT,
-            &|st: &mut RegionState| {
+            threads,
+            scan_chunks(feed),
+            |c| scan_chunk(feed, map, &coin, c),
+            |chunks| by_region(n, chunks.iter().flatten()),
+            |per_region, st| {
                 let budget = drain_per_station * map.count(st.id).max(1);
-                let (jobs, events) = region_phase_a(
-                    st,
-                    t,
-                    per_region
-                        .get(st.id as usize)
-                        .map_or(&[][..], Vec::as_slice),
-                    feed,
-                    placement,
-                    budget,
-                    capturing,
-                );
-                (route_jobs(jobs, placement, world), events)
+                region_tick(st, &tick, &per_region[st.id as usize], budget)
             },
         );
-        // Phase 4: fold decisions in region then queue order, charge
-        // in-flight, record cross sends.
+        // Phase 3: charge in-flight per edge stage to its hosting region,
+        // in region then queue order, and record cross-region sends. The
+        // charges wait for every region's admission, which reads
+        // `in_flight`.
         let mut events: Vec<DecisionEvent> = Vec::new();
         for (_, evts) in &mut phase_a {
             events.append(evts);
         }
-        let mut sent: Vec<Vec<(u32, u32)>> = (0..self.regions.len()).map(|_| Vec::new()).collect();
+        let mut sent: Vec<Vec<(u32, u32)>> = (0..n).map(|_| Vec::new()).collect();
         for (o, (routed, _)) in phase_a.iter().enumerate() {
             let origin = o as u32;
-            for (p, route) in routed.iter() {
-                match route {
-                    Some(route) => {
-                        self.regions[o].decide(t, p.user, Some(route));
-                        for (j, &host) in route.iter().enumerate() {
-                            let m = p.request.chain[j];
-                            let target = self.region_map.region_of(host);
-                            let remote = target != origin;
-                            self.regions[target as usize].charge(m, t, remote);
-                            if remote {
-                                sent[o].push((target, m.0));
-                            }
-                        }
-                        if capturing {
-                            events.push(DecisionEvent {
-                                tick: t,
-                                user: p.user,
-                                tag: TAG_EDGE,
-                                route: route.to_vec(),
-                            });
-                        }
+            for (request, route) in routed.iter() {
+                for (j, &host) in route.unwrap_or_default().iter().enumerate() {
+                    let m = request.chain[j];
+                    let target = self.region_map.region_of(host);
+                    let remote = target != origin;
+                    self.regions[target as usize].charge(m, t, remote);
+                    if remote {
+                        sent[o].push((target, m.0));
                     }
-                    // Unreachable under a fixed placement (coverage was
-                    // checked at drain), but a decision is a decision.
-                    None => {
-                        self.regions[o].decide(t, p.user, None);
-                        if capturing {
-                            events.push(DecisionEvent {
-                                tick: t,
-                                user: p.user,
-                                tag: TAG_CLOUD,
-                                route: Vec::new(),
-                            });
-                        }
-                    }
+                }
+                if tick.capturing {
+                    events.push(DecisionEvent {
+                        tick: t,
+                        user: request.id.0,
+                        tag: if route.is_some() { TAG_EDGE } else { TAG_CLOUD },
+                        route: route.unwrap_or_default().to_vec(),
+                    });
                 }
             }
         }
@@ -550,7 +561,7 @@ impl SoclServe {
                 self.outbox[o].pop_front();
             }
         }
-        // Phase 5: autoscaler tick per region, then the WAL record.
+        // Phase 4: autoscaler tick per region, then the WAL record.
         let tick_secs = self.cfg.tick_secs;
         let placement = &self.placements[epoch - self.placement_base];
         let world = &self.world;
@@ -582,7 +593,7 @@ impl SoclServe {
         }
         self.tick = t;
         summary.digest = self.global_digest();
-        // Phase 6: checkpoint cadence.
+        // Phase 5: checkpoint cadence.
         if t % self.cfg.checkpoint_every.max(1) == 0 {
             self.take_checkpoints(t);
         }
@@ -594,20 +605,41 @@ impl SoclServe {
         ((t - 1) / self.cfg.resolve_every.max(1)) as usize
     }
 
+    /// Workers for tick `t`'s fan-out (and a replayed tick's scan): up to
+    /// `shards` when the tick's work — every user's coin flip plus every
+    /// expected arrival's synthesis, admission and routing — outweighs a
+    /// dispatch, else the calling thread alone. The count never changes a
+    /// result.
+    fn tick_threads(&self, t: u32) -> usize {
+        let users = self.feed.population() as usize;
+        let expected = (self.feed.arrival_probability(t) * users as f64) as usize;
+        let work = users
+            .saturating_mul(COIN_UNIT)
+            .saturating_add(expected.saturating_mul(SYNTHESIZE_UNIT));
+        let items = scan_chunks(&self.feed).max(self.regions.len());
+        if parallel_worthwhile(items, work.div_ceil(items.max(1))) {
+            effective_threads().min(self.cfg.shards.max(1))
+        } else {
+            1
+        }
+    }
+
     /// Re-solve the global placement from a tracer sample of tick `t`'s
-    /// arrivals: the first `placement_sample` of `arrivals` (the tick's
-    /// scan, ascending by user id), padded with the lowest user ids when
-    /// arrivals are scarce. The sample becomes the world's request set and
-    /// the policy solves the world as it stands: the network never changes,
-    /// so no epoch rebuilds all-pairs paths or copies the topology or the
-    /// catalog. Pure in `(feed, t)` — replay looks the result up from
-    /// history instead of re-solving.
-    fn resolve_placement(&mut self, t: u32, arrivals: &[(u32, u32)]) {
+    /// arrivals: the first `placement_sample` of them in user-id order
+    /// (`LoadFeed::first_arrivals`, a prefix of the tick's scan), padded
+    /// with the lowest user ids when arrivals are scarce. The sample
+    /// becomes the world's request set and the policy solves the world as
+    /// it stands: the network never changes, so no epoch rebuilds
+    /// all-pairs paths or copies the topology or the catalog. Pure in
+    /// `(feed, t)` — replay looks the result up from history instead of
+    /// re-solving.
+    fn resolve_placement(&mut self, t: u32) {
         let k = self.cfg.placement_sample.max(1);
-        let mut sample: Vec<_> = arrivals
-            .iter()
-            .take(k)
-            .map(|&(_, u)| self.feed.synthesize(u))
+        let mut sample: Vec<_> = self
+            .feed
+            .first_arrivals(t, k)
+            .into_iter()
+            .map(|u| self.feed.synthesize(u))
             .collect();
         let pad = k - sample.len();
         sample.extend(
@@ -633,39 +665,15 @@ impl SoclServe {
     }
 
     /// Bernoulli scan of the user population at tick `t`: every arrival as
-    /// `(home region, user)`, ascending by user id. Chunked over the pool
-    /// when the population is worth a spawn; chunk outputs concatenate in
-    /// order, so the list is identical for any thread count.
+    /// `(home region, user)`, ascending by user id — the chunks of the live
+    /// tick's first stage, concatenated in order, on as many workers as
+    /// the tick would use.
     fn scan_arrivals(&self, t: u32) -> Vec<(u32, u32)> {
-        const CHUNK: u32 = 16_384;
-        let users = self.feed.population();
         let coin = self.feed.coin(t);
-        let feed = &self.feed;
-        let map = &self.region_map;
-        let threads = if parallel_worthwhile(users as usize, COIN_UNIT) {
-            effective_threads()
-        } else {
-            1
-        };
-        let chunks = users.div_ceil(CHUNK) as usize;
-        par_map_indexed_with(chunks, threads, |c| {
-            let lo = c as u32 * CHUNK;
-            let mut hits = Vec::new();
-            coin.hits_into(lo..users.min(lo.saturating_add(CHUNK)), &mut hits);
-            hits.into_iter()
-                .map(|u| (map.region_of(feed.home_station(u)), u))
-                .collect::<Vec<_>>()
+        par_map_indexed_with(scan_chunks(&self.feed), self.tick_threads(t), |c| {
+            scan_chunk(&self.feed, &self.region_map, &coin, c)
         })
         .concat()
-    }
-
-    /// Group a scan's arrivals by home region, keeping user-id order.
-    fn by_region(&self, arrivals: &[(u32, u32)]) -> Vec<Vec<u32>> {
-        let mut per_region: Vec<Vec<u32>> = (0..self.regions.len()).map(|_| Vec::new()).collect();
-        for &(r, u) in arrivals {
-            per_region[r as usize].push(u);
-        }
-        per_region
     }
 
     /// Serialize every region at tick `t` and append to the checkpoint
@@ -761,7 +769,7 @@ impl SoclServe {
                     ck.tick
                 ));
             }
-            self.regions[r] = restore_region(&ck, &self.cfg, &self.region_map, &self.feed)?;
+            self.regions[r] = restore_region(&ck, &self.cfg, &self.region_map)?;
             self.digest_timeline[r].truncate(c0 as usize);
         }
         // 3. Replay (c0, t_kill] per killed region. All inputs are
@@ -771,7 +779,7 @@ impl SoclServe {
         for t in c0 + 1..=t_kill {
             let epoch = self.epoch_of(t);
             let placement = &self.placements[epoch - self.placement_base];
-            let per_region = self.by_region(&self.scan_arrivals(t));
+            let per_region = by_region(self.regions.len(), &self.scan_arrivals(t));
             for (ki, &r) in killed.iter().enumerate() {
                 if t == 1 {
                     self.regions[r].scaler.seed_from_placement(
@@ -781,30 +789,21 @@ impl SoclServe {
                     );
                 }
                 let budget = self.cfg.drain_per_station * self.region_map.count(r as u32).max(1);
-                let (jobs, _) = region_phase_a(
-                    &mut self.regions[r],
+                let tick = Tick {
                     t,
-                    &per_region[r],
-                    &self.feed,
+                    feed: &self.feed,
                     placement,
-                    budget,
-                    false,
-                );
-                // Route and fold the region's own decisions; charge only
-                // stages hosted in this region (remote stages belong to
-                // peers that never lost them).
-                for (p, route) in route_jobs(jobs, placement, &self.world).iter() {
-                    match route {
-                        Some(route) => {
-                            self.regions[r].decide(t, p.user, Some(route));
-                            for (j, &host) in route.iter().enumerate() {
-                                if self.region_map.region_of(host) == r as u32 {
-                                    let m = p.request.chain[j];
-                                    self.regions[r].charge(m, t, false);
-                                }
-                            }
+                    world: &self.world,
+                    capturing: false,
+                };
+                let (routed, _) = region_tick(&mut self.regions[r], &tick, &per_region[r], budget);
+                // Charge only stages hosted in this region (remote stages
+                // belong to peers that never lost them).
+                for (request, route) in routed.iter() {
+                    for (j, &host) in route.unwrap_or_default().iter().enumerate() {
+                        if self.region_map.region_of(host) == r as u32 {
+                            self.regions[r].charge(request.chain[j], t, false);
                         }
-                        None => self.regions[r].decide(t, p.user, None),
                     }
                 }
                 // Remote in-flight traffic: from the WAL record where the
@@ -867,18 +866,53 @@ impl SoclServe {
     }
 }
 
-/// Ingest + drain + admission for one region at tick `t`. Shared verbatim
-/// by the live shard phase and crash replay — the digest depends on the
+/// One region's share of tick `t`: ingest, drain and admission
+/// ([`region_phase_a`]), routing of the admitted requests in queue order
+/// ([`route_jobs`]), then the fold of each one's decision. The live tick's
+/// second stage and crash replay both run it, so a region's digest takes
+/// the same folds in the same order on both: phase A's sheds and cloud
+/// fallbacks, then the routed decisions in queue order.
+fn region_tick(
+    st: &mut RegionState,
+    tick: &Tick<'_>,
+    arrivals: &[u32],
+    budget: usize,
+) -> (Routed, Vec<DecisionEvent>) {
+    let (jobs, events) = region_phase_a(st, tick, arrivals, budget);
+    let routed = route_jobs(jobs, tick.placement, tick.world);
+    for (request, route) in routed.iter() {
+        st.decide(tick.t, request.id.0, route);
+    }
+    (routed, events)
+}
+
+/// What every region reads during one tick.
+struct Tick<'a> {
+    t: u32,
+    feed: &'a LoadFeed,
+    placement: &'a Placement,
+    world: &'a Scenario,
+    /// Record decision events for the capture hook.
+    capturing: bool,
+}
+
+/// Ingest + drain + admission for one region at tick `t`. An arrival is
+/// queued as its `(user, tick)` and synthesized only when the drain pops
+/// it, so a queue-full shed never synthesizes. The digest depends on the
 /// exact fold order, so there is exactly one implementation.
 fn region_phase_a(
     st: &mut RegionState,
-    t: u32,
+    tick: &Tick<'_>,
     arrivals: &[u32],
-    feed: &LoadFeed,
-    placement: &Placement,
     budget: usize,
-    capturing: bool,
-) -> (Vec<Pending>, Vec<DecisionEvent>) {
+) -> (Vec<UserRequest>, Vec<DecisionEvent>) {
+    let Tick {
+        t,
+        feed,
+        placement,
+        capturing,
+        ..
+    } = *tick;
     let mut events = Vec::new();
     let mut capture = |tick: u32, user: u32, tag: u64| {
         if capturing {
@@ -894,16 +928,7 @@ fn region_phase_a(
     for &user in arrivals {
         st.arrivals += 1;
         st.tick_arrivals += 1;
-        let request = feed.synthesize(user);
-        if st
-            .queue
-            .push(Pending {
-                user,
-                tick: t,
-                request,
-            })
-            .is_err()
-        {
+        if st.queue.push(Pending { user, tick: t }).is_err() {
             st.shed_queue += 1;
             st.tick_shed_queue += 1;
             st.fold_decision(t, user, TAG_SHED_QUEUE, &[]);
@@ -915,8 +940,8 @@ fn region_phase_a(
         let Some(p) = st.queue.pop() else {
             break;
         };
-        let covered = p
-            .request
+        let request = feed.synthesize(p.user);
+        let covered = request
             .chain
             .iter()
             .all(|&m| placement.hosts_iter(m).next().is_some());
@@ -925,8 +950,8 @@ fn region_phase_a(
             capture(t, p.user, TAG_CLOUD);
             continue;
         }
-        let chain_len = p.request.chain.len();
-        let admitted = p.request.chain.iter().all(|&m| {
+        let chain_len = request.chain.len();
+        let admitted = request.chain.iter().all(|&m| {
             let y = f64::from(st.in_flight.get(m.idx()).copied().unwrap_or(0));
             st.scaler.admit(m, chain_len, y)
         });
@@ -937,31 +962,31 @@ fn region_phase_a(
             capture(t, p.user, TAG_SHED_ADMISSION);
             continue;
         }
-        jobs.push(p);
+        jobs.push(request);
     }
     (jobs, events)
 }
 
-/// One region's admitted jobs of a tick with their routes: the hosts of
-/// every edge route back to back in `hosts`, and per job the range of its
-/// route there (`None`: cloud fallback).
+/// One region's admitted requests of a tick with their routes: the hosts
+/// of every edge route back to back in `hosts`, and per request the range
+/// of its route there (`None`: cloud fallback).
 struct Routed {
-    jobs: Vec<(Pending, Option<Range<usize>>)>,
+    jobs: Vec<(UserRequest, Option<Range<usize>>)>,
     hosts: Vec<NodeId>,
 }
 
 impl Routed {
-    /// Each job with its route, in queue order.
-    fn iter(&self) -> impl Iterator<Item = (&Pending, Option<&[NodeId]>)> {
+    /// Each request with its route, in queue order.
+    fn iter(&self) -> impl Iterator<Item = (&UserRequest, Option<&[NodeId]>)> {
         self.jobs
             .iter()
-            .map(|(p, route)| (p, route.clone().map(|r| &self.hosts[r])))
+            .map(|(request, route)| (request, route.clone().map(|r| &self.hosts[r])))
     }
 }
 
-/// Route one region's admitted jobs against `placement`, in queue order
-/// (live and replay share it).
-fn route_jobs(jobs: Vec<Pending>, placement: &Placement, world: &Scenario) -> Routed {
+/// Route one region's admitted requests against `placement`, in queue
+/// order.
+fn route_jobs(jobs: Vec<UserRequest>, placement: &Placement, world: &Scenario) -> Routed {
     let Scenario {
         net, ap, catalog, ..
     } = world;
@@ -969,11 +994,11 @@ fn route_jobs(jobs: Vec<Pending>, placement: &Placement, world: &Scenario) -> Ro
     let mut hosts = Vec::new();
     let jobs = jobs
         .into_iter()
-        .map(|p| {
+        .map(|request| {
             let start = hosts.len();
             let route = optimal_hosts_into(
                 &mut scratch,
-                &p.request,
+                &request,
                 placement,
                 net,
                 ap,
@@ -981,7 +1006,7 @@ fn route_jobs(jobs: Vec<Pending>, placement: &Placement, world: &Scenario) -> Ro
                 &mut hosts,
             )
             .map(|_| start..hosts.len());
-            (p, route)
+            (request, route)
         })
         .collect();
     Routed { jobs, hosts }
@@ -1037,13 +1062,12 @@ fn snapshot_region(st: &RegionState, t: u32) -> RegionCheckpoint {
     }
 }
 
-/// Rebuild a region from a checkpoint image; queued requests are
-/// re-synthesized from the feed.
+/// Rebuild a region from a checkpoint image; queued requests go back as
+/// their `(user, tick)` and are synthesized when drained.
 fn restore_region(
     ck: &RegionCheckpoint,
     cfg: &ServeConfig,
     map: &RegionMap,
-    feed: &LoadFeed,
 ) -> Result<RegionState, String> {
     let services = ck.in_flight.len();
     let nodes = cfg.nodes;
@@ -1060,16 +1084,7 @@ fn restore_region(
         .restore_state(&ck.scaler)
         .map_err(|e| format!("region {}: scaler restore: {e}", ck.region))?;
     for &(user, tick) in &ck.pending {
-        let request = feed.synthesize(user);
-        if st
-            .queue
-            .push(Pending {
-                user,
-                tick,
-                request,
-            })
-            .is_err()
-        {
+        if st.queue.push(Pending { user, tick }).is_err() {
             return Err(format!("region {}: checkpoint overflows queue", ck.region));
         }
     }
@@ -1152,6 +1167,28 @@ mod tests {
         }
     }
 
+    /// The global decision digest — every region's folds, in order — of
+    /// the overloaded flash crowd (both shed paths, the fan-out open at
+    /// more than one worker) and of the small configuration (all serial).
+    /// The conservation totals above cannot see a fold moved within a
+    /// region; these can.
+    #[test]
+    fn decision_digests_are_pinned() {
+        for (cfg, ticks, pinned) in [
+            (flash(), 60, 0xf074_b297_f08f_5a63),
+            (ServeConfig::small(3), 24, 0xb98d_e2d8_ce8a_0fe9),
+        ] {
+            let mut serve = SoclServe::new(cfg);
+            serve.run(ticks);
+            assert_eq!(
+                serve.global_digest(),
+                pinned,
+                "{:016x}",
+                serve.global_digest()
+            );
+        }
+    }
+
     #[test]
     fn shard_count_does_not_change_results() {
         let base = ServeConfig {
@@ -1213,57 +1250,59 @@ mod tests {
         assert_eq!(runs[0], runs[2]);
     }
 
-    /// `sharded` hands results back in region order however the regions
-    /// are dealt to shards. With more regions than shards, shard order
-    /// (0, 3, 6, 1, …) is not region order, and no end-to-end test opens
-    /// the phase A gate in that shape.
+    /// The tick's fan-out hands stage two's results back in region order
+    /// whichever worker claimed each region, with more regions than
+    /// workers, and `between` sees the first stage in index order.
     #[test]
-    fn sharded_returns_region_order() {
+    fn tick_fan_out_returns_region_order() {
         let mut serve = SoclServe::new(ServeConfig {
             regions: 8,
             shards: 3,
             ..ServeConfig::small(1)
         });
         let ids: Vec<u32> = (0..8).collect();
-        let id = |st: &mut RegionState| st.id;
-        for n in [1, 2, 4] {
-            let _held = threads(n);
-            assert_eq!(
-                sharded(&mut serve.regions, 3, 1 << 20, &id),
-                ids,
-                "threads={n}"
+        for threads in 1..=4 {
+            let (seen, got) = scan_then_regions(
+                &mut serve.regions,
+                threads,
+                5,
+                |c| c * 10,
+                |a| a,
+                |_, st| st.id,
             );
+            assert_eq!(seen, [0, 10, 20, 30, 40], "threads={threads}");
+            assert_eq!(got, ids, "threads={threads}");
         }
     }
 
-    /// Which side the two gated fan-outs take at the benchmark's sizes,
-    /// from the units `scan_arrivals` and phase A pass.
+    /// Which side the tick's fan-out gate takes at every tick of the
+    /// intensity horizon: open on `serve-steady` (40 000 users,
+    /// a diurnal 2000 arrivals a tick) and on `serve-flash-crash` (the
+    /// 200 000-user scan alone clears it), shut on `ServeConfig::small`.
     #[test]
-    fn gates_at_benchmark_sizes() {
+    fn tick_gate_at_benchmark_sizes() {
         let _held = threads(4);
-        let scan = |cfg: &ServeConfig| parallel_worthwhile(cfg.feed.users, COIN_UNIT);
-        let phase_a = |cfg: &ServeConfig, arrivals: usize| {
-            parallel_worthwhile(
-                cfg.regions,
-                arrivals.div_ceil(cfg.regions) * SYNTHESIZE_UNIT,
-            )
-        };
-        // `serve-steady`: 40 000 users at a diurnal 2000 arrivals a tick.
         let steady = ServeConfig {
             nodes: 48,
             regions: 8,
             feed: FeedConfig {
                 users: 40_000,
+                shape: socl_trace::TemporalConfig::diurnal(),
                 arrivals_per_tick: 2000.0,
                 ..FeedConfig::default()
             },
             ..ServeConfig::small(17)
         };
-        assert!(scan(&flash()));
-        assert!(!scan(&steady));
-        assert!(!phase_a(&flash(), flash().feed.arrivals_per_tick as usize));
-        assert!(phase_a(&flash(), 584));
-        assert!(phase_a(&steady, steady.feed.arrivals_per_tick as usize));
+        for (cfg, opens) in [
+            (steady, true),
+            (flash(), true),
+            (ServeConfig::small(17), false),
+        ] {
+            let serve = SoclServe::new(cfg);
+            for t in 1..=serve.feed.horizon() as u32 {
+                assert_eq!(serve.tick_threads(t) > 1, opens, "tick {t}");
+            }
+        }
     }
 
     /// A re-solve solves the world the service built once, with the epoch's

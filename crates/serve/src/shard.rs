@@ -16,9 +16,10 @@
 //! while the local half is re-derived from the region's own replayed
 //! decisions.
 
+use crate::feed::{fnv_step, fnv_word, FNV_OFFSET};
 use crate::queue::BoundedQueue;
 use socl_autoscale::{AutoscaleConfig, Autoscaler};
-use socl_model::{ServiceId, UserRequest};
+use socl_model::ServiceId;
 
 /// Ticks one decided stage keeps a unit of in-flight concurrency alive.
 pub const IN_FLIGHT_TICKS: usize = 4;
@@ -34,32 +35,36 @@ pub(crate) const TAG_SHED_ADMISSION: u64 = 3;
 /// Digest tag: shed by a full ingest queue.
 pub(crate) const TAG_SHED_QUEUE: u64 = 4;
 
-/// Continue an FNV-1a 64-bit digest over `words`. The per-region decision
-/// digest threads through this; replay must land on the same value.
+/// Continue an FNV-1a 64-bit digest over `words` (from the offset basis
+/// when `h` is 0). The per-region decision digest threads through this;
+/// replay must land on the same value. A word below 2³² — a tick, user,
+/// tag or node id — is folded by `fnv_word` (four byte steps, then its
+/// four zero high bytes as one multiply); a full 64-bit word takes all
+/// eight byte steps.
 #[inline]
 pub(crate) fn mix(mut h: u64, words: &[u64]) -> u64 {
     if h == 0 {
-        h = 0xcbf2_9ce4_8422_2325;
+        h = FNV_OFFSET;
     }
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for &w in words {
+        h = match u32::try_from(w) {
+            Ok(low) => fnv_word(h, low),
+            Err(_) => w.to_le_bytes().into_iter().fold(h, fnv_step),
+        };
     }
     h
 }
 
-/// A queued request awaiting its decision: the synthesized request plus
-/// the `(user, tick)` pair that re-derives it during replay.
-#[derive(Debug, Clone)]
+/// A queued request awaiting its decision: the `(user, tick)` pair a
+/// checkpoint stores. The request itself is a pure function of the feed
+/// and `user`, synthesized when the drain pops it, so an arrival shed by a
+/// full queue is never synthesized.
+#[derive(Debug, Clone, Copy)]
 pub struct Pending {
     /// Issuing user.
     pub user: u32,
     /// Tick the request arrived.
     pub tick: u32,
-    /// The synthesized request (a pure function of the feed and `user`).
-    pub request: UserRequest,
 }
 
 /// One region's full mutable state.
