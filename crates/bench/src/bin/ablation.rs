@@ -13,6 +13,7 @@
 //! ```
 
 use socl::prelude::*;
+use socl_bench::out;
 use std::time::Instant;
 
 fn score(cfg: SoclConfig, seeds: &[u64]) -> (f64, f64) {
@@ -31,7 +32,7 @@ fn score(cfg: SoclConfig, seeds: &[u64]) -> (f64, f64) {
 
 fn sweep(tag: &str, base: &SoclConfig, seeds: &[u64]) {
     let (o, s) = score(base.clone(), seeds);
-    println!("{tag}/baseline,{o:.1},{s:.4}");
+    out!("{tag}/baseline,{o:.1},{s:.4}");
 
     for omega in [0.05, 0.2, 0.5, 1.0] {
         let (o, s) = score(
@@ -41,11 +42,11 @@ fn sweep(tag: &str, base: &SoclConfig, seeds: &[u64]) {
             },
             seeds,
         );
-        println!("{tag}/omega={omega},{o:.1},{s:.4}");
+        out!("{tag}/omega={omega},{o:.1},{s:.4}");
     }
     for xi in [2.0, 30.0, 50.0, 100.0] {
         let (o, s) = score(SoclConfig { xi, ..base.clone() }, seeds);
-        println!("{tag}/xi={xi},{o:.1},{s:.4}");
+        out!("{tag}/xi={xi},{o:.1},{s:.4}");
     }
     for theta in [0.0, 10.0, 100.0] {
         let (o, s) = score(
@@ -55,7 +56,7 @@ fn sweep(tag: &str, base: &SoclConfig, seeds: &[u64]) {
             },
             seeds,
         );
-        println!("{tag}/theta={theta},{o:.1},{s:.4}");
+        out!("{tag}/theta={theta},{o:.1},{s:.4}");
     }
     let (o, s) = score(
         SoclConfig {
@@ -64,7 +65,7 @@ fn sweep(tag: &str, base: &SoclConfig, seeds: &[u64]) {
         },
         seeds,
     );
-    println!("{tag}/no_candidate_filter,{o:.1},{s:.4}");
+    out!("{tag}/no_candidate_filter,{o:.1},{s:.4}");
     let (o, s) = score(
         SoclConfig {
             storage_policy: StoragePolicy::CheapestOut,
@@ -72,7 +73,7 @@ fn sweep(tag: &str, base: &SoclConfig, seeds: &[u64]) {
         },
         seeds,
     );
-    println!("{tag}/cheapest_out_storage,{o:.1},{s:.4}");
+    out!("{tag}/cheapest_out_storage,{o:.1},{s:.4}");
     let (o, s) = score(
         SoclConfig {
             exact_zeta: false,
@@ -80,7 +81,7 @@ fn sweep(tag: &str, base: &SoclConfig, seeds: &[u64]) {
         },
         seeds,
     );
-    println!("{tag}/surrogate_zeta,{o:.1},{s:.4}");
+    out!("{tag}/surrogate_zeta,{o:.1},{s:.4}");
     let (o, s) = score(
         SoclConfig {
             parallel: false,
@@ -88,19 +89,19 @@ fn sweep(tag: &str, base: &SoclConfig, seeds: &[u64]) {
         },
         seeds,
     );
-    println!("{tag}/serial_execution,{o:.1},{s:.4}");
+    out!("{tag}/serial_execution,{o:.1},{s:.4}");
 }
 
 fn main() {
     let seeds: &[u64] = &[1, 2, 3];
-    println!(
+    out!(
         "# ABLATIONS (10 nodes, 100 users, mean of {} seeds)",
         seeds.len()
     );
-    println!("# The relocation pass is a strong equalizer: it converges to similar");
-    println!("# local optima from different descent paths, masking the other knobs.");
-    println!("# Both pipelines are therefore swept: with and without relocation.");
-    println!("variant,objective,seconds");
+    out!("# The relocation pass is a strong equalizer: it converges to similar");
+    out!("# local optima from different descent paths, masking the other knobs.");
+    out!("# Both pipelines are therefore swept: with and without relocation.");
+    out!("variant,objective,seconds");
 
     sweep("full", &SoclConfig::default(), seeds);
     sweep(

@@ -14,6 +14,7 @@
 
 use socl::core::{placement_churn, WarmStartSolver};
 use socl::prelude::*;
+use socl_bench::out;
 
 fn main() {
     let slots = 12usize;
@@ -30,8 +31,8 @@ fn main() {
     let mut warm = WarmStartSolver::new(SoclConfig::default());
     let cold = SoclSolver::new();
 
-    println!("# churn per slot: cold (independent solves) vs warm start");
-    println!("slot,cold_churn,warm_churn,cold_obj,warm_obj");
+    out!("# churn per slot: cold (independent solves) vs warm start");
+    out!("slot,cold_churn,warm_churn,cold_obj,warm_obj");
     let mut prev_cold: Option<Placement> = None;
     let mut totals = (0usize, 0usize);
     let mut obj_ratio_sum = 0.0;
@@ -59,7 +60,7 @@ fn main() {
     };
     for (slot_idx, (cold_churn, warm_churn, cold_obj, warm_obj)) in records.into_iter().enumerate()
     {
-        println!("{slot_idx},{cold_churn},{warm_churn},{cold_obj:.1},{warm_obj:.1}");
+        out!("{slot_idx},{cold_churn},{warm_churn},{cold_obj:.1},{warm_obj:.1}");
         totals.0 += cold_churn;
         totals.1 += warm_churn;
         if cold_obj > 0.0 {
@@ -67,9 +68,9 @@ fn main() {
         }
     }
 
-    println!("\n# summary over {slots} slots");
-    println!("total_cold_churn,{}", totals.0);
-    println!("total_warm_churn,{}", totals.1);
-    println!("warm_objective_vs_cold,{:.3}", obj_ratio_sum / slots as f64);
-    println!("# shape check: warm churn should be well below cold churn at ~equal objective");
+    out!("\n# summary over {slots} slots");
+    out!("total_cold_churn,{}", totals.0);
+    out!("total_warm_churn,{}", totals.1);
+    out!("warm_objective_vs_cold,{:.3}", obj_ratio_sum / slots as f64);
+    out!("# shape check: warm churn should be well below cold churn at ~equal objective");
 }

@@ -10,10 +10,11 @@
 
 use socl::core::{initial_partition, preprovision, Combiner};
 use socl::prelude::*;
+use socl_bench::out;
 
 fn main() {
-    println!("# stage-wise objective trajectory (10 nodes)");
-    println!("users,seed,pre,after_large,after_serial,final,reduction_pct");
+    out!("# stage-wise objective trajectory (10 nodes)");
+    out!("users,seed,pre,after_large,after_serial,final,reduction_pct");
     for users in [40usize, 100, 200] {
         for seed in [1u64, 2, 3] {
             let sc = ScenarioConfig::paper(10, users).build(seed);
@@ -25,7 +26,7 @@ fn main() {
             let (_, stats) = Combiner::new(&sc, &cfg, &parts, pre.placement)
                 .with_debug(debug)
                 .run();
-            println!(
+            out!(
                 "{users},{seed},{pre_obj:.1},{:.1},{:.1},{:.1},{:.1}",
                 stats.objective_after_large,
                 stats.objective_after_serial,
@@ -35,15 +36,15 @@ fn main() {
         }
     }
 
-    println!("\n# distance to the proven optimum on exact-solvable instances");
-    println!("nodes,users,seed,socl,optimum,gap_pct");
+    out!("\n# distance to the proven optimum on exact-solvable instances");
+    out!("nodes,users,seed,socl,optimum,gap_pct");
     for seed in [1u64, 2, 3] {
         let mut cfg = ScenarioConfig::paper(4, 8);
         cfg.requests.chain_len = (2, 3);
         let sc = cfg.build(seed);
         let socl = SoclSolver::new().solve(&sc).objective();
         let opt = solve_exact(&sc, &ExactOptions::default());
-        println!(
+        out!(
             "4,8,{seed},{socl:.1},{:.1},{:.2}",
             opt.objective,
             (socl - opt.objective) / opt.objective * 100.0

@@ -10,6 +10,7 @@
 
 use socl::model::DependencyDataset;
 use socl::prelude::*;
+use socl_bench::out;
 
 fn run_dataset(name: &str, dataset: &DependencyDataset, users: usize, seeds: &[u64]) {
     let mut rows: Vec<(&str, Vec<f64>)> = vec![
@@ -38,7 +39,7 @@ fn run_dataset(name: &str, dataset: &DependencyDataset, users: usize, seeds: &[u
     let mut meds = Vec::new();
     for (algo, mut objs) in rows {
         let m = median(&mut objs);
-        println!("{name},{users},{algo},{m:.1}");
+        out!("{name},{users},{algo},{m:.1}");
         meds.push((algo, m));
     }
     let socl = meds[0].1;
@@ -46,7 +47,7 @@ fn run_dataset(name: &str, dataset: &DependencyDataset, users: usize, seeds: &[u
         .iter()
         .map(|&(_, m)| m)
         .fold(f64::INFINITY, f64::min);
-    println!(
+    out!(
         "# {name}/{users}: SoCL lowest: {} (margin {:.1}%)",
         socl <= best_other,
         (best_other - socl) / socl * 100.0
@@ -55,15 +56,15 @@ fn run_dataset(name: &str, dataset: &DependencyDataset, users: usize, seeds: &[u
 
 fn main() {
     let seeds: &[u64] = &[1, 2, 3];
-    println!(
+    out!(
         "# cross-dataset comparison (10 servers, median of {} seeds)",
         seeds.len()
     );
-    println!("dataset,users,algo,objective");
+    out!("dataset,users,algo,objective");
     for users in [60usize, 120] {
         run_dataset("eshop", &EshopDataset::build(), users, seeds);
         run_dataset("sock-shop", &SockShopDataset::build(), users, seeds);
         run_dataset("train-ticket", &TrainTicketDataset::build(), users, seeds);
-        println!();
+        out!();
     }
 }

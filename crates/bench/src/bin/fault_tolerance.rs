@@ -25,6 +25,7 @@
 //! ```
 
 use socl::prelude::*;
+use socl_bench::out;
 
 fn policy_placements(sc: &Scenario) -> Vec<(&'static str, Placement)> {
     vec![
@@ -41,8 +42,8 @@ fn main() {
     let epochs = 4usize;
     let horizon = epochs as f64 * 300.0;
 
-    println!("# FAULT_TOLERANCE part 1: emulated testbed, fault intensity x policy x retries");
-    println!(
+    out!("# FAULT_TOLERANCE part 1: emulated testbed, fault intensity x policy x retries");
+    out!(
         "intensity,algo,retries,availability,completed,retried,hedged,degraded,dropped,\
          timeouts,mean_ms,effective_mean_ms,mttr_s"
     );
@@ -70,7 +71,7 @@ fn main() {
                 };
                 let res = run_testbed(&sc, &placement, &cfg);
                 let eff = res.effective_mean(sc.cloud_penalty);
-                println!(
+                out!(
                     "{intensity},{name},{},{:.4},{},{},{},{},{},{},{:.1},{:.1},{:.1}",
                     if retries { "on" } else { "off" },
                     res.availability,
@@ -96,11 +97,11 @@ fn main() {
                 }
             }
         }
-        println!();
+        out!();
     }
 
-    println!("# FAULT_TOLERANCE part 2: online slots with mid-slot crashes, repair off/on");
-    println!("algo,repair,fallbacks_total,mean_latency_ms,repair_churn_total,mean_repair_ms,crashed_slots");
+    out!("# FAULT_TOLERANCE part 2: online slots with mid-slot crashes, repair off/on");
+    out!("algo,repair,fallbacks_total,mean_latency_ms,repair_churn_total,mean_repair_ms,crashed_slots");
 
     let mut socl_online: Option<(usize, f64)> = None; // (fallbacks, mean latency)
     let mut rival_online: Vec<(usize, f64)> = Vec::new();
@@ -154,7 +155,7 @@ fn main() {
             } else {
                 repaired.iter().sum::<f64>() / repaired.len() as f64
             };
-            println!(
+            out!(
                 "{name},{},{fallbacks},{:.1},{churn},{:.2},{crashed}",
                 if repair { "on" } else { "off" },
                 mean_lat * 1e3,
@@ -169,10 +170,10 @@ fn main() {
             }
         }
     }
-    println!();
+    out!();
 
     // Shape verdicts, computed from the rows above.
-    println!(
+    out!(
         "# check 1 (dropped==0 with retries at intensity<=1): {}",
         if moderate_drops == 0 { "PASS" } else { "FAIL" }
     );
@@ -180,7 +181,7 @@ fn main() {
     let tb_ok = rivals_at_one
         .iter()
         .all(|&(av, eff)| s_av >= av && s_eff <= eff + 1e-9);
-    println!(
+    out!(
         "# check 2 (testbed: SoCL+retries >= rivals on availability, <= on effective delay): {}",
         if tb_ok { "PASS" } else { "FAIL" }
     );
@@ -188,7 +189,7 @@ fn main() {
     let on_ok = rival_online
         .iter()
         .all(|&(fb, lat)| s_fb <= fb && s_lat <= lat + 1e-9);
-    println!(
+    out!(
         "# check 3 (online: SoCL+repair <= rivals on fallbacks and mean delay): {}",
         if on_ok { "PASS" } else { "FAIL" }
     );

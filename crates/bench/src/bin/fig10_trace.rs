@@ -13,6 +13,7 @@
 //! ```
 
 use socl::prelude::*;
+use socl_bench::out;
 
 fn run(policy: &Policy, seed: u64, slots: usize) -> Vec<SlotRecord> {
     let mut sim = OnlineSimulator::new(OnlineConfig {
@@ -48,30 +49,26 @@ fn main() {
         Policy::Socl(SoclConfig::default()),
     ];
 
-    println!("# FIG10: per-slot average delay (ms), 16 nodes, 50 mobile users");
-    print!("slot,minutes");
-    for p in &policies {
-        print!(",{}", p.name());
-    }
-    println!();
+    out!("# FIG10: per-slot average delay (ms), 16 nodes, 50 mobile users");
+    let names: String = policies.iter().map(|p| format!(",{}", p.name())).collect();
+    out!("slot,minutes{names}");
 
     let traces: Vec<Vec<SlotRecord>> = policies.iter().map(|p| run(p, 9, slots)).collect();
     for s in 0..slots {
-        print!("{s},{}", s * 5);
-        for tr in &traces {
-            print!(",{:.2}", tr[s].mean_latency * 1e3);
-        }
-        println!();
+        let delays: String = (traces.iter())
+            .map(|tr| format!(",{:.2}", tr[s].mean_latency * 1e3))
+            .collect();
+        out!("{s},{}{delays}", s * 5);
     }
 
-    println!("\n# summary");
-    println!("algo,avg_delay_ms,max_slot_avg_ms,max_request_ms_proxy,solve_ms_per_slot");
+    out!("\n# summary");
+    out!("algo,avg_delay_ms,max_slot_avg_ms,max_request_ms_proxy,solve_ms_per_slot");
     for (p, tr) in policies.iter().zip(&traces) {
         let avg = tr.iter().map(|r| r.mean_latency).sum::<f64>() / tr.len() as f64;
         let max_avg = tr.iter().map(|r| r.mean_latency).fold(0.0, f64::max);
         let max_req = tr.iter().map(|r| r.max_latency).fold(0.0, f64::max);
         let solve = tr.iter().map(|r| r.solve_time.as_secs_f64()).sum::<f64>() / tr.len() as f64;
-        println!(
+        out!(
             "{},{:.2},{:.2},{:.2},{:.2}",
             p.name(),
             avg * 1e3,
@@ -80,6 +77,6 @@ fn main() {
             solve * 1e3
         );
     }
-    println!("# shape check (paper): SoCL has the lowest average delay and the");
-    println!("# lowest maximum; RP shows unstable peaks.");
+    out!("# shape check (paper): SoCL has the lowest average delay and the");
+    out!("# lowest maximum; RP shows unstable peaks.");
 }

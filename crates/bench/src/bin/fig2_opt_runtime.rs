@@ -15,6 +15,7 @@
 //! ```
 
 use socl::prelude::*;
+use socl_bench::out;
 use socl_bench::GeoSeries;
 
 fn main() {
@@ -26,8 +27,8 @@ fn main() {
         (2..=10).step_by(2).collect()
     };
 
-    println!("# FIG2: exact-optimizer (OPT) runtime blow-up");
-    println!("servers,users,opt_seconds,opt_nodes,proved,socl_seconds");
+    out!("# FIG2: exact-optimizer (OPT) runtime blow-up");
+    out!("servers,users,opt_seconds,opt_nodes,proved,socl_seconds");
     let mut growths = Vec::new();
     for &n in servers {
         let mut series = GeoSeries::new(format!("{n} servers"));
@@ -39,7 +40,7 @@ fn main() {
             let t = std::time::Instant::now();
             let _ = SoclSolver::new().solve(&sc);
             let socl_secs = t.elapsed().as_secs_f64();
-            println!(
+            out!(
                 "{n},{u},{:.4}{},{},{},{:.4}",
                 opt.elapsed.as_secs_f64(),
                 if opt.proved_optimal { "" } else { " (>cap)" },
@@ -53,8 +54,8 @@ fn main() {
         }
         growths.push((n, series.growth_factor()));
     }
-    println!("\n# shape check: per-2-users runtime growth factor (paper: ~exponential)");
+    out!("\n# shape check: per-2-users runtime growth factor (paper: ~exponential)");
     for (n, g) in growths {
-        println!("servers={n}: x{g:.2} per step");
+        out!("servers={n}: x{g:.2} per step");
     }
 }

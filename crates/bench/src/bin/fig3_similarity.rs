@@ -12,6 +12,7 @@
 
 use socl::prelude::*;
 use socl::trace::similarity::{offdiag_max, offdiag_mean};
+use socl_bench::out;
 
 fn main() {
     let generator = TraceGenerator::new(TraceConfig::default(), 42);
@@ -19,28 +20,22 @@ fn main() {
     // Figure 3a: similarity between the ten services.
     let traces = generator.sample_all(1);
     let m = similarity_matrix(&traces, |a, b| cosine_similarity(&a.usage, &b.usage));
-    println!("# FIG3a: cosine similarity between services (10x10)");
-    print!("service");
-    for j in 0..10 {
-        print!(",s{j}");
-    }
-    println!();
+    out!("# FIG3a: cosine similarity between services (10x10)");
+    let header: String = (0..10).map(|j| format!(",s{j}")).collect();
+    out!("service{header}");
     for i in 0..10 {
-        print!("s{i}");
-        for j in 0..10 {
-            print!(",{:.3}", m[i * 10 + j]);
-        }
-        println!();
+        let row: String = (0..10).map(|j| format!(",{:.3}", m[i * 10 + j])).collect();
+        out!("s{i}{row}");
     }
-    println!(
+    out!(
         "# offdiag mean {:.3}, max {:.3}",
         offdiag_mean(&m, 10),
         offdiag_max(&m, 10)
     );
 
     // Figure 3b: similarity between successive traces of each deep service.
-    println!("\n# FIG3b: structural (Jaccard) similarity between traces of one service");
-    println!("service,pairs,mean,max");
+    out!("\n# FIG3b: structural (Jaccard) similarity between traces of one service");
+    out!("service,pairs,mean,max");
     let mut global_max: f64 = 0.0;
     for s in 0..10 {
         let series = generator.sample_series(s, 10, 7);
@@ -48,9 +43,9 @@ fn main() {
         let mean = offdiag_mean(&j, 10);
         let max = offdiag_max(&j, 10);
         global_max = global_max.max(max);
-        println!("s{s},45,{mean:.3},{max:.3}");
+        out!("s{s},45,{mean:.3},{max:.3}");
     }
-    println!(
+    out!(
         "# shape check: max trace similarity {global_max:.3} (paper reports ≈ 0.65, i.e. well below 1)"
     );
 }

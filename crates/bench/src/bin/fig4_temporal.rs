@@ -10,15 +10,16 @@
 //! ```
 
 use socl::prelude::*;
+use socl_bench::out;
 
 fn main() {
     let cfg = TemporalConfig::default(); // 120 five-minute bins = 10 hours
     let workload = TemporalWorkload::generate(&cfg, 42);
 
-    println!("# FIG4: request volume per 5-minute interval (10 hours)");
-    println!("interval,minutes,volume");
+    out!("# FIG4: request volume per 5-minute interval (10 hours)");
+    out!("interval,minutes,volume");
     for (i, v) in workload.volumes.iter().enumerate() {
-        println!("{i},{},{v:.1}", i * 5);
+        out!("{i},{},{v:.1}", i * 5);
     }
 
     let mean = workload.mean();
@@ -28,12 +29,12 @@ fn main() {
         .iter()
         .copied()
         .fold(f64::INFINITY, f64::min);
-    println!("\n# summary");
-    println!("mean,{mean:.1}");
-    println!("max,{max:.1}");
-    println!("min,{min:.1}");
-    println!("peak_to_mean,{:.2}", workload.peak_to_mean());
-    println!(
+    out!("\n# summary");
+    out!("mean,{mean:.1}");
+    out!("max,{max:.1}");
+    out!("min,{min:.1}");
+    out!("peak_to_mean,{:.2}", workload.peak_to_mean());
+    out!(
         "# shape check: peak-to-mean {:.2} > 1.5 reproduces the paper's bursty profile",
         workload.peak_to_mean()
     );

@@ -14,6 +14,7 @@
 //! ```
 
 use socl::prelude::*;
+use socl_bench::out;
 
 fn run_point(nodes: usize, users: usize, seed: u64) {
     let mut cfg = ScenarioConfig::paper(nodes, users);
@@ -31,7 +32,7 @@ fn run_point(nodes: usize, users: usize, seed: u64) {
         f64::NAN
     };
     let speedup = opt.elapsed.as_secs_f64() / socl_secs.max(1e-9);
-    println!(
+    out!(
         "{nodes},{users},{:.1},{:.1},{gap:.2},{:.4},{:.5},{speedup:.1},{}",
         opt.objective,
         socl.objective(),
@@ -47,8 +48,8 @@ fn run_point(nodes: usize, users: usize, seed: u64) {
 
 fn main() {
     let full = std::env::var_os("SOCL_FULL").is_some();
-    println!("# FIG7a/b: user-scale sweep (fixed 5 nodes)");
-    println!("nodes,users,opt_obj,socl_obj,gap_pct,opt_seconds,socl_seconds,speedup,opt_status");
+    out!("# FIG7a/b: user-scale sweep (fixed 5 nodes)");
+    out!("nodes,users,opt_obj,socl_obj,gap_pct,opt_seconds,socl_seconds,speedup,opt_status");
     let user_sweep: Vec<usize> = if full {
         (4..=24).step_by(4).collect()
     } else {
@@ -58,8 +59,8 @@ fn main() {
         run_point(5, u, 11);
     }
 
-    println!("\n# FIG7c/d: node-scale sweep (fixed 8 users)");
-    println!("nodes,users,opt_obj,socl_obj,gap_pct,opt_seconds,socl_seconds,speedup,opt_status");
+    out!("\n# FIG7c/d: node-scale sweep (fixed 8 users)");
+    out!("nodes,users,opt_obj,socl_obj,gap_pct,opt_seconds,socl_seconds,speedup,opt_status");
     let node_sweep: Vec<usize> = if full {
         (3..=10).collect()
     } else {
@@ -69,6 +70,6 @@ fn main() {
         run_point(n, 8, 13);
     }
 
-    println!("\n# TAB-GAP: the paper reports SoCL gaps < 9.9% and runtime wins");
-    println!("# growing to orders of magnitude at the scales where OPT hits its cap.");
+    out!("\n# TAB-GAP: the paper reports SoCL gaps < 9.9% and runtime wins");
+    out!("# growing to orders of magnitude at the scales where OPT hits its cap.");
 }

@@ -15,6 +15,7 @@
 //! [`GCOG_MAX_NODES`] servers; larger points read `capped`.
 
 use socl::prelude::*;
+use socl_bench::out;
 use std::time::Instant;
 
 /// The largest sweep point GC-OG runs at. Its runtime grows ~4× per step of
@@ -93,26 +94,29 @@ fn main() {
     let seeds: &[u64] = &[1, 2, 3];
     let scales: &[usize] = &[80, 120, 160, 200];
 
-    println!(
+    out!(
         "# FIG8: objective vs baselines (10 servers; median of {} seeds)",
         seeds.len()
     );
-    println!("users,algo,objective,cost,latency_s,runtime_s");
+    out!("users,algo,objective,cost,latency_s,runtime_s");
     let mut summary: Vec<(usize, String, f64)> = Vec::new();
 
     for &users in scales {
         for (name, r) in point(10, users, seeds, true) {
-            println!(
+            out!(
                 "{users},{name},{:.1},{:.1},{:.2},{:.4}",
-                r.objective, r.cost, r.latency, r.seconds
+                r.objective,
+                r.cost,
+                r.latency,
+                r.seconds
             );
             summary.push((users, name.to_string(), r.objective));
         }
-        println!();
+        out!();
     }
 
-    println!("# shape check (paper: SoCL < GC-OG/JDR < RP at every scale,");
-    println!("# RP growing fastest; SoCL growth modest)");
+    out!("# shape check (paper: SoCL < GC-OG/JDR < RP at every scale,");
+    out!("# RP growing fastest; SoCL growth modest)");
     for &users in scales {
         let get = |name: &str| {
             summary
@@ -122,7 +126,7 @@ fn main() {
                 .unwrap()
         };
         let (s, r, j, g) = (get("SoCL"), get("RP"), get("JDR"), get("GC-OG"));
-        println!(
+        out!(
             "users={users}: SoCL {s:.0} | GC-OG {g:.0} | JDR {j:.0} | RP {r:.0}  (SoCL lowest: {})",
             s <= r.min(j).min(g)
         );
@@ -135,32 +139,35 @@ fn main() {
 
 /// The scalability sweep: 20 users per server up to 100 servers.
 fn scale_sweep(seeds: &[u64]) {
-    println!(
+    out!(
         "\n# FIG8-SCALE: 20 users per server (median of {} seeds; GC-OG up to {GCOG_MAX_NODES} servers)",
         seeds.len()
     );
-    println!("nodes,users,algo,objective,cost,latency_s,runtime_s");
+    out!("nodes,users,algo,objective,cost,latency_s,runtime_s");
     let mut verdicts = Vec::new();
     for nodes in [30, 50, 100] {
         let users = 20 * nodes;
         let with_gcog = nodes <= GCOG_MAX_NODES;
         let rows = point(nodes, users, seeds, with_gcog);
         for (name, r) in &rows {
-            println!(
+            out!(
                 "{nodes},{users},{name},{:.1},{:.1},{:.2},{:.4}",
-                r.objective, r.cost, r.latency, r.seconds
+                r.objective,
+                r.cost,
+                r.latency,
+                r.seconds
             );
         }
         if !with_gcog {
-            println!("{nodes},{users},GC-OG,capped,capped,capped,capped");
+            out!("{nodes},{users},GC-OG,capped,capped,capped,capped");
         }
         let socl = &rows[0].1;
         let lowest = rows.iter().all(|(_, r)| socl.objective <= r.objective);
         verdicts.push((nodes, users, socl.seconds, lowest));
-        println!();
+        out!();
     }
-    println!("# scale check (SoCL lowest on objective among the algorithms that ran)");
+    out!("# scale check (SoCL lowest on objective among the algorithms that ran)");
     for (nodes, users, secs, lowest) in verdicts {
-        println!("nodes={nodes} users={users}: SoCL {secs:.3} s  (SoCL lowest: {lowest})");
+        out!("nodes={nodes} users={users}: SoCL {secs:.3} s  (SoCL lowest: {lowest})");
     }
 }

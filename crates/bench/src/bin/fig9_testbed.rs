@@ -14,6 +14,7 @@
 //! ```
 
 use socl::prelude::*;
+use socl_bench::out;
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -24,8 +25,8 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    println!("# FIG9: emulated 8-node testbed, 50 and 70 users");
-    println!("users,algo,objective,cost,latency_total_s,median_ms,p95_ms,max_ms,cold_starts");
+    out!("# FIG9: emulated 8-node testbed, 50 and 70 users");
+    out!("users,algo,objective,cost,latency_total_s,median_ms,p95_ms,max_ms,cold_starts");
     for users in [50usize, 70] {
         let sc = ScenarioConfig::paper(8, users).build(31);
         let tb = TestbedConfig {
@@ -41,7 +42,7 @@ fn main() {
             let res = run_testbed(&sc, &placement, &tb);
             let mut served: Vec<f64> = res.per_request.iter().flatten().copied().collect();
             served.sort_by(f64::total_cmp);
-            println!(
+            out!(
                 "{users},{name},{:.1},{:.1},{:.2},{:.1},{:.1},{:.1},{}",
                 ev.objective,
                 ev.cost,
@@ -52,8 +53,8 @@ fn main() {
                 res.cold_starts
             );
         }
-        println!();
+        out!();
     }
-    println!("# shape check (paper): SoCL achieves the lowest objective by balancing");
-    println!("# deployment cost against latency; RP/JDR lean on the full budget.");
+    out!("# shape check (paper): SoCL achieves the lowest objective by balancing");
+    out!("# deployment cost against latency; RP/JDR lean on the full budget.");
 }

@@ -1,22 +1,29 @@
-//! Tabular/CSV reporting shared by the figure harnesses.
+//! Output shared by the figure harnesses.
 
-/// Print a CSV header line.
-pub fn print_csv_header(cols: &[&str]) {
-    println!("{}", cols.join(","));
+use std::io::{ErrorKind, Write as _};
+
+/// Print one line of a harness's output. A reader that goes away
+/// (`fig4_temporal | head`) ends the run with exit code 0, as the CLI does,
+/// instead of `println!`'s panic; any other write error exits 1.
+pub fn write_line(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
 }
 
-/// Print one CSV row of floating-point cells after a string key.
-pub fn print_csv_row(key: &str, cells: &[f64]) {
-    let mut row = String::from(key);
-    for c in cells {
-        row.push(',');
-        if c.abs() >= 1000.0 {
-            row.push_str(&format!("{c:.1}"));
-        } else {
-            row.push_str(&format!("{c:.4}"));
-        }
-    }
-    println!("{row}");
+/// `println!` for the figure harnesses, through [`write_line`].
+#[macro_export]
+macro_rules! out {
+    () => {
+        $crate::report::write_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::report::write_line(format_args!($($arg)*))
+    };
 }
 
 /// A named series collected across a sweep (one figure line).

@@ -863,13 +863,25 @@ impl<'a> Combiner<'a> {
     /// per-node overload. Preference order per overloaded node: migrate the
     /// lowest-`ρ` instance to the node with the most remaining room; if no
     /// node fits it, *combine* it away when the service has another
-    /// instance; as a last resort (a service whose single instance fits
-    /// nowhere) drop it — requests then fall back to the cloud, which is
-    /// the honest semantics of an over-packed edge.
+    /// instance. A service's last copy is never removed while a spare copy
+    /// (one whose service has another instance) can go instead: the
+    /// lowest-`ρ` spare copy on the same node is evicted, or, when the node
+    /// has none, spare copies on another node are evicted until the last copy
+    /// fits there. Only an overload made of last copies that fit nowhere,
+    /// even with every spare copy evicted, drops one; its requests then fall
+    /// back to the cloud, the honest semantics of an over-packed edge.
     fn enforce_storage(&mut self) {
+        let catalog = &self.sc.catalog;
+        let net = &self.sc.net;
+        let room = |p: &Placement, q: NodeId| net.storage(q) - p.storage_used(catalog, q);
+        let spares = |p: &Placement, q: NodeId| -> Vec<ServiceId> {
+            let mut on = p.services_on(q);
+            on.retain(|&m| p.instance_count(m) > 1);
+            on
+        };
         let mut next = self.placement.clone();
         loop {
-            let violations = next.storage_violations(&self.sc.catalog, &self.sc.net);
+            let violations = next.storage_violations(catalog, net);
             let Some(&(node, _)) = violations.first() else {
                 break;
             };
@@ -877,29 +889,54 @@ impl<'a> Combiner<'a> {
             let Some(victim) = self.pick_victim(&services, node) else {
                 break;
             };
-            let phi = self.sc.catalog.storage(victim);
-            let target = self
-                .sc
-                .net
-                .node_ids()
-                .filter(|&q| q != node && !next.get(victim, q))
-                .map(|q| {
-                    let room = self.sc.net.storage(q) - next.storage_used(&self.sc.catalog, q);
-                    (room, q)
-                })
-                .filter(|&(room, _)| room >= phi - 1e-9)
-                .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            next.set(victim, node, false);
-            match target {
-                Some((_, q)) => {
-                    next.set(victim, q, true);
-                    self.stats.migrations += 1;
-                }
-                None => {
-                    // Removed outright; counts as a (forced) combination.
-                    self.stats.small_removed += 1;
-                }
+            let phi = catalog.storage(victim);
+            // The node with the most room for the victim, as things stand
+            // or once the spare copies there are evicted.
+            let most_room = |evicting_spares: bool| {
+                net.node_ids()
+                    .filter(|&q| q != node && !next.get(victim, q))
+                    .map(|q| {
+                        let freeable: f64 = match evicting_spares {
+                            true => spares(&next, q).iter().map(|&m| catalog.storage(m)).sum(),
+                            false => 0.0,
+                        };
+                        (room(&next, q) + freeable, q)
+                    })
+                    .filter(|&(room, _)| room >= phi - 1e-9)
+                    .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            };
+            if let Some((_, q)) = most_room(false) {
+                next.set(victim, node, false);
+                next.set(victim, q, true);
+                self.stats.migrations += 1;
+                continue;
             }
+            if next.instance_count(victim) > 1 {
+                // Combined away; counts as a (forced) combination.
+                next.set(victim, node, false);
+                self.stats.small_removed += 1;
+                continue;
+            }
+            if let Some(spare) = self.pick_victim(&spares(&next, node), node) {
+                next.set(spare, node, false);
+                self.stats.small_removed += 1;
+                continue;
+            }
+            let host = most_room(true);
+            next.set(victim, node, false);
+            let Some((_, q)) = host else {
+                self.stats.small_removed += 1;
+                continue;
+            };
+            while room(&next, q) < phi - 1e-9 {
+                let Some(spare) = self.pick_victim(&spares(&next, q), q) else {
+                    break;
+                };
+                next.set(spare, q, false);
+                self.stats.small_removed += 1;
+            }
+            next.set(victim, q, true);
+            self.stats.migrations += 1;
         }
         self.move_to(next);
     }
@@ -1219,6 +1256,52 @@ mod tests {
         let (pb, sb) = run(&sc, &SoclConfig::default());
         assert_eq!(pa, pb, "parallel scoring changed the result");
         assert_eq!((sa.trials, sa.routes), (sb.trials, sb.routes));
+    }
+
+    /// An overloaded node holding only last copies, with no room anywhere
+    /// else: a spare copy on another node is evicted so that a last copy can
+    /// move there, rather than the last copy being dropped to the cloud.
+    #[test]
+    fn storage_enforcement_evicts_a_spare_elsewhere_before_a_last_copy() {
+        use socl_model::{Microservice, ServiceCatalog, UserId, UserRequest};
+        use socl_net::{EdgeNetwork, EdgeServer, LinkParams};
+
+        let mut net = EdgeNetwork::new();
+        for _ in 0..3 {
+            net.push_server(EdgeServer::new(10.0, 4.0));
+        }
+        net.add_link(NodeId(0), NodeId(1), LinkParams::from_rate(40.0));
+        net.add_link(NodeId(1), NodeId(2), LinkParams::from_rate(40.0));
+        // Two 3-unit services and one 2-unit service, each requested once.
+        let catalog = ServiceCatalog::from_services(vec![
+            Microservice::new(100.0, 3.0, 2.0),
+            Microservice::new(100.0, 3.0, 2.0),
+            Microservice::new(100.0, 2.0, 2.0),
+        ]);
+        let requests = (0..3)
+            .map(|i| {
+                let home = NodeId(if i == 2 { 2 } else { 0 });
+                UserRequest::new(UserId(i), home, vec![ServiceId(i)], vec![], 1.0, 0.1, 10.0)
+            })
+            .collect();
+        let sc = ScenarioConfig::paper(3, 3).assemble(net, catalog, requests);
+        let cfg = SoclConfig::default();
+        let parts = initial_partition(&sc, &cfg);
+
+        // v0 holds the only copies of services 0 and 1 (6 units on 4); v1
+        // and v2 each hold a copy of service 2, leaving 2 units, too few.
+        let mut packed = Placement::empty(3, 3);
+        packed.set(ServiceId(0), NodeId(0), true);
+        packed.set(ServiceId(1), NodeId(0), true);
+        packed.set(ServiceId(2), NodeId(1), true);
+        packed.set(ServiceId(2), NodeId(2), true);
+        let mut c = Combiner::new(&sc, &cfg, &parts, packed);
+        c.enforce_storage();
+        let placement = c.placement();
+        assert!(placement.storage_feasible(&sc.catalog, &sc.net));
+        assert!(placement.covers(&sc.requests), "a last copy was dropped");
+        assert_eq!(placement.instance_count(ServiceId(2)), 1);
+        assert_eq!((c.stats.migrations, c.stats.small_removed), (1, 1));
     }
 
     #[test]

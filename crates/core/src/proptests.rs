@@ -21,12 +21,36 @@ fn paper_config(_: &mut ChaCha12Rng) -> SoclConfig {
     SoclConfig::default()
 }
 
-/// Runs `check` on 24 seeded scenarios (5..=14 nodes, 10..=45 users) under
-/// `config`, after eight fixed cases: the one failure proptest ever saved for
-/// this file shrank to a 5-node / 15-user scenario under ξ and ω at their
-/// floors, no disturbance and no candidate filter. Only proptest could replay
-/// the shrunk scenario itself; the configuration and the size are kept.
-fn for_inputs(config: fn(&mut ChaCha12Rng) -> SoclConfig, check: impl Fn(&Scenario, &SoclConfig)) {
+/// A scenario of 5..=14 nodes and 10..=45 users at the paper's budget.
+fn paper_scenario(rng: &mut ChaCha12Rng) -> Scenario {
+    let (nodes, users) = (rng.gen_range(5usize..=14), rng.gen_range(10usize..=45));
+    ScenarioConfig::paper(nodes, users).build(rng.next_u64())
+}
+
+/// A scenario of 5..=14 nodes and 10..=200 users at a budget drawn from the
+/// floor (one copy of each requested service) to 4× the paper's. A slack
+/// budget stops the large-scale descent while pre-provisioning still
+/// overflows storage, so `enforce_storage` decides what leaves.
+fn budget_scenario(rng: &mut ChaCha12Rng) -> Scenario {
+    let (nodes, users) = (rng.gen_range(5usize..=14), rng.gen_range(10usize..=200));
+    let mut sc = ScenarioConfig::paper(nodes, users).build(rng.next_u64());
+    let floor: f64 = (sc.requested_services().iter())
+        .map(|&m| sc.catalog.deploy_cost(m))
+        .sum();
+    sc.budget = rng.gen_range(floor..=4.0 * sc.budget);
+    sc
+}
+
+/// Runs `check` on 24 seeded `scenario`s under `config`, after eight fixed
+/// cases: the one failure proptest ever saved for this file shrank to a
+/// 5-node / 15-user scenario under ξ and ω at their floors, no disturbance
+/// and no candidate filter. Only proptest could replay the shrunk scenario
+/// itself; the configuration and the size are kept.
+fn for_inputs(
+    scenario: fn(&mut ChaCha12Rng) -> Scenario,
+    config: fn(&mut ChaCha12Rng) -> SoclConfig,
+    check: impl Fn(&Scenario, &SoclConfig),
+) {
     let saved = SoclConfig {
         xi: 0.1,
         omega: 0.05,
@@ -40,18 +64,18 @@ fn for_inputs(config: fn(&mut ChaCha12Rng) -> SoclConfig, check: impl Fn(&Scenar
         check(&ScenarioConfig::paper(5, 15).build(seed), &saved);
     }
     cases(24, |rng| {
-        let (nodes, users) = (rng.gen_range(5usize..=14), rng.gen_range(10usize..=45));
-        let sc = ScenarioConfig::paper(nodes, users).build(rng.next_u64());
+        let sc = scenario(rng);
         check(&sc, &config(rng));
     });
 }
 
 /// SoCL always returns a solution that (a) serves every request from the
 /// edge, (b) satisfies per-node storage, and (c) meets the budget
-/// whenever a single instance of each requested service fits in it.
+/// whenever a single instance of each requested service fits in it — at
+/// any budget from that floor to 4× the paper's.
 #[test]
 fn socl_solutions_are_feasible() {
-    for_inputs(arb_config, |sc, cfg| {
+    let check = |sc: &Scenario, cfg: &SoclConfig| {
         let res = SoclSolver::with_config(cfg.clone()).solve(sc);
         // Storage feasibility is unconditional (enforce_storage).
         assert!(res.placement.storage_feasible(&sc.catalog, &sc.net));
@@ -62,7 +86,7 @@ fn socl_solutions_are_feasible() {
         let requested = sc.requested_services();
         let min_storage: f64 = requested.iter().map(|&m| sc.catalog.storage(m)).sum();
         if sc.net.total_storage() >= 2.0 * min_storage {
-            assert_eq!(res.evaluation.cloud_fallbacks, 0);
+            assert_eq!(res.evaluation.cloud_fallbacks, 0, "budget {}", sc.budget);
         }
         let min_cost: f64 = requested.iter().map(|&m| sc.catalog.deploy_cost(m)).sum();
         if min_cost <= sc.budget {
@@ -80,14 +104,20 @@ fn socl_solutions_are_feasible() {
             let parts = res.partitions.partitions_of(m).map_or(1, |p| p.len());
             assert!(hosts <= sc.request_nodes(m).len().max(1) + parts + sc.nodes());
         }
-    });
+    };
+    // Twice the paper's budget once dropped a service's only instance here
+    // (objective 214 151 against JDR's 44 140).
+    let mut slack = ScenarioConfig::paper(10, 160);
+    slack.budget = 12_000.0;
+    check(&slack.build(34), &SoclConfig::default());
+    for_inputs(budget_scenario, arb_config, check);
 }
 
 /// The evaluation inside the result matches a fresh evaluation of the
 /// returned placement (no stale state).
 #[test]
 fn result_evaluation_is_fresh() {
-    for_inputs(paper_config, |sc, cfg| {
+    for_inputs(paper_scenario, paper_config, |sc, cfg| {
         let res = SoclSolver::with_config(cfg.clone()).solve(sc);
         let fresh = evaluate(sc, &res.placement);
         assert!((res.objective() - fresh.objective).abs() < 1e-9);
@@ -98,7 +128,7 @@ fn result_evaluation_is_fresh() {
 /// globally busiest node) — a sanity floor for solution quality.
 #[test]
 fn socl_beats_single_hub() {
-    for_inputs(paper_config, |sc, cfg| {
+    for_inputs(paper_scenario, paper_config, |sc, cfg| {
         let res = SoclSolver::with_config(cfg.clone()).solve(sc);
         // Single hub: all requested services on the node with most users.
         let nodes = sc.net.node_ids();
@@ -121,7 +151,7 @@ fn socl_beats_single_hub() {
 /// expensive deployment than λ→0 (latency only).
 #[test]
 fn lambda_steers_cost() {
-    for_inputs(paper_config, |sc, cfg| {
+    for_inputs(paper_scenario, paper_config, |sc, cfg| {
         let cost_at = |lambda: f64| {
             let mut sc = sc.clone();
             sc.lambda = lambda;

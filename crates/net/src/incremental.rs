@@ -1,12 +1,10 @@
 //! Incremental all-pairs shortest-path maintenance.
 //!
-//! PR 1's fault machinery perturbs a handful of links per slot (a node crash
+//! The simulator's faults perturb a handful of links per slot (a node crash
 //! masks its incident links, a degradation rescales one rate, a repair
-//! restores it), yet the simulator rebuilt the full `O(V · E log V)` APSP
-//! matrix every time anything changed. [`ApspCache`] keeps a masked working
-//! copy of the topology plus the [`AllPairs`] matrix and, on each batch of
-//! link-rate changes, recomputes **only the source rows a change can actually
-//! touch**:
+//! restores it). [`ApspCache`] keeps a masked working copy of the topology
+//! plus the [`AllPairs`] matrix and, on each batch of link-rate changes,
+//! recomputes **only the source rows a change can actually touch**:
 //!
 //! * **Rate increase** (repair / restore, i.e. weight `1/b` decrease): row `s`
 //!   is dirty iff the cheaper edge can now offer a path at least as good as an
@@ -21,27 +19,30 @@
 //!
 //! Dirtiness is tracked **per metric half**: the latency and hop trees of a
 //! source are independent, so a change that only disturbs one metric's tree
-//! leaves the other half bit-identical and only the dirty half is repaired
-//! (fanned out on the thread pool). Halves dirtied *only by weight increases*
-//! take a further shortcut — only descendants of a changed tree edge can be
-//! affected, so a boundary-seeded Dijkstra re-runs just those subtrees while
-//! reproducing the full run's relaxation order exactly (see
-//! `paths::repaired_half_increase`). Halves dirtied only by *decreases* run a
-//! seeded improvement pass over the nodes whose keys actually improve, then
-//! re-derive predecessors pointwise where an input changed (see
-//! `paths::repaired_half_decrease`). The maintained matrix is bit-identical to
-//! `AllPairs::build` on the masked topology — the property the equivalence
-//! proptests assert after every event of random fault schedules. A generation
-//! counter increments on every effective change so downstream caches
-//! (memoized virtual graphs, solver warm state) know when to invalidate.
+//! leaves the other half as it is. Each dirty half is recomputed by the same
+//! per-source Dijkstra [`AllPairs::build`] runs (`AllPairs::fresh_lat_half` /
+//! `fresh_hop_half`), under the build's fan-out rule, so the maintained matrix
+//! is bit-identical to a full build on the masked topology by construction;
+//! the dirtiness tests are what the equivalence properties check, after every
+//! event of random fault schedules and every mixed batch. A generation counter
+//! increments on every effective change so downstream caches (memoized
+//! virtual graphs, solver warm state) know when to invalidate.
+//!
+//! Cost, measured serially on a 2-vCPU x86 container over
+//! `TopologyConfig::paper(n).build(7)`, each link masked and then restored
+//! in turn (one change per `apply`; 23–30 % of rows dirty per change):
+//! 5 / 15 / 45 µs a change at 10 / 16 / 24 nodes against a 21 / 51 / 213 µs
+//! serial rebuild, and 0.21 / 0.96 / 4.1 ms at 50 / 100 / 200 nodes against
+//! 1.0 / 5.0 / 21 ms — 3.4–5.2× under a rebuild at every size (medians of
+//! three runs).
 
 use crate::graph::{EdgeNetwork, NodeId};
-use crate::paths::AllPairs;
+use crate::paths::{apsp_threads, AllPairs};
 
 /// Counters describing how much work the cache avoided.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
-    /// Full `AllPairs::build` passes (construction + explicit rebuilds).
+    /// Full `AllPairs::build` passes (one, at construction).
     pub full_rebuilds: u64,
     /// Incremental `apply` batches that changed at least one rate.
     pub incremental_updates: u64,
@@ -50,12 +51,12 @@ pub struct CacheStats {
     pub rows_recomputed: u64,
     /// Source rows proven clean and kept as-is.
     pub rows_reused: u64,
-    /// Metric halves recomputed with a full per-source Dijkstra (decrease-
-    /// dirtied halves).
+    /// Metric halves (latency or hop tree of one source row) recomputed by
+    /// incremental updates (`≤ 2 × rows_recomputed`; the gap is work saved
+    /// by per-metric dirtiness).
     pub halves_recomputed: u64,
-    /// Metric halves fixed with the subtree-limited increase repair
-    /// (`halves_recomputed + halves_repaired ≤ 2 × rows_recomputed`; the gap
-    /// is work saved by per-metric dirtiness).
+    /// Always 0: the repair engines it counted are gone. Kept only until the
+    /// benchmark stops reporting `net.incremental.halves_repaired`.
     pub halves_repaired: u64,
 }
 
@@ -103,19 +104,6 @@ fn hop_row_dirty(ap: &AllPairs, s: NodeId, a: NodeId, b: NodeId, old_w: f64, new
     } else {
         ap.pred_hop(s, b) == Some(a) || ap.pred_hop(s, a) == Some(b)
     }
-}
-
-/// How one metric half of a dirty row gets fixed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HalfMode {
-    /// Proven clean — keep bit-identical.
-    Clean,
-    /// Dirtied by both increases and decreases — full per-source Dijkstra.
-    Full,
-    /// Dirtied only by weight increases — subtree-limited repair.
-    IncRepair,
-    /// Dirtied only by weight decreases — seeded improvement repair.
-    DecRepair,
 }
 
 impl ApspCache {
@@ -167,15 +155,9 @@ impl ApspCache {
         self.net.links()[idx].rate()
     }
 
-    /// Discard the matrix and recompute from scratch (diagnostics / tests).
-    pub fn rebuild(&mut self) {
-        self.ap = AllPairs::build(&self.net);
-        self.stats.full_rebuilds += 1;
-    }
-
     /// Apply a batch of effective link-rate changes (`0.0` masks a link out)
-    /// and repair the matrix incrementally. No-op entries are filtered, so
-    /// callers can pass their full desired state.
+    /// and recompute the dirty halves of the matrix. No-op entries are
+    /// filtered, so callers can pass their full desired state.
     pub fn apply(&mut self, changes: &[(usize, f64)]) {
         let mut effective: Vec<(NodeId, NodeId, f64, f64)> = Vec::new();
         for &(idx, rate) in changes {
@@ -193,87 +175,36 @@ impl ApspCache {
         }
         self.generation += 1;
         let n = self.net.node_count();
-        // Halves dirtied only by weight increases (degrade / crash) take the
-        // subtree-limited repair; halves dirtied only by decreases (restore)
-        // take the seeded improvement repair. A half dirtied by both kinds in
-        // one batch falls back to the full per-source Dijkstra.
-        let inc_edges: Vec<(NodeId, NodeId)> = effective
-            .iter()
-            .filter(|&&(_, _, ow, nw)| nw > ow)
-            .map(|&(a, b, _, _)| (a, b))
+        let ap = &self.ap;
+        // Per source row, which metric halves the batch can touch; a dirty
+        // half is recomputed by the build's own Dijkstra.
+        let work: Vec<(NodeId, bool, bool)> = (0..n as u32)
+            .map(NodeId)
+            .map(|s| {
+                let dirty = |test: fn(&AllPairs, NodeId, NodeId, NodeId, f64, f64) -> bool| {
+                    effective
+                        .iter()
+                        .any(|&(a, b, ow, nw)| test(ap, s, a, b, ow, nw))
+                };
+                (s, dirty(lat_row_dirty), dirty(hop_row_dirty))
+            })
+            .filter(|&(_, lat, hop)| lat || hop)
             .collect();
-        let dec_edges: Vec<(NodeId, NodeId)> = effective
-            .iter()
-            .filter(|&&(_, _, ow, nw)| nw < ow)
-            .map(|&(a, b, _, _)| (a, b))
-            .collect();
-        let mode_of = |dec: bool, inc: bool| match (dec, inc) {
-            (false, false) => HalfMode::Clean,
-            (true, true) => HalfMode::Full,
-            (false, true) => HalfMode::IncRepair,
-            (true, false) => HalfMode::DecRepair,
-        };
-        let mut work: Vec<(NodeId, HalfMode, HalfMode)> = Vec::new();
-        let (mut full_halves, mut repaired) = (0usize, 0usize);
-        for s in (0..n as u32).map(NodeId) {
-            let (mut lat_dec, mut lat_inc) = (false, false);
-            let (mut hop_dec, mut hop_inc) = (false, false);
-            for &(a, b, ow, nw) in &effective {
-                if lat_row_dirty(&self.ap, s, a, b, ow, nw) {
-                    if nw < ow {
-                        lat_dec = true;
-                    } else {
-                        lat_inc = true;
-                    }
-                }
-                if hop_row_dirty(&self.ap, s, a, b, ow, nw) {
-                    if nw < ow {
-                        hop_dec = true;
-                    } else {
-                        hop_inc = true;
-                    }
-                }
-            }
-            let lat = mode_of(lat_dec, lat_inc);
-            let hop = mode_of(hop_dec, hop_inc);
-            if lat != HalfMode::Clean || hop != HalfMode::Clean {
-                work.push((s, lat, hop));
-                full_halves +=
-                    usize::from(lat == HalfMode::Full) + usize::from(hop == HalfMode::Full);
-                repaired += usize::from(matches!(lat, HalfMode::IncRepair | HalfMode::DecRepair))
-                    + usize::from(matches!(hop, HalfMode::IncRepair | HalfMode::DecRepair));
-            }
-        }
         self.stats.incremental_updates += 1;
         self.stats.rows_recomputed += work.len() as u64;
         self.stats.rows_reused += (n - work.len()) as u64;
-        self.stats.halves_recomputed += full_halves as u64;
-        self.stats.halves_repaired += repaired as u64;
+        self.stats.halves_recomputed += work
+            .iter()
+            .map(|&(_, lat, hop)| u64::from(lat) + u64::from(hop))
+            .sum::<u64>();
         let net = &self.net;
-        let ap = &self.ap;
-        // A subtree repair costs roughly 1/16 of a full half on average.
-        let est = full_halves * 16 + repaired;
-        let threads = if crate::par::parallel_worthwhile(est, net.link_count() * 16) {
-            crate::par::effective_threads()
-        } else {
-            1
-        };
-        let repairs = crate::par::par_map_with(&work, threads, |&(s, lat, hop)| {
-            let lat_half = match lat {
-                HalfMode::Clean => None,
-                HalfMode::Full => Some(AllPairs::fresh_lat_half(net, s)),
-                HalfMode::IncRepair => Some(ap.repaired_lat_half_increase(net, s, &inc_edges)),
-                HalfMode::DecRepair => Some(ap.repaired_lat_half_decrease(net, s, &dec_edges)),
-            };
-            let hop_half = match hop {
-                HalfMode::Clean => None,
-                HalfMode::Full => Some(AllPairs::fresh_hop_half(net, s)),
-                HalfMode::IncRepair => Some(ap.repaired_hop_half_increase(net, s, &inc_edges)),
-                HalfMode::DecRepair => Some(ap.repaired_hop_half_decrease(net, s, &dec_edges)),
-            };
-            (lat_half, hop_half)
+        let halves = crate::par::par_map_with(&work, apsp_threads(n), |&(s, lat, hop)| {
+            (
+                lat.then(|| AllPairs::fresh_lat_half(net, s)),
+                hop.then(|| AllPairs::fresh_hop_half(net, s)),
+            )
         });
-        for (&(s, _, _), (lat_half, hop_half)) in work.iter().zip(repairs) {
+        for (&(s, _, _), (lat_half, hop_half)) in work.iter().zip(halves) {
             if let Some(half) = lat_half {
                 self.ap.install_lat_half(s, half);
             }

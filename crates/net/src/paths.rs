@@ -223,7 +223,7 @@ pub struct AllPairs {
 
 /// The latency-metric half of a source row (distances + predecessors). A
 /// full build computes both halves of every row; the incremental cache
-/// recomputes or repairs them one at a time.
+/// recomputes the dirty ones one at a time.
 pub(crate) struct LatHalf {
     latency: Vec<f64>,
     pred_lat: Vec<u32>,
@@ -236,318 +236,20 @@ pub(crate) struct HopHalf {
     pred_hop: Vec<u32>,
 }
 
-fn compute_lat_half(net: &EdgeNetwork, s: NodeId) -> LatHalf {
-    let n = net.node_count();
-    let tree = ShortestPaths::dijkstra(net, s, PathMetric::Latency);
-    let mut half = LatHalf {
-        latency: Vec::with_capacity(n),
-        pred_lat: Vec::with_capacity(n),
-    };
-    for t in 0..n {
-        let t = NodeId(t as u32);
-        half.latency.push(tree.latency_weight(t));
-        half.pred_lat
-            .push(tree.predecessor(t).map_or(u32::MAX, |p| p.0));
-    }
-    half
+/// A tree's predecessors in the matrices' encoding (`u32::MAX` = none).
+fn pred_ids(pred: &[Option<NodeId>]) -> Vec<u32> {
+    pred.iter().map(|p| p.map_or(u32::MAX, |p| p.0)).collect()
 }
 
-fn compute_hop_half(net: &EdgeNetwork, s: NodeId) -> HopHalf {
-    let n = net.node_count();
-    let tree = ShortestPaths::dijkstra(net, s, PathMetric::Hops);
-    let mut half = HopHalf {
-        hop_latency: Vec::with_capacity(n),
-        hops: Vec::with_capacity(n),
-        pred_hop: Vec::with_capacity(n),
-    };
-    for t in 0..n {
-        let t = NodeId(t as u32);
-        half.hop_latency.push(tree.latency_weight(t));
-        half.hops.push(tree.hop_count(t));
-        half.pred_hop
-            .push(tree.predecessor(t).map_or(u32::MAX, |p| p.0));
+/// Workers for per-source Dijkstra runs on an `n`-node graph: the one fan-out
+/// rule of [`AllPairs::build`] and `ApspCache::apply`. One source is
+/// O(E log V), so below ~64 nodes the runs are cheaper than spawning workers.
+pub(crate) fn apsp_threads(n: usize) -> usize {
+    if n < 64 {
+        1
+    } else {
+        crate::par::effective_threads()
     }
-    half
-}
-
-/// Depth of every reachable node in a predecessor tree (`u32::MAX` for
-/// unreachable ones). Because Dijkstra's relaxation writes latency and hop
-/// count together, the pred-tree depth *is* the hop count of the chosen path
-/// — this recovers the latency tree's secondary key, which `AllPairs` does
-/// not store.
-fn depths_from_preds(lat: &[f64], pred: &[u32]) -> Vec<u32> {
-    let n = pred.len();
-    let mut depth = vec![u32::MAX; n];
-    let mut chain: Vec<u32> = Vec::new();
-    for v0 in 0..n {
-        if depth[v0] != u32::MAX || lat[v0].is_infinite() {
-            continue;
-        }
-        chain.clear();
-        let mut cur = v0 as u32;
-        let base;
-        loop {
-            if depth[cur as usize] != u32::MAX {
-                base = depth[cur as usize];
-                break;
-            }
-            let p = pred[cur as usize];
-            if p == u32::MAX {
-                depth[cur as usize] = 0; // the source
-                base = 0;
-                break;
-            }
-            chain.push(cur);
-            cur = p;
-        }
-        for (i, &v) in chain.iter().rev().enumerate() {
-            depth[v as usize] = base + i as u32 + 1;
-        }
-    }
-    depth
-}
-
-/// Repair one metric half of a source row after weight **increases** on
-/// `changed` edges, recomputing only the affected subtrees.
-///
-/// Only descendants (in the stored predecessor tree) of a changed tree
-/// edge's child endpoint can change: every other node's path avoids all
-/// changed edges, so its key is still optimal, and its predecessor cannot
-/// silently flip either — a pred pointing into the affected region would
-/// make the node itself affected. The affected region is re-run through a
-/// Dijkstra seeded with every unaffected neighbor of the region at its
-/// (unchanged) final key. That reproduces the full run's pop order — the
-/// heap comparator is a total order on `(key, node)` and stale entries only
-/// ever pop late — so relaxation order, and with it every tie-broken
-/// predecessor, is bit-identical to a from-scratch rebuild.
-fn repaired_half_increase(
-    net: &EdgeNetwork,
-    metric: PathMetric,
-    cur_lat: &[f64],
-    cur_hops: &[u32],
-    cur_pred: &[u32],
-    changed: &[(NodeId, NodeId)],
-) -> (Vec<f64>, Vec<u32>, Vec<u32>) {
-    let n = cur_pred.len();
-    let mut lat = cur_lat.to_vec();
-    let mut hops = cur_hops.to_vec();
-    let mut pred = cur_pred.to_vec();
-
-    // Affected = descendants of the child endpoint of each changed tree edge.
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (v, &p) in pred.iter().enumerate() {
-        if p != u32::MAX {
-            children[p as usize].push(v as u32);
-        }
-    }
-    let mut stack: Vec<u32> = Vec::new();
-    for &(a, b) in changed {
-        if pred[b.idx()] == a.0 {
-            stack.push(b.0);
-        } else if pred[a.idx()] == b.0 {
-            stack.push(a.0);
-        }
-    }
-    let mut affected = vec![false; n];
-    while let Some(v) = stack.pop() {
-        if affected[v as usize] {
-            continue;
-        }
-        affected[v as usize] = true;
-        stack.extend(children[v as usize].iter().copied());
-    }
-
-    let key_of = |l: f64, h: u32| -> (f64, f64) {
-        match metric {
-            PathMetric::Latency => (l, h as f64),
-            PathMetric::Hops => (h as f64, l),
-        }
-    };
-
-    let mut done = vec![true; n];
-    let mut heap = BinaryHeap::new();
-    for v in 0..n {
-        if affected[v] {
-            lat[v] = f64::INFINITY;
-            hops[v] = u32::MAX;
-            pred[v] = u32::MAX;
-            done[v] = false;
-        }
-    }
-    for u in 0..n {
-        if affected[u] || lat[u].is_infinite() {
-            continue;
-        }
-        let unode = NodeId(u as u32);
-        if net
-            .neighbors(unode)
-            .iter()
-            .any(|nb| affected[nb.node.idx()] && nb.rate > 0.0)
-        {
-            done[u] = false;
-            heap.push(HeapEntry {
-                key: key_of(lat[u], hops[u]),
-                node: unode,
-            });
-        }
-    }
-    while let Some(HeapEntry { node, key }) = heap.pop() {
-        let u = node.idx();
-        if done[u] || key != key_of(lat[u], hops[u]) {
-            continue;
-        }
-        done[u] = true;
-        for nb in net.neighbors(node) {
-            let v = nb.node.idx();
-            if done[v] || nb.rate <= 0.0 {
-                continue;
-            }
-            let cand_lat = lat[u] + 1.0 / nb.rate;
-            let cand_hops = hops[u] + 1;
-            if key_of(cand_lat, cand_hops) < key_of(lat[v], hops[v]) {
-                lat[v] = cand_lat;
-                hops[v] = cand_hops;
-                pred[v] = node.0;
-                heap.push(HeapEntry {
-                    key: key_of(cand_lat, cand_hops),
-                    node: nb.node,
-                });
-            }
-        }
-    }
-    (lat, hops, pred)
-}
-
-/// Repair one metric half of a source row after weight **decreases** on
-/// `changed` edges (restore / repair faults).
-///
-/// Distances: stored keys stay upper bounds when weights only decrease, so a
-/// Dijkstra seeded with the one-step improvements the cheaper edges offer
-/// (and propagating only strict improvements, in key order) settles every
-/// node at its new optimal key — nodes it never touches are provably
-/// unchanged.
-///
-/// Predecessors: the full algorithm's final `pred[v]` is a *pointwise*
-/// function of final keys — the first neighbor in pop order
-/// `(key.0, key.1, node id)` whose offer `key(u) ⊕ w(u,v)` attains `key(v)`
-/// (candidate preds all pop before `v`, offers arrive in pop order, and only
-/// the first offer attaining the minimum survives the strict-`<` relaxation).
-/// So predecessors are re-derived by that argmin exactly where an input
-/// changed: improved nodes, their neighbors, and the changed edges'
-/// endpoints. Everything else is bit-identical to a full rebuild.
-fn repaired_half_decrease(
-    net: &EdgeNetwork,
-    metric: PathMetric,
-    source: NodeId,
-    cur_lat: &[f64],
-    cur_hops: &[u32],
-    cur_pred: &[u32],
-    changed: &[(NodeId, NodeId)],
-) -> (Vec<f64>, Vec<u32>, Vec<u32>) {
-    let n = cur_pred.len();
-    let mut lat = cur_lat.to_vec();
-    let mut hops = cur_hops.to_vec();
-    let mut pred = cur_pred.to_vec();
-
-    let key_of = |l: f64, h: u32| -> (f64, f64) {
-        match metric {
-            PathMetric::Latency => (l, h as f64),
-            PathMetric::Hops => (h as f64, l),
-        }
-    };
-
-    // Seed with the direct one-step improvements across the cheaper edges
-    // (all parallel links, both directions); chains propagate below.
-    let mut affected = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    for &(a, b) in changed {
-        for (x, y) in [(a, b), (b, a)] {
-            for nb in net.neighbors(x) {
-                if nb.node != y || nb.rate <= 0.0 || lat[x.idx()].is_infinite() {
-                    continue;
-                }
-                let v = y.idx();
-                let cand_lat = lat[x.idx()] + 1.0 / nb.rate;
-                let cand_hops = hops[x.idx()] + 1;
-                let ck = key_of(cand_lat, cand_hops);
-                if ck < key_of(lat[v], hops[v]) {
-                    lat[v] = cand_lat;
-                    hops[v] = cand_hops;
-                    affected[v] = true;
-                    heap.push(HeapEntry { key: ck, node: y });
-                }
-            }
-        }
-    }
-    // Pops are monotone non-decreasing (seeds are all in already, relaxation
-    // pushes keys above the popped one), so each node settles at its final
-    // key the first time its live entry pops.
-    let mut done = vec![false; n];
-    while let Some(HeapEntry { node, key }) = heap.pop() {
-        let u = node.idx();
-        if done[u] || key != key_of(lat[u], hops[u]) {
-            continue;
-        }
-        done[u] = true;
-        for nb in net.neighbors(node) {
-            let v = nb.node.idx();
-            if done[v] || nb.rate <= 0.0 {
-                continue;
-            }
-            let cand_lat = lat[u] + 1.0 / nb.rate;
-            let cand_hops = hops[u] + 1;
-            let ck = key_of(cand_lat, cand_hops);
-            if ck < key_of(lat[v], hops[v]) {
-                lat[v] = cand_lat;
-                hops[v] = cand_hops;
-                affected[v] = true;
-                heap.push(HeapEntry {
-                    key: ck,
-                    node: nb.node,
-                });
-            }
-        }
-    }
-
-    // Re-derive predecessors wherever an argmin input could have changed.
-    let mut rederive = vec![false; n];
-    for v in 0..n {
-        if affected[v] {
-            rederive[v] = true;
-            for nb in net.neighbors(NodeId(v as u32)) {
-                rederive[nb.node.idx()] = true;
-            }
-        }
-    }
-    for &(a, b) in changed {
-        rederive[a.idx()] = true;
-        rederive[b.idx()] = true;
-    }
-    rederive[source.idx()] = false;
-    for v in 0..n {
-        if !rederive[v] || lat[v].is_infinite() {
-            continue;
-        }
-        let kv = key_of(lat[v], hops[v]);
-        let mut best_id = u32::MAX;
-        let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for nb in net.neighbors(NodeId(v as u32)) {
-            let u = nb.node.idx();
-            if nb.rate <= 0.0 || lat[u].is_infinite() {
-                continue;
-            }
-            let cand = key_of(lat[u] + 1.0 / nb.rate, hops[u] + 1);
-            if cand == kv {
-                let ku = key_of(lat[u], hops[u]);
-                if best_id == u32::MAX || ku < best_key || (ku == best_key && nb.node.0 < best_id) {
-                    best_key = ku;
-                    best_id = nb.node.0;
-                }
-            }
-        }
-        pred[v] = best_id;
-    }
-    (lat, hops, pred)
 }
 
 impl AllPairs {
@@ -555,15 +257,7 @@ impl AllPairs {
     /// Dijkstra trees out over the configured thread pool. Results are
     /// bit-identical to [`AllPairs::build_serial`] for any thread count.
     pub fn build(net: &EdgeNetwork) -> Self {
-        let n = net.node_count();
-        // Dijkstra from one source is O(E log V); below ~64 nodes the whole
-        // matrix is cheaper than spawning workers.
-        let threads = if n < 64 {
-            1
-        } else {
-            crate::par::effective_threads()
-        };
-        Self::build_with_threads(net, threads)
+        Self::build_with_threads(net, apsp_threads(net.node_count()))
     }
 
     /// Serial reference implementation (also the fallback for tiny graphs).
@@ -577,7 +271,7 @@ impl AllPairs {
         let n = net.node_count();
         let rows = crate::par::par_map_indexed_with(n, threads, |s| {
             let s = NodeId(s as u32);
-            (compute_lat_half(net, s), compute_hop_half(net, s))
+            (Self::fresh_lat_half(net, s), Self::fresh_hop_half(net, s))
         });
         let mut ap = Self {
             n,
@@ -599,103 +293,20 @@ impl AllPairs {
 
     /// Compute only the latency half of row `s` (parallel-safe).
     pub(crate) fn fresh_lat_half(net: &EdgeNetwork, s: NodeId) -> LatHalf {
-        compute_lat_half(net, s)
+        let tree = ShortestPaths::dijkstra(net, s, PathMetric::Latency);
+        LatHalf {
+            pred_lat: pred_ids(&tree.pred),
+            latency: tree.latency,
+        }
     }
 
     /// Compute only the hop half of row `s` (parallel-safe).
     pub(crate) fn fresh_hop_half(net: &EdgeNetwork, s: NodeId) -> HopHalf {
-        compute_hop_half(net, s)
-    }
-
-    /// Repair the latency half of row `s` after weight **increases** on
-    /// `changed` edges, recomputing only the subtrees hanging off changed
-    /// tree edges (parallel-safe; bit-identical to [`Self::fresh_lat_half`]).
-    pub(crate) fn repaired_lat_half_increase(
-        &self,
-        net: &EdgeNetwork,
-        s: NodeId,
-        changed: &[(NodeId, NodeId)],
-    ) -> LatHalf {
-        let base = s.idx() * self.n;
-        let row_lat = &self.latency[base..base + self.n];
-        let row_pred = &self.pred_lat[base..base + self.n];
-        let depth = depths_from_preds(row_lat, row_pred);
-        let (latency, _hops, pred_lat) =
-            repaired_half_increase(net, PathMetric::Latency, row_lat, &depth, row_pred, changed);
-        LatHalf { latency, pred_lat }
-    }
-
-    /// Repair the hop half of row `s` after weight **increases** on `changed`
-    /// edges (parallel-safe; bit-identical to [`Self::fresh_hop_half`]).
-    pub(crate) fn repaired_hop_half_increase(
-        &self,
-        net: &EdgeNetwork,
-        s: NodeId,
-        changed: &[(NodeId, NodeId)],
-    ) -> HopHalf {
-        let base = s.idx() * self.n;
-        let (hop_latency, hops, pred_hop) = repaired_half_increase(
-            net,
-            PathMetric::Hops,
-            &self.hop_latency[base..base + self.n],
-            &self.hops[base..base + self.n],
-            &self.pred_hop[base..base + self.n],
-            changed,
-        );
+        let tree = ShortestPaths::dijkstra(net, s, PathMetric::Hops);
         HopHalf {
-            hop_latency,
-            hops,
-            pred_hop,
-        }
-    }
-
-    /// Repair the latency half of row `s` after weight **decreases** on
-    /// `changed` edges (parallel-safe; bit-identical to
-    /// [`Self::fresh_lat_half`]).
-    pub(crate) fn repaired_lat_half_decrease(
-        &self,
-        net: &EdgeNetwork,
-        s: NodeId,
-        changed: &[(NodeId, NodeId)],
-    ) -> LatHalf {
-        let base = s.idx() * self.n;
-        let row_lat = &self.latency[base..base + self.n];
-        let row_pred = &self.pred_lat[base..base + self.n];
-        let depth = depths_from_preds(row_lat, row_pred);
-        let (latency, _hops, pred_lat) = repaired_half_decrease(
-            net,
-            PathMetric::Latency,
-            s,
-            row_lat,
-            &depth,
-            row_pred,
-            changed,
-        );
-        LatHalf { latency, pred_lat }
-    }
-
-    /// Repair the hop half of row `s` after weight **decreases** on `changed`
-    /// edges (parallel-safe; bit-identical to [`Self::fresh_hop_half`]).
-    pub(crate) fn repaired_hop_half_decrease(
-        &self,
-        net: &EdgeNetwork,
-        s: NodeId,
-        changed: &[(NodeId, NodeId)],
-    ) -> HopHalf {
-        let base = s.idx() * self.n;
-        let (hop_latency, hops, pred_hop) = repaired_half_decrease(
-            net,
-            PathMetric::Hops,
-            s,
-            &self.hop_latency[base..base + self.n],
-            &self.hops[base..base + self.n],
-            &self.pred_hop[base..base + self.n],
-            changed,
-        );
-        HopHalf {
-            hop_latency,
-            hops,
-            pred_hop,
+            pred_hop: pred_ids(&tree.pred),
+            hop_latency: tree.latency,
+            hops: tree.hops,
         }
     }
 

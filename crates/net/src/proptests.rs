@@ -243,6 +243,51 @@ fn incremental_matches_rebuild_under_fault_schedule() {
     });
 }
 
+/// The same equivalence through the simulator's entry point, on mixed
+/// batches: each `sync_rates` call hands the cache a whole desired rate
+/// vector that kills, degrades and restores links and crashes a node at once,
+/// and the cache must match a serial full rebuild after every batch. Half
+/// the cases draw every link's rate from {1, 2, 4}: path weights are then
+/// exact binary fractions, so equal-cost paths (the ties the dirtiness tests'
+/// non-strict offers exist for) are common.
+#[test]
+fn incremental_matches_rebuild_under_mixed_batches() {
+    for_nets(|net, rng| {
+        let tied: bool = rng.gen();
+        let base: Vec<f64> = (0..net.link_count())
+            .map(|idx| match tied {
+                true => *rng.choose(&[1.0, 2.0, 4.0]).unwrap(),
+                false => net.links()[idx].rate(),
+            })
+            .collect();
+        let mut cache = ApspCache::new(net);
+        let mut desired = base.clone();
+        for batch in 0..rng.gen_range(1usize..=8) {
+            for (rate, &pristine) in desired.iter_mut().zip(&base) {
+                *rate = match rng.gen_range(0..8u8) {
+                    0 => 0.0,
+                    1 => pristine * 0.5,
+                    2 => pristine * 0.25,
+                    3 | 4 => pristine,
+                    _ => *rate,
+                };
+            }
+            if rng.gen() {
+                let node = NodeId(rng.gen_range(0..net.node_count()) as u32);
+                for nb in net.neighbors(node) {
+                    desired[nb.link] = 0.0;
+                }
+            }
+            cache.sync_rates(&desired);
+            let rebuilt = AllPairs::build_serial(cache.network());
+            assert!(
+                cache.all_pairs().identical(&rebuilt),
+                "cache diverged from full rebuild at batch {batch} (tied rates: {tied})"
+            );
+        }
+    });
+}
+
 /// Brute-force Bellman-Ford cross-check of Dijkstra on small graphs.
 #[test]
 fn dijkstra_matches_bellman_ford() {
