@@ -128,9 +128,6 @@ pub struct AutoscaleConfig {
     pub stable_window: f64,
     /// Short window (seconds) whose *max* drives flash-crowd panic.
     pub panic_window: f64,
-    /// Panic when the panic-window desire reaches this multiple of the
-    /// current replica count.
-    pub panic_factor: f64,
     /// Seconds between scaler ticks.
     pub scale_interval: f64,
     /// Minimum seconds between consecutive scale-downs of one service
@@ -154,7 +151,6 @@ impl Default for AutoscaleConfig {
             target_concurrency: 2.0,
             stable_window: 60.0,
             panic_window: 6.0,
-            panic_factor: 2.0,
             scale_interval: 2.0,
             down_cooldown: 30.0,
             min_replicas: 1,
@@ -169,15 +165,14 @@ impl AutoscaleConfig {
     /// Validate ranges; call once at the configuration boundary.
     ///
     /// # Panics
-    /// Panics on non-positive `target_concurrency`, `scale_interval`, or
-    /// `panic_factor`, or `admission.classes == 0`.
+    /// Panics on non-positive `target_concurrency` or `scale_interval`, or
+    /// `admission.classes == 0`.
     pub fn validate(&self) {
         assert!(
             self.target_concurrency > 0.0,
             "target_concurrency must be positive"
         );
         assert!(self.scale_interval > 0.0, "scale_interval must be positive");
-        assert!(self.panic_factor > 0.0, "panic_factor must be positive");
         assert!(self.admission.classes > 0, "admission.classes must be >= 1");
     }
 

@@ -7,7 +7,7 @@
 //!     stable  = mean in-flight over stable_window
 //!     panicky = max  in-flight over panic_window
 //!     desired = ceil(stable / target_concurrency)
-//!     if ceil(panicky / target) >= panic_factor * current: enter panic
+//!     if ceil(panicky / target) >= PANIC_FACTOR * current: enter panic
 //!     clamp desired to [min_replicas, capacity ceiling (constraints 4-6)]
 //!     scale up immediately; scale down only after down_cooldown,
 //!       never during panic, never below the keep-alive floor
@@ -22,6 +22,10 @@ use socl_model::{
     BinReader, BinWriter, CodecError, Placement, ReplicaCounts, ServiceCatalog, ServiceId,
 };
 use socl_net::{EdgeNetwork, NodeId};
+
+/// Panic when the panic-window desire reaches this multiple of the current
+/// replica count (Knative's default).
+const PANIC_FACTOR: f64 = 2.0;
 
 /// One replica-count change for a single `(service, node)` cell, as
 /// *planned* by the scaler. The execution layer applies it best-effort
@@ -362,7 +366,7 @@ impl Autoscaler {
             let current = self.counts.total_of(m);
             let mut desired = ceil_div(stable_mean, target);
             let desired_panic = ceil_div(panic_max, target);
-            if desired_panic as f64 >= self.cfg.panic_factor * current.max(1) as f64 {
+            if desired_panic as f64 >= PANIC_FACTOR * current.max(1) as f64 {
                 st.panic_until = t + self.cfg.stable_window;
             }
             let in_panic = t < st.panic_until;

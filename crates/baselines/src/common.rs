@@ -63,11 +63,10 @@ pub fn ensure_coverage(sc: &Scenario, placement: &mut Placement) {
         if placement.instance_count(m) > 0 {
             continue;
         }
-        let phi = sc.catalog.storage(m);
         let candidate = sc
             .net
             .node_ids()
-            .filter(|&k| sc.net.storage(k) - placement.storage_used(&sc.catalog, k) >= phi - 1e-9)
+            .filter(|&k| placement.fits(&sc.catalog, &sc.net, m, k))
             .max_by_key(|&k| sc.demand(m, k));
         if let Some(k) = candidate {
             placement.set(m, k, true);

@@ -27,10 +27,7 @@ pub fn gc_og(sc: &Scenario) -> BaselineResult {
     // Demand-saturated start: every service everywhere it has local demand.
     for m in sc.requested_services() {
         for k in sc.request_nodes(m) {
-            let phi = sc.catalog.storage(m);
-            if !placement.get(m, k)
-                && sc.net.storage(k) - placement.storage_used(&sc.catalog, k) >= phi - 1e-9
-            {
+            if !placement.get(m, k) && placement.fits(&sc.catalog, &sc.net, m, k) {
                 placement.set(m, k, true);
             }
         }
@@ -118,10 +115,7 @@ mod tests {
         ensure_coverage(&sc, &mut start_p);
         for m in sc.requested_services() {
             for k in sc.request_nodes(m) {
-                let phi = sc.catalog.storage(m);
-                if !start_p.get(m, k)
-                    && sc.net.storage(k) - start_p.storage_used(&sc.catalog, k) >= phi - 1e-9
-                {
+                if !start_p.get(m, k) && start_p.fits(&sc.catalog, &sc.net, m, k) {
                     start_p.set(m, k, true);
                 }
             }

@@ -27,13 +27,6 @@ fn capacity_ranking(sc: &Scenario) -> Vec<NodeId> {
     nodes
 }
 
-/// True if `m` fits on `k` under the current placement.
-fn fits(sc: &Scenario, placement: &Placement, m: ServiceId, k: NodeId) -> bool {
-    !placement.get(m, k)
-        && sc.net.storage(k) - placement.storage_used(&sc.catalog, k)
-            >= sc.catalog.storage(m) - 1e-9
-}
-
 /// Run JDR on `scenario`.
 pub fn jdr(sc: &Scenario) -> BaselineResult {
     let start = Stopwatch::start();
@@ -61,7 +54,10 @@ pub fn jdr(sc: &Scenario) -> BaselineResult {
                 .total_cmp(&sc.ap.best_speed(user.location, a))
                 .then(a.cmp(&b))
         });
-        if let Some(&k) = candidates.iter().find(|&&k| fits(sc, &placement, m, k)) {
+        if let Some(&k) = candidates
+            .iter()
+            .find(|&&k| placement.fits(&sc.catalog, &sc.net, m, k))
+        {
             placement.set(m, k, true);
         }
     }
@@ -71,7 +67,10 @@ pub fn jdr(sc: &Scenario) -> BaselineResult {
     let ranking = capacity_ranking(sc);
     // First pass: one instance each on the top-capacity feasible node.
     for &m in &multi {
-        if let Some(&k) = ranking.iter().find(|&&k| fits(sc, &placement, m, k)) {
+        if let Some(&k) = ranking
+            .iter()
+            .find(|&&k| placement.fits(&sc.catalog, &sc.net, m, k))
+        {
             placement.set(m, k, true);
         }
     }
@@ -86,7 +85,10 @@ pub fn jdr(sc: &Scenario) -> BaselineResult {
                 continue;
             }
             // Prefer capacity ranking order for the next replica.
-            if let Some(&k) = ranking.iter().find(|&&k| fits(sc, &placement, m, k)) {
+            if let Some(&k) = ranking
+                .iter()
+                .find(|&&k| !placement.get(m, k) && placement.fits(&sc.catalog, &sc.net, m, k))
+            {
                 // Only replicate where the service actually has demand reach:
                 // cap replicas at the number of demand-hosting nodes.
                 if placement.instance_count(m) < sc.request_nodes(m).len() {

@@ -20,11 +20,10 @@ pub fn random_provisioning(sc: &Scenario, seed: u64) -> BaselineResult {
 
     // Guarantee coverage first (random node per service).
     for &m in &requested {
-        let phi = sc.catalog.storage(m);
         let feasible: Vec<NodeId> = sc
             .net
             .node_ids()
-            .filter(|&k| sc.net.storage(k) - placement.storage_used(&sc.catalog, k) >= phi - 1e-9)
+            .filter(|&k| placement.fits(&sc.catalog, &sc.net, m, k))
             .collect();
         if let Some(&k) = rng.choose(&feasible) {
             placement.set(m, k, true);
@@ -47,8 +46,7 @@ pub fn random_provisioning(sc: &Scenario, seed: u64) -> BaselineResult {
         if placement.get(m, k) {
             continue;
         }
-        let phi = sc.catalog.storage(m);
-        if sc.net.storage(k) - placement.storage_used(&sc.catalog, k) < phi - 1e-9 {
+        if !placement.fits(&sc.catalog, &sc.net, m, k) {
             continue;
         }
         if placement.deployment_cost(&sc.catalog) + sc.catalog.deploy_cost(m) > sc.budget {

@@ -55,7 +55,7 @@ instead of `proved optimal`.
 `autoscale` replays a flash-crowd workload under every scaling mode and
 prints a latency/replica-seconds comparison. `export` prints a scenario
 snapshot as JSON to stdout (add --solve to append the SoCL placement
-snapshot).
+snapshot), for inspection or other tools; no command reads it back.
 `serve` runs the sharded control-plane service: a persistent event loop
 that partitions the base-station graph into regions, streams a synthetic
 user population through bounded per-region queues into the admission
@@ -206,9 +206,11 @@ fn policy_from(args: &Args) -> Result<Policy, String> {
     }
 }
 
-fn print_summary(name: &str, objective: f64, cost: f64, latency: f64, secs: f64) {
+/// One result row; `fallbacks` counts the requests sent to the cloud
+/// because a service on their chain has no edge instance.
+fn print_summary(name: &str, objective: f64, cost: f64, latency: f64, secs: f64, fallbacks: usize) {
     out!(
-        "{name:<6} objective {objective:>10.1}  cost {cost:>8.1}  latency {:>9.1} ms  time {:>8.3}s",
+        "{name:<6} objective {objective:>10.1}  cost {cost:>8.1}  latency {:>9.1} ms  time {:>8.3}s  fallbacks {fallbacks}",
         latency * 1e3,
         secs
     );
@@ -238,6 +240,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
                 res.evaluation.cost,
                 res.evaluation.total_latency,
                 secs,
+                res.evaluation.cloud_fallbacks,
             );
             out!(
                 "stages: partition {:?} | pre-provision {:?} | combine {:?}",
@@ -284,6 +287,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
                 res.cost,
                 res.total_latency,
                 t.elapsed().as_secs_f64(),
+                res.cloud_fallbacks,
             );
         }
         "jdr" => {
@@ -294,6 +298,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
                 res.cost,
                 res.total_latency,
                 t.elapsed().as_secs_f64(),
+                res.cloud_fallbacks,
             );
         }
         "gcog" => {
@@ -304,13 +309,21 @@ pub fn solve(args: &Args) -> Result<(), String> {
                 res.cost,
                 res.total_latency,
                 t.elapsed().as_secs_f64(),
+                res.cloud_fallbacks,
             );
         }
         "opt" => {
             let res = solve_exact(&sc, &exact_options_from(args)?);
             let secs = t.elapsed().as_secs_f64();
             match &res.evaluation {
-                Some(ev) => print_summary("OPT", res.objective, ev.cost, ev.total_latency, secs),
+                Some(ev) => print_summary(
+                    "OPT",
+                    res.objective,
+                    ev.cost,
+                    ev.total_latency,
+                    secs,
+                    ev.cloud_fallbacks,
+                ),
                 None => out!("OPT found no feasible solution within the node limit"),
             }
             out!("{}", opt_verdict(&res));
@@ -338,6 +351,7 @@ pub fn compare(args: &Args) -> Result<(), String> {
         socl.evaluation.cost,
         socl.evaluation.total_latency,
         t.elapsed().as_secs_f64(),
+        socl.evaluation.cloud_fallbacks,
     );
     for res in [
         random_provisioning(&sc, args.get("seed", 42)?),
@@ -350,6 +364,7 @@ pub fn compare(args: &Args) -> Result<(), String> {
             res.cost,
             res.total_latency,
             res.elapsed.as_secs_f64(),
+            res.cloud_fallbacks,
         );
     }
     Ok(())
@@ -441,7 +456,6 @@ pub fn testbed(args: &Args) -> Result<(), String> {
         max_retries: args.get("retries", 0)?,
         timeout: args.get("timeout", f64::INFINITY)?,
         hedge_after: (hedge > 0.0).then_some(hedge),
-        ..RetryPolicy::default()
     };
     let cold_start: f64 = args.get("cold-start", base.cold_start)?;
     let keep_warm: f64 = args.get("keep-warm", base.keep_warm)?;
@@ -1050,7 +1064,7 @@ mod tests {
 
     #[test]
     fn export_roundtrips_via_model() {
-        // The export path reuses ScenarioSnapshot; just exercise it.
+        // In-process smoke run; `tests/export.rs` checks the printed documents.
         export(&args(&["--nodes", "4", "--users", "6", "--seed", "7"])).unwrap();
     }
 }

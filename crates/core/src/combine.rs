@@ -38,6 +38,10 @@ use socl_model::placement::ones;
 use socl_model::{through_costs, Placement, Scenario, ServiceId, ThroughFill, ThroughScratch};
 use socl_net::NodeId;
 
+/// Hard cap on the rounds of each descent stage (defensive; never hit in
+/// practice).
+const MAX_ROUNDS: usize = 100_000;
+
 /// Statistics of a combination run, used by tests and the bench harness.
 #[derive(Debug, Clone, Default)]
 pub struct CombineStats {
@@ -570,7 +574,7 @@ impl<'a> Combiner<'a> {
     /// Large-scale parallel descent (Algorithm 3 lines 1–5): combine
     /// ω-batches of minimum-loss instances until the budget holds.
     fn large_scale(&mut self) {
-        for _ in 0..self.cfg.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             let cost = self.placement.deployment_cost(&self.sc.catalog);
             if cost <= self.sc.budget {
                 break;
@@ -672,11 +676,9 @@ impl<'a> Combiner<'a> {
                         .total_cmp(&self.sc.ap.best_speed(k, a))
                         .then(a.cmp(&b))
                 });
-                let phi = self.sc.catalog.storage(victim);
-                let dest = targets.into_iter().find(|&q| {
-                    self.sc.net.storage(q) - placement.storage_used(&self.sc.catalog, q)
-                        >= phi - 1e-9
-                });
+                let dest = targets
+                    .into_iter()
+                    .find(|&q| placement.fits(&self.sc.catalog, &self.sc.net, victim, q));
                 match dest {
                     Some(q) => {
                         placement.set(victim, k, false);
@@ -809,7 +811,7 @@ impl<'a> Combiner<'a> {
         self.move_to(current);
         self.relocate_pass();
 
-        for _ in 0..self.cfg.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             let q_before = self.objective();
             let losses = self.update_instance_set();
             let Some(&(z, m, k)) = losses.first() else {

@@ -44,8 +44,6 @@ pub struct SoclConfig {
     pub relocation: bool,
     /// Evaluate latency losses and partitions in parallel on `socl_net::par`.
     pub parallel: bool,
-    /// Hard cap on combination rounds (defensive; never hit in practice).
-    pub max_rounds: usize,
 }
 
 impl Default for SoclConfig {
@@ -59,7 +57,6 @@ impl Default for SoclConfig {
             exact_zeta: true,
             relocation: true,
             parallel: true,
-            max_rounds: 100_000,
         }
     }
 }
@@ -81,7 +78,6 @@ impl SoclConfig {
             "Θ must be non-negative, got {}",
             self.theta
         );
-        assert!(self.max_rounds > 0, "max_rounds must be positive");
     }
 }
 

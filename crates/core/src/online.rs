@@ -21,11 +21,8 @@
 //!   than a full re-solve, because the untouched services keep their warm
 //!   instances (zero churn outside the blast radius).
 
-use crate::combine::Combiner;
 use crate::config::SoclConfig;
-use crate::partition::initial_partition_cached;
 use crate::pipeline::{SoclResult, SoclSolver};
-use crate::preprovision::preprovision;
 use socl_model::{evaluate, Placement, ReplicaCounts, Scenario, ServiceId};
 use socl_net::{NodeId, VgCache};
 
@@ -123,11 +120,9 @@ pub fn repair_placement(scenario: &Scenario, broken: &Placement) -> RepairReport
             if placement.instance_count(m) > 0 {
                 continue;
             }
-            let phi = scenario.catalog.storage(m);
             let mut winner: Option<(f64, NodeId)> = None;
             for k in scenario.net.node_ids() {
-                let used = placement.storage_used(&scenario.catalog, k);
-                if scenario.net.storage(k) - used < phi - 1e-9 {
+                if !placement.fits(&scenario.catalog, &scenario.net, m, k) {
                     continue;
                 }
                 placement.set(m, k, true);
@@ -150,14 +145,11 @@ pub fn repair_placement(scenario: &Scenario, broken: &Placement) -> RepairReport
         let mut best = evaluate(scenario, &placement).objective;
         for &m in &affected {
             loop {
-                let phi = scenario.catalog.storage(m);
                 let mut winner: Option<(f64, NodeId)> = None;
                 for k in scenario.net.node_ids() {
-                    if placement.get(m, k) {
-                        continue;
-                    }
-                    let used = placement.storage_used(&scenario.catalog, k);
-                    if scenario.net.storage(k) - used < phi - 1e-9 {
+                    if placement.get(m, k)
+                        || !placement.fits(&scenario.catalog, &scenario.net, m, k)
+                    {
                         continue;
                     }
                     placement.set(m, k, true);
@@ -319,9 +311,7 @@ pub fn merge_scaler_owned(
         if placement.get(m, k) {
             continue;
         }
-        let phi = scenario.catalog.storage(m);
-        let used = placement.storage_used(&scenario.catalog, k);
-        if scenario.net.storage(k) - used >= phi - 1e-9 {
+        if placement.fits(&scenario.catalog, &scenario.net, m, k) {
             placement.set(m, k, true);
             merged += 1;
         } else {
@@ -378,60 +368,29 @@ impl WarmStartSolver {
     /// prefers combining *fresh* duplicates over tearing down warm
     /// instances; the final churn is reported alongside the result.
     pub fn solve_slot(&mut self, scenario: &Scenario) -> WarmSlotResult {
-        let result = match self.previous.clone() {
-            None => SoclSolver::with_config(self.config.clone())
-                .solve_with_vg_cache(scenario, &mut self.vg_cache),
-            Some(prev) => self.solve_warm(scenario, prev),
-        };
-        let churn = self
-            .previous
-            .as_ref()
-            .map(|p| placement_churn(p, &result.placement))
-            .unwrap_or(0);
-        self.previous = Some(result.placement.clone());
-        WarmSlotResult { result, churn }
-    }
-
-    fn solve_warm(&mut self, scenario: &Scenario, previous: Placement) -> SoclResult {
-        let mut timings = crate::pipeline::StageTimings::default();
-        let t = socl_net::time::Stopwatch::start();
-        let partitions = initial_partition_cached(scenario, &self.config, &mut self.vg_cache);
-        timings.partition = t.elapsed();
-
-        let t = socl_net::time::Stopwatch::start();
-        let preprovisioning = preprovision(scenario, &partitions, &self.config);
-        // Union the previous placement into the stage-2 start, respecting
-        // shape (topology is fixed across slots in the online model) and
-        // per-node storage.
-        let mut start = preprovisioning.placement.clone();
-        if previous.services() == start.services() && previous.nodes() == start.nodes() {
-            for (m, k) in previous.iter_deployed() {
-                if start.get(m, k) {
-                    continue;
-                }
-                let phi = scenario.catalog.storage(m);
-                let used = start.storage_used(&scenario.catalog, k);
-                if scenario.net.storage(k) - used >= phi - 1e-9 {
+        let previous = self.previous.take();
+        let solver = SoclSolver::with_config(self.config.clone());
+        let result = solver.solve_from(scenario, &mut self.vg_cache, |start| {
+            // Union the previous placement into the stage-2 start, respecting
+            // shape (topology is fixed across slots in the online model) and
+            // per-node storage.
+            let Some(prev) = previous
+                .as_ref()
+                .filter(|p| p.services() == start.services() && p.nodes() == start.nodes())
+            else {
+                return;
+            };
+            for (m, k) in prev.iter_deployed() {
+                if !start.get(m, k) && start.fits(&scenario.catalog, &scenario.net, m, k) {
                     start.set(m, k, true);
                 }
             }
-        }
-        timings.preprovision = t.elapsed();
-
-        let t = socl_net::time::Stopwatch::start();
-        let (placement, combine_stats) =
-            Combiner::new(scenario, &self.config, &partitions, start).run();
-        timings.combine = t.elapsed();
-
-        let evaluation = evaluate(scenario, &placement);
-        SoclResult {
-            placement,
-            evaluation,
-            partitions,
-            preprovisioning,
-            combine_stats,
-            timings,
-        }
+        });
+        let churn = previous
+            .as_ref()
+            .map_or(0, |p| placement_churn(p, &result.placement));
+        self.previous = Some(result.placement.clone());
+        WarmSlotResult { result, churn }
     }
 }
 

@@ -91,6 +91,19 @@ impl SoclSolver {
     /// scenarios (the online layers) keep one [`VgCache`] alive so slots with
     /// unchanged topology and hosting sets skip the `G′(m_i)` rebuilds.
     pub fn solve_with_vg_cache(&self, scenario: &Scenario, vg_cache: &mut VgCache) -> SoclResult {
+        self.solve_from(scenario, vg_cache, |_| {})
+    }
+
+    /// The three stages, with `edit_start` applied to the pre-provisioned
+    /// placement before stage 3 combines it (its time counts as
+    /// pre-provisioning). The warm start unions the previous slot's
+    /// placement in here.
+    pub(crate) fn solve_from(
+        &self,
+        scenario: &Scenario,
+        vg_cache: &mut VgCache,
+        edit_start: impl FnOnce(&mut Placement),
+    ) -> SoclResult {
         let mut timings = StageTimings::default();
 
         let t = Stopwatch::start();
@@ -99,16 +112,13 @@ impl SoclSolver {
 
         let t = Stopwatch::start();
         let preprovisioning = preprovision(scenario, &partitions, &self.config);
+        let mut start = preprovisioning.placement.clone();
+        edit_start(&mut start);
         timings.preprovision = t.elapsed();
 
         let t = Stopwatch::start();
-        let (placement, combine_stats) = Combiner::new(
-            scenario,
-            &self.config,
-            &partitions,
-            preprovisioning.placement.clone(),
-        )
-        .run();
+        let (placement, combine_stats) =
+            Combiner::new(scenario, &self.config, &partitions, start).run();
         timings.combine = t.elapsed();
 
         let evaluation = evaluate(scenario, &placement);

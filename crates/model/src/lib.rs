@@ -42,8 +42,8 @@ pub use objective::{evaluate, ConstraintReport, Evaluation};
 pub use placement::{Assignment, Placement, ReplicaCounts};
 pub use request::{RequestConfig, UserId, UserRequest};
 pub use routing::{
-    greedy_route, optimal_hosts_into, optimal_route, optimal_route_with, route_all, route_threads,
-    through_costs, RouteOutcome, RouteScratch, ThroughFill, ThroughScratch,
+    optimal_hosts_into, optimal_route, optimal_route_with, route_all, route_threads, through_costs,
+    RouteOutcome, RouteScratch, ThroughFill, ThroughScratch,
 };
 pub use scenario::{Scenario, ScenarioConfig};
 pub use service::{Microservice, ServiceCatalog, ServiceId};

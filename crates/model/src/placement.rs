@@ -183,6 +183,19 @@ impl Placement {
         self.services_on_iter(k).map(|m| catalog.storage(m)).sum()
     }
 
+    /// True if one more instance of `m` fits in node `k`'s free storage
+    /// (Eq. 6 with `1e-9` of slack). Whether `m` is already on `k` is the
+    /// caller's question.
+    pub fn fits(
+        &self,
+        catalog: &ServiceCatalog,
+        net: &EdgeNetwork,
+        m: ServiceId,
+        k: NodeId,
+    ) -> bool {
+        net.storage(k) - self.storage_used(catalog, k) >= catalog.storage(m) - 1e-9
+    }
+
     /// True if every node satisfies the storage constraint (Eq. 6):
     /// `Σ_i x(i,k)·φ(m_i) ≤ Φ(v_k)`.
     pub fn storage_feasible(&self, catalog: &ServiceCatalog, net: &EdgeNetwork) -> bool {

@@ -5,8 +5,8 @@ use crate::objective::evaluate;
 use crate::placement::Placement;
 use crate::request::{UserId, UserRequest};
 use crate::routing::{
-    greedy_route, optimal_hosts_into, optimal_route, optimal_route_with, through_costs,
-    RouteOutcome, RouteScratch, ThroughFill, ThroughScratch,
+    optimal_hosts_into, optimal_route, optimal_route_with, through_costs, RouteOutcome,
+    RouteScratch, ThroughFill, ThroughScratch,
 };
 use crate::scenario::{Scenario, ScenarioConfig};
 use crate::service::{Microservice, ServiceCatalog, ServiceId};
@@ -36,30 +36,6 @@ fn random_covering_placement(sc: &Scenario, density: f64, rng: &mut ChaCha12Rng)
         }
     }
     p
-}
-
-/// DP routing is never worse than greedy routing on any scenario.
-#[test]
-fn dp_dominates_greedy() {
-    cases(48, |rng| {
-        let sc = arb_scenario(rng);
-        let p = random_covering_placement(&sc, rng.gen_range(0.2..0.9), rng);
-        for req in &sc.requests {
-            let o = optimal_route(req, &p, &sc.net, &sc.ap, &sc.catalog);
-            let g = greedy_route(req, &p, &sc.net, &sc.ap, &sc.catalog);
-            match (&o, &g) {
-                (
-                    RouteOutcome::Edge { breakdown: ob, .. },
-                    RouteOutcome::Edge { breakdown: gb, .. },
-                ) => {
-                    let (dp, greedy) = (ob.total(), gb.total());
-                    assert!(dp <= greedy + 1e-9, "{}: dp {dp} > greedy {greedy}", req.id);
-                }
-                (RouteOutcome::CloudFallback, RouteOutcome::CloudFallback) => {}
-                _ => panic!("dp and greedy disagree on feasibility"),
-            }
-        }
-    });
 }
 
 /// `optimal_hosts_into` appends exactly the route `optimal_route_with`

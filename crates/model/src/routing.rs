@@ -7,12 +7,6 @@
 //! [`optimal_route`] solves it exactly by dynamic programming in
 //! `O(|chain| · |V|²)`; this is the routing oracle used by the exact
 //! optimizer and by evaluation.
-//!
-//! [`greedy_route`] is the myopic alternative (always hop to the
-//! cheapest-next instance) that baselines like RP use; it is never better
-//! than the DP and the gap between the two is itself an interesting
-//! measurement (the paper's "conventional strategies ignore dependencies"
-//! motivation).
 
 use crate::latency::{completion_time, CompletionBreakdown};
 use crate::placement::{Assignment, Placement};
@@ -630,48 +624,6 @@ pub fn through_costs(
     Some(scratch.host_entry_s(n_layers, n_layers - 1, terminal))
 }
 
-/// Myopic routing: serve each chain position at the instance that minimizes
-/// the *local* cost (transfer from the previous position + compute), ignoring
-/// downstream consequences.
-pub fn greedy_route(
-    request: &UserRequest,
-    placement: &Placement,
-    net: &EdgeNetwork,
-    ap: &AllPairs,
-    catalog: &ServiceCatalog,
-) -> RouteOutcome {
-    let mut route = Vec::with_capacity(request.chain.len());
-    let mut prev = request.location;
-    for (j, &m) in request.chain.iter().enumerate() {
-        let r_gb = if j == 0 {
-            request.r_in
-        } else {
-            request.edge_data[j - 1]
-        };
-        let q_gflop = catalog.compute_gflop(m);
-        // Scan hosts in ascending node-id order; strict `<` keeps the first
-        // (lowest-id) host on cost ties, exactly like the old
-        // `total_cmp().then(id cmp)` tuple comparison. No host at all
-        // degrades to the cloud.
-        let mut best_c = f64::INFINITY;
-        let mut best = None;
-        for k in placement.hosts_iter(m) {
-            let c_s = ap.transfer_time(prev, k, r_gb) + q_gflop / net.compute_gflops(k);
-            if best.is_none() || c_s < best_c {
-                best_c = c_s;
-                best = Some(k);
-            }
-        }
-        let Some(best) = best else {
-            return RouteOutcome::CloudFallback;
-        };
-        route.push(best);
-        prev = best;
-    }
-    let breakdown = completion_time(request, &route, net, ap, catalog);
-    RouteOutcome::Edge { route, breakdown }
-}
-
 /// Abstract operations (`socl_net::parallel_worthwhile`'s, ≈ 1 ns each) one
 /// chain layer of a route costs besides its DP cells: the walk of the
 /// placement row's bits for the layer's hosts, its hop of the route fold
@@ -757,8 +709,9 @@ mod tests {
     use crate::service::{Microservice, ServiceId};
     use socl_net::{EdgeServer, LinkParams};
 
-    /// Diamond with a trap: the greedy-first hop looks cheap but strands the
-    /// request far from the only host of the second service.
+    /// Diamond with a trap: the myopic first hop (v1, the fastest host of
+    /// m0) looks cheap but strands the request far from the only host of the
+    /// second service.
     ///
     /// v0 (user) — v1 (fast m0 host, dead end), v0 — v2 — v3; m0 on {v1,v2},
     /// m1 only on v3.
@@ -802,24 +755,8 @@ mod tests {
     fn dp_avoids_the_greedy_trap() {
         let (net, ap, cat, p, req) = trap();
         let opt = optimal_route(&req, &p, &net, &ap, &cat);
-        let grd = greedy_route(&req, &p, &net, &ap, &cat);
-        let (o, g) = (opt.edge_time().unwrap(), grd.edge_time().unwrap());
-        assert!(o < g, "optimal {o} should beat greedy {g}");
         // DP routes through v2 despite v1's faster CPU.
         assert_eq!(opt.route().unwrap(), &[NodeId(2), NodeId(3)]);
-        assert_eq!(grd.route().unwrap(), &[NodeId(1), NodeId(3)]);
-    }
-
-    #[test]
-    fn dp_is_never_worse_than_greedy() {
-        let (net, ap, cat, p, req) = trap();
-        for loc in net.node_ids() {
-            let mut r = req.clone();
-            r.location = loc;
-            let o = optimal_route(&r, &p, &net, &ap, &cat).edge_time().unwrap();
-            let g = greedy_route(&r, &p, &net, &ap, &cat).edge_time().unwrap();
-            assert!(o <= g + 1e-12);
-        }
     }
 
     #[test]
@@ -828,10 +765,6 @@ mod tests {
         p.set(ServiceId(1), NodeId(3), false);
         assert_eq!(
             optimal_route(&req, &p, &net, &ap, &cat),
-            RouteOutcome::CloudFallback
-        );
-        assert_eq!(
-            greedy_route(&req, &p, &net, &ap, &cat),
             RouteOutcome::CloudFallback
         );
     }

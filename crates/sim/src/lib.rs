@@ -40,7 +40,7 @@ pub mod testbed;
 
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultSchedule, FaultStats, FaultTimeline};
 pub use mobility::MobilityModel;
-pub use online::{ControlPlaneDisabled, OnlineConfig, OnlineSimulator, SlotRecord};
+pub use online::{OnlineConfig, OnlineSimulator, SlotRecord};
 pub use policy::Policy;
 pub use recovery::{
     audit_invariants, AuditReport, Checkpoint, DecisionLog, LogRecord, RestoreError, RngState,

@@ -155,19 +155,6 @@ pub struct SlotRecord {
     pub replicas: u32,
 }
 
-/// Error from control-plane accessors on a run configured without an
-/// autoscaler (`OnlineConfig::autoscale` is `None`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ControlPlaneDisabled;
-
-impl std::fmt::Display for ControlPlaneDisabled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("control plane not configured: OnlineConfig::autoscale is None")
-    }
-}
-
-impl std::error::Error for ControlPlaneDisabled {}
-
 /// The simulator: owns the evolving user state.
 ///
 /// Fields are `pub(crate)` so the [`crate::recovery`] module can freeze and
@@ -250,16 +237,6 @@ impl OnlineSimulator {
     /// The control plane's warm-replica counts (None without autoscaling).
     pub fn replica_counts(&self) -> Option<&ReplicaCounts> {
         self.scaler.as_ref().map(|s| s.counts())
-    }
-
-    /// The control plane's warm-replica counts, as a structured error when
-    /// the run has no control plane — for callers that *require* one and
-    /// previously had to panic on the `None`.
-    ///
-    /// # Errors
-    /// [`ControlPlaneDisabled`] when `OnlineConfig::autoscale` is `None`.
-    pub fn replica_counts_checked(&self) -> Result<&ReplicaCounts, ControlPlaneDisabled> {
-        self.replica_counts().ok_or(ControlPlaneDisabled)
     }
 
     /// Index of the next slot [`step`](Self::step) will execute.
@@ -771,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_preserves_warm_pools_across_mid_slot_crashes() -> Result<(), ControlPlaneDisabled> {
+    fn repair_preserves_warm_pools_across_mid_slot_crashes() {
         let cfg = OnlineConfig {
             mid_slot_fail_prob: 1.0,
             repair: true,
@@ -784,17 +761,8 @@ mod tests {
         for r in &records {
             assert!(r.replicas > 0, "slot {} lost every warm replica", r.slot);
         }
-        let counts = sim.replica_counts_checked()?;
+        let counts = sim.replica_counts().expect("autoscale is configured");
         assert!(counts.total() > 0);
-        Ok(())
-    }
-
-    #[test]
-    fn control_plane_accessor_reports_a_structured_error() {
-        let sim = OnlineSimulator::new(small_cfg(33));
-        assert_eq!(sim.replica_counts_checked(), Err(ControlPlaneDisabled));
-        // The error carries a human-readable explanation.
-        assert!(ControlPlaneDisabled.to_string().contains("autoscale"));
     }
 
     #[test]

@@ -220,7 +220,6 @@ fn scaling_timelines_are_thread_count_invariant() {
                 classes: 3,
                 strict_overload: 3.0,
             },
-            ..AutoscaleConfig::default()
         };
         let cfg = TestbedConfig {
             epochs: 3,

@@ -71,21 +71,24 @@ use socl_net::{AllPairs, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Backoff before the first retry of a stage, in seconds.
+const BACKOFF_BASE: f64 = 0.05;
+/// Multiplicative backoff growth per attempt.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Uniform jitter fraction applied to each backoff, drawn from the run's
+/// seeded RNG, so runs stay deterministic.
+const BACKOFF_JITTER: f64 = 0.2;
+
 /// Dispatcher policy for failed or slow stage attempts.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Per-attempt timeout in seconds, measured from dispatch to stage
     /// completion (transfer + queue + service). `f64::INFINITY` disables.
     pub timeout: f64,
-    /// Retries allowed per stage after the first attempt (0 disables).
+    /// Retries allowed per stage after the first attempt (0 disables),
+    /// each after a jittered exponential backoff (50 ms, doubling per
+    /// attempt, ±20 %).
     pub max_retries: usize,
-    /// Base backoff delay in seconds before the first retry.
-    pub backoff_base: f64,
-    /// Multiplicative backoff growth per attempt.
-    pub backoff_factor: f64,
-    /// Uniform jitter fraction applied to each backoff (0 = none). Drawn
-    /// from the run's seeded RNG, so runs stay deterministic.
-    pub jitter: f64,
     /// Hedged dispatch: when the chosen replica's predicted completion lies
     /// more than this many seconds after dispatch, dry-run a duplicate on
     /// the next-best replica and commit the predicted winner. `None`
@@ -100,9 +103,6 @@ impl Default for RetryPolicy {
         Self {
             timeout: f64::INFINITY,
             max_retries: 0,
-            backoff_base: 0.05,
-            backoff_factor: 2.0,
-            jitter: 0.2,
             hedge_after: None,
         }
     }
@@ -116,7 +116,6 @@ impl RetryPolicy {
             timeout: 30.0,
             max_retries: 3,
             hedge_after: Some(2.0),
-            ..Self::default()
         }
     }
 
@@ -636,14 +635,9 @@ impl<'a> Engine<'a> {
     }
 
     fn backoff_delay(&mut self, attempt: usize) -> f64 {
-        let p = &self.cfg.retry;
-        let base = p.backoff_base * p.backoff_factor.powi(attempt as i32);
-        if p.jitter > 0.0 {
-            let u: f64 = self.rng.gen::<f64>();
-            base * (1.0 + p.jitter * (2.0 * u - 1.0))
-        } else {
-            base
-        }
+        let base = BACKOFF_BASE * BACKOFF_FACTOR.powi(attempt as i32);
+        let u: f64 = self.rng.gen::<f64>();
+        base * (1.0 + BACKOFF_JITTER * (2.0 * u - 1.0))
     }
 
     /// Handle a failed attempt: back off and retry, or give up.

@@ -15,6 +15,8 @@
 //!   (Figure 3b).
 //! * [`temporal`] — diurnal request-volume series with configurable peaks,
 //!   noise and bursts (Figure 4).
+//! * [`metrics`] — the coefficient of variation and burst count that make
+//!   Figure 4's fluctuation checkable.
 
 pub mod generator;
 pub mod metrics;
@@ -22,6 +24,6 @@ pub mod similarity;
 pub mod temporal;
 
 pub use generator::{ServiceTrace, TraceConfig, TraceGenerator};
-pub use metrics::{acf, autocorrelation, burst_count, coefficient_of_variation, dominant_period};
+pub use metrics::{burst_count, coefficient_of_variation};
 pub use similarity::{cosine_similarity, jaccard_similarity, similarity_matrix};
 pub use temporal::{TemporalConfig, TemporalWorkload};

@@ -1,34 +1,10 @@
 //! Time-series metrics for workload characterization (Figure 4 analysis).
 //!
 //! The paper's claim is qualitative ("significant temporal fluctuations and
-//! recurring peaks"); these metrics make it checkable: autocorrelation
-//! reveals the recurrence, the coefficient of variation and peak-to-mean
-//! quantify the fluctuation, and the burst count measures how often the
-//! series crosses a high-water mark.
-
-/// Sample autocorrelation of `series` at `lag` (biased estimator, the usual
-/// choice for ACF plots). Returns 0 for degenerate inputs.
-pub fn autocorrelation(series: &[f64], lag: usize) -> f64 {
-    let n = series.len();
-    if n < 2 || lag >= n {
-        return 0.0;
-    }
-    let mean = series.iter().sum::<f64>() / n as f64;
-    let var: f64 = series.iter().map(|v| (v - mean).powi(2)).sum();
-    if var <= 0.0 {
-        return 0.0;
-    }
-    let cov: f64 = (0..n - lag)
-        .map(|i| (series[i] - mean) * (series[i + lag] - mean))
-        .sum();
-    cov / var
-}
-
-/// Full ACF up to `max_lag` (inclusive); index 0 is always 1 for
-/// non-degenerate series.
-pub fn acf(series: &[f64], max_lag: usize) -> Vec<f64> {
-    (0..=max_lag).map(|l| autocorrelation(series, l)).collect()
-}
+//! recurring peaks"); these metrics make it checkable: the coefficient of
+//! variation (with [`crate::TemporalWorkload::peak_to_mean`]) quantifies the
+//! fluctuation, and the burst count measures how often the series crosses a
+//! high-water mark.
 
 /// Coefficient of variation `σ/μ`; 0 for flat or empty series.
 pub fn coefficient_of_variation(series: &[f64]) -> f64 {
@@ -66,47 +42,14 @@ pub fn burst_count(series: &[f64], threshold: f64) -> usize {
     bursts
 }
 
-/// Dominant recurrence lag: the lag (in `1..=max_lag`) with maximal ACF.
-/// `None` for series shorter than 3 samples.
-pub fn dominant_period(series: &[f64], max_lag: usize) -> Option<usize> {
-    if series.len() < 3 || max_lag == 0 {
-        return None;
-    }
-    (1..=max_lag.min(series.len() - 1))
-        .map(|l| (l, autocorrelation(series, l)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(l, _)| l)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::temporal::{TemporalConfig, TemporalWorkload};
 
     #[test]
-    fn acf_lag_zero_is_one() {
-        let s = [1.0, 3.0, 2.0, 5.0, 4.0];
-        assert!((autocorrelation(&s, 0) - 1.0).abs() < 1e-12);
-        let a = acf(&s, 3);
-        assert_eq!(a.len(), 4);
-        assert!((a[0] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn acf_detects_periodicity() {
-        // Period-4 square wave: ACF at lag 4 ≈ 1, at lag 2 strongly negative.
-        let s: Vec<f64> = (0..40)
-            .map(|i| if (i / 2) % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!(autocorrelation(&s, 4) > 0.8);
-        assert!(autocorrelation(&s, 2) < -0.5);
-        assert_eq!(dominant_period(&s, 6), Some(4));
-    }
-
-    #[test]
     fn flat_series_is_degenerate() {
         let s = [5.0; 10];
-        assert_eq!(autocorrelation(&s, 1), 0.0);
         assert_eq!(coefficient_of_variation(&s), 0.0);
         assert_eq!(burst_count(&s, 1.5), 0);
     }
@@ -136,9 +79,7 @@ mod tests {
 
     #[test]
     fn edge_cases_do_not_panic() {
-        assert_eq!(autocorrelation(&[], 0), 0.0);
-        assert_eq!(autocorrelation(&[1.0], 1), 0.0);
-        assert_eq!(dominant_period(&[1.0, 2.0], 5), None);
+        assert_eq!(coefficient_of_variation(&[]), 0.0);
         assert_eq!(burst_count(&[], 2.0), 0);
     }
 }

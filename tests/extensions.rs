@@ -1,8 +1,7 @@
-//! Integration tests for the extension subsystems: extra datasets,
-//! snapshots, and warm starts.
+//! Integration tests for the extension subsystems: extra datasets and warm
+//! starts.
 
 use socl::core::{placement_churn, WarmStartSolver};
-use socl::model::{PlacementSnapshot, ScenarioSnapshot};
 use socl::prelude::*;
 
 #[test]
@@ -25,28 +24,6 @@ fn socl_runs_on_every_embedded_dataset() {
             "{name}"
         );
     }
-}
-
-#[test]
-fn snapshots_make_runs_portable() {
-    // Solve on "machine A", ship scenario+placement as JSON, re-evaluate on
-    // "machine B": objectives must agree exactly.
-    let sc = ScenarioConfig::paper(8, 30).build(3);
-    let res = SoclSolver::new().solve(&sc);
-
-    let sc_json = ScenarioSnapshot::capture(&sc).to_json();
-    let p_json = PlacementSnapshot::capture(&res.placement).to_json();
-
-    let sc2 = ScenarioSnapshot::from_json(&sc_json)
-        .unwrap()
-        .restore()
-        .unwrap();
-    let p2 = PlacementSnapshot::from_json(&p_json)
-        .unwrap()
-        .restore()
-        .unwrap();
-    let ev2 = evaluate(&sc2, &p2);
-    assert_eq!(ev2.objective, res.evaluation.objective);
 }
 
 #[test]
