@@ -43,23 +43,24 @@ pub struct ScalingAction {
     pub after: u32,
 }
 
-/// Per-service controller state.
-#[derive(Debug, Clone)]
-struct ServiceState {
+/// Per-service controller state, held by the scaler and frozen as is into
+/// a checkpoint.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServiceStateSnapshot {
     /// Recent `(time, in-flight)` samples, pruned to the stable window.
-    samples: Vec<(f64, f64)>,
+    pub samples: Vec<(f64, f64)>,
     /// Recent `(time, instantaneous desired)` pairs, pruned to the
     /// keep-alive window — their max is the scale-down floor, which is how
     /// "a replica stays warm for W seconds after it was last needed" is
     /// realised without per-replica timers.
-    desires: Vec<(f64, u32)>,
+    pub desires: Vec<(f64, u32)>,
     /// Time of the last executed scale-down.
-    last_down: f64,
+    pub last_down: f64,
     /// Panic mode is active until this time.
-    panic_until: f64,
+    pub panic_until: f64,
 }
 
-impl ServiceState {
+impl ServiceStateSnapshot {
     fn new() -> Self {
         Self {
             samples: Vec::new(),
@@ -68,19 +69,6 @@ impl ServiceState {
             panic_until: f64::NEG_INFINITY,
         }
     }
-}
-
-/// Frozen per-service controller state (checkpoint payload).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceStateSnapshot {
-    /// Recent `(time, in-flight)` samples within the stable window.
-    pub samples: Vec<(f64, f64)>,
-    /// Recent `(time, instantaneous desired)` keep-alive markers.
-    pub desires: Vec<(f64, u32)>,
-    /// Time of the last executed scale-down.
-    pub last_down: f64,
-    /// Panic mode is active until this time.
-    pub panic_until: f64,
 }
 
 /// Frozen [`Autoscaler`] state: everything the control loop accumulates at
@@ -196,7 +184,7 @@ pub struct Autoscaler {
     /// Total capacity ceiling per service across its current hosts,
     /// refreshed every tick (hosts move when placements change mid-run).
     caps: Vec<u32>,
-    states: Vec<ServiceState>,
+    states: Vec<ServiceStateSnapshot>,
     /// Cumulative service-level scale-up / scale-down events.
     up_events: u64,
     down_events: u64,
@@ -219,7 +207,7 @@ impl Autoscaler {
             cold_start: cold_start.max(0.0),
             counts: ReplicaCounts::zero(services, nodes),
             caps: vec![0; services],
-            states: (0..services).map(|_| ServiceState::new()).collect(),
+            states: (0..services).map(|_| ServiceStateSnapshot::new()).collect(),
             up_events: 0,
             down_events: 0,
             fill_hosts: Vec::new(),
@@ -419,16 +407,7 @@ impl Autoscaler {
             nodes,
             counts,
             caps: self.caps.clone(),
-            states: self
-                .states
-                .iter()
-                .map(|st| ServiceStateSnapshot {
-                    samples: st.samples.clone(),
-                    desires: st.desires.clone(),
-                    last_down: st.last_down,
-                    panic_until: st.panic_until,
-                })
-                .collect(),
+            states: self.states.clone(),
             up_events: self.up_events,
             down_events: self.down_events,
             cold_start: self.cold_start,
@@ -460,16 +439,6 @@ impl Autoscaler {
         if !s.cold_start.is_finite() || s.cold_start < 0.0 {
             return Err("scaler cold_start invalid".to_string());
         }
-        let states = s
-            .states
-            .iter()
-            .map(|snap| ServiceState {
-                samples: snap.samples.clone(),
-                desires: snap.desires.clone(),
-                last_down: snap.last_down,
-                panic_until: snap.panic_until,
-            })
-            .collect();
         let mut counts = ReplicaCounts::zero(services, nodes);
         for i in 0..services {
             for k in 0..nodes {
@@ -479,7 +448,7 @@ impl Autoscaler {
         }
         self.counts = counts;
         self.caps = s.caps.clone();
-        self.states = states;
+        self.states = s.states.clone();
         self.up_events = s.up_events;
         self.down_events = s.down_events;
         self.cold_start = s.cold_start;

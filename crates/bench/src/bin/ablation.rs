@@ -7,6 +7,7 @@
 //! 5. Storage policy: FuzzyAHP `ρ` vs cheapest-out eviction.
 //! 6. ζ mode: exact chain-aware gradient vs the ψ surrogate of Def. 8.
 //! 7. Relocation (objective-guided migration): on/off.
+//! 8. Serial execution: the whole pipeline on one pool thread.
 //!
 //! ```sh
 //! cargo run --release -p socl-bench --bin ablation
@@ -82,13 +83,9 @@ fn sweep(tag: &str, base: &SoclConfig, seeds: &[u64]) {
         seeds,
     );
     out!("{tag}/surrogate_zeta,{o:.1},{s:.4}");
-    let (o, s) = score(
-        SoclConfig {
-            parallel: false,
-            ..base.clone()
-        },
-        seeds,
-    );
+    set_threads(1);
+    let (o, s) = score(base.clone(), seeds);
+    set_threads(0);
     out!("{tag}/serial_execution,{o:.1},{s:.4}");
 }
 

@@ -22,10 +22,7 @@ fn main() {
             let parts = initial_partition(&sc, &cfg);
             let pre = preprovision(&sc, &parts, &cfg);
             let pre_obj = evaluate(&sc, &pre.placement).objective;
-            let debug = std::env::var_os("SOCL_DEBUG_COMBINE").is_some();
-            let (_, stats) = Combiner::new(&sc, &cfg, &parts, pre.placement)
-                .with_debug(debug)
-                .run();
+            let (_, stats) = Combiner::new(&sc, &cfg, &parts, pre.placement).run();
             out!(
                 "{users},{seed},{pre_obj:.1},{:.1},{:.1},{:.1},{:.1}",
                 stats.objective_after_large,

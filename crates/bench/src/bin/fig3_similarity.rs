@@ -15,7 +15,7 @@ use socl::trace::similarity::{offdiag_max, offdiag_mean};
 use socl_bench::out;
 
 fn main() {
-    let generator = TraceGenerator::new(TraceConfig::default(), 42);
+    let generator = TraceGenerator::new(42);
 
     // Figure 3a: similarity between the ten services.
     let traces = generator.sample_all(1);

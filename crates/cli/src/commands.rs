@@ -206,14 +206,42 @@ fn policy_from(args: &Args) -> Result<Policy, String> {
     }
 }
 
-/// One result row; `fallbacks` counts the requests sent to the cloud
-/// because a service on their chain has no edge instance.
-fn print_summary(name: &str, objective: f64, cost: f64, latency: f64, secs: f64, fallbacks: usize) {
-    out!(
-        "{name:<6} objective {objective:>10.1}  cost {cost:>8.1}  latency {:>9.1} ms  time {:>8.3}s  fallbacks {fallbacks}",
-        latency * 1e3,
-        secs
-    );
+/// The result rows of `solve` and `compare`, printed as they come, and the
+/// algorithms whose cost exceeds the budget: below the one-copy floor every
+/// algorithm returns a placement over it, and a row does not say so.
+struct Rows {
+    budget: f64,
+    over: Vec<&'static str>,
+}
+
+impl Rows {
+    /// One result row; `fallbacks` counts the requests sent to the cloud
+    /// because a service on their chain has no edge instance.
+    fn print(
+        &mut self,
+        name: &'static str,
+        objective: f64,
+        cost: f64,
+        latency: f64,
+        secs: f64,
+        fallbacks: usize,
+    ) {
+        out!(
+            "{name:<6} objective {objective:>10.1}  cost {cost:>8.1}  latency {:>9.1} ms  time {:>8.3}s  fallbacks {fallbacks}",
+            latency * 1e3,
+            secs
+        );
+        if cost > self.budget {
+            self.over.push(name);
+        }
+    }
+
+    /// Names, after the rows, every algorithm whose cost exceeds the budget.
+    fn close(self) {
+        if !self.over.is_empty() {
+            out!("over budget {}: {}", self.budget, self.over.join(", "));
+        }
+    }
 }
 
 /// `socl solve`.
@@ -228,13 +256,17 @@ pub fn solve(args: &Args) -> Result<(), String> {
         sc.budget,
         sc.lambda
     );
+    let mut rows = Rows {
+        budget: sc.budget,
+        over: Vec::new(),
+    };
     let t = Stopwatch::start();
     match algo.as_str() {
         "socl" => {
             let cfg = socl_config_from(args)?;
             let res = SoclSolver::with_config(cfg).solve(&sc);
             let secs = t.elapsed().as_secs_f64();
-            print_summary(
+            rows.print(
                 "SoCL",
                 res.objective(),
                 res.evaluation.cost,
@@ -281,7 +313,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
         }
         "rp" => {
             let res = random_provisioning(&sc, args.get("seed", 42)?);
-            print_summary(
+            rows.print(
                 "RP",
                 res.objective,
                 res.cost,
@@ -292,7 +324,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
         }
         "jdr" => {
             let res = jdr(&sc);
-            print_summary(
+            rows.print(
                 "JDR",
                 res.objective,
                 res.cost,
@@ -303,7 +335,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
         }
         "gcog" => {
             let res = gc_og(&sc);
-            print_summary(
+            rows.print(
                 "GC-OG",
                 res.objective,
                 res.cost,
@@ -316,7 +348,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
             let res = solve_exact(&sc, &exact_options_from(args)?);
             let secs = t.elapsed().as_secs_f64();
             match &res.evaluation {
-                Some(ev) => print_summary(
+                Some(ev) => rows.print(
                     "OPT",
                     res.objective,
                     ev.cost,
@@ -330,6 +362,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
         }
         other => return Err(format!("unknown --algo `{other}`")),
     }
+    rows.close();
     Ok(())
 }
 
@@ -343,9 +376,13 @@ pub fn compare(args: &Args) -> Result<(), String> {
         sc.budget,
         sc.lambda
     );
+    let mut rows = Rows {
+        budget: sc.budget,
+        over: Vec::new(),
+    };
     let t = Stopwatch::start();
     let socl = SoclSolver::new().solve(&sc);
-    print_summary(
+    rows.print(
         "SoCL",
         socl.objective(),
         socl.evaluation.cost,
@@ -358,7 +395,7 @@ pub fn compare(args: &Args) -> Result<(), String> {
         jdr(&sc),
         gc_og(&sc),
     ] {
-        print_summary(
+        rows.print(
             res.name,
             res.objective,
             res.cost,
@@ -367,6 +404,7 @@ pub fn compare(args: &Args) -> Result<(), String> {
             res.cloud_fallbacks,
         );
     }
+    rows.close();
     Ok(())
 }
 
@@ -637,7 +675,7 @@ pub fn autoscale(args: &Args) -> Result<(), String> {
 /// `socl trace`.
 pub fn trace(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get("seed", 42)?;
-    let g = TraceGenerator::new(TraceConfig::default(), seed);
+    let g = TraceGenerator::new(seed);
     let all = g.sample_all(seed ^ 1);
     let m = similarity_matrix(&all, |a, b| cosine_similarity(&a.usage, &b.usage));
     let n = all.len();

@@ -17,10 +17,13 @@
 //!   positive, run storage planning (Algorithm 5) after each step, and roll
 //!   back (re-add and lock the instance) when a completion-time bound
 //!   (Eq. 4) breaks.
-//! * **Storage planning** — per-node overflow resolution: evict the
-//!   instance with the lowest FuzzyAHP local demand factor `ρ`
-//!   (Definition 9) and migrate it to the nearest (fastest-channel) node
-//!   with room; if no node can take it, signal the caller to keep combining.
+//! * **Storage planning** — one per-node overflow pass
+//!   ([`Combiner::plan_storage`]): evict the instance with the lowest
+//!   FuzzyAHP local demand factor `ρ` (Definition 9) and migrate it to the
+//!   nearest (fastest-channel) node with room; if no node can take it,
+//!   remove an instance (a spare copy before a last one) and tell the
+//!   caller to keep combining. The same pass closes the run, so Eq. 6 holds
+//!   on exit.
 //!
 //! The combiner keeps the routing state of its current placement (DESIGN.md
 //! "Combiner state and through-cost tables"): every request's completion
@@ -79,11 +82,6 @@ pub struct CombineStats {
     pub row_fills: usize,
 }
 
-/// Signal from storage planning that total storage cannot host the current
-/// instance set — Algorithm 5 line 17: continue combining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InsufficientStorage;
-
 /// Marks an absent runner-up in [`Combiner::top2`].
 const NO_HOST: NodeId = NodeId(u32::MAX);
 
@@ -132,10 +130,6 @@ pub struct Combiner<'a> {
     /// Per request, whether [`Combiner::move_to`] must re-route it.
     stale: Vec<bool>,
     stats: CombineStats,
-    /// Emit per-round traces to stderr. Off by default; binaries opt in via
-    /// [`Combiner::with_debug`] (the library never reads the environment, so
-    /// combining stays deterministic under the T1 taint lint).
-    debug: bool,
     /// Shown every state the combiner scores candidates from: the starting
     /// one and the one after each [`Combiner::move_to`].
     #[cfg(test)]
@@ -206,7 +200,6 @@ impl<'a> Combiner<'a> {
             scratch: ThroughScratch::new(),
             stale: vec![false; sc.users()],
             stats: CombineStats::default(),
-            debug: false,
             #[cfg(test)]
             audit: None,
         };
@@ -214,13 +207,6 @@ impl<'a> Combiner<'a> {
             this.reroute(h);
         }
         this
-    }
-
-    /// Enable or disable stderr trace output for debugging combine rounds.
-    #[must_use]
-    pub fn with_debug(mut self, debug: bool) -> Self {
-        self.debug = debug;
-        self
     }
 
     fn lock_idx(&self, m: ServiceId, k: NodeId) -> usize {
@@ -446,7 +432,7 @@ impl<'a> Combiner<'a> {
     fn score_all<I: Sync, T: Send>(&self, items: &[I], score: impl Fn(&I) -> T + Sync) -> Vec<T> {
         let requested = self.users_of.iter().filter(|u| !u.is_empty()).count();
         let lookups = self.top2.len() / requested.max(1);
-        if self.cfg.parallel && socl_net::parallel_worthwhile(items.len(), lookups) {
+        if socl_net::parallel_worthwhile(items.len(), lookups) {
             socl_net::par::par_map(items, score)
         } else {
             items.iter().map(score).collect()
@@ -585,18 +571,6 @@ impl<'a> Combiner<'a> {
             }
             self.stats.large_rounds += 1;
             let batch = ((losses.len() as f64 * self.cfg.omega).ceil() as usize).max(1);
-            if self.debug {
-                eprintln!(
-                    "[combine] round {}: cost {:.0}, top losses: {:?}",
-                    self.stats.large_rounds,
-                    cost,
-                    losses
-                        .iter()
-                        .take(4)
-                        .map(|(z, m, k)| format!("{m}@{k}:{z:.0}"))
-                        .collect::<Vec<_>>()
-                );
-            }
 
             // Ω = the ω-minimal fraction of the loss list. Conflicted
             // members are *discarded from Ω* (the batch shrinks — it is
@@ -638,58 +612,97 @@ impl<'a> Combiner<'a> {
         }
     }
 
-    /// Algorithm 5: resolve per-node storage overflows by migrating the
-    /// lowest-`ρ` instances to the fastest-channel node with room.
-    fn storage_plan(&mut self, placement: &mut Placement) -> Result<(), InsufficientStorage> {
-        // Aggregate capacity test (line 1).
-        let required: f64 = self
-            .sc
-            .catalog
-            .ids()
-            .map(|m| placement.instance_count(m) as f64 * self.sc.catalog.storage(m))
-            .sum();
-        if self.sc.net.total_storage() < required {
-            return Err(InsufficientStorage);
-        }
-
-        for k in self.sc.net.node_ids() {
-            let mut guard = 0;
-            while placement.storage_used(&self.sc.catalog, k) > self.sc.net.storage(k) + 1e-9 {
-                guard += 1;
-                assert!(guard <= self.sc.services() + 1, "storage planning stuck");
-                let services = placement.services_on(k);
-                let victim = self.pick_victim(&services, k);
-                let Some(victim) = victim else {
-                    return Err(InsufficientStorage);
-                };
-                // Targets ordered by descending channel speed from k.
-                let mut targets: Vec<NodeId> = self
-                    .sc
-                    .net
-                    .node_ids()
-                    .filter(|&q| q != k && !placement.get(victim, q))
-                    .collect();
-                targets.sort_by(|&a, &b| {
-                    self.sc
-                        .ap
-                        .best_speed(k, b)
-                        .total_cmp(&self.sc.ap.best_speed(k, a))
-                        .then(a.cmp(&b))
-                });
-                let dest = targets
-                    .into_iter()
-                    .find(|&q| placement.fits(&self.sc.catalog, &self.sc.net, victim, q));
-                match dest {
-                    Some(q) => {
-                        placement.set(victim, k, false);
-                        placement.set(victim, q, true);
-                        self.stats.migrations += 1;
-                    }
-                    None => return Err(InsufficientStorage),
-                }
+    /// Algorithm 5, the one storage pass: while a node is overloaded (lowest
+    /// id first), move its lowest-`ρ` instance to the first node with room
+    /// by descending channel speed from it, ties to the lower id. When no
+    /// node has room, a pass that may not `remove` stops there. Otherwise
+    /// the victim is combined away when its service has another instance; a
+    /// service's last copy is never removed while a spare copy (one whose
+    /// service has another instance) can go instead: the node's lowest-`ρ`
+    /// spare copy is evicted, or, when the node has none, spare copies on
+    /// the node with the most freeable room are evicted until the last copy
+    /// fits there. Only a last copy that fits nowhere, even with every spare
+    /// copy evicted, is dropped; its requests then fall back to the cloud,
+    /// the honest semantics of an over-packed edge. Returns whether an
+    /// instance was removed: storage could not hold the placement, so the
+    /// serial descent keeps combining (line 17).
+    fn plan_storage(&mut self, placement: &mut Placement, remove: bool) -> bool {
+        let sc = self.sc;
+        let (catalog, net) = (&sc.catalog, &sc.net);
+        let room = |p: &Placement, q: NodeId| net.storage(q) - p.storage_used(catalog, q);
+        let spares = |p: &Placement, q: NodeId| -> Vec<ServiceId> {
+            let mut on = p.services_on(q);
+            on.retain(|&m| p.instance_count(m) > 1);
+            on
+        };
+        let mut removed = false;
+        while let Some(&(node, _)) = placement.storage_violations(catalog, net).first() {
+            let Some(victim) = self.pick_victim(&placement.services_on(node), node) else {
+                break;
+            };
+            let mut targets: Vec<NodeId> = net
+                .node_ids()
+                .filter(|&q| q != node && !placement.get(victim, q))
+                .collect();
+            targets.sort_by(|&a, &b| {
+                let (sa, sb) = (sc.ap.best_speed(node, a), sc.ap.best_speed(node, b));
+                sb.total_cmp(&sa).then(a.cmp(&b))
+            });
+            let dest = targets
+                .iter()
+                .copied()
+                .find(|&q| placement.fits(catalog, net, victim, q));
+            if let Some(q) = dest {
+                placement.set(victim, node, false);
+                placement.set(victim, q, true);
+                self.stats.migrations += 1;
+                continue;
             }
+            if !remove {
+                break;
+            }
+            removed = true;
+            if placement.instance_count(victim) > 1 {
+                // Combined away; counts as a (forced) combination.
+                placement.set(victim, node, false);
+                self.stats.small_removed += 1;
+                continue;
+            }
+            if let Some(spare) = self.pick_victim(&spares(placement, node), node) {
+                placement.set(spare, node, false);
+                self.stats.small_removed += 1;
+                continue;
+            }
+            // The node with the most room for the last copy once the spare
+            // copies there are evicted.
+            let phi = catalog.storage(victim);
+            let host = targets
+                .into_iter()
+                .map(|q| {
+                    let freeable: f64 = spares(placement, q)
+                        .iter()
+                        .map(|&m| catalog.storage(m))
+                        .sum();
+                    (room(placement, q) + freeable, q)
+                })
+                .filter(|&(r, _)| r >= phi - 1e-9)
+                .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            placement.set(victim, node, false);
+            let Some((_, q)) = host else {
+                self.stats.small_removed += 1;
+                continue;
+            };
+            while room(placement, q) < phi - 1e-9 {
+                let Some(spare) = self.pick_victim(&spares(placement, q), q) else {
+                    break;
+                };
+                placement.set(spare, q, false);
+                self.stats.small_removed += 1;
+            }
+            placement.set(victim, q, true);
+            self.stats.migrations += 1;
         }
-        Ok(())
+        removed
     }
 
     /// Least-important instance on `k` per the configured policy.
@@ -807,31 +820,26 @@ impl<'a> Combiner<'a> {
         // measuring the starting objective, then repair unlucky stage-2
         // positions with the migration pass.
         let mut current = self.placement.clone();
-        let _ = self.storage_plan(&mut current);
+        self.plan_storage(&mut current, false);
         self.move_to(current);
         self.relocate_pass();
 
         for _ in 0..MAX_ROUNDS {
             let q_before = self.objective();
             let losses = self.update_instance_set();
-            let Some(&(z, m, k)) = losses.first() else {
+            let Some(&(_, m, k)) = losses.first() else {
                 break;
             };
 
             // Trial combine + storage planning.
             let mut trial = self.placement.clone();
             trial.set(m, k, false);
-            let plan_failed = self.storage_plan(&mut trial).is_err();
-            if self.debug {
-                eprintln!(
-                    "[serial] q_before {:.0}, candidate {m}@{k} z {:.0}, plan_failed {}",
-                    q_before, z, plan_failed
-                );
-            }
+            let plan_failed = self.plan_storage(&mut trial, true);
             let before = self.move_to(trial);
             if plan_failed {
-                // Aggregate storage is insufficient: keep combining
-                // (Algorithm 5 line 17) — accept the removal regardless.
+                // Storage could not hold the trial, so the pass removed an
+                // instance: keep combining (Algorithm 5 line 17) — accept the
+                // removal regardless.
                 self.stats.small_removed += 1;
                 continue;
             }
@@ -861,88 +869,6 @@ impl<'a> Combiner<'a> {
         }
     }
 
-    /// Hard storage enforcement: after all descents, resolve any residual
-    /// per-node overload. Preference order per overloaded node: migrate the
-    /// lowest-`ρ` instance to the node with the most remaining room; if no
-    /// node fits it, *combine* it away when the service has another
-    /// instance. A service's last copy is never removed while a spare copy
-    /// (one whose service has another instance) can go instead: the
-    /// lowest-`ρ` spare copy on the same node is evicted, or, when the node
-    /// has none, spare copies on another node are evicted until the last copy
-    /// fits there. Only an overload made of last copies that fit nowhere,
-    /// even with every spare copy evicted, drops one; its requests then fall
-    /// back to the cloud, the honest semantics of an over-packed edge.
-    fn enforce_storage(&mut self) {
-        let catalog = &self.sc.catalog;
-        let net = &self.sc.net;
-        let room = |p: &Placement, q: NodeId| net.storage(q) - p.storage_used(catalog, q);
-        let spares = |p: &Placement, q: NodeId| -> Vec<ServiceId> {
-            let mut on = p.services_on(q);
-            on.retain(|&m| p.instance_count(m) > 1);
-            on
-        };
-        let mut next = self.placement.clone();
-        loop {
-            let violations = next.storage_violations(catalog, net);
-            let Some(&(node, _)) = violations.first() else {
-                break;
-            };
-            let services = next.services_on(node);
-            let Some(victim) = self.pick_victim(&services, node) else {
-                break;
-            };
-            let phi = catalog.storage(victim);
-            // The node with the most room for the victim, as things stand
-            // or once the spare copies there are evicted.
-            let most_room = |evicting_spares: bool| {
-                net.node_ids()
-                    .filter(|&q| q != node && !next.get(victim, q))
-                    .map(|q| {
-                        let freeable: f64 = match evicting_spares {
-                            true => spares(&next, q).iter().map(|&m| catalog.storage(m)).sum(),
-                            false => 0.0,
-                        };
-                        (room(&next, q) + freeable, q)
-                    })
-                    .filter(|&(room, _)| room >= phi - 1e-9)
-                    .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            };
-            if let Some((_, q)) = most_room(false) {
-                next.set(victim, node, false);
-                next.set(victim, q, true);
-                self.stats.migrations += 1;
-                continue;
-            }
-            if next.instance_count(victim) > 1 {
-                // Combined away; counts as a (forced) combination.
-                next.set(victim, node, false);
-                self.stats.small_removed += 1;
-                continue;
-            }
-            if let Some(spare) = self.pick_victim(&spares(&next, node), node) {
-                next.set(spare, node, false);
-                self.stats.small_removed += 1;
-                continue;
-            }
-            let host = most_room(true);
-            next.set(victim, node, false);
-            let Some((_, q)) = host else {
-                self.stats.small_removed += 1;
-                continue;
-            };
-            while room(&next, q) < phi - 1e-9 {
-                let Some(spare) = self.pick_victim(&spares(&next, q), q) else {
-                    break;
-                };
-                next.set(spare, q, false);
-                self.stats.small_removed += 1;
-            }
-            next.set(victim, q, true);
-            self.stats.migrations += 1;
-        }
-        self.move_to(next);
-    }
-
     /// Run both descents and return the final placement and statistics.
     pub fn run(mut self) -> (Placement, CombineStats) {
         #[cfg(test)]
@@ -955,7 +881,9 @@ impl<'a> Combiner<'a> {
         // migration pass converges to a move-stable local optimum, then
         // storage is enforced unconditionally.
         self.relocate_pass();
-        self.enforce_storage();
+        let mut next = self.placement.clone();
+        self.plan_storage(&mut next, true);
+        self.move_to(next);
         self.stats.final_objective = self.objective();
         (self.placement, self.stats)
     }
@@ -975,10 +903,7 @@ mod tests {
 
     fn setup(seed: u64, users: usize) -> (Scenario, SoclConfig) {
         let sc = ScenarioConfig::paper(10, users).build(seed);
-        let cfg = SoclConfig {
-            parallel: false,
-            ..SoclConfig::default()
-        };
+        let cfg = SoclConfig::default();
         (sc, cfg)
     }
 
@@ -1129,12 +1054,10 @@ mod tests {
         sc.budget = sc.catalog.total_single_cost() * 1.2; // force combining
         let slow = SoclConfig {
             omega: 0.05,
-            parallel: false,
             ..SoclConfig::default()
         };
         let fast = SoclConfig {
             omega: 1.0,
-            parallel: false,
             ..SoclConfig::default()
         };
         let parts = initial_partition(&sc, &slow);
@@ -1147,20 +1070,17 @@ mod tests {
         }
     }
 
+    /// Whole solves, every fan-out included, on one pool thread and on four.
     #[test]
     fn parallel_and_serial_runs_agree() {
         let (sc, _) = setup(8, 40);
-        let serial = SoclConfig {
-            parallel: false,
-            ..SoclConfig::default()
-        };
-        let parallel = SoclConfig {
-            parallel: true,
-            ..SoclConfig::default()
-        };
-        let (pa, _) = run(&sc, &serial);
-        let (pb, _) = run(&sc, &parallel);
-        assert_eq!(pa, pb, "parallel evaluation changed the result");
+        let solve = || crate::SoclSolver::new().solve(&sc);
+        let (serial, parallel) = (crate::at_threads(1, solve), crate::at_threads(4, solve));
+        assert_eq!(
+            serial.placement, parallel.placement,
+            "thread count changed the result"
+        );
+        assert_eq!(serial.objective().to_bits(), parallel.objective().to_bits());
     }
 
     /// The perf guard, without a stopwatch: candidates are scored from the
@@ -1250,12 +1170,9 @@ mod tests {
     #[test]
     fn parallel_scoring_agrees_once_the_gate_opens() {
         let sc = ScenarioConfig::paper(60, 1200).build(8);
-        let serial = SoclConfig {
-            parallel: false,
-            ..SoclConfig::default()
-        };
-        let (pa, sa) = run(&sc, &serial);
-        let (pb, sb) = run(&sc, &SoclConfig::default());
+        let cfg = SoclConfig::default();
+        let (pa, sa) = crate::at_threads(1, || run(&sc, &cfg));
+        let (pb, sb) = crate::at_threads(4, || run(&sc, &cfg));
         assert_eq!(pa, pb, "parallel scoring changed the result");
         assert_eq!((sa.trials, sa.routes), (sb.trials, sb.routes));
     }
@@ -1297,8 +1214,9 @@ mod tests {
         packed.set(ServiceId(1), NodeId(0), true);
         packed.set(ServiceId(2), NodeId(1), true);
         packed.set(ServiceId(2), NodeId(2), true);
-        let mut c = Combiner::new(&sc, &cfg, &parts, packed);
-        c.enforce_storage();
+        let mut c = Combiner::new(&sc, &cfg, &parts, packed.clone());
+        assert!(c.plan_storage(&mut packed, true), "an instance was removed");
+        c.move_to(packed);
         let placement = c.placement();
         assert!(placement.storage_feasible(&sc.catalog, &sc.net));
         assert!(placement.covers(&sc.requests), "a last copy was dropped");
@@ -1306,12 +1224,32 @@ mod tests {
         assert_eq!((c.stats.migrations, c.stats.small_removed), (1, 1));
     }
 
+    /// A budget twice the paper's stops the large-scale descent while
+    /// pre-provisioning still overflows storage. The serial trials then
+    /// resolve each overload with the storage pass and keep combining only
+    /// while it must remove an instance, so the slack budget lands on the
+    /// 8,000-budget placement rather than combining far past it.
+    #[test]
+    fn slack_budget_lands_on_the_binding_budget_placement() {
+        let solve = |budget: f64| {
+            let sc = ScenarioConfig {
+                budget,
+                ..ScenarioConfig::paper(10, 160)
+            }
+            .build(34);
+            crate::SoclSolver::new().solve(&sc)
+        };
+        let (slack, binding) = (solve(12_000.0), solve(8_000.0));
+        assert_eq!(slack.placement, binding.placement);
+        assert_eq!(format!("{:.1}", slack.objective()), "42128.4");
+        assert_eq!(slack.evaluation.cloud_fallbacks, 0);
+    }
+
     #[test]
     fn cheapest_out_policy_also_terminates_feasibly() {
         let (sc, _) = setup(9, 50);
         let cfg = SoclConfig {
             storage_policy: StoragePolicy::CheapestOut,
-            parallel: false,
             ..SoclConfig::default()
         };
         let (placement, _) = run(&sc, &cfg);

@@ -42,8 +42,6 @@ pub struct SoclConfig {
     /// instances, so this is the mechanism that repairs unlucky stage-2
     /// positions. Disable for the ablation.
     pub relocation: bool,
-    /// Evaluate latency losses and partitions in parallel on `socl_net::par`.
-    pub parallel: bool,
 }
 
 impl Default for SoclConfig {
@@ -56,7 +54,6 @@ impl Default for SoclConfig {
             storage_policy: StoragePolicy::FuzzyAhp,
             exact_zeta: true,
             relocation: true,
-            parallel: true,
         }
     }
 }

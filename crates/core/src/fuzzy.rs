@@ -12,10 +12,11 @@
 //!   dependency chains.
 //!
 //! This module implements the full machinery: triangular fuzzy numbers,
-//! a fuzzy pairwise-comparison matrix, and Chang's extent analysis to derive
-//! crisp criterion weights, then scores each instance by the weighted sum of
-//! min-max-normalized criterion values (storage contributes inversely — a
-//! bulky instance is a better eviction candidate).
+//! a fuzzy pairwise-comparison matrix, and Buckley's fuzzy geometric mean to
+//! derive crisp criterion weights ([`FuzzyAhp::weights`]), then scores each
+//! instance by the weighted sum of min-max-normalized criterion values
+//! (storage contributes inversely — a bulky instance is a better eviction
+//! candidate).
 
 /// A triangular fuzzy number `(l, m, u)` with `l ≤ m ≤ u`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,17 +48,6 @@ impl TriangularFuzzy {
     pub fn recip(self) -> Self {
         assert!(self.l > 0.0, "reciprocal of non-positive TFN");
         Self::new(1.0 / self.u, 1.0 / self.m, 1.0 / self.l)
-    }
-
-    /// Degree of possibility `V(self ≥ other)` per Chang's extent analysis.
-    pub fn possibility_ge(self, o: Self) -> f64 {
-        if self.m >= o.m {
-            1.0
-        } else if o.l >= self.u {
-            0.0
-        } else {
-            (o.l - self.u) / ((self.m - self.u) - (o.m - o.l))
-        }
     }
 }
 
@@ -237,22 +227,6 @@ mod tests {
     #[should_panic(expected = "invalid TFN")]
     fn disordered_tfn_rejected() {
         TriangularFuzzy::new(3.0, 2.0, 1.0);
-    }
-
-    #[test]
-    fn possibility_degree_basics() {
-        let a = TriangularFuzzy::new(1.0, 2.0, 3.0);
-        let b = TriangularFuzzy::new(2.0, 3.0, 4.0);
-        // b's mode exceeds a's: V(b ≥ a) = 1.
-        assert_eq!(b.possibility_ge(a), 1.0);
-        // Overlap: 0 < V(a ≥ b) < 1.
-        let v = a.possibility_ge(b);
-        assert!(v > 0.0 && v < 1.0, "v = {v}");
-        // Disjoint: zero.
-        let far = TriangularFuzzy::new(10.0, 11.0, 12.0);
-        assert_eq!(a.possibility_ge(far), 0.0);
-        // Reflexive.
-        assert_eq!(a.possibility_ge(a), 1.0);
     }
 
     #[test]

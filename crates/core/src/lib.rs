@@ -45,3 +45,20 @@ pub use preprovision::{preprovision, PreProvisioning};
 mod proptests;
 #[cfg(test)]
 mod proptests_combine;
+
+/// Runs `f` with the worker pool at `n` threads. Tests that set the
+/// process-wide count take turns, and a failed assert still resets it.
+#[cfg(test)]
+pub(crate) fn at_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            socl_net::set_threads(0);
+        }
+    }
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _turn = socl_net::lock_recover(&TURN);
+    socl_net::set_threads(n);
+    let _reset = Reset;
+    f()
+}

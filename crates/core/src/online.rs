@@ -399,13 +399,6 @@ mod tests {
     use super::*;
     use socl_model::ScenarioConfig;
 
-    fn cfg() -> SoclConfig {
-        SoclConfig {
-            parallel: false,
-            ..SoclConfig::default()
-        }
-    }
-
     fn slot_scenario(seed: u64) -> Scenario {
         ScenarioConfig::paper(10, 40).build(seed)
     }
@@ -430,7 +423,7 @@ mod tests {
 
     #[test]
     fn first_slot_has_zero_churn() {
-        let mut solver = WarmStartSolver::new(cfg());
+        let mut solver = WarmStartSolver::new(SoclConfig::default());
         let out = solver.solve_slot(&slot_scenario(1));
         assert_eq!(out.churn, 0);
         assert_eq!(out.result.evaluation.cloud_fallbacks, 0);
@@ -439,7 +432,7 @@ mod tests {
     #[test]
     fn identical_slots_have_zero_warm_churn() {
         let sc = slot_scenario(2);
-        let mut solver = WarmStartSolver::new(cfg());
+        let mut solver = WarmStartSolver::new(SoclConfig::default());
         let first = solver.solve_slot(&sc);
         let second = solver.solve_slot(&sc);
         // Same scenario, warm start from its own solution: the combiner
@@ -462,12 +455,16 @@ mod tests {
         }
 
         // Cold: independent solves.
-        let cold1 = SoclSolver::with_config(cfg()).solve(&sc1).placement;
-        let cold2 = SoclSolver::with_config(cfg()).solve(&sc2).placement;
+        let cold1 = SoclSolver::with_config(SoclConfig::default())
+            .solve(&sc1)
+            .placement;
+        let cold2 = SoclSolver::with_config(SoclConfig::default())
+            .solve(&sc2)
+            .placement;
         let cold_churn = placement_churn(&cold1, &cold2);
 
         // Warm: second slot starts from the first slot's placement.
-        let mut solver = WarmStartSolver::new(cfg());
+        let mut solver = WarmStartSolver::new(SoclConfig::default());
         let w1 = solver.solve_slot(&sc1);
         let w2 = solver.solve_slot(&sc2);
 
@@ -489,7 +486,7 @@ mod tests {
     #[test]
     fn warm_slots_reuse_virtual_graph_builds() {
         let sc = slot_scenario(13);
-        let mut solver = WarmStartSolver::new(cfg());
+        let mut solver = WarmStartSolver::new(SoclConfig::default());
         let _ = solver.solve_slot(&sc);
         let builds = solver.vg_cache().misses();
         assert!(builds > 0);
@@ -517,7 +514,7 @@ mod tests {
     #[test]
     fn reset_forgets_the_previous_placement() {
         let sc = slot_scenario(4);
-        let mut solver = WarmStartSolver::new(cfg());
+        let mut solver = WarmStartSolver::new(SoclConfig::default());
         let _ = solver.solve_slot(&sc);
         solver.reset();
         let after_reset = solver.solve_slot(&sc);
@@ -527,7 +524,9 @@ mod tests {
     #[test]
     fn repair_is_a_noop_on_a_healthy_cluster() {
         let sc = slot_scenario(10);
-        let placement = SoclSolver::with_config(cfg()).solve(&sc).placement;
+        let placement = SoclSolver::with_config(SoclConfig::default())
+            .solve(&sc)
+            .placement;
         let report = repair_placement(&sc, &placement);
         assert!(report.is_noop());
         assert_eq!(report.placement, placement);
@@ -551,7 +550,9 @@ mod tests {
     #[test]
     fn repair_restores_coverage_after_a_node_death() {
         let mut sc = slot_scenario(11);
-        let placement = SoclSolver::with_config(cfg()).solve(&sc).placement;
+        let placement = SoclSolver::with_config(SoclConfig::default())
+            .solve(&sc)
+            .placement;
         assert_eq!(evaluate(&sc, &placement).cloud_fallbacks, 0);
 
         let victim = loaded_node(&sc, &placement);
@@ -583,7 +584,9 @@ mod tests {
     #[test]
     fn repair_never_touches_unaffected_services() {
         let mut sc = slot_scenario(12);
-        let placement = SoclSolver::with_config(cfg()).solve(&sc).placement;
+        let placement = SoclSolver::with_config(SoclConfig::default())
+            .solve(&sc)
+            .placement;
         let victim = loaded_node(&sc, &placement);
         kill_node(&mut sc, victim);
         let report = repair_placement(&sc, &placement);
@@ -611,7 +614,9 @@ mod tests {
     #[test]
     fn replica_repair_rehomes_stranded_pools() {
         let mut sc = slot_scenario(14);
-        let placement = SoclSolver::with_config(cfg()).solve(&sc).placement;
+        let placement = SoclSolver::with_config(SoclConfig::default())
+            .solve(&sc)
+            .placement;
         // Warm pools: 3 replicas on every deployed cell.
         let mut counts = ReplicaCounts::from_placement(&placement);
         for (m, k) in placement.iter_deployed() {
@@ -644,7 +649,9 @@ mod tests {
     #[test]
     fn replica_repair_preserves_scaled_to_zero_cells() {
         let mut sc = slot_scenario(15);
-        let placement = SoclSolver::with_config(cfg()).solve(&sc).placement;
+        let placement = SoclSolver::with_config(SoclConfig::default())
+            .solve(&sc)
+            .placement;
         let mut counts = ReplicaCounts::from_placement(&placement);
         // One surviving cell was scaled to zero by keep-alive economics.
         let victim = loaded_node(&sc, &placement);
@@ -667,7 +674,9 @@ mod tests {
     #[test]
     fn merge_keeps_warm_cells_alive_across_a_resolve() {
         let sc = slot_scenario(16);
-        let solved = SoclSolver::with_config(cfg()).solve(&sc).placement;
+        let solved = SoclSolver::with_config(SoclConfig::default())
+            .solve(&sc)
+            .placement;
         let mut counts = ReplicaCounts::from_placement(&solved);
         // The policy re-solve "drops" every cell; the warm pools bring
         // their cells back.
@@ -681,7 +690,9 @@ mod tests {
     #[test]
     fn merge_zeroes_pools_on_dead_nodes() {
         let mut sc = slot_scenario(17);
-        let solved = SoclSolver::with_config(cfg()).solve(&sc).placement;
+        let solved = SoclSolver::with_config(SoclConfig::default())
+            .solve(&sc)
+            .placement;
         let mut counts = ReplicaCounts::from_placement(&solved);
         let victim = loaded_node(&sc, &solved);
         let warm_on_victim: u32 = (0..solved.services())
@@ -701,7 +712,7 @@ mod tests {
 
     #[test]
     fn warm_solutions_stay_feasible() {
-        let mut solver = WarmStartSolver::new(cfg());
+        let mut solver = WarmStartSolver::new(SoclConfig::default());
         for seed in 5..9 {
             let sc = slot_scenario(seed);
             let out = solver.solve_slot(&sc);

@@ -164,14 +164,14 @@ pub fn initial_partition_cached(
         (*service, partitions, added)
     };
 
-    // Services are independent; fan out over the thread pool when enabled
-    // and worth a spawn: per service, one O(|U|) demand scan per partition
+    // Services are independent; fan out over the thread pool when worth a
+    // spawn: per service, one O(|U|) demand scan per partition
     // member plus the candidate × alternative delay sums, both bounded by
     // |V|. par_map reassembles in service order, so output is identical to
     // serial.
     let unit = sc.nodes() * (sc.users() + sc.nodes());
     let results: Vec<(ServiceId, Vec<Partition>, usize)> =
-        if cfg.parallel && socl_net::parallel_worthwhile(prepared.len(), unit) {
+        if socl_net::parallel_worthwhile(prepared.len(), unit) {
             socl_net::par::par_map(&prepared, run_one)
         } else {
             prepared.iter().map(run_one).collect()
@@ -193,17 +193,10 @@ mod tests {
         ScenarioConfig::paper(12, 40).build(seed)
     }
 
-    fn cfg() -> SoclConfig {
-        SoclConfig {
-            parallel: false,
-            ..SoclConfig::default()
-        }
-    }
-
     #[test]
     fn partitions_cover_request_nodes() {
         let sc = scenario(1);
-        let parts = initial_partition(&sc, &cfg());
+        let parts = initial_partition(&sc, &SoclConfig::default());
         for (service, partitions) in &parts.per_service {
             let hosts = sc.request_nodes(*service);
             // Every request-hosting node appears in exactly one partition.
@@ -217,7 +210,7 @@ mod tests {
     #[test]
     fn candidates_have_sufficient_degree_and_no_demand() {
         let sc = scenario(2);
-        let parts = initial_partition(&sc, &cfg());
+        let parts = initial_partition(&sc, &SoclConfig::default());
         for (service, partitions) in &parts.per_service {
             let hosts = sc.request_nodes(*service);
             for p in partitions {
@@ -235,12 +228,11 @@ mod tests {
     #[test]
     fn disabling_filter_is_a_superset_relaxation() {
         let sc = scenario(3);
-        let with = initial_partition(&sc, &cfg());
+        let with = initial_partition(&sc, &SoclConfig::default());
         let without = initial_partition(
             &sc,
             &SoclConfig {
                 candidate_filter: false,
-                parallel: false,
                 ..SoclConfig::default()
             },
         );
@@ -257,12 +249,11 @@ mod tests {
     fn theorem_1_degree_filter_is_output_neutral() {
         for seed in [3, 11, 27] {
             let sc = ScenarioConfig::paper(20, 30).build(seed);
-            let with = initial_partition(&sc, &cfg());
+            let with = initial_partition(&sc, &SoclConfig::default());
             let without = initial_partition(
                 &sc,
                 &SoclConfig {
                     candidate_filter: false,
-                    parallel: false,
                     ..SoclConfig::default()
                 },
             );
@@ -280,7 +271,6 @@ mod tests {
             &sc,
             &SoclConfig {
                 xi: 0.1,
-                parallel: false,
                 ..SoclConfig::default()
             },
         );
@@ -288,7 +278,6 @@ mod tests {
             &sc,
             &SoclConfig {
                 xi: 50.0,
-                parallel: false,
                 ..SoclConfig::default()
             },
         );
@@ -300,14 +289,8 @@ mod tests {
     #[test]
     fn parallel_and_serial_agree() {
         let sc = scenario(5);
-        let serial = initial_partition(&sc, &cfg());
-        let parallel = initial_partition(
-            &sc,
-            &SoclConfig {
-                parallel: true,
-                ..SoclConfig::default()
-            },
-        );
+        let serial = crate::at_threads(1, || initial_partition(&sc, &SoclConfig::default()));
+        let parallel = crate::at_threads(4, || initial_partition(&sc, &SoclConfig::default()));
         assert_eq!(serial.candidates_added, parallel.candidates_added);
         assert_eq!(serial.per_service.len(), parallel.per_service.len());
         for ((s1, p1), (s2, p2)) in serial.per_service.iter().zip(&parallel.per_service) {
@@ -319,7 +302,7 @@ mod tests {
     #[test]
     fn group_lookup_is_consistent() {
         let sc = scenario(6);
-        let parts = initial_partition(&sc, &cfg());
+        let parts = initial_partition(&sc, &SoclConfig::default());
         for (service, partitions) in &parts.per_service {
             for (idx, p) in partitions.iter().enumerate() {
                 for &v in p {
@@ -333,12 +316,12 @@ mod tests {
     #[test]
     fn vg_memo_is_transparent_and_reused_across_calls() {
         let sc = scenario(8);
-        let cold = initial_partition(&sc, &cfg());
+        let cold = initial_partition(&sc, &SoclConfig::default());
         let mut cache = VgCache::new();
-        let first = initial_partition_cached(&sc, &cfg(), &mut cache);
+        let first = initial_partition_cached(&sc, &SoclConfig::default(), &mut cache);
         let builds = cache.misses();
         assert!(builds > 0);
-        let second = initial_partition_cached(&sc, &cfg(), &mut cache);
+        let second = initial_partition_cached(&sc, &SoclConfig::default(), &mut cache);
         // Unchanged topology and hosting sets: the second call builds nothing.
         assert_eq!(cache.misses(), builds, "memo missed on identical input");
         assert!(cache.hits() >= builds);
@@ -350,7 +333,7 @@ mod tests {
     #[test]
     fn only_requested_services_are_partitioned() {
         let sc = scenario(7);
-        let parts = initial_partition(&sc, &cfg());
+        let parts = initial_partition(&sc, &SoclConfig::default());
         let requested = sc.requested_services();
         let covered: Vec<ServiceId> = parts.services().collect();
         assert_eq!(covered, requested);

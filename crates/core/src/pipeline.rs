@@ -183,14 +183,10 @@ mod tests {
     /// on GC-OG's demand-saturated start at Fig. 8's 30 × 600.
     #[test]
     fn routing_gate_at_benchmark_sizes() {
-        struct ResetThreads;
-        impl Drop for ResetThreads {
-            fn drop(&mut self) {
-                socl_net::set_threads(0);
-            }
-        }
-        socl_net::set_threads(4);
-        let _reset = ResetThreads;
+        crate::at_threads(4, routing_gate_holds);
+    }
+
+    fn routing_gate_holds() {
         let fans_out = |sc: &Scenario, placement: &Placement| {
             socl_model::route_threads(&sc.requests, placement) > 1
         };

@@ -122,7 +122,7 @@ pub fn preprovision(sc: &Scenario, parts: &ServicePartitions, cfg: &SoclConfig) 
         .sum();
     let unit = work / parts.per_service.len().max(1);
     let scored_all: Vec<Vec<Vec<(f64, NodeId)>>> =
-        if cfg.parallel && socl_net::parallel_worthwhile(parts.per_service.len(), unit) {
+        if socl_net::parallel_worthwhile(parts.per_service.len(), unit) {
             socl_net::par::par_map(&parts.per_service, score_service)
         } else {
             parts.per_service.iter().map(score_service).collect()
@@ -212,10 +212,7 @@ mod tests {
 
     fn setup(seed: u64) -> (Scenario, ServicePartitions, SoclConfig) {
         let sc = ScenarioConfig::paper(12, 40).build(seed);
-        let cfg = SoclConfig {
-            parallel: false,
-            ..SoclConfig::default()
-        };
+        let cfg = SoclConfig::default();
         let parts = initial_partition(&sc, &cfg);
         (sc, parts, cfg)
     }

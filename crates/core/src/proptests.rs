@@ -11,7 +11,6 @@ fn arb_config(rng: &mut ChaCha12Rng) -> SoclConfig {
         xi: rng.gen_range(0.1..=20.0),
         theta: rng.gen_range(0.0..=5.0),
         candidate_filter: rng.gen(),
-        parallel: false,
         ..SoclConfig::default()
     }
 }
@@ -30,7 +29,7 @@ fn paper_scenario(rng: &mut ChaCha12Rng) -> Scenario {
 /// A scenario of 5..=14 nodes and 10..=200 users at a budget drawn from the
 /// floor (one copy of each requested service) to 4× the paper's. A slack
 /// budget stops the large-scale descent while pre-provisioning still
-/// overflows storage, so `enforce_storage` decides what leaves.
+/// overflows storage, so the storage pass decides what leaves.
 fn budget_scenario(rng: &mut ChaCha12Rng) -> Scenario {
     let (nodes, users) = (rng.gen_range(5usize..=14), rng.gen_range(10usize..=200));
     let mut sc = ScenarioConfig::paper(nodes, users).build(rng.next_u64());
@@ -56,7 +55,6 @@ fn for_inputs(
         omega: 0.05,
         theta: 0.0,
         candidate_filter: false,
-        parallel: false,
         ..SoclConfig::default()
     };
     for seed in 0..8 {
@@ -77,7 +75,7 @@ fn for_inputs(
 fn socl_solutions_are_feasible() {
     let check = |sc: &Scenario, cfg: &SoclConfig| {
         let res = SoclSolver::with_config(cfg.clone()).solve(sc);
-        // Storage feasibility is unconditional (enforce_storage).
+        // Storage feasibility is unconditional (the closing storage pass).
         assert!(res.placement.storage_feasible(&sc.catalog, &sc.net));
         // Full edge service is guaranteed whenever the aggregate storage
         // comfortably fits one instance of each requested service; in

@@ -31,7 +31,6 @@ fn combiner_invariants() {
             exact_zeta: rng.gen(),
             relocation: rng.gen(),
             storage_policy: *rng.choose(&POLICIES).unwrap(),
-            parallel: false,
             ..SoclConfig::default()
         };
         let parts = initial_partition(&sc, &cfg);
@@ -69,7 +68,6 @@ fn relocation_never_hurts() {
         let sc = arb_scenario(rng);
         let with = SoclConfig {
             relocation: true,
-            parallel: false,
             ..SoclConfig::default()
         };
         let without = SoclConfig {
@@ -97,7 +95,6 @@ fn audited_run(rng: &mut ChaCha12Rng, audit: &(dyn Fn(&Combiner<'_>) + Sync)) {
         exact_zeta: rng.gen(),
         relocation: rng.gen(),
         storage_policy: *rng.choose(&POLICIES).unwrap(),
-        parallel: false,
         ..SoclConfig::default()
     };
     let parts = initial_partition(&sc, &cfg);

@@ -105,6 +105,12 @@ impl Scenario {
     }
 }
 
+/// Seconds of completion time to objective units: the objective weighs
+/// milliseconds against cost units.
+const LATENCY_SCALE: f64 = 1000.0;
+/// Completion time charged, in seconds, for a cloud fallback.
+const CLOUD_PENALTY: f64 = 5.0;
+
 /// Seeded scenario generator following the paper's evaluation setup
 /// (Section V.A): eshopOnContainers services, [5,20] GFLOP/s servers,
 /// [20,80] GB/s links, cost constraints in the thousands.
@@ -137,10 +143,6 @@ pub struct ScenarioConfig {
     pub topology: TopologyConfig,
     /// Request chain/data parameters.
     pub requests: RequestConfig,
-    /// Latency scale (seconds → objective units).
-    pub latency_scale: f64,
-    /// Cloud fallback penalty, seconds.
-    pub cloud_penalty: f64,
 }
 
 impl Default for ScenarioConfig {
@@ -152,8 +154,6 @@ impl Default for ScenarioConfig {
             budget: 6000.0,
             topology: TopologyConfig::default(),
             requests: RequestConfig::default(),
-            latency_scale: 1000.0,
-            cloud_penalty: 5.0,
         }
     }
 }
@@ -190,8 +190,8 @@ impl ScenarioConfig {
             requests,
             lambda: self.lambda,
             budget: self.budget,
-            latency_scale: self.latency_scale,
-            cloud_penalty: self.cloud_penalty,
+            latency_scale: LATENCY_SCALE,
+            cloud_penalty: CLOUD_PENALTY,
         }
     }
 
@@ -211,8 +211,8 @@ impl ScenarioConfig {
             requests,
             lambda: self.lambda,
             budget: self.budget,
-            latency_scale: self.latency_scale,
-            cloud_penalty: self.cloud_penalty,
+            latency_scale: LATENCY_SCALE,
+            cloud_penalty: CLOUD_PENALTY,
         }
     }
 }

@@ -42,7 +42,7 @@ pub use incremental::{ApspCache, CacheStats};
 pub use par::{effective_threads, lock_recover, parallel_worthwhile, set_threads};
 pub use paths::{AllPairs, PathMetric, ShortestPaths};
 pub use time::Stopwatch;
-pub use topology::{TopologyConfig, TopologyKind};
+pub use topology::TopologyConfig;
 pub use virtual_graph::{communication_intensity, Partition, VgCache, VirtualGraph};
 
 #[cfg(test)]

@@ -6,22 +6,13 @@ use crate::graph::{EdgeNetwork, NodeId};
 use crate::incremental::ApspCache;
 use crate::paths::{AllPairs, PathMetric, ShortestPaths};
 use crate::rng::{cases, ChaCha12Rng};
-use crate::topology::{TopologyConfig, TopologyKind};
+use crate::topology::TopologyConfig;
 use crate::virtual_graph::VirtualGraph;
 
 /// Runs `check` on 64 connected random topologies of 2..=20 nodes.
 fn for_nets(mut check: impl FnMut(&EdgeNetwork, &mut ChaCha12Rng)) {
-    let kinds = [
-        TopologyKind::UniformDisk,
-        TopologyKind::Clustered { clusters: 3 },
-        TopologyKind::RingWithChords,
-    ];
     cases(64, |rng| {
-        let config = TopologyConfig {
-            nodes: rng.gen_range(2usize..=20),
-            kind: *rng.choose(&kinds).unwrap(),
-            ..TopologyConfig::default()
-        };
+        let config = TopologyConfig::paper(rng.gen_range(2usize..=20));
         check(&config.build(rng.next_u64()), rng);
     });
 }

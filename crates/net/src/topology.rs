@@ -3,28 +3,28 @@
 //! Section V.A: edge servers with [5, 20] GFLOP/s compute, [4, 8] storage
 //! units and [20, 80] GB/s link bandwidth; base stations placed near the
 //! National Stadium in Beijing. We reproduce the statistical shape with a
-//! seeded planar generator: nodes are scattered on a disk (optionally in
-//! clusters, mimicking base-station groupings around a venue), connected by a
+//! seeded planar generator: nodes are scattered in clusters on a disk,
+//! mimicking base-station groupings around a venue, and connected by a
 //! distance-biased random graph that is then patched to be connected.
 
 use crate::graph::{EdgeNetwork, EdgeServer, LinkParams, NodeId};
 use crate::rng::ChaCha12Rng;
 
-/// Spatial layout of generated base stations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologyKind {
-    /// Uniform placement on a disk.
-    UniformDisk,
-    /// A few dense clusters on the disk (venue-like, the paper's stadium
-    /// scenario): most nodes sit in hotspots, a few stragglers in between.
-    Clustered {
-        /// Number of hotspots (≥ 1).
-        clusters: usize,
-    },
-    /// A ring with chords — produces many degree-2 nodes, useful for
-    /// exercising the Theorem 1 candidate filter.
-    RingWithChords,
-}
+/// Disk radius in meters.
+const RADIUS_M: f64 = 1_000.0;
+/// Base-station hotspots on the disk (venue-like, the paper's stadium
+/// scenario): most nodes sit in hotspots, a few stragglers in between.
+const CLUSTERS: usize = 3;
+/// Per-node compute range in GFLOP/s (paper: [5, 20]).
+const COMPUTE_GFLOPS: (f64, f64) = (5.0, 20.0);
+/// Per-link raw bandwidth range in GB/s (paper: [20, 80]).
+const BANDWIDTH: (f64, f64) = (20.0, 80.0);
+/// Average node degree targeted by the distance-biased wiring.
+const MEAN_DEGREE: f64 = 3.5;
+/// Transmission power γ (W).
+const TX_POWER: f64 = 1.0;
+/// Noise power N (W).
+const NOISE: f64 = 1.0;
 
 /// Parameters of the random topology generator.
 ///
@@ -41,36 +41,15 @@ pub enum TopologyKind {
 pub struct TopologyConfig {
     /// Number of edge servers.
     pub nodes: usize,
-    /// Spatial layout.
-    pub kind: TopologyKind,
-    /// Disk radius in meters.
-    pub radius_m: f64,
-    /// Per-node compute range in GFLOP/s (paper: [5, 20]).
-    pub compute_gflops: (f64, f64),
     /// Per-node storage range in units (paper: [4, 8]).
     pub storage_units: (f64, f64),
-    /// Per-link raw bandwidth range in GB/s (paper: [20, 80]).
-    pub bandwidth: (f64, f64),
-    /// Average node degree targeted by the distance-biased wiring.
-    pub mean_degree: f64,
-    /// Transmission power γ (W).
-    pub tx_power: f64,
-    /// Noise power N (W).
-    pub noise: f64,
 }
 
 impl Default for TopologyConfig {
     fn default() -> Self {
         Self {
             nodes: 10,
-            kind: TopologyKind::Clustered { clusters: 3 },
-            radius_m: 1_000.0,
-            compute_gflops: (5.0, 20.0),
             storage_units: (4.0, 8.0),
-            bandwidth: (20.0, 80.0),
-            mean_degree: 3.5,
-            tx_power: 1.0,
-            noise: 1.0,
         }
     }
 }
@@ -95,149 +74,100 @@ impl TopologyConfig {
 
         let positions = self.positions(&mut rng);
         for &(x, y) in &positions {
-            let compute = rng.gen_range(self.compute_gflops.0..=self.compute_gflops.1);
+            let compute = rng.gen_range(COMPUTE_GFLOPS.0..=COMPUTE_GFLOPS.1);
             let storage = rng.gen_range(self.storage_units.0..=self.storage_units.1);
             let mut server = EdgeServer::new(compute, storage);
             server.position = (x, y);
             net.push_server(server);
         }
 
-        self.wire(&mut net, &mut rng);
-        self.connect_components(&mut net, &mut rng);
+        wire(&mut net, &mut rng);
+        connect_components(&mut net, &mut rng);
         debug_assert!(net.is_connected());
         net
     }
 
+    /// Node positions: `CLUSTERS` hotspot centres on the inner disk, each
+    /// node near a random one.
     fn positions(&self, rng: &mut ChaCha12Rng) -> Vec<(f64, f64)> {
-        let n = self.nodes;
-        match self.kind {
-            TopologyKind::UniformDisk => (0..n)
-                .map(|_| {
-                    let r = self.radius_m * rng.gen::<f64>().sqrt();
-                    let theta = rng.gen::<f64>() * std::f64::consts::TAU;
-                    (r * theta.cos(), r * theta.sin())
-                })
-                .collect(),
-            TopologyKind::Clustered { clusters } => {
-                let clusters = clusters.max(1);
-                let centers: Vec<(f64, f64)> = (0..clusters)
-                    .map(|_| {
-                        let r = self.radius_m * 0.7 * rng.gen::<f64>().sqrt();
-                        let theta = rng.gen::<f64>() * std::f64::consts::TAU;
-                        (r * theta.cos(), r * theta.sin())
-                    })
-                    .collect();
-                (0..n)
-                    .map(|_| {
-                        let c = centers[rng.gen_range(0..clusters)];
-                        let spread = self.radius_m * 0.15;
-                        (
-                            c.0 + rng.gen_range(-spread..=spread),
-                            c.1 + rng.gen_range(-spread..=spread),
-                        )
-                    })
-                    .collect()
+        let centers: Vec<(f64, f64)> = (0..CLUSTERS)
+            .map(|_| {
+                let r = RADIUS_M * 0.7 * rng.gen::<f64>().sqrt();
+                let theta = rng.gen::<f64>() * std::f64::consts::TAU;
+                (r * theta.cos(), r * theta.sin())
+            })
+            .collect();
+        (0..self.nodes)
+            .map(|_| {
+                let c = centers[rng.gen_range(0..CLUSTERS)];
+                let spread = RADIUS_M * 0.15;
+                (
+                    c.0 + rng.gen_range(-spread..=spread),
+                    c.1 + rng.gen_range(-spread..=spread),
+                )
+            })
+            .collect()
+    }
+}
+
+fn random_link_params(rng: &mut ChaCha12Rng) -> LinkParams {
+    LinkParams {
+        bandwidth: rng.gen_range(BANDWIDTH.0..=BANDWIDTH.1),
+        tx_power: TX_POWER,
+        // Gain so that SNR sits near 1 with mild variance; the Shannon
+        // term then stays O(1) and rates land in the configured band.
+        channel_gain: rng.gen_range(0.5..=2.0),
+        noise: NOISE,
+    }
+}
+
+/// Distance-biased wiring: the probability of a link decays with distance
+/// (Waxman-style), scaled to hit the target degree.
+fn wire(net: &mut EdgeNetwork, rng: &mut ChaCha12Rng) {
+    let n = net.node_count();
+    if n < 2 {
+        return;
+    }
+    let target_links = (MEAN_DEGREE * n as f64 / 2.0).ceil();
+    let pairs = (n * (n - 1) / 2) as f64;
+    let base_p = (target_links / pairs).min(1.0);
+    let scale = RADIUS_M.max(1.0);
+    for a in 0..n {
+        for b in (a + 1)..n {
+            let d = net.distance(NodeId(a as u32), NodeId(b as u32));
+            // Waxman kernel: closer pairs are ~4x more likely than
+            // diameter-distant pairs.
+            let p = base_p * 2.0 * (-d / (0.8 * scale)).exp() * 2.0;
+            if rng.gen::<f64>() < p.min(1.0) {
+                let params = random_link_params(rng);
+                net.add_link(NodeId(a as u32), NodeId(b as u32), params);
             }
-            TopologyKind::RingWithChords => (0..n)
-                .map(|i| {
-                    let theta = std::f64::consts::TAU * i as f64 / n as f64;
-                    (self.radius_m * theta.cos(), self.radius_m * theta.sin())
-                })
-                .collect(),
         }
     }
+}
 
-    fn random_link_params(&self, rng: &mut ChaCha12Rng) -> LinkParams {
-        LinkParams {
-            bandwidth: rng.gen_range(self.bandwidth.0..=self.bandwidth.1),
-            tx_power: self.tx_power,
-            // Gain so that SNR sits near 1 with mild variance; the Shannon
-            // term then stays O(1) and rates land in the configured band.
-            channel_gain: rng.gen_range(0.5..=2.0),
-            noise: self.noise,
-        }
-    }
-
-    fn wire(&self, net: &mut EdgeNetwork, rng: &mut ChaCha12Rng) {
-        let n = net.node_count();
-        if n < 2 {
+/// Join remaining components by linking each component's node closest to
+/// the largest component.
+fn connect_components(net: &mut EdgeNetwork, rng: &mut ChaCha12Rng) {
+    loop {
+        let comps = components(net);
+        if comps.len() <= 1 {
             return;
         }
-        match self.kind {
-            TopologyKind::RingWithChords => {
-                for i in 0..n {
-                    let a = NodeId(i as u32);
-                    let b = NodeId(((i + 1) % n) as u32);
-                    if i + 1 < n || n > 2 {
-                        let p = self.random_link_params(rng);
-                        net.add_link(a, b, p);
-                    }
-                }
-                // A few chords so some nodes exceed degree 2.
-                if n < 4 {
-                    return;
-                }
-                let chords = (n / 4).max(1);
-                for _ in 0..chords {
-                    let a = rng.gen_range(0..n);
-                    let off = rng.gen_range(2..n - 1);
-                    let b = (a + off) % n;
-                    if a != b
-                        && net
-                            .direct_rate(NodeId(a as u32), NodeId(b as u32))
-                            .is_none()
-                    {
-                        let p = self.random_link_params(rng);
-                        net.add_link(NodeId(a as u32), NodeId(b as u32), p);
-                    }
-                }
-            }
-            _ => {
-                // Distance-biased wiring: probability of a link decays with
-                // distance (Waxman-style), scaled to hit the target degree.
-                let target_links = (self.mean_degree * n as f64 / 2.0).ceil();
-                let pairs = (n * (n - 1) / 2) as f64;
-                let base_p = (target_links / pairs).min(1.0);
-                let scale = self.radius_m.max(1.0);
-                for a in 0..n {
-                    for b in (a + 1)..n {
-                        let d = net.distance(NodeId(a as u32), NodeId(b as u32));
-                        // Waxman kernel: closer pairs are ~4x more likely than
-                        // diameter-distant pairs.
-                        let p = base_p * 2.0 * (-d / (0.8 * scale)).exp() * 2.0;
-                        if rng.gen::<f64>() < p.min(1.0) {
-                            let params = self.random_link_params(rng);
-                            net.add_link(NodeId(a as u32), NodeId(b as u32), params);
-                        }
-                    }
+        // Attach every smaller component to the first by nearest pair.
+        let main = &comps[0];
+        let other = &comps[1];
+        let mut best = (f64::INFINITY, main[0], other[0]);
+        for &a in main {
+            for &b in other {
+                let d = net.distance(a, b);
+                if d < best.0 {
+                    best = (d, a, b);
                 }
             }
         }
-    }
-
-    /// Join remaining components by linking each component's node closest to
-    /// the largest component.
-    fn connect_components(&self, net: &mut EdgeNetwork, rng: &mut ChaCha12Rng) {
-        loop {
-            let comps = components(net);
-            if comps.len() <= 1 {
-                return;
-            }
-            // Attach every smaller component to the first by nearest pair.
-            let main = &comps[0];
-            let other = &comps[1];
-            let mut best = (f64::INFINITY, main[0], other[0]);
-            for &a in main {
-                for &b in other {
-                    let d = net.distance(a, b);
-                    if d < best.0 {
-                        best = (d, a, b);
-                    }
-                }
-            }
-            let p = self.random_link_params(rng);
-            net.add_link(best.1, best.2, p);
-        }
+        let p = random_link_params(rng);
+        net.add_link(best.1, best.2, p);
     }
 }
 
@@ -323,21 +253,6 @@ mod tests {
         for l in net.links() {
             assert!((20.0..=80.0).contains(&l.params.bandwidth));
         }
-    }
-
-    #[test]
-    fn ring_topology_has_degree_two_nodes() {
-        let cfg = TopologyConfig {
-            nodes: 12,
-            kind: TopologyKind::RingWithChords,
-            ..TopologyConfig::default()
-        };
-        let net = cfg.build(3);
-        assert!(net.is_connected());
-        let deg2 = net.node_ids().filter(|&n| net.degree(n) == 2).count();
-        assert!(deg2 > 0, "ring should retain some degree-2 nodes");
-        let deg3 = net.node_ids().filter(|&n| net.degree(n) > 2).count();
-        assert!(deg3 > 0, "chords should create some degree>2 nodes");
     }
 
     #[test]

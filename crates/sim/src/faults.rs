@@ -122,6 +122,9 @@ pub struct FaultStats {
     pub request_losses: usize,
 }
 
+/// Bandwidth division factor while a link is degraded (> 1).
+const DEGRADE_FACTOR: f64 = 4.0;
+
 /// Knobs for schedule generation. Counts are *expected totals over the
 /// horizon*; [`FaultPlan::at_intensity`] scales them together.
 #[derive(Debug, Clone)]
@@ -134,8 +137,6 @@ pub struct FaultPlan {
     pub mean_downtime: f64,
     /// Link degrade/restore flaps to schedule.
     pub link_flaps: usize,
-    /// Bandwidth division factor while a link is degraded (> 1).
-    pub degrade_factor: f64,
     /// Mean degraded-period length in seconds.
     pub mean_degrade: f64,
     /// Warm instances to cold-kill.
@@ -152,7 +153,6 @@ impl FaultPlan {
             node_crashes: 0,
             mean_downtime: 0.0,
             link_flaps: 0,
-            degrade_factor: 4.0,
             mean_degrade: 0.0,
             instance_kills: 0,
             request_losses: 0,
@@ -167,7 +167,6 @@ impl FaultPlan {
             node_crashes: 2,
             mean_downtime: horizon * 0.15,
             link_flaps: 3,
-            degrade_factor: 4.0,
             mean_degrade: horizon * 0.2,
             instance_kills: 4,
             request_losses: 3,
@@ -255,7 +254,7 @@ impl FaultPlan {
                     time: t,
                     kind: FaultKind::LinkDegrade {
                         link,
-                        factor: self.degrade_factor,
+                        factor: DEGRADE_FACTOR,
                     },
                 });
                 events.push(FaultEvent {

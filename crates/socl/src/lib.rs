@@ -55,8 +55,7 @@ pub mod prelude {
     pub use socl_net::fcmp;
     pub use socl_net::{
         effective_threads, set_threads, AllPairs, ApspCache, CacheStats, EdgeNetwork, EdgeServer,
-        LinkParams, NodeId, OrdF64, PathMetric, ShortestPaths, Stopwatch, TopologyConfig,
-        TopologyKind, VgCache,
+        LinkParams, NodeId, OrdF64, PathMetric, ShortestPaths, Stopwatch, TopologyConfig, VgCache,
     };
     pub use socl_serve::{
         audit_serve, BoundedQueue, DecisionEvent, FeedConfig, LoadFeed, RegionCheckpoint,
@@ -71,6 +70,6 @@ pub mod prelude {
     };
     pub use socl_trace::{
         cosine_similarity, jaccard_similarity, similarity_matrix, TemporalConfig, TemporalWorkload,
-        TraceConfig, TraceGenerator,
+        TraceGenerator,
     };
 }

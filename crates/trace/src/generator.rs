@@ -14,38 +14,22 @@
 
 use socl_net::rng::ChaCha12Rng;
 
-/// Generation parameters.
-#[derive(Debug, Clone)]
-pub struct TraceConfig {
-    /// Number of distinct services (paper: top-10).
-    pub services: usize,
-    /// Size of the shared microservice pool.
-    pub pool: usize,
-    /// Dependency-chain length per service (paper: > 12).
-    pub chain_len: usize,
-    /// Per-call probability that a dependency edge is skipped.
-    pub skip_prob: f64,
-    /// Per-call probability that an edge is rewired to a random target.
-    pub rewire_prob: f64,
-    /// Calls sampled per trace file.
-    pub calls_per_trace: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        // skip/rewire/calls are calibrated so the maximum Jaccard similarity
-        // between traces of one service lands at ≈ 0.64, matching the
-        // paper's Alibaba measurement of ≈ 0.65 (Figure 3b).
-        Self {
-            services: 10,
-            pool: 60,
-            chain_len: 13,
-            skip_prob: 0.06,
-            rewire_prob: 0.02,
-            calls_per_trace: 35,
-        }
-    }
-}
+/// Number of distinct services (paper: top-10).
+const SERVICES: usize = 10;
+/// Size of the shared microservice pool.
+const POOL: usize = 60;
+/// Dependency-chain length per service (paper: > 12).
+const CHAIN_LEN: usize = 13;
+// Skip, rewire and calls are calibrated so the maximum Jaccard similarity
+// between traces of one service lands at ≈ 0.64, matching the paper's
+// Alibaba measurement of ≈ 0.65 (Figure 3b).
+/// Per-call probability that a dependency edge is skipped.
+const SKIP_PROB: f64 = 0.06;
+/// Per-call probability that an edge is rewired to a random target.
+const REWIRE_PROB: f64 = 0.02;
+/// Calls sampled per trace file.
+const CALLS_PER_TRACE: usize = 35;
+const _: () = assert!(POOL >= CHAIN_LEN, "pool smaller than chain length");
 
 /// One sampled trace file of one service: aggregate usage and structure.
 #[derive(Debug, Clone)]
@@ -61,9 +45,9 @@ pub struct ServiceTrace {
 /// Seeded trace generator.
 ///
 /// ```
-/// use socl_trace::{cosine_similarity, TraceConfig, TraceGenerator};
+/// use socl_trace::{cosine_similarity, TraceGenerator};
 ///
-/// let generator = TraceGenerator::new(TraceConfig::default(), 42);
+/// let generator = TraceGenerator::new(42);
 /// let traces = generator.sample_all(1);
 /// assert_eq!(traces.len(), 10);
 /// let sim = cosine_similarity(&traces[0].usage, &traces[1].usage);
@@ -71,28 +55,26 @@ pub struct ServiceTrace {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
-    cfg: TraceConfig,
     /// Per service: its canonical microservice chain over the pool.
     canonical: Vec<Vec<u32>>,
 }
 
 impl TraceGenerator {
     /// Build canonical per-service chains with overlapping preferences.
-    pub fn new(cfg: TraceConfig, seed: u64) -> Self {
-        assert!(cfg.pool >= cfg.chain_len, "pool smaller than chain length");
+    pub fn new(seed: u64) -> Self {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let canonical = (0..cfg.services)
+        let canonical = (0..SERVICES)
             .map(|s| {
                 // Service s prefers a window of the pool plus random picks —
                 // windows overlap, giving graded similarity across services.
-                let window = cfg.pool / 2;
-                let base = (s * cfg.pool / cfg.services.max(1)) % cfg.pool;
-                let mut chain = Vec::with_capacity(cfg.chain_len);
-                while chain.len() < cfg.chain_len {
+                let window = POOL / 2;
+                let base = (s * POOL / SERVICES) % POOL;
+                let mut chain = Vec::with_capacity(CHAIN_LEN);
+                while chain.len() < CHAIN_LEN {
                     let pick = if rng.gen::<f64>() < 0.8 {
-                        ((base + rng.gen_range(0..window)) % cfg.pool) as u32
+                        ((base + rng.gen_range(0..window)) % POOL) as u32
                     } else {
-                        rng.gen_range(0..cfg.pool as u32)
+                        rng.gen_range(0..POOL as u32)
                     };
                     if !chain.contains(&pick) {
                         chain.push(pick);
@@ -101,7 +83,7 @@ impl TraceGenerator {
                 chain
             })
             .collect();
-        Self { cfg, canonical }
+        Self { canonical }
     }
 
     /// The canonical chain of `service`.
@@ -112,18 +94,18 @@ impl TraceGenerator {
     /// Sample one trace file for `service`.
     pub fn sample_trace(&self, service: usize, seed: u64) -> ServiceTrace {
         let mut rng = ChaCha12Rng::seed_from_u64(seed ^ (service as u64) << 32);
-        let mut usage = vec![0.0; self.cfg.pool];
+        let mut usage = vec![0.0; POOL];
         let mut edges: Vec<(u32, u32)> = Vec::new();
         let chain = &self.canonical[service];
-        for _ in 0..self.cfg.calls_per_trace {
+        for _ in 0..CALLS_PER_TRACE {
             // Perturb the canonical chain for this invocation.
             let mut call: Vec<u32> = Vec::with_capacity(chain.len());
             for &m in chain {
-                if rng.gen::<f64>() < self.cfg.skip_prob {
+                if rng.gen::<f64>() < SKIP_PROB {
                     continue;
                 }
-                let m = if rng.gen::<f64>() < self.cfg.rewire_prob {
-                    rng.gen_range(0..self.cfg.pool as u32)
+                let m = if rng.gen::<f64>() < REWIRE_PROB {
+                    rng.gen_range(0..POOL as u32)
                 } else {
                     m
                 };
@@ -147,7 +129,7 @@ impl TraceGenerator {
 
     /// Sample one trace file per service (Figure 3a's inputs).
     pub fn sample_all(&self, seed: u64) -> Vec<ServiceTrace> {
-        (0..self.cfg.services)
+        (0..SERVICES)
             .map(|s| self.sample_trace(s, seed.wrapping_add(s as u64)))
             .collect()
     }
@@ -159,11 +141,6 @@ impl TraceGenerator {
             .map(|i| self.sample_trace(service, seed.wrapping_mul(31).wrapping_add(i as u64)))
             .collect()
     }
-
-    /// Configured chain length (≥ 12 per the paper's deep-service filter).
-    pub fn chain_len(&self) -> usize {
-        self.cfg.chain_len
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +149,7 @@ mod tests {
 
     #[test]
     fn canonical_chains_have_required_depth() {
-        let g = TraceGenerator::new(TraceConfig::default(), 1);
+        let g = TraceGenerator::new(1);
         for s in 0..10 {
             let c = g.canonical_chain(s);
             assert!(c.len() >= 12, "service {s} chain too short");
@@ -186,7 +163,7 @@ mod tests {
 
     #[test]
     fn traces_use_pool_microservices_only() {
-        let g = TraceGenerator::new(TraceConfig::default(), 2);
+        let g = TraceGenerator::new(2);
         let t = g.sample_trace(0, 7);
         assert_eq!(t.usage.len(), 60);
         for &(a, b) in &t.edges {
@@ -197,7 +174,7 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_traces() {
-        let g = TraceGenerator::new(TraceConfig::default(), 3);
+        let g = TraceGenerator::new(3);
         let a = g.sample_trace(0, 1);
         let b = g.sample_trace(0, 2);
         assert_ne!(a.usage, b.usage);
@@ -205,30 +182,17 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let g1 = TraceGenerator::new(TraceConfig::default(), 4);
-        let g2 = TraceGenerator::new(TraceConfig::default(), 4);
+        let g1 = TraceGenerator::new(4);
+        let g2 = TraceGenerator::new(4);
         assert_eq!(g1.canonical, g2.canonical);
         assert_eq!(g1.sample_trace(3, 9).usage, g2.sample_trace(3, 9).usage);
     }
 
     #[test]
     fn series_has_requested_length() {
-        let g = TraceGenerator::new(TraceConfig::default(), 5);
+        let g = TraceGenerator::new(5);
         let series = g.sample_series(2, 8, 11);
         assert_eq!(series.len(), 8);
         assert!(series.iter().all(|t| t.service == 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "pool smaller")]
-    fn pool_must_fit_chain() {
-        TraceGenerator::new(
-            TraceConfig {
-                pool: 5,
-                chain_len: 10,
-                ..TraceConfig::default()
-            },
-            0,
-        );
     }
 }

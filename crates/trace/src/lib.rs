@@ -23,7 +23,7 @@ pub mod metrics;
 pub mod similarity;
 pub mod temporal;
 
-pub use generator::{ServiceTrace, TraceConfig, TraceGenerator};
+pub use generator::{ServiceTrace, TraceGenerator};
 pub use metrics::{burst_count, coefficient_of_variation};
 pub use similarity::{cosine_similarity, jaccard_similarity, similarity_matrix};
 pub use temporal::{TemporalConfig, TemporalWorkload};

@@ -74,7 +74,7 @@ pub fn offdiag_mean(matrix: &[f64], n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{TraceConfig, TraceGenerator};
+    use crate::generator::TraceGenerator;
 
     #[test]
     fn cosine_identity_and_orthogonality() {
@@ -118,7 +118,7 @@ mod tests {
     /// bounded well below 1 (Alibaba: max ≈ 0.65).
     #[test]
     fn synthetic_traces_match_paper_shape() {
-        let g = TraceGenerator::new(TraceConfig::default(), 42);
+        let g = TraceGenerator::new(42);
         // Figure 3b: structural similarity between successive traces of one
         // deep service.
         let series = g.sample_series(0, 10, 1);

@@ -86,7 +86,7 @@ fn temporal_workload_drives_scenarios() {
 fn trace_generator_supports_scenario_style_analysis() {
     // Figures 3a/3b end-to-end: generate traces, compute both similarity
     // matrices, check ranges.
-    let g = TraceGenerator::new(TraceConfig::default(), 6);
+    let g = TraceGenerator::new(6);
     let all = g.sample_all(1);
     let usage_sim = similarity_matrix(&all, |a, b| cosine_similarity(&a.usage, &b.usage));
     for (idx, &v) in usage_sim.iter().enumerate() {
