@@ -13,7 +13,7 @@
 //! low-byte table and three multiplies a user), with the same bits as the
 //! single-user [`Coin::hit`].
 
-use socl_model::{DependencyDataset, EshopDataset, RequestConfig, UserId, UserRequest};
+use socl_model::{DependencyDataset, EshopDataset, RequestConfig, ServiceId, UserId, UserRequest};
 use socl_net::rng::ChaCha12Rng;
 use socl_net::NodeId;
 use socl_trace::{TemporalConfig, TemporalWorkload};
@@ -273,13 +273,42 @@ impl LoadFeed {
         NodeId((h % self.nodes as u64) as u32)
     }
 
-    /// Synthesize `user`'s request as issued at `tick`. Identical output
-    /// every time it is called with the same arguments: the per-user
-    /// ChaCha12 stream is re-seeded from `(seed, user)`, so a request
-    /// dropped from a killed shard's queue is re-derived bit-for-bit
-    /// during replay.
+    /// Synthesize `user`'s request: [`draw_chain`](Self::draw_chain), then
+    /// [`draw_rest`](Self::draw_rest), homed at [`home_station`](Self::home_station).
+    /// A request is a function of `(seed, user)` alone: the per-user
+    /// ChaCha12 stream is re-seeded on every call, so the same user always
+    /// issues the same request, and a queued request is re-derived
+    /// bit-for-bit whenever it is drained, live or in crash replay.
     #[must_use]
     pub fn synthesize(&self, user: u32) -> UserRequest {
+        let rc = &self.cfg.request;
+        let mut attempt = Vec::with_capacity(rc.chain_len.1);
+        let mut chain = Vec::with_capacity(rc.chain_len.1);
+        let mut edge_data = Vec::with_capacity(rc.chain_len.1);
+        let mut rng = self.draw_chain(user, &mut attempt, &mut chain);
+        let (r_in, r_out) = self.draw_rest(&mut rng, chain.len(), &mut edge_data);
+        UserRequest::new(
+            UserId(user),
+            self.home_station(user),
+            chain,
+            edge_data,
+            r_in,
+            r_out,
+            rc.d_max,
+        )
+    }
+
+    /// The first draws of `user`'s request: seed the user's stream and walk
+    /// its service chain into `chain` (previous contents discarded;
+    /// `attempt` is the walk's scratch). Returns the stream where
+    /// [`draw_rest`](Self::draw_rest) continues it, so a caller that reads
+    /// only the chain stops here.
+    pub fn draw_chain(
+        &self,
+        user: u32,
+        attempt: &mut Vec<ServiceId>,
+        chain: &mut Vec<ServiceId>,
+    ) -> ChaCha12Rng {
         let mut rng = ChaCha12Rng::seed_from_u64(
             self.cfg
                 .seed
@@ -287,21 +316,26 @@ impl LoadFeed {
                 .wrapping_add(fnv_word(fnv_word(FNV_OFFSET, 0xC0DE), user)),
         );
         let rc = &self.cfg.request;
-        let chain = self
-            .dataset
-            .sample_chain(&mut rng, rc.chain_len.0, rc.chain_len.1);
-        let edge_data = (0..chain.len().saturating_sub(1))
-            .map(|_| rng.gen_range(rc.edge_data.0..=rc.edge_data.1))
-            .collect();
-        UserRequest::new(
-            UserId(user),
-            self.home_station(user),
-            chain,
-            edge_data,
-            rng.gen_range(rc.r_in.0..=rc.r_in.1),
-            rng.gen_range(rc.r_out.0..=rc.r_out.1),
-            rc.d_max,
-        )
+        self.dataset
+            .sample_chain_into(&mut rng, rc.chain_len.0, rc.chain_len.1, attempt, chain);
+        rng
+    }
+
+    /// The rest of a request after [`draw_chain`](Self::draw_chain) on
+    /// `rng`: the `chain_len - 1` edge volumes into `edge_data` (previous
+    /// contents discarded), then `(r_in, r_out)`.
+    pub fn draw_rest(
+        &self,
+        rng: &mut ChaCha12Rng,
+        chain_len: usize,
+        edge_data: &mut Vec<f64>,
+    ) -> (f64, f64) {
+        let rc = &self.cfg.request;
+        edge_data.clear();
+        edge_data.extend((1..chain_len).map(|_| rng.gen_range(rc.edge_data.0..=rc.edge_data.1)));
+        let r_in = rng.gen_range(rc.r_in.0..=rc.r_in.1);
+        let r_out = rng.gen_range(rc.r_out.0..=rc.r_out.1);
+        (r_in, r_out)
     }
 }
 
@@ -612,6 +646,51 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(a.location, f.home_station(user));
             assert!(!a.chain.is_empty());
+        }
+    }
+
+    /// A request's fields with every `f64` as its bits.
+    fn bits(r: &UserRequest) -> (u32, NodeId, Vec<ServiceId>, Vec<u64>, [u64; 3]) {
+        (
+            r.id.0,
+            r.location,
+            r.chain.clone(),
+            r.edge_data.iter().map(|x| x.to_bits()).collect(),
+            [r.r_in.to_bits(), r.r_out.to_bits(), r.d_max.to_bits()],
+        )
+    }
+
+    /// `draw_chain` then `draw_rest`, through one set of buffers reused
+    /// across users whose chains go long, short, long, …, with the rest
+    /// skipped for every third user as an admission shed skips it, give
+    /// `synthesize` field for field.
+    #[test]
+    fn split_draws_equal_synthesize() {
+        let f = feed();
+        let whole: Vec<UserRequest> = (0..2000).map(|u| f.synthesize(u)).collect();
+        let (long, short): (Vec<u32>, Vec<u32>) =
+            (0..2000u32).partition(|&u| whole[u as usize].chain.len() >= 5);
+        assert!(long.len() >= 40 && short.len() >= 40, "{}", long.len());
+        let (mut attempt, mut chain, mut edge_data) = (Vec::new(), Vec::new(), Vec::new());
+        let users = long.iter().zip(&short).flat_map(|(&l, &s)| [l, s]);
+        for (i, user) in users.take(240).enumerate() {
+            let want = &whole[user as usize];
+            let mut rng = f.draw_chain(user, &mut attempt, &mut chain);
+            assert_eq!(chain, want.chain, "user {user}");
+            if i % 3 == 2 {
+                continue;
+            }
+            let (r_in, r_out) = f.draw_rest(&mut rng, chain.len(), &mut edge_data);
+            let got = UserRequest {
+                id: UserId(user),
+                location: f.home_station(user),
+                chain: chain.clone(),
+                edge_data: edge_data.clone(),
+                r_in,
+                r_out,
+                d_max: f.cfg.request.d_max,
+            };
+            assert_eq!(bits(&got), bits(want), "user {user}");
         }
     }
 

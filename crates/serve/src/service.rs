@@ -19,7 +19,7 @@
 //! order and region outputs in region order, so the decision stream is
 //! **bit-identical for any shard count and any thread count**. The
 //! fan-out first asks `socl_net::parallel_worthwhile` about the tick's
-//! work (every user's coin flip plus every expected arrival's synthesis,
+//! work (every user's coin flip plus every expected arrival's draws,
 //! admission and routing), otherwise running the same closures in index
 //! order on the calling thread; `ServeConfig::shards` caps its workers.
 //! The autoscaler tick and checkpoint encoding cost less than one
@@ -36,10 +36,12 @@
 //! 2. the fan-out: the arrival scan (user chunks, concatenated in
 //!    ascending user id and grouped by home region between the stages),
 //!    then per region: expire in-flight, ingest arrivals (queue-full
-//!    sheds), drain + admission (each request synthesized as it is
-//!    popped; cloud fallbacks and admission sheds decided here), routing
-//!    of the admitted requests in queue order, and the fold of their
-//!    decisions into the region's digest;
+//!    sheds), and one pass over the drained requests — each popped
+//!    request draws its chain, coverage decides a cloud fallback and
+//!    admission a shed, and only an admitted request draws the rest of
+//!    its request and is routed into the region's flat buffers — then the
+//!    fold of the routed decisions into the region's digest, in queue
+//!    order;
 //! 3. head: charge in-flight per edge stage to the hosting region, in
 //!    region then queue order, and record cross-region sends in the
 //!    outbox (after the fan-out, because admission reads `in_flight`);
@@ -57,7 +59,7 @@ use socl_core::SoclConfig;
 use socl_model::codec::TornTail;
 use socl_model::{
     optimal_hosts_into, optimal_route_with, Placement, RouteOutcome, RouteScratch, Scenario,
-    ScenarioConfig, UserRequest,
+    ScenarioConfig, ServiceId, UserId, UserRequest,
 };
 use socl_net::par::{lock_recover, par_map_indexed_with, par_map_then};
 use socl_net::{effective_threads, parallel_worthwhile, NodeId};
@@ -258,10 +260,14 @@ fn outbox_window(checkpoint_every: u32) -> usize {
 /// user's low byte is a table look-up).
 const COIN_UNIT: usize = 3;
 
-/// `parallel_worthwhile` unit of one expected arrival: its
-/// `LoadFeed::synthesize` at the drain (two 16-word ChaCha12 blocks × 6
-/// double rounds) plus as much again for admitting and routing it.
-const SYNTHESIZE_UNIT: usize = 2 * (2 * 16 * 6);
+/// `parallel_worthwhile` unit of one expected arrival, in nanoseconds as
+/// measured at the drain: a plain `serve-steady` tick on one thread drains
+/// ~2000 requests in ~1.1 ms as timed by per-request probes (draws 0.72,
+/// admission 0.15, routing 0.19, folds 0.05), which include the probes'
+/// own cost, so an arrival costs at most ~0.55 µs. Every drained request
+/// seeds its stream and walks its chain; only the ~70 % admitted draw the
+/// rest, route and fold.
+const SYNTHESIZE_UNIT: usize = 384;
 
 /// Users one chunk of the arrival scan covers.
 const SCAN_CHUNK: u32 = 16_384;
@@ -531,9 +537,8 @@ impl SoclServe {
         let mut sent: Vec<Vec<(u32, u32)>> = (0..n).map(|_| Vec::new()).collect();
         for (o, (routed, _)) in phase_a.iter().enumerate() {
             let origin = o as u32;
-            for (request, route) in routed.iter() {
-                for (j, &host) in route.unwrap_or_default().iter().enumerate() {
-                    let m = request.chain[j];
+            for (user, chain, route) in routed.iter() {
+                for (&m, &host) in chain.iter().zip(route.unwrap_or_default()) {
                     let target = self.region_map.region_of(host);
                     let remote = target != origin;
                     self.regions[target as usize].charge(m, t, remote);
@@ -544,7 +549,7 @@ impl SoclServe {
                 if tick.capturing {
                     events.push(DecisionEvent {
                         tick: t,
-                        user: request.id.0,
+                        user,
                         tag: if route.is_some() { TAG_EDGE } else { TAG_CLOUD },
                         route: route.unwrap_or_default().to_vec(),
                     });
@@ -607,7 +612,7 @@ impl SoclServe {
 
     /// Workers for tick `t`'s fan-out (and a replayed tick's scan): up to
     /// `shards` when the tick's work — every user's coin flip plus every
-    /// expected arrival's synthesis, admission and routing — outweighs a
+    /// expected arrival's draws, admission and routing — outweighs a
     /// dispatch, else the calling thread alone. The count never changes a
     /// result.
     fn tick_threads(&self, t: u32) -> usize {
@@ -799,10 +804,10 @@ impl SoclServe {
                 let (routed, _) = region_tick(&mut self.regions[r], &tick, &per_region[r], budget);
                 // Charge only stages hosted in this region (remote stages
                 // belong to peers that never lost them).
-                for (request, route) in routed.iter() {
-                    for (j, &host) in route.unwrap_or_default().iter().enumerate() {
+                for (_, chain, route) in routed.iter() {
+                    for (&m, &host) in chain.iter().zip(route.unwrap_or_default()) {
                         if self.region_map.region_of(host) == r as u32 {
-                            self.regions[r].charge(request.chain[j], t, false);
+                            self.regions[r].charge(m, t, false);
                         }
                     }
                 }
@@ -866,53 +871,35 @@ impl SoclServe {
     }
 }
 
-/// One region's share of tick `t`: ingest, drain and admission
-/// ([`region_phase_a`]), routing of the admitted requests in queue order
-/// ([`route_jobs`]), then the fold of each one's decision. The live tick's
-/// second stage and crash replay both run it, so a region's digest takes
-/// the same folds in the same order on both: phase A's sheds and cloud
-/// fallbacks, then the routed decisions in queue order.
+/// One region's share of tick `t`: expiry, ingest, then one pass over
+/// the drained requests, then the fold of the routed decisions. An arrival
+/// is queued as its `(user, tick)`, so a queue-full shed never draws
+/// anything. Each popped request draws only its chain
+/// ([`LoadFeed::draw_chain`]) into one scratch request, which is all that
+/// coverage and admission read; a cloud fallback or an admission shed is
+/// folded there and then. Only an admitted request draws the rest
+/// ([`LoadFeed::draw_rest`]) and is routed, its chain and its hosts
+/// appended to the region's flat buffers. The routed decisions are folded
+/// after the pass, in queue order. The live tick's second stage and crash
+/// replay both run this, so a region's digest takes the same folds in the
+/// same order on both: the sheds and cloud fallbacks as they are drained,
+/// then the routed decisions.
 fn region_tick(
     st: &mut RegionState,
     tick: &Tick<'_>,
     arrivals: &[u32],
     budget: usize,
 ) -> (Routed, Vec<DecisionEvent>) {
-    let (jobs, events) = region_phase_a(st, tick, arrivals, budget);
-    let routed = route_jobs(jobs, tick.placement, tick.world);
-    for (request, route) in routed.iter() {
-        st.decide(tick.t, request.id.0, route);
-    }
-    (routed, events)
-}
-
-/// What every region reads during one tick.
-struct Tick<'a> {
-    t: u32,
-    feed: &'a LoadFeed,
-    placement: &'a Placement,
-    world: &'a Scenario,
-    /// Record decision events for the capture hook.
-    capturing: bool,
-}
-
-/// Ingest + drain + admission for one region at tick `t`. An arrival is
-/// queued as its `(user, tick)` and synthesized only when the drain pops
-/// it, so a queue-full shed never synthesizes. The digest depends on the
-/// exact fold order, so there is exactly one implementation.
-fn region_phase_a(
-    st: &mut RegionState,
-    tick: &Tick<'_>,
-    arrivals: &[u32],
-    budget: usize,
-) -> (Vec<UserRequest>, Vec<DecisionEvent>) {
     let Tick {
         t,
         feed,
         placement,
+        world,
         capturing,
-        ..
     } = *tick;
+    let Scenario {
+        net, ap, catalog, ..
+    } = world;
     let mut events = Vec::new();
     let mut capture = |tick: u32, user: u32, tag: u64| {
         if capturing {
@@ -935,25 +922,35 @@ fn region_phase_a(
             capture(t, user, TAG_SHED_QUEUE);
         }
     }
-    let mut jobs = Vec::new();
+    let mut routed = Routed::default();
+    let mut request = UserRequest {
+        id: UserId(0),
+        location: NodeId(0),
+        chain: Vec::new(),
+        edge_data: Vec::new(),
+        r_in: 0.0,
+        r_out: 0.0,
+        d_max: feed.config().request.d_max,
+    };
+    let mut attempt = Vec::new();
+    let mut scratch = RouteScratch::new();
     for _ in 0..budget {
         let Some(p) = st.queue.pop() else {
             break;
         };
-        let request = feed.synthesize(p.user);
-        let covered = request
-            .chain
+        let mut rng = feed.draw_chain(p.user, &mut attempt, &mut request.chain);
+        let chain = &request.chain;
+        if !chain
             .iter()
-            .all(|&m| placement.hosts_iter(m).next().is_some());
-        if !covered {
+            .all(|&m| placement.hosts_iter(m).next().is_some())
+        {
             st.decide(t, p.user, None);
             capture(t, p.user, TAG_CLOUD);
             continue;
         }
-        let chain_len = request.chain.len();
-        let admitted = request.chain.iter().all(|&m| {
+        let admitted = chain.iter().all(|&m| {
             let y = f64::from(st.in_flight.get(m.idx()).copied().unwrap_or(0));
-            st.scaler.admit(m, chain_len, y)
+            st.scaler.admit(m, chain.len(), y)
         });
         if !admitted {
             st.shed_admission += 1;
@@ -962,54 +959,66 @@ fn region_phase_a(
             capture(t, p.user, TAG_SHED_ADMISSION);
             continue;
         }
-        jobs.push(request);
+        (request.r_in, request.r_out) =
+            feed.draw_rest(&mut rng, request.chain.len(), &mut request.edge_data);
+        request.id = UserId(p.user);
+        request.location = feed.home_station(p.user);
+        let host_at = routed.hosts.len();
+        let route = optimal_hosts_into(
+            &mut scratch,
+            &request,
+            placement,
+            net,
+            ap,
+            catalog,
+            &mut routed.hosts,
+        )
+        .map(|_| host_at..routed.hosts.len());
+        let chain_at = routed.chains.len();
+        routed.chains.extend_from_slice(&request.chain);
+        routed
+            .jobs
+            .push((p.user, chain_at..routed.chains.len(), route));
     }
-    (jobs, events)
+    for (user, _, route) in routed.iter() {
+        st.decide(t, user, route);
+    }
+    (routed, events)
 }
 
-/// One region's admitted requests of a tick with their routes: the hosts
-/// of every edge route back to back in `hosts`, and per request the range
-/// of its route there (`None`: cloud fallback).
+/// What every region reads during one tick.
+struct Tick<'a> {
+    t: u32,
+    feed: &'a LoadFeed,
+    placement: &'a Placement,
+    world: &'a Scenario,
+    /// Record decision events for the capture hook.
+    capturing: bool,
+}
+
+/// One region's routed requests of a tick, in queue order, in flat
+/// buffers: every request's chain back to back in `chains`, every edge
+/// route's hosts back to back in `hosts`, and per request its user, the
+/// range of its chain and the range of its route (`None`: cloud
+/// fallback).
+#[derive(Default)]
 struct Routed {
-    jobs: Vec<(UserRequest, Option<Range<usize>>)>,
+    jobs: Vec<(u32, Range<usize>, Option<Range<usize>>)>,
+    chains: Vec<ServiceId>,
     hosts: Vec<NodeId>,
 }
 
 impl Routed {
-    /// Each request with its route, in queue order.
-    fn iter(&self) -> impl Iterator<Item = (&UserRequest, Option<&[NodeId]>)> {
-        self.jobs
-            .iter()
-            .map(|(request, route)| (request, route.clone().map(|r| &self.hosts[r])))
-    }
-}
-
-/// Route one region's admitted requests against `placement`, in queue
-/// order.
-fn route_jobs(jobs: Vec<UserRequest>, placement: &Placement, world: &Scenario) -> Routed {
-    let Scenario {
-        net, ap, catalog, ..
-    } = world;
-    let mut scratch = RouteScratch::new();
-    let mut hosts = Vec::new();
-    let jobs = jobs
-        .into_iter()
-        .map(|request| {
-            let start = hosts.len();
-            let route = optimal_hosts_into(
-                &mut scratch,
-                &request,
-                placement,
-                net,
-                ap,
-                catalog,
-                &mut hosts,
+    /// Each request as `(user, chain, route)`, in queue order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &[ServiceId], Option<&[NodeId]>)> {
+        self.jobs.iter().map(|(user, chain, route)| {
+            (
+                *user,
+                &self.chains[chain.clone()],
+                route.clone().map(|r| &self.hosts[r]),
             )
-            .map(|_| start..hosts.len());
-            (request, route)
         })
-        .collect();
-    Routed { jobs, hosts }
+    }
 }
 
 /// Autoscaler tick + WAL record for one region (live and replay share it).
@@ -1063,7 +1072,7 @@ fn snapshot_region(st: &RegionState, t: u32) -> RegionCheckpoint {
 }
 
 /// Rebuild a region from a checkpoint image; queued requests go back as
-/// their `(user, tick)` and are synthesized when drained.
+/// their `(user, tick)` and are drawn from the feed when drained.
 fn restore_region(
     ck: &RegionCheckpoint,
     cfg: &ServeConfig,
@@ -1348,6 +1357,59 @@ mod tests {
             );
         }
         assert_eq!(serve.placements.len(), 2);
+    }
+
+    /// A tick's flat buffers hold exactly its routed requests, in queue
+    /// order: each one's chain is its synthesized chain, nothing of a shed
+    /// request is left in `chains`, and each route is the one the DP gives
+    /// the synthesized request. Tick 11 of `flash`, where two of the four
+    /// regions shed by admission, routed against the placement that hosts
+    /// every service everywhere: `flash`'s own placements host each service
+    /// once, which forces every route whatever the request's home and
+    /// volumes.
+    #[test]
+    fn routed_buffers_hold_only_the_routed_requests() {
+        let mut serve = SoclServe::new(flash());
+        serve.run(10);
+        let t = 11;
+        let per_region = by_region(serve.regions.len(), &serve.scan_arrivals(t));
+        let placement = &Placement::full(serve.world.catalog.len(), serve.world.net.node_count());
+        let tick = Tick {
+            t,
+            feed: &serve.feed,
+            placement,
+            world: &serve.world,
+            capturing: false,
+        };
+        let w = &serve.world;
+        let mut scratch = RouteScratch::new();
+        let shed: u64 = serve.regions.iter().map(|st| st.shed_admission).sum();
+        let mut routed_any = false;
+        for (r, st) in serve.regions.iter_mut().enumerate() {
+            let budget = serve.cfg.drain_per_station * serve.region_map.count(st.id).max(1);
+            let (routed, _) = region_tick(st, &tick, &per_region[r], budget);
+            let mut chains = Vec::new();
+            for (user, chain, route) in routed.iter() {
+                let request = serve.feed.synthesize(user);
+                assert_eq!(chain, request.chain, "user {user}");
+                chains.extend_from_slice(chain);
+                let mut want = Vec::new();
+                optimal_hosts_into(
+                    &mut scratch,
+                    &request,
+                    placement,
+                    &w.net,
+                    &w.ap,
+                    &w.catalog,
+                    &mut want,
+                );
+                assert_eq!(route, Some(&want[..]), "user {user}");
+            }
+            assert_eq!(routed.chains, chains, "region {r}");
+            routed_any |= !chains.is_empty();
+        }
+        let now: u64 = serve.regions.iter().map(|st| st.shed_admission).sum();
+        assert!(now > shed && routed_any, "no admission shed or no route");
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub(crate) fn mix(mut h: u64, words: &[u64]) -> u64 {
 
 /// A queued request awaiting its decision: the `(user, tick)` pair a
 /// checkpoint stores. The request itself is a pure function of the feed
-/// and `user`, synthesized when the drain pops it, so an arrival shed by a
-/// full queue is never synthesized.
+/// and `user`, drawn when the drain pops it, so an arrival shed by a full
+/// queue draws nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct Pending {
     /// Issuing user.

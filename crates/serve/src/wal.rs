@@ -73,8 +73,9 @@ pub type RegionWal = Journal<TickRecord>;
 
 /// A frozen image of one region's complete mutable state at a tick
 /// boundary, exactly sufficient to restore and replay bit-identically.
-/// Queued requests are stored as `(user, arrival tick)` pairs — the feed
-/// re-synthesizes the full request deterministically on restore.
+/// Queued requests are stored as `(user, arrival tick)` pairs and go back
+/// into the queue as such; a restore draws nothing, and the drain derives
+/// each request from the feed when it pops it, as it does live.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionCheckpoint {
     /// Region id.
