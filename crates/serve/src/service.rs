@@ -37,11 +37,14 @@
 //!    ascending user id and grouped by home region between the stages),
 //!    then per region: expire in-flight, ingest arrivals (queue-full
 //!    sheds), and one pass over the drained requests — each popped
-//!    request draws its chain, coverage decides a cloud fallback and
-//!    admission a shed, and only an admitted request draws the rest of
-//!    its request and is routed into the region's flat buffers — then the
-//!    fold of the routed decisions into the region's digest, in queue
-//!    order;
+//!    request draws its chain, and two tables built for the region's tick
+//!    decide the rest: each service's hosts under the placement (none: a
+//!    cloud fallback) and admission's refusals per chain length and
+//!    service (a shed). An admitted chain whose every service has a sole
+//!    host takes those hosts as its route and draws nothing more; any
+//!    other draws the rest of its request and is routed by the DP. Both
+//!    land in the region's flat buffers — then the fold of the routed
+//!    decisions into the region's digest, in queue order;
 //! 3. head: charge in-flight per edge stage to the hosting region, in
 //!    region then queue order, and record cross-region sends in the
 //!    outbox (after the fan-out, because admission reads `in_flight`);
@@ -262,11 +265,14 @@ const COIN_UNIT: usize = 3;
 
 /// `parallel_worthwhile` unit of one expected arrival, in nanoseconds as
 /// measured at the drain: a plain `serve-steady` tick on one thread drains
-/// ~2000 requests in ~1.1 ms as timed by per-request probes (draws 0.72,
-/// admission 0.15, routing 0.19, folds 0.05), which include the probes'
-/// own cost, so an arrival costs at most ~0.55 µs. Every drained request
-/// seeds its stream and walks its chain; only the ~70 % admitted draw the
-/// rest, route and fold.
+/// 2000 requests in ~0.77 ms as timed by per-request probes (chain draws
+/// 0.51, coverage and admission 0.12, routes 0.10, folds 0.05), which
+/// include the probes' own cost, so a drained request costs ~0.38 µs.
+/// Every drained request seeds its stream and walks its chain; the ~70 %
+/// admitted route and fold, and there every route is forced, drawing no
+/// rest and running no DP. The gate opens at every tick of both `serve-*`
+/// workloads (`tick_gate_at_benchmark_sizes`); `serve-steady`'s quietest
+/// tick would still clear it at ~85 ns an arrival.
 const SYNTHESIZE_UNIT: usize = 384;
 
 /// Users one chunk of the arrival scan covers.
@@ -875,15 +881,19 @@ impl SoclServe {
 /// the drained requests, then the fold of the routed decisions. An arrival
 /// is queued as its `(user, tick)`, so a queue-full shed never draws
 /// anything. Each popped request draws only its chain
-/// ([`LoadFeed::draw_chain`]) into one scratch request, which is all that
-/// coverage and admission read; a cloud fallback or an admission shed is
-/// folded there and then. Only an admitted request draws the rest
-/// ([`LoadFeed::draw_rest`]) and is routed, its chain and its hosts
-/// appended to the region's flat buffers. The routed decisions are folded
-/// after the pass, in queue order. The live tick's second stage and crash
-/// replay both run this, so a region's digest takes the same folds in the
-/// same order on both: the sheds and cloud fallbacks as they are drained,
-/// then the routed decisions.
+/// ([`LoadFeed::draw_chain`]) into one scratch request, and two tables
+/// built for this drain judge it: each service's [`Hosting`] under the
+/// placement (coverage) and the [`Refusals`] of admission. A cloud
+/// fallback or an admission shed is folded there and then. An admitted
+/// chain whose every service has a sole host is routed to those hosts
+/// without another draw: with one candidate per layer the DP has nothing
+/// to choose. Any other admitted request draws the rest
+/// ([`LoadFeed::draw_rest`]) and is routed by the DP. Either way its chain
+/// and its hosts are appended to the region's flat buffers. The routed
+/// decisions are folded after the pass, in queue order. The live tick's
+/// second stage and crash replay both run this, so a region's digest takes
+/// the same folds in the same order on both: the sheds and cloud fallbacks
+/// as they are drained, then the routed decisions.
 fn region_tick(
     st: &mut RegionState,
     tick: &Tick<'_>,
@@ -934,46 +944,52 @@ fn region_tick(
     };
     let mut attempt = Vec::new();
     let mut scratch = RouteScratch::new();
+    let hosting = hosting(placement);
+    let mut refusals = Refusals::default();
     for _ in 0..budget {
         let Some(p) = st.queue.pop() else {
             break;
         };
         let mut rng = feed.draw_chain(p.user, &mut attempt, &mut request.chain);
         let chain = &request.chain;
-        if !chain
-            .iter()
-            .all(|&m| placement.hosts_iter(m).next().is_some())
-        {
+        if chain.iter().any(|m| hosting[m.idx()] == Hosting::Unhosted) {
             st.decide(t, p.user, None);
             capture(t, p.user, TAG_CLOUD);
             continue;
         }
-        let admitted = chain.iter().all(|&m| {
-            let y = f64::from(st.in_flight.get(m.idx()).copied().unwrap_or(0));
-            st.scaler.admit(m, chain.len(), y)
-        });
-        if !admitted {
+        if !refusals.admits(st, chain) {
             st.shed_admission += 1;
             st.tick_shed_admission += 1;
             st.fold_decision(t, p.user, TAG_SHED_ADMISSION, &[]);
             capture(t, p.user, TAG_SHED_ADMISSION);
             continue;
         }
-        (request.r_in, request.r_out) =
-            feed.draw_rest(&mut rng, request.chain.len(), &mut request.edge_data);
-        request.id = UserId(p.user);
-        request.location = feed.home_station(p.user);
+        // A chain whose every service has one host has one route: those
+        // hosts. Otherwise the rest of the request is drawn and the DP
+        // picks among the hosts.
         let host_at = routed.hosts.len();
-        let route = optimal_hosts_into(
-            &mut scratch,
-            &request,
-            placement,
-            net,
-            ap,
-            catalog,
-            &mut routed.hosts,
-        )
-        .map(|_| host_at..routed.hosts.len());
+        routed
+            .hosts
+            .extend(chain.iter().map_while(|m| hosting[m.idx()].sole()));
+        let route = if routed.hosts.len() - host_at == chain.len() {
+            Some(host_at..routed.hosts.len())
+        } else {
+            routed.hosts.truncate(host_at);
+            (request.r_in, request.r_out) =
+                feed.draw_rest(&mut rng, request.chain.len(), &mut request.edge_data);
+            request.id = UserId(p.user);
+            request.location = feed.home_station(p.user);
+            optimal_hosts_into(
+                &mut scratch,
+                &request,
+                placement,
+                net,
+                ap,
+                catalog,
+                &mut routed.hosts,
+            )
+            .map(|_| host_at..routed.hosts.len())
+        };
         let chain_at = routed.chains.len();
         routed.chains.extend_from_slice(&request.chain);
         routed
@@ -984,6 +1000,74 @@ fn region_tick(
         st.decide(t, user, route);
     }
     (routed, events)
+}
+
+/// How many hosts a service has under a placement, as the drain reads it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Hosting {
+    /// No host: a chain with this service falls back to the cloud.
+    Unhosted,
+    /// Exactly one host: every route serves the service there.
+    Sole(NodeId),
+    /// Two hosts or more: the DP chooses.
+    Many,
+}
+
+impl Hosting {
+    fn sole(self) -> Option<NodeId> {
+        match self {
+            Hosting::Sole(k) => Some(k),
+            Hosting::Unhosted | Hosting::Many => None,
+        }
+    }
+}
+
+/// Every service's [`Hosting`] under `placement`, by service id.
+fn hosting(placement: &Placement) -> Vec<Hosting> {
+    (0..placement.services() as u32)
+        .map(|m| {
+            let mut hosts = placement.hosts_iter(ServiceId(m));
+            match (hosts.next(), hosts.next()) {
+                (None, _) => Hosting::Unhosted,
+                (Some(k), None) => Hosting::Sole(k),
+                (Some(_), Some(_)) => Hosting::Many,
+            }
+        })
+        .collect()
+}
+
+/// Admission's verdicts for one region's drain: per chain length, which
+/// services refuse a chain of that length. A verdict reads the region's
+/// `in_flight` and its scaler's caps, and neither moves while the region
+/// drains (charges land in the head phase, the scaler ticks after it), so
+/// each row is built the first time a chain of its length is drained, by
+/// the same [`Autoscaler::admit`](socl_autoscale::Autoscaler::admit) call
+/// per service, and the table lives for one drain only.
+#[derive(Default)]
+struct Refusals {
+    /// `rows[len][m]`: service `m` refuses a chain of length `len`; an
+    /// empty row is not built yet.
+    rows: Vec<Vec<bool>>,
+}
+
+impl Refusals {
+    /// Does admission let `chain` through `st` this tick?
+    fn admits(&mut self, st: &RegionState, chain: &[ServiceId]) -> bool {
+        let len = chain.len();
+        if self.rows.len() <= len {
+            self.rows.resize_with(len + 1, Vec::new);
+        }
+        let row = &mut self.rows[len];
+        if row.is_empty() {
+            row.extend(
+                st.in_flight
+                    .iter()
+                    .enumerate()
+                    .map(|(m, &y)| !st.scaler.admit(ServiceId(m as u32), len, f64::from(y))),
+            );
+        }
+        chain.iter().all(|m| !row[m.idx()])
+    }
 }
 
 /// What every region reads during one tick.
@@ -1113,6 +1197,7 @@ fn restore_region(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::RING_SLOTS;
 
     /// The overloaded flash-crowd configuration `serve-flash-crash`
     /// measures in `benchmark/`.
@@ -1178,15 +1263,24 @@ mod tests {
 
     /// The global decision digest — every region's folds, in order — of
     /// the overloaded flash crowd (both shed paths, the fan-out open at
-    /// more than one worker) and of the small configuration (all serial).
-    /// The conservation totals above cannot see a fold moved within a
-    /// region; these can.
+    /// more than one worker), of the small configuration (all serial) and
+    /// of the small configuration under JDR. SoCL's placements host every
+    /// service once, so each of their routes is forced; JDR's host some
+    /// services twice, so the DP chooses among hosts by each request's
+    /// home and volumes. The conservation totals above cannot see a fold
+    /// moved within a region; these can.
     #[test]
     fn decision_digests_are_pinned() {
+        let jdr = ServeConfig {
+            policy: Policy::Jdr,
+            ..ServeConfig::small(3)
+        };
         for (cfg, ticks, pinned) in [
             (flash(), 60, 0xf074_b297_f08f_5a63),
             (ServeConfig::small(3), 24, 0xb98d_e2d8_ce8a_0fe9),
+            (jdr, 24, 0xaed2_af40_3172_157a),
         ] {
+            let dp = matches!(cfg.policy, Policy::Jdr);
             let mut serve = SoclServe::new(cfg);
             serve.run(ticks);
             assert_eq!(
@@ -1195,6 +1289,14 @@ mod tests {
                 "{:016x}",
                 serve.global_digest()
             );
+            if dp {
+                let p = serve.placement().expect("placed");
+                let hosts: Vec<usize> = (0..p.services() as u32)
+                    .map(|m| p.instance_count(ServiceId(m)))
+                    .collect();
+                assert!(hosts.contains(&1), "no sole host: {hosts:?}");
+                assert!(hosts.iter().any(|&n| n > 1), "no service on two hosts");
+            }
         }
     }
 
@@ -1410,6 +1512,178 @@ mod tests {
         }
         let now: u64 = serve.regions.iter().map(|st| st.shed_admission).sum();
         assert!(now > shed && routed_any, "no admission shed or no route");
+    }
+
+    /// The drain against placements in which chain services have no host,
+    /// one host or several: a drained request falls back to the cloud
+    /// exactly when a service of its chain is unhosted, and every routed
+    /// request's hosts are the DP's on the synthesized request, whether the
+    /// drain took the sole hosts or ran the DP. Each case serves `small`
+    /// for a few ticks, then drains one tick against a random placement.
+    #[test]
+    fn mixed_placement_drain_matches_the_dp() {
+        let (mut forced, mut chosen, mut cloud) = (0, 0, 0);
+        socl_net::rng::cases(12, |rng| {
+            let mut serve = SoclServe::new(ServeConfig::small(rng.gen_range(0..1000u64)));
+            serve.run(rng.gen_range(1..=4u32));
+            let w = &serve.world;
+            let (services, nodes) = (w.catalog.len(), w.net.node_count() as u32);
+            let mut placement = Placement::empty(services, nodes as usize);
+            for m in 0..services as u32 {
+                for _ in 0..[0, 1, 1, 1, 2, 3][rng.gen_range(0..6usize)] {
+                    placement.set(ServiceId(m), NodeId(rng.gen_range(0..nodes)), true);
+                }
+            }
+            let t = serve.completed_ticks() + 1;
+            let per_region = by_region(serve.regions.len(), &serve.scan_arrivals(t));
+            let tick = Tick {
+                t,
+                feed: &serve.feed,
+                placement: &placement,
+                world: w,
+                capturing: true,
+            };
+            let hosted = |m: &ServiceId| placement.instance_count(*m);
+            let mut scratch = RouteScratch::new();
+            for (r, st) in serve.regions.iter_mut().enumerate() {
+                let budget = serve.cfg.drain_per_station * serve.region_map.count(st.id).max(1);
+                let (routed, events) = region_tick(st, &tick, &per_region[r], budget);
+                for e in events {
+                    let chain = serve.feed.synthesize(e.user).chain;
+                    let unhosted = chain.iter().any(|m| hosted(m) == 0);
+                    match e.tag {
+                        TAG_CLOUD => assert!(unhosted, "user {}", e.user),
+                        TAG_SHED_ADMISSION => assert!(!unhosted, "user {}", e.user),
+                        _ => {}
+                    }
+                    cloud += usize::from(e.tag == TAG_CLOUD);
+                }
+                for (user, chain, route) in routed.iter() {
+                    let request = serve.feed.synthesize(user);
+                    assert_eq!(chain, request.chain, "user {user}");
+                    let mut want = Vec::new();
+                    let dp = optimal_hosts_into(
+                        &mut scratch,
+                        &request,
+                        &placement,
+                        &w.net,
+                        &w.ap,
+                        &w.catalog,
+                        &mut want,
+                    );
+                    assert!(dp.is_some(), "user {user}: routed an uncovered chain");
+                    assert_eq!(route, Some(&want[..]), "user {user}");
+                    if chain.iter().all(|m| hosted(m) == 1) {
+                        forced += 1;
+                    } else {
+                        chosen += 1;
+                    }
+                }
+            }
+        });
+        assert!(
+            forced > 0 && chosen > 0 && cloud > 0,
+            "{forced} {chosen} {cloud}"
+        );
+    }
+
+    /// The drain's refusal table gives the verdict per-request
+    /// `Autoscaler::admit` calls give, for random in-flight counts and
+    /// capacity ceilings (zero among them), every chain length up to the
+    /// feed's longest, admission on and off, and more services than one
+    /// 64-bit word holds.
+    #[test]
+    fn refusal_table_matches_per_request_admit() {
+        let longest = FeedConfig::default().request.chain_len.1;
+        socl_net::rng::cases(24, |rng| {
+            let services = rng.gen_range(1..=80usize);
+            let autoscale = AutoscaleConfig {
+                admission: AdmissionPolicy {
+                    enabled: rng.gen_range(0..4u32) != 0,
+                    ..AdmissionPolicy::default()
+                },
+                ..AutoscaleConfig::default()
+            };
+            let mut st = RegionState::new(0, services, 4, 8, &autoscale, 0.5);
+            let mut state = st.scaler.state();
+            state.caps = (0..services).map(|_| rng.gen_range(0..=6u32)).collect();
+            st.scaler.restore_state(&state).expect("caps restore");
+            st.in_flight = (0..services).map(|_| rng.gen_range(0..=60u32)).collect();
+            let mut refusals = Refusals::default();
+            for _ in 0..64 {
+                let len = rng.gen_range(1..=longest);
+                let chain: Vec<ServiceId> = (0..len)
+                    .map(|_| ServiceId(rng.gen_range(0..services as u32)))
+                    .collect();
+                let admit = chain
+                    .iter()
+                    .all(|&m| st.scaler.admit(m, len, f64::from(st.in_flight[m.idx()])));
+                assert_eq!(refusals.admits(&st, &chain), admit, "{chain:?}");
+            }
+        });
+    }
+
+    /// Through the live tick, tick after tick: every drained request's
+    /// admission verdict is the per-request `admit` against the region's
+    /// in-flight after expiry and the scaler as the tick found it, across
+    /// the scaler ticks that move the caps at an epoch's placement — so
+    /// no verdict outlives the tick it was computed for. One worker drains
+    /// every region, so anything a drain kept would reach the next.
+    #[test]
+    fn drain_admission_matches_per_request_admit() {
+        let _held = threads(1);
+        let mut serve = SoclServe::new(flash());
+        serve.step();
+        serve.enable_capture();
+        let services = serve.world.catalog.len();
+        let (mut moved, mut shed, mut admitted) = (0, 0, 0);
+        let mut last_caps = Vec::new();
+        for t in 2..=60 {
+            let before: Vec<(Vec<u32>, socl_autoscale::Autoscaler)> = serve
+                .regions
+                .iter()
+                .map(|st| {
+                    let slot = &st.ring[(t as usize % RING_SLOTS) * services..];
+                    let y = st.in_flight.iter().zip(slot);
+                    let y = y.map(|(f, gone)| f.saturating_sub(*gone)).collect();
+                    (y, st.scaler.clone())
+                })
+                .collect();
+            let caps: Vec<u32> = before
+                .iter()
+                .flat_map(|(_, s)| (0..services as u32).map(|m| s.max_capacity(ServiceId(m))))
+                .collect();
+            moved += usize::from(!last_caps.is_empty() && caps != last_caps);
+            last_caps = caps;
+            serve.step();
+            let events = serve.take_captured();
+            let placement = serve.placement().expect("placed");
+            for e in events {
+                let request = serve.feed.synthesize(e.user);
+                let chain = &request.chain;
+                if e.tag == TAG_SHED_QUEUE
+                    || chain.iter().any(|&m| placement.instance_count(m) == 0)
+                {
+                    continue;
+                }
+                let (y, scaler) = &before[serve.region_map.region_of(request.location) as usize];
+                let admit = chain
+                    .iter()
+                    .all(|&m| scaler.admit(m, chain.len(), f64::from(y[m.idx()])));
+                assert_eq!(
+                    e.tag != TAG_SHED_ADMISSION,
+                    admit,
+                    "tick {t}, user {}",
+                    e.user
+                );
+                shed += usize::from(!admit);
+                admitted += usize::from(admit);
+            }
+        }
+        assert!(
+            moved > 0 && shed > 0 && admitted > 0,
+            "{moved} {shed} {admitted}"
+        );
     }
 
     #[test]
