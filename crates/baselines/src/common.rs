@@ -50,7 +50,7 @@ where
         }
     }
     let cost = placement.deployment_cost(&sc.catalog);
-    let objective = sc.lambda * cost + (1.0 - sc.lambda) * sc.latency_scale * total_latency;
+    let objective = sc.objective(cost, total_latency);
     (objective, cost, total_latency, fallbacks)
 }
 

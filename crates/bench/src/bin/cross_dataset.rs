@@ -8,6 +8,7 @@
 //! cargo run --release -p socl-bench --bin cross_dataset
 //! ```
 
+use socl::model::stats::percentile;
 use socl::model::DependencyDataset;
 use socl::prelude::*;
 use socl_bench::out;
@@ -32,13 +33,9 @@ fn run_dataset(name: &str, dataset: &DependencyDataset, users: usize, seeds: &[u
         rows[2].1.push(jdr(&sc).objective);
         rows[3].1.push(gc_og(&sc).objective);
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
     let mut meds = Vec::new();
-    for (algo, mut objs) in rows {
-        let m = median(&mut objs);
+    for (algo, objs) in rows {
+        let m = percentile(&objs, 0.5);
         out!("{name},{users},{algo},{m:.1}");
         meds.push((algo, m));
     }

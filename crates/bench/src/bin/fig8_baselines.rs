@@ -14,6 +14,7 @@
 //! 30 / 50 / 100 servers at 20 users per server. GC-OG joins it up to
 //! [`GCOG_MAX_NODES`] servers; larger points read `capped`.
 
+use socl::model::stats::percentile;
 use socl::prelude::*;
 use socl_bench::out;
 use std::time::Instant;
@@ -29,11 +30,6 @@ struct Row {
     cost: f64,
     latency: f64,
     seconds: f64,
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
 }
 
 /// Median over `seeds` of every algorithm's result on `nodes` servers and
@@ -78,7 +74,7 @@ fn point(nodes: usize, users: usize, seeds: &[u64], with_gcog: bool) -> Vec<(&'s
     per_algo
         .into_iter()
         .map(|(name, rows)| {
-            let col = |f: fn(&Row) -> f64| median(rows.iter().map(f).collect());
+            let col = |f: fn(&Row) -> f64| percentile(&rows.iter().map(f).collect::<Vec<_>>(), 0.5);
             let row = Row {
                 objective: col(|r| r.objective),
                 cost: col(|r| r.cost),

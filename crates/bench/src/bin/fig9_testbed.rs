@@ -16,14 +16,6 @@
 use socl::prelude::*;
 use socl_bench::out;
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 fn main() {
     out!("# FIG9: emulated 8-node testbed, 50 and 70 users");
     out!("users,algo,objective,cost,latency_total_s,median_ms,p95_ms,max_ms,cold_starts");
@@ -40,15 +32,13 @@ fn main() {
         ] {
             let ev = evaluate(&sc, &placement);
             let res = run_testbed(&sc, &placement, &tb);
-            let mut served: Vec<f64> = res.per_request.iter().flatten().copied().collect();
-            served.sort_by(f64::total_cmp);
             out!(
                 "{users},{name},{:.1},{:.1},{:.2},{:.1},{:.1},{:.1},{}",
                 ev.objective,
                 ev.cost,
                 ev.total_latency,
-                percentile(&served, 0.5) * 1e3,
-                percentile(&served, 0.95) * 1e3,
+                res.latency_percentile(0.5) * 1e3,
+                res.latency_percentile(0.95) * 1e3,
                 res.max * 1e3,
                 res.cold_starts
             );

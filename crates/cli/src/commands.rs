@@ -3,6 +3,7 @@
 use crate::args::Args;
 use socl::net::time::Stopwatch;
 use socl::prelude::*;
+use socl::trace::similarity::{offdiag_max, offdiag_mean};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -680,13 +681,11 @@ pub fn trace(args: &Args) -> Result<(), String> {
     let m = similarity_matrix(&all, |a, b| cosine_similarity(&a.usage, &b.usage));
     let n = all.len();
     out!("service similarity (cosine, {n}x{n}): ");
-    let off: Vec<f64> = (0..n * n)
-        .filter(|i| i / n != i % n)
-        .map(|i| m[i])
-        .collect();
-    let mean = off.iter().sum::<f64>() / off.len() as f64;
-    let max = off.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    out!("  off-diagonal mean {mean:.3}, max {max:.3}");
+    out!(
+        "  off-diagonal mean {:.3}, max {:.3}",
+        offdiag_mean(&m, n),
+        offdiag_max(&m, n)
+    );
 
     let w = TemporalWorkload::generate(&TemporalConfig::default(), seed);
     out!("temporal workload (120 x 5-minute bins):");

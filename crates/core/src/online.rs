@@ -60,13 +60,6 @@ pub struct RepairReport {
     pub churn: usize,
 }
 
-impl RepairReport {
-    /// True when nothing was broken and nothing changed.
-    pub fn is_noop(&self) -> bool {
-        self.churn == 0
-    }
-}
-
 /// Failure-triggered repair: prune instances stranded on dead nodes, then
 /// greedily re-provision *only the affected services* on alive nodes.
 ///
@@ -528,7 +521,7 @@ mod tests {
             .solve(&sc)
             .placement;
         let report = repair_placement(&sc, &placement);
-        assert!(report.is_noop());
+        assert_eq!(report.churn, 0);
         assert_eq!(report.placement, placement);
         assert_eq!(report.pruned, 0);
         assert!(report.repaired_services.is_empty());

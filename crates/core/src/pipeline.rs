@@ -83,15 +83,7 @@ impl SoclSolver {
 
     /// Run the three stages on `scenario`.
     pub fn solve(&self, scenario: &Scenario) -> SoclResult {
-        self.solve_with_vg_cache(scenario, &mut VgCache::new())
-    }
-
-    /// Like [`solve`](Self::solve), but stage 1 resolves virtual graphs
-    /// through a caller-owned memo. Callers that solve a sequence of related
-    /// scenarios (the online layers) keep one [`VgCache`] alive so slots with
-    /// unchanged topology and hosting sets skip the `G′(m_i)` rebuilds.
-    pub fn solve_with_vg_cache(&self, scenario: &Scenario, vg_cache: &mut VgCache) -> SoclResult {
-        self.solve_from(scenario, vg_cache, |_| {})
+        self.solve_from(scenario, &mut VgCache::new(), |_| {})
     }
 
     /// The three stages, with `edit_start` applied to the pre-provisioned

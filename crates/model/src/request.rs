@@ -101,22 +101,6 @@ impl UserRequest {
         false
     }
 
-    /// The first microservice of the chain.
-    #[inline]
-    pub fn first_service(&self) -> ServiceId {
-        self.chain[0]
-    }
-
-    /// The last microservice of the chain.
-    #[inline]
-    #[expect(
-        clippy::unwrap_used,
-        reason = "`UserRequest::new` asserts the chain is non-empty, so `last()` cannot fail on a constructed request"
-    )]
-    pub fn last_service(&self) -> ServiceId {
-        *self.chain.last().unwrap()
-    }
-
     /// True if the chain invokes `m`.
     pub fn uses(&self, m: ServiceId) -> bool {
         self.chain.contains(&m)
@@ -204,9 +188,9 @@ mod tests {
     #[test]
     fn first_last_positions() {
         let r = req();
-        assert_eq!(r.first_service(), ServiceId(0));
-        assert_eq!(r.last_service(), ServiceId(2));
+        assert_eq!(r.position_of(ServiceId(0)), Some(0));
         assert_eq!(r.position_of(ServiceId(1)), Some(1));
+        assert_eq!(r.position_of(ServiceId(2)), Some(2));
         assert_eq!(r.position_of(ServiceId(9)), None);
         assert!(r.uses(ServiceId(2)));
         assert!(!r.uses(ServiceId(3)));
@@ -266,7 +250,7 @@ mod tests {
             1.0,
         );
         assert_eq!(r.len(), 1);
-        assert_eq!(r.first_service(), r.last_service());
+        assert_eq!(r.chain, vec![ServiceId(4)]);
         assert_eq!(r.edges().count(), 0);
     }
 }

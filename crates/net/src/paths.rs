@@ -163,18 +163,6 @@ impl ShortestPaths {
         self.hops[target.idx()]
     }
 
-    /// Effective channel speed `𝔹` of the path to `target` in GB/s
-    /// (`1 / Σ 1/b`). Infinite for the source itself, zero if unreachable.
-    #[inline]
-    pub fn channel_speed(&self, target: NodeId) -> f64 {
-        let w = self.latency[target.idx()];
-        if w == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / w
-        }
-    }
-
     /// Predecessor of `target` on the chosen path (`None` for the source
     /// itself and for unreachable nodes).
     #[inline]
@@ -537,7 +525,6 @@ mod tests {
         assert!(sp.latency_weight(lone).is_infinite());
         assert_eq!(sp.hop_count(lone), u32::MAX);
         assert!(sp.path_to(lone).is_none());
-        assert_eq!(sp.channel_speed(lone), 0.0);
     }
 
     #[test]
@@ -545,7 +532,7 @@ mod tests {
         let net = diamond();
         let sp = ShortestPaths::dijkstra(&net, NodeId(0), PathMetric::Latency);
         assert_eq!(sp.latency_weight(NodeId(0)), 0.0);
-        assert!(sp.channel_speed(NodeId(0)).is_infinite());
+        assert!((1.0 / sp.latency_weight(NodeId(0))).is_infinite());
         assert_eq!(sp.path_to(NodeId(0)).unwrap(), vec![NodeId(0)]);
     }
 

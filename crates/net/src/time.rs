@@ -42,12 +42,6 @@ impl Stopwatch {
         std::time::Instant::now().duration_since(self.0)
     }
 
-    /// Elapsed milliseconds as `f64` (the unit every report field uses).
-    #[inline]
-    pub fn elapsed_ms(&self) -> f64 {
-        self.elapsed().as_secs_f64() * 1e3
-    }
-
     /// Elapsed seconds as `f64`.
     #[inline]
     pub fn elapsed_secs(&self) -> f64 {
@@ -62,9 +56,8 @@ mod tests {
     #[test]
     fn stopwatch_is_monotone() {
         let sw = Stopwatch::start();
-        let a = sw.elapsed_ms();
-        let b = sw.elapsed_ms();
+        let a = sw.elapsed_secs();
+        let b = sw.elapsed_secs();
         assert!(b >= a && a >= 0.0);
-        assert!(sw.elapsed_secs() >= 0.0);
     }
 }

@@ -78,14 +78,6 @@ impl VirtualGraph {
         self.speeds[i * self.members.len() + j]
     }
 
-    /// Virtual channel speed between two member *nodes*, or `None` if either
-    /// is not a member.
-    pub fn speed_between(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        let i = self.members.iter().position(|&m| m == a)?;
-        let j = self.members.iter().position(|&m| m == b)?;
-        Some(self.speed(i, j))
-    }
-
     /// Partition members into connected components of the graph that keeps
     /// only virtual links with `𝔹 > ξ` (Algorithm 1). Components are returned
     /// largest-first; ties broken by smallest member id for determinism.
@@ -290,15 +282,6 @@ mod tests {
         let ap = AllPairs::build(&net);
         let vg = VirtualGraph::build(&[NodeId(0), NodeId(0), NodeId(1)], &ap);
         assert_eq!(vg.len(), 2);
-    }
-
-    #[test]
-    fn speed_between_by_node_id() {
-        let net = two_islands();
-        let ap = AllPairs::build(&net);
-        let vg = VirtualGraph::build(&[NodeId(0), NodeId(1)], &ap);
-        assert!((vg.speed_between(NodeId(0), NodeId(1)).unwrap() - 50.0).abs() < 1e-9);
-        assert!(vg.speed_between(NodeId(0), NodeId(2)).is_none());
     }
 
     #[test]

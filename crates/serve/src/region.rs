@@ -118,15 +118,6 @@ impl RegionMap {
     pub fn count(&self, r: u32) -> usize {
         self.counts.get(r as usize).copied().unwrap_or(0) as usize
     }
-
-    /// Base stations of region `r`, in node-id order.
-    pub fn nodes_in(&self, r: u32) -> impl Iterator<Item = NodeId> + '_ {
-        self.region_of
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &rr)| rr == r)
-            .map(|(i, _)| NodeId(i as u32))
-    }
 }
 
 #[cfg(test)]
@@ -158,17 +149,6 @@ mod tests {
         assert_eq!(m.regions(), 5);
         for r in 0..5u32 {
             assert_eq!(m.count(r), 1);
-        }
-    }
-
-    #[test]
-    fn nodes_in_matches_region_of() {
-        let sc = ScenarioConfig::paper(12, 8).build(2);
-        let m = RegionMap::partition(&sc.net, 3);
-        for r in 0..3u32 {
-            for n in m.nodes_in(r) {
-                assert_eq!(m.region_of(n), r);
-            }
         }
     }
 }
